@@ -4,8 +4,9 @@ Two exhibits over the seeded ``loop_nest`` shape (the workload whose
 naive powerset iteration provably diverges — DESIGN §14):
 
 * **engines** — every engine terminates in value mode and they agree
-  on the error sites; wall clock, deterministic work and summary
-  counts per engine on ``loop_nest(64)``;
+  on the error sites; wall clock, deterministic work, wall clock per
+  unit of work (``us_per_work``) and summary counts per engine on
+  ``loop_nest(64)``;
 * **knob sweep** — SWIFT across ``widening_delay`` × ``descending_iters``
   on the same shape, the measured data behind TUNING's "Widening
   knobs" section.  Delaying widening buys precision with bounded extra
@@ -57,12 +58,15 @@ def run_engine(program, engine, delay=2, descend=0):
     )
     seconds = time.perf_counter() - started
     assert not report.timed_out, f"{engine} failed to terminate in budget"
+    work = report.result.metrics.total_work
     return report, {
         "engine": engine,
         "widening_delay": delay,
         "descending_iters": descend,
         "seconds": round(seconds, 4),
-        "work": report.result.metrics.total_work,
+        "work": work,
+        # Per-unit cost: a slow layer shows here even when its work is small.
+        "us_per_work": round(seconds * 1e6 / work, 2) if work else None,
         "td_summaries": report.td_summaries,
         "bu_summaries": report.bu_summaries,
         "error_sites": len(report.error_sites),
@@ -78,7 +82,8 @@ def collect():
         sites[engine] = report.error_sites
         print(
             f"  loop-nest-{SIZE}/{engine}: {row['seconds']}s "
-            f"work={row['work']} sites={row['error_sites']}",
+            f"work={row['work']} us/work={row['us_per_work']} "
+            f"sites={row['error_sites']}",
             flush=True,
         )
     assert all(s == sites["td"] for s in sites.values()), "engines disagree"
@@ -90,7 +95,7 @@ def collect():
             sweep_rows.append(row)
             print(
                 f"  sweep delay={delay} descend={descend}: {row['seconds']}s "
-                f"work={row['work']}",
+                f"work={row['work']} us/work={row['us_per_work']}",
                 flush=True,
             )
     return [
@@ -110,6 +115,7 @@ def test_numeric_swift_terminates(once):
     program = loop_nest(8, seed=SEED)
     report, row = once(run_engine, program, "swift")
     assert not report.timed_out and row["error_sites"] > 0
+    assert row["us_per_work"] > 0
 
 
 def test_numeric_descend_keeps_verdicts(once):

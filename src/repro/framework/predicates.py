@@ -88,6 +88,11 @@ class Conjunction:
 
     __slots__ = ("atoms",)
 
+    def __reduce__(self):
+        # Rebuild through __init__: frozen fields cannot be set by the
+        # default slot-state unpickling.
+        return (Conjunction, (self.atoms,))
+
     @property
     def is_false(self) -> bool:
         return False

@@ -59,6 +59,11 @@ class IntervalTransform:
         self._hash = hash(self.actions)
         self._str = "<" + ",".join(_fmt_action(v, a) for v, a in self.actions) + ">"
 
+    def __reduce__(self):
+        # Rebuild through __init__ so the cached hash is recomputed in
+        # the unpickling process (string hashes differ per process).
+        return (IntervalTransform, (self.actions,))
+
     def resolve(self, var: str) -> tuple:
         """The action on ``var`` (identity when absent)."""
         return self._map.get(var, ("shift", var, ZERO))

@@ -49,6 +49,12 @@ class Interval:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # Rebuild through __init__: the frozen fields cannot be set by
+        # the default slot-state unpickling, and the cached hash must be
+        # recomputed in the unpickling process.
+        return (Interval, (self.lo, self.hi))
+
     @property
     def is_top(self) -> bool:
         return self.lo is None and self.hi is None
@@ -60,8 +66,13 @@ class Interval:
         return lo_ok and hi_ok
 
     def join(self, other: "Interval") -> "Interval":
+        """Least upper bound; ``self`` itself when it already covers ``other``."""
+        if other is self:
+            return self
         lo = None if self.lo is None or other.lo is None else min(self.lo, other.lo)
         hi = None if self.hi is None or other.hi is None else max(self.hi, other.hi)
+        if lo == self.lo and hi == self.hi:
+            return self
         return Interval(lo, hi)
 
     def meet(self, other: "Interval") -> Optional["Interval"]:
@@ -84,8 +95,12 @@ class Interval:
 
     def widen(self, new: "Interval") -> "Interval":
         """``self widen new`` — an unstable bound jumps to infinity."""
+        if new is self:
+            return self
         lo = self.lo if (self.lo is not None and new.lo is not None and new.lo >= self.lo) else None
         hi = self.hi if (self.hi is not None and new.hi is not None and new.hi <= self.hi) else None
+        if lo == self.lo and hi == self.hi:
+            return self
         return Interval(lo, hi)
 
     def narrow(self, new: "Interval") -> "Interval":
@@ -119,9 +134,11 @@ ZERO = Interval(0, 0)
 class IntervalEnv:
     """A sparse, immutable map ``variable -> Interval`` (absent = TOP).
 
-    Environments key the value-mode tables and worklists, so hash and
-    canonical string are precomputed once, like
-    :class:`repro.typestate.states.AbstractState`.
+    Environments key the value-mode tables and worklists, so the hash
+    is precomputed once, like
+    :class:`repro.typestate.states.AbstractState`.  The canonical
+    string is built on first ``str()`` and cached: most environments
+    are intermediate join results that nothing ever prints or sorts.
     """
 
     __slots__ = ("bindings", "_map", "_hash", "_str")
@@ -131,14 +148,15 @@ class IntervalEnv:
         for var, interval in bindings:
             if not interval.is_top:
                 items[var] = interval
-        object.__setattr__(self, "bindings", tuple(sorted(items.items())))
-        object.__setattr__(self, "_map", dict(self.bindings))
-        object.__setattr__(self, "_hash", hash(self.bindings))
-        object.__setattr__(
-            self,
-            "_str",
-            "{" + ",".join(f"{v}:{iv}" for v, iv in self.bindings) + "}",
-        )
+        self.bindings = tuple(sorted(items.items()))
+        self._map = items
+        self._hash = hash(self.bindings)
+        self._str: Optional[str] = None
+
+    def __reduce__(self):
+        # Rebuild through __init__ so the cached hash is recomputed in
+        # the unpickling process (string hashes differ per process).
+        return (IntervalEnv, (self.bindings,))
 
     # -- map operations ----------------------------------------------------------
     def get(self, var: str) -> Interval:
@@ -163,22 +181,43 @@ class IntervalEnv:
 
     # -- lattice -----------------------------------------------------------------
     def leq(self, other: "IntervalEnv") -> bool:
-        return all(self.get(var).leq(iv) for var, iv in other.bindings)
+        if other is self:
+            return True
+        mine = self._map
+        for var, iv in other.bindings:
+            have = mine.get(var)
+            # An absent binding is TOP, and no binding of ``other`` is TOP.
+            if have is None or not have.leq(iv):
+                return False
+        return True
 
     def join(self, other: "IntervalEnv") -> "IntervalEnv":
-        return IntervalEnv(
-            (var, iv.join(other._map[var]))
-            for var, iv in self.bindings
-            if var in other._map
-        )
+        """Pointwise join; ``self`` itself when it already covers ``other``."""
+        if other is self:
+            return self
+        return self._pointwise(other, Interval.join)
 
     def widen(self, new: "IntervalEnv") -> "IntervalEnv":
         """``self widen new`` — pointwise; one-sided bindings go TOP."""
-        return IntervalEnv(
-            (var, iv.widen(new._map[var]))
-            for var, iv in self.bindings
-            if var in new._map
-        )
+        if new is self:
+            return self
+        return self._pointwise(new, Interval.widen)
+
+    def _pointwise(self, other: "IntervalEnv", op) -> "IntervalEnv":
+        # Only variables bound on both sides survive (absent = TOP).
+        theirs = other._map
+        out = []
+        same = True
+        for var, iv in self.bindings:
+            got = theirs.get(var)
+            if got is None:
+                same = False
+                continue
+            res = op(iv, got)
+            if res is not iv:
+                same = False
+            out.append((var, res))
+        return self if same else IntervalEnv(out)
 
     def narrow(self, new: "IntervalEnv") -> "IntervalEnv":
         items = dict(new._map)
@@ -189,18 +228,23 @@ class IntervalEnv:
 
     # -- value semantics ---------------------------------------------------------
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, IntervalEnv):
             return NotImplemented
-        return self.bindings == other.bindings
+        return self._hash == other._hash and self.bindings == other.bindings
 
     def __hash__(self) -> int:
         return self._hash
 
     def __str__(self) -> str:
-        return self._str
+        text = self._str
+        if text is None:
+            text = self._str = "{" + ",".join(f"{v}:{iv}" for v, iv in self.bindings) + "}"
+        return text
 
     def __repr__(self) -> str:
-        return f"IntervalEnv({self._str})"
+        return f"IntervalEnv({self})"
 
 
 EMPTY_ENV = IntervalEnv()

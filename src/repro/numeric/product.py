@@ -26,6 +26,7 @@ from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.framework.interfaces import BottomUpAnalysis, TopDownAnalysis
 from repro.framework.predicates import Conjunction
+from repro.framework.topdown import state_sort_key
 from repro.typestate.dfa import TypestateProperty
 from repro.typestate.states import AbstractState, bootstrap_state
 from repro.typestate.bu_analysis import Relation, SimpleTypestateBU
@@ -44,44 +45,86 @@ from repro.numeric.td_analysis import IntervalTD
 class ProductValue:
     """A canonical set of ``(typestate, interval-env)`` rows."""
 
-    __slots__ = ("rows", "_hash", "_str")
+    __slots__ = ("rows", "_map", "_hash", "_str")
 
     def __init__(self, rows: Iterable[Tuple[AbstractState, IntervalEnv]]) -> None:
         merged: Dict[AbstractState, IntervalEnv] = {}
         for sigma, env in rows:
             cur = merged.get(sigma)
             merged[sigma] = env if cur is None else cur.join(env)
-        self.rows = tuple(sorted(merged.items(), key=lambda kv: str(kv[0])))
+        self.rows = tuple(sorted(merged.items(), key=_row_key))
+        self._map = merged
         self._hash = hash(self.rows)
-        self._str = "{" + "; ".join(f"{s}@{e}" for s, e in self.rows) + "}"
+        self._str: Optional[str] = None
 
-    def _map(self) -> Dict[AbstractState, IntervalEnv]:
-        return dict(self.rows)
+    def __reduce__(self):
+        # Rebuild through __init__ so the cached hash is recomputed in
+        # the unpickling process (string hashes differ per process).
+        return (ProductValue, (self.rows,))
 
     # -- lattice ------------------------------------------------------------------
+    # Rows of one value usually carry equal environments (a transfer
+    # moves every row's env the same way), so each row-wise operation
+    # below is computed once per distinct environment pair and the
+    # result object is shared by every row that needs it.
     def leq(self, other: "ProductValue") -> bool:
-        theirs = other._map()
+        if other is self:
+            return True
+        theirs = other._map
+        checked = set()
         for sigma, env in self.rows:
             bound = theirs.get(sigma)
-            if bound is None or not env.leq(bound):
+            if bound is None:
                 return False
+            pair = (env, bound)
+            if pair in checked:
+                continue
+            if not env.leq(bound):
+                return False
+            checked.add(pair)
         return True
 
     def join(self, other: "ProductValue") -> "ProductValue":
-        return ProductValue(self.rows + other.rows)
+        """Row-wise join; ``self`` itself when it already covers ``other``."""
+        if other is self:
+            return self
+        mine = self._map
+        joined: Dict[Tuple[IntervalEnv, IntervalEnv], IntervalEnv] = {}
+        merged = None
+        for sigma, env in other.rows:
+            cur = mine.get(sigma)
+            if cur is not None:
+                pair = (cur, env)
+                res = joined.get(pair)
+                if res is None:
+                    res = joined[pair] = cur.join(env)
+                if res == cur:
+                    continue
+                env = res
+            if merged is None:
+                merged = dict(mine)
+            merged[sigma] = env
+        return self if merged is None else ProductValue(merged.items())
 
     def widen(self, new: "ProductValue") -> "ProductValue":
-        mine = self._map()
+        mine = self._map
+        widened: Dict[Tuple[IntervalEnv, IntervalEnv], IntervalEnv] = {}
         out = []
         for sigma, env in new.rows:
             prev = mine.get(sigma)
             # A new row (fresh type-state) enters as-is: the type-state
             # universe is finite, so fresh rows cannot recur forever.
-            out.append((sigma, env if prev is None else prev.widen(env)))
+            if prev is not None:
+                pair = (prev, env)
+                res = widened.get(pair)
+                if res is None:
+                    res = widened[pair] = prev.widen(env)
+                env = res
+            out.append((sigma, env))
         return ProductValue(out)
 
     def narrow(self, new: "ProductValue") -> "ProductValue":
-        theirs = new._map()
+        theirs = new._map
         out = []
         for sigma, env in self.rows:
             refined = theirs.get(sigma)
@@ -92,18 +135,27 @@ class ProductValue:
 
     # -- value semantics ----------------------------------------------------------
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, ProductValue):
             return NotImplemented
-        return self.rows == other.rows
+        return self._hash == other._hash and self.rows == other.rows
 
     def __hash__(self) -> int:
         return self._hash
 
     def __str__(self) -> str:
-        return self._str
+        text = self._str
+        if text is None:
+            text = self._str = "{" + "; ".join(f"{s}@{e}" for s, e in self.rows) + "}"
+        return text
 
     def __repr__(self) -> str:
-        return f"ProductValue({self._str})"
+        return f"ProductValue({self})"
+
+
+def _row_key(row: Tuple[AbstractState, IntervalEnv]) -> str:
+    return state_sort_key(row[0])
 
 
 class ProductRelation:
@@ -116,6 +168,11 @@ class ProductRelation:
         self.num = num
         self._hash = hash((ts, num))
         self._str = f"({ts} x {num})"
+
+    def __reduce__(self):
+        # Rebuild through __init__ so the cached hash is recomputed in
+        # the unpickling process (string hashes differ per process).
+        return (ProductRelation, (self.ts, self.num))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProductRelation):
@@ -163,8 +220,11 @@ class IntervalTypestateTD(TopDownAnalysis):
     # -- transfer -----------------------------------------------------------------
     def transfer(self, cmd, pv: ProductValue) -> FrozenSet[ProductValue]:
         rows = []
+        moved: Dict[IntervalEnv, FrozenSet[IntervalEnv]] = {}
         for sigma, env in pv.rows:
-            envs = self.num.transfer(cmd, env)
+            envs = moved.get(env)
+            if envs is None:
+                envs = moved[env] = self.num.transfer(cmd, env)
             if not envs:
                 continue  # numeric reduction: infeasible row dies
             for sigma2 in self.ts.transfer(cmd, sigma):

@@ -48,6 +48,11 @@ class HaveAtom(Atom):
 
     __slots__ = ("var",)
 
+    def __reduce__(self):
+        # Rebuild through __init__: frozen fields cannot be set by the
+        # default slot-state unpickling.
+        return (HaveAtom, (self.var,))
+
     def satisfied_by(self, sigma: AbstractState) -> bool:
         return self.var in sigma.must
 
@@ -65,6 +70,11 @@ class NotHaveAtom(Atom):
     var: str
 
     __slots__ = ("var",)
+
+    def __reduce__(self):
+        # Rebuild through __init__: frozen fields cannot be set by the
+        # default slot-state unpickling.
+        return (NotHaveAtom, (self.var,))
 
     def satisfied_by(self, sigma: AbstractState) -> bool:
         return self.var not in sigma.must
@@ -87,6 +97,11 @@ class ConstRelation:
     pred: Conjunction
 
     __slots__ = ("output", "pred")
+
+    def __reduce__(self):
+        # Rebuild through __init__: frozen fields cannot be set by the
+        # default slot-state unpickling.
+        return (ConstRelation, (self.output, self.pred))
 
     def __str__(self) -> str:
         return f"[{self.pred} => {self.output}]"
@@ -111,6 +126,11 @@ class TransformerRelation:
         self.removed = frozenset(removed) - self.added
         self.pred = pred
         self._hash = hash((self.iota, self.removed, self.added, self.pred))
+
+    def __reduce__(self):
+        # Rebuild through __init__ so the cached hash is recomputed in
+        # the unpickling process (string hashes differ per process).
+        return (TransformerRelation, (self.iota, self.removed, self.added, self.pred))
 
     # -- semantics helpers -------------------------------------------------------
     def transform_must(self, must: FrozenSet[str]) -> FrozenSet[str]:

@@ -111,6 +111,11 @@ class TSFunction:
         self._map = dict(self.table)
         self._hash = hash(self.table)
 
+    def __reduce__(self):
+        # Rebuild through __init__ so the cached hash is recomputed in
+        # the unpickling process (string hashes differ per process).
+        return (TSFunction, (self.table,))
+
     # -- constructors -----------------------------------------------------------------
     @staticmethod
     def of(states: Iterable[str], fn) -> "TSFunction":

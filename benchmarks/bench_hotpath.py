@@ -11,18 +11,15 @@ stress workloads of the hot paths:
 
 Each comparison asserts the optimized run computes byte-identical
 ``td`` tables, per-proc summary counts and deterministic work counters
-— the optimizations may only move wall clock.  The ``td_batched`` /
-``swift_batched`` rows race the batched configuration (set-at-a-time
-frontiers + the ``scc-topo`` scheduler, DESIGN §10) against the same
-ablated baseline, under the same identity assertions.  The
-``td_kernel`` row races the bitset-kernel mask solver (DESIGN §11, on
-a shared pre-compiled :class:`CompiledKernel`) against the batched +
-``scc-topo`` configuration itself — its ``speedup`` is the kernel's
-win over the best previous engine, with compile and lazy-table
+— the optimizations may only move wall clock.  The ``td_kernel`` row
+races the bitset-kernel mask solver (DESIGN §11, on a shared
+pre-compiled :class:`CompiledKernel`) against the optimized object
+engine with the default ``lifo`` scheduler — its ``speedup`` is the
+kernel's win over the object oracle, with compile and lazy-table
 materialization costs reported separately (``kernel_compile_s``,
 ``materialize_s``).  ``swift_kernel`` races SWIFT's compiled
-relational operators against the object operators under an otherwise
-identical policy.  Two
+relational operators against the object operators under the same
+``lifo`` policy.  Two
 microbenchmarks isolate data-structure wins from engine overhead:
 ``lookup_microbench`` times ``_exit_summaries`` indexed vs linear
 scan, and ``sortkey_microbench`` times canonical state sorting with
@@ -101,47 +98,15 @@ def _run_swift(setup, optimized: bool):
     return engine, result, time.perf_counter() - started
 
 
-def _run_td_batched(setup, optimized: bool):
-    """Batched frontiers + scc-topo order vs the same ablated baseline."""
-    if not optimized:
-        return _run_td(setup, False)
-    program, td_analysis, _, init = setup
-    engine = TopDownEngine(
-        program, td_analysis, batched=True, scheduler="scc-topo"
-    )
-    started = time.perf_counter()
-    result = engine.run([init])
-    return engine, result, time.perf_counter() - started
-
-
-def _run_swift_batched(setup, optimized: bool):
-    if not optimized:
-        return _run_swift(setup, False)
-    program, td_analysis, bu_analysis, init = setup
-    engine = SwiftEngine(
-        program,
-        td_analysis,
-        bu_analysis,
-        k=5,
-        theta=1,
-        batched=True,
-        scheduler="scc-topo",
-    )
-    started = time.perf_counter()
-    result = engine.run([init])
-    return engine, result, time.perf_counter() - started
-
-
 def _make_td_kernel_runner(setup):
     """Runner for the ``td_kernel`` row (DESIGN §11).
 
     Optimized side: the bitset-kernel mask solver on a shared
     :class:`~repro.framework.topdown.CompiledKernel` (compiled once,
     outside the timed window — the compile cost is reported in the row
-    as ``kernel_compile_s``).  Unoptimized side: the PR-5 configuration
-    the ISSUE targets, batched frontiers + ``scc-topo`` with the object
-    representation — so the row's ``speedup`` is exactly the
-    acceptance comparison.  The timed region is ``engine.run`` for
+    as ``kernel_compile_s``).  Unoptimized side: the optimized object
+    engine under the default ``lifo`` scheduler, the oracle every
+    kernel result must equal.  The timed region is ``engine.run`` for
     both sides, like every row in this file; the kernel result
     materializes its object tables lazily on first access, and that
     conversion cost is measured separately and reported as
@@ -168,7 +133,7 @@ def _make_td_kernel_runner(setup):
 
     def runner(setup, optimized: bool):
         if not optimized:
-            return _run_td_batched(setup, True)
+            return _run_td(setup, True)
         engine = TopDownEngine(
             program,
             td_analysis,
@@ -195,9 +160,9 @@ def _make_swift_kernel_runner(setup):
 
     SWIFT keeps its object control flow (bottom-up trigger timing is
     order-dependent) and swaps in the compiled relational operators
-    only, so both sides here run the identical batched ``scc-topo``
-    policy and differ in nothing but ``kernel=`` — the full identity
-    assertion applies (DESIGN §11's equivalence matrix).
+    only, so both sides here run the default ``lifo`` policy and differ
+    in nothing but ``kernel=`` — the full identity assertion applies
+    (DESIGN §11's equivalence matrix).
     """
     program, td_analysis, bu_analysis, init = setup
     seeds = seed_states(program, FILE_PROPERTY, td_analysis)
@@ -209,8 +174,6 @@ def _make_swift_kernel_runner(setup):
             bu_analysis,
             k=5,
             theta=1,
-            batched=True,
-            scheduler="scc-topo",
             kernel="bitset" if optimized else "object",
             kernel_seeds=seeds if optimized else None,
         )
@@ -238,19 +201,7 @@ def _assert_identical(opt_result, unopt_result) -> None:
         }, "bottom-up summary counts diverged"
 
 
-def _assert_same_reports(opt_result, unopt_result) -> None:
-    """Report-level identity: what SWIFT guarantees across scheduler
-    policies (trigger timing, hence tables and counters, is
-    policy-dependent; the verdicts never are)."""
-    from repro.typestate.client import find_errors
-
-    assert opt_result.exit_states() == unopt_result.exit_states()
-    opt_sites = frozenset(site for (_, site) in find_errors(opt_result))
-    unopt_sites = frozenset(site for (_, site) in find_errors(unopt_result))
-    assert opt_sites == unopt_sites, "error reports diverged"
-
-
-def _compare(setup, runner, repeats: int, assert_fn=_assert_identical):
+def _compare(setup, runner, repeats: int):
     """Best-of-``repeats`` wall clock for both configurations."""
     opt_s = unopt_s = float("inf")
     opt_result = unopt_result = None
@@ -259,7 +210,7 @@ def _compare(setup, runner, repeats: int, assert_fn=_assert_identical):
         opt_s = min(opt_s, seconds)
         _, unopt_result, seconds = runner(setup, False)
         unopt_s = min(unopt_s, seconds)
-    assert_fn(opt_result, unopt_result)
+    _assert_identical(opt_result, unopt_result)
     metrics = opt_result.metrics
     row = {
         "optimized_s": round(opt_s, 4),
@@ -359,10 +310,6 @@ def collect(sizes=SIZES, workloads=tuple(WORKLOADS), repeats: int = 3):
                 "size": size,
                 "td": _compare(setup, _run_td, repeats),
                 "swift": _compare(setup, _run_swift, repeats),
-                "td_batched": _compare(setup, _run_td_batched, repeats),
-                "swift_batched": _compare(
-                    setup, _run_swift_batched, repeats, _assert_same_reports
-                ),
                 "td_kernel": _compare(
                     setup, _make_td_kernel_runner(setup), repeats
                 ),
@@ -373,15 +320,12 @@ def collect(sizes=SIZES, workloads=tuple(WORKLOADS), repeats: int = 3):
                 "sortkey_microbench": _sortkey_microbench(setup),
             }
             rows.append(row)
-            td, sw = row["td"], row["swift"]
-            tdb, tdk = row["td_batched"], row["td_kernel"]
+            td, sw, tdk = row["td"], row["swift"], row["td_kernel"]
             print(
                 f"  {workload}({size}): td {td['unoptimized_s']:.3f}s -> "
                 f"{td['optimized_s']:.3f}s ({td['reduction_pct']}%), "
-                f"td+batch/scc {tdb['optimized_s']:.3f}s "
-                f"({tdb['speedup']}x), "
                 f"td+kernel {tdk['optimized_s']:.3f}s "
-                f"({tdk['speedup']}x vs batch/scc, "
+                f"({tdk['speedup']}x vs object lifo, "
                 f"+{tdk['materialize_s']:.3f}s materialize), "
                 f"swift {sw['unoptimized_s']:.3f}s -> {sw['optimized_s']:.3f}s "
                 f"({sw['reduction_pct']}%)",
@@ -407,18 +351,6 @@ def test_lookup_modes_agree(once):
     setup = _setup("hub_flood", 32)
     micro = once(_lookup_microbench, setup, "hub")
     assert micro is not None and micro["queries"] > 0
-
-
-def test_hotpath_equivalence_td_batched(once):
-    setup = _setup("hub_flood", 32)
-    row = once(_compare, setup, _run_td_batched, 1)
-    assert row["identical"]
-
-
-def test_hotpath_swift_batched_reports_agree(once):
-    setup = _setup("hub_flood", 32)
-    row = once(_compare, setup, _run_swift_batched, 1, _assert_same_reports)
-    assert row["identical"]
 
 
 def test_hotpath_equivalence_td_kernel(once):

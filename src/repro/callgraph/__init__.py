@@ -12,8 +12,8 @@ exact.  The interesting machinery here is:
   Table 1 (#classes, #methods, code size; application vs. total);
 * :mod:`repro.callgraph.scc` — iterative Tarjan SCC condensation with
   topological / reverse-topological orders and parallel summarization
-  wavefronts (the ``scc-topo`` scheduler and the concurrent engine's
-  bottom-up planner both build on it).
+  wavefronts (the query planner and the concurrent engine's bottom-up
+  planner both build on it).
 """
 
 from repro.callgraph.rta import CallGraph, build_call_graph

@@ -3,8 +3,8 @@
 Recursion makes the call graph cyclic, so neither "callees before
 callers" nor "one procedure at a time" is well-defined on the raw
 graph.  The *condensation* — contract every strongly connected
-component (SCC) to one node — is a DAG, and two orders over it drive
-the batching/scheduling layer of this repo:
+component (SCC) to one node — is a DAG, and two orders over it serve
+this repo:
 
 * the **reverse-topological** order (callee SCCs before their callers)
   is the classic bottom-up summarization order (Whaley–Lam): once every
@@ -13,12 +13,10 @@ the batching/scheduling layer of this repo:
   :meth:`Condensation.wavefronts` groups that order into
   dependency-respecting levels so independent SCCs can be summarized in
   parallel (:class:`repro.framework.concurrent.ConcurrentSwiftEngine`);
-* its dual, the **topological** order (caller SCCs first), is what the
-  ``scc-topo`` worklist policy in :mod:`repro.framework.scheduling`
-  pops by: processing every caller before any callee lets *all* of a
-  procedure's incoming abstract states accumulate into one frontier
-  before its body is walked, which is what makes the engines' batched
-  (set-at-a-time) propagation mode pay off.
+* its dual, the **topological** order (caller SCCs first), walks a
+  procedure only after every caller that can reach it.  The query
+  planner's component split and the value-mode engines' recursion test
+  (:meth:`Condensation.is_cyclic`) read the same condensation.
 
 Tarjan's algorithm is implemented iteratively (an explicit work stack,
 no recursion) so pathological call chains cannot hit CPython's
@@ -168,7 +166,7 @@ class Condensation:
         return self.sccs
 
     def topological(self) -> Tuple[Tuple[str, ...], ...]:
-        """Components, caller SCCs first (the ``scc-topo`` pop order)."""
+        """Components, caller SCCs first."""
         return tuple(reversed(self.sccs))
 
     # -- parallel summarization support ---------------------------------------------
@@ -212,7 +210,8 @@ class Condensation:
 
 
 #: Per-program memo: the condensation is immutable once built, and the
-#: scheduler plus both batched engines all want the same instance.
+#: query planner, the concurrent engine and value-mode TD all want the
+#: same instance.
 _CONDENSATIONS: "WeakKeyDictionary[Program, Condensation]" = WeakKeyDictionary()
 
 

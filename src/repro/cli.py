@@ -87,8 +87,6 @@ def _verify(args: argparse.Namespace) -> int:
             theta=args.theta,
             budget=budget,
             scheduler=args.scheduler,
-            batched=args.batched,
-            batch_size=args.batch_size,
             kernel=args.kernel,
             widening_delay=args.widening_delay,
             descending_iters=args.descending_iters,
@@ -126,8 +124,6 @@ def _verify(args: argparse.Namespace) -> int:
         budget=budget,
         domain=args.domain,
         scheduler=args.scheduler,
-        batched=args.batched,
-        batch_size=args.batch_size,
         kernel=args.kernel,
         widening_delay=args.widening_delay,
         descending_iters=args.descending_iters,
@@ -699,6 +695,7 @@ def cmd_store(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.framework.kernel import DEFAULT_KERNEL, KERNELS
     from repro.framework.scheduling import DEFAULT_SCHEDULER, scheduler_names
 
     parser = argparse.ArgumentParser(
@@ -736,24 +733,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="worklist policy (results are identical across policies)",
     )
     verify.add_argument(
-        "--batched",
-        action="store_true",
-        help="drain whole per-node frontiers set-at-a-time "
-        "(results are identical; pairs well with --scheduler scc-topo)",
-    )
-    verify.add_argument(
         "--kernel",
-        choices=["object", "bitset", "numpy"],
-        default="object",
-        help="operator representation: object (uncompiled), bitset "
-        "(dense-id bitmask tables), numpy (bitset with array backend); "
-        "results and work counters are identical across all three",
-    )
-    verify.add_argument(
-        "--batch-size",
-        type=int,
-        default=64,
-        help="max frontier items drained per batch (with --batched)",
+        choices=KERNELS,
+        default=DEFAULT_KERNEL,
+        help="operator representation: object (uncompiled) or bitset "
+        "(dense-id bitmask tables); results and work counters are "
+        "identical across both",
     )
     verify.add_argument(
         "--widening-delay",
@@ -788,8 +773,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--budget", type=int, default=None, help="work budget")
     analyze.add_argument(
         "--kernel",
-        choices=["object", "bitset", "numpy"],
-        default="object",
+        choices=KERNELS,
+        default=DEFAULT_KERNEL,
         help="operator representation (see `verify --kernel`); part of "
         "the store fingerprint, so each kernel keeps its own snapshot",
     )
@@ -833,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
     query_point.add_argument("--theta", type=int, default=1)
     query_point.add_argument("--budget", type=int, default=None, help="work budget")
     query_point.add_argument(
-        "--kernel", choices=["object", "bitset", "numpy"], default="object"
+        "--kernel", choices=KERNELS, default=DEFAULT_KERNEL
     )
     query_point.add_argument(
         "--query-precision",
@@ -878,7 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
     query_batch.add_argument("--theta", type=int, default=1)
     query_batch.add_argument("--budget", type=int, default=None, help="work budget")
     query_batch.add_argument(
-        "--kernel", choices=["object", "bitset", "numpy"], default="object"
+        "--kernel", choices=KERNELS, default=DEFAULT_KERNEL
     )
     query_batch.add_argument(
         "--query-precision", choices=["td", "swift"], default="td"
@@ -956,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument("--theta", type=int, default=1)
         sub_parser.add_argument("--budget", type=int, default=None)
         sub_parser.add_argument(
-            "--kernel", choices=["object", "bitset", "numpy"], default="object"
+            "--kernel", choices=KERNELS, default=DEFAULT_KERNEL
         )
         sub_parser.add_argument(
             "--trace",

@@ -26,21 +26,10 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.framework.caching import (
-    RComposeCache,
-    RComposeSetCache,
-    RTransferCache,
-    RTransferSetCache,
-    canonical_relations,
-)
+from repro.framework.caching import RComposeCache, RTransferCache
 from repro.framework.ignored import IgnoredStates
 from repro.framework.interfaces import BottomUpAnalysis, UnsupportedDomainError
-from repro.framework.kernel import (
-    DEFAULT_KERNEL,
-    RelationKernel,
-    resolve_backend,
-    validate_kernel,
-)
+from repro.framework.kernel import DEFAULT_KERNEL, RelationKernel, validate_kernel
 from repro.framework.metrics import Budget, BudgetExceededError, Metrics
 from repro.framework.pruning import NoPruner, PruneOperator, clean, excl
 from repro.framework.tracing import NULL_SINK, TraceEvent, TraceSink
@@ -140,9 +129,6 @@ class BottomUpEngine:
         rtransfer_cache: Optional[RTransferCache] = None,
         rcompose_cache: Optional[RComposeCache] = None,
         sink: Optional[TraceSink] = None,
-        batched: bool = False,
-        rtransfer_set_cache: Optional[RTransferSetCache] = None,
-        rcompose_set_cache: Optional[RComposeSetCache] = None,
         kernel: str = DEFAULT_KERNEL,
         kernel_ops: Optional[RelationKernel] = None,
         widening_delay: int = 2,
@@ -202,27 +188,6 @@ class BottomUpEngine:
         else:
             self._rtransfer = analysis.rtransfer
             self._rcompose = analysis.rcompose
-        # Batched mode (DESIGN §10): apply rtrans / rcomp to the whole
-        # relation set at once.  The set-level memos are layered over
-        # the per-relation caches and obey the same ablation flag; the
-        # stored ``created`` count lets the engine add the raw
-        # ``relations_created`` contribution on set-level hits too, so
-        # the counters match the per-relation loop exactly.
-        self._batched = batched
-        if batched and enable_caches:
-            self._rtransfer_set: Optional[RTransferSetCache] = (
-                rtransfer_set_cache
-                if rtransfer_set_cache is not None
-                else RTransferSetCache(self._rtransfer, self.metrics)
-            )
-            self._rcompose_set: Optional[RComposeSetCache] = (
-                rcompose_set_cache
-                if rcompose_set_cache is not None
-                else RComposeSetCache(self._rcompose, self.metrics)
-            )
-        else:
-            self._rtransfer_set = None
-            self._rcompose_set = None
         # Bitset-compiled relational operators (repro.framework.kernel,
         # DESIGN §11): rtrans rows and rcomp matrix cells over dense
         # relation ids.  SWIFT passes its trigger-shared RelationKernel
@@ -232,9 +197,7 @@ class BottomUpEngine:
         if kernel_ops is not None:
             self._kernel_ops: Optional[RelationKernel] = kernel_ops
         elif self.kernel != DEFAULT_KERNEL:
-            self._kernel_ops = RelationKernel(
-                analysis, self.metrics, backend=resolve_backend(self.kernel)
-            )
+            self._kernel_ops = RelationKernel(analysis, self.metrics)
         else:
             self._kernel_ops = None
 
@@ -345,29 +308,10 @@ class BottomUpEngine:
             self.budget.check(self.metrics)
         if isinstance(cmd, Prim):
             if self._kernel_ops is not None:
-                # Compiled rows, batched-style counter arithmetic: one
-                # logical rtrans per input relation, created counts from
-                # the rows — identical totals to both object loops.
+                # Compiled rows: one logical rtrans per input relation,
+                # created counts from the rows — identical totals to the
+                # object loop.
                 produced_set, created = self._kernel_ops.rtransfer_set(cmd, relations)
-                self.metrics.rtransfers += len(relations)
-                self.metrics.relations_created += created
-                if self.budget is not None:
-                    self.budget.check_counters(self.metrics)
-                return self._prune(
-                    proc, *clean(self.analysis, produced_set, ignored)
-                )
-            if self._batched:
-                if self._rtransfer_set is not None:
-                    produced_set, created = self._rtransfer_set(cmd, relations)
-                else:
-                    rtransfer = self._rtransfer
-                    out = set()
-                    created = 0
-                    for r in canonical_relations(relations):
-                        step = rtransfer(cmd, r)
-                        created += len(step)
-                        out.update(step)
-                    produced_set = frozenset(out)
                 self.metrics.rtransfers += len(relations)
                 self.metrics.relations_created += created
                 if self.budget is not None:
@@ -427,27 +371,6 @@ class BottomUpEngine:
                 composed_set, created = self._kernel_ops.rcompose_set(
                     relations, callee.relations
                 )
-                self.metrics.compositions += len(relations) * len(callee.relations)
-                self.metrics.relations_created += created
-                if self.budget is not None:
-                    self.budget.check_counters(self.metrics)
-                composed: Set = set(composed_set)
-            elif self._batched:
-                if self._rcompose_set is not None:
-                    composed_set, created = self._rcompose_set(
-                        relations, callee.relations
-                    )
-                else:
-                    rcompose = self._rcompose
-                    acc = set()
-                    created = 0
-                    callee_order = list(canonical_relations(callee.relations))
-                    for r in canonical_relations(relations):
-                        for r0 in callee_order:
-                            step = rcompose(r, r0)
-                            created += len(step)
-                            acc.update(step)
-                    composed_set = frozenset(acc)
                 self.metrics.compositions += len(relations) * len(callee.relations)
                 self.metrics.relations_created += created
                 if self.budget is not None:

@@ -26,7 +26,7 @@ bounded cache never makes two runs of the same configuration diverge.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Hashable, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable
 
 from repro.framework.metrics import Metrics
 
@@ -121,154 +121,5 @@ class RComposeCache(_BoundedMemo):
             return out
         out = self._fn(r1, r2)
         self.metrics.rcompose_cache_misses += 1
-        self._store(key, out)
-        return out
-
-
-# -- set-level memos (batched propagation, DESIGN §10) ---------------------------------
-#
-# The batched engines apply an operator to a whole frozenset of states
-# (or relations) at once.  The caches below memoize those *set-level*
-# applications, layered over the per-state caches above: a set-level
-# miss computes through the per-state callable (which may itself hit),
-# so the two tiers compose rather than compete.  Set-level traffic is
-# counted in ``batch_cache_hits`` / ``batch_cache_misses``; the engines
-# keep incrementing the raw work counters per logical application, so
-# batched and unbatched runs of one configuration agree counter for
-# counter.
-#
-# Every set cache takes a ``canon`` callable returning the input set in
-# a deterministic order (e.g. ``topdown.sorted_states``): miss-path
-# iteration must not depend on frozenset hash order, or the per-state
-# caches underneath would see a seed-dependent fill order.
-
-
-def canonical_relations(relations):
-    """Deterministic iteration order for a set of abstract relations.
-
-    The bottom-up twin of :func:`repro.framework.topdown.sorted_states`
-    (relations sort by their canonical string form too).
-    """
-    if len(relations) <= 1:
-        return relations
-    return sorted(relations, key=str)
-
-
-class TransferSetCache(_BoundedMemo):
-    """Memoized ``trans(c)`` over a whole frontier of states.
-
-    Maps ``(cmd, frozenset(sigmas))`` to ``{sigma: (sigma', ...)}`` with
-    each out-tuple in canonical order, ready for the batched top-down
-    loop to propagate without re-sorting.
-    """
-
-    __slots__ = ("_fn", "_canon")
-
-    def __init__(
-        self,
-        fn: Callable,
-        metrics: Metrics,
-        canon: Callable,
-        maxsize: int = DEFAULT_CACHE_SIZE,
-    ) -> None:
-        super().__init__(metrics, maxsize)
-        self._fn = fn
-        self._canon = canon
-
-    def __call__(self, cmd, sigmas: FrozenSet) -> Dict:
-        key = (cmd, sigmas)
-        out = self._data.get(key)
-        if out is not None:
-            self.metrics.batch_cache_hits += 1
-            return out
-        fn = self._fn
-        out = {
-            sigma: tuple(self._canon(fn(cmd, sigma)))
-            for sigma in self._canon(sigmas)
-        }
-        self.metrics.batch_cache_misses += 1
-        self._store(key, out)
-        return out
-
-
-class RTransferSetCache(_BoundedMemo):
-    """Memoized ``rtrans(c)`` over a whole relation set.
-
-    Maps ``(cmd, frozenset(relations))`` to ``(out_relations, created)``
-    where ``created`` is the summed size of the per-relation results —
-    the amount the engine must add to ``relations_created`` whether the
-    set-level lookup hit or missed.
-    """
-
-    __slots__ = ("_fn", "_canon")
-
-    def __init__(
-        self,
-        fn: Callable,
-        metrics: Metrics,
-        canon: Callable = canonical_relations,
-        maxsize: int = DEFAULT_CACHE_SIZE,
-    ) -> None:
-        super().__init__(metrics, maxsize)
-        self._fn = fn
-        self._canon = canon
-
-    def __call__(self, cmd, relations: FrozenSet) -> Tuple[FrozenSet, int]:
-        key = (cmd, relations)
-        out = self._data.get(key)
-        if out is not None:
-            self.metrics.batch_cache_hits += 1
-            return out
-        fn = self._fn
-        produced: set = set()
-        created = 0
-        for r in self._canon(relations):
-            step = fn(cmd, r)
-            created += len(step)
-            produced.update(step)
-        out = (frozenset(produced), created)
-        self.metrics.batch_cache_misses += 1
-        self._store(key, out)
-        return out
-
-
-class RComposeSetCache(_BoundedMemo):
-    """Memoized ``rcomp`` over a caller x callee relation-set product.
-
-    Maps ``(frozenset(R), frozenset(R0))`` to ``(composed, created)``;
-    the composition count itself is ``len(R) * len(R0)`` and is
-    recomputed by the engine, not stored.
-    """
-
-    __slots__ = ("_fn", "_canon")
-
-    def __init__(
-        self,
-        fn: Callable,
-        metrics: Metrics,
-        canon: Callable = canonical_relations,
-        maxsize: int = DEFAULT_CACHE_SIZE,
-    ) -> None:
-        super().__init__(metrics, maxsize)
-        self._fn = fn
-        self._canon = canon
-
-    def __call__(self, relations: FrozenSet, callee_relations: FrozenSet) -> Tuple[FrozenSet, int]:
-        key = (relations, callee_relations)
-        out = self._data.get(key)
-        if out is not None:
-            self.metrics.batch_cache_hits += 1
-            return out
-        fn = self._fn
-        composed: set = set()
-        created = 0
-        callee_order = list(self._canon(callee_relations))
-        for r in self._canon(relations):
-            for r0 in callee_order:
-                step = fn(r, r0)
-                created += len(step)
-                composed.update(step)
-        out = (frozenset(composed), created)
-        self.metrics.batch_cache_misses += 1
         self._store(key, out)
         return out

@@ -251,7 +251,6 @@ class ConcurrentSwiftEngine(SwiftEngine):
             enable_caches=self.enable_caches,
             restart_clock=False,
             sink=self._sink if self._tracing else None,
-            batched=self.batched,
             # Workers build their own compiled relation tables, like
             # the object caches: SWIFT's shared RelationKernel is not
             # touched off the tabulation thread.

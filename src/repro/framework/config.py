@@ -31,11 +31,7 @@ from repro.framework.interfaces import UnsupportedDomainError
 from repro.framework.kernel import DEFAULT_KERNEL, validate_kernel
 from repro.framework.metrics import Budget
 from repro.framework.registry import DOMAINS, ENGINES, EngineSpec
-from repro.framework.scheduling import (
-    DEFAULT_BATCH_MIN_FRONTIER,
-    DEFAULT_SCHEDULER,
-    validate_scheduler,
-)
+from repro.framework.scheduling import DEFAULT_SCHEDULER, validate_scheduler
 
 
 @dataclass(frozen=True)
@@ -44,18 +40,15 @@ class AnalysisConfig:
 
     Identity fields (part of :meth:`canonical_dict`): ``engine``,
     ``domain``, ``k``, ``theta``, ``bu_triggers``, ``scheduler``,
-    ``tracked_sites``,
-    ``enable_caches``, ``indexed_summaries``, ``batched``,
-    ``batch_size``, ``batch_min_frontier``, ``kernel``,
-    ``widening_delay``, ``descending_iters``.  Runtime
+    ``tracked_sites``, ``enable_caches``, ``indexed_summaries``,
+    ``kernel``, ``widening_delay``, ``descending_iters``.  Runtime
     fields (not part of the canonical form): ``budget``, ``sink``,
     ``preload``, ``max_workers``.
 
-    ``kernel`` and ``batch_min_frontier`` never change the computed
-    tables or work counters (property-tested), but they are kept in
-    the canonical form anyway: a summary-store fingerprint that goes
-    cold costs one re-analysis, one that is wrong is a soundness bug —
-    cold, never wrong.
+    ``kernel`` never changes the computed tables or work counters
+    (property-tested), but it is kept in the canonical form anyway: a
+    summary-store fingerprint that goes cold costs one re-analysis, one
+    that is wrong is a soundness bug — cold, never wrong.
     """
 
     engine: str = "swift"
@@ -67,9 +60,6 @@ class AnalysisConfig:
     tracked_sites: Optional[FrozenSet[str]] = None
     enable_caches: bool = True
     indexed_summaries: bool = True
-    batched: bool = False
-    batch_size: int = 64
-    batch_min_frontier: int = DEFAULT_BATCH_MIN_FRONTIER
     kernel: str = DEFAULT_KERNEL
     # Widening knobs (crab-style; see DESIGN §14 and TUNING): only
     # consulted by infinite-height (lattice) domains, so they normalize
@@ -93,16 +83,10 @@ class AnalysisConfig:
             raise ValueError("theta must be at least 1")
         if self.max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.batch_min_frontier < 0:
-            raise ValueError("batch_min_frontier must be non-negative")
         if self.widening_delay < 0:
             raise ValueError("widening_delay must be non-negative")
         if self.descending_iters < 0:
             raise ValueError("descending_iters must be non-negative")
-        # Name check only: numpy availability is probed when an engine
-        # is built, so a numpy config can be fingerprinted anywhere.
         validate_kernel(self.kernel)
         if not self.domain_spec.is_finite and self.kernel != DEFAULT_KERNEL:
             raise UnsupportedDomainError(
@@ -190,14 +174,6 @@ class AnalysisConfig:
                 "enable_caches": self.enable_caches,
                 "indexed_summaries": self.indexed_summaries,
                 "scheduler": self.scheduler,
-                "batched": self.batched,
-                # The drain limit and small-frontier threshold only
-                # matter when batching is on, so an unbatched config
-                # fingerprints the same whatever values it carried.
-                "batch_size": self.batch_size if self.batched else None,
-                "batch_min_frontier": (
-                    self.batch_min_frontier if self.batched else None
-                ),
                 "kernel": self.kernel,
                 # Widening knobs only steer infinite-height domains;
                 # finite-domain configs fingerprint the same whatever

@@ -58,7 +58,7 @@ class UnsupportedDomainError(ValueError):
     """A component was handed a domain outside what it supports.
 
     Raised by the finite-domain machinery — the compiled kernels'
-    state enumeration, the bitset/numpy kernel gate in
+    state enumeration, the bitset kernel gate in
     ``AnalysisConfig`` — when given an infinite-height (lattice)
     domain, and by codecs/drivers restricted to specific domains.  The
     message always names the supported alternatives (and, for kernel

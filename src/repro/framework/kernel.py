@@ -14,15 +14,13 @@ walking dict memos.  This module compiles the universes away:
   see :mod:`repro.typestate.enumerate`);
 * each primitive command's ``trans`` is compiled, row by row and at
   most once per ``(command, state)`` pair, into a lookup table mapping
-  a state id to an output *bitmask* — a Python ``int`` whose bit ``i``
-  means "state with id ``i`` is produced";
-* frontier state-sets become bitmasks too, so set-at-a-time
-  propagation is bitwise OR over table rows
-  (:meth:`StateKernel.apply_mask`), and the relational operators
-  ``rtrans``/``rcomp`` become boolean matrix rows/cells over the
-  relation-id universe (:class:`RelationKernel`) — summary composition
-  is a boolean matrix multiply evaluated sparsely, row masks OR-ed per
-  set bit.
+  a state id to its output state ids, which the top-down mask solver
+  turns into *bitmasks* — Python ``int``s whose bit ``i`` means "pair
+  ``i`` holds here";
+* the relational operators ``rtrans``/``rcomp`` become boolean matrix
+  rows/cells over the relation-id universe (:class:`RelationKernel`) —
+  summary composition is a boolean matrix multiply evaluated sparsely,
+  row masks OR-ed per set bit.
 
 The kernel is *representation only*: every engine still bumps its raw
 work counters per logical operator application, so tables, error
@@ -31,22 +29,18 @@ reports and work counters are byte-identical to the object engines
 compile wall time land in the new non-work ``Metrics.kernel_*``
 fields.
 
-Backends: ``bitset`` is the always-available pure-int implementation;
-``numpy`` (gated on import availability) keeps the same id/table
-machinery but folds row masks with ``np.bitwise_or.reduce`` over an
-object-dtype array.  ``object`` means "no kernel" — the interned-state
-engines unchanged.
+Kernels: ``bitset`` is the pure-int implementation above; ``object``
+means "no kernel" — the interned-state engines unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Tuple
 
-from repro.framework.caching import canonical_relations
 from repro.framework.metrics import Metrics
 
 #: Registered kernel names, in documentation order.
-KERNELS: Tuple[str, ...] = ("object", "bitset", "numpy")
+KERNELS: Tuple[str, ...] = ("object", "bitset")
 
 #: The default — the uncompiled object engines.
 DEFAULT_KERNEL = "object"
@@ -56,60 +50,14 @@ DEFAULT_KERNEL = "object"
 #: optimization, never a semantic need.
 _MEMO_LIMIT = 1 << 20
 
-_NUMPY = None
-_NUMPY_PROBED = False
-
-
-def numpy_available() -> bool:
-    """Is the numpy backend importable in this interpreter?"""
-    return _numpy() is not None
-
-
-def _numpy():
-    global _NUMPY, _NUMPY_PROBED
-    if not _NUMPY_PROBED:
-        _NUMPY_PROBED = True
-        try:  # pragma: no cover - exercised only where numpy is absent
-            import numpy
-        except ImportError:
-            numpy = None
-        _NUMPY = numpy
-    return _NUMPY
-
 
 def validate_kernel(name: str) -> str:
-    """Check a kernel name (availability is checked at engine build)."""
+    """Check a kernel name."""
     if name not in KERNELS:
         raise ValueError(
             f"unknown kernel {name!r}; registered kernels: {', '.join(KERNELS)}"
         )
     return name
-
-
-def resolve_backend(kernel: str):
-    """The reduction backend for ``kernel``: the numpy module or None.
-
-    Raises :class:`ValueError` when the numpy kernel is requested but
-    numpy cannot be imported — callers gate on :func:`numpy_available`.
-    """
-    validate_kernel(kernel)
-    if kernel != "numpy":
-        return None
-    np = _numpy()
-    if np is None:
-        raise ValueError("kernel 'numpy' requested but numpy is not importable")
-    return np
-
-
-def _reduce_or(np, masks: List[int]) -> int:
-    """OR-fold a list of int bitmasks through the numpy backend."""
-    if not masks:
-        return 0
-    if len(masks) == 1:
-        return masks[0]
-    arr = np.empty(len(masks), dtype=object)
-    arr[:] = masks
-    return int(np.bitwise_or.reduce(arr))
 
 
 class StateKernel:
@@ -130,23 +78,16 @@ class StateKernel:
         transfer: Callable,
         metrics: Metrics,
         canon: Callable,
-        backend=None,
         seeds: Iterable = (),
     ) -> None:
         self._transfer = transfer
         self._metrics = metrics
         self._canon = canon
-        self._np = backend
         self._ids: Dict[object, int] = {}
         self._states: List[object] = []
         # (cmd, state id) -> (canonically sorted output tuple, output
-        # mask, output id tuple)
-        self._rows: Dict[Tuple[object, int], Tuple[Tuple, int, Tuple[int, ...]]] = {}
-        # (cmd, input mask) -> output mask
-        self._apply_memo: Dict[Tuple[object, int], int] = {}
-        # (cmd, frozenset of states) -> {state: sorted output tuple}
-        # (the TransferSetCache-shaped adapter for batched engines)
-        self._outs_memo: Dict[Tuple[object, FrozenSet], Dict] = {}
+        # id tuple)
+        self._rows: Dict[Tuple[object, int], Tuple[Tuple, Tuple[int, ...]]] = {}
         for sigma in seeds:
             self.id_of(sigma)
 
@@ -162,35 +103,13 @@ class StateKernel:
     def state_of(self, sid: int):
         return self._states[sid]
 
-    def states_of_mask(self, mask: int) -> List:
-        """The states whose bits are set, in ascending id order."""
-        states = self._states
-        out = []
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            out.append(states[low.bit_length() - 1])
-        return out
-
     # -- compiled rows ----------------------------------------------------------------
-    def _fill(self, cmd, sid: int) -> Tuple[Tuple, int, Tuple[int, ...]]:
+    def _fill(self, cmd, sid: int) -> Tuple[Tuple, Tuple[int, ...]]:
         outs = tuple(self._canon(self._transfer(cmd, self._states[sid])))
-        out_mask = 0
-        out_ids = []
-        for sigma in outs:
-            osid = self.id_of(sigma)
-            out_mask |= 1 << osid
-            out_ids.append(osid)
-        row = self._rows[(cmd, sid)] = (outs, out_mask, tuple(out_ids))
+        out_ids = tuple(self.id_of(sigma) for sigma in outs)
+        row = self._rows[(cmd, sid)] = (outs, out_ids)
         self._metrics.kernel_rows += 1
         return row
-
-    def row_ids(self, cmd, sid: int) -> Tuple[int, ...]:
-        """``trans(cmd)(state sid)`` as a tuple of output state ids."""
-        row = self._rows.get((cmd, sid))
-        if row is None:
-            row = self._fill(cmd, sid)
-        return row[2]
 
     def row_states(self, cmd, sigma) -> Tuple:
         """``trans(cmd)(sigma)`` as the canonical sorted tuple."""
@@ -199,62 +118,6 @@ class StateKernel:
         if row is None:
             row = self._fill(cmd, sid)
         return row[0]
-
-    def apply_mask(self, cmd, mask: int) -> int:
-        """The union of ``trans(cmd)(sigma)`` over the set bits, as a mask."""
-        key = (cmd, mask)
-        out = self._apply_memo.get(key)
-        if out is not None:
-            return out
-        rows = self._rows
-        m = mask
-        if self._np is None:
-            out = 0
-            while m:
-                low = m & -m
-                m ^= low
-                row = rows.get((cmd, low.bit_length() - 1))
-                if row is None:
-                    row = self._fill(cmd, low.bit_length() - 1)
-                out |= row[1]
-        else:
-            collected: List[int] = []
-            while m:
-                low = m & -m
-                m ^= low
-                row = rows.get((cmd, low.bit_length() - 1))
-                if row is None:
-                    row = self._fill(cmd, low.bit_length() - 1)
-                collected.append(row[1])
-            out = _reduce_or(self._np, collected)
-        if len(self._apply_memo) >= _MEMO_LIMIT:
-            self._apply_memo.clear()
-        self._apply_memo[key] = out
-        return out
-
-    def transfer_outs(self, cmd, states: FrozenSet) -> Dict:
-        """Batched-engine adapter: ``{sigma: sorted trans(cmd)(sigma)}``.
-
-        Same call shape and return shape as
-        :class:`repro.framework.caching.TransferSetCache`, so batched
-        engines swap it in without touching their loops.
-        """
-        key = (cmd, states)
-        out = self._outs_memo.get(key)
-        if out is not None:
-            return out
-        rows = self._rows
-        out = {}
-        for sigma in self._canon(states):
-            sid = self.id_of(sigma)
-            row = rows.get((cmd, sid))
-            if row is None:
-                row = self._fill(cmd, sid)
-            out[sigma] = row[0]
-        if len(self._outs_memo) >= _MEMO_LIMIT:
-            self._outs_memo.clear()
-        self._outs_memo[key] = out
-        return out
 
 
 class RelationKernel:
@@ -270,10 +133,9 @@ class RelationKernel:
     have — memo hits included.
     """
 
-    def __init__(self, analysis, metrics: Metrics, backend=None, canon_states=None) -> None:
+    def __init__(self, analysis, metrics: Metrics, canon_states=None) -> None:
         self._analysis = analysis
         self._metrics = metrics
-        self._np = backend
         self._canon_states = canon_states
         self._ids: Dict[object, int] = {}
         self._rels: List[object] = []
@@ -309,7 +171,7 @@ class RelationKernel:
             mask = 0
             # Canonical order at the assignment site keeps ids (and
             # hence every downstream mask) hash-seed independent.
-            for r in canonical_relations(relations):
+            for r in sorted(relations, key=str):
                 mask |= 1 << self._id_of(r)
             if len(self._set_masks) >= _MEMO_LIMIT:
                 self._set_masks.clear()
@@ -349,27 +211,15 @@ class RelationKernel:
         rows = self._rtrans_rows
         created = 0
         m = mask
-        if self._np is None:
-            out_mask = 0
-            while m:
-                low = m & -m
-                m ^= low
-                row = rows.get((cmd, low.bit_length() - 1))
-                if row is None:
-                    row = self._rtrans_row(cmd, low.bit_length() - 1)
-                out_mask |= row[0]
-                created += row[1]
-        else:
-            collected: List[int] = []
-            while m:
-                low = m & -m
-                m ^= low
-                row = rows.get((cmd, low.bit_length() - 1))
-                if row is None:
-                    row = self._rtrans_row(cmd, low.bit_length() - 1)
-                collected.append(row[0])
-                created += row[1]
-            out_mask = _reduce_or(self._np, collected)
+        out_mask = 0
+        while m:
+            low = m & -m
+            m ^= low
+            row = rows.get((cmd, low.bit_length() - 1))
+            if row is None:
+                row = self._rtrans_row(cmd, low.bit_length() - 1)
+            out_mask |= row[0]
+            created += row[1]
         result = (self._set_of(out_mask), created)
         if len(self._rtrans_memo) >= _MEMO_LIMIT:
             self._rtrans_memo.clear()
@@ -410,27 +260,15 @@ class RelationKernel:
         rows = self._comp_rows
         created = 0
         m = caller_mask
-        if self._np is None:
-            out_mask = 0
-            while m:
-                low = m & -m
-                m ^= low
-                row = rows.get((low.bit_length() - 1, callee_mask))
-                if row is None:
-                    row = self._comp_row(low.bit_length() - 1, callee_mask)
-                out_mask |= row[0]
-                created += row[1]
-        else:
-            collected: List[int] = []
-            while m:
-                low = m & -m
-                m ^= low
-                row = rows.get((low.bit_length() - 1, callee_mask))
-                if row is None:
-                    row = self._comp_row(low.bit_length() - 1, callee_mask)
-                collected.append(row[0])
-                created += row[1]
-            out_mask = _reduce_or(self._np, collected)
+        out_mask = 0
+        while m:
+            low = m & -m
+            m ^= low
+            row = rows.get((low.bit_length() - 1, callee_mask))
+            if row is None:
+                row = self._comp_row(low.bit_length() - 1, callee_mask)
+            out_mask |= row[0]
+            created += row[1]
         result = (self._set_of(out_mask), created)
         if len(self._comp_memo) >= _MEMO_LIMIT:
             self._comp_memo.clear()

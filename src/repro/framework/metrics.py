@@ -77,13 +77,6 @@ class Metrics:
     store_hits: int = 0  # preloaded contexts/summaries installed
     store_misses: int = 0  # lookups the store could not serve
     store_invalidated: int = 0  # procedures whose entries were discarded
-    # Batched-propagation traffic (DESIGN §10).  Not part of total_work:
-    # the raw operator counters above are incremented per *logical*
-    # application in batched mode too, so batched/unbatched runs agree
-    # counter-for-counter.
-    frontier_batches: int = 0  # per-node frontiers drained set-at-a-time
-    batch_cache_hits: int = 0  # set-level memo hits (whole frontier served)
-    batch_cache_misses: int = 0  # set-level memo misses
     # Kernel-compilation stats (repro.framework.kernel, DESIGN §11).
     # Not part of total_work: they size the compiled representation;
     # the work counters above keep counting per *logical* operator
@@ -173,11 +166,10 @@ class Budget:
     def check_counters(self, metrics: Metrics) -> None:
         """The deterministic half of :meth:`check` (work + relations).
 
-        The batched engines keep calling this per *item* so that the
-        same work/relation budgets time out batched and unbatched, with
-        the overrun bounded per item rather than per batch; only the
-        wall-clock half (:meth:`check_clock`) is hoisted to once per
-        drained batch.
+        The bitset kernel calls this per compiled operator application
+        so that the same work/relation budgets time out under every
+        kernel; only the wall-clock half (:meth:`check_clock`) is
+        hoisted to once per popped point.
         """
         if self.max_work is not None and metrics.total_work > self.max_work:
             raise BudgetExceededError(KIND_WORK, metrics.total_work, self.max_work)
@@ -192,9 +184,9 @@ class Budget:
     def check_clock(self) -> None:
         """The wall-clock half of :meth:`check` (``max_seconds``).
 
-        Reading ``time.monotonic`` per popped item is measurable on the
-        hot path; batch sizes are bounded, so checking the deadline once
-        per drained frontier keeps the overrun bounded too.
+        Reading ``time.monotonic`` per pair bit is measurable on the
+        kernel's hot path; checking the deadline once per popped point
+        keeps the overrun bounded by one point's masks.
         """
         if self.max_seconds is not None:
             elapsed = time.monotonic() - self._started_at

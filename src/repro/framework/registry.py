@@ -316,9 +316,6 @@ def _run_td(program, instance, config) -> EngineOutcome:
         scheduler=config.scheduler,
         sink=config.sink,
         preload=config.preload,
-        batched=config.batched,
-        batch_size=config.batch_size,
-        batch_min_frontier=config.batch_min_frontier,
         widening_delay=config.widening_delay,
         descending_iters=config.descending_iters,
         **_kernel_options(instance, config, program),
@@ -347,9 +344,6 @@ def _run_hybrid(engine_cls, program, instance, config, **extra) -> EngineOutcome
         scheduler=config.scheduler,
         sink=config.sink,
         preload=config.preload,
-        batched=config.batched,
-        batch_size=config.batch_size,
-        batch_min_frontier=config.batch_min_frontier,
         widening_delay=config.widening_delay,
         descending_iters=config.descending_iters,
         **_kernel_options(instance, config, program),
@@ -387,7 +381,6 @@ def _run_bu(program, instance, config) -> EngineOutcome:
         budget=config.budget,
         enable_caches=config.enable_caches,
         sink=config.sink,
-        batched=config.batched,
         kernel=config.kernel,
         widening_delay=config.widening_delay,
     )

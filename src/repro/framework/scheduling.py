@@ -19,15 +19,7 @@ choice into a :class:`Scheduler` seam:
 * ``callee-depth`` — a priority policy popping items in the procedure
   deepest in the call graph first (callees before callers regardless of
   discovery order), with FIFO tie-breaking at equal depth.  Determinism
-  comes from an insertion sequence number, never from hashes;
-* ``scc-topo`` — a priority policy popping items in *topological order
-  of the call graph's SCC condensation* (caller components strictly
-  before their callee components; recursion collapses into one
-  component so the order is total even on cyclic graphs).  Finishing
-  every caller before any callee lets all of a procedure's incoming
-  abstract states pile up into one per-node frontier, which is the
-  order the engines' batched (set-at-a-time) propagation mode is built
-  for — see :meth:`Scheduler.pop_frontier` and DESIGN §10.
+  comes from an insertion sequence number, never from hashes.
 
 The counters-vs-wall-clock rule (DESIGN §4) applies: switching policy
 may change wall time and work *counters*, but never the reported
@@ -47,7 +39,6 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Tuple
 from weakref import WeakKeyDictionary
 
-from repro.callgraph.scc import condensation
 from repro.ir.program import Program
 
 #: A work item: (program point, entry state, state at the point).
@@ -72,27 +63,6 @@ class Scheduler:
     def pop(self) -> WorkItem:
         raise NotImplementedError
 
-    def peek(self) -> WorkItem:
-        """The item the next ``pop`` would return (workset unchanged)."""
-        raise NotImplementedError
-
-    def pop_frontier(self, limit: int) -> List[WorkItem]:
-        """Drain up to ``limit`` consecutive items at one program point.
-
-        The batched engines process a whole per-node frontier at a time
-        (DESIGN §10): this pops the next item, then keeps popping while
-        the policy's next choice sits at the *same* program point.  The
-        batch is exactly a prefix of the policy's pop sequence, so the
-        drained items are the ones an unbatched loop would have popped
-        next — batching changes grouping, never membership.
-        """
-        first = self.pop()
-        batch = [first]
-        point = first[0]
-        while len(batch) < limit and len(self) and self.peek()[0] == point:
-            batch.append(self.pop())
-        return batch
-
     def __len__(self) -> int:
         raise NotImplementedError
 
@@ -114,9 +84,6 @@ class LifoScheduler(Scheduler):
     def pop(self) -> WorkItem:
         return self._items.pop()
 
-    def peek(self) -> WorkItem:
-        return self._items[-1]
-
     def __len__(self) -> int:
         return len(self._items)
 
@@ -134,9 +101,6 @@ class FifoScheduler(Scheduler):
 
     def pop(self) -> WorkItem:
         return self._items.popleft()
-
-    def peek(self) -> WorkItem:
-        return self._items[0]
 
     def __len__(self) -> int:
         return len(self._items)
@@ -170,100 +134,8 @@ class CalleeDepthScheduler(Scheduler):
     def pop(self) -> WorkItem:
         return heapq.heappop(self._heap)[2]
 
-    def peek(self) -> WorkItem:
-        return self._heap[0][2]
-
     def __len__(self) -> int:
         return len(self._heap)
-
-
-class SccTopoScheduler(Scheduler):
-    """Priority order: topological over the SCC condensation.
-
-    Items are keyed by their procedure's component rank in the
-    condensation's *reverse*-topological order
-    (:meth:`repro.callgraph.scc.Condensation.ranks`) and popped highest
-    rank first — i.e. caller components before the components they
-    call, recursion handled by the contraction.  Completing every
-    caller before any callee maximizes how many ``(entry, state)``
-    items accumulate at each callee point, which is exactly the
-    frontier width the batched engines drain set-at-a-time.
-
-    Within one component, items pop grouped by program point (points in
-    first-push order, items of a point in push order): the group *is*
-    the per-node frontier, so ``pop_frontier`` hands the batched loop a
-    whole frontier with one dict probe instead of ``2k`` heap
-    operations.  The representation is rank buckets (``rank -> point ->
-    item list``) with a lazy max-heap of active ranks, making ``push``
-    O(1) — the schedule stays a pure function of the push sequence.
-    """
-
-    policy = "scc-topo"
-
-    def __init__(self, program: Program) -> None:
-        self._rank = condensation(program).ranks()
-        # rank -> {point -> [items in push order]} (dicts keep insertion
-        # order, so point groups pop first-pushed first).
-        self._buckets: Dict[int, Dict[object, List[WorkItem]]] = {}
-        # Lazy max-heap of ranks with a live bucket (negated; a rank may
-        # appear more than once — emptied entries are skipped on pop).
-        self._active: List[int] = []
-        self._count = 0
-
-    def push(self, item: WorkItem) -> None:
-        # Highest reverse-topological rank first == topological order.
-        rank = self._rank.get(item[0].proc, -1)
-        bucket = self._buckets.get(rank)
-        if bucket is None:
-            bucket = self._buckets[rank] = {}
-            heapq.heappush(self._active, -rank)
-        elif not bucket:
-            heapq.heappush(self._active, -rank)
-        group = bucket.get(item[0])
-        if group is None:
-            bucket[item[0]] = [item]
-        else:
-            group.append(item)
-        self._count += 1
-
-    def _front(self) -> Dict[object, List[WorkItem]]:
-        """The highest-ranked non-empty bucket (lazily cleaned)."""
-        while True:
-            rank = -self._active[0]
-            bucket = self._buckets[rank]
-            if bucket:
-                return bucket
-            heapq.heappop(self._active)
-
-    def pop(self) -> WorkItem:
-        bucket = self._front()
-        point = next(iter(bucket))
-        group = bucket[point]
-        item = group.pop(0)
-        if not group:
-            del bucket[point]
-        self._count -= 1
-        return item
-
-    def peek(self) -> WorkItem:
-        bucket = self._front()
-        return bucket[next(iter(bucket))][0]
-
-    def pop_frontier(self, limit: int) -> List[WorkItem]:
-        bucket = self._front()
-        point = next(iter(bucket))
-        group = bucket[point]
-        if len(group) <= limit:
-            del bucket[point]
-            self._count -= len(group)
-            return group
-        batch = group[:limit]
-        del group[:limit]
-        self._count -= limit
-        return batch
-
-    def __len__(self) -> int:
-        return self._count
 
 
 #: Per-program memo of the callee-depth BFS map: the depth of a
@@ -302,16 +174,6 @@ SCHEDULERS: Dict[str, Callable[[Program], Scheduler]] = {
 #: The engines' historical behaviour (``order="lifo"``).
 DEFAULT_SCHEDULER = "lifo"
 
-#: Frontier-size threshold below which batched engines run the
-#: per-item handlers instead of the set machinery.  BENCH_hotpath's
-#: size-16 rows showed batched mode *losing* (0.89–0.93x) on small
-#: programs whose frontiers rarely exceed a handful of items: the
-#: frozenset construction and set-memo probes cost more than they
-#: share.  Tuned against benchmarks/bench_hotpath.py; the per-item
-#: path bumps exactly the same raw counters (tests/test_batched.py).
-DEFAULT_BATCH_MIN_FRONTIER = 4
-
-
 def scheduler_names() -> List[str]:
     """Registered policy names, sorted."""
     return sorted(SCHEDULERS)
@@ -340,7 +202,3 @@ def make_scheduler(name: str, program: Program) -> Scheduler:
     scheduler.policy = name
     return scheduler
 
-
-# The condensation policy registers through the public extension point
-# (the same call a plugin outside this package would make).
-register_scheduler("scc-topo", SccTopoScheduler)

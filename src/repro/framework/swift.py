@@ -31,17 +31,11 @@ from collections import Counter
 from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.framework.bottomup import BottomUpEngine, ProcedureSummary
-from repro.framework.caching import (
-    RComposeCache,
-    RComposeSetCache,
-    RTransferCache,
-    RTransferSetCache,
-)
+from repro.framework.caching import RComposeCache, RTransferCache
 from repro.framework.interfaces import BottomUpAnalysis, TopDownAnalysis
-from repro.framework.kernel import DEFAULT_KERNEL, RelationKernel, resolve_backend
+from repro.framework.kernel import DEFAULT_KERNEL, RelationKernel
 from repro.framework.metrics import Budget, Metrics
 from repro.framework.pruning import FrequencyPruner
-from repro.framework.scheduling import DEFAULT_BATCH_MIN_FRONTIER
 from repro.framework.topdown import TopDownEngine, TopDownResult, sorted_states
 from repro.framework.tracing import TraceEvent, TraceSink
 from repro.ir.cfg import CFGEdge, ControlFlowGraphs
@@ -120,9 +114,6 @@ class SwiftEngine(TopDownEngine):
         sink: Optional[TraceSink] = None,
         preload=None,
         scheduler: Optional[str] = None,
-        batched: bool = False,
-        batch_size: int = 64,
-        batch_min_frontier: int = DEFAULT_BATCH_MIN_FRONTIER,
         kernel: str = DEFAULT_KERNEL,
         kernel_seeds: Optional[Iterable] = None,
         bu_triggers: bool = True,
@@ -140,9 +131,6 @@ class SwiftEngine(TopDownEngine):
             sink=sink,
             preload=preload,
             scheduler=scheduler,
-            batched=batched,
-            batch_size=batch_size,
-            batch_min_frontier=batch_min_frontier,
             kernel=kernel,
             kernel_seeds=kernel_seeds,
             widening_delay=widening_delay,
@@ -182,18 +170,6 @@ class SwiftEngine(TopDownEngine):
         else:
             self._bu_rtransfer_cache = None
             self._bu_rcompose_cache = None
-        # Batched mode: the set-level memos are likewise shared across
-        # triggers (they sit on top of the per-relation caches above).
-        if batched and enable_caches:
-            self._bu_rtransfer_set_cache = RTransferSetCache(
-                self._bu_rtransfer_cache, self.metrics
-            )
-            self._bu_rcompose_set_cache = RComposeSetCache(
-                self._bu_rcompose_cache, self.metrics
-            )
-        else:
-            self._bu_rtransfer_set_cache = None
-            self._bu_rcompose_set_cache = None
         # Compiled relational operators (repro.framework.kernel),
         # shared across every trigger like the object caches above.
         # SWIFT's work counters are order-dependent (trigger timing),
@@ -204,7 +180,6 @@ class SwiftEngine(TopDownEngine):
             self._krels: Optional[RelationKernel] = RelationKernel(
                 bu_analysis,
                 self.metrics,
-                backend=resolve_backend(self.kernel),
                 canon_states=sorted_states,
             )
         else:
@@ -344,9 +319,6 @@ class SwiftEngine(TopDownEngine):
             rtransfer_cache=self._bu_rtransfer_cache,
             rcompose_cache=self._bu_rcompose_cache,
             sink=self._sink,
-            batched=self.batched,
-            rtransfer_set_cache=self._bu_rtransfer_set_cache,
-            rcompose_set_cache=self._bu_rcompose_set_cache,
             kernel=self.kernel,
             kernel_ops=self._krels,
             widening_delay=self.widening_delay,

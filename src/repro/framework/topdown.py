@@ -27,15 +27,11 @@ from collections import Counter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.callgraph.scc import condensation
-from repro.framework.caching import TransferCache, TransferSetCache
+from repro.framework.caching import TransferCache
 from repro.framework.interfaces import TopDownAnalysis, UnsupportedDomainError
-from repro.framework.kernel import DEFAULT_KERNEL, StateKernel, resolve_backend, validate_kernel
+from repro.framework.kernel import DEFAULT_KERNEL, StateKernel, validate_kernel
 from repro.framework.metrics import Budget, BudgetExceededError, Metrics
-from repro.framework.scheduling import (
-    DEFAULT_BATCH_MIN_FRONTIER,
-    Scheduler,
-    make_scheduler,
-)
+from repro.framework.scheduling import Scheduler, make_scheduler
 from repro.framework.tracing import NULL_SINK, Profile, TeeSink, TraceEvent, TraceSink
 from repro.ir.cfg import CFGEdge, ControlFlowGraphs, ProgramPoint
 from repro.ir.commands import Call
@@ -334,9 +330,6 @@ class TopDownEngine:
         sink: Optional[TraceSink] = None,
         preload=None,
         scheduler: Optional[str] = None,
-        batched: bool = False,
-        batch_size: int = 64,
-        batch_min_frontier: int = DEFAULT_BATCH_MIN_FRONTIER,
         kernel: str = DEFAULT_KERNEL,
         kernel_seeds: Optional[Iterable] = None,
         kernel_tables: Optional["CompiledKernel"] = None,
@@ -345,10 +338,6 @@ class TopDownEngine:
     ) -> None:
         if order not in ("lifo", "fifo"):
             raise ValueError("order must be 'lifo' or 'fifo'")
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if batch_min_frontier < 0:
-            raise ValueError("batch_min_frontier must be non-negative")
         if widening_delay < 0:
             raise ValueError("widening_delay must be non-negative")
         if descending_iters < 0:
@@ -388,32 +377,12 @@ class TopDownEngine:
             if enable_caches
             else analysis.transfer
         )
-        # Batched (set-at-a-time) propagation: drain whole per-node
-        # frontiers via Scheduler.pop_frontier and apply trans(c) to the
-        # distinct states at once (DESIGN §10).  The set-level memo is
-        # layered over the per-state cache and obeys the same ablation
-        # flag; raw counters stay per logical application either way.
-        self.batched = batched
-        self.batch_size = batch_size
-        # Frontiers at or below this size take the per-item handlers
-        # even in batched mode — the set machinery has too little to
-        # share there to pay for its frozensets and memo probes (the
-        # size-16 regression of BENCH_hotpath).  Counters are unchanged
-        # either way.
-        self.batch_min_frontier = batch_min_frontier
         # Does this engine run plain tabulation at calls?  Subclasses
-        # overriding _handle_call (SWIFT) get per-item call handling in
-        # batched mode; the grouped fast path is only valid for the
-        # base behavior.
+        # overriding _handle_call (SWIFT) cannot use the mask solver.
         self._plain_calls = type(self)._handle_call is TopDownEngine._handle_call
-        self._transfer_set = (
-            TransferSetCache(self._transfer, self.metrics, canon=sorted_states)
-            if (batched and enable_caches)
-            else None
-        )
         # Bitset-compiled kernel (repro.framework.kernel, DESIGN §11).
-        # kernel="object" is the uncompiled engine; "bitset"/"numpy"
-        # compile transfers into dense-id bitmask tables.  The compiled
+        # kernel="object" is the uncompiled engine; "bitset" compiles
+        # transfers into dense-id bitmask tables.  The compiled
         # representation changes wall clock only: tables, reports and
         # work counters stay identical to the object engine.
         self.kernel = validate_kernel(kernel)
@@ -427,25 +396,17 @@ class TopDownEngine:
                     "kernel_tables requires a non-object kernel"
                 )
             self._kstates: Optional[StateKernel] = kernel_tables.states
-            if batched:
-                self._transfer_set = self._kstates.transfer_outs
         elif self.kernel != DEFAULT_KERNEL:
-            backend = resolve_backend(self.kernel)
             compile_started = time.perf_counter()
             self._kstates = StateKernel(
                 self._transfer,
                 self.metrics,
                 canon=sorted_states,
-                backend=backend,
                 seeds=kernel_seeds if kernel_seeds is not None else (),
             )
             self.metrics.kernel_compile_seconds += (
                 time.perf_counter() - compile_started
             )
-            if batched:
-                # The kernel's row tables subsume the set-level memo;
-                # same call/return shape as TransferSetCache.
-                self._transfer_set = self._kstates.transfer_outs
         else:
             self._kstates = None
         # The mask-based solver replaces the whole worklist loop; it is
@@ -505,10 +466,6 @@ class TopDownEngine:
                     "'object' kernel fallback",
                     supported=(DEFAULT_KERNEL,),
                 )
-            # Batched draining assumes set-union joins; value mode joins
-            # through the lattice one value at a time.
-            self.batched = False
-            self._transfer_set = None
             self._kernel_solver = False
             # One current value per (point, entry context): the latest
             # element of that key's ascending chain.  ``_td`` keeps its
@@ -584,9 +541,6 @@ class TopDownEngine:
         if self._kernel_solver:
             self._solve_kernel()
             return
-        if self.batched:
-            self._solve_batched()
-            return
         tracing = self._tracing
         lattice = self._lattice
         while self._workset:
@@ -620,105 +574,9 @@ class TopDownEngine:
                     point.proc, 0.0
                 ) + (time.perf_counter() - pop_started)
 
-    def _solve_batched(self) -> None:
-        """Set-at-a-time twin of :meth:`_solve` (DESIGN §10).
-
-        Drains a whole per-node frontier per iteration.  The batch is a
-        prefix of the policy's pop sequence (``pop_frontier``), every
-        raw counter is still bumped per logical operator application,
-        and ``_propagate`` dedups against the tables exactly as before
-        — so tables, error reports and raw counters match the unbatched
-        loop; only wall clock (and cache traffic) changes.  The budget
-        counter check stays per item; the wall-clock check is hoisted
-        to once per (bounded) batch.
-        """
-        tracing = self._tracing
-        budget = self.budget
-        metrics = self.metrics
-        limit = self.batch_size
-        while self._workset:
-            if budget is not None:
-                budget.check_clock()
-            batch = self._workset.pop_frontier(limit)
-            metrics.frontier_batches += 1
-            point = batch[0][0]
-            if tracing:
-                pop_started = time.perf_counter()
-            succs = self._succ_cache.get(point)
-            if succs is None:
-                succs = self.cfgs[point.proc].successors(point)
-                self._succ_cache[point] = succs
-            if len(batch) <= self.batch_min_frontier or len(batch) == 1:
-                # Small frontier: the set machinery has too little to
-                # share to pay for its frozensets and memo probes, so
-                # run the per-item handlers directly — exactly the
-                # unbatched loop over the batch's items, hence the same
-                # tables and counters (tests/test_batched.py locks
-                # this across batch_min_frontier settings).
-                for (_, entry_sigma, sigma) in batch:
-                    if budget is not None:
-                        budget.check_counters(metrics)
-                    for edge in succs:
-                        if edge.is_call:
-                            self._handle_call(edge, entry_sigma, sigma)
-                        else:
-                            self._handle_prim(edge, entry_sigma, sigma)
-                    self._after_exit(point, entry_sigma, sigma)
-            else:
-                states: Optional[FrozenSet] = None
-                for edge in succs:
-                    if edge.is_call:
-                        self._handle_call_batch(edge, batch)
-                    else:
-                        if states is None:
-                            states = frozenset(s for (_, _, s) in batch)
-                        self._batched_prim(edge, batch, states)
-                self._after_exit_batch(point, batch)
-            if tracing:
-                self._td_wall[point.proc] = self._td_wall.get(
-                    point.proc, 0.0
-                ) + (time.perf_counter() - pop_started)
-
-    def _batched_prim(self, edge: CFGEdge, batch: List[Tuple], states: FrozenSet) -> None:
-        """Apply ``trans(edge)`` to a whole frontier at once.
-
-        ``states`` is the batch's distinct-state frozenset, built once
-        per batch by the caller (its hash is computed once and then
-        reused by every prim edge's set-memo lookup).  The produced
-        ``(entry, out)`` pairs are deduped batch-locally before
-        re-enqueue — ``_propagate`` would reject the duplicates against
-        the table anyway, so the pre-filter changes no counter, it only
-        skips the redundant table probes.
-        """
-        metrics = self.metrics
-        budget = self.budget
-        tracing = self._tracing
-        cache = self._transfer_set
-        if cache is not None:
-            outs = cache(edge.label, states)
-        else:
-            transfer = self._transfer
-            outs = {
-                sigma: tuple(sorted_states(transfer(edge.label, sigma)))
-                for sigma in sorted_states(states)
-            }
-        seen: Set[Tuple] = set()
-        for (_, entry_sigma, sigma) in batch:
-            if budget is not None:
-                budget.check_counters(metrics)
-            metrics.transfers += 1
-            if tracing:
-                self._cause = ("prim", edge.source, sigma, entry_sigma)
-            for sigma_prime in outs[sigma]:
-                pair = (entry_sigma, sigma_prime)
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                self._propagate(edge.target, entry_sigma, sigma_prime)
-
     # -- bitset-kernel solver (repro.framework.kernel, DESIGN §11) ----------------------
     def _solve_kernel(self) -> None:
-        """Bitvector twin of :meth:`_solve`/:meth:`_solve_batched`.
+        """Bitvector twin of :meth:`_solve`.
 
         Every ``(entry, state)`` path-edge pair of a procedure gets a
         dense *pair id* local to that procedure, the table at a point
@@ -883,11 +741,7 @@ class TopDownEngine:
         bits".  The invariant is that a procedure with a non-empty
         dirty stack either is the one currently saturating or has a
         wake-up queued (pushed on its empty-to-dirty transition), so
-        draining the queue drains every procedure.  Batching is a
-        no-op for this solver — the frontier lives in the per-point
-        pending masks already — hence ``frontier_batches`` stays 0
-        under the kernel (a batch-traffic counter, free to differ from
-        the object engines; the work counters are identical).
+        draining the queue drains every procedure.
         """
         budget = self.budget
         workset = self._workset
@@ -960,7 +814,7 @@ class TopDownEngine:
                             row = rows.get((cmd, sid))
                             if row is None:
                                 row = fill(cmd, sid)
-                            outs = erows[sid] = row[2]
+                            outs = erows[sid] = row[1]
                         o = 0
                         base = eid << 32
                         for osid in outs:
@@ -1212,88 +1066,6 @@ class TopDownEngine:
         """Plain tabulation handling of a call edge (``run_td``)."""
         self._tabulate_call(edge, entry_sigma, sigma)
 
-    def _handle_call_batch(self, edge: CFGEdge, batch: List[Tuple]) -> None:
-        """Handle one call edge for a whole drained frontier.
-
-        When ``_handle_call`` is overridden (SWIFT interposes summary
-        application and the bottom-up trigger there), the batch falls
-        back to the per-item handler so the subclass sees every item.
-        Otherwise the plain tabulation path runs grouped: the expensive
-        per-item pieces — the exit-summary lookup and its canonical
-        sort — are shared across the batch's items with equal incoming
-        state via a batch-local memo.
-        """
-        budget = self.budget
-        if not self._plain_calls:
-            for (_, entry_sigma, sigma) in batch:
-                if budget is not None:
-                    budget.check_counters(self.metrics)
-                self._handle_call(edge, entry_sigma, sigma)
-            return
-        callee = edge.label.proc
-        callee_entry, callee_exit = self._proc_points(callee)
-        # The memoized outs could go stale mid-batch only if this
-        # batch's own propagations can land on the callee's exit rows:
-        # the return point being that exit (tail self-recursion), an
-        # empty callee (entry is exit), or a warm start installing
-        # stored contexts as a side effect.
-        memo_safe = (
-            edge.target is not callee_exit
-            and callee_entry is not callee_exit
-            and self._preload is None
-        )
-        outs_memo: Dict[object, object] = {}
-        tracing = self._tracing
-        for (_, entry_sigma, sigma) in batch:
-            if budget is not None:
-                budget.check_counters(self.metrics)
-            record_key = (callee, sigma)
-            records = self._call_records.get(record_key)
-            if records is None:
-                records = self._call_records[record_key] = set()
-            record = (edge.target, entry_sigma)
-            if record in records:
-                continue
-            records.add(record)
-            self._record_entry(callee, sigma)
-            if (sigma, sigma) in self._td.get(callee_entry, ()):
-                self.metrics.td_summary_reuses += 1
-                outs = outs_memo.get(sigma) if memo_safe else None
-                if outs is None:
-                    outs = sorted_states(
-                        self._exit_summaries(callee, callee_exit, sigma)
-                    )
-                    if memo_safe:
-                        outs_memo[sigma] = outs
-                if tracing:
-                    self._sink.emit(
-                        TraceEvent(
-                            "td_summary_reuse",
-                            callee,
-                            {"state": str(sigma), "outs": len(outs)},
-                        )
-                    )
-                    self._cause = ("reuse", edge.source, sigma, entry_sigma)
-                for sigma_out in outs:
-                    self._propagate(edge.target, entry_sigma, sigma_out)
-                continue
-            if self._preload is not None:
-                if self._activate(callee, sigma):
-                    outs = self._exit_summaries(callee, callee_exit, sigma)
-                    if tracing:
-                        self._cause = ("store", edge.source, sigma, entry_sigma)
-                    for sigma_out in sorted_states(outs):
-                        self._propagate(edge.target, entry_sigma, sigma_out)
-                    continue
-                self.metrics.store_misses += 1
-                if tracing:
-                    self._sink.emit(
-                        TraceEvent("store_miss", callee, {"state": str(sigma)})
-                    )
-            if tracing:
-                self._cause = ("call", edge.source, sigma, entry_sigma)
-            self._propagate(callee_entry, sigma, sigma)
-
     def _tabulate_call(self, edge: CFGEdge, entry_sigma, sigma) -> None:
         callee = edge.label.proc
         if self._lattice and self._is_cyclic_proc(callee):
@@ -1373,30 +1145,6 @@ class TopDownEngine:
             records.sort(key=_record_sort_key)
         for (return_point, caller_entry) in records:
             self._propagate(return_point, caller_entry, sigma)
-
-    def _after_exit_batch(self, point: ProgramPoint, batch: List[Tuple]) -> None:
-        """Return a whole exit frontier to the waiting callers.
-
-        Call records cannot change while this loop runs (``_propagate``
-        never adds records, and an exit point has no outgoing edges to
-        handle first), so the sorted record list is computed once per
-        distinct entry state instead of once per item.
-        """
-        if point not in self._exit_point_set:
-            return
-        tracing = self._tracing
-        by_entry: Dict[object, List] = {}
-        for (_, entry_sigma, sigma) in batch:
-            records = by_entry.get(entry_sigma)
-            if records is None:
-                records = list(self._call_records.get((point.proc, entry_sigma), ()))
-                if len(records) > 1:
-                    records.sort(key=_record_sort_key)
-                by_entry[entry_sigma] = records
-            if tracing:
-                self._cause = ("return", point, sigma, entry_sigma)
-            for (return_point, caller_entry) in records:
-                self._propagate(return_point, caller_entry, sigma)
 
     # -- low-level table updates -----------------------------------------------------------
     def _proc_points(self, proc: str) -> Tuple[ProgramPoint, ProgramPoint]:

@@ -272,8 +272,8 @@ def analyze_with_store(
 
     ``config=`` replaces the keyword ladder with a full
     :class:`AnalysisConfig` (the analysis service parses one from
-    JSON): its identity fields — including ``batched``, ``batch_size``,
-    and the scheduler — flow into the run and the store fingerprint;
+    JSON): its identity fields — including the kernel and the
+    scheduler — flow into the run and the store fingerprint;
     explicit ``budget``/``sink`` keywords still override its runtime
     fields.  ``warm_cache=`` selects the decode cache — defaults to
     the process-level one; a long-lived host passes its own bounded

@@ -36,7 +36,8 @@ responses — and streamed trace events — to requests.
 ``config`` is parsed into a full
 :class:`repro.framework.config.AnalysisConfig` by
 :func:`config_from_json`: the JSON keys are exactly the config's
-constructor fields (plus ``budget`` as ``{"max_work", "max_seconds"}``),
+constructor fields minus the runtime attachments ``sink`` and
+``preload`` (``budget`` arrives as ``{"max_work", "max_seconds"}``),
 unknown keys raise :class:`ProtocolError` listing the allowed set, and
 value validation is the config's own (unknown engines/domains/
 schedulers report the registered choices).  Responses always carry
@@ -46,6 +47,7 @@ daemon down.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Mapping, Optional
 
 from repro.framework.config import AnalysisConfig
@@ -61,25 +63,13 @@ class ProtocolError(ValueError):
 OPS = frozenset({"analyze", "edit", "query", "demand", "stats", "shutdown"})
 
 #: JSON keys accepted under ``"config"`` — the AnalysisConfig
-#: constructor fields a client may set, plus ``budget``.
-CONFIG_KEYS = frozenset(
-    {
-        "engine",
-        "domain",
-        "k",
-        "theta",
-        "scheduler",
-        "tracked_sites",
-        "enable_caches",
-        "indexed_summaries",
-        "batched",
-        "batch_size",
-        "batch_min_frontier",
-        "kernel",
-        "max_workers",
-        "budget",
-    }
-)
+#: constructor fields, minus the runtime attachments a JSON client
+#: cannot send (trace sink, warm-start preload); ``budget`` arrives as
+#: ``{"max_work", "max_seconds"}``.
+CONFIG_KEYS = (
+    frozenset(field.name for field in dataclasses.fields(AnalysisConfig))
+    - {"sink", "preload"}
+) | {"budget"}
 
 _BUDGET_KEYS = frozenset({"max_work", "max_seconds"})
 

@@ -115,9 +115,6 @@ def run_typestate(
     preload=None,
     scheduler: Optional[str] = None,
     max_workers: int = 1,
-    batched: bool = False,
-    batch_size: int = 64,
-    batch_min_frontier: Optional[int] = None,
     kernel: str = "object",
     widening_delay: int = 2,
     descending_iters: int = 0,
@@ -134,24 +131,17 @@ def run_typestate(
     optimizations (see :mod:`repro.framework.caching`); neither affects
     results or the deterministic work counters, and the same rule holds
     for ``scheduler`` (worklist policy; results identical, counters may
-    differ from the default).  ``batched`` drains whole per-node
-    frontiers set-at-a-time (``batch_size`` bounds one drain) — results
-    and raw work counters stay identical; it pays off with the
-    ``scc-topo`` scheduler, which lets frontiers accumulate.  ``sink`` is an optional
+    differ from the default).  ``sink`` is an optional
     :class:`repro.framework.tracing.TraceSink` receiving the engine's
     analysis events (default: none, zero overhead).  ``preload`` is an
     optional :class:`repro.incremental.invalidate.WarmStart` of
     fingerprint-validated stored summaries (not supported by ``bu``).
-    ``kernel`` selects the operator representation (``object``,
-    ``bitset``, or ``numpy`` — see :mod:`repro.framework.kernel`);
-    like the other hot-path knobs it changes wall clock only, never
-    tables, reports, or work counters.  ``batch_min_frontier`` is the
-    frontier size at or below which batched mode takes the per-item
-    fast path (default: the tuned framework value).
+    ``kernel`` selects the operator representation (``object`` or
+    ``bitset`` — see :mod:`repro.framework.kernel`); like the other
+    hot-path knobs it changes wall clock only, never tables, reports,
+    or work counters.  ``widening_delay`` and ``descending_iters`` steer
+    infinite-height domains only (DESIGN §14).
     """
-    extra = {}
-    if batch_min_frontier is not None:
-        extra["batch_min_frontier"] = batch_min_frontier
     config = AnalysisConfig(
         engine=engine,
         domain=domain,
@@ -165,12 +155,9 @@ def run_typestate(
         preload=preload,
         scheduler=scheduler if scheduler is not None else "lifo",
         max_workers=max_workers,
-        batched=batched,
-        batch_size=batch_size,
         kernel=kernel,
         widening_delay=widening_delay,
         descending_iters=descending_iters,
-        **extra,
     )
     if not config.domain.startswith("typestate-"):
         raise ValueError(

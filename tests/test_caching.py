@@ -12,7 +12,7 @@ import pytest
 
 from repro.framework.caching import RComposeCache, RTransferCache, TransferCache
 from repro.framework.metrics import Budget, BudgetExceededError, Metrics
-from repro.framework.topdown import TopDownEngine
+from repro.framework.topdown import TopDownEngine, sorted_states, state_sort_key
 from repro.ir.builder import ProgramBuilder
 from repro.ir.commands import Invoke, New
 from repro.typestate.bu_analysis import SimpleTypestateBU
@@ -153,3 +153,19 @@ def test_atom_hashes_distinguish_classes():
     # Field-only dataclass hashes would make these collide pairwise.
     atoms = [InMust("x"), NotInMust("x"), InMustNot("x")]
     assert len({hash(a) for a in atoms}) == len(atoms)
+
+
+# -- the interned sort-key cache ----------------------------------------------------
+def test_state_sort_key_matches_str_and_caches():
+    sigma = bootstrap_state(FILE_PROPERTY)
+    assert state_sort_key(sigma) == str(sigma)
+    assert state_sort_key(sigma) is state_sort_key(sigma)  # served from cache
+
+
+def test_sorted_states_orders_by_string_key():
+    states = [
+        AbstractState("h2", FILE_PROPERTY.initial, frozenset()),
+        AbstractState("h1", FILE_PROPERTY.initial, frozenset()),
+    ]
+    assert sorted_states(states) == sorted(states, key=str)
+    assert sorted_states(frozenset(states)) == sorted(states, key=str)

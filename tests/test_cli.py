@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import argparse
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, load_program, main
+from repro.framework.kernel import KERNELS
+from repro.framework.scheduling import scheduler_names
 
 GOOD_MINI = """
 class Writer { method flush(f) { f.#open(); f.#close(); } }
@@ -240,7 +247,7 @@ def test_analyze_compiled_kernel_refuses_infinite_domain(
             "--domain",
             "interval-typestate",
             "--kernel",
-            "numpy",
+            "bitset",
         ]
     )
     assert code == 2
@@ -258,3 +265,58 @@ def test_analyze_widening_knobs_rekey_store(mini_file, tmp_path, capsys):
     # A knob change is a new config fingerprint: cold again, never wrong.
     assert main(base + ["--widening-delay", "4"]) == 0
     assert "cold start" in capsys.readouterr().out
+
+
+# -- choice lists come from their registries ------------------------------------------
+def _option_owners(parser, option, path=()):
+    """``(subcommand path, action)`` for every parser offering ``option``."""
+    for action in parser._actions:
+        if option in action.option_strings:
+            yield path, action
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _option_owners(sub, option, path + (name,))
+
+
+def _registry_choices():
+    parser = build_parser()
+    for option, registry in (("--kernel", KERNELS), ("--scheduler", scheduler_names())):
+        for path, action in _option_owners(parser, option):
+            yield pytest.param(
+                path, option, action, tuple(registry), id=" ".join(path + (option,))
+            )
+
+
+@pytest.mark.parametrize("path, option, action, registry", _registry_choices())
+def test_choice_list_matches_its_registry(path, option, action, registry, capsys):
+    assert tuple(action.choices) == registry
+    retired = {"--kernel": "numpy", "--scheduler": "scc-topo"}[option]
+    with pytest.raises(SystemExit) as exc:
+        main([*path, "prog.mini", option, retired])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{retired}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--batched"], ["--batch-size", "8"]],
+    ids=["batched", "batch-size"],
+)
+def test_retired_verify_flags_are_usage_errors(mini_file, flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", mini_file(GOOD_MINI), *flags])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_verify_baseline_script_reads_kernel_registry():
+    script = Path(__file__).resolve().parent.parent / "ci" / "verify_baseline.py"
+    refused = subprocess.run(
+        [sys.executable, str(script), "--kernel", "numpy"],
+        capture_output=True,
+        text=True,
+    )
+    assert refused.returncode == 2
+    assert "invalid choice: 'numpy'" in refused.stderr
+    offered = refused.stderr.split("choose from", 1)[1]
+    assert all(kernel in offered for kernel in KERNELS)

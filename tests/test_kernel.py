@@ -1,6 +1,6 @@
 """Bitset-kernel edge cases and the CompiledKernel sharing protocol.
 
-DESIGN §11: the compiled kernels are wall-clock-only — every test here
+DESIGN §11: the compiled kernel is wall-clock-only — every test here
 locks byte-identical tables, reports, and deterministic work counters
 against the object engines while exercising the corners of the
 compilation layer:
@@ -19,11 +19,7 @@ compilation layer:
 
 import pytest
 
-from repro.framework.kernel import (
-    RelationKernel,
-    numpy_available,
-    validate_kernel,
-)
+from repro.framework.kernel import RelationKernel, validate_kernel
 from repro.framework.metrics import (
     KIND_SECONDS,
     KIND_WORK,
@@ -31,7 +27,9 @@ from repro.framework.metrics import (
     BudgetExceededError,
     Metrics,
 )
+from repro.framework.swift import SwiftEngine
 from repro.framework.topdown import TopDownEngine
+from repro.framework.tracing import RingSink
 from repro.ir.commands import Invoke
 from repro.incremental import SummaryStore, analyze_with_store
 from repro.typestate.bu_analysis import SimpleTypestateBU
@@ -191,6 +189,25 @@ def test_kernel_solver_preserves_clock_budget_kind():
     assert excinfo.value.kind == KIND_SECONDS
 
 
+class _CountingBudget(Budget):
+    """Counts deadline checks; never fires."""
+
+    def check_clock(self):
+        self.clock_checks = getattr(self, "clock_checks", 0) + 1
+        super().check_clock()
+
+
+def test_kernel_reads_clock_less_than_once_per_path_edge():
+    """The object loop checks the deadline once per popped path edge;
+    the mask solver checks it once per wake-up and per saturated point,
+    outside its pair-bit loops."""
+    for program in all_small_programs():
+        budget = _CountingBudget(max_seconds=3600.0)
+        result = _run(program, budget=budget, kernel="bitset")
+        assert not result.timed_out
+        assert 0 < budget.clock_checks < result.metrics.propagations
+
+
 def test_kernel_timeout_still_materializes_partial_tables():
     report = run_typestate(
         figure1_program(),
@@ -221,6 +238,47 @@ def test_incremental_driver_never_saves_partial_kernel_results(tmp_path):
     assert store.snapshot_paths() == []
 
 
+def test_traced_kernel_run_emits_the_object_event_stream():
+    """Tracing keeps the object control flow (causes are per item), so a
+    traced bitset run must emit exactly the object run's events — for
+    top-down runs even when the budget stops them, payload included.
+    SWIFT is compared unbudgeted: its compiled BU operators check the
+    counters once per set application, so a SWIFT timeout may land a
+    step earlier than the object loop's (same kind, same limit)."""
+
+    def events(program, engine, kernel, budget):
+        sink = RingSink(capacity=1 << 20)
+        td_analysis = SimpleTypestateTD(FILE_PROPERTY)
+        if engine == "td":
+            run = TopDownEngine(
+                program, td_analysis, budget=budget, sink=sink, kernel=kernel
+            )
+        else:
+            run = SwiftEngine(
+                program, td_analysis, SimpleTypestateBU(FILE_PROPERTY), k=1,
+                budget=budget, sink=sink, kernel=kernel,
+            )
+        run.run(INITIAL)
+        return [(e.kind, e.proc, e.data) for e in sink.events]
+
+    for program in all_small_programs():
+        for engine, limits in (("td", (None, 5, 20)), ("swift", (None,))):
+            for max_work in limits:
+                object_events, kernel_events = (
+                    events(program, engine, kernel, Budget(max_work=max_work))
+                    for kernel in ("object", "bitset")
+                )
+                assert kernel_events == object_events, (engine, max_work)
+
+
+def test_kernel_identical_without_caches():
+    # With the memo off, rows compile through the raw transfer function.
+    for program in all_small_programs():
+        plain = _run(program, enable_caches=False)
+        compiled = _run(program, enable_caches=False, kernel="bitset")
+        _assert_same_result(compiled, plain)
+
+
 # -- CompiledKernel sharing -----------------------------------------------------------
 def test_compiled_kernel_reuse_is_identity():
     for program in all_small_programs():
@@ -230,7 +288,7 @@ def test_compiled_kernel_reuse_is_identity():
         first = compiler.run(INITIAL)
         _assert_same_result(first, baseline)
         tables = compiler.compiled_kernel()
-        for scheduler in ("fifo", "scc-topo"):
+        for scheduler in ("fifo", "callee-depth"):
             engine = TopDownEngine(
                 program, analysis, kernel="bitset",
                 kernel_tables=tables, scheduler=scheduler,
@@ -282,10 +340,3 @@ def test_compiled_kernel_misuse_raises():
 def test_validate_kernel_rejects_unknown_names():
     with pytest.raises(ValueError):
         validate_kernel("simd")
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
-def test_numpy_kernel_matches_object_tables():
-    for program in all_small_programs():
-        baseline = _run(program)
-        _assert_same_result(_run(program, kernel="numpy"), baseline)

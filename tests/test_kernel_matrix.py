@@ -1,12 +1,12 @@
 """Kernel ≡ object equivalence across the whole engine × domain matrix.
 
-The compiled kernels (DESIGN §11) are *wall-clock-only*: for every
+The compiled kernel (DESIGN §11) is *wall-clock-only*: for every
 registered engine, every domain, and every scheduling policy, a kernel
 run must produce the same verdict, the same summary counts, and the
 same deterministic work counters as the object run with the same
 policy.  Baselines are policy-matched — only ``kernel`` varies within a
 comparison — because SWIFT/concurrent counters legitimately depend on
-propagation order, which schedulers and batching change.
+propagation order, which schedulers change.
 
 A hypothesis sweep extends the fixed corpus with random programs.
 """
@@ -15,7 +15,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from repro.framework.kernel import numpy_available
 from repro.typestate.client import run_typestate
 from repro.typestate.properties import FILE_PROPERTY
 
@@ -24,10 +23,9 @@ from tests.test_property_based import ENGINE_SETTINGS, programs
 
 ENGINES = ["td", "bu", "swift", "concurrent"]
 DOMAINS = ["simple", "full"]
-# (scheduler, batched) policy pairs: the default order and the pairing
-# the batching layer is designed for.
-POLICIES = [("lifo", False), ("scc-topo", True)]
-KERNELS = ["bitset"] + (["numpy"] if numpy_available() else [])
+# The default order and the breadth-first ablation order.
+POLICIES = ["lifo", "fifo"]
+KERNELS = ["bitset"]
 
 
 def _work_signature(report):
@@ -48,14 +46,13 @@ def _work_signature(report):
     )
 
 
-def _run(program, engine, domain, scheduler, batched, kernel):
+def _run(program, engine, domain, scheduler, kernel):
     return run_typestate(
         program,
         FILE_PROPERTY,
         engine=engine,
         domain=domain,
         scheduler=scheduler,
-        batched=batched,
         kernel=kernel,
     )
 
@@ -64,17 +61,16 @@ def _run(program, engine, domain, scheduler, batched, kernel):
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_kernels_match_object_engines(engine, domain):
     for program in all_small_programs():
-        for scheduler, batched in POLICIES:
+        for scheduler in POLICIES:
             baseline = _work_signature(
-                _run(program, engine, domain, scheduler, batched, "object")
+                _run(program, engine, domain, scheduler, "object")
             )
             for kernel in KERNELS:
                 kernel_sig = _work_signature(
-                    _run(program, engine, domain, scheduler, batched, kernel)
+                    _run(program, engine, domain, scheduler, kernel)
                 )
                 assert kernel_sig == baseline, (
-                    f"{engine}/{domain}/{scheduler}"
-                    f"{'+batched' if batched else ''} kernel={kernel}"
+                    f"{engine}/{domain}/{scheduler} kernel={kernel}"
                 )
 
 
@@ -82,10 +78,10 @@ def test_kernels_match_object_engines(engine, domain):
 @given(program=programs())
 def test_bitset_td_matches_object_on_random_programs(program):
     baseline = _work_signature(
-        _run(program, "td", "simple", "lifo", False, "object")
+        _run(program, "td", "simple", "lifo", "object")
     )
     assert (
-        _work_signature(_run(program, "td", "simple", "lifo", False, "bitset"))
+        _work_signature(_run(program, "td", "simple", "lifo", "bitset"))
         == baseline
     )
 
@@ -94,9 +90,9 @@ def test_bitset_td_matches_object_on_random_programs(program):
 @given(program=programs())
 def test_bitset_swift_matches_object_on_random_programs(program):
     baseline = _work_signature(
-        _run(program, "swift", "full", "lifo", False, "object")
+        _run(program, "swift", "full", "lifo", "object")
     )
     assert (
-        _work_signature(_run(program, "swift", "full", "lifo", False, "bitset"))
+        _work_signature(_run(program, "swift", "full", "lifo", "bitset"))
         == baseline
     )

@@ -35,7 +35,7 @@ ENGINES = ["td", "bu", "swift", "concurrent"]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("scheduler", ["lifo", "scc-topo"])
+@pytest.mark.parametrize("scheduler", ["lifo", "fifo"])
 @pytest.mark.parametrize("kernel", ["object", "bitset"])
 @pytest.mark.parametrize("make_program", [loop_program, recursive_program])
 def test_widening_knobs_are_identity_on_finite_domains(
@@ -196,9 +196,9 @@ def test_config_rejects_compiled_kernel_for_infinite_domain():
     assert isinstance(exc.value, ValueError)  # old except clauses still catch
 
 
-def test_config_rejects_numpy_kernel_for_interval_domain():
+def test_config_rejects_compiled_kernel_for_interval_domain():
     with pytest.raises(UnsupportedDomainError):
-        AnalysisConfig(domain="interval", kernel="numpy")
+        AnalysisConfig(domain="interval", kernel="bitset")
 
 
 def test_engine_constructor_rejects_compiled_kernel_in_value_mode():
@@ -227,6 +227,22 @@ def test_nonnegative_knob_validation():
         AnalysisConfig(widening_delay=-1)
     with pytest.raises(ValueError):
         AnalysisConfig(descending_iters=-1)
+
+
+def test_engines_validate_knobs_like_the_config():
+    from repro.framework.bottomup import BottomUpEngine
+    from repro.framework.topdown import TopDownEngine
+    from repro.typestate.bu_analysis import SimpleTypestateBU
+    from repro.typestate.td_analysis import SimpleTypestateTD
+
+    program = loop_program()
+    td_analysis = SimpleTypestateTD(FILE_PROPERTY)
+    with pytest.raises(ValueError, match="widening_delay"):
+        TopDownEngine(program, td_analysis, widening_delay=-1)
+    with pytest.raises(ValueError, match="descending_iters"):
+        TopDownEngine(program, td_analysis, descending_iters=-1)
+    with pytest.raises(ValueError, match="widening_delay"):
+        BottomUpEngine(program, SimpleTypestateBU(FILE_PROPERTY), widening_delay=-1)
 
 
 # -- the incremental store round trip -------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.workloads import hub_flood, scc_heavy, wide_fanout
-from repro.framework.kernel import numpy_available
+from repro.framework.kernel import KERNELS
 from repro.incremental import SummaryStore, analyze_with_store
 from repro.ir.cfg import ControlFlowGraphs, ProgramPoint
 from repro.ir.parser import parse_program
@@ -45,9 +45,6 @@ proc a { call b; }
 proc b { choose { call b; } or { f = new h2; f.open(); f.read(); } }
 proc orphan { g = new h3; g.open(); }
 """
-
-KERNELS = ["object", "bitset"] + (["numpy"] if numpy_available() else [])
-
 
 def reference_errors(program, target, domain="simple"):
     """Whole-program top-down findings restricted to ``target``."""
@@ -220,7 +217,7 @@ def test_query_matches_reference_across_engines_and_domains(
         )
 
 
-@pytest.mark.parametrize("scheduler", ["fifo", "lifo", "scc-topo", "callee-depth"])
+@pytest.mark.parametrize("scheduler", ["fifo", "lifo", "callee-depth"])
 def test_query_matches_reference_across_schedulers(tmp_path, scheduler):
     program = wide_fanout(32, seed=1)
     store = SummaryStore(tmp_path / "store")

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.bench.workloads import hub_flood, scc_heavy, wide_fanout
-from repro.framework.kernel import numpy_available
+from repro.framework.kernel import KERNELS
 from repro.incremental import SummaryStore, analyze_with_store
 from repro.ir.parser import parse_program
 from repro.query import (
@@ -49,9 +49,6 @@ proc work { f = new h2; f.open(); f.read(); }
 proc aux_top { call aux_leaf; }
 proc aux_leaf { g = new h3; g.open(); g.read(); }
 """
-
-KERNELS = ["object", "bitset"] + (["numpy"] if numpy_available() else [])
-
 
 def sequential_answers(program, store, targets, **kwargs):
     return {

@@ -1,15 +1,12 @@
-"""SCC condensation of the call graph and the scc-topo worklist policy.
+"""SCC condensation of the call graph.
 
-The condensation (iterative Tarjan, :mod:`repro.callgraph.scc`) drives
-two orders: reverse-topological wavefronts for parallel bottom-up
-summarization and the topological (callers-first) ``scc-topo`` pop
-order that lets per-node frontiers accumulate for batched propagation.
+The condensation (iterative Tarjan, :mod:`repro.callgraph.scc`) orders
+components both ways: reverse-topological wavefronts for parallel
+bottom-up summarization, and the topological (callers-first) order.
 """
 
 from repro.callgraph.scc import Condensation, condensation, tarjan_sccs
-from repro.framework.scheduling import make_scheduler
 from repro.ir.builder import ProgramBuilder
-from repro.ir.cfg import ProgramPoint
 
 from tests.helpers import diamond_program, figure1_program, recursive_program
 
@@ -142,67 +139,3 @@ def test_wavefronts_keep_scc_members_together():
     components = [c for wave in waves for c in wave]
     assert ("ping", "pong") in components
 
-
-# -- the scc-topo scheduler --------------------------------------------------------
-def _item(proc, index, tag):
-    return (ProgramPoint(proc, index), None, tag)
-
-
-def test_scc_topo_pops_callers_before_callees():
-    scheduler = make_scheduler("scc-topo", diamond_program())
-    at_helper = _item("helper", 0, "s1")
-    at_main = _item("main", 0, "s2")
-    at_left = _item("left", 0, "s3")
-    for item in (at_helper, at_main, at_left):
-        scheduler.push(item)
-    assert scheduler.peek() == at_main
-    assert [scheduler.pop() for _ in range(3)] == [at_main, at_left, at_helper]
-    assert not scheduler
-
-
-def test_scc_topo_pop_frontier_groups_by_point():
-    scheduler = make_scheduler("scc-topo", diamond_program())
-    a = _item("helper", 0, "s1")
-    b = _item("helper", 1, "s2")
-    c = _item("helper", 0, "s3")
-    for item in (a, b, c):
-        scheduler.push(item)
-    frontier = scheduler.pop_frontier(16)
-    # The whole helper:0 group comes out together, in insertion order.
-    assert frontier == [a, c]
-    assert len(scheduler) == 1
-    assert scheduler.pop_frontier(16) == [b]
-    assert not scheduler
-
-
-def test_scc_topo_pop_frontier_respects_limit():
-    scheduler = make_scheduler("scc-topo", diamond_program())
-    items = [_item("main", 0, f"s{i}") for i in range(5)]
-    for item in items:
-        scheduler.push(item)
-    first = scheduler.pop_frontier(2)
-    assert first == items[:2]
-    assert scheduler.pop_frontier(16) == items[2:]
-
-
-def test_scc_topo_interleaves_pushes_correctly():
-    # Re-pushing into a rank that was drained must resurface it.
-    scheduler = make_scheduler("scc-topo", diamond_program())
-    scheduler.push(_item("main", 0, "s1"))
-    assert scheduler.pop() == _item("main", 0, "s1")
-    scheduler.push(_item("helper", 0, "s2"))
-    scheduler.push(_item("main", 1, "s3"))
-    assert scheduler.pop() == _item("main", 1, "s3")
-    assert scheduler.pop() == _item("helper", 0, "s2")
-    assert len(scheduler) == 0
-
-
-def test_scc_topo_unknown_proc_ranks_last():
-    # Items for procedures outside the call graph (defensive: cannot
-    # happen from the engines) fall to the lowest rank.
-    scheduler = make_scheduler("scc-topo", diamond_program())
-    ghost = (ProgramPoint("ghost", 0), None, "s1")
-    scheduler.push(ghost)
-    scheduler.push(_item("helper", 0, "s2"))
-    assert scheduler.pop() == _item("helper", 0, "s2")
-    assert scheduler.pop() == ghost

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.framework.bottomup import BottomUpEngine
+from repro.framework.kernel import KERNELS
 from repro.framework.pruning import NoPruner
 from repro.framework.scheduling import make_scheduler, scheduler_names
 from repro.framework.swift import SwiftEngine
@@ -86,26 +87,25 @@ def test_swift_reports_identical_across_policies(program, k, theta):
         assert sites == base_sites
 
 
-# -- the full policy x batching matrix (property-based) -----------------------------
+# -- the full policy x kernel matrix (property-based) -------------------------------
 @SCHEDULE_SETTINGS
-@given(program=programs(), batch_size=st.sampled_from([1, 3, 64]))
-def test_td_matrix_policies_by_batching(program, batch_size):
+@given(program=programs())
+def test_td_matrix_policies_by_kernel(program):
     """Identical tables AND identical raw work counters across every
-    scheduler policy crossed with batched on/off: for pure top-down
+    scheduler policy crossed with every kernel: for pure top-down
     tabulation every (point, entry, state) item is processed exactly
-    once whatever the order, so even the work counters are
-    order/batching-invariant.  Only cache traffic may move."""
+    once whatever the order or representation, so even the work
+    counters are invariant.  Only cache traffic may move."""
     td_analysis = SimpleTypestateTD(FILE_PROPERTY)
     initial = [bootstrap_state(FILE_PROPERTY)]
     base = TopDownEngine(program, td_analysis).run(initial)
     for policy in POLICIES:
-        for batched in (False, True):
+        for kernel in KERNELS:
             result = TopDownEngine(
                 program,
                 td_analysis,
                 scheduler=policy,
-                batched=batched,
-                batch_size=batch_size,
+                kernel=kernel,
             ).run(initial)
             assert result.td == base.td
             assert find_errors(result) == find_errors(base)
@@ -114,23 +114,23 @@ def test_td_matrix_policies_by_batching(program, batch_size):
 
 @SCHEDULE_SETTINGS
 @given(program=programs(), k=st.integers(1, 3))
-def test_swift_matrix_policies_by_batching(program, k):
+def test_swift_matrix_policies_by_kernel(program, k):
     """SWIFT trigger timing (hence counters) is policy-dependent, but
-    the reports never are — across the whole policy x batching grid."""
+    the reports never are — across the whole policy x kernel grid."""
     td_analysis = SimpleTypestateTD(FILE_PROPERTY)
     bu_analysis = SimpleTypestateBU(FILE_PROPERTY)
     initial = [bootstrap_state(FILE_PROPERTY)]
     base = SwiftEngine(program, td_analysis, bu_analysis, k=k).run(initial)
     base_sites = frozenset(site for (_, site) in find_errors(base))
     for policy in POLICIES:
-        for batched in (False, True):
+        for kernel in KERNELS:
             result = SwiftEngine(
                 program,
                 td_analysis,
                 bu_analysis,
                 k=k,
                 scheduler=policy,
-                batched=batched,
+                kernel=kernel,
             ).run(initial)
             assert result.exit_states() == base.exit_states()
             sites = frozenset(site for (_, site) in find_errors(result))
@@ -139,22 +139,22 @@ def test_swift_matrix_policies_by_batching(program, k):
 
 @SCHEDULE_SETTINGS
 @given(program=programs())
-def test_bu_summary_maps_identical_batched(program):
-    """Bottom-up summary maps and raw counters are batching-invariant
+def test_bu_summary_maps_identical_across_kernels(program):
+    """Bottom-up summary maps and raw counters are kernel-invariant
     (the bottom-up pass has no worklist, so there is no policy axis)."""
     runs = []
-    for batched in (False, True):
+    for kernel in KERNELS:
         bu_analysis = SimpleTypestateBU(FILE_PROPERTY)
         engine = BottomUpEngine(
-            program, bu_analysis, pruner=NoPruner(bu_analysis), batched=batched
+            program, bu_analysis, pruner=NoPruner(bu_analysis), kernel=kernel
         )
         runs.append(engine.analyze())
-    plain, batched = runs
-    assert batched.summaries == plain.summaries
+    plain, compiled = runs
+    assert compiled.summaries == plain.summaries
     assert (
-        batched.metrics.rtransfers,
-        batched.metrics.compositions,
-        batched.metrics.relations_created,
+        compiled.metrics.rtransfers,
+        compiled.metrics.compositions,
+        compiled.metrics.relations_created,
     ) == (
         plain.metrics.rtransfers,
         plain.metrics.compositions,
@@ -209,6 +209,19 @@ def test_callee_depth_pops_deepest_first_with_fifo_ties():
         scheduler.push(item)
     popped = [scheduler.pop() for _ in range(4)]
     assert popped == [at_helper_a, at_helper_b, at_left, at_main]
+    assert not scheduler
+
+
+def test_callee_depth_pops_unknown_procs_last():
+    # Items for procedures outside the call graph (defensive: cannot
+    # happen from the engines) rank at depth 0, behind every callee.
+    scheduler = make_scheduler("callee-depth", diamond_program())
+    ghost = (ProgramPoint("ghost", 0), None, "s1")
+    at_helper = (ProgramPoint("helper", 0), None, "s2")
+    scheduler.push(ghost)
+    scheduler.push(at_helper)
+    assert scheduler.pop() == at_helper
+    assert scheduler.pop() == ghost
     assert not scheduler
 
 

@@ -1,5 +1,6 @@
 """Tests for the resident analysis service (daemon, front ends, client)."""
 
+import dataclasses
 import io
 import json
 import threading
@@ -9,8 +10,10 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import repro.service.daemon as daemon_mod
+from repro.framework.config import AnalysisConfig
 from repro.frontend import compile_minioo
 from repro.ir.printer import format_program
+from repro.service.protocol import CONFIG_KEYS
 from repro.service import (
     AnalysisService,
     ProtocolError,
@@ -284,6 +287,65 @@ def test_config_from_json_validation():
         config_from_json("not an object")
     sites = config_from_json({"tracked_sites": ["h1", "h2"]})
     assert sites.tracked_sites == frozenset({"h1", "h2"})
+
+
+def test_config_keys_are_the_constructor_fields():
+    """Every key the service accepts lands in the AnalysisConfig field
+    of the same name; only the runtime attachments stay off the wire."""
+    sent = {
+        "engine": "td",
+        "domain": "simple",
+        "k": 3,
+        "theta": 2,
+        "bu_triggers": False,
+        "scheduler": "fifo",
+        "tracked_sites": ["h1"],
+        "enable_caches": False,
+        "indexed_summaries": False,
+        "kernel": "bitset",
+        "widening_delay": 3,
+        "descending_iters": 1,
+        "max_workers": 2,
+        "budget": {"max_work": 10},
+    }
+    assert set(sent) == CONFIG_KEYS
+    fields = {field.name for field in dataclasses.fields(AnalysisConfig)}
+    assert fields - CONFIG_KEYS == {"sink", "preload"}
+    config = config_from_json(sent)
+    assert config.domain == "typestate-simple"
+    assert config.tracked_sites == frozenset({"h1"})
+    assert config.budget.max_work == 10
+    for key in sorted(CONFIG_KEYS - {"domain", "tracked_sites", "budget"}):
+        assert getattr(config, key) == sent[key], key
+
+
+@pytest.mark.parametrize(
+    "key, value", [("widening_delay", 3), ("descending_iters", 1), ("bu_triggers", False)]
+)
+def test_service_config_field_reaches_canonical_form(service, key, value):
+    response = service.handle(
+        {
+            "op": "analyze",
+            "program": GOOD_MINI,
+            "config": {"domain": "interval-typestate", key: value},
+        }
+    )
+    assert response["ok"], response.get("error")
+    canonical = response["config"]
+    assert canonical.get(key, canonical["flags"].get(key)) == value
+
+
+@pytest.mark.parametrize(
+    "key, value", [("batched", True), ("batch_size", 8), ("batch_min_frontier", 4)]
+)
+def test_retired_config_key_is_refused_and_daemon_keeps_serving(service, key, value):
+    refused = service.handle(
+        {"op": "analyze", "program": GOOD_MINI, "config": {key: value}}
+    )
+    assert not refused["ok"]
+    assert f"unknown config key(s) ['{key}']" in refused["error"]
+    assert f"allowed: {sorted(CONFIG_KEYS)}" in refused["error"]
+    assert service.handle({"op": "analyze", "program": GOOD_MINI})["ok"]
 
 
 # -- trace streaming ------------------------------------------------------------------

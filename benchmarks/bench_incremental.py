@@ -4,19 +4,24 @@ For each suite benchmark this harness runs ``analyze_with_store`` three
 times against a fresh store:
 
 * **cold** — empty store, full analysis, snapshot written;
-* **warm** — unchanged program, second run over the snapshot.  Asserted
-  to report the same errors while re-doing < 10% of the cold run's
-  deterministic work (in practice 0: the preloaded contexts answer the
-  seed propagation outright).  A second warm run (``warm2``) measures
-  the steady state of the process-level decode cache: the first warm
-  run pays the snapshot load + decode once (reported as
-  ``store_load_s``), every later one reuses the decoded ``WarmStart``
-  and must beat the cold run on wall clock, not just on work;
+* **warm** — unchanged program, second run over the snapshot, with the
+  process-level cache cleared first so it reads and decodes the file
+  (reported as ``store_load_s``).  Asserted to report the same errors
+  while re-doing < 10% of the cold run's deterministic work (in
+  practice 0: the preloaded contexts answer the seed propagation
+  outright).  A second warm run (``warm2``) measures the steady state
+  of the resident cache: it reuses the decoded ``WarmStart`` and must
+  beat the cold run on wall clock, not just on work;
 * **edit** — one leaf procedure's body doubled, third run.  Only the
   edited procedure's invalidation cone (itself plus its transitive
   callers) is re-analyzed; the run is asserted to invalidate exactly
   that cone and to report the same errors as a cold run over the edited
-  program.
+  program;
+* **edit_steady** — a second leaf edited on top of the first, in the
+  same process: the cache entry it reads is the one the edit's save
+  patched in place, so it skips load and decode, and its save
+  re-encodes only the segments that changed (``segments_written``).
+  Asserted to report the same errors as a cold run over that program.
 
 Run standalone to (re)generate ``BENCH_incremental.json``::
 
@@ -51,18 +56,20 @@ BUDGET_WORK = 400_000
 WARM_WORK_FRACTION = 0.10
 
 
-def edit_one_leaf(program: Program):
-    """Double the body of the first leaf procedure (callee-free, not main).
+def edit_one_leaf(program: Program, nth: int = 0):
+    """Double the body of the ``nth`` leaf procedure (callee-free, not
+    main; counting wraps around).
 
     Returns ``(edited program, invalidation cone)`` where the cone is
     the edited procedure plus its transitive callers — exactly the set
     the store must invalidate.
     """
-    target = next(
+    leaves = [
         proc
         for proc in sorted(program.names())
         if proc != program.main and not program.callees(proc)
-    )
+    ]
+    target = leaves[nth % len(leaves)]
     procs = dict(program.procedures)
     procs[target] = Seq((procs[target], procs[target]))
     callers = program.callers()
@@ -85,6 +92,7 @@ def _timed(fn, *args, **kwargs):
 def run_one(name: str, engine: str) -> dict:
     program = load_benchmark(name).program
     edited, cone = edit_one_leaf(program)
+    edited_twice, _ = edit_one_leaf(edited, 1)
     budget = Budget(max_work=BUDGET_WORK)
     clear_warm_cache()
     with tempfile.TemporaryDirectory() as root:
@@ -93,6 +101,7 @@ def run_one(name: str, engine: str) -> dict:
             analyze_with_store, program, FILE_PROPERTY, store,
             engine=engine, domain="full", budget=budget,
         )
+        clear_warm_cache()  # the cold save left the snapshot resident
         warm, warm_s = _timed(
             analyze_with_store, program, FILE_PROPERTY, store,
             engine=engine, domain="full", budget=budget,
@@ -107,11 +116,22 @@ def run_one(name: str, engine: str) -> dict:
             analyze_with_store, edited, FILE_PROPERTY, store,
             engine=engine, domain="full", budget=budget,
         )
-    # A cold reference run over the edited program, for the correctness
+        # The edit's save patched the cache entry in place: this run
+        # neither reads nor decodes the snapshot.
+        steady, steady_s = _timed(
+            analyze_with_store, edited_twice, FILE_PROPERTY, store,
+            engine=engine, domain="full", budget=budget,
+        )
+    # Cold reference runs over the edited programs, for the correctness
     # and work comparisons.
     with tempfile.TemporaryDirectory() as root:
         edit_cold, _ = _timed(
             analyze_with_store, edited, FILE_PROPERTY, SummaryStore(root),
+            engine=engine, domain="full", budget=budget,
+        )
+    with tempfile.TemporaryDirectory() as root:
+        steady_cold, _ = _timed(
+            analyze_with_store, edited_twice, FILE_PROPERTY, SummaryStore(root),
             engine=engine, domain="full", budget=budget,
         )
     cold_work = cold.report.result.metrics.total_work
@@ -134,6 +154,9 @@ def run_one(name: str, engine: str) -> dict:
     )
     assert edit.report.errors == edit_cold.report.errors, "edit errors diverged"
     assert set(edit.invalidated) == cone, "invalidated set is not the edit cone"
+    assert steady.report.errors == steady_cold.report.errors, (
+        "edit_steady errors diverged"
+    )
 
     return {
         "benchmark": name,
@@ -159,9 +182,19 @@ def run_one(name: str, engine: str) -> dict:
             "cold_work": edit_cold_work,
             "store_hits": edit.store_hits,
             "invalidated": sorted(edit.invalidated),
+            "segments_written": edit.segments_written,
             "work_fraction": round(edit_work / edit_cold_work, 4)
             if edit_cold_work
             else 0.0,
+        },
+        "edit_steady": {
+            "work": steady.report.result.metrics.total_work,
+            "seconds": round(steady_s, 4),
+            "store_load_s": round(
+                steady.report.result.metrics.store_load_seconds, 4
+            ),
+            "segments_written": steady.segments_written,
+            "segments_reused": steady.segments_reused,
         },
         "identical": True,
     }
@@ -181,7 +214,9 @@ def collect(benchmarks=tuple(BENCHMARKS), engines=tuple(ENGINES)):
                 f"vs cold {row['cold']['seconds']}s) "
                 f"edit work={row['edit']['work']} "
                 f"(cold-over-edit {row['edit']['cold_work']}, "
-                f"{len(row['edit']['invalidated'])} invalidated)",
+                f"{len(row['edit']['invalidated'])} invalidated) "
+                f"steady edit {row['edit_steady']['seconds']}s "
+                f"({row['edit_steady']['segments_written']} segments written)",
                 flush=True,
             )
     return rows

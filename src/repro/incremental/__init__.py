@@ -41,7 +41,6 @@ from repro.incremental.invalidate import (
 from repro.incremental.store import (
     FrontierSnapshot,
     Snapshot,
-    StoredContext,
     SummaryStore,
     project_frontier,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "InvalidationPlan",
     "ProgramFingerprints",
     "Snapshot",
-    "StoredContext",
     "SummaryStore",
     "WarmCache",
     "WarmStart",

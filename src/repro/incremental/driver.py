@@ -11,20 +11,26 @@ stored context must be a *finished* fixpoint, and a partial table would
 be trusted as complete by the next warm run.
 
 Repeated warm runs in one process (watch loops, benchmark drivers, the
-test suite, the analysis service) used to re-read and re-decode the
-snapshot every call — enough JSON and state decoding that a warm run
-could lose on wall clock despite doing a fraction of the analysis
-work.  A process-level decode cache (:class:`WarmCache`) keys the
-built :class:`WarmStart` on (store root, config fingerprint), with the
-snapshot file identity and the program fingerprints validating each
-hit; engines never mutate a ``WarmStart`` (activation copies rows into
-their own tables), so sharing one across runs — sequential or
-concurrent — is sound.  The cache is a true LRU behind one lock: hits
-refresh recency, insertion over capacity evicts the least recently
-used entry, and every operation is atomic, so the service daemon's
-request threads can hammer one shared instance.  The wall time
-actually spent on load + diff + decode is reported per run as
-``Metrics.store_load_seconds``.
+test suite, the analysis service) keep the stored snapshot resident in
+a process-level cache (:class:`WarmCache`) keyed on (store root, config
+fingerprint), with the snapshot file's identity ``(inode, mtime, size)``
+validating each hit.  An entry holds the snapshot's header and segment
+text, its decoded per-procedure entries, the frontier lines written
+with it, and the :class:`WarmStart` built for the program fingerprints
+it last served.  The same program is a plain hit; an edited program
+re-diffs against the cached header and filters the decoded segments by
+``plan.valid`` — no read, no decode.  After a save the entry is patched
+in place: the new snapshot's reused segments keep their decoded
+entries, the re-encoded ones take the run's own objects, and the
+signature is the one ``SummaryStore.save`` took from its temp file, so
+a concurrent writer's file is never mistaken for ours.  Engines never
+mutate a ``WarmStart`` (activation copies rows into their own tables),
+so sharing one across runs — sequential or concurrent — is sound.  The
+cache is a true LRU behind one lock: hits refresh recency, insertion
+over capacity evicts the least recently used entry, and every
+operation is atomic, so the service daemon's request threads can
+hammer one shared instance.  The wall time actually spent on load +
+diff + decode is reported per run as ``Metrics.store_load_seconds``.
 """
 
 from __future__ import annotations
@@ -50,7 +56,13 @@ from repro.incremental.invalidate import (
     build_warm_start,
     diff_fingerprints,
 )
-from repro.incremental.store import Snapshot, SummaryStore, project_frontier
+from repro.incremental.store import (
+    FrontierSnapshot,
+    Snapshot,
+    SummaryStore,
+    file_signature,
+    project_frontier,
+)
 from repro.ir.cfg import ControlFlowGraphs
 from repro.ir.program import Program
 from repro.typestate.client import TypestateReport, make_analyses
@@ -66,16 +78,23 @@ _SHORT_DOMAINS = {
 }
 
 
+#: ``WarmCache._take`` wildcard: match any program fingerprints.
+_ANY_PROGRAM = object()
+
+
 class WarmCache:
     """Bounded, thread-safe, true-LRU cache of decoded warm starts.
 
     Keys are ``(store root, config fingerprint)``.  Each entry carries
-    the snapshot file signature and program fingerprints it was built
-    from, so a save to the store or an edit to the program misses
-    naturally.  A hit refreshes recency (move-to-end); inserting over
-    capacity evicts the least recently used entry.  One lock covers
-    check + reorder + insert, so concurrent request threads can share
-    a single instance without torn lookups.
+    the file signature and program fingerprints it was built for, so a
+    rewrite of the store by another writer misses naturally;
+    :meth:`lookup` also misses on an edited program, while
+    :meth:`get` leaves that check to the caller (the analyze path
+    re-diffs a resident snapshot instead of re-reading it).  A hit
+    refreshes recency (move-to-end); inserting over capacity evicts the
+    least recently used entry.  One lock covers check + reorder +
+    insert, so concurrent request threads can share a single instance
+    without torn lookups.
     """
 
     def __init__(self, capacity: int = 64) -> None:
@@ -88,38 +107,44 @@ class WarmCache:
         self.misses = 0
         self.evictions = 0
 
+    def get(self, key: Tuple[str, str], signature) -> Optional[Tuple]:
+        """``(fp_key, *payload)`` of the entry for the file with
+        ``signature``, or ``None`` (a miss)."""
+        entry = self._take(key, signature, _ANY_PROGRAM)
+        return None if entry is None else entry[1:]
+
     def lookup(
         self, key: Tuple[str, str], signature, fp_key
     ) -> Optional[Tuple]:
-        """The cached ``(snapshot, plan, warm)`` triple, or ``None``.
+        """The cached payload when both the file signature and the
+        program fingerprints match, else ``None`` (a miss)."""
+        entry = self._take(key, signature, fp_key)
+        return None if entry is None else entry[2:]
 
-        A stale entry (different file signature or program
-        fingerprints) counts as a miss but is left in place: the
-        caller re-decodes and overwrites it via :meth:`insert`.
-        """
+    def _take(self, key, signature, fp_key) -> Optional[Tuple]:
+        # A stale entry counts as a miss but is left in place: the
+        # caller re-decodes and overwrites it via insert().
         with self._lock:
             entry = self._entries.get(key)
             if (
                 entry is not None
                 and entry[0] == signature
-                and entry[1] == fp_key
+                and (fp_key is _ANY_PROGRAM or entry[1] == fp_key)
             ):
                 self._entries.move_to_end(key)
                 self.hits += 1
-                return entry[2], entry[3], entry[4]
+                return entry
             self.misses += 1
             return None
 
-    def insert(
-        self, key: Tuple[str, str], signature, fp_key, snapshot, plan, warm
-    ) -> None:
+    def insert(self, key: Tuple[str, str], signature, fp_key, *payload) -> None:
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
             elif len(self._entries) >= self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-            self._entries[key] = (signature, fp_key, snapshot, plan, warm)
+            self._entries[key] = (signature, fp_key) + payload
 
     def invalidate(self, key: Tuple[str, str]) -> None:
         with self._lock:
@@ -160,34 +185,35 @@ def clear_warm_cache() -> None:
 
 def _snapshot_signature(store: SummaryStore, config_fp: str):
     """File identity of the stored snapshot, or None when absent."""
-    try:
-        stat = store.path_for(config_fp).stat()
-    except OSError:
-        return None
-    return (stat.st_mtime_ns, stat.st_size)
+    return file_signature(store.path_for(config_fp))
 
 
 def _frontier_signature(store: SummaryStore, config_fp: str):
     """File identity of the stored frontier projection, or None."""
-    try:
-        stat = store.frontier_path_for(config_fp).stat()
-    except OSError:
-        return None
-    return (stat.st_mtime_ns, stat.st_size)
+    return file_signature(store.frontier_path_for(config_fp))
 
 
 def write_frontier(
-    store: SummaryStore, snapshot: Snapshot, program: Program
+    store: SummaryStore,
+    snapshot: Snapshot,
+    cfgs: ControlFlowGraphs,
+    previous: Optional[FrontierSnapshot] = None,
 ):
     """Persist ``snapshot``'s entry/exit-only frontier projection.
 
     Called right after every snapshot save (and to backfill a missing
     projection next to a pre-existing snapshot), so demand queries can
-    decode O(frontier) instead of O(program) — DESIGN §13.
+    decode O(frontier) instead of O(program) — DESIGN §13.  ``cfgs``
+    are the analyzed program's CFGs (the run's own).  ``previous`` is
+    the projection written with the snapshot ``snapshot`` was built
+    from; lines of reused segments are copied from it.  The projection
+    is kept as ``snapshot.frontier``.
     """
-    cfgs = ControlFlowGraphs(program)
-    exits = {proc: cfgs.exit(proc).index for proc in program.names()}
-    return store.save_frontier(project_frontier(snapshot, exits))
+    exits = {proc: cfgs.exit(proc).index for proc in cfgs.program.names()}
+    frontier = project_frontier(snapshot, exits, previous)
+    path = store.save_frontier(frontier)
+    snapshot.frontier = frontier
+    return path
 
 
 def _load_warm(
@@ -197,28 +223,34 @@ def _load_warm(
     codec: Codec,
     cache: WarmCache,
 ):
-    """Load + diff + decode, through the decode cache.
+    """Load + diff + decode, through the resident cache.
 
     Returns ``(snapshot, plan, warm)`` — all ``None``/``None``/``None``
-    on a cold start.  The cached ``WarmStart`` is returned as-is:
-    engines only read it (context activation copies rows into the
-    run's own tables), which is what makes the share safe.
+    on a cold start.  A resident snapshot whose file is unchanged is
+    re-diffed when the program changed, never re-read; only a file
+    rewritten by someone else (or none cached) is loaded from disk.
+    The cached ``WarmStart`` is returned as-is: engines only read it
+    (context activation copies rows into the run's own tables), which
+    is what makes the share safe.
     """
-    signature = _snapshot_signature(store, config_fp)
     key = (str(store.root.resolve()), config_fp)
     fp_key = fingerprints.as_dict()
+    snapshot = None
+    signature = _snapshot_signature(store, config_fp)
     if signature is not None:
-        hit = cache.lookup(key, signature, fp_key)
-        if hit is not None:
-            return hit
-    snapshot = store.load(config_fp)
+        entry = cache.get(key, signature)
+        if entry is not None:
+            cached_fp, snapshot, plan, warm = entry
+            if cached_fp == fp_key:
+                return snapshot, plan, warm
     if snapshot is None:
-        cache.invalidate(key)
-        return None, None, None
+        snapshot = store.load(config_fp)
+        if snapshot is None:
+            cache.invalidate(key)
+            return None, None, None
     plan = diff_fingerprints(snapshot.fingerprints, fingerprints)
     warm = build_warm_start(snapshot, plan, codec)
-    if signature is not None:
-        cache.insert(key, signature, fp_key, snapshot, plan, warm)
+    cache.insert(key, snapshot.signature, fp_key, snapshot, plan, warm)
     return snapshot, plan, warm
 
 
@@ -237,6 +269,8 @@ class IncrementalOutcome:
     added: FrozenSet[str] = frozenset()
     saved: bool = False
     snapshot_path: Optional[str] = None
+    segments_written: int = 0  # procedures whose segment was encoded
+    segments_reused: int = 0  # procedures whose segment text was copied
     plan: Optional[InvalidationPlan] = field(default=None, repr=False)
 
 
@@ -358,11 +392,11 @@ def analyze_with_store(
         # snapshot it loaded: every stored entry survived the diff, and
         # zero deterministic work means every table row came from
         # activating stored contexts (a genuinely new context would
-        # have cost at least one propagation).  Skipping the re-encode
-        # and the byte-identical rewrite keeps the file's identity
-        # stable, so the process-level decode cache stays warm for the
-        # next run — a changed snapshot is written as before and drops
-        # the now-stale cache entry.
+        # have cost at least one propagation).  Skipping the save keeps
+        # the file's identity stable, so the resident cache entry stays
+        # valid for the next run.  A changed snapshot is written with
+        # every unchanged segment copied, and the cache entry is
+        # replaced by the snapshot just written.
         unchanged = (
             snapshot is not None
             and plan is not None
@@ -376,7 +410,7 @@ def analyze_with_store(
             # before the projection existed (or whose projection was
             # swept), without disturbing the parent file's identity.
             if not store.frontier_path_for(config_fp).is_file():
-                write_frontier(store, snapshot, program)
+                write_frontier(store, snapshot, report.result.cfgs)
         else:
             new_snapshot = build_snapshot(
                 config_desc,
@@ -386,9 +420,27 @@ def analyze_with_store(
                 codec,
                 previous=snapshot,
                 meta=meta,
+                warm=warm,
             )
-            cache.invalidate((str(store.root.resolve()), config_fp))
             outcome.snapshot_path = str(store.save(new_snapshot))
-            write_frontier(store, new_snapshot, program)
+            write_frontier(
+                store,
+                new_snapshot,
+                report.result.cfgs,
+                previous=snapshot.frontier if snapshot is not None else None,
+            )
+            outcome.segments_reused = len(new_snapshot.reused)
+            outcome.segments_written = (
+                len(new_snapshot.segments) - outcome.segments_reused
+            )
+            new_snapshot.payloads = {}  # resident: text and decoded only
+            cache.insert(
+                (str(store.root.resolve()), config_fp),
+                new_snapshot.signature,
+                None,  # no program served yet: the next lookup re-diffs
+                new_snapshot,
+                None,
+                None,
+            )
         outcome.saved = True
     return outcome

@@ -28,14 +28,15 @@ record multiset, and activation replays the stored records).
 
 from __future__ import annotations
 
-from collections import Counter
+import json
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.framework.bottomup import ProcedureSummary
 from repro.incremental.codec import Codec
-from repro.incremental.fingerprint import ProgramFingerprints
-from repro.incremental.store import Snapshot, StoredContext
+from repro.incremental.fingerprint import ProgramFingerprints, canonical_json
+from repro.incremental.store import Snapshot
 from repro.ir.cfg import ProgramPoint
 
 #: Invalidation reasons, stable strings for trace events and tests.
@@ -83,50 +84,279 @@ class WarmContext:
 
 
 @dataclass
+class StoredProc:
+    """One procedure's stored entries in decoded form — one segment.
+
+    ``contexts`` is in the segment's canonical order; ``bu`` and
+    ``ranks`` are ``None`` when the segment has no ``bu`` / ``m``.
+    """
+
+    contexts: List[WarmContext]
+    bu: Optional[ProcedureSummary] = None
+    ranks: Optional[Counter] = None
+
+
+@dataclass
 class WarmStart:
     """What a ``preload=`` hook injects into an engine.
 
     Only entries of procedures whose full fingerprint matched are ever
     placed here (``build_warm_start`` filters by the plan), so an
-    engine may trust everything it finds.
+    engine may trust everything it finds.  ``procs`` is the same
+    entries grouped per procedure, which ``build_snapshot`` compares
+    against the run's tables to reuse unchanged segments.
     """
 
     contexts: Dict[Tuple[str, object], WarmContext] = field(default_factory=dict)
     bu: Dict[str, ProcedureSummary] = field(default_factory=dict)
     ranks: Dict[str, Counter] = field(default_factory=dict)
     invalidated: Dict[str, str] = field(default_factory=dict)
+    procs: Dict[str, StoredProc] = field(default_factory=dict)
 
     def context_count(self) -> int:
         return len(self.contexts)
+
+    def add(self, proc: str, stored: StoredProc) -> None:
+        self.procs[proc] = stored
+        for ctx in stored.contexts:
+            self.contexts[(proc, ctx.entry)] = ctx
+        if stored.bu is not None:
+            self.bu[proc] = stored.bu
+        if stored.ranks is not None:
+            self.ranks[proc] = stored.ranks
+
+
+def _decode_proc(proc: str, payload: dict, codec: Codec) -> StoredProc:
+    """Decode one segment payload."""
+    decode = codec.decode_state
+    contexts = []
+    for enc_entry, enc_rows, enc_records in payload["contexts"]:
+        contexts.append(
+            WarmContext(
+                proc,
+                decode(enc_entry),
+                [(ProgramPoint(proc, idx), decode(enc)) for idx, enc in enc_rows],
+                [
+                    (callee, decode(enc), ProgramPoint(proc, ret_idx))
+                    for callee, enc, ret_idx in enc_records
+                ],
+            )
+        )
+    stored = StoredProc(contexts)
+    if "bu" in payload:
+        stored.bu = codec.decode_summary(payload["bu"])
+    if "m" in payload:
+        stored.ranks = Counter({decode(enc): n for enc, n in payload["m"]})
+    return stored
 
 
 def build_warm_start(
     snapshot: Snapshot, plan: InvalidationPlan, codec: Codec
 ) -> WarmStart:
-    """Decode the surviving parts of a snapshot into a :class:`WarmStart`."""
+    """Assemble the surviving segments of a snapshot into a
+    :class:`WarmStart`.
+
+    Segments are decoded at most once per snapshot: the decoded form is
+    memoized in ``snapshot.decoded`` (which a save also fills from the
+    run's own objects), so a resident snapshot re-diffed against an
+    edited program only filters by ``plan.valid``.
+    """
     warm = WarmStart(invalidated=dict(plan.invalidated))
-    for ctx in snapshot.contexts:
-        if ctx.proc not in plan.valid:
+    decoded = snapshot.decoded
+    for proc in snapshot.segments:
+        if proc not in plan.valid:
             continue
-        entry = codec.decode_state(ctx.entry)
-        rows = [
-            (ProgramPoint(ctx.proc, idx), codec.decode_state(enc))
-            for idx, enc in ctx.rows
-        ]
-        records = [
-            (callee, codec.decode_state(enc), ProgramPoint(ctx.proc, ret_idx))
-            for callee, enc, ret_idx in ctx.records
-        ]
-        warm.contexts[(ctx.proc, entry)] = WarmContext(ctx.proc, entry, rows, records)
-    for proc, enc in snapshot.bu.items():
-        if proc in plan.valid:
-            warm.bu[proc] = codec.decode_summary(enc)
-    for proc, counts in snapshot.m.items():
-        if proc in plan.valid:
-            warm.ranks[proc] = Counter(
-                {codec.decode_state(enc): n for enc, n in counts}
+        stored = decoded.get(proc)
+        if stored is None:
+            stored = decoded[proc] = _decode_proc(
+                proc, snapshot.payload(proc), codec
             )
+        warm.add(proc, stored)
     return warm
+
+
+class _RunTables:
+    """A finished run's tables grouped per procedure (no encoding)."""
+
+    def __init__(self, result) -> None:
+        self.td = result.td
+        self.call_records = result.call_records or {}
+        self.bu = getattr(result, "bu", None) or {}
+        self.counts = result.entry_counts
+        self._texts: Dict[object, Tuple[list, str]] = {}
+        self.points: Dict[str, List[ProgramPoint]] = defaultdict(list)
+        for point in self.td:
+            self.points[point.proc].append(point)
+        # A record ((callee, σ_in) ← (return point, caller entry)) was
+        # created while tabulating the caller's context — file it there.
+        self.records: Dict[str, List[tuple]] = defaultdict(list)
+        for (callee, sigma_in), records in self.call_records.items():
+            for return_point, caller_entry in records:
+                self.records[return_point.proc].append(
+                    (callee, sigma_in, return_point, caller_entry)
+                )
+
+    def procs(self):
+        return (
+            set(self.points) | set(self.records) | set(self.bu) | set(self.counts)
+        )
+
+    def matches(self, proc: str, stored: StoredProc) -> bool:
+        """Would ``proc``'s segment, rebuilt from this run, equal the
+        stored one?
+
+        Rows and records: the run's sets for ``proc`` contain every
+        stored row/record and are no larger.  The summary: the run kept
+        the very object it was preloaded with.  The multiset: every
+        observed count is already covered by the stored maximum, so the
+        merge in :func:`build_snapshot` leaves it as it was.
+        """
+        td = self.td
+        contexts = stored.contexts
+        rows = sum(len(td[point]) for point in self.points.get(proc, ()))
+        if rows != sum(len(ctx.rows) for ctx in contexts):
+            return False
+        if len(self.records.get(proc, ())) != sum(
+            len(ctx.records) for ctx in contexts
+        ):
+            return False
+        for ctx in contexts:
+            entry = ctx.entry
+            for point, sigma in ctx.rows:
+                if (entry, sigma) not in td.get(point, ()):
+                    return False
+            for callee, sigma_in, return_point in ctx.records:
+                if (return_point, entry) not in self.call_records.get(
+                    (callee, sigma_in), ()
+                ):
+                    return False
+        if self.bu.get(proc) is not stored.bu:
+            return False
+        observed = self.counts.get(proc)
+        if observed is not None:
+            ranks = stored.ranks
+            if ranks is None:
+                return False
+            for sigma, n in observed.items():
+                have = ranks.get(sigma)
+                if have is None or have < n:
+                    return False
+        return True
+
+    def encode(
+        self, proc: str, old_m, codec: Codec
+    ) -> Tuple[str, dict, StoredProc]:
+        """Encode ``proc``'s segment from this run's tables: its canonical
+        text, its payload, and the matching decoded entries built from
+        the run's own objects, all in canonical order.
+
+        ``old_m`` is the previous multiset (``None`` when there was
+        none).  The text is
+        assembled from per-state canonical JSON, memoized across the
+        whole save, and equals ``canonical_json(payload)``: a list's
+        canonical form is its items' canonical forms joined by commas.
+        """
+        state = self._state
+        by_entry: Dict[object, Tuple[list, list]] = {}
+        for point in self.points.get(proc, ()):
+            index = point.index
+            for entry, sigma in self.td[point]:
+                rows = by_entry.get(entry)
+                if rows is None:
+                    rows = by_entry[entry] = ([], [])
+                enc, text = state(sigma, codec)
+                rows[0].append((f"[{index},{text}]", [index, enc], (point, sigma)))
+        for callee, sigma_in, return_point, entry in self.records.get(proc, ()):
+            rows = by_entry.get(entry)
+            if rows is None:
+                rows = by_entry[entry] = ([], [])
+            enc, text = state(sigma_in, codec)
+            index = return_point.index
+            rows[1].append(
+                (
+                    f"[{json.dumps(callee)},{text},{index}]",
+                    [callee, enc, index],
+                    (callee, sigma_in, return_point),
+                )
+            )
+        contexts = []
+        for entry, (rows, records) in by_entry.items():
+            rows.sort(key=_first)
+            records.sort(key=_first)
+            enc_entry, entry_text = state(entry, codec)
+            contexts.append(
+                (
+                    entry_text,
+                    f"[{entry_text},[{','.join(r[0] for r in rows)}],"
+                    f"[{','.join(r[0] for r in records)}]]",
+                    [enc_entry, [r[1] for r in rows], [r[1] for r in records]],
+                    WarmContext(
+                        proc, entry, [r[2] for r in rows], [r[2] for r in records]
+                    ),
+                )
+            )
+        contexts.sort(key=_first)
+        payload: dict = {"contexts": [c[2] for c in contexts]}
+        stored = StoredProc([c[3] for c in contexts])
+        parts = [f'"contexts":[{",".join(c[1] for c in contexts)}]']
+        summary = self.bu.get(proc)
+        if summary is not None:
+            payload["bu"] = codec.encode_summary(summary)
+            stored.bu = summary
+            parts.insert(0, f'"bu":{canonical_json(payload["bu"])}')
+        observed = self.counts.get(proc)
+        if observed is not None or old_m is not None:
+            text, payload["m"], stored.ranks = self._encode_m(
+                old_m or Counter(), observed or Counter(), codec
+            )
+            parts.append(f'"m":{text}')
+        return "{" + ",".join(parts) + "}", payload, stored
+
+    def _encode_m(
+        self, old: Counter, observed: Counter, codec: Codec
+    ) -> Tuple[str, list, Counter]:
+        """The stored ``M``: the per-state maximum of the old and observed
+        counts, so ranking data degrades gracefully across warm runs
+        that saw only part of the traffic (a warm SWIFT run bypasses
+        calls its bottom-up summaries answer, which would otherwise
+        shrink ``M`` every generation)."""
+        merged = Counter(old)
+        for sigma, n in observed.items():
+            if n > merged.get(sigma, -1):
+                merged[sigma] = n
+        counts = []
+        for sigma, n in merged.items():
+            enc, text = self._state(sigma, codec)
+            counts.append((f"[{text},{n}]", enc, n, sigma))
+        counts.sort(key=_first)
+        return (
+            f"[{','.join(c[0] for c in counts)}]",
+            [[enc, n] for _, enc, n, _ in counts],
+            Counter({sigma: n for _, _, n, sigma in counts}),
+        )
+
+    def _state(self, sigma, codec: Codec) -> Tuple[list, str]:
+        """``sigma``'s encoding and its canonical JSON text (memoized)."""
+        got = self._texts.get(sigma)
+        if got is None:
+            enc = codec.encode_state(sigma)
+            got = self._texts[sigma] = (enc, canonical_json(enc))
+        return got
+
+
+def _first(item):
+    return item[0]
+
+
+def _stored_ranks(snapshot: Snapshot, proc: str, codec: Codec) -> Optional[Counter]:
+    """``proc``'s stored multiset, decoded (``None`` when it has none)."""
+    stored = snapshot.decoded.get(proc)
+    if stored is not None:
+        return stored.ranks
+    counts = snapshot.payload(proc).get("m")
+    if counts is None:
+        return None
+    return Counter({codec.decode_state(enc): n for enc, n in counts})
 
 
 def build_snapshot(
@@ -137,16 +367,24 @@ def build_snapshot(
     codec: Codec,
     previous: Optional[Snapshot] = None,
     meta: Optional[dict] = None,
+    warm: Optional[WarmStart] = None,
 ) -> Snapshot:
     """Serialize a finished run's tables into a snapshot.
 
     ``result`` is a :class:`~repro.framework.topdown.TopDownResult`
     (or ``SwiftResult``) with ``call_records`` populated.  ``previous``
-    supplies the prior incoming multisets; the stored ``M`` is the
-    per-state maximum of old and observed counts, so ranking data
-    degrades gracefully across warm runs that saw only part of the
-    traffic (a warm SWIFT run bypasses calls its bottom-up summaries
-    answer, which would otherwise shrink ``M`` every generation).
+    supplies the prior incoming multisets (merged per state by maximum,
+    see :meth:`_RunTables.encode`; procedures the run never entered keep
+    theirs while still in the program).
+
+    ``warm`` is the warm start the run was given, loaded from
+    ``previous``.  A procedure it offered whose rows, records, summary
+    and multiset the run left as stored keeps ``previous``'s segment
+    text verbatim (listed in ``Snapshot.reused``); every other segment
+    is encoded.  Because a segment's text is a function of its entries
+    alone, the bytes equal those of a save with nothing to reuse.  The
+    new snapshot's ``decoded`` map is filled from the run's own objects,
+    so a resident cache need not decode it back.
     """
     snap = Snapshot(
         config_fp=config_fp,
@@ -154,59 +392,27 @@ def build_snapshot(
         fingerprints=fingerprints.as_dict(),
         meta=meta or {},
     )
-    # Group path edges by context (proc of the point, entry state).
-    by_context: Dict[Tuple[str, object], StoredContext] = {}
-
-    def context_for(proc: str, entry) -> StoredContext:
-        key = (proc, entry)
-        ctx = by_context.get(key)
-        if ctx is None:
-            ctx = by_context[key] = StoredContext(
-                proc, codec.encode_state(entry), [], []
-            )
-            snap.contexts.append(ctx)
-        return ctx
-
-    for point, pairs in result.td.items():
-        for entry, sigma in pairs:
-            context_for(point.proc, entry).rows.append(
-                [point.index, codec.encode_state(sigma)]
-            )
-    # A record ((callee, σ_in) ← (return point, caller entry)) was
-    # created while tabulating the caller's context — attach it there.
-    for (callee, sigma_in), records in (result.call_records or {}).items():
-        enc_in = codec.encode_state(sigma_in)
-        for return_point, caller_entry in records:
-            context_for(return_point.proc, caller_entry).records.append(
-                [callee, enc_in, return_point.index]
-            )
-    bu_map = getattr(result, "bu", None) or {}
-    for proc, summary in bu_map.items():
-        snap.bu[proc] = codec.encode_summary(summary)
-    old_m: Dict[str, Dict[str, list]] = {}
-    if previous is not None:
-        for proc, counts in previous.m.items():
-            old_m[proc] = {codec_key(enc): [enc, n] for enc, n in counts}
-    for proc, counter in result.entry_counts.items():
-        merged: Dict[str, list] = dict(old_m.pop(proc, ()))
-        for sigma, n in counter.items():
-            enc = codec.encode_state(sigma)
-            key = codec_key(enc)
-            if key in merged:
-                merged[key][1] = max(merged[key][1], n)
-            else:
-                merged[key] = [enc, n]
-        snap.m[proc] = list(merged.values())
-    # Procedures the warm run never entered keep their old ranking data
-    # (if still valid for this program).
-    for proc, rows in old_m.items():
-        if proc in fingerprints.body:
-            snap.m[proc] = list(rows.values())
-    snap.canonicalize()
+    tables = _RunTables(result)
+    procs = tables.procs()
+    previous_segments = previous.segments if previous is not None else {}
+    procs.update(p for p in previous_segments if p in fingerprints.body)
+    offered = warm.procs if warm is not None and previous is not None else {}
+    reused = []
+    for proc in sorted(procs):
+        stored = offered.get(proc)
+        if stored is not None and tables.matches(proc, stored):
+            snap.segments[proc] = previous_segments[proc]
+            snap.decoded[proc] = stored
+            reused.append(proc)
+            continue
+        old_m = None
+        if proc in previous_segments:
+            old_m = _stored_ranks(previous, proc, codec)
+        text, payload, stored = tables.encode(proc, old_m, codec)
+        if not payload["contexts"] and len(payload) == 1:
+            continue  # nothing stored for this procedure
+        snap.segments[proc] = text
+        snap.payloads[proc] = payload
+        snap.decoded[proc] = stored
+    snap.reused = frozenset(reused)
     return snap
-
-
-def codec_key(enc) -> str:
-    from repro.incremental.fingerprint import canonical_json
-
-    return canonical_json(enc)

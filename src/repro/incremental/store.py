@@ -3,40 +3,53 @@
 Layout: one JSONL snapshot per analysis configuration under the store
 root, named ``snapshot-<config fp prefix>.jsonl``.  Line 1 is a header
 (store version, config fingerprint + description, per-procedure body
-and cone fingerprints, producer metadata); every further line is one
-record:
+and cone fingerprints, producer metadata, and a ``segments`` manifest
+of each segment's CRC-32); every further line is one procedure's
+**segment**, ``<proc>\\t<canonical JSON payload>``, sorted by name.  A
+payload holds, in the canonical encoded form of
+:mod:`repro.incremental.codec`:
 
-* ``{"kind": "context", ...}`` — one top-down tabulation context
-  ``(proc, σ_entry)`` with its path-edge rows ``[(point index, σ)]``
-  and the call records it spawned ``[(callee, σ_in, return index)]``;
-* ``{"kind": "bu", ...}`` — one installed bottom-up summary ``(R, Σ)``;
-* ``{"kind": "m", ...}`` — one procedure's incoming-state multiset
-  (the FrequencyPruner's ranking data).
+* ``contexts`` — the procedure's top-down tabulation contexts, each
+  ``[σ_entry, rows, records]`` with path-edge rows
+  ``[[point index, σ], ...]`` and the call records the context spawned
+  ``[[callee, σ_in, return index], ...]``;
+* ``bu`` — its installed bottom-up summary ``(R, Σ)``, when it has one;
+* ``m`` — its incoming-state multiset ``[[σ, n], ...]`` (the
+  FrequencyPruner's ranking data), when it has one.
 
-Everything is in the canonical encoded form of
-:mod:`repro.incremental.codec` and every list is sorted by serialized
-text, so ``load`` followed by ``save`` reproduces the file byte for
-byte (property-tested).
+Every list is sorted by serialized text, so ``load`` followed by
+``save`` reproduces the file byte for byte (property-tested), and a
+segment's text is a function of that procedure's stored entries alone.
+That is what makes saves incremental: a :class:`Snapshot` carries each
+segment's text, and :func:`~repro.incremental.invalidate.build_snapshot`
+copies the text of every procedure a run left unchanged instead of
+re-encoding it (DESIGN §9).
 
-Since store version 2, every full snapshot has a companion **frontier
-snapshot** — ``frontier-<config fp prefix>.jsonl`` — the entry/exit-only
-projection the demand-query path (DESIGN §13) decodes instead of the
-full file.  Its line format is *per procedure* and content-addressed by
-procedure name: after the JSON header, each line is
-``<proc>\\t<canonical JSON of that proc's entry/exit contexts + BU
+Every full snapshot has a companion **frontier snapshot** —
+``frontier-<config fp prefix>.jsonl`` — the entry/exit-only projection
+the demand-query path (DESIGN §13) decodes instead of the full file.
+Its line format is per procedure too: after the JSON header, each line
+is ``<proc>\\t<canonical JSON of that proc's entry/exit contexts + BU
 summary>``, so a reader wanting only a cone's frontier procedures can
 select lines by the name prefix without JSON-parsing the rest — decode
 cost scales with the frontier, not the program.  Frontier files are a
 pure projection of their parent snapshot: they are written right after
-it, swept with it by :meth:`SummaryStore.gc`, and a missing or corrupt
+it (copying the previous projection's line for every reused segment),
+swept with it by :meth:`SummaryStore.gc`, and a missing or corrupt
 frontier degrades to decoding the full snapshot, never to a wrong
 answer.
 
 Robustness: ``save`` writes to a temp file in the same directory and
 ``os.replace``s it into place, so concurrent readers only ever see a
 complete snapshot.  ``load`` returns ``None`` — the cold-start signal —
-for missing files, JSON/structure errors, and version or fingerprint
-mismatches; a corrupt store can cost a warm start, never correctness.
+for missing files, JSON/structure errors, segments that fail their
+CRC or are missing, duplicated or unknown to the header, and version
+or fingerprint mismatches; a corrupt store can cost a warm start, never
+correctness.  Both directions record the file's identity
+``(inode, mtime, size)`` as :attr:`Snapshot.signature`: ``load`` from
+the open descriptor it read, ``save`` from the temp file before the
+rename (which keeps all three), so a racing writer's file can never be
+taken for the one in hand.
 """
 
 from __future__ import annotations
@@ -45,14 +58,16 @@ import itertools
 import json
 import os
 import threading
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
 #: Bump on incompatible layout changes; mismatching snapshots load cold.
 #: v2: snapshots gained companion entry/exit-only frontier projections
-#: (``frontier-*.jsonl``); v1 stores load cold — never wrong.
-STORE_VERSION = 2
+#: (``frontier-*.jsonl``).  v3: one segment line per procedure in
+#: place of one line per record.  Older stores load cold — never wrong.
+STORE_VERSION = 3
 
 _PREFIX = "snapshot-"
 _FRONTIER_PREFIX = "frontier-"
@@ -64,41 +79,75 @@ _SUFFIX = ".jsonl"
 #: their writes, and ``os.replace`` each other's partial bytes.
 _TMP_TOKENS = itertools.count()
 
+#: What a malformed file raises while parsing (``json.JSONDecodeError``
+#: and ``UnicodeDecodeError`` are ``ValueError`` subclasses).
+_PARSE_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
 
-@dataclass
-class StoredContext:
-    """One tabulation context in encoded form."""
+#: A file's identity: ``(st_ino, st_mtime_ns, st_size)``.
+Signature = Tuple[int, int, int]
 
-    proc: str
-    entry: list  # encoded entry state
-    rows: List[list]  # [[point index, encoded state], ...]
-    records: List[list]  # [[callee, encoded entry state, return index], ...]
+
+def _stat_signature(stat: os.stat_result) -> Signature:
+    return (stat.st_ino, stat.st_mtime_ns, stat.st_size)
+
+
+def file_signature(path: Path) -> Optional[Signature]:
+    """The identity of the file at ``path``, or ``None`` when absent."""
+    try:
+        return _stat_signature(path.stat())
+    except OSError:
+        return None
+
+
+def _crc(data: bytes) -> str:
+    return format(zlib.crc32(data), "08x")
 
 
 @dataclass
 class Snapshot:
-    """One configuration's stored analysis results, fully encoded."""
+    """One configuration's stored analysis results, one segment per
+    procedure.
+
+    ``segments`` maps each procedure to its payload's canonical JSON
+    text — the part of its line after the tab.  A load checks every
+    segment against the header's CRC manifest but parses none:
+    :meth:`payload` parses on demand, so decoding a warm start holds
+    one parsed segment at a time.  ``payloads`` keeps the parsed form a
+    fresh encode built, for the frontier projection written next.  The
+    remaining fields are bookkeeping for incremental saves and the
+    resident decode cache, never written to disk.
+    """
 
     config_fp: str
     config: dict
     fingerprints: Dict[str, Dict[str, str]]  # proc -> {"body","cone"}
-    contexts: List[StoredContext] = field(default_factory=list)
-    bu: Dict[str, dict] = field(default_factory=dict)  # proc -> encoded summary
-    m: Dict[str, List[list]] = field(default_factory=dict)  # proc -> [[state, n]]
     meta: dict = field(default_factory=dict)
+    segments: Dict[str, str] = field(default_factory=dict)
+    payloads: Dict[str, dict] = field(default_factory=dict, repr=False)
+    #: Procedures whose segment text was copied from the previous
+    #: snapshot rather than re-encoded (set by ``build_snapshot``).
+    reused: FrozenSet[str] = frozenset()
+    #: Identity of the file this snapshot was read from or written to.
+    signature: Optional[Signature] = None
+    #: Per-procedure decoded entries, filled by
+    #: :func:`~repro.incremental.invalidate.build_warm_start` (decoding)
+    #: and ``build_snapshot`` (from the run's own objects); the store
+    #: never reads it.
+    decoded: Dict[str, object] = field(default_factory=dict, repr=False)
+    #: The frontier projection written next to this snapshot, whose
+    #: lines the next projection copies for reused segments.
+    frontier: Optional["FrontierSnapshot"] = field(default=None, repr=False)
 
-    def canonicalize(self) -> None:
-        """Sort every section into its canonical serialized order."""
-        key = _canon
-        for ctx in self.contexts:
-            ctx.rows.sort(key=key)
-            ctx.records.sort(key=key)
-        self.contexts.sort(key=lambda c: (c.proc, key(c.entry)))
-        for counts in self.m.values():
-            counts.sort(key=key)
+    def payload(self, proc: str) -> Optional[dict]:
+        """The parsed payload of ``proc``'s segment (``None`` if absent)."""
+        got = self.payloads.get(proc)
+        if got is not None:
+            return got
+        text = self.segments.get(proc)
+        return None if text is None else json.loads(text)
 
     def to_lines(self) -> List[str]:
-        self.canonicalize()
+        procs = sorted(self.segments)
         lines = [
             _canon(
                 {
@@ -108,25 +157,13 @@ class Snapshot:
                     "config": self.config,
                     "fingerprints": self.fingerprints,
                     "meta": self.meta,
+                    "segments": {
+                        p: _crc(self.segments[p].encode("utf-8")) for p in procs
+                    },
                 }
             )
         ]
-        for ctx in self.contexts:
-            lines.append(
-                _canon(
-                    {
-                        "kind": "context",
-                        "proc": ctx.proc,
-                        "entry": ctx.entry,
-                        "rows": ctx.rows,
-                        "records": ctx.records,
-                    }
-                )
-            )
-        for proc in sorted(self.bu):
-            lines.append(_canon({"kind": "bu", "proc": proc, "summary": self.bu[proc]}))
-        for proc in sorted(self.m):
-            lines.append(_canon({"kind": "m", "proc": proc, "counts": self.m[proc]}))
+        lines.extend(f"{proc}\t{self.segments[proc]}" for proc in procs)
         return lines
 
     def to_bytes(self) -> bytes:
@@ -135,9 +172,9 @@ class Snapshot:
     @staticmethod
     def from_bytes(data: bytes) -> "Snapshot":
         """Parse a snapshot; raises ``ValueError`` on any malformation."""
-        lines = data.decode("utf-8").splitlines()
-        if not lines:
-            raise ValueError("empty snapshot")
+        if not data.endswith(b"\n"):
+            raise ValueError("snapshot is empty or truncated")
+        lines = data[:-1].split(b"\n")
         header = json.loads(lines[0])
         if not isinstance(header, dict) or header.get("kind") != "header":
             raise ValueError("first line is not a snapshot header")
@@ -149,24 +186,21 @@ class Snapshot:
             fingerprints=header["fingerprints"],
             meta=header.get("meta", {}),
         )
+        manifest = header["segments"]
         for line in lines[1:]:
-            row = json.loads(line)
-            kind = row.get("kind")
-            if kind == "context":
-                snap.contexts.append(
-                    StoredContext(
-                        proc=row["proc"],
-                        entry=row["entry"],
-                        rows=row["rows"],
-                        records=row["records"],
-                    )
-                )
-            elif kind == "bu":
-                snap.bu[row["proc"]] = row["summary"]
-            elif kind == "m":
-                snap.m[row["proc"]] = row["counts"]
-            else:
-                raise ValueError(f"unknown snapshot record kind {kind!r}")
+            name, sep, raw = line.partition(b"\t")
+            if not sep:
+                raise ValueError("segment without proc prefix")
+            proc = name.decode("utf-8")
+            if proc in snap.segments:
+                raise ValueError(f"duplicate segment for {proc!r}")
+            if proc not in snap.fingerprints:
+                raise ValueError(f"segment for unknown procedure {proc!r}")
+            if manifest.get(proc) != _crc(raw):
+                raise ValueError(f"segment for {proc!r} fails its checksum")
+            snap.segments[proc] = raw.decode("utf-8")
+        if len(snap.segments) != len(manifest):
+            raise ValueError("snapshot is missing segments")
         return snap
 
 
@@ -238,15 +272,15 @@ class FrontierSnapshot:
         self.procs[proc] = parsed
         return parsed
 
-    def canonicalize(self) -> None:
-        key = _canon
-        for payload in self.procs.values():
-            for ctx in payload.get("contexts", []):
-                ctx[1].sort(key=key)
-            payload.get("contexts", []).sort(key=lambda c: key(c[0]))
+    def text(self, proc: str) -> Optional[str]:
+        """The canonical payload text for ``proc`` (``None`` if absent)."""
+        raw = self._raw.get(proc)
+        if raw is not None:
+            return raw
+        got = self.procs.get(proc)
+        return None if got is None else _canon(got)
 
     def to_lines(self) -> List[str]:
-        self.canonicalize()
         lines = [
             _canon(
                 {
@@ -260,8 +294,8 @@ class FrontierSnapshot:
                 }
             )
         ]
-        for proc in sorted(self.procs):
-            lines.append(f"{proc}\t{_canon(self.procs[proc])}")
+        for proc in sorted(self.available()):
+            lines.append(f"{proc}\t{self.text(proc)}")
         return lines
 
     def to_bytes(self) -> bytes:
@@ -311,7 +345,9 @@ class FrontierSnapshot:
 
 
 def project_frontier(
-    snapshot: Snapshot, exit_indices: Mapping[str, int]
+    snapshot: Snapshot,
+    exit_indices: Mapping[str, int],
+    previous: Optional[FrontierSnapshot] = None,
 ) -> FrontierSnapshot:
     """Project a full snapshot down to its frontier form.
 
@@ -320,25 +356,46 @@ def project_frontier(
     exit rows.  Procedures absent from ``exit_indices`` — stored data
     for procedures no longer in the program — are dropped; their
     fingerprints won't match anyway.
+
+    ``previous`` is the projection of the snapshot ``snapshot`` was
+    built from: a procedure whose segment was reused verbatim
+    (``snapshot.reused``) has the same contexts, summary and exit index
+    as then, so its line is copied instead of re-projected.
     """
     frontier = FrontierSnapshot(
         config_fp=snapshot.config_fp,
         config=snapshot.config,
         fingerprints=snapshot.fingerprints,
         meta=snapshot.meta,
+        bu_procs=[],
     )
-    for ctx in snapshot.contexts:
-        if ctx.proc not in exit_indices:
-            continue
-        keep = {0, exit_indices[ctx.proc]}
-        rows = [row for row in ctx.rows if row[0] in keep]
-        payload = frontier.procs.setdefault(ctx.proc, {"contexts": []})
-        payload["contexts"].append([ctx.entry, rows])
-    for proc, summary in snapshot.bu.items():
+    reused = snapshot.reused if previous is not None else frozenset()
+    previous_bu = frozenset(previous.bu_manifest()) if reused else frozenset()
+    for proc in sorted(snapshot.segments):
         if proc not in exit_indices:
             continue
-        payload = frontier.procs.setdefault(proc, {"contexts": []})
-        payload["bu"] = summary
+        if proc in reused:
+            text = previous.text(proc)
+            if text is not None:
+                frontier._raw[proc] = text
+            if proc in previous_bu:
+                frontier.bu_procs.append(proc)
+            continue
+        payload = snapshot.payload(proc)
+        summary = payload.get("bu")
+        if not payload["contexts"] and summary is None:
+            continue
+        keep = (0, exit_indices[proc])
+        projected: dict = {
+            "contexts": [
+                [entry, [row for row in rows if row[0] in keep]]
+                for entry, rows, _ in payload["contexts"]
+            ]
+        }
+        if summary is not None:
+            projected["bu"] = summary
+            frontier.bu_procs.append(proc)
+        frontier._raw[proc] = _canon(projected)
     return frontier
 
 
@@ -376,17 +433,19 @@ class SummaryStore:
         version-mismatched file, or one whose header fingerprint does
         not match its name — degrades to a cold start.
         """
-        path = self.path_for(config_fp)
         try:
-            data = path.read_bytes()
+            with open(self.path_for(config_fp), "rb") as fh:
+                signature = _stat_signature(os.fstat(fh.fileno()))
+                data = fh.read()
         except OSError:
             return None
         try:
             snap = Snapshot.from_bytes(data)
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError):
+        except _PARSE_ERRORS:
             return None
         if snap.config_fp != config_fp:
             return None
+        snap.signature = signature
         return snap
 
     def save(self, snapshot: Snapshot) -> Path:
@@ -397,15 +456,22 @@ class SummaryStore:
         processes — each write their own complete file and the final
         ``os.replace`` is a race only over *which* complete snapshot
         wins, never over partial bytes.  The ``.tmp.`` infix keeps
-        :meth:`gc`'s stranded-temp glob matching.
+        :meth:`gc`'s stranded-temp glob matching.  The written file's
+        identity is taken from the temp file before the rename and
+        recorded as ``snapshot.signature``.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(snapshot.config_fp)
+        snapshot.signature = self._write(path, snapshot.to_bytes())
+        return path
+
+    def _write(self, path: Path, data: bytes) -> Signature:
+        self.root.mkdir(parents=True, exist_ok=True)
         token = f"{os.getpid()}-{threading.get_ident()}-{next(_TMP_TOKENS)}"
         tmp = path.with_name(f"{path.name}.tmp.{token}")
-        tmp.write_bytes(snapshot.to_bytes())
+        tmp.write_bytes(data)
+        signature = _stat_signature(tmp.stat())
         os.replace(tmp, path)
-        return path
+        return signature
 
     def load_frontier(
         self,
@@ -428,7 +494,7 @@ class SummaryStore:
             return None
         try:
             snap = FrontierSnapshot.from_bytes(data, procs=procs, lazy=lazy)
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError):
+        except _PARSE_ERRORS:
             return None
         if snap.config_fp != config_fp:
             return None
@@ -437,12 +503,8 @@ class SummaryStore:
     def save_frontier(self, frontier: FrontierSnapshot) -> Path:
         """Atomically write a frontier projection (same contract as
         :meth:`save`)."""
-        self.root.mkdir(parents=True, exist_ok=True)
         path = self.frontier_path_for(frontier.config_fp)
-        token = f"{os.getpid()}-{threading.get_ident()}-{next(_TMP_TOKENS)}"
-        tmp = path.with_name(f"{path.name}.tmp.{token}")
-        tmp.write_bytes(frontier.to_bytes())
-        os.replace(tmp, path)
+        self._write(path, frontier.to_bytes())
         return path
 
     # -- maintenance --------------------------------------------------------------------
@@ -472,7 +534,8 @@ class SummaryStore:
                 }
             try:
                 snap = Snapshot.from_bytes(path.read_bytes())
-            except (ValueError, KeyError, TypeError, json.JSONDecodeError, OSError):
+                payloads = [snap.payload(proc) for proc in snap.segments]
+            except _PARSE_ERRORS + (OSError,):
                 row["corrupt"] = True
                 rows.append(row)
                 continue
@@ -484,9 +547,11 @@ class SummaryStore:
                     "domain": config.get("domain"),
                     "property": (config.get("property") or {}).get("name"),
                     "procedures": len(snap.fingerprints),
-                    "contexts": len(snap.contexts),
-                    "td_rows": sum(len(c.rows) for c in snap.contexts),
-                    "bu_summaries": len(snap.bu),
+                    "contexts": sum(len(p["contexts"]) for p in payloads),
+                    "td_rows": sum(
+                        len(rows) for p in payloads for _, rows, _ in p["contexts"]
+                    ),
+                    "bu_summaries": sum("bu" in p for p in payloads),
                     "meta": snap.meta,
                 }
             )

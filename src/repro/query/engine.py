@@ -234,22 +234,21 @@ def build_query_warm(
     would never be read.
     """
     warm = WarmStart(invalidated=dict(plan.invalidated))
-    for ctx in snapshot.contexts:
-        if ctx.proc not in plan.valid or ctx.proc in cone:
+    for proc in snapshot.segments:
+        if proc not in plan.valid or proc in cone:
             continue
-        exit_index = cfgs.exit(ctx.proc).index
-        entry = codec.decode_state(ctx.entry)
-        rows = [
-            (ProgramPoint(ctx.proc, idx), codec.decode_state(enc))
-            for idx, enc in ctx.rows
-            if idx == 0 or idx == exit_index
-        ]
-        warm.contexts[(ctx.proc, entry)] = WarmContext(
-            ctx.proc, entry, rows, []
-        )
-    for proc, enc in snapshot.bu.items():
-        if proc in plan.valid and proc not in cone:
-            warm.bu[proc] = codec.decode_summary(enc)
+        payload = snapshot.payload(proc)
+        exit_index = cfgs.exit(proc).index
+        for enc_entry, enc_rows, _ in payload["contexts"]:
+            entry = codec.decode_state(enc_entry)
+            rows = [
+                (ProgramPoint(proc, idx), codec.decode_state(enc))
+                for idx, enc in enc_rows
+                if idx == 0 or idx == exit_index
+            ]
+            warm.contexts[(proc, entry)] = WarmContext(proc, entry, rows, [])
+        if "bu" in payload:
+            warm.bu[proc] = codec.decode_summary(payload["bu"])
     return warm
 
 

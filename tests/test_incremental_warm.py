@@ -1,27 +1,43 @@
 """Warm-start equivalence, invalidation, and the incremental driver."""
 
+import contextlib
+import dataclasses
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.framework.metrics import Budget
 from repro.framework.tracing import RingSink
-from repro.incremental import SummaryStore, analyze_with_store, diff_fingerprints
-from repro.incremental.fingerprint import ProgramFingerprints
+from repro.bench import load_benchmark
+from repro.incremental import (
+    Snapshot,
+    SummaryStore,
+    WarmCache,
+    analyze_with_store,
+    diff_fingerprints,
+    driver,
+    invalidate,
+    project_frontier,
+)
+from repro.incremental.fingerprint import ProgramFingerprints, canonical_json
 from repro.incremental.invalidate import (
     REASON_BODY,
     REASON_CONE,
     REASON_REMOVED,
 )
-from repro.ir.commands import Call, Seq, seq
+from repro.ir.cfg import ControlFlowGraphs
+from repro.ir.commands import Call, Seq, Skip, seq
 from repro.ir.parser import parse_program
 from repro.ir.program import Program
 from repro.typestate.properties import FILE_PROPERTY
 
-from tests.test_property_based import programs
+from tests.test_property_based import commands, programs
 
 CHAIN = """
 proc main { v = new h1; v.open(); call mid; v.close(); }
@@ -266,3 +282,213 @@ def test_snapshots_identical_across_hash_seeds():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+# -- incremental saves: segment reuse ------------------------------------------------
+@contextlib.contextmanager
+def _saves_with_nothing_to_reuse():
+    """Make the driver's ``build_snapshot`` also build each save with no
+    warm start to reuse from; yields the list of (segmented, full)
+    snapshot pairs."""
+    pairs = []
+    real = invalidate.build_snapshot
+
+    def build(*args, **kwargs):
+        segmented = real(*args, **kwargs)
+        pairs.append((segmented, real(*args, **dict(kwargs, warm=None))))
+        return segmented
+
+    with mock.patch.object(driver, "build_snapshot", build):
+        yield pairs
+
+
+def _apply_edit(base: Program, current: Program, step) -> Program:
+    index, kind = step
+    names = sorted(current.names())
+    proc = names[index % len(names)]
+    procs = dict(current.procedures)
+    if kind == "double":
+        return edit_proc(current, proc)
+    if kind == "pad":  # a new fingerprint, the same traffic
+        procs[proc] = Seq((procs[proc], Skip()))
+    elif kind == "skip":
+        procs[proc] = Skip()
+    else:  # revert
+        procs[proc] = base.procedures[proc]
+    return Program(procs, main=current.main)
+
+
+@st.composite
+def wide_programs(draw):
+    """main calling every one of three to five helpers (helpers call only
+    later helpers), so edits leave some procedures' traffic alone."""
+    names = [f"p{i}" for i in range(draw(st.integers(3, 5)))]
+    procs = {
+        name: draw(commands(names[i + 1:])) for i, name in enumerate(names)
+    }
+    procs["main"] = seq(draw(commands(names)), *(Call(name) for name in names))
+    return Program(procs)
+
+
+SAVE_PROGRAMS = st.one_of(programs(), wide_programs())
+
+EDIT_STEPS = st.lists(
+    st.tuples(
+        st.integers(0, 5), st.sampled_from(["double", "pad", "skip", "revert"])
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    program=SAVE_PROGRAMS,
+    engine=st.sampled_from(["td", "swift"]),
+    domain=st.sampled_from(["simple", "full", "interval-typestate"]),
+    k=st.sampled_from([1, 5]),
+    steps=EDIT_STEPS,
+)
+def test_segmented_save_is_byte_identical_to_a_full_encode(
+    tmp_path_factory, program, engine, domain, k, steps
+):
+    """Over a random edit sequence, every snapshot and frontier file a
+    segmented save writes equals, byte for byte, the save of the same
+    run result with nothing to reuse."""
+    store = SummaryStore(tmp_path_factory.mktemp("store"))
+    cache = WarmCache(4)
+    versions = [program]
+    for step in steps:
+        versions.append(_apply_edit(program, versions[-1], step))
+    versions.append(versions[-1])  # an unchanged re-run
+    with _saves_with_nothing_to_reuse() as pairs:
+        for version in versions:
+            before = len(pairs)
+            out = analyze_with_store(
+                version, FILE_PROPERTY, store, engine=engine, domain=domain,
+                k=k, warm_cache=cache,
+            )
+            assert out.saved
+            if len(pairs) == before:  # unchanged: no save
+                assert out.segments_written == out.segments_reused == 0
+                continue
+            segmented, full = pairs[-1]
+            path = store.path_for(out.config_fp)
+            assert path.read_bytes() == full.to_bytes()
+            for proc, text in full.segments.items():
+                assert text == canonical_json(full.payloads[proc])
+            assert out.segments_written + out.segments_reused == len(full.segments)
+            assert out.segments_reused == len(segmented.reused)
+            cfgs = ControlFlowGraphs(version)
+            exits = {p: cfgs.exit(p).index for p in version.names()}
+            assert (
+                store.frontier_path_for(out.config_fp).read_bytes()
+                == project_frontier(full, exits).to_bytes()
+            )
+
+
+def _counters(metrics) -> dict:
+    return {
+        spec.name: getattr(metrics, spec.name)
+        for spec in dataclasses.fields(metrics)
+        if not spec.name.endswith("seconds")
+    }
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    program=SAVE_PROGRAMS,
+    engine=st.sampled_from(["td", "swift"]),
+    domain=st.sampled_from(["simple", "full", "interval-typestate"]),
+    steps=EDIT_STEPS,
+)
+def test_patched_cache_entry_equals_a_fresh_decode(
+    tmp_path_factory, program, engine, domain, steps
+):
+    """A run served by the cache entry the previous save patched in place
+    gives the same report, tables, counters and written files as the
+    same run over a copy of the store with the cache cleared."""
+    root = tmp_path_factory.mktemp("stores")
+    store = SummaryStore(root / "resident")
+    cache = WarmCache(4)
+    kw = dict(engine=engine, domain=domain, k=1)
+    analyze_with_store(program, FILE_PROPERTY, store, warm_cache=cache, **kw)
+    version = program
+    for i, step in enumerate(steps):
+        version = _apply_edit(program, version, step)
+        copy = root / f"copy{i}"
+        shutil.copytree(store.root, copy)
+        stats = cache.stats()
+        patched = analyze_with_store(
+            version, FILE_PROPERTY, store, warm_cache=cache, **kw
+        )
+        assert cache.stats()["hits"] == stats["hits"] + 1
+        assert cache.stats()["misses"] == stats["misses"]
+        fresh = analyze_with_store(
+            version, FILE_PROPERTY, SummaryStore(copy), warm_cache=WarmCache(4), **kw
+        )
+        assert not patched.cold and not fresh.cold
+        assert patched.report.errors == fresh.report.errors
+        assert patched.report.result.td == fresh.report.result.td
+        assert dict(patched.report.result.entry_counts) == dict(
+            fresh.report.result.entry_counts
+        )
+        assert _counters(patched.report.result.metrics) == _counters(
+            fresh.report.result.metrics
+        )
+        for name in ("snapshot", "frontier"):
+            ours = {p.name: p.read_bytes() for p in store.root.glob(f"{name}-*")}
+            theirs = {p.name: p.read_bytes() for p in copy.glob(f"{name}-*")}
+            assert ours == theirs
+
+
+def test_steady_state_edit_writes_only_changed_segments(tmp_path):
+    """On hedc, a one-leaf edit in the steady state (its traffic already
+    seen once) re-encodes exactly the invalidated, added and changed
+    procedures; an unchanged re-run writes nothing."""
+    program = load_benchmark("hedc").program
+    callers = program.callers()
+
+    def cone(proc):
+        seen, todo = {proc}, [proc]
+        while todo:
+            for caller in callers[todo.pop()]:
+                if caller not in seen:
+                    seen.add(caller)
+                    todo.append(caller)
+        return seen
+
+    leaf = next(
+        p
+        for p in sorted(program.names())
+        if p != program.main and not program.callees(p) and len(cone(p)) >= 5
+    )
+    edited = edit_proc(program, leaf)
+    store = SummaryStore(tmp_path)
+    cache = WarmCache(4)
+
+    def run(version):
+        return analyze_with_store(version, FILE_PROPERTY, store, warm_cache=cache)
+
+    cold = run(program)
+    total = len(program.names())
+    assert cold.segments_reused == 0 and cold.segments_written > total // 2
+    run(edited)
+    run(program)
+    path = store.path_for(cold.config_fp)
+    old = Snapshot.from_bytes(path.read_bytes())
+    edit = run(edited)
+    new = Snapshot.from_bytes(path.read_bytes())
+    assert edit.saved and not edit.cold
+    assert edit.segments_written + edit.segments_reused == len(new.segments)
+    changed = {p for p in new.segments if old.segments.get(p) != new.segments[p]}
+    stale = (set(edit.invalidated) | edit.added) & set(new.segments)
+    assert edit.segments_written == len(changed | stale)
+    assert len(stale) <= edit.segments_written < total // 4
+    # An unchanged re-run skips the save outright.
+    before = path.stat()
+    again = run(edited)
+    assert again.saved and again.report.result.metrics.total_work == 0
+    assert again.segments_written == again.segments_reused == 0
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)

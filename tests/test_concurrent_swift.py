@@ -1,7 +1,5 @@
 """Tests for the asynchronous SWIFT variant (Section 7 future work)."""
 
-from concurrent.futures import Future
-
 import pytest
 
 from repro.callgraph.scc import condensation
@@ -19,7 +17,7 @@ from repro.typestate.properties import FILE_PROPERTY
 from repro.typestate.states import bootstrap_state
 from repro.typestate.td_analysis import SimpleTypestateTD
 
-from tests.helpers import all_small_programs, figure1_program
+from tests.helpers import InlineExecutor, all_small_programs, figure1_program
 
 
 def layered_program():
@@ -163,22 +161,6 @@ def test_run_exception_not_masked_by_worker_failure(monkeypatch):
 
 
 # -- SCC wavefront submission --------------------------------------------------------
-class _SyncExecutor:
-    """Runs submissions inline and hands back completed futures, so
-    wavefront bookkeeping can be driven deterministically."""
-
-    def submit(self, fn, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except BaseException as exc:  # pragma: no cover - not hit here
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait=True):
-        pass
-
-
 def _bare_engine(program, **kwargs):
     return ConcurrentSwiftEngine(
         program,
@@ -219,7 +201,7 @@ def test_harvest_advances_to_next_wave():
     whose snapshot then contains the previous wave's summaries."""
     program = layered_program()
     engine = _bare_engine(program)
-    engine._executor = _SyncExecutor()
+    engine._executor = InlineExecutor()
     targets = frozenset({"mid", "leaf"})
     plan = _SccPlan("mid", condensation(program).wavefronts(targets))
     assert len(plan.waves) == 2

@@ -6,7 +6,10 @@ run must produce the same verdict, the same summary counts, and the
 same deterministic work counters as the object run with the same
 policy.  Baselines are policy-matched — only ``kernel`` varies within a
 comparison — because SWIFT/concurrent counters legitimately depend on
-propagation order, which schedulers change.
+propagation order, which schedulers change.  The concurrent engine's
+counters also follow thread timing (whether a worker job has landed by
+the next call), so its worker jobs run inline here: both runs see the
+same interleaving.
 
 A hypothesis sweep extends the fixed corpus with random programs.
 """
@@ -18,7 +21,7 @@ from hypothesis import given
 from repro.typestate.client import run_typestate
 from repro.typestate.properties import FILE_PROPERTY
 
-from tests.helpers import all_small_programs
+from tests.helpers import all_small_programs, pin_concurrent_interleaving
 from tests.test_property_based import ENGINE_SETTINGS, programs
 
 ENGINES = ["td", "bu", "swift", "concurrent"]
@@ -59,7 +62,8 @@ def _run(program, engine, domain, scheduler, kernel):
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("domain", DOMAINS)
-def test_kernels_match_object_engines(engine, domain):
+def test_kernels_match_object_engines(monkeypatch, engine, domain):
+    pin_concurrent_interleaving(monkeypatch)
     for program in all_small_programs():
         for scheduler in POLICIES:
             baseline = _work_signature(

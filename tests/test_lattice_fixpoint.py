@@ -26,7 +26,7 @@ from repro.numeric.interval import Interval
 from repro.typestate.client import run_typestate
 from repro.typestate.properties import FILE_PROPERTY
 
-from tests.helpers import loop_program, recursive_program
+from tests.helpers import loop_program, pin_concurrent_interleaving, recursive_program
 
 
 # -- finite domains: widening knobs are inert -----------------------------------
@@ -39,8 +39,11 @@ ENGINES = ["td", "bu", "swift", "concurrent"]
 @pytest.mark.parametrize("kernel", ["object", "bitset"])
 @pytest.mark.parametrize("make_program", [loop_program, recursive_program])
 def test_widening_knobs_are_identity_on_finite_domains(
-    engine, scheduler, kernel, make_program
+    monkeypatch, engine, scheduler, kernel, make_program
 ):
+    # Concurrent counters follow thread timing; pin it so the two runs
+    # are comparable.
+    pin_concurrent_interleaving(monkeypatch)
     program = make_program()
     reports = [
         run_typestate(

@@ -34,6 +34,14 @@ Three batch/frontier rows answer ISSUE 10's acceptance questions:
   projection vs the full-snapshot decode (``use_frontier=False``),
   asserted ``MIN_FRONTIER_SPEEDUP``x apart with identical answers.
 
+The **resident** row is the daemon's demand path: ``RESIDENT_TARGETS``
+*distinct* targets through one decode cache (the steady row repeats a
+single target, so it cannot show sharing across cones).  Each answer
+and counter must equal a fresh-cache run of the same target; the row
+records per-query seconds both ways and how many frontier payload
+lines were JSON-parsed — once per store version when resident, once
+per query when isolated.
+
 Run standalone to (re)generate ``BENCH_query.json``::
 
     PYTHONPATH=src python benchmarks/bench_query.py [--quick] [--out PATH]
@@ -53,7 +61,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.suite import SHAPE_CONFIGS, load_shape
-from repro.incremental import SummaryStore, analyze_with_store
+from repro.incremental import SummaryStore, WarmCache, analyze_with_store
 from repro.ir.parser import parse_program
 from repro.ir.printer import format_program
 from repro.query import (
@@ -82,6 +90,10 @@ MIN_BATCH_SPEEDUP = 3.0
 #: ``store_load_s`` (measured headroom is ~30x: the lazy frontier load
 #: is the file read plus the invalidation diff).
 MIN_FRONTIER_SPEEDUP = 5.0
+
+#: Distinct targets of the resident row: workers spread over the
+#: fan-out plus two hubs (whose cones hold the workers calling them).
+RESIDENT_TARGETS = [f"worker{i}" for i in range(0, 160, 14)] + ["svc0", "svc1"]
 
 #: A detached subsystem (unreachable from main) appended for the
 #: two-component batch row; targeting it exercises the planner's
@@ -339,6 +351,102 @@ def run_frontier_ablation() -> dict:
     }
 
 
+def _counting_loads(store):
+    """Record every frontier projection ``store`` loads (the snapshots
+    stay live, so their parsed-payload counts can be read afterwards)."""
+    loaded = []
+    load = store.load_frontier
+
+    def load_frontier(*args, **kwargs):
+        frontier = load(*args, **kwargs)
+        if frontier is not None:
+            loaded.append(frontier)
+        return frontier
+
+    store.load_frontier = load_frontier
+    return loaded
+
+
+def run_resident() -> dict:
+    """``RESIDENT_TARGETS`` distinct targets through one cache vs each
+    through a fresh one: same answers and counters, one decode."""
+    program = load_shape(HEADLINE_SHAPE).program
+    assert set(RESIDENT_TARGETS) <= set(program.names())
+    assert len(set(RESIDENT_TARGETS)) == len(RESIDENT_TARGETS)
+    with tempfile.TemporaryDirectory() as root:
+        store = SummaryStore(root)
+        analyze_with_store(
+            program, FILE_PROPERTY, store, engine=ENGINE, domain=DOMAIN
+        )
+        modes = {}
+        for mode in ("isolated", "resident"):
+            loaded = _counting_loads(store)
+            cache = WarmCache(capacity=8)
+            outcomes, times = [], []
+            for target in RESIDENT_TARGETS:
+                if mode == "isolated":
+                    cache = WarmCache(capacity=8)
+                outcome, seconds = _timed(
+                    run_query, program, FILE_PROPERTY, store, target,
+                    engine=ENGINE, domain=DOMAIN, warm_cache=cache,
+                )
+                assert outcome.frontier_snapshot == "hit", (mode, target)
+                assert outcome.out_of_cone_interior_rows == 0, (mode, target)
+                outcomes.append(outcome)
+                times.append(seconds)
+            modes[mode] = {
+                "outcomes": outcomes,
+                "times": times,
+                "frontier_loads": len(loaded),
+                "payloads_parsed": sum(len(f.procs) for f in loaded),
+            }
+            del store.load_frontier
+    resident, isolated = modes["resident"], modes["isolated"]
+
+    def counters(outcome):
+        return (
+            outcome.answer,
+            outcome.total_work,
+            outcome.store_hits,
+            outcome.store_misses,
+            outcome.cone_size,
+        )
+
+    identical = all(
+        counters(a) == counters(b)
+        for a, b in zip(resident["outcomes"], isolated["outcomes"])
+    )
+    assert identical, "resident answers diverged from fresh-cache queries"
+    assert resident["frontier_loads"] == 1, resident["frontier_loads"]
+    assert resident["payloads_parsed"] < isolated["payloads_parsed"]
+
+    def per_query(times):
+        ordered = sorted(times)
+        return {
+            "mean": round(sum(times) / len(times), 4),
+            "median": round(ordered[len(ordered) // 2], 4),
+        }
+
+    return {
+        "shape": HEADLINE_SHAPE,
+        "engine": ENGINE,
+        "domain": DOMAIN,
+        "targets": len(RESIDENT_TARGETS),
+        "work": sum(o.total_work for o in resident["outcomes"]),
+        "resident": {
+            "seconds_per_query": per_query(resident["times"]),
+            "frontier_loads": resident["frontier_loads"],
+            "payloads_parsed": resident["payloads_parsed"],
+        },
+        "isolated": {
+            "seconds_per_query": per_query(isolated["times"]),
+            "frontier_loads": isolated["frontier_loads"],
+            "payloads_parsed": isolated["payloads_parsed"],
+        },
+        "identical": identical,
+    }
+
+
 def run_proportionality(shape_name: str) -> dict:
     """Three queries of increasing cone size on one shape.
 
@@ -441,6 +549,17 @@ def collect(quick: bool = False):
         f"{loads['full']}s -> {frontier['speedup']}x",
         flush=True,
     )
+    resident = dict(run_resident(), row="resident")
+    rows.append(resident)
+    print(
+        f"  resident {resident['targets']} distinct targets: "
+        f"{resident['resident']['seconds_per_query']['mean']}s/query, "
+        f"{resident['resident']['payloads_parsed']} payloads parsed vs "
+        f"isolated {resident['isolated']['seconds_per_query']['mean']}s/query, "
+        f"{resident['isolated']['payloads_parsed']} parsed, "
+        f"identical={resident['identical']}",
+        flush=True,
+    )
     shapes = (
         [HEADLINE_SHAPE]
         if quick
@@ -496,6 +615,13 @@ def test_query_frontier_ablation(once):
     row = once(run_frontier_ablation)
     assert row["identical"]
     assert row["speedup"] >= MIN_FRONTIER_SPEEDUP
+
+
+def test_query_resident(once):
+    row = once(run_resident)
+    assert row["identical"]
+    assert row["resident"]["frontier_loads"] == 1
+    assert row["resident"]["payloads_parsed"] < row["isolated"]["payloads_parsed"]
 
 
 def main(argv=None) -> int:

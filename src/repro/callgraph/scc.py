@@ -26,15 +26,14 @@ iteration is sorted, so the component order and numbering are a pure
 function of the program (no hash-seed dependence).
 
 The condensation is immutable for the lifetime of a program and is
-memoized per :class:`~repro.ir.program.Program` instance
+memoized on the :class:`~repro.ir.program.Program` instance itself
 (:func:`condensation`), so schedulers and engines constructed for the
-same program share one instance.
+same program share one instance, and it dies with the program.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
-from weakref import WeakKeyDictionary
 
 from repro.ir.program import Program
 
@@ -209,15 +208,8 @@ class Condensation:
         return waves
 
 
-#: Per-program memo: the condensation is immutable once built, and the
-#: query planner, the concurrent engine and value-mode TD all want the
-#: same instance.
-_CONDENSATIONS: "WeakKeyDictionary[Program, Condensation]" = WeakKeyDictionary()
-
-
 def condensation(program: Program) -> Condensation:
-    """The (memoized) SCC condensation of ``program``'s call graph."""
-    cached = _CONDENSATIONS.get(program)
-    if cached is None:
-        cached = _CONDENSATIONS[program] = Condensation(program)
-    return cached
+    """The SCC condensation of ``program``'s call graph, memoized on the
+    program: the query planner, the concurrent engine and value-mode TD
+    all share one instance."""
+    return program.memo("condensation", lambda: Condensation(program))

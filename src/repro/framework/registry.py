@@ -291,9 +291,9 @@ class EngineSpec:
     description: str = ""
 
     def run(
-        self, program: Program, instance: DomainInstance, config
+        self, program: Program, instance: DomainInstance, config, cfgs=None
     ) -> EngineOutcome:
-        return self.runner(program, instance, config)
+        return self.runner(program, instance, config, cfgs)
 
 
 def _kernel_options(instance, config, program) -> dict:
@@ -306,10 +306,11 @@ def _kernel_options(instance, config, program) -> dict:
     }
 
 
-def _run_td(program, instance, config) -> EngineOutcome:
+def _run_td(program, instance, config, cfgs=None) -> EngineOutcome:
     engine = TopDownEngine(
         program,
         instance.td_analysis,
+        cfgs=cfgs,
         budget=config.budget,
         enable_caches=config.enable_caches,
         indexed_summaries=config.indexed_summaries,
@@ -330,11 +331,14 @@ def _run_td(program, instance, config) -> EngineOutcome:
     )
 
 
-def _run_hybrid(engine_cls, program, instance, config, **extra) -> EngineOutcome:
+def _run_hybrid(
+    engine_cls, program, instance, config, cfgs=None, **extra
+) -> EngineOutcome:
     engine = engine_cls(
         program,
         instance.td_analysis,
         instance.bu_analysis,
+        cfgs=cfgs,
         k=config.k,
         theta=config.theta,
         bu_triggers=config.bu_triggers,
@@ -359,21 +363,22 @@ def _run_hybrid(engine_cls, program, instance, config, **extra) -> EngineOutcome
     )
 
 
-def _run_swift(program, instance, config) -> EngineOutcome:
-    return _run_hybrid(SwiftEngine, program, instance, config)
+def _run_swift(program, instance, config, cfgs=None) -> EngineOutcome:
+    return _run_hybrid(SwiftEngine, program, instance, config, cfgs)
 
 
-def _run_concurrent(program, instance, config) -> EngineOutcome:
+def _run_concurrent(program, instance, config, cfgs=None) -> EngineOutcome:
     return _run_hybrid(
         ConcurrentSwiftEngine,
         program,
         instance,
         config,
+        cfgs,
         max_workers=config.max_workers,
     )
 
 
-def _run_bu(program, instance, config) -> EngineOutcome:
+def _run_bu(program, instance, config, cfgs=None) -> EngineOutcome:
     engine = BottomUpEngine(
         program,
         instance.bu_analysis,

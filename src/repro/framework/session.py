@@ -32,6 +32,7 @@ from repro.framework.registry import (
     DomainRegistry,
     EngineRegistry,
 )
+from repro.ir.cfg import ControlFlowGraphs
 from repro.ir.program import Program
 
 
@@ -80,12 +81,21 @@ class AnalysisSession:
         return spec.build(program, **domain_options)
 
     def run(
-        self, program: Program, config: AnalysisConfig, **domain_options
+        self,
+        program: Program,
+        config: AnalysisConfig,
+        cfgs: Optional[ControlFlowGraphs] = None,
+        **domain_options,
     ) -> SessionResult:
-        """Run ``config`` over ``program``; the single engine pipeline."""
+        """Run ``config`` over ``program``; the single engine pipeline.
+
+        ``cfgs`` hands the tabulation engines the program's CFGs (a
+        resident host reuses one set across solves); by default each
+        engine builds its own.
+        """
         engine_spec = self.engines.get(config.engine)
         instance = self.build_domain(program, config, **domain_options)
-        outcome = engine_spec.run(program, instance, config)
+        outcome = engine_spec.run(program, instance, config, cfgs)
         return SessionResult(
             config=config,
             findings=outcome.findings,

@@ -189,6 +189,15 @@ class SwiftEngine(TopDownEngine):
         # Entries are only valid for the summary they were computed
         # against, so the cache is cleared whenever bu is updated.
         self._apply_cache: Dict[Tuple[str, object], Optional[FrozenSet]] = {}
+        # Instantiations of *stored* summaries that outlive this run:
+        # a demand query's resident frontier entry keeps (callee, sigma)
+        # -> outputs for the summaries it decoded, so later cones skip
+        # re-instantiating them.  ``_shared_bu`` is that entry's decoded
+        # summaries; only a summary identical to its entry there may
+        # read or write ``_shared_apply`` (locally installed ones never
+        # do).  None for every other run.
+        self._shared_bu: Optional[Dict[str, ProcedureSummary]] = None
+        self._shared_apply: Optional[Dict] = None
         # Warm start: install stored bottom-up summaries immediately
         # (they answer call edges from the very first pop) and overlay
         # the stored incoming multisets onto the live ones so a freshly
@@ -201,6 +210,8 @@ class SwiftEngine(TopDownEngine):
                 # summary, and local installs must stay off the shared
                 # cached warm start.
                 self.bu = lazy_view()
+                self._shared_bu = self.bu.decoded
+                self._shared_apply = self.bu.instantiations
             else:
                 self.bu.update(preload.bu)
         if preload is not None and preload.ranks:
@@ -216,7 +227,20 @@ class SwiftEngine(TopDownEngine):
             key = (callee, sigma)
             outputs = self._apply_cache.get(key, _CACHE_MISS)
             cached = outputs is not _CACHE_MISS
-            if not cached:
+            shared = None
+            if not cached and self._shared_apply is not None:
+                if self._shared_bu.get(callee) is summary:
+                    shared = self._shared_apply
+                    outputs = shared.get(key, _CACHE_MISS)
+                    if outputs is not _CACHE_MISS:
+                        # Counted as the instantiation it replaces, so
+                        # every work counter matches a fresh run.
+                        if outputs is not None:
+                            self.metrics.summary_instantiations += len(
+                                summary.relations
+                            )
+                        self._apply_cache[key] = outputs
+            if outputs is _CACHE_MISS:
                 if sigma in summary.ignored:
                     outputs = None
                 elif self._krels is not None:
@@ -235,6 +259,8 @@ class SwiftEngine(TopDownEngine):
                     # hash-seed independent (see topdown.sorted_states).
                     outputs = tuple(sorted_states(collected))
                 self._apply_cache[key] = outputs
+                if shared is not None:
+                    shared[key] = outputs
             if outputs is not None:
                 if self._tracing:
                     self._sink.emit(

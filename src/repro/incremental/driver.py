@@ -47,8 +47,9 @@ from repro.framework.session import analysis_session
 from repro.incremental.codec import Codec
 from repro.incremental.fingerprint import (
     ProgramFingerprints,
-    alias_facts,
     config_fingerprint,
+    program_alias,
+    program_fingerprints,
 )
 from repro.incremental.invalidate import (
     InvalidationPlan,
@@ -341,14 +342,9 @@ def analyze_with_store(
             f"analyze_with_store is type-state only, not {config.domain!r}"
         )
     cache = warm_cache if warm_cache is not None else _WARM_CACHE
-    oracle = None
-    facts = None
-    if domain_short == "full":
-        from repro.alias import points_to_oracle
-
-        oracle = points_to_oracle(program)
-        facts = alias_facts(program, oracle)
-    fingerprints = ProgramFingerprints(program, facts)
+    with_alias = domain_short == "full"
+    oracle = program_alias(program)[0] if with_alias else None
+    fingerprints = program_fingerprints(program, with_alias)
     config_desc, config_fp = config_fingerprint(prop, config=config)
     _, bu_analysis, _ = make_analyses(
         program, prop, domain_short, config.tracked_sites, oracle

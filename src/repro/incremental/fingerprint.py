@@ -78,12 +78,17 @@ def body_fingerprint(
 
 
 class ProgramFingerprints:
-    """Body and cone fingerprints for every procedure of a program."""
+    """Body and cone fingerprints for every procedure of a program.
+
+    Holds no reference to the program: memoized on it
+    (:func:`program_fingerprints`), a back-reference would form a cycle
+    only the cyclic collector frees, keeping each one-shot run's
+    program alive past its run.
+    """
 
     def __init__(
         self, program: Program, facts: Optional[AliasFacts] = None
     ) -> None:
-        self.program = program
         self.body: Dict[str, str] = {
             proc: body_fingerprint(program, proc, facts) for proc in program
         }
@@ -100,6 +105,31 @@ class ProgramFingerprints:
             proc: {"body": self.body[proc], "cone": self.cone[proc]}
             for proc in sorted(self.body)
         }
+
+
+def program_alias(program: Program):
+    """``(points-to oracle, alias facts)`` of ``program``, memoized on it."""
+
+    def build():
+        from repro.alias import points_to_oracle
+
+        oracle = points_to_oracle(program)
+        return oracle, alias_facts(program, oracle)
+
+    return program.memo("alias", build)
+
+
+def program_fingerprints(
+    program: Program, with_alias: bool = False
+) -> ProgramFingerprints:
+    """``program``'s fingerprints — over its own may-alias facts when
+    ``with_alias`` (the full domain) — memoized on it."""
+    if with_alias:
+        facts = program_alias(program)[1]
+        return program.memo(
+            "fingerprints+alias", lambda: ProgramFingerprints(program, facts)
+        )
+    return program.memo("fingerprints", lambda: ProgramFingerprints(program))
 
 
 def property_description(prop: TypestateProperty) -> dict:

@@ -240,7 +240,10 @@ class FrontierSnapshot:
 
     def available(self) -> FrozenSet[str]:
         """Every procedure this (possibly partial) projection holds."""
-        return frozenset(self.procs) | frozenset(self._raw)
+        # Raw text first: a concurrent first parse stores the payload
+        # before dropping the text, so no procedure slips between.
+        raw = frozenset(self._raw)
+        return raw | frozenset(self.procs)
 
     def bu_manifest(self) -> List[str]:
         """Procedures with a stored bottom-up summary, parse-free."""
@@ -260,16 +263,21 @@ class FrontierSnapshot:
         got = self.procs.get(proc)
         if got is not None:
             return got
-        raw = self._raw.pop(proc, None)
+        raw = self._raw.get(proc)
         if raw is None:
-            return None
+            # A concurrent first touch may have moved it in between.
+            return self.procs.get(proc)
         try:
             parsed = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ValueError(
                 f"corrupt frontier payload for {proc!r}: {exc}"
             ) from exc
-        self.procs[proc] = parsed
+        # Store before dropping the text, so a procedure is in at least
+        # one of the two maps at every instant (a reader racing this
+        # first touch finds it in one or the other, never in neither).
+        parsed = self.procs.setdefault(proc, parsed)
+        self._raw.pop(proc, None)
         return parsed
 
     def text(self, proc: str) -> Optional[str]:

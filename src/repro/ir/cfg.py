@@ -216,9 +216,11 @@ class ControlFlowGraphs:
         self._cfgs: Dict[str, CFG] = {}
 
     def __getitem__(self, proc: str) -> CFG:
-        if proc not in self._cfgs:
-            self._cfgs[proc] = CFG(proc, self.program[proc])
-        return self._cfgs[proc]
+        cfg = self._cfgs.get(proc)
+        if cfg is None:
+            # setdefault: threads sharing one instance agree on one CFG.
+            cfg = self._cfgs.setdefault(proc, CFG(proc, self.program[proc]))
+        return cfg
 
     def entry(self, proc: str) -> ProgramPoint:
         return self[proc].entry
@@ -233,3 +235,13 @@ class ControlFlowGraphs:
 
     def total_points(self) -> int:
         return sum(len(self[proc]) for proc in self.program)
+
+
+def program_cfgs(program: Program) -> ControlFlowGraphs:
+    """The program's own :class:`ControlFlowGraphs`, built lazily once.
+
+    For resident hosts that solve many times over one program (demand
+    queries, batches).  Engines still default to a fresh instance, so a
+    one-shot run holds its CFGs no longer than its result.
+    """
+    return program.memo("cfgs", lambda: ControlFlowGraphs(program))

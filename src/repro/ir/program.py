@@ -10,9 +10,23 @@ universes of allocation sites and invoked methods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from repro.ir.commands import Call, Command, Invoke, New, Prim
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -53,6 +67,7 @@ class Program:
         self.main = main
         self.metadata: Dict[str, object] = dict(metadata or {})
         self._callees_cache: Optional[Dict[str, FrozenSet[str]]] = None
+        self._derived: Dict[str, object] = {}
 
     # -- basic mapping interface -------------------------------------------------
     def __getitem__(self, name: str) -> Command:
@@ -104,6 +119,22 @@ class Program:
     def primitives(self) -> Iterator[Prim]:
         for body in self._procedures.values():
             yield from body.primitives()
+
+    def memo(self, key: str, build: Callable[[], _T]) -> _T:
+        """Derived per-program state, built once per instance.
+
+        A program never changes after construction, so whatever is
+        computed from it alone (CFGs, fingerprints, the call-graph
+        condensation, points-to facts, the content digest) stays valid
+        for its lifetime.  Keeping it on the instance ties its lifetime
+        to the program's: no module-level table keeps a program alive.
+        Racing first calls may both build; every caller gets the value
+        stored first.
+        """
+        got = self._derived.get(key)
+        if got is None:
+            got = self._derived.setdefault(key, build())
+        return got
 
     # -- static call structure ----------------------------------------------------
     def callees(self, name: str) -> FrozenSet[str]:

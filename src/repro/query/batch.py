@@ -50,7 +50,7 @@ from repro.callgraph.scc import condensation
 from repro.framework.config import AnalysisConfig
 from repro.framework.metrics import Budget
 from repro.incremental.driver import WarmCache
-from repro.ir.cfg import ControlFlowGraphs
+from repro.ir.cfg import ControlFlowGraphs, program_cfgs
 from repro.ir.program import Program
 from repro.query.engine import (
     _QUERY_CACHE,
@@ -359,7 +359,7 @@ def run_query_batch(
     )
     cache = warm_cache if warm_cache is not None else _QUERY_CACHE
 
-    cfgs = ControlFlowGraphs(program)
+    cfgs = program_cfgs(program)
     plan = plan_batch(program, targets, cfgs)
     oracle, fingerprints, config_fp, codec = prepare_query_analysis(
         program, prop, config

@@ -35,10 +35,21 @@ full snapshot — ``QueryOutcome.frontier_snapshot`` records which path
 ran (``"hit"`` / ``"fallback"`` / ``"cold"``).
 
 Queries never write the store: a cone solve is a partial fixpoint of
-the whole program, and stored snapshots must be complete.  Decoded
-trimmed warm starts are cached per ``(store, config, trim)`` in a
-:class:`~repro.incremental.driver.WarmCache`, so a resident host
-answering repeated queries skips the JSON decode too.
+the whole program, and stored snapshots must be complete.
+
+A resident host keeps one :class:`FrontierEntry` per store version in
+a :class:`~repro.incremental.driver.WarmCache`, shared by every cone:
+the lazily loaded projection plus memos of decoded contexts, decoded
+BU summaries and SWIFT's instantiations of them.  Each query gets a
+thin view *offered* ``available ∩ cone.frontier ∩ plan.valid − cone``
+— the view checks that set before serving anything from a shared
+memo, so a procedure inside this cone is never answered from what an
+earlier cone decoded.  Work and store counters are those of a
+fresh-cache run (DESIGN §13).  The program's CFGs, fingerprints and
+points-to facts are memoized on the :class:`~repro.ir.program.Program`
+(:func:`~repro.ir.cfg.program_cfgs`,
+:func:`~repro.incremental.fingerprint.program_fingerprints`).  The
+full-snapshot fallback decodes eagerly and caches per trim.
 """
 
 from __future__ import annotations
@@ -61,8 +72,9 @@ from repro.incremental.driver import (
 )
 from repro.incremental.fingerprint import (
     ProgramFingerprints,
-    alias_facts,
     config_fingerprint,
+    program_alias,
+    program_fingerprints,
 )
 from repro.incremental.invalidate import (
     InvalidationPlan,
@@ -71,7 +83,7 @@ from repro.incremental.invalidate import (
     diff_fingerprints,
 )
 from repro.incremental.store import FrontierSnapshot, Snapshot, SummaryStore
-from repro.ir.cfg import ControlFlowGraphs, ProgramPoint
+from repro.ir.cfg import ControlFlowGraphs, ProgramPoint, program_cfgs
 from repro.ir.program import Program
 from repro.query.slice import (
     QueryCone,
@@ -190,17 +202,14 @@ def prepare_query_analysis(
     Returns ``(oracle, fingerprints, config_fp, codec)``.  The store
     fingerprint is computed from the *user's* config — the same one a
     whole-program ``analyze --store`` run writes under — before any
-    query-specific ``bu_triggers`` override.
+    query-specific ``bu_triggers`` override.  The oracle and the
+    program fingerprints are memoized on the program, so a resident
+    host computes them once per program version.
     """
     domain_short = _SHORT_DOMAINS[config.domain]
-    oracle = None
-    facts = None
-    if domain_short == "full":
-        from repro.alias import points_to_oracle
-
-        oracle = points_to_oracle(program)
-        facts = alias_facts(program, oracle)
-    fingerprints = ProgramFingerprints(program, facts)
+    with_alias = domain_short == "full"
+    oracle = program_alias(program)[0] if with_alias else None
+    fingerprints = program_fingerprints(program, with_alias)
     _, config_fp = config_fingerprint(prop, config=config)
     _, bu_analysis, _ = make_analyses(
         program, prop, domain_short, config.tracked_sites, oracle
@@ -289,18 +298,23 @@ class LazyConeContexts:
     """``(proc, entry) -> context`` mapping parsing per procedure on demand.
 
     The top-down engine probes this only via ``.get`` (activation);
-    a probe for a procedure the frontier holds parses that one payload
+    a probe for a procedure the cone is offered parses that one payload
     line and decodes its context *keys* — the rows stay lazy inside
     each :class:`LazyWarmContext`.  Procedures nobody calls cost
-    nothing.  Memoized per procedure and shared through the warm
-    cache; concurrent probes may duplicate a parse, never corrupt one.
+    nothing.  ``by_proc`` is the materialized-procedure memo of the
+    store version's :class:`FrontierEntry`, shared by every cone's
+    view; a probe checks this view's own ``offered`` set before
+    touching it.  Concurrent probes may duplicate a parse, never
+    corrupt one.
     """
 
-    def __init__(self, frontier, codec, offered: FrozenSet[str]) -> None:
+    def __init__(
+        self, frontier, codec, offered: FrozenSet[str], by_proc=None
+    ) -> None:
         self._frontier = frontier
         self._codec = codec
         self._offered = offered
-        self._by_proc: dict = {}
+        self._by_proc: dict = {} if by_proc is None else by_proc
 
     def get(self, key, default=None):
         proc, entry = key
@@ -308,7 +322,7 @@ class LazyConeContexts:
             return default
         by_entry = self._by_proc.get(proc)
         if by_entry is None:
-            by_entry = self._by_proc[proc] = self._materialize(proc)
+            by_entry = self._by_proc.setdefault(proc, self._materialize(proc))
         return by_entry.get(entry, default)
 
     def _materialize(self, proc: str) -> dict:
@@ -339,7 +353,7 @@ class LazyConeContexts:
         for proc in self._offered:
             if proc not in self._by_proc:
                 self._by_proc[proc] = self._materialize(proc)
-        return sum(len(by) for by in self._by_proc.values())
+        return sum(len(self._by_proc[proc]) for proc in self._offered)
 
 
 class LazySummaries(MutableMapping):
@@ -348,39 +362,60 @@ class LazySummaries(MutableMapping):
     Backed by the frontier's ``bu_procs`` manifest, so membership,
     ``len``, and iteration are parse-free; only ``[]`` (and therefore
     ``.get``) decodes.  Engines adopt a :meth:`lazy_view` instead of
-    copying: views share the encoded payloads and the decoded-value
-    cache (decode once per warm start) but keep engine writes in a
+    copying: views share the encoded payloads, the decoded-value memo
+    ``decoded`` and the instantiation memo ``instantiations`` of the
+    store version's :class:`FrontierEntry`, but keep engine writes in a
     per-view overlay, so a run never leaks fresh summaries into the
-    cached warm start or a concurrently running sibling.
+    shared entry or a concurrently running sibling.
+
+    The offered gate comes first: a summary decoded while ``P`` sat on
+    an earlier cone's frontier is never served to a view whose cone
+    contains ``P`` (that cone must tabulate ``P`` fresh).
     """
 
-    def __init__(self, codec, frontier, offered, decoded=None, local=None):
+    def __init__(
+        self,
+        codec,
+        frontier,
+        offered,
+        decoded=None,
+        local=None,
+        instantiations=None,
+    ):
         self._codec = codec
         self._frontier = frontier
         self._offered = offered
-        self._decoded = {} if decoded is None else decoded
+        self.decoded = {} if decoded is None else decoded
+        self.instantiations = {} if instantiations is None else instantiations
         self._local = {} if local is None else dict(local)
 
     def lazy_view(self) -> "LazySummaries":
         return LazySummaries(
             self._codec, self._frontier, self._offered,
-            self._decoded, self._local,
+            self.decoded, self._local, self.instantiations,
         )
 
-    def __getitem__(self, proc):
-        if proc in self._local:
-            return self._local[proc]
-        got = self._decoded.get(proc)
+    def get(self, proc, default=None):
+        # The engine probes every call edge: no KeyError round trip.
+        got = self._local.get(proc)
         if got is not None:
             return got
         if proc not in self._offered:
-            raise KeyError(proc)
+            return default
+        got = self.decoded.get(proc)
+        if got is not None:
+            return got
         payload = self._frontier.payload(proc) or {}
         enc = payload.get("bu")
         if enc is None:
+            return default
+        return self.decoded.setdefault(proc, self._codec.decode_summary(enc))
+
+    def __getitem__(self, proc):
+        got = self.get(proc)
+        if got is None:
             raise KeyError(proc)
-        value = self._decoded[proc] = self._codec.decode_summary(enc)
-        return value
+        return got
 
     def __setitem__(self, proc, value) -> None:
         self._local[proc] = value
@@ -398,31 +433,71 @@ class LazySummaries(MutableMapping):
         return len(set(self._local) | self._offered)
 
 
+class FrontierEntry:
+    """One store version's frontier projection, resident for every cone.
+
+    The warm cache holds one entry per ``(store, config)`` and file
+    signatures.  It keeps the lazily loaded :class:`FrontierSnapshot`
+    (every procedure's line, unparsed until demanded), the invalidation
+    plan against the program fingerprints it was built for, and three
+    memos every cone's view shares:
+
+    * ``contexts`` — materialized procedures' decoded context keys;
+    * ``summaries`` — decoded bottom-up summaries;
+    * ``instantiations`` — SWIFT's ``(callee, σ) -> outputs`` results
+      for those summaries (``None`` when ``σ`` is ignored).
+
+    Each memo value depends only on the stored line it came from, so
+    it holds for any cone that is offered that procedure.
+    """
+
+    __slots__ = (
+        "frontier", "plan", "available", "bu_procs",
+        "contexts", "summaries", "instantiations",
+    )
+
+    def __init__(self, frontier: FrontierSnapshot, plan: InvalidationPlan):
+        self.frontier = frontier
+        self.plan = plan
+        self.available = frontier.available()
+        self.bu_procs = frozenset(frontier.bu_manifest())
+        self.contexts: dict = {}
+        self.summaries: dict = {}
+        self.instantiations: dict = {}
+
+
 def build_query_warm_from_frontier(
-    frontier: FrontierSnapshot,
-    plan: InvalidationPlan,
+    entry: FrontierEntry,
     codec: Codec,
     cone: FrozenSet[str],
+    wanted: FrozenSet[str],
 ) -> WarmStart:
-    """Wrap a lazily loaded frontier projection as a warm start.
+    """One cone's view of a resident frontier entry, as a warm start.
 
-    The projection already holds entry/exit-only, record-free context
-    rows per procedure; nothing is parsed or decoded here.  The solve
+    The cone is *offered* exactly the stored procedures it can consume:
+    ``available ∩ wanted ∩ plan.valid − cone``, where ``wanted`` is the
+    cone's frontier.  Nothing is parsed or decoded here.  The solve
     pulls exactly the payloads it demands through
     :class:`LazyConeContexts` / :class:`LazySummaries` — on shapes
     where stored BU summaries answer every frontier call, the context
-    rows never materialize at all, so first-query ``store_load_s`` is
-    the file read plus the invalidation diff.
+    rows never materialize at all — and whatever an earlier cone
+    already decoded is served from the entry's memos.
     """
+    plan = entry.plan
     warm = WarmStart(invalidated=dict(plan.invalidated))
     offered = frozenset(
-        proc for proc in frontier.available()
-        if proc in plan.valid and proc not in cone
+        proc for proc in wanted
+        if proc in entry.available and proc in plan.valid and proc not in cone
     )
-    warm.contexts = LazyConeContexts(frontier, codec, offered)
+    warm.contexts = LazyConeContexts(
+        entry.frontier, codec, offered, entry.contexts
+    )
     warm.bu = LazySummaries(
-        codec, frontier,
-        frozenset(p for p in frontier.bu_manifest() if p in offered),
+        codec,
+        entry.frontier,
+        offered & entry.bu_procs,
+        decoded=entry.summaries,
+        instantiations=entry.instantiations,
     )
     return warm
 
@@ -449,36 +524,45 @@ def _load_query_warm(
     (excluded from the preload); ``wanted`` is the set whose stored
     rows the solve can consume — the cone's frontier.  Returns
     ``(plan, warm, source)`` with ``source`` one of ``"hit"`` (frontier
-    projection decoded), ``"fallback"`` (full snapshot trimmed), or
-    ``"cold"`` (nothing usable; plan and warm are ``None``).
+    projection), ``"fallback"`` (full snapshot trimmed), or ``"cold"``
+    (nothing usable; plan and warm are ``None``).
 
-    The cache key extends the analyze-path key with a digest of the
-    trim (two different cones trim the same store differently); the
-    snapshot *and* frontier file signatures plus the program
-    fingerprints validate hits, so a store rewrite or program edit
-    misses naturally.
+    The frontier path caches one :class:`FrontierEntry` per store
+    version — key ``(store, config#demand:frontier)`` — and builds a
+    thin per-cone view over it.  The full-snapshot fallback decodes
+    eagerly, so its entries stay per trim (a digest of cone and
+    frontier).  Either way the snapshot *and* frontier file signatures
+    plus the program fingerprints validate hits, so a store rewrite or
+    program edit misses naturally.
     """
     signature = (
         _snapshot_signature(store, config_fp),
         _frontier_signature(store, config_fp),
     )
-    mode = "frontier" if use_frontier else "full"
-    key = (
-        str(store.root.resolve()),
-        f"{config_fp}#demand:{mode}:{_trim_digest(cone, wanted)}",
-    )
+    root = str(store.root.resolve())
     fp_key = fingerprints.as_dict()
-    if signature != (None, None):
+    if use_frontier:
+        key = (root, f"{config_fp}#demand:frontier")
+        hit = None
+        if signature[1] is not None:
+            hit = cache.lookup(key, signature, fp_key)
+        if hit is not None:
+            (entry,) = hit
+        else:
+            entry = None
+            frontier = store.load_frontier(config_fp, lazy=True)
+            if frontier is not None:
+                plan = diff_fingerprints(frontier.fingerprints, fingerprints)
+                entry = FrontierEntry(frontier, plan)
+                cache.insert(key, signature, fp_key, entry)
+        if entry is not None:
+            warm = build_query_warm_from_frontier(entry, codec, cone, wanted)
+            return entry.plan, warm, "hit"
+    key = (root, f"{config_fp}#demand:full:{_trim_digest(cone, wanted)}")
+    if signature[0] is not None:
         hit = cache.lookup(key, signature, fp_key)
         if hit is not None:
             return hit
-    if use_frontier:
-        frontier = store.load_frontier(config_fp, procs=wanted, lazy=True)
-        if frontier is not None:
-            plan = diff_fingerprints(frontier.fingerprints, fingerprints)
-            warm = build_query_warm_from_frontier(frontier, plan, codec, cone)
-            cache.insert(key, signature, fp_key, plan, warm, "hit")
-            return plan, warm, "hit"
     snapshot = store.load(config_fp)
     if snapshot is None:
         cache.invalidate(key)
@@ -547,6 +631,7 @@ def solve_cone(
     session_out = analysis_session().run(
         program,
         config.replace(preload=warm, bu_triggers=(query_precision == "swift")),
+        cfgs=cfgs,
         prop=prop,
         oracle=oracle,
     )
@@ -637,7 +722,7 @@ def run_query(
     )
     cache = warm_cache if warm_cache is not None else _QUERY_CACHE
 
-    cfgs = ControlFlowGraphs(program)
+    cfgs = program_cfgs(program)
     resolved = resolve_target(program, target, cfgs)
     cone = compute_cone(program, resolved)
     oracle, fingerprints, config_fp, codec = prepare_query_analysis(

@@ -13,7 +13,13 @@ substrate hot between them:
   :class:`~repro.incremental.driver.WarmCache` (keyed by store root ×
   config fingerprint) shared by every request thread; decoded
   ``WarmStart``\\ s survive across requests, so a warm request skips
-  load + decode entirely.
+  load + decode entirely.  ``demand`` requests add one entry per store
+  version, not per target: every cone views the same decoded frontier
+  and reuses its summary instantiations (:mod:`repro.query.engine`).
+* **Resident programs** — parsed programs are kept by text hash, and
+  what is derived from a program (its digest, fingerprints, points-to
+  facts, CFGs) is memoized on it, so a repeated request re-derives
+  none of it.
 * **Sharded stores** — snapshots live under
   ``<root>/<program fp prefix>/snapshot-<config fp prefix>.jsonl``:
   the program fingerprint picks the shard directory, the config
@@ -109,10 +115,15 @@ def program_digest(program: Program) -> str:
 
     Hashes the canonical IR text, so a MiniOO source and its compiled
     IR — or two differently-formatted spellings of the same IR — land
-    in the same shard and coalesce together.
+    in the same shard and coalesce together.  Memoized on the program:
+    the daemon's resident programs print and hash once.
     """
-    text = format_program(program)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return program.memo(
+        "digest",
+        lambda: hashlib.sha256(
+            format_program(program).encode("utf-8")
+        ).hexdigest(),
+    )
 
 
 def load_program_text(text: str, fmt: Optional[str] = None) -> Program:

@@ -12,6 +12,7 @@ snapshots, and cache behaviour are exactly what serial runs produce.
 """
 
 import json
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,7 +21,7 @@ import pytest
 from repro.frontend import compile_minioo
 from repro.framework.tracing import JsonlSink, TraceEvent, read_jsonl
 from repro.incremental import SummaryStore, WarmCache, analyze_with_store
-from repro.incremental.store import Snapshot
+from repro.incremental.store import FrontierSnapshot, Snapshot
 from repro.typestate.properties import FILE_PROPERTY
 
 MINI = """
@@ -159,6 +160,35 @@ def test_hammered_snapshots_parse_and_roundtrip(tmp_path, program):
     for path in store.snapshot_paths():
         snap = Snapshot.from_bytes(path.read_bytes())
         assert snap.to_bytes() == path.read_bytes()  # canonical on disk
+
+    # A lazily loaded frontier parses each payload on first touch; four
+    # threads touching every procedure of a fresh projection at once
+    # must each get it — a procedure that is present never reads None.
+    (frontier_path,) = store.frontier_paths()
+    data = frontier_path.read_bytes()
+    procs = sorted(FrontierSnapshot.from_bytes(data).available())
+    rounds, threads = 200, 4
+    snaps = [FrontierSnapshot.from_bytes(data, lazy=True) for _ in range(rounds)]
+    barrier = threading.Barrier(threads)
+    missing = []
+
+    def touch():
+        for snap in snaps:
+            barrier.wait()
+            missing.extend(p for p in procs if snap.payload(p) is None)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=touch) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert missing == []
+    assert all(snap.available() == frozenset(procs) for snap in snaps)
 
 
 # -- WarmCache unit behaviour ---------------------------------------------------------

@@ -7,17 +7,22 @@ engine, domain, scheduler, and kernel — while the solve tabulates no
 out-of-cone interior point once the store is warm.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.suite import load_shape
 from repro.bench.workloads import hub_flood, scc_heavy, wide_fanout
 from repro.framework.kernel import KERNELS
-from repro.incremental import SummaryStore, analyze_with_store
+from repro.incremental import SummaryStore, WarmCache, analyze_with_store
 from repro.ir.cfg import ControlFlowGraphs, ProgramPoint
 from repro.ir.parser import parse_program
 from repro.query import (
     QUERY_KINDS,
+    QUERY_PRECISIONS,
     QueryError,
     QueryTarget,
     UnknownTargetError,
@@ -172,6 +177,20 @@ def test_warm_query_skips_out_of_cone_interiors(tmp_path):
     assert outcome.answer == reference_errors(program, target)
 
 
+def _outcome_counters(outcome):
+    return (
+        outcome.cold,
+        outcome.frontier_snapshot,
+        outcome.cone_size,
+        outcome.frontier_size,
+        outcome.store_hits,
+        outcome.store_misses,
+        outcome.store_invalidated,
+        outcome.total_work,
+        outcome.out_of_cone_interior_rows,
+    )
+
+
 def test_repeated_queries_are_deterministic(tmp_path):
     program = wide_fanout(48, seed=3)
     store = SummaryStore(tmp_path / "store")
@@ -182,6 +201,57 @@ def test_repeated_queries_are_deterministic(tmp_path):
     assert first.answer == again.answer
     assert first.total_work == again.total_work
     assert again.out_of_cone_interior_rows == 0
+
+    # Distinct cones through one cache share a store version's decoded
+    # frontier, but each cone is offered only its own frontier: a
+    # worker summary decoded while the worker sat on worker0's frontier
+    # must not answer for it inside svc0's cone.  Every answer and
+    # counter equals a fresh-cache run of the same target.
+    shape = load_shape("wide-fanout-160").program
+    shape_store = SummaryStore(tmp_path / "shape")
+    analyze_with_store(shape, FILE_PROPERTY, shape_store, engine="swift")
+    sequence = [
+        (precision, target)
+        for precision in QUERY_PRECISIONS
+        for target in ("worker0", "worker3", "svc0")
+    ]
+
+    def ask(step, cache):
+        precision, target = step
+        outcome = run_query(
+            shape, FILE_PROPERTY, shape_store, target,
+            warm_cache=cache, query_precision=precision,
+        )
+        assert outcome.frontier_snapshot == "hit"
+        assert outcome.out_of_cone_interior_rows == 0
+        return outcome.answer, _outcome_counters(outcome)
+
+    fresh = {step: ask(step, WarmCache(capacity=8)) for step in sequence}
+    shared = WarmCache(capacity=8)
+    for step in sequence:
+        assert ask(step, shared) == fresh[step], step
+    assert shared.stats()["hits"] == len(sequence) - 1  # one entry for all
+
+    # The same sequence from more threads than cores at once, all on one
+    # entry, with frequent thread switches: still the fresh results.
+    shared = WarmCache(capacity=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = [
+                pool.submit(
+                    lambda order: [(step, ask(step, shared)) for step in order],
+                    sequence[i:] + sequence[:i],
+                )
+                for i in range(4)
+            ]
+            results = [run.result(timeout=120) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        for step, got in result:
+            assert got == fresh[step], step
 
 
 def test_queries_never_write_the_store(tmp_path):

@@ -5,8 +5,16 @@ components both ways: reverse-topological wavefronts for parallel
 bottom-up summarization, and the topological (callers-first) order.
 """
 
+import gc
+import weakref
+
 from repro.callgraph.scc import Condensation, condensation, tarjan_sccs
+from repro.incremental.fingerprint import program_fingerprints
 from repro.ir.builder import ProgramBuilder
+from repro.ir.cfg import program_cfgs
+from repro.ir.parser import parse_program
+from repro.ir.printer import format_program
+from repro.service.daemon import program_digest
 
 from tests.helpers import diamond_program, figure1_program, recursive_program
 
@@ -94,6 +102,29 @@ def test_condensation_memoized_per_program():
     program = figure1_program()
     assert condensation(program) is condensation(program)
     assert condensation(figure1_program()) is not condensation(program)
+
+    # Every per-program memo lives on its program and dies with it:
+    # after 50 parse + derive rounds, no program or memo survives.
+    text = format_program(program)
+    refs = []
+    for _ in range(50):
+        parsed = parse_program(text)
+        cfgs = program_cfgs(parsed)
+        cfgs[parsed.main]
+        assert program_cfgs(parsed) is cfgs
+        fingerprints = program_fingerprints(parsed)
+        assert program_fingerprints(parsed) is fingerprints
+        with_alias = program_fingerprints(parsed, with_alias=True)
+        assert program_digest(parsed) == program_digest(program)
+        refs += [
+            weakref.ref(obj)
+            for obj in (
+                parsed, condensation(parsed), cfgs, fingerprints, with_alias
+            )
+        ]
+    del parsed, cfgs, fingerprints, with_alias
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []
 
 
 def test_condensation_is_deterministic():

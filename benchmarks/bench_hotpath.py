@@ -11,16 +11,8 @@ stress workloads of the hot paths:
 
 Each comparison asserts the optimized run computes byte-identical
 ``td`` tables, per-proc summary counts and deterministic work counters
-— the optimizations may only move wall clock.  The ``td_kernel`` row
-races the bitset-kernel mask solver (DESIGN §11, on a shared
-pre-compiled :class:`CompiledKernel`) against the optimized object
-engine with the default ``lifo`` scheduler — its ``speedup`` is the
-kernel's win over the object oracle, with compile and lazy-table
-materialization costs reported separately (``kernel_compile_s``,
-``materialize_s``).  ``swift_kernel`` races SWIFT's compiled
-relational operators against the object operators under the same
-``lifo`` policy.  Two
-microbenchmarks isolate data-structure wins from engine overhead:
+— the optimizations may only move wall clock.  Two microbenchmarks
+isolate data-structure wins from engine overhead:
 ``lookup_microbench`` times ``_exit_summaries`` indexed vs linear
 scan, and ``sortkey_microbench`` times canonical state sorting with
 the interned sort-key cache vs recomputing ``str()`` keys.
@@ -45,7 +37,6 @@ from repro.alias import points_to_oracle
 from repro.bench.workloads import deep_chain, hub_flood
 from repro.framework.swift import SwiftEngine
 from repro.framework.topdown import TopDownEngine
-from repro.typestate.enumerate import seed_states
 from repro.typestate.full import (
     FullTypestateBU,
     FullTypestateTD,
@@ -98,92 +89,6 @@ def _run_swift(setup, optimized: bool):
     return engine, result, time.perf_counter() - started
 
 
-def _make_td_kernel_runner(setup):
-    """Runner for the ``td_kernel`` row (DESIGN §11).
-
-    Optimized side: the bitset-kernel mask solver on a shared
-    :class:`~repro.framework.topdown.CompiledKernel` (compiled once,
-    outside the timed window — the compile cost is reported in the row
-    as ``kernel_compile_s``).  Unoptimized side: the optimized object
-    engine under the default ``lifo`` scheduler, the oracle every
-    kernel result must equal.  The timed region is ``engine.run`` for
-    both sides, like every row in this file; the kernel result
-    materializes its object tables lazily on first access, and that
-    conversion cost is measured separately and reported as
-    ``materialize_s`` (it is part of reading the tables, not of
-    reaching the fixpoint).
-    """
-    program, td_analysis, _, init = setup
-    seeds = seed_states(program, FILE_PROPERTY, td_analysis)
-    warm = TopDownEngine(
-        program,
-        td_analysis,
-        scheduler="fifo",
-        kernel="bitset",
-        kernel_seeds=seeds,
-    )
-    _ = warm.run([init]).td  # force: leaves the shared tables flushable
-    tables = warm.compiled_kernel()
-    extras = {
-        "kernel_compile_s": round(warm.metrics.kernel_compile_seconds, 4),
-        "kernel_states": warm.metrics.kernel_states,
-        "kernel_rows": warm.metrics.kernel_rows,
-        "materialize_s": None,
-    }
-
-    def runner(setup, optimized: bool):
-        if not optimized:
-            return _run_td(setup, True)
-        engine = TopDownEngine(
-            program,
-            td_analysis,
-            scheduler="fifo",
-            kernel="bitset",
-            kernel_tables=tables,
-        )
-        started = time.perf_counter()
-        result = engine.run([init])
-        elapsed = time.perf_counter() - started
-        mat_started = time.perf_counter()
-        _ = result.td  # materialize outside the timed window
-        mat_s = round(time.perf_counter() - mat_started, 4)
-        if extras["materialize_s"] is None or mat_s < extras["materialize_s"]:
-            extras["materialize_s"] = mat_s
-        return engine, result, elapsed
-
-    runner.extras = extras
-    return runner
-
-
-def _make_swift_kernel_runner(setup):
-    """Runner for the ``swift_kernel`` row.
-
-    SWIFT keeps its object control flow (bottom-up trigger timing is
-    order-dependent) and swaps in the compiled relational operators
-    only, so both sides here run the default ``lifo`` policy and differ
-    in nothing but ``kernel=`` — the full identity assertion applies
-    (DESIGN §11's equivalence matrix).
-    """
-    program, td_analysis, bu_analysis, init = setup
-    seeds = seed_states(program, FILE_PROPERTY, td_analysis)
-
-    def runner(setup, optimized: bool):
-        engine = SwiftEngine(
-            program,
-            td_analysis,
-            bu_analysis,
-            k=5,
-            theta=1,
-            kernel="bitset" if optimized else "object",
-            kernel_seeds=seeds if optimized else None,
-        )
-        started = time.perf_counter()
-        result = engine.run([init])
-        return engine, result, time.perf_counter() - started
-
-    return runner
-
-
 def _assert_identical(opt_result, unopt_result) -> None:
     assert opt_result.td == unopt_result.td, "td tables diverged"
     assert (
@@ -224,9 +129,6 @@ def _compare(setup, runner, repeats: int):
         "cache_misses": metrics.cache_misses,
         "identical": True,
     }
-    extras = getattr(runner, "extras", None)
-    if extras:
-        row.update(extras)
     return row
 
 
@@ -310,23 +212,14 @@ def collect(sizes=SIZES, workloads=tuple(WORKLOADS), repeats: int = 3):
                 "size": size,
                 "td": _compare(setup, _run_td, repeats),
                 "swift": _compare(setup, _run_swift, repeats),
-                "td_kernel": _compare(
-                    setup, _make_td_kernel_runner(setup), repeats
-                ),
-                "swift_kernel": _compare(
-                    setup, _make_swift_kernel_runner(setup), repeats
-                ),
                 "lookup_microbench": _lookup_microbench(setup, LOOKUP_PROC[workload]),
                 "sortkey_microbench": _sortkey_microbench(setup),
             }
             rows.append(row)
-            td, sw, tdk = row["td"], row["swift"], row["td_kernel"]
+            td, sw = row["td"], row["swift"]
             print(
                 f"  {workload}({size}): td {td['unoptimized_s']:.3f}s -> "
                 f"{td['optimized_s']:.3f}s ({td['reduction_pct']}%), "
-                f"td+kernel {tdk['optimized_s']:.3f}s "
-                f"({tdk['speedup']}x vs object lifo, "
-                f"+{tdk['materialize_s']:.3f}s materialize), "
                 f"swift {sw['unoptimized_s']:.3f}s -> {sw['optimized_s']:.3f}s "
                 f"({sw['reduction_pct']}%)",
                 flush=True,
@@ -351,19 +244,6 @@ def test_lookup_modes_agree(once):
     setup = _setup("hub_flood", 32)
     micro = once(_lookup_microbench, setup, "hub")
     assert micro is not None and micro["queries"] > 0
-
-
-def test_hotpath_equivalence_td_kernel(once):
-    setup = _setup("hub_flood", 32)
-    row = once(_compare, setup, _make_td_kernel_runner(setup), 1)
-    assert row["identical"]
-    assert row["materialize_s"] is not None
-
-
-def test_hotpath_equivalence_swift_kernel(once):
-    setup = _setup("hub_flood", 32)
-    row = once(_compare, setup, _make_swift_kernel_runner(setup), 1)
-    assert row["identical"]
 
 
 def main(argv=None) -> int:

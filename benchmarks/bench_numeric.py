@@ -37,7 +37,7 @@ from repro.typestate.properties import FILE_PROPERTY
 
 SIZE = 64
 SEED = 19
-ENGINES = ["td", "bu", "swift", "concurrent"]
+ENGINES = ["td", "bu", "swift"]
 DELAYS = [0, 2, 4, 8]
 DESCENDS = [0, 1, 2]
 BUDGET = Budget(max_work=5_000_000)

@@ -32,7 +32,7 @@ from repro.framework.session import analysis_session
 from repro.typestate.client import run_typestate
 from repro.typestate.properties import FILE_PROPERTY
 
-ENGINES = ["td", "bu", "swift", "concurrent"]
+ENGINES = ["td", "bu", "swift"]
 SIZE = 16
 SEED = 19
 

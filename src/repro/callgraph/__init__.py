@@ -10,10 +10,9 @@ exact.  The interesting machinery here is:
   flow);
 * :mod:`repro.callgraph.stats` — the per-benchmark characteristics of
   Table 1 (#classes, #methods, code size; application vs. total);
-* :mod:`repro.callgraph.scc` — iterative Tarjan SCC condensation with
-  topological / reverse-topological orders and parallel summarization
-  wavefronts (the query planner and the concurrent engine's bottom-up
-  planner both build on it).
+* :mod:`repro.callgraph.scc` — iterative Tarjan SCC condensation (the
+  query planner, the slicer and value-mode TD's recursion test build
+  on it).
 """
 
 from repro.callgraph.rta import CallGraph, build_call_graph

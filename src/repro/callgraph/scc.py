@@ -3,20 +3,10 @@
 Recursion makes the call graph cyclic, so neither "callees before
 callers" nor "one procedure at a time" is well-defined on the raw
 graph.  The *condensation* — contract every strongly connected
-component (SCC) to one node — is a DAG, and two orders over it serve
-this repo:
-
-* the **reverse-topological** order (callee SCCs before their callers)
-  is the classic bottom-up summarization order (Whaley–Lam): once every
-  callee SCC of a component is summarized, the component itself can be
-  summarized without ever revisiting it.
-  :meth:`Condensation.wavefronts` groups that order into
-  dependency-respecting levels so independent SCCs can be summarized in
-  parallel (:class:`repro.framework.concurrent.ConcurrentSwiftEngine`);
-* its dual, the **topological** order (caller SCCs first), walks a
-  procedure only after every caller that can reach it.  The query
-  planner's component split and the value-mode engines' recursion test
-  (:meth:`Condensation.is_cyclic`) read the same condensation.
+component (SCC) to one node — is a DAG.  Three readers share it: the
+query planner's component split and the slicer walk its edges
+(:meth:`Condensation.callee_sccs`, :meth:`Condensation.members`), and
+value-mode TD's recursion test reads :meth:`Condensation.is_cyclic`.
 
 Tarjan's algorithm is implemented iteratively (an explicit work stack,
 no recursion) so pathological call chains cannot hit CPython's
@@ -33,7 +23,7 @@ same program share one instance, and it dies with the program.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.ir.program import Program
 
@@ -100,9 +90,8 @@ class Condensation:
     """The call graph's SCC condensation DAG for one program.
 
     ``sccs`` holds the components in reverse-topological order (callee
-    SCCs first); a procedure's *rank* is its component's position in
-    that order, so ``rank(callee) < rank(caller)`` whenever the two are
-    not mutually recursive.
+    SCCs first), so a callee's component index is below its caller's
+    whenever the two are not mutually recursive.
     """
 
     def __init__(self, program: Program) -> None:
@@ -155,61 +144,9 @@ class Condensation:
         proc = component[0]
         return proc in self.program.callees(proc)
 
-    def ranks(self) -> Dict[str, int]:
-        """``proc -> reverse-topological component position`` for every
-        procedure (callees rank lower than their callers)."""
-        return dict(self._index)
-
-    def reverse_topological(self) -> Tuple[Tuple[str, ...], ...]:
-        """Components, callee SCCs first (the Whaley–Lam order)."""
-        return self.sccs
-
-    def topological(self) -> Tuple[Tuple[str, ...], ...]:
-        """Components, caller SCCs first."""
-        return tuple(reversed(self.sccs))
-
-    # -- parallel summarization support ---------------------------------------------
-    def wavefronts(
-        self, procs: Optional[Iterable[str]] = None
-    ) -> List[List[Tuple[str, ...]]]:
-        """Dependency-respecting levels of the condensation DAG.
-
-        Restricted to ``procs`` when given (components are intersected
-        with the set; dependencies on excluded components are treated as
-        already satisfied — the caller supplies their summaries as
-        ``external``).  Every component in wave ``n`` depends only on
-        components in waves ``< n``, so all components of one wave can
-        be summarized in parallel.  Waves and their components are
-        deterministically ordered.
-        """
-        if procs is None:
-            included = {i: self.sccs[i] for i in range(len(self.sccs))}
-        else:
-            proc_set = set(procs)
-            included = {}
-            for i, component in enumerate(self.sccs):
-                kept = tuple(p for p in component if p in proc_set)
-                if kept:
-                    included[i] = kept
-        remaining: Dict[int, set] = {
-            i: {j for j in self._callee_sccs[i] if j in included}
-            for i in included
-        }
-        waves: List[List[Tuple[str, ...]]] = []
-        done: set = set()
-        while remaining:
-            ready = sorted(i for i, deps in remaining.items() if deps <= done)
-            if not ready:  # pragma: no cover - the condensation is a DAG
-                raise RuntimeError("condensation wavefronts did not converge")
-            waves.append([included[i] for i in ready])
-            done.update(ready)
-            for i in ready:
-                del remaining[i]
-        return waves
-
 
 def condensation(program: Program) -> Condensation:
     """The SCC condensation of ``program``'s call graph, memoized on the
-    program: the query planner, the concurrent engine and value-mode TD
-    all share one instance."""
+    program: the query planner, the slicer and value-mode TD all share
+    one instance."""
     return program.memo("condensation", lambda: Condensation(program))

@@ -4,7 +4,7 @@
 
     repro-swift verify prog.mini --property File --engine swift
     repro-swift verify prog.ir --all-properties
-    repro-swift verify prog.mini --engine concurrent --scheduler fifo
+    repro-swift verify prog.mini --engine td --scheduler fifo
     repro-swift verify prog.mini --domain killgen
     repro-swift analyze prog.mini --store .repro-store
     repro-swift query-point prog.mini worker3 --store .repro-store
@@ -55,16 +55,6 @@ def load_program(path: str) -> Program:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from repro.framework.interfaces import UnsupportedDomainError
-
-    try:
-        return _verify(args)
-    except UnsupportedDomainError as exc:
-        print(f"unsupported domain: {exc}")
-        return 2
-
-
-def _verify(args: argparse.Namespace) -> int:
     from repro.framework.metrics import Budget
     from repro.typestate.client import run_typestate
     from repro.typestate.multi import run_multi_property
@@ -87,7 +77,6 @@ def _verify(args: argparse.Namespace) -> int:
             theta=args.theta,
             budget=budget,
             scheduler=args.scheduler,
-            kernel=args.kernel,
             widening_delay=args.widening_delay,
             descending_iters=args.descending_iters,
         )
@@ -124,7 +113,6 @@ def _verify(args: argparse.Namespace) -> int:
         budget=budget,
         domain=args.domain,
         scheduler=args.scheduler,
-        kernel=args.kernel,
         widening_delay=args.widening_delay,
         descending_iters=args.descending_iters,
     )
@@ -254,16 +242,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.framework.interfaces import UnsupportedDomainError
-
-    try:
-        return _analyze(args)
-    except UnsupportedDomainError as exc:
-        print(f"unsupported domain: {exc}")
-        return 2
-
-
-def _analyze(args: argparse.Namespace) -> int:
     from repro.framework.metrics import Budget
     from repro.incremental import SummaryStore, analyze_with_store
     from repro.typestate.properties import property_by_name
@@ -280,7 +258,6 @@ def _analyze(args: argparse.Namespace) -> int:
         budget=budget,
         domain=args.domain,
         meta={"file": args.file},
-        kernel=args.kernel,
         widening_delay=args.widening_delay,
         descending_iters=args.descending_iters,
     )
@@ -328,7 +305,6 @@ def cmd_query_point(args: argparse.Namespace) -> int:
             theta=args.theta,
             budget=budget,
             domain=args.domain,
-            kernel=args.kernel,
             query_precision=args.query_precision,
             use_frontier=not args.no_frontier,
         )
@@ -400,7 +376,6 @@ def cmd_query_batch(args: argparse.Namespace) -> int:
             theta=args.theta,
             budget=budget,
             domain=args.domain,
-            kernel=args.kernel,
             query_precision=args.query_precision,
             use_frontier=not args.no_frontier,
             max_workers=args.workers,
@@ -503,7 +478,6 @@ def cmd_client(args: argparse.Namespace) -> int:
                 "domain": args.domain,
                 "k": args.k,
                 "theta": args.theta,
-                "kernel": args.kernel,
             }
             if args.budget:
                 config["budget"] = {"max_work": args.budget}
@@ -695,8 +669,15 @@ def cmd_store(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.framework.kernel import DEFAULT_KERNEL, KERNELS
+    from repro.framework.registry import ENGINES
     from repro.framework.scheduling import DEFAULT_SCHEDULER, scheduler_names
+
+    engines = ENGINES.names()
+    # Verbs that read or write the summary store take the engines with
+    # a warm-start hook.
+    preload_engines = [
+        name for name in engines if ENGINES.get(name).supports_preload
+    ]
 
     parser = argparse.ArgumentParser(
         prog="repro-swift",
@@ -708,9 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("file")
     verify.add_argument("--property", default="File")
     verify.add_argument("--all-properties", action="store_true")
-    verify.add_argument(
-        "--engine", choices=["td", "bu", "swift", "concurrent"], default="swift"
-    )
+    verify.add_argument("--engine", choices=engines, default="swift")
     verify.add_argument(
         "--domain",
         choices=[
@@ -731,14 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=scheduler_names(),
         default=DEFAULT_SCHEDULER,
         help="worklist policy (results are identical across policies)",
-    )
-    verify.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default=DEFAULT_KERNEL,
-        help="operator representation: object (uncompiled) or bitset "
-        "(dense-id bitmask tables); results and work counters are "
-        "identical across both",
     )
     verify.add_argument(
         "--widening-delay",
@@ -762,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("file")
     analyze.add_argument("--store", required=True, metavar="DIR", help="store directory")
     analyze.add_argument("--property", default="File")
-    analyze.add_argument("--engine", choices=["td", "swift"], default="swift")
+    analyze.add_argument("--engine", choices=preload_engines, default="swift")
     analyze.add_argument(
         "--domain",
         choices=["simple", "full", "interval-typestate"],
@@ -771,13 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--k", type=int, default=5)
     analyze.add_argument("--theta", type=int, default=1)
     analyze.add_argument("--budget", type=int, default=None, help="work budget")
-    analyze.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default=DEFAULT_KERNEL,
-        help="operator representation (see `verify --kernel`); part of "
-        "the store fingerprint, so each kernel keeps its own snapshot",
-    )
     analyze.add_argument(
         "--widening-delay",
         type=int,
@@ -812,14 +776,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="question asked: error reachability, summary pairs, entry states",
     )
     query_point.add_argument("--property", default="File")
-    query_point.add_argument("--engine", choices=["td", "swift"], default="swift")
+    query_point.add_argument("--engine", choices=preload_engines, default="swift")
     query_point.add_argument("--domain", choices=["simple", "full"], default="full")
     query_point.add_argument("--k", type=int, default=5)
     query_point.add_argument("--theta", type=int, default=1)
     query_point.add_argument("--budget", type=int, default=None, help="work budget")
-    query_point.add_argument(
-        "--kernel", choices=KERNELS, default=DEFAULT_KERNEL
-    )
     query_point.add_argument(
         "--query-precision",
         choices=["td", "swift"],
@@ -857,14 +818,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="question asked: error reachability, summary pairs, entry states",
     )
     query_batch.add_argument("--property", default="File")
-    query_batch.add_argument("--engine", choices=["td", "swift"], default="swift")
+    query_batch.add_argument("--engine", choices=preload_engines, default="swift")
     query_batch.add_argument("--domain", choices=["simple", "full"], default="full")
     query_batch.add_argument("--k", type=int, default=5)
     query_batch.add_argument("--theta", type=int, default=1)
     query_batch.add_argument("--budget", type=int, default=None, help="work budget")
-    query_batch.add_argument(
-        "--kernel", choices=KERNELS, default=DEFAULT_KERNEL
-    )
     query_batch.add_argument(
         "--query-precision", choices=["td", "swift"], default="td"
     )
@@ -931,18 +889,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         _client_common(sub_parser)
         sub_parser.add_argument("--property", default="File")
-        sub_parser.add_argument(
-            "--engine", choices=["td", "bu", "swift", "concurrent"], default="swift"
-        )
+        sub_parser.add_argument("--engine", choices=engines, default="swift")
         sub_parser.add_argument(
             "--domain", choices=["simple", "full"], default="full"
         )
         sub_parser.add_argument("--k", type=int, default=5)
         sub_parser.add_argument("--theta", type=int, default=1)
         sub_parser.add_argument("--budget", type=int, default=None)
-        sub_parser.add_argument(
-            "--kernel", choices=KERNELS, default=DEFAULT_KERNEL
-        )
         sub_parser.add_argument(
             "--trace",
             action="store_true",
@@ -956,9 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _client_common(query)
     query.add_argument("--property", default="File")
-    query.add_argument(
-        "--engine", choices=["td", "bu", "swift", "concurrent"], default="swift"
-    )
+    query.add_argument("--engine", choices=engines, default="swift")
     query.add_argument("--domain", choices=["simple", "full"], default="full")
 
     demand = client_sub.add_parser(
@@ -982,7 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="errors",
     )
     demand.add_argument("--property", default="File")
-    demand.add_argument("--engine", choices=["td", "swift"], default="swift")
+    demand.add_argument("--engine", choices=preload_engines, default="swift")
     demand.add_argument("--domain", choices=["simple", "full"], default="full")
     demand.add_argument("--k", type=int, default=5)
     demand.add_argument("--theta", type=int, default=1)
@@ -1063,9 +1014,7 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("file")
     record.add_argument("--out", default="trace.jsonl", help="JSONL output path")
     record.add_argument("--property", default="File")
-    record.add_argument(
-        "--engine", choices=["td", "bu", "swift", "concurrent"], default="swift"
-    )
+    record.add_argument("--engine", choices=engines, default="swift")
     record.add_argument("--domain", choices=["simple", "full"], default="full")
     record.add_argument("--k", type=int, default=5)
     record.add_argument("--theta", type=int, default=1)

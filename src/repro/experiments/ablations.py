@@ -97,7 +97,7 @@ def _run_variant(
     elif variant == "fifo-worklist":
         # Breadth-first tabulation floods call sites before triggers
         # fire, so summaries arrive too late to absorb the contexts.
-        kwargs["order"] = "fifo"
+        kwargs["scheduler"] = "fifo"
     elif variant != "default":
         raise ValueError(f"unknown variant {variant!r}")
     engine = SwiftEngine(benchmark.program, td_a, bu_a, **kwargs)

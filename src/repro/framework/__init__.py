@@ -29,10 +29,11 @@ library:
   capturing one analysis configuration (engine, domain, thresholds,
   scheduler, performance flags).
 * :mod:`repro.framework.registry` — ``EngineRegistry`` /
-  ``DomainRegistry`` mapping names (``td``/``bu``/``swift``/
-  ``concurrent`` × the analysis domains) to specs.
-* :mod:`repro.framework.scheduling` — pluggable worklist
-  ``Scheduler`` policies for the tabulation engines.
+  ``DomainRegistry`` mapping names (``td``/``bu``/``swift`` × the
+  analysis domains) to specs.
+* :mod:`repro.framework.scheduling` — the worklist ``Scheduler``
+  policies (``lifo``/``fifo``/``callee-depth``) of the tabulation
+  engines.
 * :mod:`repro.framework.session` — ``AnalysisSession``, the single
   pipeline every dispatch site (client, harness, CLI, incremental
   driver) runs through.
@@ -53,7 +54,6 @@ from repro.framework.pruning import (
 )
 from repro.framework.bottomup import BottomUpEngine, BottomUpResult, ProcedureSummary
 from repro.framework.swift import SwiftEngine, SwiftResult
-from repro.framework.concurrent import ConcurrentSwiftEngine
 from repro.framework.synthesis import SynthesizedTopDown
 from repro.framework.conditions import check_c1, check_c2, check_c3
 from repro.framework.scheduling import (
@@ -62,7 +62,6 @@ from repro.framework.scheduling import (
     LifoScheduler,
     Scheduler,
     make_scheduler,
-    register_scheduler,
     scheduler_names,
 )
 from repro.framework.registry import (
@@ -84,7 +83,6 @@ __all__ = [
     "Atom",
     "BottomUpAnalysis",
     "BottomUpEngine",
-    "ConcurrentSwiftEngine",
     "BottomUpResult",
     "Budget",
     "BudgetExceededError",
@@ -124,6 +122,5 @@ __all__ = [
     "engine_names",
     "excl",
     "make_scheduler",
-    "register_scheduler",
     "scheduler_names",
 ]

@@ -28,10 +28,9 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tupl
 
 from repro.framework.caching import RComposeCache, RTransferCache
 from repro.framework.ignored import IgnoredStates
-from repro.framework.interfaces import BottomUpAnalysis, UnsupportedDomainError
-from repro.framework.kernel import DEFAULT_KERNEL, RelationKernel, validate_kernel
+from repro.framework.interfaces import BottomUpAnalysis
 from repro.framework.metrics import Budget, BudgetExceededError, Metrics
-from repro.framework.pruning import NoPruner, PruneOperator, clean, excl
+from repro.framework.pruning import NoPruner, PruneOperator, clean
 from repro.framework.tracing import NULL_SINK, TraceEvent, TraceSink
 from repro.ir.commands import Call, Choice, Command, Prim, Seq, Star
 from repro.ir.program import Program
@@ -129,8 +128,6 @@ class BottomUpEngine:
         rtransfer_cache: Optional[RTransferCache] = None,
         rcompose_cache: Optional[RComposeCache] = None,
         sink: Optional[TraceSink] = None,
-        kernel: str = DEFAULT_KERNEL,
-        kernel_ops: Optional[RelationKernel] = None,
         widening_delay: int = 2,
     ) -> None:
         if widening_delay < 0:
@@ -146,13 +143,6 @@ class BottomUpEngine:
         # branches, so the paper's saturation semantics is untouched.
         self.widening_delay = widening_delay
         self._lattice_r = not analysis.r_is_finite()
-        if self._lattice_r and (kernel != DEFAULT_KERNEL or kernel_ops is not None):
-            raise UnsupportedDomainError(
-                f"kernel {kernel!r} enumerates finite relation sets and "
-                f"cannot represent {type(analysis).__name__}; use the "
-                "'object' kernel fallback",
-                supported=(DEFAULT_KERNEL,),
-            )
         # Tracing sink (see repro.framework.tracing); the pruner emits
         # its prune_drop events through the same sink unless the caller
         # already gave it one.
@@ -188,18 +178,6 @@ class BottomUpEngine:
         else:
             self._rtransfer = analysis.rtransfer
             self._rcompose = analysis.rcompose
-        # Bitset-compiled relational operators (repro.framework.kernel,
-        # DESIGN §11): rtrans rows and rcomp matrix cells over dense
-        # relation ids.  SWIFT passes its trigger-shared RelationKernel
-        # here; a standalone run builds its own.  Representation only —
-        # the work counters below stay per logical application.
-        self.kernel = validate_kernel(kernel)
-        if kernel_ops is not None:
-            self._kernel_ops: Optional[RelationKernel] = kernel_ops
-        elif self.kernel != DEFAULT_KERNEL:
-            self._kernel_ops = RelationKernel(analysis, self.metrics)
-        else:
-            self._kernel_ops = None
 
     # -- public API -----------------------------------------------------------------
     def analyze(
@@ -307,18 +285,6 @@ class BottomUpEngine:
         if self.budget is not None:
             self.budget.check(self.metrics)
         if isinstance(cmd, Prim):
-            if self._kernel_ops is not None:
-                # Compiled rows: one logical rtrans per input relation,
-                # created counts from the rows — identical totals to the
-                # object loop.
-                produced_set, created = self._kernel_ops.rtransfer_set(cmd, relations)
-                self.metrics.rtransfers += len(relations)
-                self.metrics.relations_created += created
-                if self.budget is not None:
-                    self.budget.check_counters(self.metrics)
-                return self._prune(
-                    proc, *clean(self.analysis, produced_set, ignored)
-                )
             out = set()
             rtransfer = self._rtransfer
             for i, r in enumerate(relations):
@@ -365,31 +331,19 @@ class BottomUpEngine:
                 # summary yet (η0); the interprocedural fixpoint or a
                 # later run will refine it.
                 callee = ProcedureSummary(frozenset(), self._empty_ignored())
-            if self._kernel_ops is not None:
-                # Sparse boolean matrix multiply over compiled rcomp
-                # cells; same counter totals as the cross-product loops.
-                composed_set, created = self._kernel_ops.rcompose_set(
-                    relations, callee.relations
-                )
-                self.metrics.compositions += len(relations) * len(callee.relations)
-                self.metrics.relations_created += created
+            composed: Set = set()
+            rcompose = self._rcompose
+            for r in relations:
+                # The cross product |R| x |R0| is where the conventional
+                # bottom-up analysis explodes; check the budget inside it
+                # or a single call step could run unbounded.
                 if self.budget is not None:
-                    self.budget.check_counters(self.metrics)
-                composed: Set = set(composed_set)
-            else:
-                composed = set()
-                rcompose = self._rcompose
-                for r in relations:
-                    # The cross product |R| x |R0| is where the conventional
-                    # bottom-up analysis explodes; check the budget inside it
-                    # or a single call step could run unbounded.
-                    if self.budget is not None:
-                        self.budget.check(self.metrics)
-                    for r0 in callee.relations:
-                        self.metrics.compositions += 1
-                        produced = rcompose(r, r0)
-                        self.metrics.relations_created += len(produced)
-                        composed.update(produced)
+                    self.budget.check(self.metrics)
+                for r0 in callee.relations:
+                    self.metrics.compositions += 1
+                    produced = rcompose(r, r0)
+                    self.metrics.relations_created += len(produced)
+                    composed.update(produced)
             # Σ00: states whose images under some r land in the callee's
             # ignored set must be ignored here too (propagated via wp).
             pre_preds: List = []

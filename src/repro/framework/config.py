@@ -15,20 +15,18 @@ The *identity* part of a config — everything that determines the
 computed results and the deterministic work counters — has a canonical
 dict form (:meth:`AnalysisConfig.canonical_dict`) which
 :mod:`repro.incremental.fingerprint` hashes for the summary store's
-config fingerprint.  Runtime-only fields (budget, sink, preload,
-worker count) are deliberately excluded: they change how long a run
-takes or what it records, never what it computes, so two runs differing
-only there may share stored summaries.
+config fingerprint.  Runtime-only fields (budget, sink, preload) are
+deliberately excluded: they change how long a run takes or what it
+records, never what it computes, so two runs differing only there may
+share stored summaries.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional
+from typing import FrozenSet, Optional
 
-from repro.framework.interfaces import UnsupportedDomainError
-from repro.framework.kernel import DEFAULT_KERNEL, validate_kernel
 from repro.framework.metrics import Budget
 from repro.framework.registry import DOMAINS, ENGINES, EngineSpec
 from repro.framework.scheduling import DEFAULT_SCHEDULER, validate_scheduler
@@ -41,14 +39,13 @@ class AnalysisConfig:
     Identity fields (part of :meth:`canonical_dict`): ``engine``,
     ``domain``, ``k``, ``theta``, ``bu_triggers``, ``scheduler``,
     ``tracked_sites``, ``enable_caches``, ``indexed_summaries``,
-    ``kernel``, ``widening_delay``, ``descending_iters``.  Runtime
-    fields (not part of the canonical form): ``budget``, ``sink``,
-    ``preload``, ``max_workers``.
+    ``widening_delay``, ``descending_iters``.  Runtime fields (not part
+    of the canonical form): ``budget``, ``sink``, ``preload``.
 
-    ``kernel`` never changes the computed tables or work counters
-    (property-tested), but it is kept in the canonical form anyway: a
-    summary-store fingerprint that goes cold costs one re-analysis, one
-    that is wrong is a soundness bug — cold, never wrong.
+    Every identity field except ``tracked_sites`` is type-checked at
+    construction (:data:`_FIELD_TYPES`), so an ill-typed value — a
+    float ``k``, a string flag — is refused naming the field instead of
+    running under a fingerprint of its own.
     """
 
     engine: str = "swift"
@@ -60,7 +57,6 @@ class AnalysisConfig:
     tracked_sites: Optional[FrozenSet[str]] = None
     enable_caches: bool = True
     indexed_summaries: bool = True
-    kernel: str = DEFAULT_KERNEL
     # Widening knobs (crab-style; see DESIGN §14 and TUNING): only
     # consulted by infinite-height (lattice) domains, so they normalize
     # to None in the canonical form for finite ones.
@@ -69,9 +65,18 @@ class AnalysisConfig:
     budget: Optional[Budget] = None
     sink: Optional[object] = None
     preload: Optional[object] = None
-    max_workers: int = 1
 
     def __post_init__(self) -> None:
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            # bool is an int subclass: ``k=True`` must not pass as 1.
+            if not isinstance(value, kind) or (
+                kind is int and isinstance(value, bool)
+            ):
+                raise TypeError(
+                    f"config field {name!r} must be {kind.__name__}, "
+                    f"not {type(value).__name__} ({value!r})"
+                )
         # Aliases ("simple", "full") normalize to registry names, so
         # equal configs compare equal however they were spelled.
         object.__setattr__(self, "engine", ENGINES.canonical(self.engine))
@@ -81,23 +86,10 @@ class AnalysisConfig:
             raise ValueError("k must be at least 1")
         if self.theta < 1:
             raise ValueError("theta must be at least 1")
-        if self.max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
         if self.widening_delay < 0:
             raise ValueError("widening_delay must be non-negative")
         if self.descending_iters < 0:
             raise ValueError("descending_iters must be non-negative")
-        validate_kernel(self.kernel)
-        if not self.domain_spec.is_finite and self.kernel != DEFAULT_KERNEL:
-            raise UnsupportedDomainError(
-                f"kernel {self.kernel!r} compiles finite domains by "
-                f"enumeration and cannot represent the infinite-height "
-                f"domain {self.domain!r}; use the {DEFAULT_KERNEL!r} kernel "
-                "fallback",
-                supported=sorted(
-                    name for name in DOMAINS.names() if DOMAINS.get(name).is_finite
-                ),
-            )
         if self.tracked_sites is not None:
             object.__setattr__(
                 self, "tracked_sites", frozenset(self.tracked_sites)
@@ -174,7 +166,6 @@ class AnalysisConfig:
                 "enable_caches": self.enable_caches,
                 "indexed_summaries": self.indexed_summaries,
                 "scheduler": self.scheduler,
-                "kernel": self.kernel,
                 # Widening knobs only steer infinite-height domains;
                 # finite-domain configs fingerprint the same whatever
                 # they carried.  (Adding these keys at all re-keys every
@@ -188,3 +179,18 @@ class AnalysisConfig:
                 ),
             },
         }
+
+
+#: Expected type of each identity field checked by ``__post_init__``.
+_FIELD_TYPES = {
+    "engine": str,
+    "domain": str,
+    "k": int,
+    "theta": int,
+    "bu_triggers": bool,
+    "scheduler": str,
+    "enable_caches": bool,
+    "indexed_summaries": bool,
+    "widening_delay": int,
+    "descending_iters": int,
+}

@@ -57,13 +57,9 @@ P = TypeVar("P", bound=Hashable)  # predicates over abstract states
 class UnsupportedDomainError(ValueError):
     """A component was handed a domain outside what it supports.
 
-    Raised by the finite-domain machinery — the compiled kernels'
-    state enumeration, the bitset kernel gate in
-    ``AnalysisConfig`` — when given an infinite-height (lattice)
-    domain, and by codecs/drivers restricted to specific domains.  The
-    message always names the supported alternatives (and, for kernel
-    gating, the ``object`` fallback), so callers see a configuration
-    error rather than a crash deep inside enumeration.
+    Raised by an element-level ``join`` on a finite powerset domain,
+    whose joins happen by saturation instead.  When ``supported`` is
+    given, the message names the supported alternatives.
     """
 
     def __init__(self, message: str, supported: Iterable[str] = ()) -> None:

@@ -77,17 +77,8 @@ class Metrics:
     store_hits: int = 0  # preloaded contexts/summaries installed
     store_misses: int = 0  # lookups the store could not serve
     store_invalidated: int = 0  # procedures whose entries were discarded
-    # Kernel-compilation stats (repro.framework.kernel, DESIGN §11).
-    # Not part of total_work: they size the compiled representation;
-    # the work counters above keep counting per *logical* operator
-    # application under every kernel, so they match the object engines.
-    kernel_states: int = 0  # dense state ids assigned
-    kernel_rows: int = 0  # compiled (command, state) transfer rows
-    kernel_relations: int = 0  # dense relation ids assigned
-    kernel_cells: int = 0  # compiled rtrans rows + rcomp matrix cells
-    kernel_compile_seconds: float = 0.0  # id-universe seeding wall time
     # Summary-store decode wall time (repro.incremental.driver); a
-    # non-work observability metric like the kernel stats above.
+    # non-work observability metric, not part of total_work.
     store_load_seconds: float = 0.0
 
     def merge(self, other: "Metrics") -> None:
@@ -96,7 +87,7 @@ class Metrics:
         Iterates the dataclass fields so a newly added counter family
         (the PR-1 cache counters and the store counters both postdate
         the original hand-written fold) can never be silently dropped
-        by ``ConcurrentSwiftEngine``'s harvest or ``aggregate_metrics``.
+        by ``aggregate_metrics``.
         """
         for spec in fields(self):
             setattr(
@@ -160,17 +151,6 @@ class Budget:
         self._started_at = time.monotonic()
 
     def check(self, metrics: Metrics) -> None:
-        self.check_counters(metrics)
-        self.check_clock()
-
-    def check_counters(self, metrics: Metrics) -> None:
-        """The deterministic half of :meth:`check` (work + relations).
-
-        The bitset kernel calls this per compiled operator application
-        so that the same work/relation budgets time out under every
-        kernel; only the wall-clock half (:meth:`check_clock`) is
-        hoisted to once per popped point.
-        """
         if self.max_work is not None and metrics.total_work > self.max_work:
             raise BudgetExceededError(KIND_WORK, metrics.total_work, self.max_work)
         if (
@@ -180,14 +160,6 @@ class Budget:
             raise BudgetExceededError(
                 KIND_RELATIONS, metrics.relations_created, self.max_relations
             )
-
-    def check_clock(self) -> None:
-        """The wall-clock half of :meth:`check` (``max_seconds``).
-
-        Reading ``time.monotonic`` per pair bit is measurable on the
-        kernel's hot path; checking the deadline once per popped point
-        keeps the overrun bounded by one point's masks.
-        """
         if self.max_seconds is not None:
             elapsed = time.monotonic() - self._started_at
             if elapsed > self.max_seconds:

@@ -6,8 +6,7 @@ lookup instead of an if/elif ladder.  Two registries cover the shipped
 instantiations:
 
 * :data:`ENGINES` — ``td`` (conventional top-down tabulation), ``bu``
-  (conventional bottom-up, no pruning), ``swift`` (Algorithm 1), and
-  ``concurrent`` (SWIFT with run_bu on a background thread pool);
+  (conventional bottom-up, no pruning) and ``swift`` (Algorithm 1);
 * :data:`DOMAINS` — ``typestate-simple`` (Figures 2–3, alias
   ``simple``), ``typestate-full`` (the evaluation's four-component
   analysis, alias ``full``), ``killgen`` (Section 5.2 synthesis over
@@ -27,10 +26,9 @@ stays importable from anywhere in the framework without cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Tuple
 
 from repro.framework.bottomup import BottomUpEngine, BottomUpResult
-from repro.framework.concurrent import ConcurrentSwiftEngine
 from repro.framework.pruning import NoPruner
 from repro.framework.swift import SwiftEngine
 from repro.framework.topdown import TopDownEngine, TopDownResult
@@ -60,17 +58,6 @@ class DomainInstance:
         self.bu_analysis = bu_analysis
         self.initial_states = list(initial_states)
 
-    def kernel_seed_states(self, program: Program) -> List:
-        """States pre-registered with a compiled kernel (DESIGN §11).
-
-        Seeding fixes the dense-id assignment order up front; it is an
-        optimization only — kernels assign ids lazily for any state a
-        run discovers beyond the seeds.  The generic answer is the
-        initial states; finite domains that can cheaply enumerate more
-        of their universe override this.
-        """
-        return list(self.initial_states)
-
     def findings_from_tables(self, result: TopDownResult) -> FrozenSet:
         """Domain findings out of a top-down/SWIFT result (the tables)."""
         raise NotImplementedError
@@ -89,11 +76,6 @@ class _TypestateInstance(DomainInstance):
     def __init__(self, prop, td_analysis, bu_analysis, initial_states) -> None:
         super().__init__(td_analysis, bu_analysis, initial_states)
         self.prop = prop
-
-    def kernel_seed_states(self, program: Program) -> List:
-        from repro.typestate.enumerate import seed_states
-
-        return seed_states(program, self.prop, self.td_analysis)
 
     def findings_from_tables(self, result: TopDownResult) -> FrozenSet:
         from repro.typestate.client import find_errors
@@ -141,7 +123,7 @@ class DomainSpec:
     builder: Callable[..., DomainInstance] = field(compare=False)
     description: str = ""
     #: Finite state/relation universe?  False switches the engines into
-    #: value (lattice) mode and gates the compiled kernels (DESIGN §14).
+    #: value (lattice) mode (DESIGN §14).
     is_finite: bool = True
 
     def build(self, program: Program, **options) -> DomainInstance:
@@ -171,11 +153,6 @@ class _ProductTypestateInstance(_TypestateInstance):
     """Interval×typestate product: findings are error rows of product
     values, reported as the same ``(point, site)`` pairs the plain
     type-state domains use."""
-
-    def kernel_seed_states(self, program: Program) -> List:
-        # Compiled kernels refuse infinite domains (config gate); never
-        # enumerate.
-        return list(self.initial_states)
 
     def findings_from_tables(self, result: TopDownResult) -> FrozenSet:
         from repro.typestate.dfa import ERROR
@@ -296,16 +273,6 @@ class EngineSpec:
         return self.runner(program, instance, config, cfgs)
 
 
-def _kernel_options(instance, config, program) -> dict:
-    """Kernel keywords shared by the tabulation-engine runners."""
-    if config.kernel == "object":
-        return {"kernel": config.kernel}
-    return {
-        "kernel": config.kernel,
-        "kernel_seeds": instance.kernel_seed_states(program),
-    }
-
-
 def _run_td(program, instance, config, cfgs=None) -> EngineOutcome:
     engine = TopDownEngine(
         program,
@@ -319,7 +286,6 @@ def _run_td(program, instance, config, cfgs=None) -> EngineOutcome:
         preload=config.preload,
         widening_delay=config.widening_delay,
         descending_iters=config.descending_iters,
-        **_kernel_options(instance, config, program),
     )
     result = engine.run(instance.initial_states)
     return EngineOutcome(
@@ -331,10 +297,8 @@ def _run_td(program, instance, config, cfgs=None) -> EngineOutcome:
     )
 
 
-def _run_hybrid(
-    engine_cls, program, instance, config, cfgs=None, **extra
-) -> EngineOutcome:
-    engine = engine_cls(
+def _run_swift(program, instance, config, cfgs=None) -> EngineOutcome:
+    engine = SwiftEngine(
         program,
         instance.td_analysis,
         instance.bu_analysis,
@@ -350,8 +314,6 @@ def _run_hybrid(
         preload=config.preload,
         widening_delay=config.widening_delay,
         descending_iters=config.descending_iters,
-        **_kernel_options(instance, config, program),
-        **extra,
     )
     result = engine.run(instance.initial_states)
     return EngineOutcome(
@@ -363,21 +325,6 @@ def _run_hybrid(
     )
 
 
-def _run_swift(program, instance, config, cfgs=None) -> EngineOutcome:
-    return _run_hybrid(SwiftEngine, program, instance, config, cfgs)
-
-
-def _run_concurrent(program, instance, config, cfgs=None) -> EngineOutcome:
-    return _run_hybrid(
-        ConcurrentSwiftEngine,
-        program,
-        instance,
-        config,
-        cfgs,
-        max_workers=config.max_workers,
-    )
-
-
 def _run_bu(program, instance, config, cfgs=None) -> EngineOutcome:
     engine = BottomUpEngine(
         program,
@@ -386,7 +333,6 @@ def _run_bu(program, instance, config, cfgs=None) -> EngineOutcome:
         budget=config.budget,
         enable_caches=config.enable_caches,
         sink=config.sink,
-        kernel=config.kernel,
         widening_delay=config.widening_delay,
     )
     result = engine.analyze()
@@ -471,14 +417,6 @@ for _spec in (
         wall_cap_seconds=DEFAULT_WALL_CAP_SECONDS,
         runner=_run_swift,
         description="Algorithm 1, the hybrid analysis",
-    ),
-    EngineSpec(
-        "concurrent",
-        uses_thresholds=True,
-        supports_preload=True,
-        wall_cap_seconds=DEFAULT_WALL_CAP_SECONDS,
-        runner=_run_concurrent,
-        description="SWIFT with run_bu on a background thread pool",
     ),
 ):
     ENGINES.register(_spec)

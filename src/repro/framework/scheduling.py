@@ -24,12 +24,10 @@ choice into a :class:`Scheduler` seam:
 The counters-vs-wall-clock rule (DESIGN §4) applies: switching policy
 may change wall time and work *counters*, but never the reported
 results — tables, error sites, and the denotational exit states are
-identical under every policy (property-tested).  The ROADMAP's sharded
-and asynchronous engines plug into this same seam.
+identical under every policy (property-tested).
 
-New policies register through :func:`register_scheduler`; engines look
-them up by name via :func:`make_scheduler`, which is what
-:class:`repro.framework.config.AnalysisConfig` validates against.
+Engines look policies up by name via :func:`make_scheduler`, which is
+what :class:`repro.framework.config.AnalysisConfig` validates against.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from typing import Callable, Deque, Dict, List, Tuple
-from weakref import WeakKeyDictionary
 
 from repro.ir.program import Program
 
@@ -138,19 +135,17 @@ class CalleeDepthScheduler(Scheduler):
         return len(self._heap)
 
 
-#: Per-program memo of the callee-depth BFS map: the depth of a
-#: procedure never changes for a given program, but the ``priority``
-#: scheduler used to rebuild the whole map on every worklist
-#: construction (one BFS per engine run — visible on repeated-run
-#: harnesses like the experiments and benchmarks).
-_DEPTH_CACHE: "WeakKeyDictionary[Program, Dict[str, int]]" = WeakKeyDictionary()
-
-
 def _call_depths(program: Program) -> Dict[str, int]:
-    """Shortest call-chain distance from ``main`` for every procedure."""
-    depths = _DEPTH_CACHE.get(program)
-    if depths is not None:
-        return depths
+    """Shortest call-chain distance from ``main`` for every procedure.
+
+    Memoized on the program (:meth:`Program.memo`): depths never change
+    for a given program, and repeated-run harnesses would otherwise
+    redo one BFS per engine run.
+    """
+    return program.memo("call_depths", lambda: _bfs_depths(program))
+
+
+def _bfs_depths(program: Program) -> Dict[str, int]:
     depths = {program.main: 0}
     frontier = deque([program.main])
     while frontier:
@@ -160,7 +155,6 @@ def _call_depths(program: Program) -> Dict[str, int]:
             if callee not in depths:
                 depths[callee] = next_depth
                 frontier.append(callee)
-    _DEPTH_CACHE[program] = depths
     return depths
 
 
@@ -171,19 +165,13 @@ SCHEDULERS: Dict[str, Callable[[Program], Scheduler]] = {
     "callee-depth": CalleeDepthScheduler,
 }
 
-#: The engines' historical behaviour (``order="lifo"``).
+#: The engines' historical behaviour.
 DEFAULT_SCHEDULER = "lifo"
+
 
 def scheduler_names() -> List[str]:
     """Registered policy names, sorted."""
     return sorted(SCHEDULERS)
-
-
-def register_scheduler(
-    name: str, factory: Callable[[Program], Scheduler]
-) -> None:
-    """Register a new worklist policy under ``name``."""
-    SCHEDULERS[name] = factory
 
 
 def validate_scheduler(name: str) -> str:

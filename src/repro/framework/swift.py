@@ -33,8 +33,7 @@ from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 from repro.framework.bottomup import BottomUpEngine, ProcedureSummary
 from repro.framework.caching import RComposeCache, RTransferCache
 from repro.framework.interfaces import BottomUpAnalysis, TopDownAnalysis
-from repro.framework.kernel import DEFAULT_KERNEL, RelationKernel
-from repro.framework.metrics import Budget, Metrics
+from repro.framework.metrics import Budget
 from repro.framework.pruning import FrequencyPruner
 from repro.framework.topdown import TopDownEngine, TopDownResult, sorted_states
 from repro.framework.tracing import TraceEvent, TraceSink
@@ -108,14 +107,11 @@ class SwiftEngine(TopDownEngine):
         refresh_existing: bool = False,
         pruner_factory=None,
         cfgs: Optional[ControlFlowGraphs] = None,
-        order: str = "lifo",
         enable_caches: bool = True,
         indexed_summaries: bool = True,
         sink: Optional[TraceSink] = None,
         preload=None,
-        scheduler: Optional[str] = None,
-        kernel: str = DEFAULT_KERNEL,
-        kernel_seeds: Optional[Iterable] = None,
+        scheduler: str = "lifo",
         bu_triggers: bool = True,
         widening_delay: int = 2,
         descending_iters: int = 0,
@@ -125,14 +121,11 @@ class SwiftEngine(TopDownEngine):
             td_analysis,
             budget=budget,
             cfgs=cfgs,
-            order=order,
             enable_caches=enable_caches,
             indexed_summaries=indexed_summaries,
             sink=sink,
             preload=preload,
             scheduler=scheduler,
-            kernel=kernel,
-            kernel_seeds=kernel_seeds,
             widening_delay=widening_delay,
             descending_iters=descending_iters,
         )
@@ -170,20 +163,6 @@ class SwiftEngine(TopDownEngine):
         else:
             self._bu_rtransfer_cache = None
             self._bu_rcompose_cache = None
-        # Compiled relational operators (repro.framework.kernel),
-        # shared across every trigger like the object caches above.
-        # SWIFT's work counters are order-dependent (trigger timing),
-        # so the hybrid engine keeps the object control flow and swaps
-        # in compiled operators only — the values returned are
-        # identical, so counters match the object run trivially.
-        if self.kernel != DEFAULT_KERNEL:
-            self._krels: Optional[RelationKernel] = RelationKernel(
-                bu_analysis,
-                self.metrics,
-                canon_states=sorted_states,
-            )
-        else:
-            self._krels = None
         # Instantiation cache: (callee, sigma) -> outputs, or None when
         # sigma is in the summary's ignored set (top-down fallback).
         # Entries are only valid for the summary they were computed
@@ -243,12 +222,6 @@ class SwiftEngine(TopDownEngine):
             if outputs is _CACHE_MISS:
                 if sigma in summary.ignored:
                     outputs = None
-                elif self._krels is not None:
-                    # Lines 12-14 through the kernel: one logical
-                    # instantiation per relation, exactly like the
-                    # object loop below, served from compiled rows.
-                    self.metrics.summary_instantiations += len(summary.relations)
-                    outputs = self._krels.apply_summary(summary.relations, sigma)
                 else:
                     # Lines 12-14: instantiate the bottom-up summary.
                     collected = set()
@@ -345,8 +318,6 @@ class SwiftEngine(TopDownEngine):
             rtransfer_cache=self._bu_rtransfer_cache,
             rcompose_cache=self._bu_rcompose_cache,
             sink=self._sink,
-            kernel=self.kernel,
-            kernel_ops=self._krels,
             widening_delay=self.widening_delay,
         )
         self.metrics.bu_triggers += 1

@@ -35,8 +35,8 @@ Sinks:
   fields), so traces double as a regression oracle.
 * :class:`TeeSink` — fan out to several sinks.
 
-All sinks are thread-safe: :class:`ConcurrentSwiftEngine` hands the
-same sink to its bottom-up workers.
+All sinks are thread-safe: the analysis service runs engines on
+request threads that may share one sink.
 
 Determinism rule: events never carry wall-clock data.  Wall-time
 attribution lives in :class:`Profile`, which the engines fill
@@ -311,8 +311,7 @@ class Profile:
 
     Engines fill one incrementally while tracing is on (every emitted
     event is also fed here); :meth:`from_events` / :meth:`from_jsonl`
-    rebuild the same aggregate from a recorded trace.  Thread-safe —
-    the concurrent engine's workers feed it too.
+    rebuild the same aggregate from a recorded trace.  Thread-safe.
     """
 
     def __init__(self) -> None:

@@ -291,7 +291,6 @@ def analyze_with_store(
     sink=None,
     save: bool = True,
     meta: Optional[dict] = None,
-    kernel: str = "object",
     widening_delay: int = 2,
     descending_iters: int = 0,
     config: Optional[AnalysisConfig] = None,
@@ -301,13 +300,11 @@ def analyze_with_store(
 
     Accepts the ``td`` and ``swift`` engines; a pure bottom-up run has
     no preload hook (its whole point is recomputing every summary), so
-    ``engine="bu"`` raises ``ValueError``.  ``kernel`` selects the
-    operator representation exactly as in ``run_typestate`` (a warm
-    start disables the mask solver but keeps the compiled rows).
+    ``engine="bu"`` raises ``ValueError``.
 
     ``config=`` replaces the keyword ladder with a full
     :class:`AnalysisConfig` (the analysis service parses one from
-    JSON): its identity fields — including the kernel and the
+    JSON): its identity fields — including the
     scheduler — flow into the run and the store fingerprint;
     explicit ``budget``/``sink`` keywords still override its runtime
     fields.  ``warm_cache=`` selects the decode cache — defaults to
@@ -324,7 +321,6 @@ def analyze_with_store(
             enable_caches=enable_caches,
             indexed_summaries=indexed_summaries,
             scheduler=scheduler if scheduler is not None else "lifo",
-            kernel=kernel,
             widening_delay=widening_delay,
             descending_iters=descending_iters,
         )

@@ -317,7 +317,6 @@ def run_query_batch(
     indexed_summaries: bool = True,
     scheduler: Optional[str] = None,
     sink=None,
-    kernel: str = "object",
     config: Optional[AnalysisConfig] = None,
     warm_cache: Optional[WarmCache] = None,
     query_precision: str = "td",
@@ -354,7 +353,6 @@ def run_query_batch(
         indexed_summaries=indexed_summaries,
         scheduler=scheduler,
         sink=sink,
-        kernel=kernel,
         config=config,
     )
     cache = warm_cache if warm_cache is not None else _QUERY_CACHE

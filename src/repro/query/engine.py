@@ -21,7 +21,7 @@ a **trimmed** warm start:
 
 Together (DESIGN §13) this makes the query verdict at the target equal
 to the whole-program *reference* (top-down) verdict restricted to the
-target — identical across engines, schedulers, and kernels — while
+target — identical across engines and schedulers — while
 the work counters stay proportional to the cone: the solve never
 tabulates an out-of-cone interior point (``QueryOutcome.
 out_of_cone_interior_rows`` proves it per run).
@@ -163,7 +163,6 @@ def normalize_query_config(
     indexed_summaries: bool = True,
     scheduler: Optional[str] = None,
     sink=None,
-    kernel: str = "object",
     config: Optional[AnalysisConfig] = None,
 ) -> AnalysisConfig:
     """Fold the query keyword ladder into one validated config."""
@@ -177,7 +176,6 @@ def normalize_query_config(
             enable_caches=enable_caches,
             indexed_summaries=indexed_summaries,
             scheduler=scheduler if scheduler is not None else "lifo",
-            kernel=kernel,
         )
     if budget is not None and config.budget is not budget:
         config = config.replace(budget=budget)
@@ -672,7 +670,6 @@ def run_query(
     indexed_summaries: bool = True,
     scheduler: Optional[str] = None,
     sink=None,
-    kernel: str = "object",
     config: Optional[AnalysisConfig] = None,
     warm_cache: Optional[WarmCache] = None,
     query_precision: str = "td",
@@ -717,7 +714,6 @@ def run_query(
         indexed_summaries=indexed_summaries,
         scheduler=scheduler,
         sink=sink,
-        kernel=kernel,
         config=config,
     )
     cache = warm_cache if warm_cache is not None else _QUERY_CACHE

@@ -382,7 +382,7 @@ class AnalysisService:
             timed_out = report.timed_out
             work = report.result.metrics.total_work
         else:
-            # bu / concurrent have no preload hook; run them directly —
+            # bu has no preload hook; run it directly —
             # still resident (no process startup), still coalesced.
             run_config = config if sink is None else config.replace(sink=sink)
             session_out = self.session.run(program, run_config, prop=prop)

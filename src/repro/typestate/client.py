@@ -114,8 +114,6 @@ def run_typestate(
     sink=None,
     preload=None,
     scheduler: Optional[str] = None,
-    max_workers: int = 1,
-    kernel: str = "object",
     widening_delay: int = 2,
     descending_iters: int = 0,
 ) -> TypestateReport:
@@ -125,7 +123,7 @@ def run_typestate(
     — the keywords here are exactly the fields of
     :class:`repro.framework.config.AnalysisConfig` plus the type-state
     domain options (``prop``, ``tracked_sites``, ``oracle``).  Engines
-    are registry names (``td``, ``bu``, ``swift``, ``concurrent``);
+    are registry names (``td``, ``bu``, ``swift``);
     domains are the type-state ones (``simple``/``full``).
     ``enable_caches`` and ``indexed_summaries`` toggle the hot-path
     optimizations (see :mod:`repro.framework.caching`); neither affects
@@ -136,10 +134,7 @@ def run_typestate(
     analysis events (default: none, zero overhead).  ``preload`` is an
     optional :class:`repro.incremental.invalidate.WarmStart` of
     fingerprint-validated stored summaries (not supported by ``bu``).
-    ``kernel`` selects the operator representation (``object`` or
-    ``bitset`` — see :mod:`repro.framework.kernel`); like the other
-    hot-path knobs it changes wall clock only, never tables, reports,
-    or work counters.  ``widening_delay`` and ``descending_iters`` steer
+    ``widening_delay`` and ``descending_iters`` steer
     infinite-height domains only (DESIGN §14).
     """
     config = AnalysisConfig(
@@ -154,8 +149,6 @@ def run_typestate(
         sink=sink,
         preload=preload,
         scheduler=scheduler if scheduler is not None else "lifo",
-        max_workers=max_workers,
-        kernel=kernel,
         widening_delay=widening_delay,
         descending_iters=descending_iters,
     )

@@ -9,10 +9,7 @@ parameter passing to argument registers the same way).
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import Future
 from typing import List
-
-import repro.framework.concurrent as concurrent_engine
 
 from repro.ir.builder import ProgramBuilder
 from repro.ir.commands import Assign, FieldLoad, FieldStore, Invoke, New, Skip
@@ -130,34 +127,3 @@ def all_prims(variables: List[str], sites: List[str], methods: List[str]) -> Lis
         for m in methods:
             prims.append(Invoke(v, m))
     return prims
-
-
-class InlineExecutor:
-    """A drop-in for the concurrent engine's thread pool that runs each
-    submission inline and hands back a completed future.
-
-    Whether a worker job has landed by the next call-handling step is
-    otherwise a matter of thread timing, and the concurrent engine's
-    counters follow it.  Inline, every job has landed by the next
-    drain, so a run is repeatable and counters can be compared exactly.
-    """
-
-    def __init__(self, max_workers=None, thread_name_prefix=""):
-        pass
-
-    def submit(self, fn, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait=True):
-        pass
-
-
-def pin_concurrent_interleaving(monkeypatch) -> None:
-    """Run the ``concurrent`` engine's worker jobs inline for the rest
-    of the test (see :class:`InlineExecutor`)."""
-    monkeypatch.setattr(concurrent_engine, "ThreadPoolExecutor", InlineExecutor)

@@ -1,8 +1,9 @@
 """SCC condensation of the call graph.
 
-The condensation (iterative Tarjan, :mod:`repro.callgraph.scc`) orders
-components both ways: reverse-topological wavefronts for parallel
-bottom-up summarization, and the topological (callers-first) order.
+The condensation (iterative Tarjan, :mod:`repro.callgraph.scc`) numbers
+components in reverse-topological order (callee SCCs first) and answers
+the membership, edge and recursion questions the query planner, the
+slicer and value-mode TD ask.
 """
 
 import gc
@@ -76,11 +77,11 @@ def test_tarjan_deep_chain_does_not_recurse():
 # -- condensation ------------------------------------------------------------------
 def test_condensation_ranks_callees_below_callers():
     cond = condensation(diamond_program())  # main -> left/right -> helper
-    ranks = cond.ranks()
-    assert ranks["helper"] < ranks["left"] < ranks["main"]
-    assert ranks["helper"] < ranks["right"] < ranks["main"]
-    assert cond.topological()[0] == ("main",)
-    assert cond.reverse_topological()[0] == ("helper",)
+    rank = cond.scc_index
+    assert rank("helper") < rank("left") < rank("main")
+    assert rank("helper") < rank("right") < rank("main")
+    assert cond.sccs[0] == ("helper",) and cond.sccs[-1] == ("main",)
+    assert cond.callee_sccs(rank("main")) == {rank("left"), rank("right")}
 
 
 def test_condensation_mutual_recursion_one_component():
@@ -131,42 +132,6 @@ def test_condensation_is_deterministic():
     first = Condensation(diamond_program())
     second = Condensation(diamond_program())
     assert first.sccs == second.sccs
-    assert first.ranks() == second.ranks()
-
-
-# -- wavefronts --------------------------------------------------------------------
-def test_wavefronts_respect_dependencies():
-    cond = condensation(diamond_program())
-    waves = cond.wavefronts()
-    level = {
-        proc: i
-        for i, wave in enumerate(waves)
-        for component in wave
-        for proc in component
-    }
-    program = diamond_program()
-    for proc in program:
-        for callee in program.callees(proc):
-            if cond.scc_index(callee) != cond.scc_index(proc):
-                assert level[callee] < level[proc]
-    # helper alone first; left/right are independent and share a wave.
-    assert waves[0] == [("helper",)]
-    assert sorted(waves[1]) == [("left",), ("right",)]
-    assert waves[2] == [("main",)]
-
-
-def test_wavefronts_restricted_to_target_set():
-    cond = condensation(diamond_program())
-    waves = cond.wavefronts({"left", "right"})
-    # Excluded dependencies (helper) count as already satisfied, so
-    # both components are ready in wave 0.
-    assert len(waves) == 1
-    assert sorted(waves[0]) == [("left",), ("right",)]
-    assert cond.wavefronts(set()) == []
-
-
-def test_wavefronts_keep_scc_members_together():
-    waves = condensation(mutual_recursion_program()).wavefronts()
-    components = [c for wave in waves for c in wave]
-    assert ("ping", "pong") in components
-
+    assert [first.scc_index(p) for p in first.program] == [
+        second.scc_index(p) for p in second.program
+    ]

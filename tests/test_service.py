@@ -76,12 +76,12 @@ def test_analyze_honors_config_and_id(service):
             "op": "analyze",
             "program": GOOD_MINI,
             "id": "req-7",
-            "config": {"engine": "td", "domain": "simple", "kernel": "bitset"},
+            "config": {"engine": "td", "domain": "simple", "scheduler": "fifo"},
         }
     )
     assert response["ok"] and response["id"] == "req-7"
     assert response["engine"] == "td"
-    assert response["config"]["flags"]["kernel"] == "bitset"
+    assert response["config"]["flags"]["scheduler"] == "fifo"
 
 
 def test_mini_and_ir_spellings_share_a_shard(service):
@@ -302,10 +302,8 @@ def test_config_keys_are_the_constructor_fields():
         "tracked_sites": ["h1"],
         "enable_caches": False,
         "indexed_summaries": False,
-        "kernel": "bitset",
         "widening_delay": 3,
         "descending_iters": 1,
-        "max_workers": 2,
         "budget": {"max_work": 10},
     }
     assert set(sent) == CONFIG_KEYS
@@ -336,15 +334,31 @@ def test_service_config_field_reaches_canonical_form(service, key, value):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("batched", True), ("batch_size", 8), ("batch_min_frontier", 4)]
+    "key, value",
+    [
+        ("batched", True),
+        ("batch_size", 8),
+        ("batch_min_frontier", 4),
+        ("kernel", "bitset"),
+        ("max_workers", 2),
+        # Live keys with ill-typed values: refused naming the field,
+        # never run under a fingerprint of their own.
+        ("k", 2.5),
+        ("k", True),
+        ("enable_caches", "no"),
+        ("theta", "1"),
+    ],
 )
 def test_retired_config_key_is_refused_and_daemon_keeps_serving(service, key, value):
     refused = service.handle(
         {"op": "analyze", "program": GOOD_MINI, "config": {key: value}}
     )
     assert not refused["ok"]
-    assert f"unknown config key(s) ['{key}']" in refused["error"]
-    assert f"allowed: {sorted(CONFIG_KEYS)}" in refused["error"]
+    if key in CONFIG_KEYS:
+        assert f"config field '{key}' must be" in refused["error"]
+    else:
+        assert f"unknown config key(s) ['{key}']" in refused["error"]
+        assert f"allowed: {sorted(CONFIG_KEYS)}" in refused["error"]
     assert service.handle({"op": "analyze", "program": GOOD_MINI})["ok"]
 
 

@@ -10,6 +10,7 @@ choice of the thresholds ``k`` and ``theta``.
 import pytest
 
 from repro.framework.denotational import DenotationalInterpreter
+from repro.framework.scheduling import scheduler_names
 from repro.framework.swift import SwiftEngine
 from repro.framework.topdown import TopDownEngine
 from repro.typestate.bu_analysis import SimpleTypestateBU
@@ -25,13 +26,13 @@ from tests.helpers import (
 )
 
 
-def _run_both(program, k, theta):
+def _run_both(program, k, theta, scheduler="lifo"):
     td_analysis = SimpleTypestateTD(FILE_PROPERTY)
     bu_analysis = SimpleTypestateBU(FILE_PROPERTY)
     initial = [bootstrap_state(FILE_PROPERTY)]
-    td_result = TopDownEngine(program, td_analysis).run(initial)
+    td_result = TopDownEngine(program, td_analysis, scheduler=scheduler).run(initial)
     swift_result = SwiftEngine(
-        program, td_analysis, bu_analysis, k=k, theta=theta
+        program, td_analysis, bu_analysis, k=k, theta=theta, scheduler=scheduler
     ).run(initial)
     return td_result, swift_result
 
@@ -49,6 +50,17 @@ def test_swift_equivalent_to_td(program, k, theta):
         for (_, sigma) in pairs:
             assert sigma in td_states, f"spurious state {sigma} at {point}"
     # … and at every point of main the states match exactly.
+    for point in swift_result.cfgs["main"].points:
+        assert swift_result.states_at(point) == td_result.states_at(point)
+
+
+@pytest.mark.parametrize("program", all_small_programs())
+@pytest.mark.parametrize("scheduler", scheduler_names())
+def test_swift_equivalent_to_td_under_every_scheduler(scheduler, program):
+    # Trigger timing depends on the worklist order; the states at main's
+    # points never do.  k=1 fires on the first repeated context.
+    td_result, swift_result = _run_both(program, k=1, theta=2, scheduler=scheduler)
+    assert swift_result.exit_states() == td_result.exit_states()
     for point in swift_result.cfgs["main"].points:
         assert swift_result.states_at(point) == td_result.states_at(point)
 

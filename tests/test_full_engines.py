@@ -11,6 +11,7 @@ from repro.alias import AndersenPointsTo, points_to_oracle
 from repro.framework.bottomup import BottomUpEngine
 from repro.framework.denotational import DenotationalInterpreter
 from repro.framework.pruning import NoPruner
+from repro.framework.scheduling import scheduler_names
 from repro.framework.swift import SwiftEngine
 from repro.framework.topdown import TopDownEngine
 from repro.typestate.client import run_typestate
@@ -62,6 +63,19 @@ def test_full_swift_equivalent_to_td(program, k, theta):
     td_result = TopDownEngine(program, td_analysis).run([init])
     swift_result = SwiftEngine(
         program, td_analysis, bu_analysis, k=k, theta=theta
+    ).run([init])
+    assert swift_result.exit_states() == td_result.exit_states()
+    for point in swift_result.cfgs["main"].points:
+        assert swift_result.states_at(point) == td_result.states_at(point)
+
+
+@pytest.mark.parametrize("program", all_small_programs())
+@pytest.mark.parametrize("scheduler", scheduler_names())
+def test_full_swift_equivalent_to_td_under_every_scheduler(scheduler, program):
+    td_analysis, bu_analysis, init = _setup(program)
+    td_result = TopDownEngine(program, td_analysis, scheduler=scheduler).run([init])
+    swift_result = SwiftEngine(
+        program, td_analysis, bu_analysis, k=2, theta=1, scheduler=scheduler
     ).run([init])
     assert swift_result.exit_states() == td_result.exit_states()
     for point in swift_result.cfgs["main"].points:

@@ -843,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--root",
         default=".repro-service",
         metavar="DIR",
-        help="store root; snapshots shard under DIR/<program fp>/",
+        help="store root; snapshots shard under DIR/<program lineage>/",
     )
     serve.add_argument(
         "--http",

@@ -8,7 +8,7 @@ holding decoded warm starts resident instead of paying process
 startup, program parsing, and snapshot decode on every invocation.
 
 * :mod:`repro.service.daemon` — :class:`AnalysisService`: resident
-  warm-start LRU, per-(program, config) store shards, request
+  warm-start LRU, per-(program lineage, config) store shards, request
   coalescing, trace streaming, draining shutdown;
 * :mod:`repro.service.protocol` — the JSON request/response format and
   :func:`config_from_json` (service-visible ``AnalysisConfig``);
@@ -19,7 +19,12 @@ startup, program parsing, and snapshot decode on every invocation.
 """
 
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.daemon import AnalysisService, StreamSink, program_digest
+from repro.service.daemon import (
+    AnalysisService,
+    StreamSink,
+    program_digest,
+    program_lineage,
+)
 from repro.service.http import ServiceHTTPServer, make_server, serve_http
 from repro.service.protocol import (
     OPS,
@@ -42,5 +47,6 @@ __all__ = [
     "config_to_json",
     "make_server",
     "program_digest",
+    "program_lineage",
     "serve_http",
 ]

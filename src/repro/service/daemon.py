@@ -21,10 +21,19 @@ substrate hot between them:
   facts, CFGs) is memoized on it, so a repeated request re-derives
   none of it.
 * **Sharded stores** — snapshots live under
-  ``<root>/<program fp prefix>/snapshot-<config fp prefix>.jsonl``:
-  the program fingerprint picks the shard directory, the config
-  fingerprint the file, so different programs and configs never
-  contend on one file.
+  ``<root>/<lineage prefix>/snapshot-<config fp prefix>.jsonl``: the
+  program *lineage* (:func:`program_lineage`, its sorted procedure
+  names) picks the shard directory, the config fingerprint the file.
+  A body-only edit shares its parent's shard, so an ``edit``
+  warm-starts from the parent's snapshot and solves only its
+  invalidation cone; the per-procedure fingerprint diff decides what
+  is reused, so a sibling's snapshot is a warm start, never a wrong
+  one.  The version *digest* (:func:`program_digest`) still names one
+  version: ``program_fp``, the coalescing, result-cache and
+  demand-flight keys.  The decode cache holds one entry per lineage ×
+  config, and ``query``'s ``snapshot`` / ``resident`` mean "this
+  lineage has a snapshot / decoded entry this version warm-starts
+  from", not "this exact version was saved".
 * **Request coalescing** — concurrent requests for the same
   (program, config) key collapse into one solve; the leader runs, the
   waiters block on its completion event and fan out the same response
@@ -73,7 +82,7 @@ from repro.service.protocol import (
 )
 from repro.typestate.properties import property_by_name
 
-#: Shard directories are named by this prefix of the program digest.
+#: Shard directories (and ``program_fp``) use this prefix of a hash.
 _SHARD_CHARS = 16
 
 
@@ -111,17 +120,35 @@ class _InFlight:
 
 
 def program_digest(program: Program) -> str:
-    """Canonical content fingerprint of a program (shard + coalesce key).
+    """Canonical content fingerprint of one program version.
 
     Hashes the canonical IR text, so a MiniOO source and its compiled
-    IR — or two differently-formatted spellings of the same IR — land
-    in the same shard and coalesce together.  Memoized on the program:
-    the daemon's resident programs print and hash once.
+    IR — or two differently-formatted spellings of the same IR — are
+    one version: they coalesce together and share a result.  Memoized
+    on the program: the daemon's resident programs print and hash once.
     """
     return program.memo(
         "digest",
         lambda: hashlib.sha256(
             format_program(program).encode("utf-8")
+        ).hexdigest(),
+    )
+
+
+def program_lineage(program: Program) -> str:
+    """Stable identity of a program across body edits (the shard key).
+
+    Hashes the sorted procedure names only, so every version that edits
+    bodies but keeps the procedure set shares one store shard and warm
+    starts from whichever sibling saved last.  Sharing is never wrong:
+    a snapshot is diffed against the program by per-procedure
+    fingerprints before any of it is reused.  Adding, removing or
+    renaming a procedure starts a new lineage.
+    """
+    return program.memo(
+        "lineage",
+        lambda: hashlib.sha256(
+            "\n".join(sorted(program.names())).encode("utf-8")
         ).hexdigest(),
     )
 
@@ -283,8 +310,9 @@ class AnalysisService:
             )
         return prop, config
 
-    def shard_store(self, digest: str) -> SummaryStore:
-        return SummaryStore(self.root / digest[:_SHARD_CHARS])
+    def shard_store(self, lineage: str) -> SummaryStore:
+        """The store of one program lineage (see :func:`program_lineage`)."""
+        return SummaryStore(self.root / lineage[:_SHARD_CHARS])
 
     # -- analyze / edit -----------------------------------------------------------------
     def _analyze(self, request, emit) -> dict:
@@ -354,7 +382,7 @@ class AnalysisService:
         if request.get("trace") and emit is not None:
             sink = StreamSink(emit)
         started = time.perf_counter()
-        store = self.shard_store(digest)
+        store = self.shard_store(program_lineage(program))
         if config.engine in ("td", "swift"):
             outcome = analyze_with_store(
                 program,
@@ -409,7 +437,7 @@ class AnalysisService:
             config=config_to_json(config),
             config_fp=config_fp,
             program_fp=digest[:_SHARD_CHARS],
-            shard=digest[:_SHARD_CHARS],
+            shard=store.root.name,
             timed_out=timed_out,
             errors=errors,
             td_summaries=td_summaries,
@@ -467,7 +495,7 @@ class AnalysisService:
             raise ProtocolError(
                 'demand needs a non-empty "target" string or a "targets" list'
             )
-        store = self.shard_store(digest)
+        store = self.shard_store(program_lineage(program))
         started = time.perf_counter()
         try:
             outcome = run_query(
@@ -495,7 +523,7 @@ class AnalysisService:
             config=config_to_json(config),
             config_fp=outcome.config_fp,
             program_fp=digest[:_SHARD_CHARS],
-            shard=digest[:_SHARD_CHARS],
+            shard=store.root.name,
             target=str(outcome.target),
             kind=kind,
             precision=precision,
@@ -580,7 +608,7 @@ class AnalysisService:
 
         response = error_response("batch solve did not complete", op="demand")
         try:
-            store = self.shard_store(digest)
+            store = self.shard_store(program_lineage(program))
             started = time.perf_counter()
             try:
                 outcome = run_query_batch(
@@ -625,7 +653,7 @@ class AnalysisService:
                 config=config_to_json(config),
                 config_fp=outcome.config_fp,
                 program_fp=digest[:_SHARD_CHARS],
-                shard=digest[:_SHARD_CHARS],
+                shard=store.root.name,
                 kind=kind,
                 precision=precision,
                 batch=True,
@@ -666,7 +694,7 @@ class AnalysisService:
         prop, config = self._prop_and_config(request)
         _, config_fp = config_fingerprint(prop, config=config)
         key = (digest, config_fp)
-        store = self.shard_store(digest)
+        store = self.shard_store(program_lineage(program))
         with self._lock:
             cached = self._results.get(key)
             inflight = key in self._inflight
@@ -678,7 +706,7 @@ class AnalysisService:
             property=prop.name,
             config_fp=config_fp,
             program_fp=digest[:_SHARD_CHARS],
-            shard=digest[:_SHARD_CHARS],
+            shard=store.root.name,
             known=cached is not None,
             in_flight=inflight,
             resident=resident_key in self.warm_cache,

@@ -33,6 +33,17 @@ The optional ``id`` is echoed verbatim on every line the
 request produces, so clients multiplexing one connection can match
 responses — and streamed trace events — to requests.
 
+Responses name a program twice.  ``program_fp`` is a prefix of the
+version digest (the canonical IR text): two requests with the same
+``program_fp`` are the same version.  ``shard`` is a prefix of the
+program *lineage* (its sorted procedure names): every body-only edit
+of a program shares its parent's shard and warm-starts from the
+snapshot the last sibling saved there.  Hence ``query``'s
+``snapshot`` and ``resident`` fields mean "this lineage has a stored
+snapshot / a resident decoded entry this version warm-starts from",
+not "this exact version was saved"; ``known`` and ``result`` are per
+version.
+
 ``config`` is parsed into a full
 :class:`repro.framework.config.AnalysisConfig` by
 :func:`config_from_json`: the JSON keys are exactly the config's

@@ -12,6 +12,7 @@ import pytest
 import repro.service.daemon as daemon_mod
 from repro.framework.config import AnalysisConfig
 from repro.frontend import compile_minioo
+from repro.incremental import SummaryStore, WarmCache, analyze_with_store
 from repro.ir.printer import format_program
 from repro.service.protocol import CONFIG_KEYS
 from repro.service import (
@@ -23,6 +24,7 @@ from repro.service import (
     config_from_json,
     make_server,
     program_digest,
+    program_lineage,
 )
 from repro.typestate.client import run_typestate
 from repro.typestate.properties import FILE_PROPERTY
@@ -89,7 +91,8 @@ def test_mini_and_ir_spellings_share_a_shard(service):
     as_ir = format_program(program)
     r1 = service.handle({"op": "analyze", "program": GOOD_MINI})
     r2 = service.handle({"op": "analyze", "program": as_ir, "format": "ir"})
-    assert r1["shard"] == r2["shard"] == program_digest(program)[:16]
+    assert r1["shard"] == r2["shard"] == program_lineage(program)[:16]
+    assert r1["program_fp"] == r2["program_fp"] == program_digest(program)[:16]
     assert not r2["cold"] and r2["work"] == 0
 
 
@@ -98,7 +101,9 @@ def test_different_programs_get_different_shards(service, tmp_path):
     r2 = service.handle({"op": "analyze", "program": BAD_MINI})
     assert r1["shard"] != r2["shard"]
     shard_dirs = [p.name for p in (tmp_path / "root").iterdir() if p.is_dir()]
-    assert sorted(shard_dirs) == sorted([r1["shard"], r2["shard"]])
+    assert sorted(shard_dirs) == sorted(
+        program_lineage(compile_minioo(text))[:16] for text in (GOOD_MINI, BAD_MINI)
+    )
 
 
 def test_non_store_engine_runs_direct(service):
@@ -110,12 +115,40 @@ def test_non_store_engine_runs_direct(service):
     assert response["bu_summaries"] > 0
 
 
-def test_edit_reports_invalidation(service):
-    service.handle({"op": "analyze", "program": GOOD_MINI})
+def test_edit_reports_invalidation(service, tmp_path):
+    first = service.handle({"op": "analyze", "program": GOOD_MINI})
+    # A body-only edit keeps the procedure set, so it lands in its
+    # parent's shard and warm-starts from the parent's snapshot: the
+    # same invalidation cone `analyze --store` reports over one store
+    # fed both versions, and the verdict of a fresh run.
+    body_edit = GOOD_MINI.replace(
+        "f.#open(); f.#close();", "f.#open(); f.#close(); f.#open(); f.#close();"
+    )
+    warm = service.handle({"op": "edit", "program": body_edit})
+    assert warm["ok"] and not warm["cold"] and warm["shard"] == first["shard"]
+    assert warm["program_fp"] != first["program_fp"]
+    store = SummaryStore(tmp_path / "cli-store")
+    config = config_from_json(None)
+    for text in (GOOD_MINI, body_edit):
+        outcome = analyze_with_store(
+            compile_minioo(text), FILE_PROPERTY, store, config=config,
+            warm_cache=WarmCache(capacity=1),
+        )
+    assert not outcome.cold
+    assert warm["invalidated"] == sorted(outcome.invalidated) != []
+    assert warm["added"] == []
+    assert warm["work"] == outcome.report.result.metrics.total_work
+    direct = run_typestate(
+        compile_minioo(body_edit), FILE_PROPERTY, engine="swift", domain="full"
+    )
+    assert warm["errors"] == [
+        [str(point), site] for point, site in sorted(direct.errors, key=str)
+    ]
     response = service.handle({"op": "edit", "program": EDITED_MINI})
-    # A changed program is a different shard (content-addressed), so
-    # the edit is cold there but still reports its own added procs.
+    # Adding a procedure starts a new lineage (a new shard), so this
+    # edit is cold there but still reports its own added procs.
     assert response["ok"] and response["op"] == "edit"
+    assert response["cold"] and response["shard"] != first["shard"]
     assert "Extra$noop" in response["added"]
     direct = run_typestate(
         compile_minioo(EDITED_MINI), FILE_PROPERTY, engine="swift", domain="full"
@@ -486,7 +519,7 @@ def test_http_error_becomes_service_error(http_service):
         client.call({"op": "frobnicate"})
 
 
-def test_http_concurrent_clients_coalesce_or_reuse(http_service):
+def test_http_concurrent_clients_coalesce_or_reuse(http_service, tmp_path):
     service, client, _ = http_service
     with ThreadPoolExecutor(max_workers=4) as pool:
         futures = [
@@ -501,3 +534,46 @@ def test_http_concurrent_clients_coalesce_or_reuse(http_service):
     assert service.solves + service.coalesced + sum(
         1 for r in responses if not r["cold"] and not r["coalesced"]
     ) >= 4
+
+    # Sibling versions of one lineage race on one shard: interleaved
+    # analyze / edit / demand requests for two edits of `main`'s body.
+    # Whichever sibling saved last is the other's warm start; every
+    # verdict must still be its own version's fresh verdict (cold or
+    # warm, never wrong), and concurrent saves leave no temp file
+    # behind.  `flush`, the demand cone's frontier, is the same in both
+    # versions, so a warm demand answers it from the store without
+    # tabulating any of its interior points.
+    siblings = [
+        GOOD_MINI.replace("w.flush(r);", "w.flush(r); r.#close();"),
+        GOOD_MINI.replace("w.flush(r);", "r.#open(); r.#close(); w.flush(r);"),
+    ]
+    fresh = {}
+    for v, text in enumerate(siblings):
+        reference = AnalysisService(tmp_path / f"fresh-{v}")
+        fresh[v, "errors"] = reference.handle(
+            {"op": "analyze", "program": text}
+        )["errors"]
+        fresh[v, "demand"] = reference.handle(
+            {"op": "demand", "program": text, "target": "main"}
+        )["answer"]
+    plan = [(i % 2, ("analyze", "edit", "demand")[i % 3]) for i in range(12)]
+
+    def send(step):
+        v, op = step
+        if op == "demand":
+            return client.demand(siblings[v], target="main")
+        return client.analyze(siblings[v], op=op)
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        raced = list(pool.map(send, plan))
+    assert fresh[0, "errors"] != fresh[1, "errors"]
+    assert len({r["shard"] for r in raced}) == 1
+    for (v, op), r in zip(plan, raced):
+        assert r["ok"] and r["op"] == op
+        if op == "demand":
+            assert r["answer"] == fresh[v, "demand"]
+            assert r["cold"] or r["out_of_cone_interior_rows"] == 0
+        else:
+            assert r["errors"] == fresh[v, "errors"]
+    assert any(not r["cold"] for r in raced)
+    assert not list((tmp_path / "http-root").rglob("*.tmp.*"))

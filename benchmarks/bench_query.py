@@ -30,17 +30,19 @@ Three batch/frontier rows answer ISSUE 10's acceptance questions:
   subsystem appended: targets split into two components, of which only
   the main-reachable one is solved (the detached one answers empty at
   zero cost), still byte-identical to sequential;
-* **frontier** — first-query ``store_load_s`` with the frontier
-  projection vs the full-snapshot decode (``use_frontier=False``),
-  asserted ``MIN_FRONTIER_SPEEDUP``x apart with identical answers.
+* **frontier** — ``run_query``'s first-query ``store_load_s`` (load
+  the snapshot, view its frontier, decode what the cone pulls) vs the
+  analyze path's full decode of the same snapshot (load, diff,
+  ``build_warm_start``), asserted ``MIN_FRONTIER_SPEEDUP``x apart,
+  with the query verdict equal to the whole-program reference.
 
 The **resident** row is the daemon's demand path: ``RESIDENT_TARGETS``
 *distinct* targets through one decode cache (the steady row repeats a
 single target, so it cannot show sharing across cones).  Each answer
 and counter must equal a fresh-cache run of the same target; the row
-records per-query seconds both ways and how many frontier payload
-lines were JSON-parsed — once per store version when resident, once
-per query when isolated.
+records per-query seconds both ways, how many times the snapshot was
+loaded, and how many segments were projected — once per store version
+when resident, once per query when isolated.
 
 Run standalone to (re)generate ``BENCH_query.json``::
 
@@ -57,11 +59,19 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.suite import SHAPE_CONFIGS, load_shape
-from repro.incremental import SummaryStore, WarmCache, analyze_with_store
+from repro.incremental import (
+    SummaryStore,
+    WarmCache,
+    analyze_with_store,
+    build_warm_start,
+    diff_fingerprints,
+)
+from repro.query import engine as query_engine
 from repro.ir.parser import parse_program
 from repro.ir.printer import format_program
 from repro.query import (
@@ -86,9 +96,9 @@ MIN_SPEEDUP = 5.0
 #: (measured headroom on the headline shape is ~8-12x).
 BATCH_SIZE = 8
 MIN_BATCH_SPEEDUP = 3.0
-#: Floor on frontier-projection vs full-snapshot first-query
-#: ``store_load_s`` (measured headroom is ~30x: the lazy frontier load
-#: is the file read plus the invalidation diff).
+#: Floor on the first query's ``store_load_s`` vs a full decode of the
+#: same snapshot (measured headroom is ~7x: the query reads and
+#: checksums the whole file, then parses only its frontier segments).
 MIN_FRONTIER_SPEEDUP = 5.0
 
 #: Distinct targets of the resident row: workers spread over the
@@ -303,38 +313,37 @@ def run_batch_components() -> dict:
 
 
 def run_frontier_ablation() -> dict:
-    """First-query ``store_load_s``: frontier projection vs full decode."""
+    """First-query ``store_load_s``: the frontier view vs a full decode."""
     program = load_shape(HEADLINE_SHAPE).program
+    reference = reference_errors(program, HEADLINE_TARGET)
+    config = query_engine.normalize_query_config(engine=ENGINE, domain=DOMAIN)
+    _, fingerprints, config_fp, codec = query_engine.prepare_query_analysis(
+        program, FILE_PROPERTY, config
+    )
+    loads = {}
     with tempfile.TemporaryDirectory() as root:
         store = SummaryStore(root)
-        analyze_with_store(
-            program, FILE_PROPERTY, store, engine=ENGINE, domain=DOMAIN
-        )
-        loads = {}
-        answers = {}
-        for mode, use_frontier in (("frontier", True), ("full", False)):
-            best = None
-            for _ in range(STEADY_ROUNDS):
-                clear_query_cache()  # every round pays the first-query load
-                outcome, _ = _timed(
-                    run_query,
-                    program, FILE_PROPERTY, store, HEADLINE_TARGET,
-                    engine=ENGINE, domain=DOMAIN, use_frontier=use_frontier,
-                )
-                assert outcome.out_of_cone_interior_rows == 0
-                best = (
-                    outcome.store_load_seconds
-                    if best is None
-                    else min(best, outcome.store_load_seconds)
-                )
-                answers[mode] = outcome.answer
-            loads[mode] = best
-            expected = "hit" if use_frontier else "fallback"
-            assert outcome.frontier_snapshot == expected, outcome.frontier_snapshot
-    assert answers["frontier"] == answers["full"], "ablation changed the verdict"
+        analyze_with_store(program, FILE_PROPERTY, store, config=config)
+        for _ in range(STEADY_ROUNDS):
+            clear_query_cache()  # every round pays the first-query load
+            outcome = run_query(
+                program, FILE_PROPERTY, store, HEADLINE_TARGET, config=config
+            )
+            assert outcome.frontier_snapshot == "hit", outcome.frontier_snapshot
+            assert outcome.out_of_cone_interior_rows == 0
+            assert outcome.answer == reference, "the query verdict diverged"
+            started = time.perf_counter()
+            snapshot = store.load(config_fp)
+            plan = diff_fingerprints(snapshot.fingerprints, fingerprints)
+            build_warm_start(snapshot, plan, codec)
+            full = time.perf_counter() - started
+            for mode, seconds in (
+                ("frontier", outcome.store_load_seconds), ("full", full)
+            ):
+                loads[mode] = min(loads.get(mode, seconds), seconds)
     speedup = loads["full"] / loads["frontier"] if loads["frontier"] else float("inf")
     assert speedup >= MIN_FRONTIER_SPEEDUP, (
-        f"frontier store load {loads['frontier']:.4f}s is only {speedup:.1f}x "
+        f"first-query store load {loads['frontier']:.4f}s is only {speedup:.1f}x "
         f"below the full decode {loads['full']:.4f}s (need {MIN_FRONTIER_SPEEDUP}x)"
     )
     return {
@@ -352,19 +361,24 @@ def run_frontier_ablation() -> dict:
 
 
 def _counting_loads(store):
-    """Record every frontier projection ``store`` loads (the snapshots
-    stay live, so their parsed-payload counts can be read afterwards)."""
-    loaded = []
-    load = store.load_frontier
+    """Record every snapshot ``store`` loads and every frontier view the
+    query engine builds over one (their projected-segment counts can be
+    read afterwards)."""
+    loaded, views = [], []
+    load, project = store.load, query_engine.project_frontier
 
-    def load_frontier(*args, **kwargs):
-        frontier = load(*args, **kwargs)
-        if frontier is not None:
-            loaded.append(frontier)
-        return frontier
+    def counting_load(config_fp):
+        loaded.append(config_fp)
+        return load(config_fp)
 
-    store.load_frontier = load_frontier
-    return loaded
+    def recording_project(*args):
+        views.append(project(*args))
+        return views[-1]
+
+    store.load = counting_load
+    return loaded, views, mock.patch.object(
+        query_engine, "project_frontier", recording_project
+    )
 
 
 def run_resident() -> dict:
@@ -380,27 +394,28 @@ def run_resident() -> dict:
         )
         modes = {}
         for mode in ("isolated", "resident"):
-            loaded = _counting_loads(store)
+            loaded, views, recording = _counting_loads(store)
             cache = WarmCache(capacity=8)
             outcomes, times = [], []
-            for target in RESIDENT_TARGETS:
-                if mode == "isolated":
-                    cache = WarmCache(capacity=8)
-                outcome, seconds = _timed(
-                    run_query, program, FILE_PROPERTY, store, target,
-                    engine=ENGINE, domain=DOMAIN, warm_cache=cache,
-                )
-                assert outcome.frontier_snapshot == "hit", (mode, target)
-                assert outcome.out_of_cone_interior_rows == 0, (mode, target)
-                outcomes.append(outcome)
-                times.append(seconds)
+            with recording:
+                for target in RESIDENT_TARGETS:
+                    if mode == "isolated":
+                        cache = WarmCache(capacity=8)
+                    outcome, seconds = _timed(
+                        run_query, program, FILE_PROPERTY, store, target,
+                        engine=ENGINE, domain=DOMAIN, warm_cache=cache,
+                    )
+                    assert outcome.frontier_snapshot == "hit", (mode, target)
+                    assert outcome.out_of_cone_interior_rows == 0, (mode, target)
+                    outcomes.append(outcome)
+                    times.append(seconds)
             modes[mode] = {
                 "outcomes": outcomes,
                 "times": times,
-                "frontier_loads": len(loaded),
-                "payloads_parsed": sum(len(f.procs) for f in loaded),
+                "store_loads": len(loaded),
+                "payloads_parsed": sum(len(view.projected) for view in views),
             }
-            del store.load_frontier
+            del store.load
     resident, isolated = modes["resident"], modes["isolated"]
 
     def counters(outcome):
@@ -417,7 +432,7 @@ def run_resident() -> dict:
         for a, b in zip(resident["outcomes"], isolated["outcomes"])
     )
     assert identical, "resident answers diverged from fresh-cache queries"
-    assert resident["frontier_loads"] == 1, resident["frontier_loads"]
+    assert resident["store_loads"] == 1, resident["store_loads"]
     assert resident["payloads_parsed"] < isolated["payloads_parsed"]
 
     def per_query(times):
@@ -435,12 +450,12 @@ def run_resident() -> dict:
         "work": sum(o.total_work for o in resident["outcomes"]),
         "resident": {
             "seconds_per_query": per_query(resident["times"]),
-            "frontier_loads": resident["frontier_loads"],
+            "store_loads": resident["store_loads"],
             "payloads_parsed": resident["payloads_parsed"],
         },
         "isolated": {
             "seconds_per_query": per_query(isolated["times"]),
-            "frontier_loads": isolated["frontier_loads"],
+            "store_loads": isolated["store_loads"],
             "payloads_parsed": isolated["payloads_parsed"],
         },
         "identical": identical,
@@ -620,7 +635,7 @@ def test_query_frontier_ablation(once):
 def test_query_resident(once):
     row = once(run_resident)
     assert row["identical"]
-    assert row["resident"]["frontier_loads"] == 1
+    assert row["resident"]["store_loads"] == 1
     assert row["resident"]["payloads_parsed"] < row["isolated"]["payloads_parsed"]
 
 

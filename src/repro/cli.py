@@ -306,7 +306,6 @@ def cmd_query_point(args: argparse.Namespace) -> int:
             budget=budget,
             domain=args.domain,
             query_precision=args.query_precision,
-            use_frontier=not args.no_frontier,
         )
     except QueryError as exc:
         print(f"query error: {exc}")
@@ -377,7 +376,6 @@ def cmd_query_batch(args: argparse.Namespace) -> int:
             budget=budget,
             domain=args.domain,
             query_precision=args.query_precision,
-            use_frontier=not args.no_frontier,
             max_workers=args.workers,
         )
     except QueryError as exc:
@@ -635,27 +633,14 @@ def cmd_store(args: argparse.Namespace) -> int:
             print(f"no snapshots under {args.dir}")
             return 0
         for row in rows:
-            if row.get("orphan_frontier"):
-                print(
-                    f"{row['file']}: ORPHAN frontier ({row['bytes']} bytes)"
-                )
-                continue
             if row.get("corrupt"):
                 print(f"{row['file']}: CORRUPT ({row['bytes']} bytes)")
                 continue
-            frontier = row.get("frontier")
-            suffix = (
-                f" frontier={frontier['procs']} procs"
-                f"/{frontier['bytes']} bytes"
-                if frontier
-                else ""
-            )
             print(
                 f"{row['file']}: {row['engine']}/{row['domain']} "
                 f"property={row['property']} procs={row['procedures']} "
                 f"contexts={row['contexts']} td-rows={row['td_rows']} "
                 f"bu-summaries={row['bu_summaries']} ({row['bytes']} bytes)"
-                f"{suffix}"
             )
         return 0
     if args.store_command == "gc":
@@ -788,12 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="td pins the cone to reference precision; swift leaves "
         "BU triggers live inside the cone",
     )
-    query_point.add_argument(
-        "--no-frontier",
-        action="store_true",
-        help="skip the frontier-snapshot fast path (decode the full "
-        "snapshot; benchmark ablation)",
-    )
     query_point.set_defaults(fn=cmd_query_point)
 
     query_batch = sub.add_parser(
@@ -826,7 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
     query_batch.add_argument(
         "--query-precision", choices=["td", "swift"], default="td"
     )
-    query_batch.add_argument("--no-frontier", action="store_true")
     query_batch.add_argument(
         "--workers",
         type=int,

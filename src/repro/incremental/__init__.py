@@ -25,7 +25,6 @@ from repro.incremental.driver import (
     WarmCache,
     analyze_with_store,
     clear_warm_cache,
-    write_frontier,
 )
 from repro.incremental.fingerprint import (
     ProgramFingerprints,
@@ -62,5 +61,4 @@ __all__ = [
     "config_fingerprint",
     "diff_fingerprints",
     "project_frontier",
-    "write_frontier",
 ]

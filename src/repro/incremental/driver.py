@@ -15,11 +15,11 @@ test suite, the analysis service) keep the stored snapshot resident in
 a process-level cache (:class:`WarmCache`) keyed on (store root, config
 fingerprint), with the snapshot file's identity ``(inode, mtime, size)``
 validating each hit.  An entry holds the snapshot's header and segment
-text, its decoded per-procedure entries, the frontier lines written
-with it, and the :class:`WarmStart` built for the program fingerprints
-it last served.  The same program is a plain hit; an edited program
-re-diffs against the cached header and filters the decoded segments by
-``plan.valid`` — no read, no decode.  After a save the entry is patched
+text, its decoded per-procedure entries, and the :class:`WarmStart`
+built for the program fingerprints it last served.  The same program
+is a plain hit; an edited program re-diffs against the cached header
+and filters the decoded segments by ``plan.valid`` — no read, no
+decode.  After a save the entry is patched
 in place: the new snapshot's reused segments keep their decoded
 entries, the re-encoded ones take the run's own objects, and the
 signature is the one ``SummaryStore.save`` took from its temp file, so
@@ -29,8 +29,10 @@ so sharing one across runs — sequential or concurrent — is sound.  The
 cache is a true LRU behind one lock: hits refresh recency, insertion
 over capacity evicts the least recently used entry, and every
 operation is atomic, so the service daemon's request threads can
-hammer one shared instance.  The wall time actually spent on load +
-diff + decode is reported per run as ``Metrics.store_load_seconds``.
+hammer one shared instance; in the daemon, demand queries view the
+same resident snapshot (:mod:`repro.query.engine`).  The wall time
+actually spent on load + diff + decode is reported per run as
+``Metrics.store_load_seconds``.
 """
 
 from __future__ import annotations
@@ -57,14 +59,7 @@ from repro.incremental.invalidate import (
     build_warm_start,
     diff_fingerprints,
 )
-from repro.incremental.store import (
-    FrontierSnapshot,
-    Snapshot,
-    SummaryStore,
-    file_signature,
-    project_frontier,
-)
-from repro.ir.cfg import ControlFlowGraphs
+from repro.incremental.store import SummaryStore, file_signature
 from repro.ir.program import Program
 from repro.typestate.client import TypestateReport, make_analyses
 from repro.typestate.dfa import TypestateProperty
@@ -187,34 +182,6 @@ def clear_warm_cache() -> None:
 def _snapshot_signature(store: SummaryStore, config_fp: str):
     """File identity of the stored snapshot, or None when absent."""
     return file_signature(store.path_for(config_fp))
-
-
-def _frontier_signature(store: SummaryStore, config_fp: str):
-    """File identity of the stored frontier projection, or None."""
-    return file_signature(store.frontier_path_for(config_fp))
-
-
-def write_frontier(
-    store: SummaryStore,
-    snapshot: Snapshot,
-    cfgs: ControlFlowGraphs,
-    previous: Optional[FrontierSnapshot] = None,
-):
-    """Persist ``snapshot``'s entry/exit-only frontier projection.
-
-    Called right after every snapshot save (and to backfill a missing
-    projection next to a pre-existing snapshot), so demand queries can
-    decode O(frontier) instead of O(program) — DESIGN §13.  ``cfgs``
-    are the analyzed program's CFGs (the run's own).  ``previous`` is
-    the projection written with the snapshot ``snapshot`` was built
-    from; lines of reused segments are copied from it.  The projection
-    is kept as ``snapshot.frontier``.
-    """
-    exits = {proc: cfgs.exit(proc).index for proc in cfgs.program.names()}
-    frontier = project_frontier(snapshot, exits, previous)
-    path = store.save_frontier(frontier)
-    snapshot.frontier = frontier
-    return path
 
 
 def _load_warm(
@@ -398,11 +365,6 @@ def analyze_with_store(
         )
         if unchanged:
             outcome.snapshot_path = str(store.path_for(config_fp))
-            # Backfill the frontier projection for snapshots written
-            # before the projection existed (or whose projection was
-            # swept), without disturbing the parent file's identity.
-            if not store.frontier_path_for(config_fp).is_file():
-                write_frontier(store, snapshot, report.result.cfgs)
         else:
             new_snapshot = build_snapshot(
                 config_desc,
@@ -415,17 +377,10 @@ def analyze_with_store(
                 warm=warm,
             )
             outcome.snapshot_path = str(store.save(new_snapshot))
-            write_frontier(
-                store,
-                new_snapshot,
-                report.result.cfgs,
-                previous=snapshot.frontier if snapshot is not None else None,
-            )
             outcome.segments_reused = len(new_snapshot.reused)
             outcome.segments_written = (
                 len(new_snapshot.segments) - outcome.segments_reused
             )
-            new_snapshot.payloads = {}  # resident: text and decoded only
             cache.insert(
                 (str(store.root.resolve()), config_fp),
                 new_snapshot.signature,

@@ -183,7 +183,7 @@ class _RunTables:
         self.call_records = result.call_records or {}
         self.bu = getattr(result, "bu", None) or {}
         self.counts = result.entry_counts
-        self._texts: Dict[object, Tuple[list, str]] = {}
+        self._texts: Dict[object, str] = {}
         self.points: Dict[str, List[ProgramPoint]] = defaultdict(list)
         for point in self.td:
             self.points[point.proc].append(point)
@@ -245,16 +245,16 @@ class _RunTables:
 
     def encode(
         self, proc: str, old_m, codec: Codec
-    ) -> Tuple[str, dict, StoredProc]:
+    ) -> Tuple[str, StoredProc]:
         """Encode ``proc``'s segment from this run's tables: its canonical
-        text, its payload, and the matching decoded entries built from
-        the run's own objects, all in canonical order.
+        text and the matching decoded entries built from the run's own
+        objects, all in canonical order.
 
         ``old_m`` is the previous multiset (``None`` when there was
-        none).  The text is
-        assembled from per-state canonical JSON, memoized across the
-        whole save, and equals ``canonical_json(payload)``: a list's
-        canonical form is its items' canonical forms joined by commas.
+        none).  The text is assembled from per-state canonical JSON,
+        memoized across the whole save, and equals the canonical JSON
+        of the encoded payload: a list's canonical form is its items'
+        canonical forms joined by commas.
         """
         state = self._state
         by_entry: Dict[object, Tuple[list, list]] = {}
@@ -264,18 +264,15 @@ class _RunTables:
                 rows = by_entry.get(entry)
                 if rows is None:
                     rows = by_entry[entry] = ([], [])
-                enc, text = state(sigma, codec)
-                rows[0].append((f"[{index},{text}]", [index, enc], (point, sigma)))
+                rows[0].append((f"[{index},{state(sigma, codec)}]", (point, sigma)))
         for callee, sigma_in, return_point, entry in self.records.get(proc, ()):
             rows = by_entry.get(entry)
             if rows is None:
                 rows = by_entry[entry] = ([], [])
-            enc, text = state(sigma_in, codec)
-            index = return_point.index
+            text = state(sigma_in, codec)
             rows[1].append(
                 (
-                    f"[{json.dumps(callee)},{text},{index}]",
-                    [callee, enc, index],
+                    f"[{json.dumps(callee)},{text},{return_point.index}]",
                     (callee, sigma_in, return_point),
                 )
             )
@@ -283,38 +280,35 @@ class _RunTables:
         for entry, (rows, records) in by_entry.items():
             rows.sort(key=_first)
             records.sort(key=_first)
-            enc_entry, entry_text = state(entry, codec)
+            entry_text = state(entry, codec)
             contexts.append(
                 (
                     entry_text,
                     f"[{entry_text},[{','.join(r[0] for r in rows)}],"
                     f"[{','.join(r[0] for r in records)}]]",
-                    [enc_entry, [r[1] for r in rows], [r[1] for r in records]],
                     WarmContext(
-                        proc, entry, [r[2] for r in rows], [r[2] for r in records]
+                        proc, entry, [r[1] for r in rows], [r[1] for r in records]
                     ),
                 )
             )
         contexts.sort(key=_first)
-        payload: dict = {"contexts": [c[2] for c in contexts]}
-        stored = StoredProc([c[3] for c in contexts])
+        stored = StoredProc([c[2] for c in contexts])
         parts = [f'"contexts":[{",".join(c[1] for c in contexts)}]']
         summary = self.bu.get(proc)
         if summary is not None:
-            payload["bu"] = codec.encode_summary(summary)
             stored.bu = summary
-            parts.insert(0, f'"bu":{canonical_json(payload["bu"])}')
+            parts.insert(0, f'"bu":{canonical_json(codec.encode_summary(summary))}')
         observed = self.counts.get(proc)
         if observed is not None or old_m is not None:
-            text, payload["m"], stored.ranks = self._encode_m(
+            text, stored.ranks = self._encode_m(
                 old_m or Counter(), observed or Counter(), codec
             )
             parts.append(f'"m":{text}')
-        return "{" + ",".join(parts) + "}", payload, stored
+        return "{" + ",".join(parts) + "}", stored
 
     def _encode_m(
         self, old: Counter, observed: Counter, codec: Codec
-    ) -> Tuple[str, list, Counter]:
+    ) -> Tuple[str, Counter]:
         """The stored ``M``: the per-state maximum of the old and observed
         counts, so ranking data degrades gracefully across warm runs
         that saw only part of the traffic (a warm SWIFT run bypasses
@@ -324,23 +318,23 @@ class _RunTables:
         for sigma, n in observed.items():
             if n > merged.get(sigma, -1):
                 merged[sigma] = n
-        counts = []
-        for sigma, n in merged.items():
-            enc, text = self._state(sigma, codec)
-            counts.append((f"[{text},{n}]", enc, n, sigma))
-        counts.sort(key=_first)
+        counts = sorted(
+            [
+                (f"[{self._state(sigma, codec)},{n}]", n, sigma)
+                for sigma, n in merged.items()
+            ],
+            key=_first,
+        )
         return (
             f"[{','.join(c[0] for c in counts)}]",
-            [[enc, n] for _, enc, n, _ in counts],
-            Counter({sigma: n for _, _, n, sigma in counts}),
+            Counter({sigma: n for _, n, sigma in counts}),
         )
 
-    def _state(self, sigma, codec: Codec) -> Tuple[list, str]:
-        """``sigma``'s encoding and its canonical JSON text (memoized)."""
+    def _state(self, sigma, codec: Codec) -> str:
+        """``sigma``'s canonical JSON text (memoized)."""
         got = self._texts.get(sigma)
         if got is None:
-            enc = codec.encode_state(sigma)
-            got = self._texts[sigma] = (enc, canonical_json(enc))
+            got = self._texts[sigma] = canonical_json(codec.encode_state(sigma))
         return got
 
 
@@ -408,11 +402,10 @@ def build_snapshot(
         old_m = None
         if proc in previous_segments:
             old_m = _stored_ranks(previous, proc, codec)
-        text, payload, stored = tables.encode(proc, old_m, codec)
-        if not payload["contexts"] and len(payload) == 1:
+        text, stored = tables.encode(proc, old_m, codec)
+        if text == '{"contexts":[]}':
             continue  # nothing stored for this procedure
         snap.segments[proc] = text
-        snap.payloads[proc] = payload
         snap.decoded[proc] = stored
     snap.reused = frozenset(reused)
     return snap

@@ -28,7 +28,7 @@ that duplication without touching the per-target verdicts:
    whose solve cone is empty hold only unreachable targets: their
    answer is the exact empty verdict at zero cost.  Each solve runs
    through the same :func:`~repro.query.engine.solve_cone` machinery
-   as a single query — frontier-snapshot warm start, pinned-TD or
+   as a single query — snapshot frontier-view warm start, pinned-TD or
    SWIFT precision — and every target reads its verdict out of its
    component's one finished result via the same answer extraction.
 
@@ -320,7 +320,6 @@ def run_query_batch(
     config: Optional[AnalysisConfig] = None,
     warm_cache: Optional[WarmCache] = None,
     query_precision: str = "td",
-    use_frontier: bool = True,
     max_workers: int = 1,
 ) -> BatchOutcome:
     """Answer a batch of demand queries with one solve per component.
@@ -341,7 +340,7 @@ def run_query_batch(
             f"expected one of {QUERY_PRECISIONS}"
         )
     if max_workers < 1:
-        raise ValueError("max_workers must be at least 1")
+        raise QueryError(f"workers must be at least 1, not {max_workers}")
     config = normalize_query_config(
         engine=engine,
         k=k,
@@ -393,7 +392,6 @@ def run_query_batch(
             component.frontier,
             cache,
             query_precision=query_precision,
-            use_frontier=use_frontier,
         )
         record.solved = True
         record.cold = solve.cold

@@ -26,21 +26,23 @@ the work counters stay proportional to the cone: the solve never
 tabulates an out-of-cone interior point (``QueryOutcome.
 out_of_cone_interior_rows`` proves it per run).
 
-Warm starts are loaded frontier-first: the store's per-procedure
-*frontier snapshot* (``frontier-*.jsonl``, written alongside every
-full snapshot) is decoded for just the cone's frontier procedures, so
-first-query store-load cost scales with the frontier instead of the
-program.  A missing or stale projection falls back to trimming the
-full snapshot — ``QueryOutcome.frontier_snapshot`` records which path
-ran (``"hit"`` / ``"fallback"`` / ``"cold"``).
+Warm starts read the same snapshot file ``analyze --store`` writes,
+through its *frontier view*
+(:func:`~repro.incremental.store.project_frontier`): a procedure's
+segment is parsed and projected to its entry/exit rows only when a
+cone is offered that procedure, so decode cost scales with the
+frontier instead of the program.  ``QueryOutcome.frontier_snapshot``
+records whether a snapshot was there (``"hit"``) or not (``"cold"``).
 
 Queries never write the store: a cone solve is a partial fixpoint of
 the whole program, and stored snapshots must be complete.
 
 A resident host keeps one :class:`FrontierEntry` per store version in
 a :class:`~repro.incremental.driver.WarmCache`, shared by every cone:
-the lazily loaded projection plus memos of decoded contexts, decoded
-BU summaries and SWIFT's instantiations of them.  Each query gets a
+the frontier view plus memos of decoded contexts, decoded BU summaries
+and SWIFT's instantiations of them.  The daemon's cache also holds the
+analyze path's resident snapshot, which a new entry views instead of
+reading the file again.  Each query gets a
 thin view *offered* ``available ∩ cone.frontier ∩ plan.valid − cone``
 — the view checks that set before serving anything from a shared
 memo, so a procedure inside this cone is never answered from what an
@@ -48,28 +50,21 @@ earlier cone decoded.  Work and store counters are those of a
 fresh-cache run (DESIGN §13).  The program's CFGs, fingerprints and
 points-to facts are memoized on the :class:`~repro.ir.program.Program`
 (:func:`~repro.ir.cfg.program_cfgs`,
-:func:`~repro.incremental.fingerprint.program_fingerprints`).  The
-full-snapshot fallback decodes eagerly and caches per trim.
+:func:`~repro.incremental.fingerprint.program_fingerprints`).
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from repro.framework.config import AnalysisConfig
 from repro.framework.metrics import Budget
 from repro.framework.session import analysis_session
 from repro.incremental.codec import Codec
-from repro.incremental.driver import (
-    _SHORT_DOMAINS,
-    WarmCache,
-    _frontier_signature,
-    _snapshot_signature,
-)
+from repro.incremental.driver import _SHORT_DOMAINS, WarmCache, _snapshot_signature
 from repro.incremental.fingerprint import (
     ProgramFingerprints,
     config_fingerprint,
@@ -78,11 +73,15 @@ from repro.incremental.fingerprint import (
 )
 from repro.incremental.invalidate import (
     InvalidationPlan,
-    WarmContext,
     WarmStart,
     diff_fingerprints,
 )
-from repro.incremental.store import FrontierSnapshot, Snapshot, SummaryStore
+from repro.incremental.store import (
+    FrontierSnapshot,
+    Snapshot,
+    SummaryStore,
+    project_frontier,
+)
 from repro.ir.cfg import ControlFlowGraphs, ProgramPoint, program_cfgs
 from repro.ir.program import Program
 from repro.query.slice import (
@@ -104,14 +103,13 @@ QUERY_KINDS = ("errors", "summaries", "entries")
 #: inside the cone (the engine's own hybrid verdict).
 QUERY_PRECISIONS = ("td", "swift")
 
-#: Process-level decode cache for trimmed query warm starts.  Distinct
-#: from the analyze-path cache: keys carry the trim (cone + loaded
-#: procs), and the cached ``WarmStart`` objects are cone-trimmed.
+#: Process-level cache of :class:`FrontierEntry` objects, one per store
+#: version, for hosts that pass no cache of their own.
 _QUERY_CACHE = WarmCache(capacity=64)
 
 
 def clear_query_cache() -> None:
-    """Drop every cached trimmed warm start (tests, long-lived hosts)."""
+    """Drop every cached frontier entry (tests, long-lived hosts)."""
     _QUERY_CACHE.clear()
 
 
@@ -135,9 +133,8 @@ class QueryOutcome:
     out_of_cone_interior_rows: int = 0
     timed_out: bool = False
     store_load_seconds: float = 0.0
-    #: how the warm start was loaded: ``"hit"`` — decoded from the
-    #: frontier projection; ``"fallback"`` — trimmed from the full
-    #: snapshot; ``"cold"`` — no usable store data.
+    #: ``"hit"`` — the warm start came from the stored snapshot;
+    #: ``"cold"`` — no usable store data.
     frontier_snapshot: str = "cold"
     query_precision: str = "td"
     result: object = field(repr=False, default=None)  # raw engine result
@@ -216,49 +213,6 @@ def prepare_query_analysis(
     return oracle, fingerprints, config_fp, codec
 
 
-def build_query_warm(
-    snapshot: Snapshot,
-    plan: InvalidationPlan,
-    codec: Codec,
-    cone: FrozenSet[str],
-    cfgs: ControlFlowGraphs,
-) -> WarmStart:
-    """Decode a full snapshot into a cone-trimmed :class:`WarmStart`.
-
-    Three trims on top of the incremental path's
-    :func:`~repro.incremental.invalidate.build_warm_start`:
-
-    * procedures **in the cone** are excluded entirely — the query
-      must tabulate them fresh at reference precision;
-    * surviving contexts keep only their entry and exit rows (a
-      frontier call consumes exactly the exit summaries; interior
-      rows of out-of-cone procedures are the work being avoided);
-    * call records are dropped, so activating a context installs its
-      two rows and stops — no transitive child activation.
-
-    Ranking multisets are not loaded at all: new bottom-up triggers
-    are disabled during a (reference-precision) query, so the data
-    would never be read.
-    """
-    warm = WarmStart(invalidated=dict(plan.invalidated))
-    for proc in snapshot.segments:
-        if proc not in plan.valid or proc in cone:
-            continue
-        payload = snapshot.payload(proc)
-        exit_index = cfgs.exit(proc).index
-        for enc_entry, enc_rows, _ in payload["contexts"]:
-            entry = codec.decode_state(enc_entry)
-            rows = [
-                (ProgramPoint(proc, idx), codec.decode_state(enc))
-                for idx, enc in enc_rows
-                if idx == 0 or idx == exit_index
-            ]
-            warm.contexts[(proc, entry)] = WarmContext(proc, entry, rows, [])
-        if "bu" in payload:
-            warm.bu[proc] = codec.decode_summary(payload["bu"])
-    return warm
-
-
 class LazyWarmContext:
     """A :class:`WarmContext` whose rows decode on first activation.
 
@@ -296,8 +250,8 @@ class LazyConeContexts:
     """``(proc, entry) -> context`` mapping parsing per procedure on demand.
 
     The top-down engine probes this only via ``.get`` (activation);
-    a probe for a procedure the cone is offered parses that one payload
-    line and decodes its context *keys* — the rows stay lazy inside
+    a probe for a procedure the cone is offered projects that one
+    segment and decodes its context *keys* — the rows stay lazy inside
     each :class:`LazyWarmContext`.  Procedures nobody calls cost
     nothing.  ``by_proc`` is the materialized-procedure memo of the
     store version's :class:`FrontierEntry`, shared by every cone's
@@ -357,7 +311,7 @@ class LazyConeContexts:
 class LazySummaries(MutableMapping):
     """``proc -> ProcedureSummary`` decoding each summary on demand.
 
-    Backed by the frontier's ``bu_procs`` manifest, so membership,
+    Backed by the frontier view's ``bu_procs`` set, so membership,
     ``len``, and iteration are parse-free; only ``[]`` (and therefore
     ``.get``) decodes.  Engines adopt a :meth:`lazy_view` instead of
     copying: views share the encoded payloads, the decoded-value memo
@@ -432,36 +386,49 @@ class LazySummaries(MutableMapping):
 
 
 class FrontierEntry:
-    """One store version's frontier projection, resident for every cone.
+    """One store version's frontier view, resident for every cone.
 
-    The warm cache holds one entry per ``(store, config)`` and file
-    signatures.  It keeps the lazily loaded :class:`FrontierSnapshot`
-    (every procedure's line, unparsed until demanded), the invalidation
-    plan against the program fingerprints it was built for, and three
-    memos every cone's view shares:
+    The warm cache holds one entry per ``(store, config)``, snapshot
+    signature and program fingerprints.  It keeps the
+    :class:`~repro.incremental.store.FrontierSnapshot` view (every
+    segment unparsed until a cone is offered its procedure), the
+    invalidation plan against the program fingerprints it was built
+    for, and three memos every cone's view shares:
 
     * ``contexts`` — materialized procedures' decoded context keys;
     * ``summaries`` — decoded bottom-up summaries;
     * ``instantiations`` — SWIFT's ``(callee, σ) -> outputs`` results
       for those summaries (``None`` when ``σ`` is ignored).
 
-    Each memo value depends only on the stored line it came from, so
+    Each memo value depends only on the stored segment it came from, so
     it holds for any cone that is offered that procedure.
     """
 
-    __slots__ = (
-        "frontier", "plan", "available", "bu_procs",
-        "contexts", "summaries", "instantiations",
-    )
+    __slots__ = ("frontier", "plan", "contexts", "summaries", "instantiations")
 
     def __init__(self, frontier: FrontierSnapshot, plan: InvalidationPlan):
         self.frontier = frontier
         self.plan = plan
-        self.available = frontier.available()
-        self.bu_procs = frozenset(frontier.bu_manifest())
         self.contexts: dict = {}
         self.summaries: dict = {}
         self.instantiations: dict = {}
+
+
+def build_query_warm(
+    snapshot: Snapshot,
+    fingerprints: ProgramFingerprints,
+    cfgs: ControlFlowGraphs,
+) -> FrontierEntry:
+    """A store version's resident entry, for the program of ``cfgs``.
+
+    Diffs the snapshot's fingerprints against the program's and wraps
+    the snapshot in its frontier view, keeping the program's exit
+    indices for the projection.  Parses no segment: every cone's
+    :func:`build_query_warm_from_frontier` view pulls what it needs.
+    """
+    exits = {proc: cfgs.exit(proc).index for proc in cfgs.program.names()}
+    plan = diff_fingerprints(snapshot.fingerprints, fingerprints)
+    return FrontierEntry(project_frontier(snapshot, exits), plan)
 
 
 def build_query_warm_from_frontier(
@@ -481,28 +448,21 @@ def build_query_warm_from_frontier(
     rows never materialize at all — and whatever an earlier cone
     already decoded is served from the entry's memos.
     """
-    plan = entry.plan
+    plan, frontier = entry.plan, entry.frontier
     warm = WarmStart(invalidated=dict(plan.invalidated))
     offered = frozenset(
         proc for proc in wanted
-        if proc in entry.available and proc in plan.valid and proc not in cone
+        if proc in frontier.available and proc in plan.valid and proc not in cone
     )
-    warm.contexts = LazyConeContexts(
-        entry.frontier, codec, offered, entry.contexts
-    )
+    warm.contexts = LazyConeContexts(frontier, codec, offered, entry.contexts)
     warm.bu = LazySummaries(
         codec,
-        entry.frontier,
-        offered & entry.bu_procs,
+        frontier,
+        offered & frontier.bu_procs,
         decoded=entry.summaries,
         instantiations=entry.instantiations,
     )
     return warm
-
-
-def _trim_digest(cone: Iterable[str], wanted: Iterable[str]) -> str:
-    parts = "\x1f".join(sorted(cone)) + "\x00" + "\x1f".join(sorted(wanted))
-    return hashlib.sha256(parts.encode("utf-8")).hexdigest()[:16]
 
 
 def _load_query_warm(
@@ -514,61 +474,42 @@ def _load_query_warm(
     wanted: FrozenSet[str],
     cfgs: ControlFlowGraphs,
     cache: WarmCache,
-    use_frontier: bool = True,
 ) -> Tuple[Optional[InvalidationPlan], Optional[WarmStart], str]:
-    """Load + diff + trim, frontier-first, through the decode cache.
+    """Load + diff + view, through the decode cache.
 
     ``cone`` is the set of procedures the solve will tabulate fresh
     (excluded from the preload); ``wanted`` is the set whose stored
     rows the solve can consume — the cone's frontier.  Returns
-    ``(plan, warm, source)`` with ``source`` one of ``"hit"`` (frontier
-    projection), ``"fallback"`` (full snapshot trimmed), or ``"cold"``
-    (nothing usable; plan and warm are ``None``).
+    ``(plan, warm, source)`` with ``source`` ``"hit"``, or ``"cold"``
+    when no usable snapshot exists (plan and warm are then ``None``).
 
-    The frontier path caches one :class:`FrontierEntry` per store
-    version — key ``(store, config#demand:frontier)`` — and builds a
-    thin per-cone view over it.  The full-snapshot fallback decodes
-    eagerly, so its entries stay per trim (a digest of cone and
-    frontier).  Either way the snapshot *and* frontier file signatures
-    plus the program fingerprints validate hits, so a store rewrite or
-    program edit misses naturally.
+    One :class:`FrontierEntry` per store version is cached under
+    ``(store, config#demand:frontier)``, validated by the snapshot's
+    file signature and the program fingerprints, so a store rewrite or
+    program edit misses naturally.  On a miss the snapshot comes from
+    the analyze path's resident entry in the same cache when that
+    entry's signature still matches (the daemon shares one cache), and
+    from a checksum-checked :meth:`SummaryStore.load` otherwise.
     """
-    signature = (
-        _snapshot_signature(store, config_fp),
-        _frontier_signature(store, config_fp),
-    )
-    root = str(store.root.resolve())
-    fp_key = fingerprints.as_dict()
-    if use_frontier:
-        key = (root, f"{config_fp}#demand:frontier")
-        hit = None
-        if signature[1] is not None:
-            hit = cache.lookup(key, signature, fp_key)
-        if hit is not None:
-            (entry,) = hit
-        else:
-            entry = None
-            frontier = store.load_frontier(config_fp, lazy=True)
-            if frontier is not None:
-                plan = diff_fingerprints(frontier.fingerprints, fingerprints)
-                entry = FrontierEntry(frontier, plan)
-                cache.insert(key, signature, fp_key, entry)
-        if entry is not None:
-            warm = build_query_warm_from_frontier(entry, codec, cone, wanted)
-            return entry.plan, warm, "hit"
-    key = (root, f"{config_fp}#demand:full:{_trim_digest(cone, wanted)}")
-    if signature[0] is not None:
-        hit = cache.lookup(key, signature, fp_key)
-        if hit is not None:
-            return hit
-    snapshot = store.load(config_fp)
-    if snapshot is None:
-        cache.invalidate(key)
+    signature = _snapshot_signature(store, config_fp)
+    if signature is None:
         return None, None, "cold"
-    plan = diff_fingerprints(snapshot.fingerprints, fingerprints)
-    warm = build_query_warm(snapshot, plan, codec, cone, cfgs)
-    cache.insert(key, signature, fp_key, plan, warm, "fallback")
-    return plan, warm, "fallback"
+    root = str(store.root.resolve())
+    key = (root, f"{config_fp}#demand:frontier")
+    fp_key = fingerprints.as_dict()
+    hit = cache.lookup(key, signature, fp_key)
+    if hit is not None:
+        (entry,) = hit
+    else:
+        resident = cache.get((root, config_fp), signature)
+        snapshot = resident[1] if resident is not None else store.load(config_fp)
+        if snapshot is None:
+            cache.invalidate(key)
+            return None, None, "cold"
+        entry = build_query_warm(snapshot, fingerprints, cfgs)
+        cache.insert(key, snapshot.signature, fp_key, entry)
+    warm = build_query_warm_from_frontier(entry, codec, cone, wanted)
+    return entry.plan, warm, "hit"
 
 
 def _extract_answer(kind: str, target: QueryTarget, session_out) -> FrozenSet:
@@ -612,17 +553,15 @@ def solve_cone(
     frontier: FrozenSet[str],
     cache: WarmCache,
     query_precision: str = "td",
-    use_frontier: bool = True,
 ) -> ConeSolve:
     """Run one cone-restricted solve and account for its cost.
 
     ``cone`` is tabulated fresh; ``frontier`` is preloaded from the
-    store (frontier projection first, full snapshot as fallback).
+    store snapshot's frontier view.
     """
     load_started = time.perf_counter()
     plan, warm, source = _load_query_warm(
-        store, config_fp, fingerprints, codec, cone, frontier, cfgs, cache,
-        use_frontier=use_frontier,
+        store, config_fp, fingerprints, codec, cone, frontier, cfgs, cache
     )
     store_load_seconds = time.perf_counter() - load_started
 
@@ -673,7 +612,6 @@ def run_query(
     config: Optional[AnalysisConfig] = None,
     warm_cache: Optional[WarmCache] = None,
     query_precision: str = "td",
-    use_frontier: bool = True,
 ) -> QueryOutcome:
     """Answer one demand query against ``program`` and ``store``.
 
@@ -691,8 +629,6 @@ def run_query(
     snapshots populated by ``analyze --store`` (or the service) are
     what queries consume; an empty or fully-invalidated store degrades
     to solving the cone cold, never to an error.  Queries never save.
-    ``use_frontier=False`` forces the full-snapshot decode (benchmark
-    ablation).
     """
     if kind not in QUERY_KINDS:
         raise QueryError(
@@ -751,7 +687,6 @@ def run_query(
         cone.frontier,
         cache,
         query_precision=query_precision,
-        use_frontier=use_frontier,
     )
     metrics = solve.result.metrics
 

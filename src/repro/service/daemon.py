@@ -14,8 +14,10 @@ substrate hot between them:
   config fingerprint) shared by every request thread; decoded
   ``WarmStart``\\ s survive across requests, so a warm request skips
   load + decode entirely.  ``demand`` requests add one entry per store
-  version, not per target: every cone views the same decoded frontier
-  and reuses its summary instantiations (:mod:`repro.query.engine`).
+  version, not per target: every cone views the same resident
+  snapshot — the one ``analyze`` requests decoded, when its file is
+  unchanged — and reuses its summary instantiations
+  (:mod:`repro.query.engine`).
 * **Resident programs** — parsed programs are kept by text hash, and
   what is derived from a program (its digest, fingerprints, points-to
   facts, CFGs) is memoized on it, so a repeated request re-derives
@@ -562,6 +564,11 @@ class AnalysisService:
             raise ProtocolError(
                 'demand "targets" must be a non-empty list of strings'
             )
+        workers = request.get("workers", 1)
+        if type(workers) is not int or workers < 1:  # bools too
+            raise ProtocolError(
+                f'demand "workers" must be an integer >= 1, not {workers!r}'
+            )
         targets = [t.strip() for t in targets]
         target_set = frozenset(targets)
         _, config_fp = config_fingerprint(prop, config=config)
@@ -620,7 +627,7 @@ class AnalysisService:
                     config=config,
                     warm_cache=self.warm_cache,
                     query_precision=precision,
-                    max_workers=int(request.get("workers", 1)),
+                    max_workers=workers,
                 )
             except QueryError as exc:
                 raise ProtocolError(str(exc)) from None
@@ -719,16 +726,8 @@ class AnalysisService:
         if self.root.is_dir():
             for shard in sorted(self.root.iterdir()):
                 if shard.is_dir():
-                    shard_store = SummaryStore(shard)
-                    shards.append(
-                        {
-                            "shard": shard.name,
-                            "snapshots": len(shard_store.snapshot_paths()),
-                            "frontier_snapshots": len(
-                                shard_store.frontier_paths()
-                            ),
-                        }
-                    )
+                    snapshots = len(SummaryStore(shard).snapshot_paths())
+                    shards.append({"shard": shard.name, "snapshots": snapshots})
         with self._lock:
             return {
                 "uptime_s": round(time.time() - self._started, 3),

@@ -28,7 +28,8 @@ counters; overlapping in-flight batches coalesce) — plus an optional
 ``"kind"`` (``errors`` | ``summaries`` | ``entries``, default
 ``errors``), ``"precision"`` (``td`` — the reference-precision
 default — or ``swift``, which leaves BU triggers live inside the
-cone), and, for batches, ``"workers"`` (parallel component solves).
+cone), and, for batches, ``"workers"`` (parallel component solves, an
+integer >= 1).
 The optional ``id`` is echoed verbatim on every line the
 request produces, so clients multiplexing one connection can match
 responses — and streamed trace events — to requests.

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import argparse
+from pathlib import Path
 
 import pytest
 
@@ -132,8 +133,9 @@ def test_store_stats_gc_clear(mini_file, tmp_path, capsys):
     out = capsys.readouterr().out
     # v2 config fingerprints carry the canonical registry domain name.
     assert "swift/typestate-full" in out and "property=File" in out
-    assert "frontier=" in out  # the projection rides along with its parent
-    # gc removes the snapshot AND its frontier projection.
+    assert "frontier=" not in out  # the snapshot is the only file
+    # gc removes the snapshot and a projection an older store left.
+    (Path(store) / "frontier-0123.jsonl").write_text("stray\n")
     assert main(["store", "gc", store, "--keep", "0"]) == 0
     assert "removed 2" in capsys.readouterr().out
     assert main(["store", "clear", store]) == 0

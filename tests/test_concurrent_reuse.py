@@ -21,7 +21,8 @@ import pytest
 from repro.frontend import compile_minioo
 from repro.framework.tracing import JsonlSink, TraceEvent, read_jsonl
 from repro.incremental import SummaryStore, WarmCache, analyze_with_store
-from repro.incremental.store import FrontierSnapshot, Snapshot
+from repro.incremental.store import Snapshot, project_frontier
+from repro.ir.cfg import ControlFlowGraphs
 from repro.typestate.properties import FILE_PROPERTY
 
 MINI = """
@@ -161,21 +162,29 @@ def test_hammered_snapshots_parse_and_roundtrip(tmp_path, program):
         snap = Snapshot.from_bytes(path.read_bytes())
         assert snap.to_bytes() == path.read_bytes()  # canonical on disk
 
-    # A lazily loaded frontier parses each payload on first touch; four
-    # threads touching every procedure of a fresh projection at once
-    # must each get it — a procedure that is present never reads None.
-    (frontier_path,) = store.frontier_paths()
-    data = frontier_path.read_bytes()
-    procs = sorted(FrontierSnapshot.from_bytes(data).available())
+    # A frontier view projects each procedure on first touch; four
+    # threads touching every procedure of a fresh view at once must
+    # each get it — a procedure that is present never reads None — and
+    # all get the one projection the view keeps.
+    (path,) = store.snapshot_paths()
+    snapshot = Snapshot.from_bytes(path.read_bytes())
+    cfgs = ControlFlowGraphs(program)
+    exits = {proc: cfgs.exit(proc).index for proc in program.names()}
+    procs = sorted(project_frontier(snapshot, exits).available)
     rounds, threads = 200, 4
-    snaps = [FrontierSnapshot.from_bytes(data, lazy=True) for _ in range(rounds)]
+    snaps = [project_frontier(snapshot, exits) for _ in range(rounds)]
     barrier = threading.Barrier(threads)
-    missing = []
+    missing, seen = [], set()
 
     def touch():
         for snap in snaps:
             barrier.wait()
-            missing.extend(p for p in procs if snap.payload(p) is None)
+            got = [(p, snap.payload(p)) for p in procs]
+            missing.extend(p for p, payload in got if payload is None)
+            seen.update(
+                (id(snap), p) for p, payload in got
+                if payload is not snap.projected[p]
+            )
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -187,8 +196,8 @@ def test_hammered_snapshots_parse_and_roundtrip(tmp_path, program):
             worker.join()
     finally:
         sys.setswitchinterval(interval)
-    assert missing == []
-    assert all(snap.available() == frozenset(procs) for snap in snaps)
+    assert missing == [] and seen == set()
+    assert all(snap.available == frozenset(procs) for snap in snaps)
 
 
 # -- WarmCache unit behaviour ---------------------------------------------------------

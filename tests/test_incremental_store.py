@@ -220,41 +220,54 @@ def _frontier_setup(tmp_path, program=None):
 def test_analyze_writes_frontier_alongside_snapshot_and_loads_it_partially(
     tmp_path,
 ):
-    from repro.incremental import analyze_with_store
+    """One file per configuration: the snapshot.  Demand queries view it
+    through its entry/exit projection, and a first demand parses only
+    the segments of procedures its cone was offered."""
+    from repro.incremental import WarmCache, analyze_with_store
+    from repro.incremental.store import project_frontier
     from repro.ir.cfg import ControlFlowGraphs
+    from repro.query import run_query
 
     program, store, result = _frontier_setup(tmp_path)
     config_fp = result.config_fp
-    assert store.path_for(config_fp).is_file()
-    assert store.frontier_path_for(config_fp).is_file()
-    frontier = store.load_frontier(config_fp)
-    assert frontier is not None
-    assert frontier.config_fp == config_fp
-    assert set(frontier.procs) == set(program.names())
-    # Only entry (0) and exit rows survive the projection.
+    snapshot_name = store.path_for(config_fp).name
+    assert [p.name for p in store.root.iterdir()] == [snapshot_name]
+    snapshot = store.load(config_fp)
     cfgs = ControlFlowGraphs(program)
-    for proc, payload in frontier.procs.items():
-        keep = {0, cfgs.exit(proc).index}
-        for _, rows in payload["contexts"]:
+    exits = {proc: cfgs.exit(proc).index for proc in program.names()}
+    frontier = project_frontier(snapshot, exits)
+    assert frontier.available == set(program.names())
+    assert frontier.bu_procs == {
+        proc for proc in snapshot.segments if "bu" in snapshot.payload(proc)
+    }
+    assert frontier.projected == {}  # the view parses nothing up front
+    # Only entry (0) and exit rows survive the projection.
+    for proc in program.names():
+        keep = {0, exits[proc]}
+        for _, rows in frontier.payload(proc)["contexts"]:
             assert {idx for idx, _ in rows} <= keep, proc
-    # A partial load materializes only the wanted procedures.
-    partial = store.load_frontier(config_fp, procs={"mid", "leaf"})
-    assert partial is not None
-    assert set(partial.procs) == {"mid", "leaf"}
-    for proc in ("mid", "leaf"):
-        assert partial.procs[proc] == frontier.procs[proc]
-    # Unchanged re-analysis backfills a deleted frontier file.
-    store.frontier_path_for(config_fp).unlink()
+    # A first demand for mid (cone {main, mid}) is offered leaf alone.
+    cache = WarmCache(4)
+    outcome = run_query(program, FILE_PROPERTY, store, "mid", warm_cache=cache)
+    assert outcome.frontier_snapshot == "hit" and outcome.store_hits > 0
+    (entry,) = cache.lookup(
+        (str(store.root.resolve()), f"{config_fp}#demand:frontier"),
+        snapshot.signature,
+        ProgramFingerprints(program).as_dict(),
+    )
+    assert set(entry.frontier.projected) == {"leaf"}
+    # Unchanged re-analysis keeps the store at that one file.
     again = analyze_with_store(
         program, FILE_PROPERTY, store, engine="swift", domain="simple"
     )
     assert again.store_hits > 0
-    assert store.frontier_path_for(config_fp).is_file()
-
-
+    assert [p.name for p in store.root.iterdir()] == [snapshot_name]
 
 
 def test_snapshot_and_frontier_loads_degrade_to_none_never_wrong(tmp_path):
+    from repro.incremental import WarmCache
+    from repro.query import run_query
+
     # The snapshot file.
     assert SummaryStore(tmp_path / "nowhere").load("ab" * 32) is None  # missing
     snap = _snapshot_for(chain())
@@ -275,56 +288,55 @@ def test_snapshot_and_frontier_loads_degrade_to_none_never_wrong(tmp_path):
     assert store.load(snap.config_fp) is None
     path.write_text("")
     assert store.load(snap.config_fp) is None
-    # The frontier file.
-    _, store, result = _frontier_setup(tmp_path / "frontier")
-    config_fp = result.config_fp
-    assert store.load_frontier("ab" * 32) is None  # missing
-    path = store.frontier_path_for(config_fp)
-    data = path.read_bytes()
-    other_fp = "f" * 64
-    store.frontier_path_for(other_fp).write_bytes(data)
-    assert store.load_frontier(other_fp) is None  # header/name mismatch
-    path.write_bytes(data[: len(data) // 2])
-    assert store.load_frontier(config_fp) is None  # truncated
-    path.write_text("not a frontier\n")
-    assert store.load_frontier(config_fp) is None  # garbage
-    # A frontier header from a future store version is cold too.
-    lines = data.decode("utf-8").splitlines()
-    header = json.loads(lines[0])
-    header["version"] = STORE_VERSION + 1
-    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-    assert store.load_frontier(config_fp) is None
+    # A demand query over a truncated or bit-flipped snapshot answers
+    # cold, exactly as a run with no store at all.
+    program, store, result = _frontier_setup(tmp_path / "demand")
+    fresh = run_query(
+        program, FILE_PROPERTY, SummaryStore(tmp_path / "empty"), "mid",
+        warm_cache=WarmCache(2),
+    )
+    assert fresh.cold
+    path = store.path_for(result.config_fp)
+    good = path.read_bytes()
+    for damage in (_truncate_last_line, _flip_segment_bit):
+        path.write_bytes(damage(good))
+        out = run_query(
+            program, FILE_PROPERTY, store, "mid", warm_cache=WarmCache(2)
+        )
+        assert out.cold and out.frontier_snapshot == "cold", damage
+        assert (out.answer, out.total_work) == (fresh.answer, fresh.total_work)
 
 
 def test_stats_and_gc_account_for_frontier_files(tmp_path):
+    """The ``frontier-*.jsonl`` projections older stores kept next to
+    each snapshot are ignored by ``stats`` and swept by ``gc``/``clear``."""
     from repro.incremental import analyze_with_store
 
     program, store, result = _frontier_setup(tmp_path)
-    config_fp = result.config_fp
     td = analyze_with_store(
         program, FILE_PROPERTY, store, engine="td", domain="simple"
     )
-    orphan = store.root / "frontier-deadbeefdeadbeefdeadbeefdeadbeef.jsonl"
-    orphan.write_text("stray\n")
+    legacy = [
+        store.root / path.name.replace("snapshot-", "frontier-", 1)
+        for path in store.snapshot_paths()
+    ]
+    legacy.append(store.root / "frontier-deadbeefdeadbeefdeadbeefdeadbeef.jsonl")
+    legacy.append(store.root / "frontier-deadbeef.jsonl.tmp.1-2-3")
+    for path in legacy:
+        path.write_text("stray\n")
     rows = store.stats()
-    by_file = {row["file"]: row for row in rows}
-    parent = by_file[store.path_for(config_fp).name]
-    assert parent["frontier"]["file"] == store.frontier_path_for(config_fp).name
-    assert parent["frontier"]["procs"] == len(set(program.names()))
-    assert parent["frontier"]["bytes"] > 0
-    assert by_file[orphan.name]["orphan_frontier"] is True
-    # gc: dropped parents take their frontier along; orphans go too.
+    assert sorted(row["file"] for row in rows) == sorted(
+        store.path_for(fp).name for fp in (result.config_fp, td.config_fp)
+    )
+    assert all(row["procedures"] == len(program) for row in rows)
     removed = store.gc(keep=1)
-    removed_names = {p.name for p in removed}
-    assert orphan.name in removed_names
-    survivors = {p.name for p in store.snapshot_paths()}
-    assert len(survivors) == 1
-    for frontier_path in store.frontier_paths():
-        assert ("snapshot-" + frontier_path.name[len("frontier-"):]) in survivors
-    # clear() drops every remaining snapshot + frontier pair.
+    assert set(legacy) <= set(removed)
+    assert not any(path.exists() for path in legacy)
+    assert len(store.snapshot_paths()) == 1
+    # clear() drops the surviving snapshot and a reappeared leftover.
+    legacy[0].write_text("stray\n")
     assert store.clear() == 2
-    assert store.frontier_paths() == []
-    assert td is not None  # silence the unused-result lint
+    assert list(store.root.iterdir()) == []
 
 
 def _as_v2(snapshot_bytes: bytes) -> bytes:
@@ -358,22 +370,21 @@ def _as_v2(snapshot_bytes: bytes) -> bytes:
 
 def test_version_bump_sends_old_stores_cold_then_rewrites(tmp_path):
     """A store written in the v2 layout (one record per line) loads
-    cold under v3 — never wrong — and the next analyze rewrites both
-    files at the current version."""
-    from repro.incremental import analyze_with_store
+    cold under v3 — never wrong, for analyze and demand queries alike —
+    and the next analyze rewrites the snapshot at the current version."""
+    from repro.incremental import WarmCache, analyze_with_store
+    from repro.query import run_query
 
     program, store, result = _frontier_setup(tmp_path)
     config_fp = result.config_fp
     assert STORE_VERSION == 3
     snapshot_path = store.path_for(config_fp)
+    warm = run_query(program, FILE_PROPERTY, store, "mid", warm_cache=WarmCache(2))
     snapshot_path.write_bytes(_as_v2(snapshot_path.read_bytes()))
-    frontier_path = store.frontier_path_for(config_fp)
-    lines = frontier_path.read_text().splitlines()
-    header = json.loads(lines[0])
-    header["version"] = 2
-    frontier_path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
     assert store.load(config_fp) is None
-    assert store.load_frontier(config_fp) is None
+    old = run_query(program, FILE_PROPERTY, store, "mid", warm_cache=WarmCache(2))
+    assert old.cold and not warm.cold
+    assert old.answer == warm.answer
     again = analyze_with_store(
         program, FILE_PROPERTY, store, engine="swift", domain="simple"
     )
@@ -383,9 +394,7 @@ def test_version_bump_sends_old_stores_cold_then_rewrites(tmp_path):
     assert json.loads(
         store.path_for(config_fp).read_text().splitlines()[0]
     )["version"] == STORE_VERSION
-    assert json.loads(
-        store.frontier_path_for(config_fp).read_text().splitlines()[0]
-    )["version"] == STORE_VERSION
+    assert [p.name for p in store.root.iterdir()] == [snapshot_path.name]
 
 
 # -- v3 segments: fault injection -----------------------------------------------------
@@ -467,6 +476,19 @@ def _same_size_same_mtime_rewrite(path, old: bytes, new: bytes) -> None:
     assert (after.st_mtime_ns, after.st_size) == (before.st_mtime_ns, before.st_size)
 
 
+def _counting_loads(store):
+    """Record every ``store.load`` call on this instance."""
+    loads = []
+    load = store.load
+
+    def counting(config_fp):
+        loads.append(config_fp)
+        return load(config_fp)
+
+    store.load = counting
+    return loads
+
+
 def test_warm_caches_never_serve_a_file_another_writer_replaced(tmp_path):
     """Decode caches are keyed by file signature, so a replaced file is
     never served from memory: not when it has the same size and mtime as
@@ -500,7 +522,7 @@ def test_warm_caches_never_serve_a_file_another_writer_replaced(tmp_path):
     assert cache.stats()["hits"] == hits
     assert second[0].meta == {"tag": "B"}
 
-    # The query cache: two frontier files of equal size and mtime.
+    # The query cache: two snapshots of equal size and mtime.
     program, _, _ = _frontier_setup(tmp_path / "setup")
     store = SummaryStore(tmp_path / "query")
     config_fp = analyze_with_store(
@@ -512,22 +534,24 @@ def test_warm_caches_never_serve_a_file_another_writer_replaced(tmp_path):
     fps = ProgramFingerprints(program)
     cfgs = ControlFlowGraphs(program)
     cache = WarmCache(4)
+    loads = _counting_loads(store)
 
-    def lookup():
+    def lookup(store=store, config_fp=config_fp, fps=fps, codec=codec, cfgs=cfgs):
         return _load_query_warm(
             store, config_fp, fps, codec, frozenset({"main"}),
             frozenset({"mid"}), cfgs, cache,
         )
 
     first = lookup()
-    assert first[2] == "hit"
-    path = store.frontier_path_for(config_fp)
+    assert first[2] == "hit" and len(loads) == 1
+    path = store.path_for(config_fp)
     old = path.read_bytes()
     _same_size_same_mtime_rewrite(path, old, old.replace(b'"tag":"A"', b'"tag":"B"'))
     hits = cache.stats()["hits"]
     second = lookup()
     assert cache.stats()["hits"] == hits
     assert second[1] is not first[1]
+    assert len(loads) == 2  # the replaced file was read again
 
     # A patched-in-place entry, after a second ``SummaryStore`` writer
     # replaced the file: the lookup misses and decodes the new file.
@@ -541,8 +565,17 @@ def test_warm_caches_never_serve_a_file_another_writer_replaced(tmp_path):
     assert first.saved and len(cache) == 1
     other = store.load(first.config_fp)
     other.meta = {"writer": "second"}
-    SummaryStore(tmp_path / "patched").save(other)
     _, bu_analysis, _ = make_analyses(program, FILE_PROPERTY, "simple")
+    # A demand query through the same cache views the resident snapshot
+    # while its file is unchanged, and reads the file once it is not.
+    loads = _counting_loads(store)
+    demand = dict(
+        store=store, config_fp=first.config_fp, fps=ProgramFingerprints(program),
+        codec=Codec("simple", bu_analysis), cfgs=ControlFlowGraphs(program),
+    )
+    assert lookup(**demand)[2] == "hit" and loads == []
+    SummaryStore(tmp_path / "patched").save(other)
+    assert lookup(**demand)[2] == "hit" and len(loads) == 1
     misses = cache.stats()["misses"]
     snapshot, plan, warm = _load_warm(
         store, first.config_fp, ProgramFingerprints(program),

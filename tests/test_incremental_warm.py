@@ -23,7 +23,6 @@ from repro.incremental import (
     diff_fingerprints,
     driver,
     invalidate,
-    project_frontier,
 )
 from repro.incremental.fingerprint import ProgramFingerprints, canonical_json
 from repro.incremental.invalidate import (
@@ -31,7 +30,6 @@ from repro.incremental.invalidate import (
     REASON_CONE,
     REASON_REMOVED,
 )
-from repro.ir.cfg import ControlFlowGraphs
 from repro.ir.commands import Call, Seq, Skip, seq
 from repro.ir.parser import parse_program
 from repro.ir.program import Program
@@ -352,9 +350,9 @@ EDIT_STEPS = st.lists(
 def test_segmented_save_is_byte_identical_to_a_full_encode(
     tmp_path_factory, program, engine, domain, k, steps
 ):
-    """Over a random edit sequence, every snapshot and frontier file a
-    segmented save writes equals, byte for byte, the save of the same
-    run result with nothing to reuse."""
+    """Over a random edit sequence, every snapshot a segmented save
+    writes equals, byte for byte, the save of the same run result with
+    nothing to reuse."""
     store = SummaryStore(tmp_path_factory.mktemp("store"))
     cache = WarmCache(4)
     versions = [program]
@@ -376,15 +374,9 @@ def test_segmented_save_is_byte_identical_to_a_full_encode(
             path = store.path_for(out.config_fp)
             assert path.read_bytes() == full.to_bytes()
             for proc, text in full.segments.items():
-                assert text == canonical_json(full.payloads[proc])
+                assert text == canonical_json(full.payload(proc))
             assert out.segments_written + out.segments_reused == len(full.segments)
             assert out.segments_reused == len(segmented.reused)
-            cfgs = ControlFlowGraphs(version)
-            exits = {p: cfgs.exit(p).index for p in version.names()}
-            assert (
-                store.frontier_path_for(out.config_fp).read_bytes()
-                == project_frontier(full, exits).to_bytes()
-            )
 
 
 def _counters(metrics) -> dict:

@@ -229,7 +229,7 @@ def test_batch_validates_kind_precision_workers(tmp_path):
         run_query_batch(
             program, FILE_PROPERTY, store, ["a"], query_precision="banana"
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(QueryError):
         run_query_batch(program, FILE_PROPERTY, store, ["a"], max_workers=0)
 
 

@@ -296,6 +296,13 @@ def test_bad_requests_become_error_responses(service):
         {"op": "analyze", "program": GOOD_MINI, "config": {"domain": "killgen"}}
     )
     assert not bad_domain["ok"] and "type-state" in bad_domain["error"]
+    for workers in (0, -3, "x"):
+        bad_workers = service.handle(
+            {"op": "demand", "program": GOOD_MINI, "targets": ["main"],
+             "workers": workers}
+        )
+        assert not bad_workers["ok"] and "workers" in bad_workers["error"]
+        assert not bad_workers["error"].startswith("internal error")
     # The daemon survived all of it.
     assert service.handle({"op": "analyze", "program": GOOD_MINI})["ok"]
 

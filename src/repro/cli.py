@@ -289,6 +289,7 @@ def cmd_query_point(args: argparse.Namespace) -> int:
     from repro.framework.metrics import Budget
     from repro.incremental import SummaryStore
     from repro.query import QueryError, run_query
+    from repro.query.engine import encode_answer
     from repro.typestate.properties import property_by_name
 
     program = load_program(args.file)
@@ -324,41 +325,22 @@ def cmd_query_point(args: argparse.Namespace) -> int:
     if outcome.timed_out:
         print(f"{args.property}: analysis exceeded its budget")
         return 2
-    _print_answer_lines(args.property, outcome.kind, outcome.target, outcome.answer)
+    _print_answer(
+        args.property,
+        outcome.kind,
+        outcome.target,
+        encode_answer(outcome.kind, outcome.answer),
+    )
     if args.kind == "errors" and outcome.answer:
         return 1
     return 0
-
-
-def _print_answer_lines(prop: str, kind: str, target, answer) -> None:
-    """The per-target verdict lines, shared by query-point and
-    query-batch (CI byte-compares them between the two verbs, and —
-    for ``errors`` — against ``repro-swift verify`` restricted to the
-    target)."""
-    if kind == "errors":
-        if not answer:
-            print(f"{prop}: ok at {target}")
-            return
-        print(
-            f"{prop}: {len(answer)} possible protocol violation(s) at {target}"
-        )
-        for point, site in sorted(answer, key=str):
-            print(f"  object from {site} may be in the error state at {point}")
-        return
-    if kind == "summaries":
-        print(f"{target}: {len(answer)} summary pair(s)")
-        for entry, exit_state in sorted(answer, key=str):
-            print(f"  {entry} -> {exit_state}")
-        return
-    print(f"{target}: {len(answer)} entry state(s)")
-    for state in sorted(answer, key=str):
-        print(f"  {state}")
 
 
 def cmd_query_batch(args: argparse.Namespace) -> int:
     from repro.framework.metrics import Budget
     from repro.incremental import SummaryStore
     from repro.query import QueryError, run_query_batch
+    from repro.query.engine import encode_answer
     from repro.typestate.properties import property_by_name
 
     program = load_program(args.file)
@@ -406,7 +388,9 @@ def cmd_query_batch(args: argparse.Namespace) -> int:
     for target in outcome.plan.targets:
         answer = outcome.answers[target]
         print(f"-- target {target}")
-        _print_answer_lines(args.property, outcome.kind, target, answer)
+        _print_answer(
+            args.property, outcome.kind, target, encode_answer(outcome.kind, answer)
+        )
         if outcome.kind == "errors" and answer:
             any_errors = True
     return 1 if any_errors else 0
@@ -439,9 +423,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_client_answer(prop: str, kind: str, target, answer) -> None:
-    """Per-target verdict lines from a service ``demand`` answer (the
-    JSON encoding: pairs arrive as 2-lists of strings)."""
+def _print_answer(prop: str, kind: str, target, answer) -> None:
+    """The per-target verdict lines of an encoded answer
+    (:func:`repro.query.engine.encode_answer`, also the service's JSON
+    form), shared by query-point, query-batch and the client.  CI
+    byte-compares them between those verbs and — for ``errors`` —
+    against ``repro-swift verify`` restricted to the target."""
     if kind == "errors":
         if not answer:
             print(f"{prop}: ok at {target}")
@@ -570,7 +557,7 @@ def cmd_client(args: argparse.Namespace) -> int:
                 for target in response["targets"]:
                     answer = response["answers"][target]
                     print(f"-- target {target}")
-                    _print_client_answer(
+                    _print_answer(
                         args.property, response["kind"], target, answer
                     )
                     if response["kind"] == "errors" and answer:
@@ -596,7 +583,7 @@ def cmd_client(args: argparse.Namespace) -> int:
                 print(f"{args.property}: analysis exceeded its budget")
                 return 2
             answer = response["answer"]
-            _print_client_answer(
+            _print_answer(
                 args.property, response["kind"], response["target"], answer
             )
             if response["kind"] == "errors" and answer:

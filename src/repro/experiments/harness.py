@@ -228,18 +228,19 @@ def map_rows(
     return results
 
 
-def speedup_label(baseline: EngineRun, swift: EngineRun) -> str:
-    """Speedup of SWIFT over a baseline, as the paper reports it.
+def speedup_label(baseline: EngineRun, swift: EngineRun, by: str = "work") -> str:
+    """Speedup of SWIFT over a baseline, ``baseline.<by> / swift.<by>``.
 
-    Reported from the deterministic work counters (wall-clock ratios on
-    CPython are noisy at this scale); "-" when *either* side timed out
-    — a ratio against a truncated run is meaningless — matching
+    ``by="work"`` reads the deterministic work counters (wall-clock
+    ratios on CPython are noisy at this scale); ``by="seconds"`` the
+    wall clock, as the paper reports it.  "-" when *either* side timed
+    out — a ratio against a truncated run is meaningless — matching
     Table 2's convention.
     """
-    if baseline.timed_out or swift.timed_out or swift.work == 0:
+    if baseline.timed_out or swift.timed_out or not getattr(swift, by):
         return "-"
-    ratio = baseline.work / swift.work
-    return f"{ratio:.1f}X"
+    ratio = getattr(baseline, by) / getattr(swift, by)
+    return f"{ratio:.1f}X" if by == "work" else f"{ratio:.2f}x"
 
 
 def drop_label(baseline_count: int, swift_count: int, timed_out: bool) -> str:

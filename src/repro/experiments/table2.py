@@ -11,7 +11,8 @@ Paper shape to reproduce (with k=5, theta=1):
 
 "timeout" here means the deterministic work budget was exceeded (see
 :mod:`repro.experiments.harness`).  Speedups are reported from the
-work counters; wall-clock seconds are shown alongside.
+work counters; wall-clock seconds and the wall-clock TD/SWIFT ratio
+are shown alongside.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ HEADERS = [
     "BU time",
     "SWIFT time",
     "speedup/TD",
+    "time TD/SWIFT",
     "speedup/BU",
     "TD #td-sum",
     "SWIFT #td-sum",
@@ -62,6 +64,7 @@ class Table2Row:
             self.bu.time_label,
             self.swift.time_label,
             speedup_label(self.td, self.swift),
+            speedup_label(self.td, self.swift, by="seconds"),
             speedup_label(self.bu, self.swift),
             "-" if self.td.timed_out else self.td.td_summaries,
             self.swift.td_summaries,

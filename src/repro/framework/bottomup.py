@@ -55,10 +55,6 @@ class ProcedureSummary:
     def __hash__(self) -> int:
         return hash((self.relations, self.ignored))
 
-    def covers(self, sigma) -> bool:
-        """Is ``sigma`` *not* ignored, i.e. may the summary be applied?"""
-        return sigma not in self.ignored
-
     def case_count(self) -> int:
         return len(self.relations)
 
@@ -89,9 +85,6 @@ class BottomUpResult:
     def total_relations(self) -> int:
         """Total number of bottom-up summaries (the Table 2 statistic)."""
         return sum(s.case_count() for s in self.summaries.values())
-
-    def relation_counts_by_proc(self) -> Dict[str, int]:
-        return {proc: s.case_count() for proc, s in self.summaries.items()}
 
     def apply_to(self, proc: str, states: Iterable) -> FrozenSet:
         """Instantiate ``proc``'s summary on concrete incoming states.

@@ -54,6 +54,19 @@ from repro.typestate.full.states import FullAbstractState, intern_full_state
 from repro.typestate.states import AbstractState, intern_state
 
 
+# Store tags of the atom classes: one key, or a variable and a site set.
+_KEYED_ATOMS = {
+    "have": HaveAtom,
+    "nothave": NotHaveAtom,
+    "inmust": InMust,
+    "notinmust": NotInMust,
+    "inmustnot": InMustNot,
+    "notinmustnot": NotInMustNot,
+}
+_ALIAS_ATOMS = {"mayalias": MayAliasAtom, "notmayalias": NotMayAliasAtom}
+_ATOM_TAGS = {cls: tag for tag, cls in {**_KEYED_ATOMS, **_ALIAS_ATOMS}.items()}
+
+
 def _sorted_enc(items: List) -> List:
     """Sort encoded items by their canonical JSON text (a total order)."""
     return sorted(items, key=canonical_json)
@@ -147,48 +160,21 @@ class Codec:
             self._state_memo[key] = hit
         return hit
 
-    def state_key(self, sigma) -> str:
-        """Canonical string key for dict/sort use."""
-        return canonical_json(self.encode_state(sigma))
-
     # -- atoms and predicates ----------------------------------------------------------
     def encode_atom(self, atom: Atom) -> list:
-        if isinstance(atom, HaveAtom):
-            return ["have", atom.var]
-        if isinstance(atom, NotHaveAtom):
-            return ["nothave", atom.var]
-        if isinstance(atom, InMust):
-            return ["inmust", atom.path]
-        if isinstance(atom, NotInMust):
-            return ["notinmust", atom.path]
-        if isinstance(atom, InMustNot):
-            return ["inmustnot", atom.path]
-        if isinstance(atom, NotInMustNot):
-            return ["notinmustnot", atom.path]
-        if isinstance(atom, MayAliasAtom):
-            return ["mayalias", atom.var, sorted(atom.sites)]
-        if isinstance(atom, NotMayAliasAtom):
-            return ["notmayalias", atom.var, sorted(atom.sites)]
-        raise TypeError(f"cannot encode atom {atom!r}")
+        tag = _ATOM_TAGS.get(type(atom))
+        if tag is None:
+            raise TypeError(f"cannot encode atom {atom!r}")
+        if tag in _KEYED_ATOMS:
+            return [tag, atom.key]
+        return [tag, atom.var, sorted(atom.sites)]
 
     def decode_atom(self, enc: list) -> Atom:
         kind = enc[0]
-        if kind == "have":
-            return HaveAtom(enc[1])
-        if kind == "nothave":
-            return NotHaveAtom(enc[1])
-        if kind == "inmust":
-            return InMust(enc[1])
-        if kind == "notinmust":
-            return NotInMust(enc[1])
-        if kind == "inmustnot":
-            return InMustNot(enc[1])
-        if kind == "notinmustnot":
-            return NotInMustNot(enc[1])
-        if kind == "mayalias":
-            return MayAliasAtom(enc[1], frozenset(enc[2]))
-        if kind == "notmayalias":
-            return NotMayAliasAtom(enc[1], frozenset(enc[2]))
+        if kind in _KEYED_ATOMS:
+            return _KEYED_ATOMS[kind](enc[1])
+        if kind in _ALIAS_ATOMS:
+            return _ALIAS_ATOMS[kind](enc[1], frozenset(enc[2]))
         raise ValueError(f"unknown atom kind {kind!r}")
 
     def encode_pred(self, pred: Conjunction) -> list:

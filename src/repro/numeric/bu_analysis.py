@@ -250,11 +250,8 @@ class IntervalBU(BottomUpAnalysis):
     def domain_predicate(self, t: IntervalTransform) -> Conjunction:
         return TRUE
 
-    def pred_satisfied(self, p: Conjunction, env: IntervalEnv) -> bool:
-        return p.satisfied_by(env)
-
-    def pred_entails(self, p: Conjunction, q: Conjunction) -> bool:
-        return p.entails(q)
+    pred_satisfied = staticmethod(Conjunction.satisfied_by)
+    pred_entails = staticmethod(Conjunction.entails)
 
     def pre_image(
         self, t: IntervalTransform, p: Conjunction

@@ -98,6 +98,20 @@ from repro.typestate.dfa import TypestateProperty
 #: The typed questions a demand query can ask.
 QUERY_KINDS = ("errors", "summaries", "entries")
 
+
+def encode_answer(kind: str, answer) -> list:
+    """An answer as the strings it prints, in print order: ``[point,
+    site]`` pairs for errors, ``[entry, exit]`` pairs for summaries,
+    state strings for entries.  Summaries and entries sort by their
+    printed text: a state's ``repr`` (inside a tuple's ``str``) shows
+    frozensets in hash-seed-dependent order."""
+    if kind == "errors":
+        return [[str(point), site] for point, site in sorted(answer, key=str)]
+    if kind == "summaries":
+        return sorted([str(entry), str(exit_state)] for entry, exit_state in answer)
+    return sorted(str(state) for state in answer)
+
+
 #: The precision modes a query can run at: ``"td"`` pins the cone to
 #: reference (top-down) precision; ``"swift"`` leaves BU triggers live
 #: inside the cone (the engine's own hybrid verdict).

@@ -452,19 +452,6 @@ class AnalysisService:
         )
 
     # -- demand (run a point query or a batch of them) ----------------------------------
-    @staticmethod
-    def _encode_answer(kind: str, answer) -> list:
-        if kind == "errors":
-            return [
-                [str(point), site] for point, site in sorted(answer, key=str)
-            ]
-        if kind == "summaries":
-            return [
-                [str(entry), str(exit_state)]
-                for entry, exit_state in sorted(answer, key=str)
-            ]
-        return sorted(str(state) for state in answer)
-
     def _demand(self, request) -> dict:
         """Answer a demand query from the shard store and warm LRU.
 
@@ -478,6 +465,7 @@ class AnalysisService:
         are client errors, not daemon faults.
         """
         from repro.query import QueryError, run_query
+        from repro.query.engine import encode_answer
 
         program, digest = self._program(request)
         prop, config = self._prop_and_config(request)
@@ -529,7 +517,7 @@ class AnalysisService:
             target=str(outcome.target),
             kind=kind,
             precision=precision,
-            answer=self._encode_answer(kind, outcome.answer),
+            answer=encode_answer(kind, outcome.answer),
             cone_size=outcome.cone_size,
             frontier_size=outcome.frontier_size,
             program_procs=len(program),
@@ -555,6 +543,7 @@ class AnalysisService:
         response — the shared cone work is solved exactly once.
         """
         from repro.query import QueryError, run_query_batch
+        from repro.query.engine import encode_answer
 
         if (
             not isinstance(targets, (list, tuple))
@@ -666,7 +655,7 @@ class AnalysisService:
                 batch=True,
                 targets=targets,
                 answers={
-                    str(t): self._encode_answer(kind, a)
+                    str(t): encode_answer(kind, a)
                     for t, a in outcome.answers.items()
                 },
                 attribution=outcome.attribution(),

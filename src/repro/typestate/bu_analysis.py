@@ -27,12 +27,18 @@ operations translate directly (``a0 ∩ a0' ≙ removed ∪ removed'``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Tuple, Union
+from typing import FrozenSet, Optional, Union
 
 from repro.framework.interfaces import BottomUpAnalysis
-from repro.framework.predicates import FALSE, TRUE, Atom, Conjunction
+from repro.framework.predicates import (
+    FALSE,
+    TRUE,
+    Conjunction,
+    GuardedRelations,
+    KeyedAtom,
+)
 from repro.ir.commands import Assign, FieldLoad, FieldStore, Invoke, New, Prim, Skip
-from repro.typestate.dfa import ERROR, TSFunction, TypestateProperty
+from repro.typestate.dfa import TSFunction, TypestateProperty
 from repro.typestate.states import AbstractState, intern_state
 from repro.typestate.td_analysis import SimpleTypestateTD
 
@@ -40,50 +46,42 @@ from repro.typestate.td_analysis import SimpleTypestateTD
 # ---------------------------------------------------------------------------
 # Predicate atoms
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class HaveAtom(Atom):
-    """``have(v)``: the variable is in the must set."""
+class HaveAtom(KeyedAtom):
+    """``have(v)``: the variable (the key) is in the must set."""
 
-    var: str
-
-    __slots__ = ("var",)
-
-    def __reduce__(self):
-        # Rebuild through __init__: frozen fields cannot be set by the
-        # default slot-state unpickling.
-        return (HaveAtom, (self.var,))
+    __slots__ = ()
 
     def satisfied_by(self, sigma: AbstractState) -> bool:
-        return self.var in sigma.must
+        return self.key in sigma.must
 
-    def contradicts(self, other: Atom) -> bool:
-        return isinstance(other, NotHaveAtom) and other.var == self.var
+    @staticmethod
+    def group_test(variables: FrozenSet[str], sigma: AbstractState) -> bool:
+        return variables <= sigma.must
+
+    def declare_contradicted(self):
+        return (NotHaveAtom(self.key),)
 
     def __str__(self) -> str:
-        return f"have({self.var})"
+        return f"have({self.key})"
 
 
-@dataclass(frozen=True)
-class NotHaveAtom(Atom):
+class NotHaveAtom(KeyedAtom):
     """``notHave(v)``: the variable is *not* in the must set."""
 
-    var: str
-
-    __slots__ = ("var",)
-
-    def __reduce__(self):
-        # Rebuild through __init__: frozen fields cannot be set by the
-        # default slot-state unpickling.
-        return (NotHaveAtom, (self.var,))
+    __slots__ = ()
 
     def satisfied_by(self, sigma: AbstractState) -> bool:
-        return self.var not in sigma.must
+        return self.key not in sigma.must
 
-    def contradicts(self, other: Atom) -> bool:
-        return isinstance(other, HaveAtom) and other.var == self.var
+    @staticmethod
+    def group_test(variables: FrozenSet[str], sigma: AbstractState) -> bool:
+        return variables.isdisjoint(sigma.must)
+
+    def declare_contradicted(self):
+        return (HaveAtom(self.key),)
 
     def __str__(self) -> str:
-        return f"notHave({self.var})"
+        return f"notHave({self.key})"
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +171,7 @@ Relation = Union[ConstRelation, TransformerRelation]
 # ---------------------------------------------------------------------------
 # The analysis
 # ---------------------------------------------------------------------------
-class SimpleTypestateBU(BottomUpAnalysis):
+class SimpleTypestateBU(GuardedRelations, BottomUpAnalysis):
     """The analysis ``B = (R, id#, γ, rtrans, rcomp)`` of Figure 3."""
 
     def __init__(
@@ -282,8 +280,7 @@ class SimpleTypestateBU(BottomUpAnalysis):
 
     # -- composition (Figure 3, rcomp) --------------------------------------------------
     def rcompose(self, r1: Relation, r2: Relation) -> FrozenSet[Relation]:
-        pre = self.wp_pred(r1, r2.pred)
-        combined = r1.pred.conjoin_pred(pre) if pre is not FALSE else FALSE
+        combined = self.precondition(r1, r2.pred)
         if combined is FALSE:
             return frozenset()
         return frozenset({self._compose_body(r1, r2, combined)})
@@ -314,37 +311,29 @@ class SimpleTypestateBU(BottomUpAnalysis):
         )
 
     # -- weakest preconditions (Figure 3, wp) --------------------------------------------
-    def wp_atom(self, r: Relation, atom: Atom):
-        """``wp(r, atom)`` — TRUE, FALSE, or a single passed-through atom."""
-        if isinstance(r, ConstRelation):
-            return TRUE if atom.satisfied_by(r.output) else FALSE
-        if isinstance(atom, HaveAtom):
-            if r.adds(atom.var):
-                return TRUE
-            if not r.keeps(atom.var):
-                return FALSE
-            return Conjunction.of([atom])
-        if isinstance(atom, NotHaveAtom):
-            if r.adds(atom.var):
-                return FALSE
-            if not r.keeps(atom.var):
-                return TRUE
-            return Conjunction.of([atom])
-        raise TypeError(f"unknown atom {atom!r}")
-
     def wp_pred(self, r: Relation, pred: Conjunction):
-        """``wp(r, φ)`` — conjunction over the atoms of ``φ``."""
+        """``wp(r, φ)``: each atom of ``φ`` holds after ``r`` always
+        (dropped), never (FALSE), or exactly when it held before (kept)."""
         if pred is FALSE:
             return FALSE
-        result = TRUE
+        if isinstance(r, ConstRelation):
+            return TRUE if pred.satisfied_by(r.output) else FALSE
+        kept = []
         for atom in pred.atoms:
-            piece = self.wp_atom(r, atom)
-            if piece is FALSE:
-                return FALSE
-            result = result.conjoin_pred(piece)
-            if result is FALSE:
-                return FALSE
-        return result
+            cls = type(atom)
+            if cls is not HaveAtom and cls is not NotHaveAtom:
+                raise TypeError(f"unknown atom {atom!r}")
+            if r.adds(atom.key):
+                if cls is NotHaveAtom:
+                    return FALSE
+            elif not r.keeps(atom.key):
+                if cls is HaveAtom:
+                    return FALSE
+            else:
+                kept.append(atom)
+        if len(kept) == len(pred.atoms):
+            return pred
+        return Conjunction.of(kept)
 
     # -- instantiation --------------------------------------------------------------------
     def apply(self, r: Relation, sigma: AbstractState) -> FrozenSet[AbstractState]:
@@ -361,25 +350,3 @@ class SimpleTypestateBU(BottomUpAnalysis):
                 )
             }
         )
-
-    def in_domain(self, r: Relation, sigma: AbstractState) -> bool:
-        return r.pred.satisfied_by(sigma)
-
-    # -- predicate machinery for Sigma -----------------------------------------------------
-    def domain_predicate(self, r: Relation) -> Conjunction:
-        return r.pred
-
-    def pred_satisfied(self, p: Conjunction, sigma: AbstractState) -> bool:
-        return p.satisfied_by(sigma)
-
-    def pred_entails(self, p: Conjunction, q: Conjunction) -> bool:
-        return p.entails(q)
-
-    def pre_image(self, r: Relation, p: Conjunction) -> FrozenSet[Conjunction]:
-        wp = self.wp_pred(r, p)
-        if wp is FALSE:
-            return frozenset()
-        combined = r.pred.conjoin_pred(wp)
-        if combined is FALSE:
-            return frozenset()
-        return frozenset({combined})

@@ -16,123 +16,93 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet
 
-from repro.framework.predicates import Atom
+from repro.framework.predicates import Atom, KeyedAtom
 from repro.typestate.full.states import FullAbstractState
 
 
-class _PathAtom(Atom):
-    """Shared machinery for the four membership atoms.
-
-    Atoms live in frozensets that the bottom-up fixpoint hashes
-    constantly, so the hash is computed once at construction.  It mixes
-    in the concrete class: the dataclass-generated hash covers fields
-    only, making e.g. ``InMust('x')`` and ``NotInMust('x')`` collide in
-    every predicate set.
-    """
+class InMust(KeyedAtom):
+    """``π ∈ a`` (the paper's ``have``); the key is the path ``π``."""
 
     __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((type(self), self.path)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # Rebuild through __init__ so the cached hash is recomputed in
-        # the unpickling process (string hashes differ per process).
-        return (type(self), (self.path,))
-
-
-@dataclass(frozen=True)
-class InMust(_PathAtom):
-    """``π ∈ a`` (the paper's ``have``)."""
-
-    path: str
-
-    __slots__ = ("path", "_hash")
-    # Pinned in the class body: @dataclass(frozen=True) regenerates
-    # __hash__ unless the class itself defines one.
-    __hash__ = _PathAtom.__hash__
-
     def satisfied_by(self, sigma: FullAbstractState) -> bool:
-        return self.path in sigma.must
+        return self.key in sigma.must
 
-    def contradicts(self, other: Atom) -> bool:
-        if isinstance(other, NotInMust) and other.path == self.path:
-            return True
-        # must and must-not are disjoint, so π ∈ a contradicts π ∈ n.
-        return isinstance(other, InMustNot) and other.path == self.path
+    @staticmethod
+    def group_test(paths: FrozenSet[str], sigma: FullAbstractState) -> bool:
+        return paths <= sigma.must
 
-    def implies(self, other: Atom) -> bool:
+    def declare_implied(self):
         # π ∈ a implies π ∉ n (the sets are disjoint).
-        return isinstance(other, NotInMustNot) and other.path == self.path
+        return (NotInMustNot(self.key),)
+
+    def declare_contradicted(self):
+        # must and must-not are disjoint, so π ∈ a contradicts π ∈ n.
+        return (NotInMust(self.key), InMustNot(self.key))
 
     def __str__(self) -> str:
-        return f"inMust({self.path})"
+        return f"inMust({self.key})"
 
 
-@dataclass(frozen=True)
-class NotInMust(_PathAtom):
+class NotInMust(KeyedAtom):
     """``π ∉ a``."""
 
-    path: str
-
-    __slots__ = ("path", "_hash")
-    __hash__ = _PathAtom.__hash__
+    __slots__ = ()
 
     def satisfied_by(self, sigma: FullAbstractState) -> bool:
-        return self.path not in sigma.must
+        return self.key not in sigma.must
 
-    def contradicts(self, other: Atom) -> bool:
-        return isinstance(other, InMust) and other.path == self.path
+    @staticmethod
+    def group_test(paths: FrozenSet[str], sigma: FullAbstractState) -> bool:
+        return paths.isdisjoint(sigma.must)
+
+    def declare_contradicted(self):
+        return (InMust(self.key),)
 
     def __str__(self) -> str:
-        return f"notInMust({self.path})"
+        return f"notInMust({self.key})"
 
 
-@dataclass(frozen=True)
-class InMustNot(_PathAtom):
+class InMustNot(KeyedAtom):
     """``π ∈ n`` (the paper's ``notHave`` in the four-component domain)."""
 
-    path: str
-
-    __slots__ = ("path", "_hash")
-    __hash__ = _PathAtom.__hash__
+    __slots__ = ()
 
     def satisfied_by(self, sigma: FullAbstractState) -> bool:
-        return self.path in sigma.mustnot
+        return self.key in sigma.mustnot
 
-    def contradicts(self, other: Atom) -> bool:
-        if isinstance(other, NotInMustNot) and other.path == self.path:
-            return True
-        return isinstance(other, InMust) and other.path == self.path
+    @staticmethod
+    def group_test(paths: FrozenSet[str], sigma: FullAbstractState) -> bool:
+        return paths <= sigma.mustnot
 
-    def implies(self, other: Atom) -> bool:
+    def declare_implied(self):
         # π ∈ n implies π ∉ a (the sets are disjoint).
-        return isinstance(other, NotInMust) and other.path == self.path
+        return (NotInMust(self.key),)
+
+    def declare_contradicted(self):
+        return (NotInMustNot(self.key), InMust(self.key))
 
     def __str__(self) -> str:
-        return f"inMustNot({self.path})"
+        return f"inMustNot({self.key})"
 
 
-@dataclass(frozen=True)
-class NotInMustNot(_PathAtom):
+class NotInMustNot(KeyedAtom):
     """``π ∉ n``."""
 
-    path: str
-
-    __slots__ = ("path", "_hash")
-    __hash__ = _PathAtom.__hash__
+    __slots__ = ()
 
     def satisfied_by(self, sigma: FullAbstractState) -> bool:
-        return self.path not in sigma.mustnot
+        return self.key not in sigma.mustnot
 
-    def contradicts(self, other: Atom) -> bool:
-        return isinstance(other, InMustNot) and other.path == self.path
+    @staticmethod
+    def group_test(paths: FrozenSet[str], sigma: FullAbstractState) -> bool:
+        return paths.isdisjoint(sigma.mustnot)
+
+    def declare_contradicted(self):
+        return (InMustNot(self.key),)
 
     def __str__(self) -> str:
-        return f"notInMustNot({self.path})"
+        return f"notInMustNot({self.key})"
 
 
 class _AliasAtom(Atom):
@@ -164,12 +134,8 @@ class MayAliasAtom(_AliasAtom):
     def satisfied_by(self, sigma: FullAbstractState) -> bool:
         return sigma.site in self.sites
 
-    def contradicts(self, other: Atom) -> bool:
-        return (
-            isinstance(other, NotMayAliasAtom)
-            and other.var == self.var
-            and other.sites == self.sites
-        )
+    def declare_contradicted(self):
+        return (NotMayAliasAtom(self.var, self.sites),)
 
     def __str__(self) -> str:
         # The site set is part of the atom's identity (two snapshots of
@@ -192,12 +158,8 @@ class NotMayAliasAtom(_AliasAtom):
     def satisfied_by(self, sigma: FullAbstractState) -> bool:
         return sigma.site not in self.sites
 
-    def contradicts(self, other: Atom) -> bool:
-        return (
-            isinstance(other, MayAliasAtom)
-            and other.var == self.var
-            and other.sites == self.sites
-        )
+    def declare_contradicted(self):
+        return (MayAliasAtom(self.var, self.sites),)
 
     def __str__(self) -> str:
         return f"!mayalias({self.var}:{{{','.join(sorted(self.sites))}}})"

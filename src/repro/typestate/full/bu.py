@@ -14,10 +14,10 @@ tames.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator, List, Optional, Tuple
+from typing import FrozenSet, Iterator, Optional, Tuple
 
 from repro.framework.interfaces import BottomUpAnalysis
-from repro.framework.predicates import FALSE, TRUE, Atom, Conjunction
+from repro.framework.predicates import FALSE, TRUE, Conjunction, GuardedRelations
 from repro.ir.commands import Assign, FieldLoad, FieldStore, Invoke, New, Prim, Skip
 from repro.typestate.dfa import TypestateProperty
 from repro.typestate.full.atoms import (
@@ -39,7 +39,7 @@ from repro.typestate.full.states import FullAbstractState
 from repro.typestate.full.td import MUST, MUSTNOT, NEITHER, FullTypestateTD
 
 
-class FullTypestateBU(BottomUpAnalysis):
+class FullTypestateBU(GuardedRelations, BottomUpAnalysis):
     """``B = (R, id#, γ, rtrans, rcomp)`` over four-component states."""
 
     def __init__(
@@ -218,10 +218,7 @@ class FullTypestateBU(BottomUpAnalysis):
 
     # -- composition ---------------------------------------------------------------------------
     def rcompose(self, r1: FullRelation, r2: FullRelation) -> FrozenSet[FullRelation]:
-        pre = self.wp_pred(r1, r2.pred)
-        if pre is FALSE:
-            return frozenset()
-        combined = r1.pred.conjoin_pred(pre)
+        combined = self.precondition(r1, r2.pred)
         if combined is FALSE:
             return frozenset()
         if isinstance(r2, FullConstRelation):
@@ -248,38 +245,33 @@ class FullTypestateBU(BottomUpAnalysis):
         )
 
     # -- weakest preconditions --------------------------------------------------------------------
-    def wp_atom(self, r: FullRelation, atom: Atom):
-        if isinstance(r, FullConstRelation):
-            return TRUE if atom.satisfied_by(r.output) else FALSE
-        if isinstance(atom, InMust):
-            status = r.must_status(atom.path)
-            return TRUE if status == "in" else FALSE if status == "out" else Conjunction.of([atom])
-        if isinstance(atom, NotInMust):
-            status = r.must_status(atom.path)
-            return FALSE if status == "in" else TRUE if status == "out" else Conjunction.of([atom])
-        if isinstance(atom, InMustNot):
-            status = r.mustnot_status(atom.path)
-            return TRUE if status == "in" else FALSE if status == "out" else Conjunction.of([atom])
-        if isinstance(atom, NotInMustNot):
-            status = r.mustnot_status(atom.path)
-            return FALSE if status == "in" else TRUE if status == "out" else Conjunction.of([atom])
-        if isinstance(atom, (MayAliasAtom, NotMayAliasAtom)):
-            # Transformers never change the allocation site.
-            return Conjunction.of([atom])
-        raise TypeError(f"unknown atom {atom!r}")
-
     def wp_pred(self, r: FullRelation, pred: Conjunction):
+        """``wp(r, φ)``: each atom of ``φ`` holds after ``r`` always
+        (dropped), never (FALSE), or exactly when it held before (kept)."""
         if pred is FALSE:
             return FALSE
-        result = TRUE
+        if isinstance(r, FullConstRelation):
+            return TRUE if pred.satisfied_by(r.output) else FALSE
+        kept = []
         for atom in pred.atoms:
-            piece = self.wp_atom(r, atom)
-            if piece is FALSE:
+            cls = type(atom)
+            if cls is MayAliasAtom or cls is NotMayAliasAtom:
+                # Transformers never change the allocation site.
+                kept.append(atom)
+                continue
+            if cls is InMust or cls is NotInMust:
+                status = r.must_status(atom.key)
+            elif cls is InMustNot or cls is NotInMustNot:
+                status = r.mustnot_status(atom.key)
+            else:
+                raise TypeError(f"unknown atom {atom!r}")
+            if status == "dep":
+                kept.append(atom)
+            elif (status == "in") != (cls is InMust or cls is InMustNot):
                 return FALSE
-            result = result.conjoin_pred(piece)
-            if result is FALSE:
-                return FALSE
-        return result
+        if len(kept) == len(pred.atoms):
+            return pred
+        return Conjunction.of(kept)
 
     # -- instantiation --------------------------------------------------------------------------------
     def apply(self, r: FullRelation, sigma: FullAbstractState) -> FrozenSet[FullAbstractState]:
@@ -288,28 +280,6 @@ class FullTypestateBU(BottomUpAnalysis):
         if isinstance(r, FullConstRelation):
             return frozenset({r.output})
         return frozenset({r.transform(sigma)})
-
-    def in_domain(self, r: FullRelation, sigma: FullAbstractState) -> bool:
-        return r.pred.satisfied_by(sigma)
-
-    # -- predicate machinery -----------------------------------------------------------------------------
-    def domain_predicate(self, r: FullRelation) -> Conjunction:
-        return r.pred
-
-    def pred_satisfied(self, p: Conjunction, sigma: FullAbstractState) -> bool:
-        return p.satisfied_by(sigma)
-
-    def pred_entails(self, p: Conjunction, q: Conjunction) -> bool:
-        return p.entails(q)
-
-    def pre_image(self, r: FullRelation, p: Conjunction) -> FrozenSet[Conjunction]:
-        wp = self.wp_pred(r, p)
-        if wp is FALSE:
-            return frozenset()
-        combined = r.pred.conjoin_pred(wp)
-        if combined is FALSE:
-            return frozenset()
-        return frozenset({combined})
 
 
 def _strip(paths: FrozenSet[str], pattern: PathPattern) -> FrozenSet[str]:

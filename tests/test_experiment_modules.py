@@ -50,7 +50,8 @@ def test_table2_row_cells_with_timeouts():
     cells = row.cells()
     assert cells[0] == "bench"
     assert cells[1] == "timeout" and cells[2] == "timeout"
-    assert cells[4] == "-" and cells[5] == "-"  # no speedup vs timeouts
+    # No work or wall-clock speedup against a timeout.
+    assert cells[4] == cells[5] == cells[6] == "-"
     text = table2.render([row])
     assert "timeout" in text
 

@@ -7,8 +7,10 @@ engine, domain and scheduler — while the solve tabulates no
 out-of-cone interior point once the store is warm.
 """
 
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -352,6 +354,34 @@ def test_summaries_and_entries_match_whole_program(tmp_path):
         program, FILE_PROPERTY, store, "hub", kind="entries", engine="td"
     )
     assert got.answer == frozenset(whole.result.incoming_states("hub"))
+    # The printed lines sort by their text, not by a tuple's repr (which
+    # shows frozensets in hash-seed order): fresh `query-point` processes
+    # under two hash seeds print the same lines (full domain, CLI default).
+    from repro.ir.printer import format_program
+
+    src = tmp_path / "hub.ir"
+    src.write_text(format_program(program))
+    env = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    cli = [sys.executable, "-m", "repro.cli"]
+    cli_store = ["--store", str(tmp_path / "cli")]
+    subprocess.run(
+        cli + ["analyze", str(src), *cli_store],
+        env=env,
+        check=True,
+        stdout=subprocess.DEVNULL,
+    )
+    for kind in ("summaries", "entries"):
+        printed = [
+            subprocess.run(
+                cli + ["query-point", str(src), "hub", "--kind", kind, *cli_store],
+                env={**env, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout.splitlines()[1:]  # line 1 carries the store-load time
+            for seed in ("1", "2")
+        ]
+        assert len(printed[0]) > 2 and printed[0] == printed[1], kind
 
 
 # -- the service demand op --------------------------------------------------------------

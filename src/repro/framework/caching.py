@@ -22,11 +22,22 @@ Two rules keep the experiment methodology honest:
 
 Eviction is deterministic FIFO (dicts preserve insertion order), so a
 bounded cache never makes two runs of the same configuration diverge.
+
+``trans`` is memoized as **one table per command**: :class:`TransferCache`
+maps each primitive command to its own ``sigma -> outputs`` dict, which
+the top-down engine resolves once into the compiled successor entry of
+the CFG edge carrying that command.  The tabulation loop then probes
+the edge's table by state alone — no ``(cmd, sigma)`` key tuple is
+built or hashed per transfer — and calls :meth:`TransferCache.fill` on
+a miss.  The bound and the FIFO order span all tables through one
+``(table, sigma)`` insertion queue, so eviction, hits and misses are
+exactly those of a single ``(cmd, sigma)``-keyed memo.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Hashable
+from collections import deque
+from typing import Callable, Deque, Dict, FrozenSet, Hashable, Tuple
 
 from repro.framework.metrics import Metrics
 
@@ -62,25 +73,62 @@ class _BoundedMemo:
         return len(self._data)
 
 
-class TransferCache(_BoundedMemo):
-    """Memoized ``trans(c)(sigma)`` for a top-down analysis."""
+class TransferCache:
+    """Memoized ``trans(c)(sigma)``: one ``sigma -> outputs`` table per
+    command, bounded and FIFO-evicted across all tables together."""
 
-    __slots__ = ("_fn",)
+    __slots__ = ("_fn", "_tables", "_order", "maxsize", "metrics")
 
     def __init__(self, analysis, metrics: Metrics, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
-        super().__init__(metrics, maxsize)
+        if maxsize < 1:
+            raise ValueError("cache maxsize must be positive")
         self._fn: Callable = analysis.transfer
+        self._tables: Dict[Hashable, Dict[Hashable, FrozenSet]] = {}
+        # Every stored entry, oldest first: the global FIFO.
+        self._order: Deque[Tuple[Dict[Hashable, FrozenSet], Hashable]] = deque()
+        self.maxsize = maxsize
+        self.metrics = metrics
+
+    def table(self, cmd) -> Dict[Hashable, FrozenSet]:
+        """The live ``sigma -> outputs`` table of ``cmd``.
+
+        The same dict for the cache's whole lifetime (eviction and
+        :meth:`clear` empty it in place), so callers may hold on to it.
+        """
+        table = self._tables.get(cmd)
+        if table is None:
+            table = self._tables[cmd] = {}
+        return table
+
+    def fill(self, table: Dict[Hashable, FrozenSet], cmd, sigma) -> FrozenSet:
+        """Compute the miss ``trans(cmd)(sigma)`` and store it in ``table``
+        (which must be ``self.table(cmd)``)."""
+        out = self._fn(cmd, sigma)
+        self.metrics.transfer_cache_misses += 1
+        order = self._order
+        if len(order) >= self.maxsize:
+            # FIFO: evict the oldest insertion of any table (deterministic).
+            old_table, old_sigma = order.popleft()
+            del old_table[old_sigma]
+        table[sigma] = out
+        order.append((table, sigma))
+        return out
 
     def __call__(self, cmd, sigma) -> FrozenSet:
-        key = (cmd, sigma)
-        out = self._data.get(key)
+        table = self.table(cmd)
+        out = table.get(sigma)
         if out is not None:
             self.metrics.transfer_cache_hits += 1
             return out
-        out = self._fn(cmd, sigma)
-        self.metrics.transfer_cache_misses += 1
-        self._store(key, out)
-        return out
+        return self.fill(table, cmd, sigma)
+
+    def clear(self) -> None:
+        for table in self._tables.values():
+            table.clear()
+        self._order.clear()
+
+    def __len__(self) -> int:
+        return len(self._order)
 
 
 class RTransferCache(_BoundedMemo):

@@ -46,9 +46,11 @@ class Scheduler:
     """Interface of a tabulation worklist.
 
     ``push`` enqueues a newly discovered path edge, ``pop`` selects the
-    next one to process.  Implementations must be deterministic given
-    the push sequence (no hash-order or wall-clock dependence): the
-    engines' work counters are part of the reported results.
+    next one to process and raises ``IndexError`` when the worklist is
+    empty (the engines pop until it does).  Implementations must be
+    deterministic given the push sequence (no hash-order or wall-clock
+    dependence): the engines' work counters are part of the reported
+    results.
     """
 
     #: Registry name; set on instances by :func:`make_scheduler`.
@@ -63,23 +65,20 @@ class Scheduler:
     def __len__(self) -> int:
         raise NotImplementedError
 
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
 
 class LifoScheduler(Scheduler):
-    """Depth-first order — the engines' historical default."""
+    """Depth-first order — the engines' historical default.
+
+    ``push``/``pop`` are the deque's own bound methods, so no Python
+    frame runs per work item.
+    """
 
     policy = "lifo"
 
     def __init__(self, program: Program) -> None:
         self._items: Deque[WorkItem] = deque()
-
-    def push(self, item: WorkItem) -> None:
-        self._items.append(item)
-
-    def pop(self) -> WorkItem:
-        return self._items.pop()
+        self.push = self._items.append
+        self.pop = self._items.pop
 
     def __len__(self) -> int:
         return len(self._items)
@@ -92,12 +91,8 @@ class FifoScheduler(Scheduler):
 
     def __init__(self, program: Program) -> None:
         self._items: Deque[WorkItem] = deque()
-
-    def push(self, item: WorkItem) -> None:
-        self._items.append(item)
-
-    def pop(self) -> WorkItem:
-        return self._items.popleft()
+        self.push = self._items.append
+        self.pop = self._items.popleft
 
     def __len__(self) -> int:
         return len(self._items)

@@ -147,7 +147,9 @@ class TopDownEngine:
       ``_propagate``, so summary reuse at a call edge inspects only the
       matching summaries instead of scanning every exit path edge of
       the callee (O(matching) instead of O(all summaries));
-    * ``enable_caches`` — a bounded memo table for ``trans(c)(sigma)``.
+    * ``enable_caches`` — bounded per-command memo tables for
+      ``trans(c)(sigma)``, resolved once into each point's compiled
+      successor entries.
     """
 
     def __init__(
@@ -195,10 +197,8 @@ class TopDownEngine:
         # when tracing): (via, source point, source state, source entry).
         self._cause = _SEED_CAUSE
         self._td_wall: Dict[str, float] = {}
-        self._transfer = (
-            TransferCache(analysis, self.metrics)
-            if enable_caches
-            else analysis.transfer
+        self._transfer_cache: Optional[TransferCache] = (
+            TransferCache(analysis, self.metrics) if enable_caches else None
         )
         # td(pc) = set of path edges (entry state, state at pc)
         self._td: Dict[ProgramPoint, Set[Tuple]] = {}
@@ -215,7 +215,7 @@ class TopDownEngine:
         self._entry_points: Dict[str, ProgramPoint] = {}
         self._exit_points: Dict[str, ProgramPoint] = {}
         self._exit_point_set: Set[ProgramPoint] = set()
-        self._succ_cache: Dict[ProgramPoint, List[CFGEdge]] = {}
+        self._succ_cache: Dict[ProgramPoint, Tuple] = {}
         # Exit-summary index: proc -> sigma_in -> set of sigma_out.
         self._exit_index: Dict[str, Dict[object, Set[object]]] = {}
         # Warm start (repro.incremental.invalidate.WarmStart): stored
@@ -247,6 +247,7 @@ class TopDownEngine:
             self._ctx_acc: Dict[str, object] = {}
             self._ctx_visits: Dict[str, int] = {}
             self._cyclic: Dict[str, bool] = {}
+            self._propagate = self._propagate_lattice
 
     # -- driver -----------------------------------------------------------------------
     def run(self, initial_states: Iterable) -> TopDownResult:
@@ -299,31 +300,70 @@ class TopDownEngine:
         )
 
     def _solve(self) -> None:
+        """The tabulation loop: pop path edges until the workset is empty.
+
+        Everything the loop touches per path edge is bound to a local
+        once, and each point's successors are compiled once into
+        ``(edge, is_call, table)`` entries (:meth:`_compile_succs`), so a
+        primitive edge costs one probe of its command's transfer table
+        plus one ``_propagate`` per output.  Call edges go through
+        ``_handle_call``, the seam SWIFT overrides.
+        """
         tracing = self._tracing
         lattice = self._lattice
-        while self._workset:
-            if self.budget is not None:
-                self.budget.check(self.metrics)
+        cur = self._cur if lattice else None
+        pop = self._workset.pop
+        metrics = self.metrics
+        budget = self.budget
+        succ_cache = self._succ_cache
+        compile_succs = self._compile_succs
+        exit_points = self._exit_point_set
+        after_exit = self._after_exit
+        propagate = self._propagate
+        handle_call = self._handle_call
+        transfer = self.analysis.transfer
+        fill = self._transfer_cache.fill if self._transfer_cache is not None else None
+        while True:
             # Pop order is the scheduling policy's choice (default LIFO
             # depth-first — see repro.framework.scheduling for why, and
             # for the other registered policies).
-            point, entry_sigma, sigma = self._workset.pop()
-            if lattice and self._cur.get((point, entry_sigma)) != sigma:
+            try:
+                point, entry_sigma, sigma = pop()
+            except IndexError:
+                return
+            if budget is not None:
+                budget.check(metrics)
+            if lattice and cur.get((point, entry_sigma)) != sigma:
                 # A later join replaced this value; its successors were
                 # (or will be) explored from the replacement.
                 continue
             if tracing:
                 pop_started = time.perf_counter()
-            succs = self._succ_cache.get(point)
+            succs = succ_cache.get(point)
             if succs is None:
-                succs = self.cfgs[point.proc].successors(point)
-                self._succ_cache[point] = succs
-            for edge in succs:
-                if edge.is_call:
-                    self._handle_call(edge, entry_sigma, sigma)
+                succs = compile_succs(point)
+            for edge, is_call, table in succs:
+                if is_call:
+                    handle_call(edge, entry_sigma, sigma)
+                    continue
+                metrics.transfers += 1
+                if tracing:
+                    self._cause = ("prim", point, sigma, entry_sigma)
+                if table is None:
+                    outs = transfer(edge.label, sigma)
                 else:
-                    self._handle_prim(edge, entry_sigma, sigma)
-            self._after_exit(point, entry_sigma, sigma)
+                    outs = table.get(sigma)
+                    if outs is None:
+                        outs = fill(table, edge.label, sigma)
+                    else:
+                        metrics.transfer_cache_hits += 1
+                if len(outs) > 1:
+                    outs = sorted_states(outs)
+                target = edge.target
+                for sigma_prime in outs:
+                    propagate(target, entry_sigma, sigma_prime)
+            if point in exit_points:
+                after_exit(point, entry_sigma, sigma)
             if tracing:
                 # Wall-time attribution at pop granularity: everything
                 # this path edge caused (transfers, call handling,
@@ -333,12 +373,23 @@ class TopDownEngine:
                 ) + (time.perf_counter() - pop_started)
 
     # -- edge handling ------------------------------------------------------------------
-    def _handle_prim(self, edge: CFGEdge, entry_sigma, sigma) -> None:
-        self.metrics.transfers += 1
-        if self._tracing:
-            self._cause = ("prim", edge.source, sigma, entry_sigma)
-        for sigma_prime in sorted_states(self._transfer(edge.label, sigma)):
-            self._propagate(edge.target, entry_sigma, sigma_prime)
+    def _compile_succs(self, point: ProgramPoint) -> Tuple:
+        """``point``'s successor entries ``(edge, is_call, table)``, cached.
+
+        ``table`` is the transfer cache's table for a primitive edge's
+        command (None for call edges, and for every edge when caches are
+        off: the loop then calls ``analysis.transfer`` directly).
+        """
+        cache = self._transfer_cache
+        succs = self._succ_cache[point] = tuple(
+            (
+                edge,
+                edge.is_call,
+                None if edge.is_call or cache is None else cache.table(edge.label),
+            )
+            for edge in self.cfgs[point.proc].successors(point)
+        )
+        return succs
 
     def _handle_call(self, edge: CFGEdge, entry_sigma, sigma) -> None:
         """Plain tabulation handling of a call edge (``run_td``)."""
@@ -413,9 +464,7 @@ class TopDownEngine:
         ]
 
     def _after_exit(self, point: ProgramPoint, entry_sigma, sigma) -> None:
-        """If a path edge reached a procedure exit, return to callers."""
-        if point not in self._exit_point_set:
-            return
+        """A path edge reached a procedure exit: return to its callers."""
         if self._tracing:
             self._cause = ("return", point, sigma, entry_sigma)
         records = list(self._call_records.get((point.proc, entry_sigma), ()))
@@ -476,16 +525,16 @@ class TopDownEngine:
         return new
 
     def _propagate(self, point: ProgramPoint, entry_sigma, sigma) -> None:
-        if self._lattice:
-            self._propagate_lattice(point, entry_sigma, sigma)
-            return
+        """Record the path edge ``(entry_sigma, sigma)`` at ``point`` and
+        queue it if new (value mode rebinds this to
+        :meth:`_propagate_lattice` in ``__init__``)."""
         edges = self._td.get(point)
         if edges is None:
             edges = self._td[point] = set()
-        pair = (entry_sigma, sigma)
-        if pair in edges:
+        before = len(edges)
+        edges.add((entry_sigma, sigma))
+        if len(edges) == before:
             return
-        edges.add(pair)
         self.metrics.propagations += 1
         if self.indexed_summaries and point in self._exit_point_set:
             by_entry = self._exit_index.setdefault(point.proc, {})
@@ -592,6 +641,11 @@ class TopDownEngine:
         so stopping after any number of ``descending_iters`` is sound.
         """
         analysis = self.analysis
+        transfer = (
+            self._transfer_cache
+            if self._transfer_cache is not None
+            else analysis.transfer
+        )
         # Group the live (point, entry) keys per procedure once.
         per_proc: Dict[str, Dict[ProgramPoint, List]] = {}
         for (point, entry_sigma) in self._cur:
@@ -623,7 +677,7 @@ class TopDownEngine:
                             if src is None:
                                 continue
                             self.metrics.transfers += 1
-                            for out in self._transfer(edge.label, src):
+                            for out in transfer(edge.label, src):
                                 new = out if new is None else analysis.join(new, out)
                         if new is None or new == cur:
                             continue

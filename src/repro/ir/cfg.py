@@ -20,29 +20,25 @@ lowering is the standard one:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from repro.ir.commands import Call, Choice, Command, Prim, Seq, Skip, Star
 from repro.ir.program import Program
 
 
-@dataclass(frozen=True)
-class ProgramPoint:
+class ProgramPoint(NamedTuple):
     """A vertex of a procedure's control-flow graph.
 
     Points key every hot table of the engines (``td``, successor
-    caches, scheduler buckets), so the hash is precomputed once instead
-    of re-deriving the field tuple's hash on every probe.
+    caches, scheduler buckets), so they are plain named tuples: the
+    hash and equality run in C on every probe, and a point pickles
+    through its constructor (no per-process cached hash travels with
+    it).  The ``repr`` is the dataclass-style ``ProgramPoint(proc=...,
+    index=...)`` that sorted CLI output depends on.
     """
 
     proc: str
     index: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.proc, self.index)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return f"{self.proc}:{self.index}"

@@ -30,6 +30,12 @@ class Command:
 
     __slots__ = ()
 
+    def __reduce__(self):
+        # Frozen dataclasses with hand-written slots cannot be restored
+        # by the default slot-state protocol: rebuild through __init__
+        # (every subclass lists its fields in constructor order).
+        return (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
     def primitives(self) -> Iterator["Prim"]:
         """Yield every primitive command appearing in this command."""
         stack = [self]

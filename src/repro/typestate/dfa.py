@@ -56,6 +56,9 @@ class TypestateProperty:
         self.initial = initial
         self._delta: Dict[Tuple[str, str], str] = {}
         self._methods: set = set()
+        # method -> its TSFunction, built on first use: every tracked
+        # Invoke transfer asks for one.
+        self._method_fns: Dict[str, TSFunction] = {}
         for (src, method), dst in transitions.items():
             if src not in self.states or dst not in self.states:
                 raise ValueError(f"transition {src}-{method}->{dst} uses unknown state")
@@ -93,9 +96,14 @@ class TypestateProperty:
 
     def method_function(self, method: str) -> Optional["TSFunction"]:
         """``[m] : T -> T`` for a tracked method; ``None`` otherwise."""
-        if method not in self._methods:
-            return None
-        return TSFunction.of(self.states, lambda t: self.step(t, method))
+        fn = self._method_fns.get(method)
+        if fn is None:
+            if method not in self._methods:
+                return None
+            fn = self._method_fns[method] = TSFunction.of(
+                self.states, lambda t: self.step(t, method)
+            )
+        return fn
 
     def __repr__(self) -> str:
         return f"TypestateProperty({self.name!r}, {len(self.states)} states)"

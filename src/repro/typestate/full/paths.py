@@ -8,12 +8,22 @@ sets (every path rooted at an overwritten variable; every path through
 an updated field), so removal masks are sets of :class:`PathPattern`
 objects rather than concrete path sets — the families are large but the
 patterns describing them are tiny.
+
+Removal is the hot operation of both transfer directions, so the
+filters below are set algebra: bare-variable members (the bulk of a
+must-not set, which starts as every other program variable) are
+matched by one C-level intersection or difference, and only the
+field-dereferencing members — memoized per path set by
+:func:`dotted_paths` — are tested one by one in Python.  Every filter
+returns the *same* frozenset when it removes nothing, so unchanged
+states keep sharing their components.  :func:`filter_removed` is the
+pattern-by-pattern reference they are property-tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Tuple
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 MAX_FIELDS = 2
 
@@ -41,6 +51,11 @@ class PathPattern:
 
     def matches(self, path: str) -> bool:
         raise NotImplementedError
+
+    def __reduce__(self):
+        # Frozen dataclasses with hand-written slots cannot be restored
+        # by the default slot-state protocol: rebuild through __init__.
+        return (type(self), tuple(getattr(self, name) for name in self.__slots__))
 
 
 @dataclass(frozen=True)
@@ -112,3 +127,39 @@ def filter_removed(
     if not patterns:
         return paths
     return frozenset(p for p in paths if not matches_any(patterns, p))
+
+
+#: Memoized field-dereferencing members per path set.  Path sets are
+#: shared by interned states, so the same few sets are filtered over
+#: and over; keyed by the set itself, bounded by clear-on-overflow.
+_DOTTED: Dict[FrozenSet[str], FrozenSet[str]] = {}
+_DOTTED_LIMIT = 1 << 16
+
+
+def dotted_paths(paths: FrozenSet[str]) -> FrozenSet[str]:
+    """The members of ``paths`` that dereference a field, cached."""
+    dotted = _DOTTED.get(paths)
+    if dotted is None:
+        if len(_DOTTED) >= _DOTTED_LIMIT:
+            _DOTTED.clear()
+        dotted = _DOTTED[paths] = frozenset(p for p in paths if "." in p)
+    return dotted
+
+
+def strip_rooted(paths: FrozenSet[str], var: str) -> FrozenSet[str]:
+    """``paths`` minus every path rooted at ``var`` (``paths`` itself
+    when there is none)."""
+    prefix = var + "."
+    doomed = [p for p in dotted_paths(paths) if p.startswith(prefix)]
+    if var in paths:
+        doomed.append(var)
+    elif not doomed:
+        return paths
+    return paths.difference(doomed)
+
+
+def strip_field(paths: FrozenSet[str], fieldname: str) -> FrozenSet[str]:
+    """``paths`` minus every path dereferencing ``fieldname`` (``paths``
+    itself when there is none)."""
+    doomed = [p for p in dotted_paths(paths) if fieldname in p.split(".")[1:]]
+    return paths.difference(doomed) if doomed else paths

@@ -24,25 +24,24 @@ from repro.typestate.full.paths import (
     HasField,
     PathPattern,
     Rooted,
-    filter_removed,
-    matches_any,
+    dotted_paths,
     normalize_patterns,
-    path_fields,
-    path_root,
 )
 from repro.typestate.full.states import FullAbstractState, intern_full_state
 
 
 class _CompiledMask:
-    """Pattern set pre-split by kind for O(1)-ish matching.
+    """Pattern set pre-split by kind for set-algebra filtering.
 
     Removal masks are consulted for every access path of every state a
-    transformer is applied to; matching each path against each pattern
-    object dominates instantiation cost, so the patterns are compiled
-    once per relation into three plain sets.
+    transformer is applied to, so the patterns are compiled once per
+    relation: ``direct`` (root variables and exact paths) removes the
+    bare and exactly-named members with one C-level intersection, and
+    only the state's dotted paths (:func:`dotted_paths`) are matched
+    against ``roots`` and ``fields`` in Python.
     """
 
-    __slots__ = ("roots", "exacts", "fields", "empty")
+    __slots__ = ("roots", "exacts", "fields", "direct", "empty")
 
     def __init__(self, patterns: FrozenSet[PathPattern]) -> None:
         roots = set()
@@ -57,9 +56,10 @@ class _CompiledMask:
                 fields.add(p.fieldname)
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown pattern {p!r}")
-        self.roots = roots
-        self.exacts = exacts
-        self.fields = fields
+        self.roots = frozenset(roots)
+        self.exacts = frozenset(exacts)
+        self.fields = frozenset(fields)
+        self.direct = self.roots | self.exacts
         self.empty = not (roots or exacts or fields)
 
     def matches(self, path: str) -> bool:
@@ -67,17 +67,29 @@ class _CompiledMask:
             return False
         dot = path.find(".")
         if dot < 0:
-            return path in self.roots or path in self.exacts
+            return path in self.direct
         return (
             path[:dot] in self.roots
             or path in self.exacts
-            or (bool(self.fields) and any(f in self.fields for f in path.split(".")[1:]))
+            or not self.fields.isdisjoint(path.split(".")[1:])
         )
 
     def filter(self, paths: FrozenSet[str]) -> FrozenSet[str]:
+        """``paths`` minus every match; ``paths`` itself when none."""
         if self.empty or not paths:
             return paths
-        return frozenset(p for p in paths if not self.matches(p))
+        roots = self.roots
+        fields = self.fields
+        doomed = [
+            p
+            for p in dotted_paths(paths)
+            if p[: p.find(".")] in roots
+            or (fields and not fields.isdisjoint(p.split(".")[1:]))
+        ]
+        direct = paths & self.direct
+        if not doomed and not direct:
+            return paths
+        return paths.difference(doomed, direct)
 
 
 @dataclass(frozen=True)
@@ -88,6 +100,9 @@ class FullConstRelation:
     pred: Conjunction
 
     __slots__ = ("output", "pred")
+
+    def __reduce__(self):
+        return (FullConstRelation, (self.output, self.pred))
 
     def __str__(self) -> str:
         return f"[{self.pred} => {self.output}]"
@@ -156,10 +171,15 @@ class FullTransformerRelation:
 
     # -- semantics ------------------------------------------------------------------
     def transform(self, sigma: FullAbstractState) -> FullAbstractState:
-        must = self._rem_must_c.filter(sigma.must) | self.add_must
-        mustnot = self._rem_mustnot_c.filter(sigma.mustnot) | self.add_mustnot
+        site, state, must, mustnot = sigma
+        must = self._rem_must_c.filter(must)
+        if self.add_must:
+            must = must | self.add_must
+        mustnot = self._rem_mustnot_c.filter(mustnot)
+        if self.add_mustnot:
+            mustnot = mustnot | self.add_mustnot
         return intern_full_state(
-            FullAbstractState(sigma.site, self.iota(sigma.state), must, mustnot)
+            FullAbstractState(site, self.iota(state), must, mustnot)
         )
 
     # -- value semantics ---------------------------------------------------------------
@@ -177,6 +197,21 @@ class FullTransformerRelation:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__ so the cached hash is recomputed in
+        # the unpickling process (string hashes differ per process).
+        return (
+            FullTransformerRelation,
+            (
+                self.iota,
+                self.rem_must,
+                self.add_must,
+                self.rem_mustnot,
+                self.add_mustnot,
+                self.pred,
+            ),
+        )
 
     def __repr__(self) -> str:
         return str(self)

@@ -7,61 +7,65 @@ object, ``n`` expressions that definitely do not (Section 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable
 
 from repro.typestate.dfa import TypestateProperty
 from repro.typestate.states import BOOTSTRAP_SITE, _INTERN_LIMIT
 
 
-@dataclass(frozen=True)
-class FullAbstractState:
+class FullAbstractState(tuple):
     """``(h, t, a, n)`` — site, type-state, must set, must-not set.
 
-    Hashes are precomputed at construction and equal instances can be
-    canonicalized via :func:`intern_full_state` — the four-component
-    tuples are the hottest hash keys of the full-domain engines.
+    A ``tuple`` subclass: the four-component states are the hottest
+    hash keys of the full-domain engines, and a tuple hashes and
+    compares in C (its hash is the one the former dataclass cached, and
+    the string and frozenset components cache their own).  Equal
+    instances can be canonicalized via :func:`intern_full_state`.
     """
 
-    site: str
-    state: str
-    must: FrozenSet[str]
-    mustnot: FrozenSet[str]
+    __slots__ = ()
 
-    __slots__ = ("site", "state", "must", "mustnot", "_hash")
-
-    def __post_init__(self) -> None:
-        overlap = self.must & self.mustnot
+    def __new__(
+        cls, site: str, state: str, must: FrozenSet[str], mustnot: FrozenSet[str]
+    ) -> "FullAbstractState":
+        overlap = must & mustnot
         if overlap:
             raise ValueError(f"must/must-not overlap: {sorted(overlap)}")
-        object.__setattr__(
-            self, "_hash", hash((self.site, self.state, self.must, self.mustnot))
-        )
+        return tuple.__new__(cls, (site, state, must, mustnot))
 
-    def __hash__(self) -> int:
-        return self._hash
+    site = property(itemgetter(0))
+    state = property(itemgetter(1))
+    must = property(itemgetter(2))
+    mustnot = property(itemgetter(3))
 
     def __reduce__(self):
-        # Rebuild through __init__ so the cached hash is recomputed in
-        # the unpickling process (string hashes differ per process).
-        return (FullAbstractState, (self.site, self.state, self.must, self.mustnot))
+        # Through the constructor: tuple's own __getnewargs__ would hand
+        # __new__ a single tuple argument.
+        return (FullAbstractState, tuple(self))
+
+    def __repr__(self) -> str:
+        site, state, must, mustnot = self
+        return (
+            f"FullAbstractState(site={site!r}, state={state!r}, "
+            f"must={must!r}, mustnot={mustnot!r})"
+        )
 
     def with_state(self, state: str) -> "FullAbstractState":
-        return intern_full_state(
-            FullAbstractState(self.site, state, self.must, self.mustnot)
-        )
+        return intern_full_state(FullAbstractState(self[0], state, self[2], self[3]))
 
     def with_sets(
         self, must: Iterable[str], mustnot: Iterable[str]
     ) -> "FullAbstractState":
         return intern_full_state(
-            FullAbstractState(self.site, self.state, frozenset(must), frozenset(mustnot))
+            FullAbstractState(self[0], self[1], frozenset(must), frozenset(mustnot))
         )
 
     def __str__(self) -> str:
-        a = "{" + ",".join(sorted(self.must)) + "}"
-        n = "{" + ",".join(sorted(self.mustnot)) + "}"
-        return f"({self.site},{self.state},{a},{n})"
+        site, state, must, mustnot = self
+        a = "{" + ",".join(sorted(must)) + "}"
+        n = "{" + ",".join(sorted(mustnot)) + "}"
+        return f"({site},{state},{a},{n})"
 
 
 _interned: Dict[FullAbstractState, FullAbstractState] = {}

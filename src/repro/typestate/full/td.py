@@ -29,7 +29,7 @@ from repro.framework.interfaces import TopDownAnalysis
 from repro.ir.commands import Assign, FieldLoad, FieldStore, Invoke, New, Prim, Skip
 from repro.typestate.dfa import ERROR, TypestateProperty
 from repro.typestate.full.oracle import MayAliasOracle
-from repro.typestate.full.paths import HasField, Rooted, filter_removed
+from repro.typestate.full.paths import strip_field, strip_rooted
 from repro.typestate.full.states import FullAbstractState, intern_full_state
 
 MUST = "must"
@@ -83,8 +83,8 @@ class FullTypestateTD(TopDownAnalysis):
     def transfer(self, cmd: Prim, sigma: FullAbstractState) -> FrozenSet[FullAbstractState]:
         if isinstance(cmd, New):
             survivor = sigma.with_sets(
-                _strip_rooted(sigma.must, cmd.lhs),
-                _strip_rooted(sigma.mustnot, cmd.lhs) | {cmd.lhs},
+                strip_rooted(sigma.must, cmd.lhs),
+                strip_rooted(sigma.mustnot, cmd.lhs) | {cmd.lhs},
             )
             out = {survivor}
             if self.tracks_site(cmd.site):
@@ -98,8 +98,8 @@ class FullTypestateTD(TopDownAnalysis):
             )
         if isinstance(cmd, FieldStore):
             status = self.status_of(sigma, cmd.rhs)
-            must = _strip_field(sigma.must, cmd.fieldname)
-            mustnot = _strip_field(sigma.mustnot, cmd.fieldname)
+            must = strip_field(sigma.must, cmd.fieldname)
+            mustnot = strip_field(sigma.mustnot, cmd.fieldname)
             stored = f"{cmd.base}.{cmd.fieldname}"
             if status == MUST:
                 must |= {stored}
@@ -125,29 +125,11 @@ class FullTypestateTD(TopDownAnalysis):
     def _rebind(self, sigma: FullAbstractState, lhs: str, source: str) -> FullAbstractState:
         """``lhs`` takes on the (pre-command) status of ``source``."""
         status = self.status_of(sigma, source)
-        must = _strip_rooted(sigma.must, lhs)
-        mustnot = _strip_rooted(sigma.mustnot, lhs)
+        must = strip_rooted(sigma.must, lhs)
+        mustnot = strip_rooted(sigma.mustnot, lhs)
         if status == MUST:
             must |= {lhs}
         elif status == MUSTNOT:
             mustnot |= {lhs}
         return sigma.with_sets(must, mustnot)
 
-
-def _strip_rooted(paths: FrozenSet[str], var: str) -> FrozenSet[str]:
-    """``paths`` minus every path rooted at ``var`` (fast path: sets of
-    bare variables, the common case)."""
-    if var in paths:
-        prefix = var + "."
-        return frozenset(p for p in paths if p != var and not p.startswith(prefix))
-    prefix = var + "."
-    if any(p.startswith(prefix) for p in paths):
-        return frozenset(p for p in paths if not p.startswith(prefix))
-    return paths
-
-
-def _strip_field(paths: FrozenSet[str], fieldname: str) -> FrozenSet[str]:
-    """``paths`` minus every path dereferencing ``fieldname``."""
-    if not any("." in p for p in paths):
-        return paths
-    return frozenset(p for p in paths if fieldname not in p.split(".")[1:])

@@ -7,6 +7,9 @@ exhaust their Budget mid-flight.
 """
 
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +66,26 @@ def test_cache_fifo_eviction_is_bounded():
     assert metrics.transfer_cache_misses == 4
     cache.clear()
     assert len(cache) == 0
+    # One table per command, one FIFO across all of them: the oldest
+    # entry goes first whichever table holds it, and a refill after an
+    # eviction is a miss.
+    metrics = Metrics()
+    cache = TransferCache(analysis, metrics, maxsize=3)
+    other = AbstractState("h1", FILE_PROPERTY.initial, frozenset({"a"}))
+    load, store = New("a", "h1"), New("b", "h1")
+    tables = cache.table(load), cache.table(store)
+    for cmd, state in ((load, sigma), (store, sigma), (load, other), (store, other)):
+        cache.fill(cache.table(cmd), cmd, state)
+    assert len(cache) == 3
+    assert list(tables[0]) == [other] and list(tables[1]) == [sigma, other]
+    cache(load, other)  # still resident
+    assert (metrics.transfer_cache_hits, metrics.transfer_cache_misses) == (1, 4)
+    assert cache(load, sigma) == analysis.transfer(load, sigma)  # refilled
+    assert (metrics.transfer_cache_hits, metrics.transfer_cache_misses) == (1, 5)
+    assert list(tables[0]) == [other, sigma] and list(tables[1]) == [other]
+    cache.clear()
+    assert len(cache) == 0 and not tables[0] and not tables[1]
+    assert cache.table(load) is tables[0]  # cleared in place, still live
 
 
 def test_bu_caches_match_raw_operators():
@@ -81,6 +104,28 @@ def test_bu_caches_match_raw_operators():
 
 
 # -- counters are identical with caches on/off ----------------------------------------
+class _ReferenceMemo:
+    """An analysis whose ``transfer`` goes through a plain
+    ``(cmd, sigma)``-keyed memo, counting its hits and misses."""
+
+    def __init__(self, analysis) -> None:
+        self._analysis = analysis
+        self._memo = {}
+        self.hits = self.misses = 0
+
+    def __getattr__(self, name):
+        return getattr(self._analysis, name)
+
+    def transfer(self, cmd, sigma):
+        key = (cmd, sigma)
+        if key in self._memo:
+            self.hits += 1
+        else:
+            self.misses += 1
+            self._memo[key] = self._analysis.transfer(cmd, sigma)
+        return self._memo[key]
+
+
 @pytest.mark.parametrize("indexed", [True, False])
 def test_work_counters_independent_of_caches(indexed):
     program = _flood_program()
@@ -89,9 +134,15 @@ def test_work_counters_independent_of_caches(indexed):
     on = TopDownEngine(
         program, analysis, enable_caches=True, indexed_summaries=indexed
     ).run(initial)
+    reference = _ReferenceMemo(analysis)
     off = TopDownEngine(
-        program, analysis, enable_caches=False, indexed_summaries=indexed
+        program, reference, enable_caches=False, indexed_summaries=indexed
     ).run(initial)
+    # The per-command tables hit and miss exactly where one
+    # (cmd, sigma)-keyed memo over the uncached run's transfers does.
+    assert reference.misses > 0 and reference.hits > 0
+    assert on.metrics.transfer_cache_hits == reference.hits
+    assert on.metrics.transfer_cache_misses == reference.misses
     assert on.td == off.td
     assert on.metrics.total_work == off.metrics.total_work
     assert on.metrics.transfers == off.metrics.transfers
@@ -134,19 +185,97 @@ def test_intern_state_returns_canonical_instance():
     assert intern_full_state(fa) is intern_full_state(fb)
 
 
+#: Builds ``values``: every kind of value that keys a hot table or
+#: crosses a process boundary.  Run in this process and in both
+#: processes of the two-hash-seed round trip below.
+_PICKLE_VALUES = """
+from repro.framework.predicates import TRUE, Conjunction
+from repro.ir.cfg import ProgramPoint
+from repro.ir.commands import Assign, Call, FieldLoad, FieldStore, Invoke, New, Skip
+from repro.typestate.full.atoms import InMust, InMustNot, NotInMust
+from repro.typestate.full.paths import ExactPath, HasField, Rooted
+from repro.typestate.full.relations import FullConstRelation, FullTransformerRelation
+from repro.typestate.full.states import FullAbstractState
+from repro.typestate.properties import FILE_PROPERTY
+from repro.typestate.states import AbstractState
+
+full = FullAbstractState("h1", "closed", frozenset(), frozenset({"a"}))
+values = [
+    AbstractState("h1", "opened", frozenset({"a"})),
+    full,
+    InMust("a.f"),
+    NotInMust("a"),
+    InMustNot("b"),
+    ProgramPoint("main", 3),
+    New("a", "h1"),
+    Assign("a", "b"),
+    Invoke("a", "open"),
+    FieldLoad("a", "b", "f"),
+    FieldStore("a", "f", "b"),
+    Skip(),
+    Call("helper"),
+    Rooted("v"),
+    HasField("f"),
+    ExactPath("v.f"),
+    FullConstRelation(full, Conjunction.of([InMust("a")])),
+    FullTransformerRelation(
+        FILE_PROPERTY.method_function("open"),
+        frozenset({Rooted("v"), HasField("f")}),
+        frozenset({"w"}),
+        frozenset({ExactPath("u.g")}),
+        frozenset({"v"}),
+        TRUE,
+    ),
+]
+"""
+
+_SEED_ROUND_TRIP = _PICKLE_VALUES + """
+import pickle
+import sys
+
+if sys.argv[1] == "dump":
+    sys.stdout.write(pickle.dumps(values).hex())
+else:
+    clones = pickle.loads(bytes.fromhex(sys.stdin.read()))
+    for value, clone in zip(values, clones, strict=True):
+        assert clone == value and hash(clone) == hash(value), value
+        assert clone in {value} and {value: 1}[clone] == 1, value
+    print(len(clones))
+"""
+
+
 def test_states_and_atoms_survive_pickling():
     """Cached hashes are per-process (string hash randomization); the
-    pickle path must rebuild through __init__ so they stay valid."""
-    values = [
-        AbstractState("h1", "opened", frozenset({"a"})),
-        FullAbstractState("h1", "closed", frozenset(), frozenset({"a"})),
-        InMust("a.f"),
-        NotInMust("a"),
-        InMustNot("b"),
-    ]
+    pickle path must rebuild through the constructor so they stay
+    valid — checked in-process and from a PYTHONHASHSEED=1 pickle
+    loaded under PYTHONHASHSEED=2."""
+    namespace = {}
+    exec(_PICKLE_VALUES, namespace)
+    values = namespace["values"]
     for value in values:
         clone = pickle.loads(pickle.dumps(value))
+        assert type(clone) is type(value)
         assert clone == value and hash(clone) == hash(value)
+    env = {
+        "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+        "PATH": "/usr/bin:/bin",
+    }
+    dumped = subprocess.run(
+        [sys.executable, "-c", _SEED_ROUND_TRIP, "dump"],
+        capture_output=True,
+        text=True,
+        env=dict(env, PYTHONHASHSEED="1"),
+    )
+    assert dumped.returncode == 0, dumped.stderr
+    loaded = subprocess.run(
+        [sys.executable, "-c", _SEED_ROUND_TRIP, "load"],
+        input=dumped.stdout,
+        capture_output=True,
+        text=True,
+        env=dict(env, PYTHONHASHSEED="2"),
+    )
+    assert loaded.returncode == 0, loaded.stderr
+    assert int(loaded.stdout) == len(values)
 
 
 def test_atom_hashes_distinguish_classes():

@@ -1,6 +1,8 @@
 """Unit tests for access paths, path patterns, and full relations."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from repro.framework.predicates import TRUE, Conjunction
 from repro.typestate.full import (
@@ -18,7 +20,10 @@ from repro.typestate.full.paths import (
     filter_removed,
     is_valid_path,
     normalize_patterns,
+    strip_field,
+    strip_rooted,
 )
+from repro.typestate.full.relations import _CompiledMask
 from repro.typestate.properties import FILE_PROPERTY
 
 
@@ -47,13 +52,47 @@ def test_pattern_matching():
     assert not HasField("f").matches("f")  # 'f' here is a variable
 
 
-def test_matches_any_and_filter():
-    patterns = [Rooted("v"), HasField("log")]
-    assert matches_any(patterns, "v.x")
-    assert matches_any(patterns, "w.log")
-    assert not matches_any(patterns, "w.data")
-    paths = frozenset({"v", "w.log", "w.data", "u"})
-    assert filter_removed(paths, frozenset(patterns)) == frozenset({"w.data", "u"})
+_VARS = ("u", "v", "w")
+_FIELDS = ("f", "g", "log")
+_var = st.sampled_from(_VARS)
+_field = st.sampled_from(_FIELDS)
+#: Bare, one-field and two-field access paths.
+_path = st.one_of(
+    _var,
+    st.builds("{}.{}".format, _var, _field),
+    st.builds("{}.{}.{}".format, _var, _field, _field),
+)
+_pattern = st.one_of(
+    st.builds(Rooted, _var), st.builds(HasField, _field), st.builds(ExactPath, _path)
+)
+
+
+@given(paths=st.frozensets(_path, max_size=10), patterns=st.frozensets(_pattern, max_size=4))
+def test_matches_any_and_filter(paths, patterns):
+    """The set-algebra filters equal the pattern-by-pattern reference
+    ``filter_removed`` and return the very same set when nothing
+    matches."""
+    fixed = [Rooted("v"), HasField("log")]
+    assert matches_any(fixed, "v.x")
+    assert matches_any(fixed, "w.log")
+    assert not matches_any(fixed, "w.data")
+    assert filter_removed(
+        frozenset({"v", "w.log", "w.data", "u"}), frozenset(fixed)
+    ) == frozenset({"w.data", "u"})
+
+    def check(got, removal):
+        want = filter_removed(paths, frozenset(removal))
+        assert got == want
+        assert (got is paths) == (want == paths)
+
+    mask = _CompiledMask(patterns)
+    check(mask.filter(paths), patterns)
+    for path in paths:
+        assert mask.matches(path) == matches_any(patterns, path)
+    for var in _VARS:
+        check(strip_rooted(paths, var), [Rooted(var)])
+    for fieldname in _FIELDS:
+        check(strip_field(paths, fieldname), [HasField(fieldname)])
 
 
 def test_normalize_drops_covered_exact_patterns():

@@ -3,10 +3,12 @@
 Recursion makes the call graph cyclic, so neither "callees before
 callers" nor "one procedure at a time" is well-defined on the raw
 graph.  The *condensation* — contract every strongly connected
-component (SCC) to one node — is a DAG.  Three readers share it: the
+component (SCC) to one node — is a DAG.  Four readers share it: the
 query planner's component split and the slicer walk its edges
-(:meth:`Condensation.callee_sccs`, :meth:`Condensation.members`), and
-value-mode TD's recursion test reads :meth:`Condensation.is_cyclic`.
+(:meth:`Condensation.callee_sccs`, :meth:`Condensation.members`),
+value-mode TD's recursion test reads :meth:`Condensation.is_cyclic`,
+and the store's cone fingerprints hash it bottom-up
+(:class:`repro.incremental.fingerprint.ProgramFingerprints`).
 
 Tarjan's algorithm is implemented iteratively (an explicit work stack,
 no recursion) so pathological call chains cannot hit CPython's
@@ -95,7 +97,12 @@ class Condensation:
     """
 
     def __init__(self, program: Program) -> None:
-        self.program = program
+        # No reference to ``program`` is kept: memoized on it, a
+        # back-reference would form a cycle only the cyclic collector
+        # frees, keeping each one-shot run's program alive past its run.
+        self._self_calls: FrozenSet[str] = frozenset(
+            proc for proc in program if proc in program.callees(proc)
+        )
         neighbors = {
             proc: sorted(program.callees(proc)) for proc in program
         }
@@ -141,8 +148,7 @@ class Condensation:
         component = self.sccs[i]
         if len(component) > 1:
             return True
-        proc = component[0]
-        return proc in self.program.callees(proc)
+        return component[0] in self._self_calls
 
 
 def condensation(program: Program) -> Condensation:

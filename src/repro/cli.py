@@ -33,6 +33,7 @@ of :mod:`repro.ir.parser`).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -627,12 +628,18 @@ def cmd_store(args: argparse.Namespace) -> int:
                 f"{row['file']}: {row['engine']}/{row['domain']} "
                 f"property={row['property']} procs={row['procedures']} "
                 f"contexts={row['contexts']} td-rows={row['td_rows']} "
-                f"bu-summaries={row['bu_summaries']} ({row['bytes']} bytes)"
+                f"bu-summaries={row['bu_summaries']} ({row['bytes']} bytes, "
+                f"log {row['log_bytes']} bytes over {row['appends']} appended "
+                f"save(s))"
             )
         return 0
     if args.store_command == "gc":
         removed = store.gc(keep=args.keep)
-        print(f"removed {len(removed)} file(s), kept {len(store.snapshot_paths())}")
+        compacted = store.compact()
+        print(
+            f"removed {len(removed)} file(s), compacted {len(compacted)}, "
+            f"kept {len(store.snapshot_paths())}"
+        )
         return 0
     if args.store_command == "clear":
         print(f"removed {store.clear()} file(s)")
@@ -923,7 +930,9 @@ def build_parser() -> argparse.ArgumentParser:
     stats = store_sub.add_parser("stats", help="one line per snapshot")
     stats.add_argument("dir")
     stats.set_defaults(fn=cmd_store)
-    gc = store_sub.add_parser("gc", help="drop all but the newest snapshots")
+    gc = store_sub.add_parser(
+        "gc", help="drop all but the newest snapshots and compact their logs"
+    )
     gc.add_argument("dir")
     gc.add_argument("--keep", type=int, default=8)
     gc.set_defaults(fn=cmd_store)
@@ -1002,8 +1011,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call shares, built on first use: building
+    it imports the registries and creates ~25 subparsers, which would
+    otherwise cost each in-process call (edit loops, the end-to-end
+    benchmark) milliseconds.  Parsing never mutates it; each call gets
+    a fresh namespace."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except BrokenPipeError:

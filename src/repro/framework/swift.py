@@ -61,6 +61,7 @@ class SwiftResult(TopDownResult):
             timed_out=base.timed_out,
             profile=base.profile,
             call_records=base.call_records,
+            activated=base.activated,
         )
         self.bu = bu
 

@@ -89,6 +89,7 @@ class TopDownResult:
         timed_out: bool = False,
         profile: Optional[Profile] = None,
         call_records: Optional[Dict[Tuple[str, object], Set[Tuple]]] = None,
+        activated: FrozenSet[Tuple[str, object]] = frozenset(),
     ) -> None:
         self.program = program
         self.cfgs = cfgs
@@ -103,6 +104,11 @@ class TopDownResult:
         # summary store needs these to attach spawned contexts to their
         # creating context (repro.incremental).
         self.call_records = call_records if call_records is not None else {}
+        # (proc, entry) of every stored context the run installed from
+        # its warm start whose rows all remain in ``td``: the summary
+        # store reuses such a procedure's segment without re-reading
+        # its rows (repro.incremental.invalidate).
+        self.activated = activated
 
     # -- state queries ------------------------------------------------------------
     def states_at(self, point: ProgramPoint) -> FrozenSet:
@@ -297,6 +303,7 @@ class TopDownEngine:
             timed_out=self._timed_out,
             profile=self.profile,
             call_records=self._call_records,
+            activated=self._intact_activations(),
         )
 
     def _solve(self) -> None:
@@ -716,6 +723,24 @@ class TopDownEngine:
                 self._sink.emit(
                     TraceEvent("store_invalidated", proc, {"reason": reason})
                 )
+
+    def _intact_activations(self) -> FrozenSet[Tuple[str, object]]:
+        """The activated contexts whose stored rows are all still in the
+        tables.  Finite domains only ever add rows, so that is all of
+        them; a value-mode run may have replaced an installed value
+        since, so each context's rows are checked once, here."""
+        if not self._lattice:
+            return frozenset(self._activated)
+        contexts = self._preload.contexts if self._preload is not None else {}
+        td = self._td
+        return frozenset(
+            key
+            for key in self._activated
+            if all(
+                (key[1], sigma) in td.get(point, ())
+                for point, sigma in contexts[key].rows
+            )
+        )
 
     def _activate(self, proc: str, entry) -> bool:
         """Install the stored context ``(proc, entry)`` — and, transitively,

@@ -22,7 +22,8 @@ and filters the decoded segments by ``plan.valid`` — no read, no
 decode.  After a save the entry is patched
 in place: the new snapshot's reused segments keep their decoded
 entries, the re-encoded ones take the run's own objects, and the
-signature is the one ``SummaryStore.save`` took from its temp file, so
+signature is the one ``SummaryStore.save`` took from the file it wrote
+(the locked file after an append, the temp file before a rename), so
 a concurrent writer's file is never mistaken for ours.  Engines never
 mutate a ``WarmStart`` (activation copies rows into their own tables),
 so sharing one across runs — sequential or concurrent — is sound.  The
@@ -239,6 +240,7 @@ class IncrementalOutcome:
     snapshot_path: Optional[str] = None
     segments_written: int = 0  # procedures whose segment was encoded
     segments_reused: int = 0  # procedures whose segment text was copied
+    bytes_written: int = 0  # what the save wrote: a log record, or a base
     plan: Optional[InvalidationPlan] = field(default=None, repr=False)
 
 
@@ -353,9 +355,11 @@ def analyze_with_store(
         # activating stored contexts (a genuinely new context would
         # have cost at least one propagation).  Skipping the save keeps
         # the file's identity stable, so the resident cache entry stays
-        # valid for the next run.  A changed snapshot is written with
-        # every unchanged segment copied, and the cache entry is
-        # replaced by the snapshot just written.
+        # valid for the next run.  A changed snapshot is built with
+        # every unchanged segment copied and appended to the file as a
+        # log record over the snapshot it was built from (a base is
+        # written instead when that is not possible), and the cache
+        # entry is replaced by the snapshot just written.
         unchanged = (
             snapshot is not None
             and plan is not None
@@ -376,7 +380,8 @@ def analyze_with_store(
                 meta=meta,
                 warm=warm,
             )
-            outcome.snapshot_path = str(store.save(new_snapshot))
+            outcome.snapshot_path = str(store.save(new_snapshot, snapshot))
+            outcome.bytes_written = new_snapshot.written
             outcome.segments_reused = len(new_snapshot.reused)
             outcome.segments_written = (
                 len(new_snapshot.segments) - outcome.segments_reused

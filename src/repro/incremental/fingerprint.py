@@ -11,12 +11,17 @@ Three fingerprint families key the summary store:
   folds in the may-alias facts of the variables the body mentions: the
   oracle is whole-program, so an edit elsewhere that changes what ``v``
   may point to must invalidate every body using ``v``.
-* **cone** — SHA-256 over the sorted ``(callee, body fingerprint)``
-  pairs of the procedure's transitive-callee cone *including itself*
-  (``reachable_from``), which handles recursion for free.  A stored
-  context ``(g, σ)`` is a pure function of ``σ``, ``g``'s body, and the
-  bodies in ``g``'s cone, so cone equality is exactly the condition
-  under which a stored entry may be trusted.
+* **cone** — a Merkle hash over the call graph's SCC condensation
+  (:func:`repro.callgraph.scc.condensation`), computed bottom-up: each
+  component hashes its members' ``(name, body fingerprint)`` pairs and
+  the sorted hashes of the components it calls, and every member's
+  cone fingerprint is its component's hash.  A component's hash thus
+  covers every body in the procedure's transitive-callee cone
+  *including itself* — recursion is one component — at one hash per
+  component instead of one cone walk per procedure.  A stored context
+  ``(g, σ)`` is a pure function of ``σ``, ``g``'s body, and the bodies
+  in ``g``'s cone, so cone equality is exactly the condition under
+  which a stored entry may be trusted.
 * **config** — SHA-256 over a canonical description of the analysis
   configuration: property DFA (states, initial, transition table) plus
   :meth:`repro.framework.config.AnalysisConfig.canonical_dict` (domain,
@@ -32,8 +37,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
+from repro.callgraph.scc import condensation
 from repro.ir.printer import format_command
 from repro.ir.program import Program
 from repro.typestate.dfa import TypestateProperty
@@ -42,7 +48,8 @@ from repro.typestate.dfa import TypestateProperty
 #: description, so old snapshots simply stop matching (cold fallback).
 #: v2: descriptions come from ``AnalysisConfig.canonical_dict`` —
 #: canonical domain names (``typestate-full``) and a ``scheduler`` flag.
-FINGERPRINT_VERSION = 2
+#: v3: cone fingerprints are hashed over the SCC condensation.
+FINGERPRINT_VERSION = 3
 
 #: Per-variable may-alias facts: ``var -> sites it may point to``.
 AliasFacts = Mapping[str, FrozenSet[str]]
@@ -63,17 +70,31 @@ def alias_facts(program: Program, oracle) -> Dict[str, FrozenSet[str]]:
 
 
 def body_fingerprint(
-    program: Program, proc: str, facts: Optional[AliasFacts] = None
+    program: Program,
+    proc: str,
+    facts: Optional[AliasFacts] = None,
+    rows: Optional[Dict[str, str]] = None,
 ) -> str:
-    """Fingerprint of one procedure body (plus its alias facts, if any)."""
-    text = format_command(program[proc])
+    """Fingerprint of one procedure body (plus its alias facts, if any).
+
+    The facts fold in as the canonical JSON of ``[[var, sorted sites],
+    ...]`` over the body's variables, assembled from each variable's
+    row text; ``rows`` memoizes those texts across the procedures of
+    one program.
+    """
+    body = program[proc]
+    text = format_command(body)
     if facts:
-        rows = [
-            [var, sorted(facts.get(var, ()))]
-            for var in sorted(program[proc].variables())
-        ]
-        if rows:
-            text += "\n#alias " + canonical_json(rows)
+        if rows is None:
+            rows = {}
+        parts = []
+        for var in sorted(body.variables()):
+            row = rows.get(var)
+            if row is None:
+                row = rows[var] = canonical_json([var, sorted(facts.get(var, ()))])
+            parts.append(row)
+        if parts:
+            text += "\n#alias [" + ",".join(parts) + "]"
     return _sha(text)
 
 
@@ -89,15 +110,24 @@ class ProgramFingerprints:
     def __init__(
         self, program: Program, facts: Optional[AliasFacts] = None
     ) -> None:
-        self.body: Dict[str, str] = {
-            proc: body_fingerprint(program, proc, facts) for proc in program
+        rows: Dict[str, str] = {}
+        body = self.body = {
+            proc: body_fingerprint(program, proc, facts, rows) for proc in program
         }
         self.cone: Dict[str, str] = {}
-        for proc in program:
-            members = sorted(program.reachable_from(proc) | {proc})
-            self.cone[proc] = _sha(
-                canonical_json([[q, self.body[q]] for q in members])
-            )
+        dag = condensation(program)
+        hashes: List[str] = []
+        # Components come callees first, so every callee hash is ready.
+        # One line per member (``name:body``), then one per callee
+        # component hash: hex digests hold no colon, so the text is
+        # unambiguous.
+        for i, members in enumerate(dag.sccs):
+            lines = [f"{q}:{body[q]}" for q in members]
+            lines.extend(sorted(hashes[j] for j in dag.callee_sccs(i)))
+            digest = _sha("\n".join(lines))
+            hashes.append(digest)
+            for q in members:
+                self.cone[q] = digest
 
     def as_dict(self) -> Dict[str, Dict[str, str]]:
         """``proc -> {"body": fp, "cone": fp}`` in serializable form."""

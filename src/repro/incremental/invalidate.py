@@ -183,6 +183,7 @@ class _RunTables:
         self.call_records = result.call_records or {}
         self.bu = getattr(result, "bu", None) or {}
         self.counts = result.entry_counts
+        self.activated = result.activated
         self._texts: Dict[object, str] = {}
         self.points: Dict[str, List[ProgramPoint]] = defaultdict(list)
         for point in self.td:
@@ -203,16 +204,22 @@ class _RunTables:
 
     def matches(self, proc: str, stored: StoredProc) -> bool:
         """Would ``proc``'s segment, rebuilt from this run, equal the
-        stored one?
+        stored one?  O(contexts): no stored row is re-read.
 
-        Rows and records: the run's sets for ``proc`` contain every
-        stored row/record and are no larger.  The summary: the run kept
-        the very object it was preloaded with.  The multiset: every
+        Rows and records: the run activated every stored context and
+        they all stayed intact (``result.activated``), so the run's
+        rows and records for ``proc`` contain the stored ones — equal
+        counts then mean equal sets.  The summary: the run kept the
+        very object it was preloaded with.  The multiset: every
         observed count is already covered by the stored maximum, so the
         merge in :func:`build_snapshot` leaves it as it was.
         """
-        td = self.td
+        activated = self.activated
         contexts = stored.contexts
+        for ctx in contexts:
+            if (proc, ctx.entry) not in activated:
+                return False
+        td = self.td
         rows = sum(len(td[point]) for point in self.points.get(proc, ()))
         if rows != sum(len(ctx.rows) for ctx in contexts):
             return False
@@ -220,16 +227,6 @@ class _RunTables:
             len(ctx.records) for ctx in contexts
         ):
             return False
-        for ctx in contexts:
-            entry = ctx.entry
-            for point, sigma in ctx.rows:
-                if (entry, sigma) not in td.get(point, ()):
-                    return False
-            for callee, sigma_in, return_point in ctx.records:
-                if (return_point, entry) not in self.call_records.get(
-                    (callee, sigma_in), ()
-                ):
-                    return False
         if self.bu.get(proc) is not stored.bu:
             return False
         observed = self.counts.get(proc)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, load_program, main
 from repro.framework.registry import ENGINES
 from repro.framework.scheduling import scheduler_names
@@ -91,9 +92,24 @@ def test_dot_call_graph_and_cfg(mini_file, capsys):
     assert "digraph" in capsys.readouterr().out
 
 
-def test_parser_requires_command():
+def test_parser_requires_command(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+    # main() builds its parser once and shares it: a usage error through
+    # it still exits 2, and repeated calls do not accumulate
+    # ``append`` options.
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert cli._parser() is cli._parser()
+    targets = [
+        cli._parser().parse_args(
+            ["client", "demand", "prog.mini", "--target", target]
+        ).targets
+        for target in ("a", "b")
+    ]
+    assert targets == [["a"], ["b"]]
 
 
 def test_bench_unknown_name(capsys):
@@ -134,6 +150,19 @@ def test_store_stats_gc_clear(mini_file, tmp_path, capsys):
     # v2 config fingerprints carry the canonical registry domain name.
     assert "swift/typestate-full" in out and "property=File" in out
     assert "frontier=" not in out  # the snapshot is the only file
+    assert "(0 bytes" not in out and "log 0 bytes over 0 appended save(s))" in out
+    # An edit appends to the snapshot; gc compacts that log in place.
+    edited = GOOD_MINI.replace("f.#close();", "f.#close(); f.#open(); f.#close();")
+    path = mini_file(edited, name="edit.mini")
+    assert main(["analyze", path, "--store", store]) == 0
+    capsys.readouterr()
+    assert main(["store", "stats", store]) == 0
+    out = capsys.readouterr().out
+    assert "over 1 appended save(s))" in out and "log 0 bytes" not in out
+    assert main(["store", "gc", store]) == 0
+    assert "removed 0 file(s), compacted 1, kept 1" in capsys.readouterr().out
+    assert main(["store", "stats", store]) == 0
+    assert "log 0 bytes over 0 appended save(s))" in capsys.readouterr().out
     # gc removes the snapshot and a projection an older store left.
     (Path(store) / "frontier-0123.jsonl").write_text("stray\n")
     assert main(["store", "gc", store, "--keep", "0"]) == 0

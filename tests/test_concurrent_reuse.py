@@ -11,10 +11,14 @@ many threads — same config, different configs — and assert results,
 snapshots, and cache behaviour are exactly what serial runs produce.
 """
 
+import dataclasses
 import json
+import os
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +41,13 @@ main {
 }
 """
 
+#: MINI with one method body edited: analyzing it over MINI's snapshot
+#: appends to the file.
+EDITED_MINI = MINI.replace(
+    "method flush(f) { f.#open(); f.#close(); }",
+    "method flush(f) { f.#open(); f.#close(); f.#open(); f.#close(); }",
+)
+
 BAD_MINI = """
 class Writer { method close2(f) { f.#close(); f.#close(); } }
 main { w = new Writer(); r = new Writer(); r.#open(); w.close2(r); }
@@ -52,6 +63,21 @@ def _snapshot_bytes(store_dir) -> dict:
     """Snapshot file name -> bytes, for torn-write comparisons."""
     store = SummaryStore(store_dir)
     return {path.name: path.read_bytes() for path in store.snapshot_paths()}
+
+
+def _base_size(store) -> int:
+    """Size of the base of the store's one snapshot."""
+    (path,) = store.snapshot_paths()
+    return Snapshot.from_bytes(path.read_bytes()).log.base_bytes
+
+
+def _assert_complete(store_dir) -> None:
+    """Every snapshot parses to its last intact record, which is its
+    end, and no temp file is left behind."""
+    for path in SummaryStore(store_dir).snapshot_paths():
+        data = path.read_bytes()
+        assert Snapshot.from_bytes(data).log.end == len(data)
+    assert not list(Path(store_dir).glob("*.tmp.*"))
 
 
 # -- threaded analyze_with_store ------------------------------------------------------
@@ -95,6 +121,43 @@ def test_hammer_same_config_matches_serial(tmp_path, program, engine):
     assert not list((tmp_path / "hammer").glob("*.tmp.*"))
     # Warm runs actually hit the shared cache.
     assert cache.stats()["hits"] > 0
+
+    # Appending writers: threads alternate the edited and the original
+    # program over one store, so saves append to the file (or rewrite
+    # it when another writer got there first); every verdict equals its
+    # version's serial one and the file always replays completely.
+    edited = compile_minioo(EDITED_MINI)
+    reference = {
+        id(version): analyze_with_store(
+            version, FILE_PROPERTY, SummaryStore(tmp_path / f"ref{i}"),
+            engine=engine, domain="simple", warm_cache=WarmCache(2),
+        ).report.errors
+        for i, version in enumerate((program, edited))
+    }
+    appended = []
+
+    def alternate(i):
+        barrier.wait()
+        for k in range(4):
+            version = (program, edited)[(i + k) % 2]
+            outcome = analyze_with_store(
+                version, FILE_PROPERTY, store, engine=engine,
+                domain="simple", warm_cache=cache,
+            )
+            assert outcome.report.errors == reference[id(version)]
+            if outcome.bytes_written:
+                appended.append(outcome.bytes_written < _base_size(store))
+        return True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            assert all(pool.map(alternate, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert any(appended)
+    _assert_complete(tmp_path / "hammer")
 
 
 def test_hammer_different_configs_keep_their_snapshots(tmp_path, program):
@@ -272,6 +335,94 @@ def test_concurrent_saves_leave_no_tmp_and_a_complete_file(tmp_path, program):
     path = store.path_for(outcome.config_fp)
     assert path.read_bytes() == expected
     assert not list(tmp_path.glob("*.tmp.*"))
+
+    # Appending writers: each thread loads the file and saves its own
+    # version over what it loaded.  At most one append lands per loaded
+    # version; a writer that lost the race rewrites the base, so the
+    # file always replays to exactly one writer's complete snapshot.
+    edited = compile_minioo(EDITED_MINI)
+    other_store = SummaryStore(tmp_path / "other")
+    edited_out = analyze_with_store(
+        edited, FILE_PROPERTY, other_store, engine="td", domain="simple",
+        warm_cache=WarmCache(2),
+    )
+    versions = [snap, other_store.load(edited_out.config_fp)]
+    landed = []
+
+    def append(i):
+        barrier.wait()
+        for k in range(5):
+            loaded = store.load(outcome.config_fp)
+            mine = dataclasses.replace(versions[(i + k) % 2])
+            store.save(mine, loaded)
+            landed.append(mine.log.appends)
+        return True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the lock, stat and write
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            assert all(pool.map(append, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert any(landed)
+    final = store.load(outcome.config_fp)
+    assert final.log.end == path.stat().st_size
+    assert final.to_bytes() in {version.to_bytes() for version in versions}
+    assert not list(tmp_path.glob("*.tmp.*"))
+
+    # Two processes appending to one store root, each alternating the
+    # two programs through analyze_with_store with its resident cache:
+    # every verdict is its version's, and the file replays completely.
+    script = (
+        "import json, sys\n"
+        "from repro.frontend import compile_minioo\n"
+        "from repro.incremental import SummaryStore, analyze_with_store\n"
+        "from repro.typestate.properties import FILE_PROPERTY\n"
+        "from tests.test_concurrent_reuse import EDITED_MINI, MINI\n"
+        "store = SummaryStore(sys.argv[1])\n"
+        "programs = [compile_minioo(MINI), compile_minioo(EDITED_MINI)]\n"
+        "for k in range(12):\n"
+        "    which = (int(sys.argv[2]) + k) % 2\n"
+        "    out = analyze_with_store(programs[which], FILE_PROPERTY, store,\n"
+        "                             engine='td', domain='simple')\n"
+        "    print(json.dumps([which, sorted(map(str, out.report.errors)),\n"
+        "                      out.bytes_written]))\n"
+    )
+    shared = tmp_path / "processes"
+    root = Path(__file__).resolve().parent.parent
+    env = {
+        "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)]),
+        "PATH": "/usr/bin:/bin",
+    }
+    workers = [
+        subprocess.Popen(
+            [sys.executable, "-c", script, str(shared), str(i)],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        for i in range(2)
+    ]
+    outputs = [worker.communicate(timeout=300)[0] for worker in workers]
+    assert [worker.returncode for worker in workers] == [0, 0]
+    references = [
+        sorted(map(str, out.report.errors)) for out in (outcome, edited_out)
+    ]
+    written = []
+    for text in outputs:
+        runs = [json.loads(line) for line in text.splitlines()]
+        assert len(runs) == 12
+        assert all(errors == references[which] for which, errors, _ in runs)
+        written.extend(n for _, _, n in runs if n)
+    # Some saves appended: a log record, not a base.
+    assert min(written) < min(len(v.to_bytes()) for v in versions) // 2
+    _assert_complete(shared)
+    for which, version in enumerate((program, edited)):
+        again = analyze_with_store(
+            version, FILE_PROPERTY, SummaryStore(shared), engine="td",
+            domain="simple", warm_cache=WarmCache(2),
+        )
+        assert not again.cold
+        assert sorted(map(str, again.report.errors)) == references[which]
 
 
 def test_gc_still_collects_stranded_tmp_files(tmp_path):

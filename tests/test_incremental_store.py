@@ -155,13 +155,42 @@ def _snapshot_for(program, engine="swift", domain="full"):
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(program=programs(), engine=st.sampled_from(["td", "swift"]))
-def test_snapshot_serialization_round_trip(program, engine):
-    """save → load → re-serialize is byte-identical on random programs."""
+@given(
+    program=programs(), other=programs(), engine=st.sampled_from(["td", "swift"])
+)
+def test_snapshot_serialization_round_trip(program, other, engine):
+    """save → load → re-serialize is byte-identical on random programs,
+    and so is a log: a base followed by the records of a chain of
+    saves replays to exactly the last snapshot, whose compaction is its
+    full save byte for byte."""
     snap = _snapshot_for(program, engine=engine, domain="simple")
     data = snap.to_bytes()
     loaded = Snapshot.from_bytes(data)
     assert loaded.to_bytes() == data
+    for version in (other, program, other):
+        newer = _snapshot_for(version, engine=engine, domain="simple")
+        record = newer.log_record(loaded)
+        if record is None:  # what a save then writes: the full base
+            data = newer.to_bytes()
+        else:
+            data += record[0]
+        replayed = Snapshot.from_bytes(data)
+        assert replayed.segments == newer.segments
+        assert replayed.fingerprints == newer.fingerprints
+        assert replayed.meta == newer.meta
+        assert replayed.to_bytes() == newer.to_bytes()
+        assert replayed.log.end == len(data)
+        appended = 0 if record is None else loaded.log.appends + 1
+        assert replayed.log.appends == appended
+        loaded = replayed
+
+
+CHAIN_EDITS = [
+    CHAIN.replace("proc leaf { skip; }", "proc leaf { skip; skip; }"),
+    CHAIN,
+    CHAIN.replace("proc mid { call leaf; }", "proc mid { call leaf; call leaf; }"),
+    CHAIN,
+]
 
 
 def test_store_save_load_byte_identical(tmp_path):
@@ -172,6 +201,55 @@ def test_store_save_load_byte_identical(tmp_path):
     loaded = store.load(snap.config_fp)
     assert loaded is not None
     assert loaded.to_bytes() == path.read_bytes() == snap.to_bytes()
+    assert snap.written == len(path.read_bytes())
+    # A chain of saves, each built from the one before, appends one log
+    # record per save — except one whose record would grow the log past
+    # its base's size, which rewrites the file as one base (the
+    # compaction rule).  Every load replays to exactly the snapshot in
+    # hand, and compaction writes the bytes of its full save.
+    previous, appends = loaded, []
+    for text in CHAIN_EDITS:
+        newer = _snapshot_for(parse_program(text))
+        size = path.stat().st_size
+        assert store.save(newer, previous) == path
+        appends.append(newer.log.appends)
+        if newer.log.appends:
+            assert newer.log.appends == previous.log.appends + 1
+            assert path.stat().st_size == size + newer.written
+        else:
+            assert path.stat().st_size == newer.written == newer.log.base_bytes
+            assert newer.log_record(previous) is None
+        assert path.stat().st_size <= 2 * newer.log.base_bytes
+        loaded = store.load(snap.config_fp)
+        assert loaded.segments == newer.segments
+        assert loaded.fingerprints == newer.fingerprints
+        assert (loaded.log, loaded.signature) == (newer.log, newer.signature)
+        previous = loaded
+    assert appends == [1, 2, 0, 1]
+    assert path.read_bytes() != previous.to_bytes()
+    fresh = SummaryStore(tmp_path / "fresh")
+    full = fresh.save(_snapshot_for(parse_program(CHAIN_EDITS[-1]))).read_bytes()
+    assert store.compact() == [path]
+    assert path.read_bytes() == previous.to_bytes() == full
+    assert store.load(snap.config_fp).log.appends == 0
+    assert store.compact() == []  # nothing left to fold
+    # Another writer rewrote the file in place (same inode and size,
+    # other bytes): a save over the version this process loaded writes
+    # a base rather than append to bytes it never read.
+    loaded = store.load(snap.config_fp)
+    data = path.read_bytes()
+    other = data.replace(b'"meta":{}', b'"meta":[]', 1)
+    assert len(other) == len(data) and other != data
+    inode = path.stat().st_ino
+    path.write_bytes(other)
+    os.utime(path, ns=(loaded.signature[1] + 10**9, loaded.signature[1] + 10**9))
+    assert (path.stat().st_ino, path.stat().st_size) == (inode, len(data))
+    newer = _snapshot_for(parse_program(CHAIN_EDITS[0]))
+    store.save(newer, loaded)
+    assert newer.log.appends == 0
+    replayed = store.load(snap.config_fp)
+    assert replayed.segments == newer.segments
+    assert replayed.fingerprints == newer.fingerprints
 
 
 # -- maintenance --------------------------------------------------------------------
@@ -198,8 +276,8 @@ def test_stats_gc_clear(tmp_path):
     assert store.snapshot_paths() == []
 
 
-# -- frontier projections -----------------------------------------------------------
-def _frontier_setup(tmp_path, program=None):
+# -- one file per configuration ----------------------------------------------------
+def _store_setup(tmp_path, program=None):
     from repro.incremental import analyze_with_store
 
     if program is None:
@@ -217,9 +295,7 @@ def _frontier_setup(tmp_path, program=None):
     return program, store, result
 
 
-def test_analyze_writes_frontier_alongside_snapshot_and_loads_it_partially(
-    tmp_path,
-):
+def test_analyze_writes_one_snapshot_and_demand_views_it_partially(tmp_path):
     """One file per configuration: the snapshot.  Demand queries view it
     through its entry/exit projection, and a first demand parses only
     the segments of procedures its cone was offered."""
@@ -228,7 +304,7 @@ def test_analyze_writes_frontier_alongside_snapshot_and_loads_it_partially(
     from repro.ir.cfg import ControlFlowGraphs
     from repro.query import run_query
 
-    program, store, result = _frontier_setup(tmp_path)
+    program, store, result = _store_setup(tmp_path)
     config_fp = result.config_fp
     snapshot_name = store.path_for(config_fp).name
     assert [p.name for p in store.root.iterdir()] == [snapshot_name]
@@ -290,7 +366,7 @@ def test_snapshot_and_frontier_loads_degrade_to_none_never_wrong(tmp_path):
     assert store.load(snap.config_fp) is None
     # A demand query over a truncated or bit-flipped snapshot answers
     # cold, exactly as a run with no store at all.
-    program, store, result = _frontier_setup(tmp_path / "demand")
+    program, store, result = _store_setup(tmp_path / "demand")
     fresh = run_query(
         program, FILE_PROPERTY, SummaryStore(tmp_path / "empty"), "mid",
         warm_cache=WarmCache(2),
@@ -307,12 +383,12 @@ def test_snapshot_and_frontier_loads_degrade_to_none_never_wrong(tmp_path):
         assert (out.answer, out.total_work) == (fresh.answer, fresh.total_work)
 
 
-def test_stats_and_gc_account_for_frontier_files(tmp_path):
+def test_stats_and_gc_sweep_leftover_frontier_files(tmp_path):
     """The ``frontier-*.jsonl`` projections older stores kept next to
     each snapshot are ignored by ``stats`` and swept by ``gc``/``clear``."""
     from repro.incremental import analyze_with_store
 
-    program, store, result = _frontier_setup(tmp_path)
+    program, store, result = _store_setup(tmp_path)
     td = analyze_with_store(
         program, FILE_PROPERTY, store, engine="td", domain="simple"
     )
@@ -340,7 +416,7 @@ def test_stats_and_gc_account_for_frontier_files(tmp_path):
 
 
 def _as_v2(snapshot_bytes: bytes) -> bytes:
-    """Re-lay a v3 snapshot out in the v2 layout: one JSON record per
+    """Re-lay a snapshot out in the v2 layout: one JSON record per
     context, BU summary and multiset, no segment manifest."""
     snap = Snapshot.from_bytes(snapshot_bytes)
     header = {
@@ -368,46 +444,72 @@ def _as_v2(snapshot_bytes: bytes) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _as_v3(snapshot_bytes: bytes) -> bytes:
+    """Re-lay a snapshot out in the v3 layout: its base alone (v3 had no
+    log), under a version-3 header."""
+    lines = list(Snapshot.from_bytes(snapshot_bytes).lines())
+    header = json.loads(lines[0])
+    header["version"] = 3
+    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def test_version_bump_sends_old_stores_cold_then_rewrites(tmp_path):
-    """A store written in the v2 layout (one record per line) loads
-    cold under v3 — never wrong, for analyze and demand queries alike —
-    and the next analyze rewrites the snapshot at the current version."""
+    """A store written in an older layout — v2 (one record per line) or
+    v3 (segments, no log) — loads cold under v4, never wrong, for
+    analyze and demand queries alike, and the next analyze rewrites the
+    snapshot at the current version."""
     from repro.incremental import WarmCache, analyze_with_store
     from repro.query import run_query
 
-    program, store, result = _frontier_setup(tmp_path)
-    config_fp = result.config_fp
-    assert STORE_VERSION == 3
-    snapshot_path = store.path_for(config_fp)
-    warm = run_query(program, FILE_PROPERTY, store, "mid", warm_cache=WarmCache(2))
-    snapshot_path.write_bytes(_as_v2(snapshot_path.read_bytes()))
-    assert store.load(config_fp) is None
-    old = run_query(program, FILE_PROPERTY, store, "mid", warm_cache=WarmCache(2))
-    assert old.cold and not warm.cold
-    assert old.answer == warm.answer
-    again = analyze_with_store(
-        program, FILE_PROPERTY, store, engine="swift", domain="simple"
-    )
-    assert again.cold  # old layout is a cold start, not a wrong answer
-    assert again.report.errors == result.report.errors
-    assert store.load(config_fp) is not None
-    assert json.loads(
-        store.path_for(config_fp).read_text().splitlines()[0]
-    )["version"] == STORE_VERSION
-    assert [p.name for p in store.root.iterdir()] == [snapshot_path.name]
+    assert STORE_VERSION == 4
+    for old_layout in (_as_v2, _as_v3):
+        program, store, result = _store_setup(tmp_path / old_layout.__name__)
+        config_fp = result.config_fp
+        snapshot_path = store.path_for(config_fp)
+        warm = run_query(
+            program, FILE_PROPERTY, store, "mid", warm_cache=WarmCache(2)
+        )
+        snapshot_path.write_bytes(old_layout(snapshot_path.read_bytes()))
+        assert store.load(config_fp) is None
+        old = run_query(program, FILE_PROPERTY, store, "mid", warm_cache=WarmCache(2))
+        assert old.cold and not warm.cold
+        assert old.answer == warm.answer
+        again = analyze_with_store(
+            program, FILE_PROPERTY, store, engine="swift", domain="simple"
+        )
+        assert again.cold  # old layout is a cold start, not a wrong answer
+        assert again.report.errors == result.report.errors
+        assert store.load(config_fp) is not None
+        assert json.loads(
+            store.path_for(config_fp).read_text().splitlines()[0]
+        )["version"] == STORE_VERSION
+        assert [p.name for p in store.root.iterdir()] == [snapshot_path.name]
 
 
-# -- v3 segments: fault injection -----------------------------------------------------
+# -- v4 files: fault injection -------------------------------------------------------
+#: The program ``_store_setup`` stores, with ``leaf`` edited: its save
+#: appends to the setup's snapshot.
+EDITED = """
+proc main { v = new h1; v.open(); call mid; v.close(); }
+proc mid { call leaf; }
+proc leaf { f = new h2; f.open(); f.close(); f.open(); f.close(); }
+"""
+
+
 def _truncate_last_line(data: bytes) -> bytes:
     last = data[:-1].rsplit(b"\n", 1)[1]
     return data[: -1 - len(last) // 2]
 
 
+def _flip_bit(line: bytes) -> bytes:
+    at = line.index(b"\t") + len(line) // 2
+    return line[:at] + bytes([line[at] ^ 0x04]) + line[at + 1:]
+
+
 def _flip_segment_bit(data: bytes) -> bytes:
     lines = data.split(b"\n")
-    segment = lines[1]
-    at = segment.index(b"\t") + len(segment) // 2
-    lines[1] = segment[:at] + bytes([segment[at] ^ 0x04]) + segment[at + 1:]
+    lines[1] = _flip_bit(lines[1])
     return b"\n".join(lines)
 
 
@@ -419,7 +521,7 @@ def _unknown_proc_segment(data: bytes) -> bytes:
     payload = '{"contexts":[]}'
     header["segments"]["ghost"] = format(zlib.crc32(payload.encode()), "08x")
     lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
-    lines.insert(-1, f"ghost\t{payload}")
+    lines.insert(1, f"ghost\t{payload}")
     return "\n".join(lines).encode("utf-8")
 
 
@@ -429,37 +531,124 @@ def _duplicate_segment(data: bytes) -> bytes:
     return b"\n".join(lines)
 
 
+def _log_start(lines) -> int:
+    """Index of the first line after the base."""
+    return len(json.loads(lines[0])["segments"]) + 1
+
+
+def _drop_manifest(data: bytes) -> bytes:
+    # Torn after the appended segment lines, before their record.
+    return data[: data[:-1].rindex(b"\n") + 1]
+
+
+def _flip_appended_bit(data: bytes) -> bytes:
+    lines = data.split(b"\n")
+    at = _log_start(lines)
+    lines[at] = _flip_bit(lines[at])
+    return b"\n".join(lines)
+
+
+def _drop_appended_line(data: bytes) -> bytes:
+    # The record names a segment line that is no longer there.
+    lines = data.split(b"\n")
+    del lines[_log_start(lines)]
+    return b"\n".join(lines)
+
+
+def _flip_manifest_bit(data: bytes) -> bytes:
+    # Still valid JSON naming the same lines: only the record's own
+    # checksum can reject it.
+    lines = data.split(b"\n")
+    at = lines[-2].index(b'"body":"') + len(b'"body":"')
+    lines[-2] = lines[-2][:at] + bytes([lines[-2][at] ^ 0x01]) + lines[-2][at + 1:]
+    return b"\n".join(lines)
+
+
+def _stray_line_in_record(data: bytes) -> bytes:
+    # A base segment line of a procedure the record does not name,
+    # copied in just before the record.
+    lines = data.split(b"\n")
+    named = json.loads(lines[-2][12:-1])["segments"]
+    stray = next(
+        line for line in lines[1:_log_start(lines)]
+        if line.partition(b"\t")[0].decode() not in named
+    )
+    lines.insert(-2, stray)
+    return b"\n".join(lines)
+
+
+def _log_on_other_base(data: bytes) -> bytes:
+    # The same versions under a base of another identity: the log's
+    # records name the base they extend, which is not this one.
+    lines = data.split(b"\n")
+    header = json.loads(lines[0])
+    header["meta"] = {"file": "elsewhere"}
+    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return b"\n".join(lines)
+
+
+#: fault -> (damage to a base plus one appended save, what loads):
+#: ``"cold"`` (``None``) or ``"previous"`` (the base's version).
 FAULTS = {
-    "truncated-last-line": _truncate_last_line,
-    "bit-flipped-segment": _flip_segment_bit,
-    "unknown-proc-segment": _unknown_proc_segment,
-    "duplicated-segment": _duplicate_segment,
-    "v2-file": _as_v2,
+    "truncated-last-line": (_truncate_last_line, "previous"),
+    "bit-flipped-segment": (_flip_segment_bit, "cold"),
+    "unknown-proc-segment": (_unknown_proc_segment, "cold"),
+    "duplicated-segment": (_duplicate_segment, "cold"),
+    "v2-file": (_as_v2, "cold"),
+    "v3-file": (_as_v3, "cold"),
+    "torn-before-manifest": (_drop_manifest, "previous"),
+    "bit-flipped-appended-segment": (_flip_appended_bit, "previous"),
+    "manifest-names-missing-line": (_drop_appended_line, "previous"),
+    "log-on-other-base": (_log_on_other_base, "previous"),
+    "bit-flipped-manifest": (_flip_manifest_bit, "previous"),
+    "stray-line-in-record": (_stray_line_in_record, "previous"),
 }
 
 
 def test_faulty_segments_load_cold_then_rewrite(tmp_path):
-    """Each corruption makes ``load`` return ``None``; the next analyze
-    runs cold with the correct verdict and writes a valid v3 file."""
+    """Each corruption of a file holding a base and one appended save
+    makes ``load`` return the base's version (a damaged log) or ``None``
+    (a damaged base); the next analyze of the edited program starts warm
+    or cold accordingly, with the correct verdict, and rewrites the file
+    as one valid base: the appended version, or a cold run's."""
     from repro.incremental import analyze_with_store
 
+    edited = parse_program(EDITED)
+    cold = analyze_with_store(
+        edited, FILE_PROPERTY, SummaryStore(tmp_path / "cold"), engine="swift",
+        domain="simple",
+    )
+    cold_bytes = SummaryStore(tmp_path / "cold").path_for(cold.config_fp).read_bytes()
     for fault in sorted(FAULTS):
-        program, store, result = _frontier_setup(tmp_path / fault)
+        damage, outcome = FAULTS[fault]
+        program, store, result = _store_setup(tmp_path / fault)
         config_fp = result.config_fp
         path = store.path_for(config_fp)
-        good = path.read_bytes()
-        assert store.load(config_fp) is not None, fault
-        path.write_bytes(FAULTS[fault](good))
-        assert path.read_bytes() != good, fault
-        assert store.load(config_fp) is None, fault
-        again = analyze_with_store(
-            program, FILE_PROPERTY, store, engine="swift", domain="simple"
+        previous = store.load(config_fp)
+        logged = analyze_with_store(
+            edited, FILE_PROPERTY, store, engine="swift", domain="simple"
         )
-        assert again.cold and again.saved, fault
-        assert again.report.errors == result.report.errors, fault
+        good = path.read_bytes()
+        newest = Snapshot.from_bytes(good)
+        assert newest.log.appends == 1 and logged.bytes_written < len(good), fault
+        assert logged.report.errors == cold.report.errors, fault
+        path.write_bytes(damage(good))
+        assert path.read_bytes() != good, fault
+        loaded = store.load(config_fp)
+        if outcome == "cold":
+            assert loaded is None, fault
+        else:
+            assert loaded.segments == previous.segments, fault
+            assert loaded.fingerprints == previous.fingerprints, fault
+        again = analyze_with_store(
+            edited, FILE_PROPERTY, store, engine="swift", domain="simple"
+        )
+        assert again.cold == (outcome == "cold") and again.saved, fault
+        assert again.report.errors == cold.report.errors, fault
         rewritten = store.load(config_fp)
-        assert rewritten is not None, fault
-        assert rewritten.to_bytes() == path.read_bytes() == good, fault
+        assert rewritten is not None and rewritten.log.appends == 0, fault
+        expected = cold_bytes if outcome == "cold" else newest.to_bytes()
+        assert rewritten.to_bytes() == path.read_bytes() == expected, fault
 
 
 # -- file signatures ------------------------------------------------------------------
@@ -523,7 +712,7 @@ def test_warm_caches_never_serve_a_file_another_writer_replaced(tmp_path):
     assert second[0].meta == {"tag": "B"}
 
     # The query cache: two snapshots of equal size and mtime.
-    program, _, _ = _frontier_setup(tmp_path / "setup")
+    program, _, _ = _store_setup(tmp_path / "setup")
     store = SummaryStore(tmp_path / "query")
     config_fp = analyze_with_store(
         program, FILE_PROPERTY, store, engine="swift", domain="simple",

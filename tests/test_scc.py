@@ -129,9 +129,9 @@ def test_condensation_memoized_per_program():
 
 
 def test_condensation_is_deterministic():
-    first = Condensation(diamond_program())
-    second = Condensation(diamond_program())
+    programs = diamond_program(), diamond_program()
+    first, second = (Condensation(program) for program in programs)
     assert first.sccs == second.sccs
-    assert [first.scc_index(p) for p in first.program] == [
-        second.scc_index(p) for p in second.program
+    assert [first.scc_index(p) for p in programs[0]] == [
+        second.scc_index(p) for p in programs[1]
     ]

@@ -69,14 +69,16 @@ from repro.incremental import (
     WarmCache,
     analyze_with_store,
     build_warm_start,
+    clear_warm_cache,
     diff_fingerprints,
+    prepare_store_run,
 )
+from repro.framework.config import AnalysisConfig
 from repro.query import engine as query_engine
 from repro.ir.parser import parse_program
 from repro.ir.printer import format_program
 from repro.query import (
     QueryTarget,
-    clear_query_cache,
     compute_cone,
     run_query,
     run_query_batch,
@@ -142,7 +144,7 @@ def run_headline() -> dict:
     benchmark = load_shape(HEADLINE_SHAPE)
     program = benchmark.program
     assert len(program) >= 128, f"headline shape has only {len(program)} procs"
-    clear_query_cache()
+    clear_warm_cache()
     with tempfile.TemporaryDirectory() as root:
         store = SummaryStore(root)
         cold, cold_s = _timed(
@@ -225,14 +227,14 @@ def run_batch() -> dict:
     """A batch of ``BATCH_SIZE`` targets vs the same targets sequentially."""
     program = load_shape(HEADLINE_SHAPE).program
     targets = _batch_targets(program)
-    clear_query_cache()
+    clear_warm_cache()
     with tempfile.TemporaryDirectory() as root:
         store = SummaryStore(root)
         analyze_with_store(
             program, FILE_PROPERTY, store, engine=ENGINE, domain=DOMAIN
         )
         sequential, sequential_s = _steady_sequential(program, store, targets)
-        clear_query_cache()
+        clear_warm_cache()
         run_query_batch(  # decode warm-up, like the sequential side
             program, FILE_PROPERTY, store, targets, engine=ENGINE, domain=DOMAIN
         )
@@ -282,7 +284,7 @@ def run_batch_components() -> dict:
     base = load_shape(HEADLINE_SHAPE).program
     program = parse_program(format_program(base) + DETACHED_AUX)
     targets = _batch_targets(program)[: BATCH_SIZE - 2] + ["aux_top", "aux_leaf"]
-    clear_query_cache()
+    clear_warm_cache()
     with tempfile.TemporaryDirectory() as root:
         store = SummaryStore(root)
         analyze_with_store(
@@ -316,8 +318,8 @@ def run_frontier_ablation() -> dict:
     """First-query ``store_load_s``: the frontier view vs a full decode."""
     program = load_shape(HEADLINE_SHAPE).program
     reference = reference_errors(program, HEADLINE_TARGET)
-    config = query_engine.normalize_query_config(engine=ENGINE, domain=DOMAIN)
-    _, fingerprints, config_fp, codec = query_engine.prepare_query_analysis(
+    config = AnalysisConfig(engine=ENGINE, domain=DOMAIN)
+    _, fingerprints, _, config_fp, codec = prepare_store_run(
         program, FILE_PROPERTY, config
     )
     loads = {}
@@ -325,7 +327,7 @@ def run_frontier_ablation() -> dict:
         store = SummaryStore(root)
         analyze_with_store(program, FILE_PROPERTY, store, config=config)
         for _ in range(STEADY_ROUNDS):
-            clear_query_cache()  # every round pays the first-query load
+            clear_warm_cache()  # every round pays the first-query load
             outcome = run_query(
                 program, FILE_PROPERTY, store, HEADLINE_TARGET, config=config
             )
@@ -474,7 +476,7 @@ def run_proportionality(shape_name: str) -> dict:
     """
     benchmark = load_shape(shape_name)
     program = benchmark.program
-    clear_query_cache()
+    clear_warm_cache()
     queries = []
     reference = run_typestate(program, FILE_PROPERTY, engine="td", domain=DOMAIN)
     reference_work = reference.result.metrics.total_work

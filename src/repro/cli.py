@@ -35,56 +35,139 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-import time
 from pathlib import Path
 from typing import List, Optional
 
 from repro.ir.parser import parse_program
 from repro.ir.printer import format_program
 from repro.ir.program import Program
-from repro.typestate.properties import all_properties, property_by_name
+from repro.typestate.properties import property_by_name
+
+
+def _program_format(path: str) -> str:
+    """``mini`` for MiniOO source (a ``.mini`` file), else ``ir``."""
+    return "mini" if path.endswith(".mini") else "ir"
 
 
 def load_program(path: str) -> Program:
     """Load a program from MiniOO source or textual IR."""
     text = Path(path).read_text()
-    if path.endswith(".mini"):
+    if _program_format(path) == "mini":
         from repro.frontend import compile_minioo
 
         return compile_minioo(text)
     return parse_program(text)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+class _UsageError(Exception):
+    """A flag value the configuration refuses; :func:`main` prints it
+    as one ``error: …`` line on stderr and exits 2."""
+
+
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ``ValueError`` a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise _UsageError(exc) from None
+
+
+#: The flags :func:`_add_config_flags` may declare that name a config field.
+_CONFIG_FLAGS = (
+    "engine", "domain", "k", "theta", "scheduler", "widening_delay",
+    "descending_iters",
+)
+
+
+def _config(args: argparse.Namespace):
+    """The :class:`~repro.framework.config.AnalysisConfig` of a verb's
+    flags; a field the verb has no flag for keeps the config default."""
+    from repro.framework.config import make_config
     from repro.framework.metrics import Budget
-    from repro.typestate.client import run_typestate
+
+    budget = getattr(args, "budget", None)
+    return _checked(
+        make_config,
+        budget=Budget(max_work=budget) if budget else None,
+        **{name: getattr(args, name, None) for name in _CONFIG_FLAGS},
+    )
+
+
+def _print_verdict(
+    name: str,
+    answer,
+    *,
+    kind: str = "errors",
+    at=None,
+    td_summaries: Optional[int] = None,
+    timed_out: bool = False,
+) -> int:
+    """Print one verdict block and return the verb's exit code.
+
+    ``answer`` is the encoded form
+    (:func:`repro.typestate.client.encode_answer`, also the service's
+    JSON); ``at`` names a demand query's target.  The exit code is 2
+    when the run exceeded its budget, 1 for protocol violations, else
+    0.  ``verify``, ``analyze``, the query verbs and every client verb
+    print through here, so CI can byte-compare their verdict lines.
+    """
+    if timed_out:
+        print(f"{name}: analysis exceeded its budget")
+        return 2
+    where = "" if at is None else f" at {at}"
+    if kind == "errors":
+        if not answer:
+            summaries = (
+                "" if td_summaries is None
+                else f" ({td_summaries} top-down summaries)"
+            )
+            print(f"{name}: ok{where}{summaries}")
+            return 0
+        print(f"{name}: {len(answer)} possible protocol violation(s){where}")
+        for point, site in answer:
+            print(f"  object from {site} may be in the error state at {point}")
+        return 1
+    if kind == "summaries":
+        print(f"{at}: {len(answer)} summary pair(s)")
+        for entry, exit_state in answer:
+            print(f"  {entry} -> {exit_state}")
+        return 0
+    print(f"{at}: {len(answer)} entry state(s)")
+    for state in answer:
+        print(f"  {state}")
+    return 0
+
+
+def _print_batch(name: str, kind: str, answers, timed_out: bool) -> int:
+    """The per-target sections of a batch answer (``query-batch``,
+    ``client demand`` with several targets): ``answers`` yields
+    ``(target, encoded answer)`` pairs, read only when the run finished."""
+    if timed_out:
+        return _print_verdict(name, None, timed_out=True)
+    code = 0
+    for target, answer in answers:
+        print(f"-- target {target}")
+        code = max(code, _print_verdict(name, answer, kind=kind, at=target))
+    return code
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    from repro.typestate.client import encode_answer, run_typestate
     from repro.typestate.multi import run_multi_property
 
+    config = _config(args)
     program = load_program(args.file)
-    budget = Budget(max_work=args.budget) if args.budget else None
-    if args.domain in ("killgen", "copyprop", "interval"):
+    if not config.domain.startswith("typestate-"):
         # Fact domains carry no type-state property: run the session
         # directly and report the facts reaching main's exit.
-        from repro.framework.config import AnalysisConfig
         from repro.framework.session import analysis_session
 
         if args.all_properties:
             print("--all-properties only applies to the type-state domains")
             return 2
-        config = AnalysisConfig(
-            engine=args.engine,
-            domain=args.domain,
-            k=args.k,
-            theta=args.theta,
-            budget=budget,
-            scheduler=args.scheduler,
-            widening_delay=args.widening_delay,
-            descending_iters=args.descending_iters,
-        )
         outcome = analysis_session().run(program, config)
         if outcome.timed_out:
-            print(f"{args.domain}: analysis exceeded its budget")
-            return 2
+            return _print_verdict(args.domain, None, timed_out=True)
         print(
             f"{args.domain}: {len(outcome.findings)} fact(s) at main's exit "
             f"({outcome.td_summaries} top-down summaries)"
@@ -93,40 +176,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"  {fact}")
         return 0
     if args.all_properties:
-        report = run_multi_property(
-            program,
-            engine=args.engine,
-            k=args.k,
-            theta=args.theta,
-            budget_work=args.budget,
-            domain=args.domain,
-        )
+        report = run_multi_property(program, config=config)
         for line in report.summary_lines():
             print(line)
         return 1 if report.total_errors else 0
     prop = property_by_name(args.property)
-    report = run_typestate(
-        program,
-        prop,
-        engine=args.engine,
-        k=args.k,
-        theta=args.theta,
-        budget=budget,
-        domain=args.domain,
-        scheduler=args.scheduler,
-        widening_delay=args.widening_delay,
-        descending_iters=args.descending_iters,
+    report = run_typestate(program, prop, config)
+    return _print_verdict(
+        prop.name,
+        encode_answer("errors", report.errors),
+        td_summaries=report.td_summaries,
+        timed_out=report.timed_out,
     )
-    if report.timed_out:
-        print(f"{prop.name}: analysis exceeded its budget")
-        return 2
-    if not report.errors:
-        print(f"{prop.name}: ok ({report.td_summaries} top-down summaries)")
-        return 0
-    print(f"{prop.name}: {len(report.errors)} possible protocol violation(s)")
-    for point, site in sorted(report.errors, key=str):
-        print(f"  object from {site} may be in the error state at {point}")
-    return 1
 
 
 def cmd_dump_ir(args: argparse.Namespace) -> int:
@@ -157,6 +218,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     from repro.experiments.harness import run_engine
 
+    config = _config(args)
     if args.name in benchmark_names():
         benchmark = load_benchmark(args.name)
     elif args.name in shape_names():
@@ -170,7 +232,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         return 2
     for engine in ("td", "bu", "swift"):
-        run = run_engine(benchmark, engine, k=args.k, theta=args.theta)
+        run = run_engine(benchmark, engine, k=config.k, theta=config.theta)
         print(
             f"{engine:6} {run.time_label:>9}  "
             f"td-summaries={run.td_summaries}  bu-summaries={run.bu_summaries}"
@@ -195,23 +257,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.framework.tracing import JsonlSink, Profile, diff_traces, read_jsonl
 
     if args.trace_command == "record":
-        from repro.framework.metrics import Budget
         from repro.typestate.client import run_typestate
-        from repro.typestate.properties import property_by_name
 
+        config = _config(args)
         program = load_program(args.file)
-        budget = Budget(max_work=args.budget) if args.budget else None
         sink = JsonlSink(args.out)
         try:
             report = run_typestate(
-                program,
-                property_by_name(args.property),
-                engine=args.engine,
-                k=args.k,
-                theta=args.theta,
-                budget=budget,
-                domain=args.domain,
-                sink=sink,
+                program, property_by_name(args.property), config, sink=sink
             )
         finally:
             sink.close()
@@ -243,24 +296,17 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.framework.metrics import Budget
     from repro.incremental import SummaryStore, analyze_with_store
-    from repro.typestate.properties import property_by_name
+    from repro.typestate.client import encode_answer
 
+    config = _config(args)
     program = load_program(args.file)
-    budget = Budget(max_work=args.budget) if args.budget else None
     outcome = analyze_with_store(
         program,
         property_by_name(args.property),
         SummaryStore(args.store),
-        engine=args.engine,
-        k=args.k,
-        theta=args.theta,
-        budget=budget,
-        domain=args.domain,
+        config,
         meta={"file": args.file},
-        widening_delay=args.widening_delay,
-        descending_iters=args.descending_iters,
     )
     report = outcome.report
     start = "cold" if outcome.cold else "warm"
@@ -274,39 +320,29 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"snapshot: {outcome.snapshot_path}")
     elif report.timed_out:
         print("snapshot not saved (run exceeded its budget)")
-    if report.timed_out:
-        print(f"{args.property}: analysis exceeded its budget")
-        return 2
-    if not report.errors:
-        print(f"{args.property}: ok ({report.td_summaries} top-down summaries)")
-        return 0
-    print(f"{args.property}: {len(report.errors)} possible protocol violation(s)")
-    for point, site in sorted(report.errors, key=str):
-        print(f"  object from {site} may be in the error state at {point}")
-    return 1
+    return _print_verdict(
+        args.property,
+        encode_answer("errors", report.errors),
+        td_summaries=report.td_summaries,
+        timed_out=report.timed_out,
+    )
 
 
 def cmd_query_point(args: argparse.Namespace) -> int:
-    from repro.framework.metrics import Budget
     from repro.incremental import SummaryStore
     from repro.query import QueryError, run_query
-    from repro.query.engine import encode_answer
-    from repro.typestate.properties import property_by_name
+    from repro.typestate.client import encode_answer
 
+    config = _config(args)
     program = load_program(args.file)
-    budget = Budget(max_work=args.budget) if args.budget else None
     try:
         outcome = run_query(
             program,
             property_by_name(args.property),
             SummaryStore(args.store),
             args.target,
-            kind=args.kind,
-            engine=args.engine,
-            k=args.k,
-            theta=args.theta,
-            budget=budget,
-            domain=args.domain,
+            args.kind,
+            config,
             query_precision=args.query_precision,
         )
     except QueryError as exc:
@@ -323,41 +359,30 @@ def cmd_query_point(args: argparse.Namespace) -> int:
         f"frontier-snapshot={outcome.frontier_snapshot} "
         f"store-load={outcome.store_load_seconds:.6f}s"
     )
-    if outcome.timed_out:
-        print(f"{args.property}: analysis exceeded its budget")
-        return 2
-    _print_answer(
+    return _print_verdict(
         args.property,
-        outcome.kind,
-        outcome.target,
         encode_answer(outcome.kind, outcome.answer),
+        kind=outcome.kind,
+        at=outcome.target,
+        timed_out=outcome.timed_out,
     )
-    if args.kind == "errors" and outcome.answer:
-        return 1
-    return 0
 
 
 def cmd_query_batch(args: argparse.Namespace) -> int:
-    from repro.framework.metrics import Budget
     from repro.incremental import SummaryStore
     from repro.query import QueryError, run_query_batch
-    from repro.query.engine import encode_answer
-    from repro.typestate.properties import property_by_name
+    from repro.typestate.client import encode_answer
 
+    config = _config(args)
     program = load_program(args.file)
-    budget = Budget(max_work=args.budget) if args.budget else None
     try:
         outcome = run_query_batch(
             program,
             property_by_name(args.property),
             SummaryStore(args.store),
             args.targets,
-            kind=args.kind,
-            engine=args.engine,
-            k=args.k,
-            theta=args.theta,
-            budget=budget,
-            domain=args.domain,
+            args.kind,
+            config,
             query_precision=args.query_precision,
             max_workers=args.workers,
         )
@@ -382,25 +407,21 @@ def cmd_query_batch(args: argparse.Namespace) -> int:
             f"work={comp.total_work} "
             f"frontier-snapshot={comp.frontier_snapshot}"
         )
-    if outcome.timed_out:
-        print(f"{args.property}: analysis exceeded its budget")
-        return 2
-    any_errors = False
-    for target in outcome.plan.targets:
-        answer = outcome.answers[target]
-        print(f"-- target {target}")
-        _print_answer(
-            args.property, outcome.kind, target, encode_answer(outcome.kind, answer)
-        )
-        if outcome.kind == "errors" and answer:
-            any_errors = True
-    return 1 if any_errors else 0
+    return _print_batch(
+        args.property,
+        outcome.kind,
+        (
+            (target, encode_answer(outcome.kind, outcome.answers[target]))
+            for target in outcome.plan.targets
+        ),
+        outcome.timed_out,
+    )
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.daemon import AnalysisService
 
-    service = AnalysisService(args.root, lru_size=args.lru_size)
+    service = _checked(AnalysisService, args.root, lru_size=args.lru_size)
     if args.stdio:
         from repro.service.stdio import StdioFrontend
 
@@ -424,191 +445,114 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_answer(prop: str, kind: str, target, answer) -> None:
-    """The per-target verdict lines of an encoded answer
-    (:func:`repro.query.engine.encode_answer`, also the service's JSON
-    form), shared by query-point, query-batch and the client.  CI
-    byte-compares them between those verbs and — for ``errors`` —
-    against ``repro-swift verify`` restricted to the target."""
-    if kind == "errors":
-        if not answer:
-            print(f"{prop}: ok at {target}")
-            return
-        print(
-            f"{prop}: {len(answer)} possible protocol violation(s) at {target}"
-        )
-        for point, site in answer:
-            print(f"  object from {site} may be in the error state at {point}")
-        return
-    if kind == "summaries":
-        print(f"{target}: {len(answer)} summary pair(s)")
-        for entry, exit_state in answer:
-            print(f"  {entry} -> {exit_state}")
-        return
-    print(f"{target}: {len(answer)} entry state(s)")
-    for state in answer:
-        print(f"  {state}")
-
-
 def cmd_client(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient, ServiceError
+    from repro.service.protocol import config_to_json
 
     client = ServiceClient(args.server)
+    command = args.client_command
     try:
-        if args.client_command in ("analyze", "edit"):
-            path = args.file
-            text = Path(path).read_text()
-            fmt = "mini" if path.endswith(".mini") else "ir"
-            config = {
-                "engine": args.engine,
-                "domain": args.domain,
-                "k": args.k,
-                "theta": args.theta,
-            }
-            if args.budget:
-                config["budget"] = {"max_work": args.budget}
-            on_trace = None
-            if args.trace:
-                on_trace = lambda event: print(f"  trace: {event}")
-            response = client.analyze(
-                text,
-                fmt=fmt,
-                prop=args.property,
-                config=config,
-                trace=args.trace,
-                op=args.client_command,
-                on_trace=on_trace,
-            )
-            # Header mirrors `analyze --store`; the verdict lines below
-            # it are byte-identical to `repro-swift verify`'s output.
-            start = "cold" if response["cold"] else "warm"
-            coalesced = " (coalesced)" if response.get("coalesced") else ""
-            print(
-                f"{args.property}: {start} start{coalesced}, "
-                f"hits={response.get('store_hits', 0)} "
-                f"misses={response.get('store_misses', 0)} "
-                f"invalidated={response.get('store_invalidated', 0)} "
-                f"work={response['work']}"
-            )
-            if response["timed_out"]:
-                print(f"{args.property}: analysis exceeded its budget")
-                return 2
-            if not response["errors"]:
-                print(
-                    f"{args.property}: ok "
-                    f"({response['td_summaries']} top-down summaries)"
-                )
-                return 0
-            print(
-                f"{args.property}: {len(response['errors'])} "
-                "possible protocol violation(s)"
-            )
-            for point, site in response["errors"]:
-                print(f"  object from {site} may be in the error state at {point}")
-            return 1
-        if args.client_command == "query":
-            text = Path(args.file).read_text()
-            fmt = "mini" if args.file.endswith(".mini") else "ir"
-            response = client.query(
-                text,
-                fmt=fmt,
-                prop=args.property,
-                config={"engine": args.engine, "domain": args.domain},
-            )
-            print(
-                f"shard={response['shard']} known={response['known']} "
-                f"resident={response['resident']} snapshot={response['snapshot']}"
-            )
-            return 0
-        if args.client_command == "demand":
-            text = Path(args.file).read_text()
-            fmt = "mini" if args.file.endswith(".mini") else "ir"
-            config = {
-                "engine": args.engine,
-                "domain": args.domain,
-                "k": args.k,
-                "theta": args.theta,
-            }
-            if len(args.targets) > 1:
-                response = client.demand(
-                    text,
-                    targets=args.targets,
-                    kind=args.kind,
-                    fmt=fmt,
-                    prop=args.property,
-                    config=config,
-                    precision=args.precision,
-                    workers=args.workers,
-                )
-                start = "cold" if response["cold"] else "warm"
-                coalesced = " (coalesced)" if response.get("coalesced") else ""
-                print(
-                    f"{args.property}: batch demand "
-                    f"{len(response['targets'])} target(s) "
-                    f"({response['kind']}), {start} store{coalesced}, "
-                    f"components={response['batch_components']} "
-                    f"solves={response['solves']} "
-                    f"frontier-hits={response['frontier_snapshot_hits']} "
-                    f"work={response['work']} ({response['elapsed_ms']}ms)"
-                )
-                if response["timed_out"]:
-                    print(f"{args.property}: analysis exceeded its budget")
-                    return 2
-                any_errors = False
-                for target in response["targets"]:
-                    answer = response["answers"][target]
-                    print(f"-- target {target}")
-                    _print_answer(
-                        args.property, response["kind"], target, answer
-                    )
-                    if response["kind"] == "errors" and answer:
-                        any_errors = True
-                return 1 if any_errors else 0
-            response = client.demand(
-                text,
-                args.targets[0],
-                kind=args.kind,
-                fmt=fmt,
-                prop=args.property,
-                config=config,
-                precision=args.precision,
-            )
-            start = "cold" if response["cold"] else "warm"
-            print(
-                f"{args.property}: demand {response['target']} "
-                f"({response['kind']}), {start} store, "
-                f"cone={response['cone_size']}/{response['program_procs']} "
-                f"work={response['work']} ({response['elapsed_ms']}ms)"
-            )
-            if response["timed_out"]:
-                print(f"{args.property}: analysis exceeded its budget")
-                return 2
-            answer = response["answer"]
-            _print_answer(
-                args.property, response["kind"], response["target"], answer
-            )
-            if response["kind"] == "errors" and answer:
-                return 1
-            return 0
-        if args.client_command == "stats":
-            import json as _json
+        if command == "stats":
+            import json
 
-            print(_json.dumps(client.stats(), indent=2, sort_keys=True))
+            print(json.dumps(client.stats(), indent=2, sort_keys=True))
             return 0
-        if args.client_command == "shutdown":
+        if command == "shutdown":
             response = client.shutdown()
             print(
                 f"service shut down "
                 f"({response['drained_requests']} request(s) served)"
             )
             return 0
-        raise AssertionError(f"unknown client subcommand {args.client_command!r}")
+        request = {
+            "fmt": _program_format(args.file),
+            "prop": args.property,
+            "config": config_to_json(_config(args)),
+        }
+        text = Path(args.file).read_text()
+        if command == "query":
+            response = client.query(text, **request)
+            print(
+                f"shard={response['shard']} known={response['known']} "
+                f"resident={response['resident']} snapshot={response['snapshot']}"
+            )
+            return 0
+        if command == "demand":
+            return _client_demand(args, client, text, request)
+        on_trace = None
+        if args.trace:
+            on_trace = lambda event: print(f"  trace: {event}")
+        response = client.analyze(
+            text, trace=args.trace, op=command, on_trace=on_trace, **request
+        )
+        # Header mirrors `analyze --store`; the verdict lines below
+        # it are byte-identical to `repro-swift verify`'s output.
+        start = "cold" if response["cold"] else "warm"
+        coalesced = " (coalesced)" if response.get("coalesced") else ""
+        print(
+            f"{args.property}: {start} start{coalesced}, "
+            f"hits={response.get('store_hits', 0)} "
+            f"misses={response.get('store_misses', 0)} "
+            f"invalidated={response.get('store_invalidated', 0)} "
+            f"work={response['work']}"
+        )
+        return _print_verdict(
+            args.property,
+            response["errors"],
+            td_summaries=response["td_summaries"],
+            timed_out=response["timed_out"],
+        )
     except ServiceError as exc:
         print(f"service error: {exc}")
         return 2
     except OSError as exc:
         print(f"cannot reach {args.server}: {exc}")
         return 2
+
+
+def _client_demand(args, client, text: str, request: dict) -> int:
+    """``client demand``: one target, or a batch when several are given."""
+    batch = len(args.targets) > 1
+    response = client.demand(
+        text,
+        None if batch else args.targets[0],
+        kind=args.kind,
+        targets=args.targets if batch else None,
+        precision=args.precision,
+        workers=args.workers,
+        **request,
+    )
+    start = "cold" if response["cold"] else "warm"
+    if not batch:
+        print(
+            f"{args.property}: demand {response['target']} "
+            f"({response['kind']}), {start} store, "
+            f"cone={response['cone_size']}/{response['program_procs']} "
+            f"work={response['work']} ({response['elapsed_ms']}ms)"
+        )
+        return _print_verdict(
+            args.property,
+            response["answer"],
+            kind=response["kind"],
+            at=response["target"],
+            timed_out=response["timed_out"],
+        )
+    coalesced = " (coalesced)" if response.get("coalesced") else ""
+    print(
+        f"{args.property}: batch demand "
+        f"{len(response['targets'])} target(s) "
+        f"({response['kind']}), {start} store{coalesced}, "
+        f"components={response['batch_components']} "
+        f"solves={response['solves']} "
+        f"frontier-hits={response['frontier_snapshot_hits']} "
+        f"work={response['work']} ({response['elapsed_ms']}ms)"
+    )
+    return _print_batch(
+        args.property,
+        response["kind"],
+        ((target, response["answers"][target]) for target in response["targets"]),
+        response["timed_out"],
+    )
 
 
 def cmd_store(args: argparse.Namespace) -> int:
@@ -647,9 +591,64 @@ def cmd_store(args: argparse.Namespace) -> int:
     raise AssertionError(f"unknown store subcommand {args.store_command!r}")
 
 
+def _add_config_flags(
+    parser: argparse.ArgumentParser,
+    engines=None,
+    domains=("simple", "full"),
+    *,
+    all_properties: bool = False,
+    thresholds: bool = True,
+    budget=False,
+    scheduler: bool = False,
+    widening=None,
+) -> None:
+    """Declare the flags :func:`_config` reads, in one order.
+
+    ``engines`` (when given) adds ``--property``, ``--engine`` and
+    ``--domain``; ``thresholds`` adds ``--k`` and ``--theta``;
+    ``budget`` adds ``--budget`` (a string is its help text);
+    ``widening`` is the help-text pair of ``--widening-delay`` and
+    ``--descending-iters``.
+    """
+    if engines is not None:
+        parser.add_argument("--property", default="File")
+        if all_properties:
+            parser.add_argument("--all-properties", action="store_true")
+        parser.add_argument("--engine", choices=engines, default="swift")
+        parser.add_argument("--domain", choices=list(domains), default="full")
+    if thresholds:
+        parser.add_argument("--k", type=int, default=5)
+        parser.add_argument("--theta", type=int, default=1)
+    if budget:
+        help_text = budget if isinstance(budget, str) else None
+        parser.add_argument("--budget", type=int, default=None, help=help_text)
+    if scheduler:
+        from repro.framework.scheduling import DEFAULT_SCHEDULER, scheduler_names
+
+        parser.add_argument(
+            "--scheduler",
+            choices=scheduler_names(),
+            default=DEFAULT_SCHEDULER,
+            help="worklist policy (results are identical across policies)",
+        )
+    if widening is not None:
+        delay_help, iters_help = widening
+        parser.add_argument(
+            "--widening-delay", type=int, default=2, help=delay_help
+        )
+        parser.add_argument(
+            "--descending-iters", type=int, default=0, help=iters_help
+        )
+
+
+#: ``--kind`` choices of the demand-query verbs.
+_KINDS = ["errors", "summaries", "entries"]
+_KIND_HELP = "question asked: error reachability, summary pairs, entry states"
+_WORK_BUDGET = "work budget"
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.framework.registry import ENGINES
-    from repro.framework.scheduling import DEFAULT_SCHEDULER, scheduler_names
 
     engines = ENGINES.names()
     # Verbs that read or write the summary store take the engines with
@@ -666,12 +665,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="verify a property / run a fact domain")
     verify.add_argument("file")
-    verify.add_argument("--property", default="File")
-    verify.add_argument("--all-properties", action="store_true")
-    verify.add_argument("--engine", choices=engines, default="swift")
-    verify.add_argument(
-        "--domain",
-        choices=[
+    _add_config_flags(
+        verify,
+        engines,
+        [
             "simple",
             "full",
             "killgen",
@@ -679,30 +676,15 @@ def build_parser() -> argparse.ArgumentParser:
             "interval",
             "interval-typestate",
         ],
-        default="full",
-    )
-    verify.add_argument("--k", type=int, default=5)
-    verify.add_argument("--theta", type=int, default=1)
-    verify.add_argument("--budget", type=int, default=None, help="work budget")
-    verify.add_argument(
-        "--scheduler",
-        choices=scheduler_names(),
-        default=DEFAULT_SCHEDULER,
-        help="worklist policy (results are identical across policies)",
-    )
-    verify.add_argument(
-        "--widening-delay",
-        type=int,
-        default=2,
-        help="join visits at a widening point before widening kicks in "
-        "(infinite-height domains only; finite domains ignore it)",
-    )
-    verify.add_argument(
-        "--descending-iters",
-        type=int,
-        default=0,
-        help="narrowing (descending) passes after the ascending fixpoint "
-        "(infinite-height domains only)",
+        all_properties=True,
+        budget=_WORK_BUDGET,
+        scheduler=True,
+        widening=(
+            "join visits at a widening point before widening kicks in "
+            "(infinite-height domains only; finite domains ignore it)",
+            "narrowing (descending) passes after the ascending fixpoint "
+            "(infinite-height domains only)",
+        ),
     )
     verify.set_defaults(fn=cmd_verify)
 
@@ -711,29 +693,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("file")
     analyze.add_argument("--store", required=True, metavar="DIR", help="store directory")
-    analyze.add_argument("--property", default="File")
-    analyze.add_argument("--engine", choices=preload_engines, default="swift")
-    analyze.add_argument(
-        "--domain",
-        choices=["simple", "full", "interval-typestate"],
-        default="full",
-    )
-    analyze.add_argument("--k", type=int, default=5)
-    analyze.add_argument("--theta", type=int, default=1)
-    analyze.add_argument("--budget", type=int, default=None, help="work budget")
-    analyze.add_argument(
-        "--widening-delay",
-        type=int,
-        default=2,
-        help="join visits before widening (infinite-height domains only); "
-        "part of the store fingerprint for those domains",
-    )
-    analyze.add_argument(
-        "--descending-iters",
-        type=int,
-        default=0,
-        help="narrowing passes after the ascending fixpoint "
-        "(infinite-height domains only)",
+    _add_config_flags(
+        analyze,
+        preload_engines,
+        ["simple", "full", "interval-typestate"],
+        budget=_WORK_BUDGET,
+        widening=(
+            "join visits before widening (infinite-height domains only); "
+            "part of the store fingerprint for those domains",
+            "narrowing passes after the ascending fixpoint "
+            "(infinite-height domains only)",
+        ),
     )
     analyze.set_defaults(fn=cmd_analyze)
 
@@ -749,17 +719,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", required=True, metavar="DIR", help="store directory"
     )
     query_point.add_argument(
-        "--kind",
-        choices=["errors", "summaries", "entries"],
-        default="errors",
-        help="question asked: error reachability, summary pairs, entry states",
+        "--kind", choices=_KINDS, default="errors", help=_KIND_HELP
     )
-    query_point.add_argument("--property", default="File")
-    query_point.add_argument("--engine", choices=preload_engines, default="swift")
-    query_point.add_argument("--domain", choices=["simple", "full"], default="full")
-    query_point.add_argument("--k", type=int, default=5)
-    query_point.add_argument("--theta", type=int, default=1)
-    query_point.add_argument("--budget", type=int, default=None, help="work budget")
+    _add_config_flags(query_point, preload_engines, budget=_WORK_BUDGET)
     query_point.add_argument(
         "--query-precision",
         choices=["td", "swift"],
@@ -785,17 +747,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", required=True, metavar="DIR", help="store directory"
     )
     query_batch.add_argument(
-        "--kind",
-        choices=["errors", "summaries", "entries"],
-        default="errors",
-        help="question asked: error reachability, summary pairs, entry states",
+        "--kind", choices=_KINDS, default="errors", help=_KIND_HELP
     )
-    query_batch.add_argument("--property", default="File")
-    query_batch.add_argument("--engine", choices=preload_engines, default="swift")
-    query_batch.add_argument("--domain", choices=["simple", "full"], default="full")
-    query_batch.add_argument("--k", type=int, default=5)
-    query_batch.add_argument("--theta", type=int, default=1)
-    query_batch.add_argument("--budget", type=int, default=None, help="work budget")
+    _add_config_flags(query_batch, preload_engines, budget=_WORK_BUDGET)
     query_batch.add_argument(
         "--query-precision", choices=["td", "swift"], default="td"
     )
@@ -860,14 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         )
         _client_common(sub_parser)
-        sub_parser.add_argument("--property", default="File")
-        sub_parser.add_argument("--engine", choices=engines, default="swift")
-        sub_parser.add_argument(
-            "--domain", choices=["simple", "full"], default="full"
-        )
-        sub_parser.add_argument("--k", type=int, default=5)
-        sub_parser.add_argument("--theta", type=int, default=1)
-        sub_parser.add_argument("--budget", type=int, default=None)
+        _add_config_flags(sub_parser, engines, budget=True)
         sub_parser.add_argument(
             "--trace",
             action="store_true",
@@ -880,9 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
         "— runs no analysis; to answer a point question, use 'demand'",
     )
     _client_common(query)
-    query.add_argument("--property", default="File")
-    query.add_argument("--engine", choices=engines, default="swift")
-    query.add_argument("--domain", choices=["simple", "full"], default="full")
+    _add_config_flags(query, engines, thresholds=False)
 
     demand = client_sub.add_parser(
         "demand",
@@ -899,16 +844,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="procedure name, or proc:index for one program point; "
         "repeat for a batch (one solve per connected cone component)",
     )
-    demand.add_argument(
-        "--kind",
-        choices=["errors", "summaries", "entries"],
-        default="errors",
-    )
-    demand.add_argument("--property", default="File")
-    demand.add_argument("--engine", choices=preload_engines, default="swift")
-    demand.add_argument("--domain", choices=["simple", "full"], default="full")
-    demand.add_argument("--k", type=int, default=5)
-    demand.add_argument("--theta", type=int, default=1)
+    demand.add_argument("--kind", choices=_KINDS, default="errors")
+    _add_config_flags(demand, preload_engines)
     demand.add_argument(
         "--precision", choices=["td", "swift"], default="td"
     )
@@ -953,8 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="race the engines on a suite benchmark or generated shape"
     )
     bench.add_argument("name")
-    bench.add_argument("--k", type=int, default=5)
-    bench.add_argument("--theta", type=int, default=1)
+    _add_config_flags(bench)
     bench.add_argument(
         "--seed",
         type=int,
@@ -987,12 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
     record = trace_sub.add_parser("record", help="run an engine, recording events to JSONL")
     record.add_argument("file")
     record.add_argument("--out", default="trace.jsonl", help="JSONL output path")
-    record.add_argument("--property", default="File")
-    record.add_argument("--engine", choices=engines, default="swift")
-    record.add_argument("--domain", choices=["simple", "full"], default="full")
-    record.add_argument("--k", type=int, default=5)
-    record.add_argument("--theta", type=int, default=1)
-    record.add_argument("--budget", type=int, default=None, help="work budget")
+    _add_config_flags(record, engines, budget=_WORK_BUDGET)
     record.set_defaults(fn=cmd_trace)
 
     summarize = trace_sub.add_parser(
@@ -1025,6 +956,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream pager/head closed the pipe: exit quietly.
         import os

@@ -1,12 +1,11 @@
 """The one configuration object behind every engine run.
 
 Every way of running an analysis in this repo — ``run_typestate``, the
-experiment harness, the CLI, the incremental driver — used to thread
-the same ten knobs through its own keyword ladder.
-:class:`AnalysisConfig` replaces those ladders: one frozen dataclass
-naming the engine kind, the abstract domain, the SWIFT thresholds, the
-budget, the hot-path toggles, the worklist scheduling policy, and the
-runtime attachments (trace sink, warm-start preload).  Validation
+experiment harness, the CLI, the incremental driver, the query engine,
+the service — is parametrised by one :class:`AnalysisConfig`: one
+frozen dataclass naming the engine kind, the abstract domain, the SWIFT
+thresholds, the budget, the hot-path toggles, the worklist scheduling
+policy, and the runtime attachments (trace sink, warm-start preload).  Validation
 happens at construction, against the live registries — an unknown
 engine, domain, or scheduler raises immediately, listing the registered
 choices, instead of being forwarded blindly into an engine constructor.
@@ -19,13 +18,17 @@ config fingerprint.  Runtime-only fields (budget, sink, preload) are
 deliberately excluded: they change how long a run takes or what it
 records, never what it computes, so two runs differing only there may
 share stored summaries.
+
+Entry points that also take the fields as keywords fold them into a
+config with :func:`make_config`, the one place that decides how a
+config, keyword overrides and an entry point's own defaults combine.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import FrozenSet, Optional
+from typing import FrozenSet, Mapping, Optional
 
 from repro.framework.metrics import Budget
 from repro.framework.registry import DOMAINS, ENGINES, EngineSpec
@@ -194,3 +197,23 @@ _FIELD_TYPES = {
     "widening_delay": int,
     "descending_iters": int,
 }
+
+
+def make_config(
+    config: Optional[AnalysisConfig] = None,
+    defaults: Optional[Mapping] = None,
+    **fields,
+) -> AnalysisConfig:
+    """Fold an entry point's arguments into one validated config.
+
+    ``fields`` are :class:`AnalysisConfig` field values, where ``None``
+    means "not given".  Without ``config``, the result is the entry
+    point's ``defaults`` overlaid by the given fields; with one, the
+    given fields override it (a ``budget`` or ``sink`` for this run,
+    say).  Unknown field names raise ``TypeError`` and invalid values
+    the config's own ``ValueError``.
+    """
+    given = {name: value for name, value in fields.items() if value is not None}
+    if config is None:
+        return AnalysisConfig(**{**(defaults or {}), **given})
+    return config.replace(**given) if given else config

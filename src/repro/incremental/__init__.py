@@ -22,9 +22,12 @@ versions.  This package adds that layer:
 from repro.incremental.codec import Codec
 from repro.incremental.driver import (
     IncrementalOutcome,
+    LruCache,
+    StoreRun,
     WarmCache,
     analyze_with_store,
     clear_warm_cache,
+    prepare_store_run,
 )
 from repro.incremental.fingerprint import (
     ProgramFingerprints,
@@ -49,8 +52,10 @@ __all__ = [
     "FrontierSnapshot",
     "IncrementalOutcome",
     "InvalidationPlan",
+    "LruCache",
     "ProgramFingerprints",
     "Snapshot",
+    "StoreRun",
     "SummaryStore",
     "WarmCache",
     "WarmStart",
@@ -60,5 +65,6 @@ __all__ = [
     "build_warm_start",
     "config_fingerprint",
     "diff_fingerprints",
+    "prepare_store_run",
     "project_frontier",
 ]

@@ -10,30 +10,28 @@ writes the merged snapshot back.  Timed-out runs are never saved: a
 stored context must be a *finished* fixpoint, and a partial table would
 be trusted as complete by the next warm run.
 
-Repeated warm runs in one process (watch loops, benchmark drivers, the
-test suite, the analysis service) keep the stored snapshot resident in
-a process-level cache (:class:`WarmCache`) keyed on (store root, config
-fingerprint), with the snapshot file's identity ``(inode, mtime, size)``
-validating each hit.  An entry holds the snapshot's header and segment
-text, its decoded per-procedure entries, and the :class:`WarmStart`
-built for the program fingerprints it last served.  The same program
-is a plain hit; an edited program re-diffs against the cached header
-and filters the decoded segments by ``plan.valid`` — no read, no
-decode.  After a save the entry is patched
-in place: the new snapshot's reused segments keep their decoded
-entries, the re-encoded ones take the run's own objects, and the
-signature is the one ``SummaryStore.save`` took from the file it wrote
-(the locked file after an append, the temp file before a rename), so
-a concurrent writer's file is never mistaken for ours.  Engines never
-mutate a ``WarmStart`` (activation copies rows into their own tables),
-so sharing one across runs — sequential or concurrent — is sound.  The
-cache is a true LRU behind one lock: hits refresh recency, insertion
-over capacity evicts the least recently used entry, and every
-operation is atomic, so the service daemon's request threads can
-hammer one shared instance; in the daemon, demand queries view the
-same resident snapshot (:mod:`repro.query.engine`).  The wall time
-actually spent on load + diff + decode is reported per run as
-``Metrics.store_load_seconds``.
+Repeated runs in one process (watch loops, benchmark drivers, the test
+suite, the analysis service) keep the stored snapshot resident in one
+:class:`WarmCache` per process (the daemon brings its own) keyed on
+(store root, config fingerprint), with the snapshot file's identity
+``(inode, mtime, size)`` validating each hit.  An entry holds the
+snapshot's header and segment text, its decoded per-procedure entries,
+and the :class:`WarmStart` built for the program fingerprints it last
+served.  The same program is a plain hit; an edited program re-diffs
+against the cached header and filters the decoded segments by
+``plan.valid`` — no read, no decode.  After a save the entry is
+patched in place: the new snapshot's reused segments keep their
+decoded entries, the re-encoded ones take the run's own objects, and
+the signature is the one ``SummaryStore.save`` took from the file it
+wrote (the locked file after an append, the temp file before a
+rename), so a concurrent writer's file is never mistaken for ours.
+Engines never mutate a ``WarmStart`` (activation copies rows into
+their own tables), so sharing one across runs — sequential or
+concurrent — is sound.  Demand queries keep their frontier views in
+the same cache and view the same resident snapshot
+(:mod:`repro.query.engine`); :func:`prepare_store_run` is the preamble
+both paths share.  The wall time spent on load + diff + decode is
+reported per run as ``Metrics.store_load_seconds``.
 """
 
 from __future__ import annotations
@@ -42,10 +40,9 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, NamedTuple, Optional, Tuple
 
-from repro.framework.config import AnalysisConfig
-from repro.framework.metrics import Budget
+from repro.framework.config import AnalysisConfig, make_config
 from repro.framework.session import analysis_session
 from repro.incremental.codec import Codec
 from repro.incremental.fingerprint import (
@@ -66,8 +63,8 @@ from repro.typestate.client import TypestateReport, make_analyses
 from repro.typestate.dfa import TypestateProperty
 
 #: Canonical registry domain names back to the short spellings the
-#: codec and ``make_analyses`` use.  ``analyze_with_store`` is
-#: type-state only: the snapshot codec encodes type-state summaries.
+#: codec and ``make_analyses`` use.  Store-backed runs are type-state
+#: only: the snapshot codec encodes type-state summaries.
 _SHORT_DOMAINS = {
     "typestate-simple": "simple",
     "typestate-full": "full",
@@ -75,23 +72,14 @@ _SHORT_DOMAINS = {
 }
 
 
-#: ``WarmCache._take`` wildcard: match any program fingerprints.
-_ANY_PROGRAM = object()
+class LruCache:
+    """Bounded, thread-safe, true-LRU map with hit/miss/eviction counts.
 
-
-class WarmCache:
-    """Bounded, thread-safe, true-LRU cache of decoded warm starts.
-
-    Keys are ``(store root, config fingerprint)``.  Each entry carries
-    the file signature and program fingerprints it was built for, so a
-    rewrite of the store by another writer misses naturally;
-    :meth:`lookup` also misses on an edited program, while
-    :meth:`get` leaves that check to the caller (the analyze path
-    re-diffs a resident snapshot instead of re-reading it).  A hit
-    refreshes recency (move-to-end); inserting over capacity evicts the
-    least recently used entry.  One lock covers check + reorder +
-    insert, so concurrent request threads can share a single instance
-    without torn lookups.
+    A hit refreshes recency (move-to-end); inserting over capacity
+    evicts the least recently used entry.  One lock covers check +
+    reorder + insert, so concurrent request threads can share a single
+    instance without torn lookups.  The service daemon keeps its
+    parsed programs and finished results in two of these.
     """
 
     def __init__(self, capacity: int = 64) -> None:
@@ -99,51 +87,35 @@ class WarmCache:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple[str, str], Tuple]" = OrderedDict()
+        self._entries: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def get(self, key: Tuple[str, str], signature) -> Optional[Tuple]:
-        """``(fp_key, *payload)`` of the entry for the file with
-        ``signature``, or ``None`` (a miss)."""
-        entry = self._take(key, signature, _ANY_PROGRAM)
-        return None if entry is None else entry[1:]
-
-    def lookup(
-        self, key: Tuple[str, str], signature, fp_key
-    ) -> Optional[Tuple]:
-        """The cached payload when both the file signature and the
-        program fingerprints match, else ``None`` (a miss)."""
-        entry = self._take(key, signature, fp_key)
-        return None if entry is None else entry[2:]
-
-    def _take(self, key, signature, fp_key) -> Optional[Tuple]:
-        # A stale entry counts as a miss but is left in place: the
-        # caller re-decodes and overwrites it via insert().
+    def fetch(self, key, accept=None):
+        """The value under ``key`` (a hit), or ``None`` (a miss) when
+        there is none or ``accept(value)`` refuses it."""
+        # A refused entry is left in place: the caller rebuilds it and
+        # overwrites it via put().
         with self._lock:
             entry = self._entries.get(key)
-            if (
-                entry is not None
-                and entry[0] == signature
-                and (fp_key is _ANY_PROGRAM or entry[1] == fp_key)
-            ):
+            if entry is not None and (accept is None or accept(entry)):
                 self._entries.move_to_end(key)
                 self.hits += 1
                 return entry
             self.misses += 1
             return None
 
-    def insert(self, key: Tuple[str, str], signature, fp_key, *payload) -> None:
+    def put(self, key, value) -> None:
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
             elif len(self._entries) >= self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-            self._entries[key] = (signature, fp_key) + payload
+            self._entries[key] = value
 
-    def invalidate(self, key: Tuple[str, str]) -> None:
+    def invalidate(self, key) -> None:
         with self._lock:
             self._entries.pop(key, None)
 
@@ -155,7 +127,7 @@ class WarmCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, key: Tuple[str, str]) -> bool:
+    def __contains__(self, key) -> bool:
         with self._lock:
             return key in self._entries
 
@@ -170,19 +142,47 @@ class WarmCache:
             }
 
 
-#: Process-level WarmStart decode cache; long-lived hosts (the service
-#: daemon) construct their own bounded instance instead.
+class WarmCache(LruCache):
+    """The :class:`LruCache` of decoded warm starts and frontier views.
+
+    Keys are ``(store root, config fingerprint)``, suffixed
+    ``#demand:frontier`` for the query path's entries.  Each entry
+    carries the file signature and program fingerprints it was built
+    for, so a rewrite of the store by another writer misses naturally;
+    :meth:`lookup` also misses on an edited program, while :meth:`get`
+    leaves that check to the caller (the analyze path re-diffs a
+    resident snapshot instead of re-reading it).
+    """
+
+    def get(self, key: Tuple[str, str], signature) -> Optional[Tuple]:
+        """``(fp_key, *payload)`` of the entry for the file with
+        ``signature``, or ``None`` (a miss)."""
+        entry = self.fetch(key, lambda entry: entry[0] == signature)
+        return None if entry is None else entry[1:]
+
+    def lookup(
+        self, key: Tuple[str, str], signature, fp_key
+    ) -> Optional[Tuple]:
+        """The cached payload when both the file signature and the
+        program fingerprints match, else ``None`` (a miss)."""
+        entry = self.fetch(
+            key, lambda entry: entry[0] == signature and entry[1] == fp_key
+        )
+        return None if entry is None else entry[2:]
+
+    def insert(self, key: Tuple[str, str], signature, fp_key, *payload) -> None:
+        self.put(key, (signature, fp_key) + payload)
+
+
+#: The process-level cache of decoded warm starts (analyze) and frontier
+#: views (demand queries); long-lived hosts (the service daemon)
+#: construct their own bounded instance instead.
 _WARM_CACHE = WarmCache(capacity=64)
 
 
 def clear_warm_cache() -> None:
-    """Drop every cached decoded warm start (tests, long-lived hosts)."""
+    """Drop every resident snapshot and frontier view (tests, benchmarks)."""
     _WARM_CACHE.clear()
-
-
-def _snapshot_signature(store: SummaryStore, config_fp: str):
-    """File identity of the stored snapshot, or None when absent."""
-    return file_signature(store.path_for(config_fp))
 
 
 def _load_warm(
@@ -205,7 +205,7 @@ def _load_warm(
     key = (str(store.root.resolve()), config_fp)
     fp_key = fingerprints.as_dict()
     snapshot = None
-    signature = _snapshot_signature(store, config_fp)
+    signature = file_signature(store.path_for(config_fp))
     if signature is not None:
         entry = cache.get(key, signature)
         if entry is not None:
@@ -244,69 +244,40 @@ class IncrementalOutcome:
     plan: Optional[InvalidationPlan] = field(default=None, repr=False)
 
 
-def analyze_with_store(
-    program: Program,
-    prop: TypestateProperty,
-    store: SummaryStore,
-    engine: str = "swift",
-    k: int = 5,
-    theta: int = 1,
-    budget: Optional[Budget] = None,
-    tracked_sites: Optional[FrozenSet[str]] = None,
-    domain: str = "simple",
-    enable_caches: bool = True,
-    indexed_summaries: bool = True,
-    scheduler: Optional[str] = None,
-    sink=None,
-    save: bool = True,
-    meta: Optional[dict] = None,
-    widening_delay: int = 2,
-    descending_iters: int = 0,
-    config: Optional[AnalysisConfig] = None,
-    warm_cache: Optional[WarmCache] = None,
-) -> IncrementalOutcome:
-    """Run ``prop`` over ``program`` with a persistent summary store.
+class StoreRun(NamedTuple):
+    """What every store-backed run derives from (program, prop, config)
+    before it touches the store: see :func:`prepare_store_run`."""
 
-    Accepts the ``td`` and ``swift`` engines; a pure bottom-up run has
-    no preload hook (its whole point is recomputing every summary), so
-    ``engine="bu"`` raises ``ValueError``.
+    oracle: object
+    fingerprints: ProgramFingerprints
+    config_desc: dict
+    config_fp: str
+    codec: Codec
 
-    ``config=`` replaces the keyword ladder with a full
-    :class:`AnalysisConfig` (the analysis service parses one from
-    JSON): its identity fields — including the
-    scheduler — flow into the run and the store fingerprint;
-    explicit ``budget``/``sink`` keywords still override its runtime
-    fields.  ``warm_cache=`` selects the decode cache — defaults to
-    the process-level one; a long-lived host passes its own bounded
-    :class:`WarmCache` so eviction policy and stats stay per-host.
+
+def prepare_store_run(
+    program: Program, prop: TypestateProperty, config: AnalysisConfig
+) -> StoreRun:
+    """The preamble shared by ``analyze_with_store``, ``run_query`` and
+    ``run_query_batch``.
+
+    Refuses (``ValueError``) a config the store cannot serve: the
+    snapshot codec encodes type-state summaries, and a pure bottom-up
+    run has no preload hook.  The config fingerprint is the *user's*
+    config — demand queries read what ``analyze --store`` wrote under
+    it, before any query-specific ``bu_triggers`` override.  The oracle
+    and the program fingerprints are memoized on the program, so a
+    resident host computes them once per program version.
     """
-    if config is None:
-        config = AnalysisConfig(
-            engine=engine,
-            domain=domain,
-            k=k,
-            theta=theta,
-            tracked_sites=tracked_sites,
-            enable_caches=enable_caches,
-            indexed_summaries=indexed_summaries,
-            scheduler=scheduler if scheduler is not None else "lifo",
-            widening_delay=widening_delay,
-            descending_iters=descending_iters,
-        )
-    if budget is not None and config.budget is not budget:
-        config = config.replace(budget=budget)
-    if sink is not None and config.sink is not sink:
-        config = config.replace(sink=sink)
     if config.engine not in ("td", "swift"):
         raise ValueError(
-            f"analyze_with_store supports td and swift, not {config.engine!r}"
+            f"the summary store serves td and swift, not {config.engine!r}"
         )
     domain_short = _SHORT_DOMAINS.get(config.domain)
     if domain_short is None:
         raise ValueError(
-            f"analyze_with_store is type-state only, not {config.domain!r}"
+            f"the summary store is type-state only, not {config.domain!r}"
         )
-    cache = warm_cache if warm_cache is not None else _WARM_CACHE
     with_alias = domain_short == "full"
     oracle = program_alias(program)[0] if with_alias else None
     fingerprints = program_fingerprints(program, with_alias)
@@ -315,6 +286,38 @@ def analyze_with_store(
         program, prop, domain_short, config.tracked_sites, oracle
     )
     codec = Codec(domain_short, bu_analysis)
+    return StoreRun(oracle, fingerprints, config_desc, config_fp, codec)
+
+
+def analyze_with_store(
+    program: Program,
+    prop: TypestateProperty,
+    store: SummaryStore,
+    config: Optional[AnalysisConfig] = None,
+    *,
+    save: bool = True,
+    meta: Optional[dict] = None,
+    warm_cache: Optional[WarmCache] = None,
+    **fields,
+) -> IncrementalOutcome:
+    """Run ``prop`` over ``program`` with a persistent summary store.
+
+    The run is ``config``, or the :class:`AnalysisConfig` folded from
+    keyword ``fields`` as in :func:`~repro.typestate.client.
+    run_typestate` (the domain defaults to ``simple``); given fields
+    override ``config`` (the service passes its parsed config plus a
+    trace ``sink``).  Accepts the ``td`` and ``swift`` engines; a pure
+    bottom-up run has no preload hook (its whole point is recomputing
+    every summary), so ``engine="bu"`` raises ``ValueError``.
+    ``warm_cache=`` selects the decode cache — defaults to the
+    process-level one; a long-lived host passes its own bounded
+    :class:`WarmCache` so eviction policy and stats stay per-host.
+    """
+    config = make_config(config, {"domain": "simple"}, **fields)
+    cache = warm_cache if warm_cache is not None else _WARM_CACHE
+    oracle, fingerprints, config_desc, config_fp, codec = prepare_store_run(
+        program, prop, config
+    )
 
     load_started = time.perf_counter()
     snapshot, plan, warm = _load_warm(
@@ -325,15 +328,7 @@ def analyze_with_store(
     session_out = analysis_session().run(
         program, config.replace(preload=warm), prop=prop, oracle=oracle
     )
-    report = TypestateReport(
-        prop.name,
-        config.engine,
-        session_out.findings,
-        session_out.td_summaries,
-        session_out.bu_summaries,
-        session_out.timed_out,
-        session_out.result,
-    )
+    report = TypestateReport.of(prop, config, session_out)
     metrics = report.result.metrics
     metrics.store_load_seconds += store_load_seconds
     outcome = IncrementalOutcome(

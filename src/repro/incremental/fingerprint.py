@@ -204,7 +204,7 @@ def config_fingerprint(
     description is stored in the snapshot header so ``store stats`` can
     say what a snapshot is.
     """
-    from repro.framework.config import AnalysisConfig
+    from repro.framework.config import make_config
 
     extra = dict(flags or {})
     if config is None:
@@ -213,17 +213,13 @@ def config_fingerprint(
                 "config_fingerprint needs config= or both domain= and engine="
             )
         known = {key: extra.pop(key) for key in _CONFIG_FLAG_KEYS if key in extra}
-        config = AnalysisConfig(
+        config = make_config(
             engine=engine,
             domain=domain,
-            k=k if k is not None else 5,
-            theta=theta if theta is not None else 1,
-            tracked_sites=(
-                frozenset(tracked_sites) if tracked_sites is not None else None
-            ),
-            enable_caches=bool(known.get("enable_caches", True)),
-            indexed_summaries=bool(known.get("indexed_summaries", True)),
-            scheduler=str(known.get("scheduler", "lifo")),
+            k=k,
+            theta=theta,
+            tracked_sites=tracked_sites,
+            **known,
         )
     desc = {
         "version": FINGERPRINT_VERSION,

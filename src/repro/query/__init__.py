@@ -25,7 +25,6 @@ from repro.query.engine import (
     QUERY_KINDS,
     QUERY_PRECISIONS,
     QueryOutcome,
-    clear_query_cache,
     run_query,
 )
 from repro.query.batch import (
@@ -49,7 +48,6 @@ __all__ = [
     "QueryOutcome",
     "QueryTarget",
     "UnknownTargetError",
-    "clear_query_cache",
     "compute_cone",
     "plan_batch",
     "resolve_target",

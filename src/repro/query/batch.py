@@ -47,20 +47,11 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.callgraph.scc import condensation
-from repro.framework.config import AnalysisConfig
-from repro.framework.metrics import Budget
-from repro.incremental.driver import WarmCache
+from repro.framework.config import AnalysisConfig, make_config
+from repro.incremental.driver import _WARM_CACHE, WarmCache, prepare_store_run
 from repro.ir.cfg import ControlFlowGraphs, program_cfgs
 from repro.ir.program import Program
-from repro.query.engine import (
-    _QUERY_CACHE,
-    QUERY_KINDS,
-    QUERY_PRECISIONS,
-    _extract_answer,
-    normalize_query_config,
-    prepare_query_analysis,
-    solve_cone,
-)
+from repro.query.engine import _extract_answer, check_query_mode, solve_cone
 from repro.query.slice import (
     QueryError,
     QueryTarget,
@@ -307,64 +298,34 @@ def run_query_batch(
     store,
     targets: Sequence[TargetSpec],
     kind: str = "errors",
-    engine: str = "swift",
-    k: int = 5,
-    theta: int = 1,
-    domain: str = "simple",
-    budget: Optional[Budget] = None,
-    tracked_sites: Optional[FrozenSet[str]] = None,
-    enable_caches: bool = True,
-    indexed_summaries: bool = True,
-    scheduler: Optional[str] = None,
-    sink=None,
     config: Optional[AnalysisConfig] = None,
+    *,
     warm_cache: Optional[WarmCache] = None,
     query_precision: str = "td",
     max_workers: int = 1,
+    **fields,
 ) -> BatchOutcome:
     """Answer a batch of demand queries with one solve per component.
 
-    Accepts the same configuration ladder as :func:`~repro.query.
-    engine.run_query`; every target's answer is byte-identical to what
-    the single-target path returns for it.  ``max_workers > 1`` solves
+    Takes its configuration as :func:`~repro.query.engine.run_query`
+    does; every target's answer is byte-identical to what the
+    single-target path returns for it.  ``max_workers > 1`` solves
     independent components in parallel threads (components share no
     state; the decode cache is thread-safe).  Queries never save.
     """
-    if kind not in QUERY_KINDS:
-        raise QueryError(
-            f"unknown query kind {kind!r}; expected one of {QUERY_KINDS}"
-        )
-    if query_precision not in QUERY_PRECISIONS:
-        raise QueryError(
-            f"unknown query precision {query_precision!r}; "
-            f"expected one of {QUERY_PRECISIONS}"
-        )
+    check_query_mode(kind, query_precision)
     if max_workers < 1:
         raise QueryError(f"workers must be at least 1, not {max_workers}")
-    config = normalize_query_config(
-        engine=engine,
-        k=k,
-        theta=theta,
-        domain=domain,
-        budget=budget,
-        tracked_sites=tracked_sites,
-        enable_caches=enable_caches,
-        indexed_summaries=indexed_summaries,
-        scheduler=scheduler,
-        sink=sink,
-        config=config,
-    )
-    cache = warm_cache if warm_cache is not None else _QUERY_CACHE
+    config = make_config(config, {"domain": "simple"}, **fields)
+    run = prepare_store_run(program, prop, config)
+    cache = warm_cache if warm_cache is not None else _WARM_CACHE
 
     cfgs = program_cfgs(program)
     plan = plan_batch(program, targets, cfgs)
-    oracle, fingerprints, config_fp, codec = prepare_query_analysis(
-        program, prop, config
-    )
 
     outcome = BatchOutcome(
         kind=kind,
-        config_fp=config_fp,
+        config_fp=run.config_fp,
         plan=plan,
         query_precision=query_precision,
     )
@@ -383,10 +344,7 @@ def run_query_batch(
             prop,
             store,
             config,
-            config_fp,
-            codec,
-            fingerprints,
-            oracle,
+            run,
             cfgs,
             component.solve_cone,
             component.frontier,

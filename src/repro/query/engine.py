@@ -37,12 +37,12 @@ records whether a snapshot was there (``"hit"``) or not (``"cold"``).
 Queries never write the store: a cone solve is a partial fixpoint of
 the whole program, and stored snapshots must be complete.
 
-A resident host keeps one :class:`FrontierEntry` per store version in
-a :class:`~repro.incremental.driver.WarmCache`, shared by every cone:
-the frontier view plus memos of decoded contexts, decoded BU summaries
-and SWIFT's instantiations of them.  The daemon's cache also holds the
-analyze path's resident snapshot, which a new entry views instead of
-reading the file again.  Each query gets a
+The process keeps one :class:`FrontierEntry` per store version in the
+:class:`~repro.incremental.driver.WarmCache` the analyze path uses (the
+daemon passes its own), shared by every cone: the frontier view plus
+memos of decoded contexts, decoded BU summaries and SWIFT's
+instantiations of them.  A new entry views the analyze path's resident
+snapshot instead of reading the file again.  Each query gets a
 thin view *offered* ``available ∩ cone.frontier ∩ plan.valid − cone``
 — the view checks that set before serving anything from a shared
 memo, so a procedure inside this cone is never answered from what an
@@ -60,17 +60,16 @@ from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from typing import FrozenSet, Optional, Tuple
 
-from repro.framework.config import AnalysisConfig
-from repro.framework.metrics import Budget
+from repro.framework.config import AnalysisConfig, make_config
 from repro.framework.session import analysis_session
 from repro.incremental.codec import Codec
-from repro.incremental.driver import _SHORT_DOMAINS, WarmCache, _snapshot_signature
-from repro.incremental.fingerprint import (
-    ProgramFingerprints,
-    config_fingerprint,
-    program_alias,
-    program_fingerprints,
+from repro.incremental.driver import (
+    _WARM_CACHE,
+    StoreRun,
+    WarmCache,
+    prepare_store_run,
 )
+from repro.incremental.fingerprint import ProgramFingerprints
 from repro.incremental.invalidate import (
     InvalidationPlan,
     WarmStart,
@@ -80,6 +79,7 @@ from repro.incremental.store import (
     FrontierSnapshot,
     Snapshot,
     SummaryStore,
+    file_signature,
     project_frontier,
 )
 from repro.ir.cfg import ControlFlowGraphs, ProgramPoint, program_cfgs
@@ -92,24 +92,10 @@ from repro.query.slice import (
     compute_cone,
     resolve_target,
 )
-from repro.typestate.client import make_analyses
 from repro.typestate.dfa import TypestateProperty
 
 #: The typed questions a demand query can ask.
 QUERY_KINDS = ("errors", "summaries", "entries")
-
-
-def encode_answer(kind: str, answer) -> list:
-    """An answer as the strings it prints, in print order: ``[point,
-    site]`` pairs for errors, ``[entry, exit]`` pairs for summaries,
-    state strings for entries.  Summaries and entries sort by their
-    printed text: a state's ``repr`` (inside a tuple's ``str``) shows
-    frozensets in hash-seed-dependent order."""
-    if kind == "errors":
-        return [[str(point), site] for point, site in sorted(answer, key=str)]
-    if kind == "summaries":
-        return sorted([str(entry), str(exit_state)] for entry, exit_state in answer)
-    return sorted(str(state) for state in answer)
 
 
 #: The precision modes a query can run at: ``"td"`` pins the cone to
@@ -117,14 +103,18 @@ def encode_answer(kind: str, answer) -> list:
 #: inside the cone (the engine's own hybrid verdict).
 QUERY_PRECISIONS = ("td", "swift")
 
-#: Process-level cache of :class:`FrontierEntry` objects, one per store
-#: version, for hosts that pass no cache of their own.
-_QUERY_CACHE = WarmCache(capacity=64)
 
-
-def clear_query_cache() -> None:
-    """Drop every cached frontier entry (tests, long-lived hosts)."""
-    _QUERY_CACHE.clear()
+def check_query_mode(kind: str, query_precision: str) -> None:
+    """Refuse an unknown query kind or precision (:class:`QueryError`)."""
+    if kind not in QUERY_KINDS:
+        raise QueryError(
+            f"unknown query kind {kind!r}; expected one of {QUERY_KINDS}"
+        )
+    if query_precision not in QUERY_PRECISIONS:
+        raise QueryError(
+            f"unknown query precision {query_precision!r}; "
+            f"expected one of {QUERY_PRECISIONS}"
+        )
 
 
 @dataclass
@@ -160,71 +150,6 @@ class QueryOutcome:
     @property
     def frontier_size(self) -> int:
         return len(self.cone.frontier) if self.cone is not None else 0
-
-
-def normalize_query_config(
-    *,
-    engine: str = "swift",
-    k: int = 5,
-    theta: int = 1,
-    domain: str = "simple",
-    budget: Optional[Budget] = None,
-    tracked_sites: Optional[FrozenSet[str]] = None,
-    enable_caches: bool = True,
-    indexed_summaries: bool = True,
-    scheduler: Optional[str] = None,
-    sink=None,
-    config: Optional[AnalysisConfig] = None,
-) -> AnalysisConfig:
-    """Fold the query keyword ladder into one validated config."""
-    if config is None:
-        config = AnalysisConfig(
-            engine=engine,
-            domain=domain,
-            k=k,
-            theta=theta,
-            tracked_sites=tracked_sites,
-            enable_caches=enable_caches,
-            indexed_summaries=indexed_summaries,
-            scheduler=scheduler if scheduler is not None else "lifo",
-        )
-    if budget is not None and config.budget is not budget:
-        config = config.replace(budget=budget)
-    if sink is not None and config.sink is not sink:
-        config = config.replace(sink=sink)
-    if config.engine not in ("td", "swift"):
-        raise ValueError(
-            f"demand queries support td and swift, not {config.engine!r}"
-        )
-    if config.domain not in _SHORT_DOMAINS:
-        raise ValueError(
-            f"demand queries are type-state only, not {config.domain!r}"
-        )
-    return config
-
-
-def prepare_query_analysis(
-    program: Program, prop: TypestateProperty, config: AnalysisConfig
-):
-    """The shared per-(program, prop, config) query machinery.
-
-    Returns ``(oracle, fingerprints, config_fp, codec)``.  The store
-    fingerprint is computed from the *user's* config — the same one a
-    whole-program ``analyze --store`` run writes under — before any
-    query-specific ``bu_triggers`` override.  The oracle and the
-    program fingerprints are memoized on the program, so a resident
-    host computes them once per program version.
-    """
-    domain_short = _SHORT_DOMAINS[config.domain]
-    with_alias = domain_short == "full"
-    oracle = program_alias(program)[0] if with_alias else None
-    fingerprints = program_fingerprints(program, with_alias)
-    _, config_fp = config_fingerprint(prop, config=config)
-    _, bu_analysis, _ = make_analyses(
-        program, prop, domain_short, config.tracked_sites, oracle
-    )
-    codec = Codec(domain_short, bu_analysis)
-    return oracle, fingerprints, config_fp, codec
 
 
 class LazyWarmContext:
@@ -505,7 +430,7 @@ def _load_query_warm(
     entry's signature still matches (the daemon shares one cache), and
     from a checksum-checked :meth:`SummaryStore.load` otherwise.
     """
-    signature = _snapshot_signature(store, config_fp)
+    signature = file_signature(store.path_for(config_fp))
     if signature is None:
         return None, None, "cold"
     root = str(store.root.resolve())
@@ -558,10 +483,7 @@ def solve_cone(
     prop: TypestateProperty,
     store: SummaryStore,
     config: AnalysisConfig,
-    config_fp: str,
-    codec: Codec,
-    fingerprints: ProgramFingerprints,
-    oracle,
+    run: StoreRun,
     cfgs: ControlFlowGraphs,
     cone: FrozenSet[str],
     frontier: FrozenSet[str],
@@ -571,11 +493,13 @@ def solve_cone(
     """Run one cone-restricted solve and account for its cost.
 
     ``cone`` is tabulated fresh; ``frontier`` is preloaded from the
-    store snapshot's frontier view.
+    store snapshot's frontier view.  ``run`` is the config's
+    :func:`~repro.incremental.driver.prepare_store_run` preamble.
     """
     load_started = time.perf_counter()
     plan, warm, source = _load_query_warm(
-        store, config_fp, fingerprints, codec, cone, frontier, cfgs, cache
+        store, run.config_fp, run.fingerprints, run.codec, cone, frontier,
+        cfgs, cache,
     )
     store_load_seconds = time.perf_counter() - load_started
 
@@ -584,7 +508,7 @@ def solve_cone(
         config.replace(preload=warm, bu_triggers=(query_precision == "swift")),
         cfgs=cfgs,
         prop=prop,
-        oracle=oracle,
+        oracle=run.oracle,
     )
     result = session_out.result
     result.metrics.store_load_seconds += store_load_seconds
@@ -613,19 +537,11 @@ def run_query(
     store: SummaryStore,
     target: TargetSpec,
     kind: str = "errors",
-    engine: str = "swift",
-    k: int = 5,
-    theta: int = 1,
-    domain: str = "simple",
-    budget: Optional[Budget] = None,
-    tracked_sites: Optional[FrozenSet[str]] = None,
-    enable_caches: bool = True,
-    indexed_summaries: bool = True,
-    scheduler: Optional[str] = None,
-    sink=None,
     config: Optional[AnalysisConfig] = None,
+    *,
     warm_cache: Optional[WarmCache] = None,
     query_precision: str = "td",
+    **fields,
 ) -> QueryOutcome:
     """Answer one demand query against ``program`` and ``store``.
 
@@ -634,46 +550,26 @@ def run_query(
     ``kind`` selects the question: ``"errors"`` ("can an error state
     reach the target?"), ``"summaries"`` (the target procedure's
     entry/exit summary pairs), ``"entries"`` (the entry states
-    observed at the target procedure).  With the default
-    ``query_precision="td"`` the verdict is at reference (top-down)
-    precision regardless of ``engine``; ``"swift"`` leaves BU triggers
-    live inside the cone — see the module docstring.
+    observed at the target procedure).  The run is ``config`` or the
+    config folded from keyword ``fields``, as for
+    :func:`~repro.incremental.driver.analyze_with_store`.  With the
+    default ``query_precision="td"`` the verdict is at reference
+    (top-down) precision regardless of the engine; ``"swift"`` leaves
+    BU triggers live inside the cone — see the module docstring.
 
     The store is read with the fingerprint of the *user's* config, so
     snapshots populated by ``analyze --store`` (or the service) are
     what queries consume; an empty or fully-invalidated store degrades
     to solving the cone cold, never to an error.  Queries never save.
     """
-    if kind not in QUERY_KINDS:
-        raise QueryError(
-            f"unknown query kind {kind!r}; expected one of {QUERY_KINDS}"
-        )
-    if query_precision not in QUERY_PRECISIONS:
-        raise QueryError(
-            f"unknown query precision {query_precision!r}; "
-            f"expected one of {QUERY_PRECISIONS}"
-        )
-    config = normalize_query_config(
-        engine=engine,
-        k=k,
-        theta=theta,
-        domain=domain,
-        budget=budget,
-        tracked_sites=tracked_sites,
-        enable_caches=enable_caches,
-        indexed_summaries=indexed_summaries,
-        scheduler=scheduler,
-        sink=sink,
-        config=config,
-    )
-    cache = warm_cache if warm_cache is not None else _QUERY_CACHE
+    check_query_mode(kind, query_precision)
+    config = make_config(config, {"domain": "simple"}, **fields)
+    run = prepare_store_run(program, prop, config)
+    cache = warm_cache if warm_cache is not None else _WARM_CACHE
 
     cfgs = program_cfgs(program)
     resolved = resolve_target(program, target, cfgs)
     cone = compute_cone(program, resolved)
-    oracle, fingerprints, config_fp, codec = prepare_query_analysis(
-        program, prop, config
-    )
 
     if not cone.cone:
         # Unreachable from main: the whole-program analysis has no rows
@@ -683,7 +579,7 @@ def run_query(
             target=resolved,
             answer=frozenset(),
             cone=cone,
-            config_fp=config_fp,
+            config_fp=run.config_fp,
             query_precision=query_precision,
         )
 
@@ -692,10 +588,7 @@ def run_query(
         prop,
         store,
         config,
-        config_fp,
-        codec,
-        fingerprints,
-        oracle,
+        run,
         cfgs,
         cone.cone,
         cone.frontier,
@@ -709,7 +602,7 @@ def run_query(
         target=resolved,
         answer=_extract_answer(kind, resolved, solve.session_out),
         cone=cone,
-        config_fp=config_fp,
+        config_fp=run.config_fp,
         cold=solve.cold,
         store_hits=metrics.store_hits,
         store_misses=metrics.store_misses,

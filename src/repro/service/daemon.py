@@ -61,14 +61,13 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.framework.config import AnalysisConfig
+from repro.framework.config import AnalysisConfig, make_config
 from repro.framework.session import analysis_session
 from repro.framework.tracing import TraceSink
-from repro.incremental.driver import WarmCache, analyze_with_store
+from repro.incremental.driver import LruCache, WarmCache, analyze_with_store
 from repro.incremental.fingerprint import config_fingerprint
 from repro.incremental.store import SummaryStore
 from repro.ir.parser import parse_program
@@ -77,11 +76,11 @@ from repro.ir.program import Program
 from repro.service.protocol import (
     ProtocolError,
     config_from_json,
-    config_to_json,
     error_response,
     ok_response,
     parse_request,
 )
+from repro.typestate.client import TypestateReport, encode_answer
 from repro.typestate.properties import property_by_name
 
 #: Shard directories (and ``program_fp``) use this prefix of a hash.
@@ -198,10 +197,8 @@ class AnalysisService:
         # precision); each entry is the batch's target-string set plus
         # its flight, so an overlapping (subset) batch can coalesce.
         self._demand_inflight: Dict[tuple, list] = {}
-        self._programs: "OrderedDict[str, Program]" = OrderedDict()
-        self._program_cache_size = program_cache_size
-        self._results: "OrderedDict[Tuple[str, str], dict]" = OrderedDict()
-        self._result_cache_size = result_cache_size
+        self._programs = LruCache(program_cache_size)  # text hash -> Program
+        self._results = LruCache(result_cache_size)  # (digest, config fp) -> dict
         self._started = time.time()
         self.requests = 0
         self.coalesced = 0
@@ -282,10 +279,7 @@ class AnalysisService:
         if not isinstance(text, str) or not text.strip():
             raise ProtocolError(f'{request["op"]} needs a non-empty "program" string')
         cache_key = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        with self._lock:
-            program = self._programs.get(cache_key)
-            if program is not None:
-                self._programs.move_to_end(cache_key)
+        program = self._programs.fetch(cache_key)
         if program is None:
             try:
                 program = load_program_text(text, request.get("format"))
@@ -293,10 +287,7 @@ class AnalysisService:
                 raise
             except Exception as exc:
                 raise ProtocolError(f"program does not parse: {exc}") from None
-            with self._lock:
-                if len(self._programs) >= self._program_cache_size:
-                    self._programs.popitem(last=False)
-                self._programs[cache_key] = program
+            self._programs.put(cache_key, program)
         return program, program_digest(program)
 
     def _prop_and_config(self, request):
@@ -360,11 +351,7 @@ class AnalysisService:
             flight.response = response
             flight.done.set()
         if response.get("ok"):
-            with self._lock:
-                self._results[key] = response
-                self._results.move_to_end(key)
-                if len(self._results) > self._result_cache_size:
-                    self._results.popitem(last=False)
+            self._results.put(key, response)
         out = dict(response)
         if request_id is not None:
             out["id"] = request_id
@@ -406,45 +393,31 @@ class AnalysisService:
                 "invalidated": sorted(outcome.invalidated),
                 "added": sorted(outcome.added),
             }
-            findings = report.errors
-            td_summaries = report.td_summaries
-            bu_summaries = report.bu_summaries
-            timed_out = report.timed_out
-            work = report.result.metrics.total_work
         else:
             # bu has no preload hook; run it directly —
             # still resident (no process startup), still coalesced.
-            run_config = config if sink is None else config.replace(sink=sink)
-            session_out = self.session.run(program, run_config, prop=prop)
+            session_out = self.session.run(
+                program, make_config(config, sink=sink), prop=prop
+            )
+            report = TypestateReport.of(prop, config, session_out)
             store_fields = {"stored": False, "cold": True, "saved": False}
-            findings = session_out.findings
-            td_summaries = session_out.td_summaries
-            bu_summaries = session_out.bu_summaries
-            timed_out = session_out.timed_out
-            work = session_out.metrics.total_work
         elapsed = time.perf_counter() - started
         with self._lock:
             self.solves += 1
-        # Exactly `repro-swift verify`'s report order: sorted by the
-        # (point, site) tuple's string form, rendered as str(point).
-        errors = [
-            [str(point), site]
-            for point, site in sorted(findings, key=str)
-        ]
         return ok_response(
             request["op"],
             None,
             property=prop.name,
             engine=config.engine,
-            config=config_to_json(config),
+            config=config.canonical_dict(),
             config_fp=config_fp,
             program_fp=digest[:_SHARD_CHARS],
             shard=store.root.name,
-            timed_out=timed_out,
-            errors=errors,
-            td_summaries=td_summaries,
-            bu_summaries=bu_summaries,
-            work=work,
+            timed_out=report.timed_out,
+            errors=encode_answer("errors", report.errors),
+            td_summaries=report.td_summaries,
+            bu_summaries=report.bu_summaries,
+            work=report.result.metrics.total_work,
             elapsed_ms=round(elapsed * 1000.0, 3),
             coalesced=False,
             trace_events=sink.sent if sink is not None else 0,
@@ -465,7 +438,6 @@ class AnalysisService:
         are client errors, not daemon faults.
         """
         from repro.query import QueryError, run_query
-        from repro.query.engine import encode_answer
 
         program, digest = self._program(request)
         prop, config = self._prop_and_config(request)
@@ -510,7 +482,7 @@ class AnalysisService:
             request.get("id"),
             property=prop.name,
             engine=config.engine,
-            config=config_to_json(config),
+            config=config.canonical_dict(),
             config_fp=outcome.config_fp,
             program_fp=digest[:_SHARD_CHARS],
             shard=store.root.name,
@@ -543,7 +515,6 @@ class AnalysisService:
         response — the shared cone work is solved exactly once.
         """
         from repro.query import QueryError, run_query_batch
-        from repro.query.engine import encode_answer
 
         if (
             not isinstance(targets, (list, tuple))
@@ -646,7 +617,7 @@ class AnalysisService:
                 None,
                 property=prop.name,
                 engine=config.engine,
-                config=config_to_json(config),
+                config=config.canonical_dict(),
                 config_fp=outcome.config_fp,
                 program_fp=digest[:_SHARD_CHARS],
                 shard=store.root.name,
@@ -691,8 +662,8 @@ class AnalysisService:
         _, config_fp = config_fingerprint(prop, config=config)
         key = (digest, config_fp)
         store = self.shard_store(program_lineage(program))
+        cached = self._results.fetch(key)
         with self._lock:
-            cached = self._results.get(key)
             inflight = key in self._inflight
         resident_key = (str(store.root.resolve()), config_fp)
         snapshot_path = store.path_for(config_fp)

@@ -127,8 +127,23 @@ def config_from_json(payload: Optional[Mapping]) -> AnalysisConfig:
 
 
 def config_to_json(config: AnalysisConfig) -> dict:
-    """The canonical identity of ``config`` (for responses/queries)."""
-    return config.canonical_dict()
+    """``config`` as a request's ``"config"`` object: the inverse of
+    :func:`config_from_json` (the runtime attachments ``sink`` and
+    ``preload`` do not travel).  Responses report a config's identity,
+    :meth:`AnalysisConfig.canonical_dict`, instead."""
+    fields = {
+        field.name: getattr(config, field.name)
+        for field in dataclasses.fields(config)
+        if field.name in CONFIG_KEYS
+    }
+    if config.tracked_sites is not None:
+        fields["tracked_sites"] = sorted(config.tracked_sites)
+    if config.budget is not None:
+        fields["budget"] = {
+            "max_work": config.budget.max_work,
+            "max_seconds": config.budget.max_seconds,
+        }
+    return fields
 
 
 def parse_request(payload) -> dict:

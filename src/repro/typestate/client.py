@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, Optional, Set, Tuple
 
-from repro.framework.config import AnalysisConfig
-from repro.framework.metrics import Budget
+from repro.framework.config import AnalysisConfig, make_config
 from repro.framework.session import analysis_session
 from repro.framework.topdown import TopDownResult
 from repro.ir.cfg import ProgramPoint
@@ -39,6 +38,19 @@ class TypestateReport:
     @property
     def error_sites(self) -> FrozenSet[str]:
         return frozenset(site for (_, site) in self.errors)
+
+    @classmethod
+    def of(cls, prop: TypestateProperty, config: AnalysisConfig, outcome):
+        """The report of one finished session run."""
+        return cls(
+            prop.name,
+            config.engine,
+            outcome.findings,
+            outcome.td_summaries,
+            outcome.bu_summaries,
+            outcome.timed_out,
+            outcome.result,
+        )
 
 
 def find_errors(result: TopDownResult) -> FrozenSet[Tuple[ProgramPoint, str]]:
@@ -102,68 +114,41 @@ def make_analyses(
 def run_typestate(
     program: Program,
     prop: TypestateProperty,
-    engine: str = "swift",
-    k: int = 5,
-    theta: int = 1,
-    budget: Optional[Budget] = None,
-    tracked_sites: Optional[FrozenSet[str]] = None,
-    domain: str = "simple",
+    config: Optional[AnalysisConfig] = None,
+    *,
     oracle=None,
-    enable_caches: bool = True,
-    indexed_summaries: bool = True,
-    sink=None,
-    preload=None,
-    scheduler: Optional[str] = None,
-    widening_delay: int = 2,
-    descending_iters: int = 0,
+    **fields,
 ) -> TypestateReport:
     """Verify ``prop`` over ``program`` with the chosen engine.
 
-    A thin wrapper over :class:`repro.framework.session.AnalysisSession`
-    — the keywords here are exactly the fields of
-    :class:`repro.framework.config.AnalysisConfig` plus the type-state
-    domain options (``prop``, ``tracked_sites``, ``oracle``).  Engines
-    are registry names (``td``, ``bu``, ``swift``);
-    domains are the type-state ones (``simple``/``full``).
-    ``enable_caches`` and ``indexed_summaries`` toggle the hot-path
-    optimizations (see :mod:`repro.framework.caching`); neither affects
-    results or the deterministic work counters, and the same rule holds
-    for ``scheduler`` (worklist policy; results identical, counters may
-    differ from the default).  ``sink`` is an optional
-    :class:`repro.framework.tracing.TraceSink` receiving the engine's
-    analysis events (default: none, zero overhead).  ``preload`` is an
-    optional :class:`repro.incremental.invalidate.WarmStart` of
-    fingerprint-validated stored summaries (not supported by ``bu``).
-    ``widening_delay`` and ``descending_iters`` steer
-    infinite-height domains only (DESIGN §14).
+    A thin wrapper over :class:`repro.framework.session.AnalysisSession`.
+    The run is ``config``, or the :class:`AnalysisConfig` built from
+    keyword ``fields`` (``engine=``, ``domain=``, ``k=``, ``budget=``,
+    ``sink=``, ``preload=``, ...; the domain defaults to ``simple``),
+    folded by :func:`~repro.framework.config.make_config` (see
+    :class:`AnalysisConfig` for what each field steers).  ``oracle`` is
+    an optional may-alias oracle for the full domain.
     """
-    config = AnalysisConfig(
-        engine=engine,
-        domain=domain,
-        k=k,
-        theta=theta,
-        budget=budget,
-        tracked_sites=tracked_sites,
-        enable_caches=enable_caches,
-        indexed_summaries=indexed_summaries,
-        sink=sink,
-        preload=preload,
-        scheduler=scheduler if scheduler is not None else "lifo",
-        widening_delay=widening_delay,
-        descending_iters=descending_iters,
-    )
+    config = make_config(config, {"domain": "simple"}, **fields)
     if not config.domain.startswith("typestate-"):
         raise ValueError(
-            f"run_typestate needs a type-state domain, not {domain!r} "
+            f"run_typestate needs a type-state domain, not {config.domain!r} "
             "(use AnalysisSession directly for the other domains)"
         )
     outcome = analysis_session().run(program, config, prop=prop, oracle=oracle)
-    return TypestateReport(
-        prop.name,
-        config.engine,
-        outcome.findings,
-        outcome.td_summaries,
-        outcome.bu_summaries,
-        outcome.timed_out,
-        outcome.result,
-    )
+    return TypestateReport.of(prop, config, outcome)
+
+
+def encode_answer(kind: str, answer) -> list:
+    """An answer as the strings it prints, in print order: ``[point,
+    site]`` pairs for errors (a :attr:`TypestateReport.errors` set, or
+    a demand query's answer), ``[entry, exit]`` pairs for summaries,
+    state strings for entries.  This is also the service's JSON form.
+    Summaries and entries sort by their printed text: a state's
+    ``repr`` (inside a tuple's ``str``) shows frozensets in
+    hash-seed-dependent order."""
+    if kind == "errors":
+        return [[str(point), site] for point, site in sorted(answer, key=str)]
+    if kind == "summaries":
+        return sorted([str(entry), str(exit_state)] for entry, exit_state in answer)
+    return sorted(str(state) for state in answer)

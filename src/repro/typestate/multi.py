@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional
 
-from repro.framework.metrics import Budget
+from repro.framework.config import AnalysisConfig, make_config
 from repro.ir.program import Program
 from repro.typestate.client import TypestateReport, run_typestate
 from repro.typestate.dfa import TypestateProperty
@@ -90,17 +90,18 @@ def run_multi_property(
     program: Program,
     properties: Optional[Iterable[TypestateProperty]] = None,
     sites_by_property: Optional[Mapping[str, FrozenSet[str]]] = None,
-    engine: str = "swift",
-    k: int = 5,
-    theta: int = 1,
-    budget_work: Optional[int] = None,
-    domain: str = "full",
+    config: Optional[AnalysisConfig] = None,
+    **fields,
 ) -> MultiPropertyReport:
     """Run one analysis per property and aggregate the reports.
 
-    Properties with no candidate sites are skipped (their report is
-    omitted) — running an analysis that can never fire wastes time.
+    Every property runs under ``config`` (or the config folded from
+    keyword ``fields``, the domain defaulting to ``full``), restricted
+    to that property's sites.  Properties with no candidate sites are
+    skipped (their report is omitted) — running an analysis that can
+    never fire wastes time.
     """
+    config = make_config(config, {"domain": "full"}, **fields)
     props = list(properties) if properties is not None else all_properties()
     if sites_by_property is None:
         sites_by_property = classify_sites_by_method_usage(program, props)
@@ -109,15 +110,7 @@ def run_multi_property(
         sites = sites_by_property.get(prop.name, frozenset())
         if not sites:
             continue
-        budget = Budget(max_work=budget_work) if budget_work else None
         reports[prop.name] = run_typestate(
-            program,
-            prop,
-            engine=engine,
-            k=k,
-            theta=theta,
-            budget=budget,
-            tracked_sites=sites,
-            domain=domain,
+            program, prop, config.replace(tracked_sites=sites)
         )
     return MultiPropertyReport(reports)

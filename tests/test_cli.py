@@ -7,6 +7,7 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, load_program, main
+from repro.framework.session import AnalysisSession
 from repro.framework.registry import ENGINES
 from repro.framework.scheduling import scheduler_names
 
@@ -48,27 +49,23 @@ def test_load_program_minioo_and_ir(mini_file):
 
 
 def test_verify_ok_exit_code(mini_file, capsys):
-    code = main(["verify", mini_file(GOOD_MINI)])
-    assert code == 0
+    assert main(["verify", mini_file(GOOD_MINI)]) == 0
     assert "ok" in capsys.readouterr().out
 
 
 def test_verify_violation_exit_code(mini_file, capsys):
-    code = main(["verify", mini_file(BAD_MINI)])
-    assert code == 1
+    assert main(["verify", mini_file(BAD_MINI)]) == 1
     out = capsys.readouterr().out
     assert "violation" in out and "error state" in out
 
 
 def test_verify_budget_timeout(mini_file, capsys):
-    code = main(["verify", mini_file(GOOD_MINI), "--budget", "2"])
-    assert code == 2
+    assert main(["verify", mini_file(GOOD_MINI), "--budget", "2"]) == 2
     assert "budget" in capsys.readouterr().out
 
 
 def test_verify_all_properties(mini_file, capsys):
-    code = main(["verify", mini_file(GOOD_MINI), "--all-properties"])
-    assert code == 0
+    assert main(["verify", mini_file(GOOD_MINI), "--all-properties"]) == 0
     assert "File: ok" in capsys.readouterr().out
 
 
@@ -102,6 +99,16 @@ def test_parser_requires_command(capsys):
         main([])
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+    # A value the configuration refuses is one error line, not a
+    # traceback, and is refused before any file is read or sent.
+    for argv, message in [
+        (["verify", "prog.mini", "--k", "-1"], "k"),
+        (["bench", "hedc", "--theta", "0"], "theta"),
+        (["client", "analyze", "prog.mini", "--k", "0"], "k"),
+        (["serve", "--lru-size", "0"], "capacity"),
+    ]:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message} must be at least 1\n"
     assert cli._parser() is cli._parser()
     targets = [
         cli._parser().parse_args(
@@ -173,8 +180,7 @@ def test_store_stats_gc_clear(mini_file, tmp_path, capsys):
 
 def test_trace_record_and_summarize(mini_file, tmp_path, capsys):
     out = str(tmp_path / "trace.jsonl")
-    code = main(["trace", "record", mini_file(BAD_MINI), "--out", out])
-    assert code == 0
+    assert main(["trace", "record", mini_file(BAD_MINI), "--out", out]) == 0
     assert "recorded" in capsys.readouterr().out
     from repro.framework.tracing import read_jsonl
 
@@ -230,22 +236,22 @@ def test_verify_interval_fact_domain(mini_file, capsys):
     assert "v:[0,+inf]" in out
 
 
-def test_verify_widening_knob_flags_accepted(mini_file, capsys):
+def test_verify_widening_knob_flags_accepted(mini_file, capsys, monkeypatch):
     path = mini_file(LOOP_IR, "loop.ir")
-    code = main(
-        [
-            "verify",
-            path,
-            "--domain",
-            "interval-typestate",
-            "--widening-delay",
-            "0",
-            "--descending-iters",
-            "2",
-        ]
-    )
-    assert code == 0
+    knobs = ["--domain", "interval-typestate", "--widening-delay", "0"]
+    assert main(["verify", path, *knobs, "--descending-iters", "2"]) == 0
     assert "ok" in capsys.readouterr().out
+    # --all-properties runs every property under the same knobs.
+    seen, run = [], AnalysisSession.run
+
+    def spy(self, program, config, **kwargs):
+        seen.append((config.widening_delay, config.descending_iters, config.scheduler))
+        return run(self, program, config, **kwargs)
+
+    monkeypatch.setattr(AnalysisSession, "run", spy)
+    argv = ["verify", path, "--all-properties", *knobs, "--descending-iters", "3"]
+    assert main(argv + ["--scheduler", "fifo"]) == 0
+    assert set(seen) == {(0, 3, "fifo")}
 
 
 def test_analyze_widening_knobs_rekey_store(mini_file, tmp_path, capsys):

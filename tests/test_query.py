@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.bench.suite import load_shape
 from repro.bench.workloads import hub_flood, scc_heavy, wide_fanout
 from repro.incremental import SummaryStore, WarmCache, analyze_with_store
+from repro.incremental import clear_warm_cache
 from repro.ir.cfg import ControlFlowGraphs, ProgramPoint
 from repro.ir.parser import parse_program
 from repro.query import (
@@ -27,7 +28,6 @@ from repro.query import (
     QueryError,
     QueryTarget,
     UnknownTargetError,
-    clear_query_cache,
     compute_cone,
     resolve_target,
     run_query,
@@ -165,7 +165,7 @@ def test_empty_store_falls_back_to_cold_cone_solve(tmp_path):
 def test_warm_query_skips_out_of_cone_interiors(tmp_path):
     program = wide_fanout(48, seed=3)
     store = SummaryStore(tmp_path / "store")
-    clear_query_cache()
+    clear_warm_cache()
     whole = analyze_with_store(
         program, FILE_PROPERTY, store, engine="swift", domain="simple"
     )
@@ -196,7 +196,7 @@ def test_repeated_queries_are_deterministic(tmp_path):
     program = wide_fanout(48, seed=3)
     store = SummaryStore(tmp_path / "store")
     analyze_with_store(program, FILE_PROPERTY, store, engine="swift", domain="simple")
-    clear_query_cache()
+    clear_warm_cache()
     first = run_query(program, FILE_PROPERTY, store, "worker2")
     again = run_query(program, FILE_PROPERTY, store, "worker2")
     assert first.answer == again.answer
@@ -297,9 +297,7 @@ def test_query_matches_reference_across_schedulers(tmp_path, scheduler):
         scheduler=scheduler,
     )
     target = resolve_target(program, "worker1")
-    outcome = run_query(
-        program, FILE_PROPERTY, store, "worker1", scheduler=scheduler
-    )
+    outcome = run_query(program, FILE_PROPERTY, store, "worker1", scheduler=scheduler)
     assert outcome.answer == reference_errors(program, target)
 
 
@@ -346,13 +344,9 @@ def test_summaries_and_entries_match_whole_program(tmp_path):
     store = SummaryStore(tmp_path / "store")
     analyze_with_store(program, FILE_PROPERTY, store, engine="td", domain="simple")
     whole = run_typestate(program, FILE_PROPERTY, engine="td", domain="simple")
-    got = run_query(
-        program, FILE_PROPERTY, store, "hub", kind="summaries", engine="td"
-    )
+    got = run_query(program, FILE_PROPERTY, store, "hub", kind="summaries", engine="td")
     assert got.answer == frozenset(whole.result.summaries("hub"))
-    got = run_query(
-        program, FILE_PROPERTY, store, "hub", kind="entries", engine="td"
-    )
+    got = run_query(program, FILE_PROPERTY, store, "hub", kind="entries", engine="td")
     assert got.answer == frozenset(whole.result.incoming_states("hub"))
     # The printed lines sort by their text, not by a tuple's repr (which
     # shows frozensets in hash-seed order): fresh `query-point` processes
@@ -462,13 +456,11 @@ def test_query_precision_characterization(tmp_path):
     analyze_with_store(program, FILE_PROPERTY, store, engine="swift", domain="simple")
     target = resolve_target(program, "worker3")
 
-    clear_query_cache()
+    clear_warm_cache()
     td = run_query(program, FILE_PROPERTY, store, "worker3", query_precision="td")
-    clear_query_cache()
-    swift = run_query(
-        program, FILE_PROPERTY, store, "worker3", query_precision="swift"
-    )
-    clear_query_cache()
+    clear_warm_cache()
+    swift = run_query(program, FILE_PROPERTY, store, "worker3", query_precision="swift")
+    clear_warm_cache()
     swift_again = run_query(
         program, FILE_PROPERTY, store, "worker3", query_precision="swift"
     )
@@ -482,12 +474,10 @@ def test_query_precision_characterization(tmp_path):
     assert swift.answer < td.answer
     assert (len(td.answer), len(swift.answer)) == (32, 24)
     # On targets main never multiplexes, the two precisions agree.
-    clear_query_cache()
+    clear_warm_cache()
     td0 = run_query(program, FILE_PROPERTY, store, "worker0", query_precision="td")
-    clear_query_cache()
-    sw0 = run_query(
-        program, FILE_PROPERTY, store, "worker0", query_precision="swift"
-    )
+    clear_warm_cache()
+    sw0 = run_query(program, FILE_PROPERTY, store, "worker0", query_precision="swift")
     assert td0.answer == sw0.answer
 
 
@@ -502,12 +492,12 @@ def test_query_precision_validated_and_batched(tmp_path):
             program, FILE_PROPERTY, store, "worker3", query_precision="banana"
         )
     # The batch path honors the same knob: batch swift == sequential swift.
-    clear_query_cache()
+    clear_warm_cache()
     batch = run_query_batch(
         program, FILE_PROPERTY, store, ["worker3", "worker0"],
         query_precision="swift",
     )
-    clear_query_cache()
+    clear_warm_cache()
     single = run_query(
         program, FILE_PROPERTY, store, "worker3", query_precision="swift"
     )

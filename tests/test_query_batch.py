@@ -16,14 +16,13 @@ import time
 import pytest
 
 from repro.bench.workloads import hub_flood, scc_heavy, wide_fanout
-from repro.incremental import SummaryStore, analyze_with_store
+from repro.incremental import SummaryStore, analyze_with_store, clear_warm_cache
 from repro.ir.parser import parse_program
 from repro.query import (
     QUERY_KINDS,
     QueryError,
     QueryTarget,
     UnknownTargetError,
-    clear_query_cache,
     plan_batch,
     run_query,
     run_query_batch,
@@ -135,12 +134,12 @@ def test_batch_matches_sequential_across_engines_and_domains(
     analyze_with_store(program, FILE_PROPERTY, store, engine=engine, domain=domain)
     targets = ["caller1", "caller3", "hub", "hub:2", "main"]
     for kind in QUERY_KINDS:
-        clear_query_cache()
+        clear_warm_cache()
         outcome = run_query_batch(
             program, FILE_PROPERTY, store, targets,
             kind=kind, engine=engine, domain=domain,
         )
-        clear_query_cache()
+        clear_warm_cache()
         want = sequential_answers(
             program, store, targets, kind=kind, engine=engine, domain=domain
         )
@@ -159,9 +158,9 @@ def test_batch_matches_sequential_on_recursive_clusters(tmp_path, engine):
         program, FILE_PROPERTY, store, engine=engine, domain="simple"
     )
     targets = sorted(program.names())[:6]
-    clear_query_cache()
+    clear_warm_cache()
     outcome = run_query_batch(program, FILE_PROPERTY, store, targets, engine=engine)
-    clear_query_cache()
+    clear_warm_cache()
     want = sequential_answers(program, store, targets, engine=engine)
     assert batch_answers(outcome) == want
 
@@ -171,9 +170,9 @@ def test_batch_with_detached_targets_matches_sequential(tmp_path):
     store = SummaryStore(tmp_path / "store")
     analyze_with_store(program, FILE_PROPERTY, store, engine="swift", domain="simple")
     targets = ["main", "work", "aux_top", "aux_leaf"]
-    clear_query_cache()
+    clear_warm_cache()
     outcome = run_query_batch(program, FILE_PROPERTY, store, targets)
-    clear_query_cache()
+    clear_warm_cache()
     want = sequential_answers(program, store, targets)
     assert batch_answers(outcome) == want
     assert outcome.batch_components == 2
@@ -188,10 +187,10 @@ def test_batch_cold_on_empty_store_matches_sequential(tmp_path):
     program = hub_flood(6)
     store = SummaryStore(tmp_path / "store")  # never populated
     targets = ["caller1", "caller4"]
-    clear_query_cache()
+    clear_warm_cache()
     outcome = run_query_batch(program, FILE_PROPERTY, store, targets)
     assert outcome.cold
-    clear_query_cache()
+    clear_warm_cache()
     want = sequential_answers(program, store, targets)
     assert batch_answers(outcome) == want
 
@@ -201,9 +200,9 @@ def test_parallel_components_match_serial(tmp_path):
     store = SummaryStore(tmp_path / "store")
     analyze_with_store(program, FILE_PROPERTY, store, engine="swift", domain="simple")
     targets = ["work", "aux_leaf", "main"]
-    clear_query_cache()
+    clear_warm_cache()
     serial = run_query_batch(program, FILE_PROPERTY, store, targets, max_workers=1)
-    clear_query_cache()
+    clear_warm_cache()
     parallel = run_query_batch(program, FILE_PROPERTY, store, targets, max_workers=2)
     assert batch_answers(serial) == batch_answers(parallel)
 

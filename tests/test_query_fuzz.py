@@ -14,8 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.workloads import hub_flood, scc_heavy, wide_fanout
-from repro.incremental import SummaryStore, analyze_with_store
-from repro.query import clear_query_cache, run_query, run_query_batch
+from repro.incremental import SummaryStore, analyze_with_store, clear_warm_cache
+from repro.query import run_query, run_query_batch
 from repro.typestate.properties import FILE_PROPERTY
 
 from tests.test_property_based import programs
@@ -52,11 +52,11 @@ def assert_batch_matches_sequential(program, targets, engine):
         analyze_with_store(
             program, FILE_PROPERTY, store, engine=engine, domain="simple"
         )
-        clear_query_cache()
+        clear_warm_cache()
         batch = run_query_batch(
             program, FILE_PROPERTY, store, targets, engine=engine
         )
-        clear_query_cache()
+        clear_warm_cache()
         for target in targets:
             single = run_query(
                 program, FILE_PROPERTY, store, target, engine=engine

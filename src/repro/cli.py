@@ -421,6 +421,11 @@ def cmd_query_batch(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.daemon import AnalysisService
 
+    host, _, port = args.http.rpartition(":")
+    if not args.stdio and not (port.isdecimal() and int(port) <= 65535):
+        raise _UsageError(
+            f"--http port must be a number from 0 to 65535, not {port!r}"
+        )
     service = _checked(AnalysisService, args.root, lru_size=args.lru_size)
     if args.stdio:
         from repro.service.stdio import StdioFrontend
@@ -428,7 +433,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return StdioFrontend(service, sys.stdin, sys.stdout).serve()
     from repro.service.http import make_server
 
-    host, _, port = args.http.rpartition(":")
     server = make_server(service, host or "127.0.0.1", int(port))
     bound = server.server_address
     print(
@@ -451,6 +455,18 @@ def cmd_client(args: argparse.Namespace) -> int:
 
     client = ServiceClient(args.server)
     command = args.client_command
+    if command not in ("stats", "shutdown"):
+        # Input errors are the caller's, not the transport's: refuse
+        # them before anything is sent.
+        request = {
+            "fmt": _program_format(args.file),
+            "prop": args.property,
+            "config": config_to_json(_config(args)),
+        }
+        try:
+            text = Path(args.file).read_text()
+        except OSError as exc:
+            raise _UsageError(exc) from None
     try:
         if command == "stats":
             import json
@@ -464,12 +480,6 @@ def cmd_client(args: argparse.Namespace) -> int:
                 f"({response['drained_requests']} request(s) served)"
             )
             return 0
-        request = {
-            "fmt": _program_format(args.file),
-            "prop": args.property,
-            "config": config_to_json(_config(args)),
-        }
-        text = Path(args.file).read_text()
         if command == "query":
             response = client.query(text, **request)
             print(
@@ -578,7 +588,7 @@ def cmd_store(args: argparse.Namespace) -> int:
             )
         return 0
     if args.store_command == "gc":
-        removed = store.gc(keep=args.keep)
+        removed = _checked(store.gc, keep=args.keep)
         compacted = store.compact()
         print(
             f"removed {len(removed)} file(s), compacted {len(compacted)}, "

@@ -36,6 +36,8 @@ from repro.ir.commands import Call, Choice, Command, Prim, Seq, Star
 from repro.ir.program import Program
 
 _MAX_LOOP_ITERATIONS = 100_000
+#: Bound on an engine's memo of ``pre_image(r, p)``.
+_PRE_IMAGE_LIMIT = 1 << 14
 
 
 class ProcedureSummary:
@@ -171,6 +173,7 @@ class BottomUpEngine:
         else:
             self._rtransfer = analysis.rtransfer
             self._rcompose = analysis.rcompose
+        self._pre_images: Dict[tuple, FrozenSet] = {}
 
     # -- public API -----------------------------------------------------------------
     def analyze(
@@ -193,8 +196,12 @@ class BottomUpEngine:
         targets = sorted(procs) if procs is not None else sorted(self.program.reachable())
         target_set = set(targets)
         # Process callees before callers within each round for speed.
-        order = [p for p in reversed(self.program.topological_order()) if p in target_set]
-        order.extend(p for p in targets if p not in set(order))
+        topological = self.program.memo(
+            "topological_order", lambda: tuple(self.program.topological_order())
+        )
+        order = [p for p in reversed(topological) if p in target_set]
+        placed = set(order)
+        order.extend(p for p in targets if p not in placed)
         eta: Dict[str, ProcedureSummary] = {}
         if external:
             eta.update(
@@ -339,10 +346,18 @@ class BottomUpEngine:
                     composed.update(produced)
             # Σ00: states whose images under some r land in the callee's
             # ignored set must be ignored here too (propagated via wp).
+            # The fixpoint rounds meet the same (r, p) pairs again and
+            # again, so pre-images are memoized for the engine's life.
             pre_preds: List = []
+            pre_images = self._pre_images
+            if len(pre_images) >= _PRE_IMAGE_LIMIT:
+                pre_images.clear()
             for r in relations:
                 for pred in callee.ignored:
-                    pre_preds.extend(self.analysis.pre_image(r, pred))
+                    pre = pre_images.get((r, pred))
+                    if pre is None:
+                        pre = pre_images[r, pred] = self.analysis.pre_image(r, pred)
+                    pre_preds.extend(pre)
             widened = ignored.union(pre_preds)
             return self._prune(proc, *clean(self.analysis, frozenset(composed), widened))
         raise TypeError(f"unknown command node {cmd!r}")

@@ -45,6 +45,19 @@ class Atom:
     #: every atom of the class whose key is in ``keys`` holds.
     group_test: Optional[Callable[[FrozenSet, object], bool]] = None
 
+    #: The state component the atom reads, for compiled Σ membership
+    #: (:func:`repro.framework.ignored.projector`): ``reads(sigma)`` is
+    #: an iterable, and whether the atom holds is decided by which of
+    #: :meth:`keys` it contains.  Atoms reading one component share one
+    #: ``reads`` object (a non-binding callable: an ``itemgetter`` or a
+    #: ``staticmethod``).  ``None``: undeclared, which keeps the sets
+    #: holding this atom on the reference membership test.
+    reads: Optional[Callable[[object], Iterable]] = None
+
+    def keys(self) -> FrozenSet:
+        """The elements of :attr:`reads`'s component deciding the atom."""
+        raise NotImplementedError
+
     def satisfied_by(self, sigma) -> bool:
         """Does the abstract state ``sigma`` satisfy this atom?"""
         raise NotImplementedError
@@ -79,7 +92,9 @@ class KeyedAtom(Atom):
     access path).  The hash is computed once and mixes in the class, so
     ``have(x)`` and ``notHave(x)`` do not collide in predicate sets;
     pickling rebuilds through ``__init__`` (string hashes differ per
-    process)."""
+    process).  A subclass with a :attr:`~Atom.group_test` declares the
+    set component that test reads as :attr:`~Atom.reads`: the atom
+    holds or fails by whether that component contains the key."""
 
     __slots__ = ("key", "_hash")
 
@@ -97,6 +112,9 @@ class KeyedAtom(Atom):
 
     def __reduce__(self):
         return (type(self), (self.key,))
+
+    def keys(self) -> FrozenSet[str]:
+        return frozenset((self.key,))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.key!r})"

@@ -23,13 +23,14 @@ it yields the conventional ``BU`` baseline of the evaluation.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, FrozenSet, Generic, Mapping, Optional, Tuple, TypeVar
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from repro.framework.ignored import IgnoredStates
 from repro.framework.interfaces import BottomUpAnalysis
 from repro.framework.metrics import Metrics
 
-R = TypeVar("R")
+#: Bound on a pruner's memo of pruning steps per procedure.
+_MEMO_LIMIT = 1 << 10
 
 
 class PruneOperator:
@@ -58,9 +59,10 @@ def excl(
     """
     if ignored.is_empty():
         return relations
-    return frozenset(
-        r for r in relations if not ignored.covers(analysis.domain_predicate(r))
-    )
+    covers = ignored.covers
+    domain = analysis.domain_predicate
+    kept = [r for r in relations if not covers(domain(r))]
+    return relations if len(kept) == len(relations) else frozenset(kept)
 
 
 def clean(
@@ -112,6 +114,8 @@ class FrequencyPruner(PruneOperator):
         self.theta = theta
         self.incoming: Mapping[str, Counter] = incoming if incoming is not None else {}
         self.metrics = metrics
+        # proc -> (the M its steps were computed against, step memo)
+        self._steps: Dict[str, Tuple[dict, dict]] = {}
 
     def rank(self, proc: str, r) -> int:
         """``Σ_{σ in dom(r)} count_M(σ)`` for this procedure's ``M``."""
@@ -127,22 +131,19 @@ class FrequencyPruner(PruneOperator):
     ) -> Tuple[FrozenSet, IgnoredStates]:
         if len(relations) <= self.theta:
             return clean(self.analysis, relations, ignored)
-        # best_theta: rank each relation against M; the tie-break is a
-        # total order (type name, then the canonical string form — all
-        # relation/atom strings print every identity-bearing field), so
-        # the kept set never depends on set-iteration order.
-        ranked = sorted(
-            relations, key=lambda r: (-self.rank(proc, r), type(r).__name__, str(r))
-        )
-        kept = frozenset(ranked[: self.theta])
-        if not self.analysis.r_is_finite():
-            # Infinite R (DESIGN §14): ranking against M bounds the
-            # *count* of retained relations but not the *height* of
-            # their payload chains; collapsing the kept set through the
-            # analysis's widening (rwiden(X, X) is a pure same-skeleton
-            # collapse) makes repeated prune-join rounds stabilize.
-            kept = self.analysis.rwiden(kept, kept)
-        dropped = [r for r in ranked[self.theta :]]
+        # A step depends only on its arguments and on M, so steps are
+        # memoized per procedure while M stays equal: one run_bu meets
+        # the same steps round after round.  dict.__eq__ compares in C;
+        # Counter's own __eq__ is Python code.
+        counts = self.incoming.get(proc) or {}
+        memo = self._steps.get(proc)
+        if memo is None or len(memo[1]) >= _MEMO_LIMIT or not dict.__eq__(memo[0], counts):
+            memo = self._steps[proc] = (dict(counts), {})
+        steps = memo[1]
+        step = steps.get((relations, ignored))
+        if step is None:
+            step = steps[relations, ignored] = self._step(proc, relations, ignored)
+        kept, dropped, widened, out = step
         if self.metrics is not None:
             self.metrics.pruned_relations += len(dropped)
         if self.sink is not None and self.sink.enabled:
@@ -158,7 +159,42 @@ class FrequencyPruner(PruneOperator):
                     },
                 )
             )
+        return out, widened
+
+    def _step(self, proc: str, relations: FrozenSet, ignored: IgnoredStates) -> tuple:
+        """One pruning step: ``(kept, dropped, Sigma', excl(kept, Sigma'))``."""
+        theta = self.theta
+        # best_theta: the theta highest-ranked relations.  Ties are
+        # broken by a total order (type name, then the canonical string
+        # form — all relation/atom strings print every identity-bearing
+        # field), so the kept set never depends on set-iteration order;
+        # only the tie group straddling the cut needs it, so only that
+        # group is printed.
+        candidates = list(relations)
+        ranks = [self.rank(proc, r) for r in candidates]
+        cut = sorted(ranks, reverse=True)[theta - 1]
+        above = [r for r, n in zip(candidates, ranks) if n > cut]
+        tied = [r for r, n in zip(candidates, ranks) if n == cut]
+        room = theta - len(above)
+        if room < len(tied):
+            tied.sort(key=_tie_break)
+        kept = frozenset(above + tied[:room])
+        dropped = tied[room:]
+        dropped.extend(r for r, n in zip(candidates, ranks) if n < cut)
+        if not self.analysis.r_is_finite():
+            # Infinite R (DESIGN §14): ranking against M bounds the
+            # *count* of retained relations but not the *height* of
+            # their payload chains; collapsing the kept set through the
+            # analysis's widening (rwiden(X, X) is a pure same-skeleton
+            # collapse) makes repeated prune-join rounds stabilize.
+            kept = self.analysis.rwiden(kept, kept)
+        # Σ' does not depend on the order of the dropped domains:
+        # normalization keeps the entailment-maximal predicates.
         widened = ignored.union(
             self.analysis.domain_predicate(r) for r in dropped
         )
-        return excl(self.analysis, kept, widened), widened
+        return kept, dropped, widened, excl(self.analysis, kept, widened)
+
+
+def _tie_break(r) -> Tuple[str, str]:
+    return (type(r).__name__, str(r))

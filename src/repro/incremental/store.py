@@ -645,8 +645,11 @@ class SummaryStore:
 
         Also removes stranded temp files from interrupted saves and the
         ``frontier-*.jsonl`` projections older stores kept.  Returns the
-        deleted paths.
+        deleted paths.  A negative ``keep`` raises ``ValueError`` before
+        anything is deleted.
         """
+        if keep < 0:
+            raise ValueError(f"keep must be at least 0, not {keep}")
         removed: List[Path] = []
         if self.root.is_dir():
             stale = itertools.chain(
@@ -659,7 +662,7 @@ class SummaryStore:
         ranked: List[Tuple[float, Path]] = sorted(
             ((p.stat().st_mtime, p) for p in self.snapshot_paths()), reverse=True
         )
-        for _, path in ranked[max(keep, 0):]:
+        for _, path in ranked[keep:]:
             path.unlink(missing_ok=True)
             removed.append(path)
         return removed

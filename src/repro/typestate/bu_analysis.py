@@ -27,6 +27,7 @@ operations translate directly (``a0 ∩ a0' ≙ removed ∪ removed'``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import FrozenSet, Optional, Union
 
 from repro.framework.interfaces import BottomUpAnalysis
@@ -46,10 +47,15 @@ from repro.typestate.td_analysis import SimpleTypestateTD
 # ---------------------------------------------------------------------------
 # Predicate atoms
 # ---------------------------------------------------------------------------
+#: The component both atoms read: the state's must set.
+_MUST = attrgetter("must")
+
+
 class HaveAtom(KeyedAtom):
     """``have(v)``: the variable (the key) is in the must set."""
 
     __slots__ = ()
+    reads = _MUST
 
     def satisfied_by(self, sigma: AbstractState) -> bool:
         return self.key in sigma.must
@@ -69,6 +75,7 @@ class NotHaveAtom(KeyedAtom):
     """``notHave(v)``: the variable is *not* in the must set."""
 
     __slots__ = ()
+    reads = _MUST
 
     def satisfied_by(self, sigma: AbstractState) -> bool:
         return self.key not in sigma.must

@@ -9,21 +9,36 @@ May-alias facts are baked into atoms at creation time: a
 :class:`MayAliasAtom` carries the frozen set of sites its variable may
 point to, so satisfaction only needs the state's site and the atoms
 stay self-contained hashable values.
+
+Each atom declares the state component it reads (``reads``): the must
+set, the must-not set, or the site.  Compiled ignored sets project
+states onto those components (DESIGN §14, "Compiled Σ").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet
+from operator import itemgetter
+from typing import FrozenSet, Tuple
 
 from repro.framework.predicates import Atom, KeyedAtom
 from repro.typestate.full.states import FullAbstractState
+
+# The components the atoms read (FullAbstractState is (h, t, a, n)).
+_SITE = itemgetter(0)
+_MUST = itemgetter(2)
+_MUSTNOT = itemgetter(3)
+
+
+def _site(sigma: FullAbstractState) -> Tuple[str]:
+    return (_SITE(sigma),)
 
 
 class InMust(KeyedAtom):
     """``π ∈ a`` (the paper's ``have``); the key is the path ``π``."""
 
     __slots__ = ()
+    reads = _MUST
 
     def satisfied_by(self, sigma: FullAbstractState) -> bool:
         return self.key in sigma.must
@@ -48,6 +63,7 @@ class NotInMust(KeyedAtom):
     """``π ∉ a``."""
 
     __slots__ = ()
+    reads = _MUST
 
     def satisfied_by(self, sigma: FullAbstractState) -> bool:
         return self.key not in sigma.must
@@ -67,6 +83,7 @@ class InMustNot(KeyedAtom):
     """``π ∈ n`` (the paper's ``notHave`` in the four-component domain)."""
 
     __slots__ = ()
+    reads = _MUSTNOT
 
     def satisfied_by(self, sigma: FullAbstractState) -> bool:
         return self.key in sigma.mustnot
@@ -90,6 +107,7 @@ class NotInMustNot(KeyedAtom):
     """``π ∉ n``."""
 
     __slots__ = ()
+    reads = _MUSTNOT
 
     def satisfied_by(self, sigma: FullAbstractState) -> bool:
         return self.key not in sigma.mustnot
@@ -109,6 +127,11 @@ class _AliasAtom(Atom):
     """Shared hash/pickle machinery for the two may-alias atoms."""
 
     __slots__ = ()
+
+    reads = staticmethod(_site)
+
+    def keys(self) -> FrozenSet[str]:
+        return self.sites
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((type(self), self.var, self.sites)))

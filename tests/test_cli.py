@@ -10,6 +10,7 @@ from repro.cli import build_parser, load_program, main
 from repro.framework.session import AnalysisSession
 from repro.framework.registry import ENGINES
 from repro.framework.scheduling import scheduler_names
+from repro.incremental import SummaryStore
 
 GOOD_MINI = """
 class Writer { method flush(f) { f.#open(); f.#close(); } }
@@ -89,7 +90,7 @@ def test_dot_call_graph_and_cfg(mini_file, capsys):
     assert "digraph" in capsys.readouterr().out
 
 
-def test_parser_requires_command(capsys):
+def test_parser_requires_command(capsys, tmp_path):
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
     # main() builds its parser once and shares it: a usage error through
@@ -109,6 +110,19 @@ def test_parser_requires_command(capsys):
     ]:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message} must be at least 1\n"
+    # Bad input is the caller's error, not the transport's or a
+    # traceback: a missing program is refused before anything is sent,
+    # a non-numeric port before the service is built.
+    missing = str(tmp_path / "missing.mini")
+    for argv, message in [
+        (["client", "analyze", missing], f"No such file or directory: {missing!r}"),
+        (["serve", "--http", "127.0.0.1:http"], "not 'http'"),
+    ]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err.endswith(f"{message}\n")
     assert cli._parser() is cli._parser()
     targets = [
         cli._parser().parse_args(
@@ -170,6 +184,10 @@ def test_store_stats_gc_clear(mini_file, tmp_path, capsys):
     assert "removed 0 file(s), compacted 1, kept 1" in capsys.readouterr().out
     assert main(["store", "stats", store]) == 0
     assert "log 0 bytes over 0 appended save(s))" in capsys.readouterr().out
+    # A negative --keep is refused, and nothing is deleted.
+    assert main(["store", "gc", store, "--keep", "-1"]) == 2
+    assert capsys.readouterr().err == "error: keep must be at least 0, not -1\n"
+    assert len(SummaryStore(store).snapshot_paths()) == 1
     # gc removes the snapshot and a projection an older store left.
     (Path(store) / "frontier-0123.jsonl").write_text("stray\n")
     assert main(["store", "gc", store, "--keep", "0"]) == 0

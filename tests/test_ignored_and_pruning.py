@@ -2,9 +2,13 @@
 
 from collections import Counter
 
-from repro.framework.ignored import IgnoredStates
+import hypothesis.strategies as st
+from hypothesis import given
+
+from repro.framework import pruning
+from repro.framework.ignored import IgnoredStates, _interned
 from repro.framework.metrics import Metrics
-from repro.framework.predicates import TRUE, Conjunction
+from repro.framework.predicates import FALSE, TRUE, Conjunction
 from repro.framework.pruning import FrequencyPruner, NoPruner, clean, excl
 from repro.typestate.bu_analysis import (
     HaveAtom,
@@ -14,6 +18,12 @@ from repro.typestate.bu_analysis import (
 )
 from repro.typestate.properties import FILE_PROPERTY
 from repro.typestate.states import AbstractState
+from tests.test_framework_predicates import (
+    _KEYS,
+    _full_atoms,
+    _full_state,
+    _simple_atoms,
+)
 
 
 def _bu():
@@ -38,12 +48,77 @@ def _rel(pred):
     )
 
 
-def test_membership_is_union_of_predicates():
+def _sigma_case(atoms, states):
+    """Chains of union steps (each a list of satisfiable conjunctions)
+    and states to test membership of."""
+    preds = st.lists(atoms, max_size=3).map(Conjunction.of).filter(
+        lambda p: p is not FALSE
+    )
+    return st.tuples(
+        st.lists(st.lists(preds, max_size=3), min_size=1, max_size=4),
+        st.lists(states, min_size=1, max_size=8),
+    )
+
+
+_sigma_cases = st.one_of(
+    _sigma_case(_full_atoms, _full_state()),
+    _sigma_case(
+        _simple_atoms,
+        st.lists(st.sampled_from(_KEYS), max_size=3).map(lambda must: _state(*must)),
+    ),
+)
+
+
+def _ref_union(preds, new_preds):
+    """Reference normalization: the pairwise insert scan, unmemoized."""
+    kept = list(preds)
+    for p in dict.fromkeys(q for q in new_preds if q not in preds):
+        if any(p.entails(q) for q in kept):
+            continue
+        kept = [q for q in kept if not q.entails(p)] + [p]
+    return frozenset(kept)
+
+
+@given(_sigma_cases)
+def test_membership_is_union_of_predicates(case):
     bu = _bu()
     sigma = _ignored(bu, [_pred(HaveAtom("f")), _pred(HaveAtom("g"))])
     assert _state("f") in sigma
     assert _state("g") in sigma
     assert _state("x") not in sigma
+    # Compiled Σ (projection-keyed membership, interning, memoized
+    # union/covers) against the reference on random chains: the
+    # compiled callbacks and an equivalent pair the compiler does not
+    # recognize, which keeps the reference membership test.
+    steps, states = case
+    # The bounded intern table is cleared when full, which only costs
+    # sharing; start each example from an empty one so identity holds.
+    _interned.clear()
+    for satisfied, entails in [
+        (Conjunction.satisfied_by, Conjunction.entails),
+        (lambda p, s: p.satisfied_by(s), lambda p, q: p.entails(q)),
+    ]:
+        empty = IgnoredStates(satisfied, entails)
+        chain, want = empty, frozenset()
+        for i, step in enumerate(steps):
+            # Alternate the two ways Σ grows, each twice (memo hits).
+            for _ in range(2):
+                if i % 2:
+                    grown = chain.union_sets(IgnoredStates(satisfied, entails, step))
+                else:
+                    grown = chain.union(step)
+                assert grown.predicates == _ref_union(want, step)
+            assert chain.union(reversed(step)) is grown  # order-independent
+            chain, want = grown, _ref_union(want, step)
+            for sigma_state in states + states:
+                assert (sigma_state in chain) == any(
+                    p.satisfied_by(sigma_state) for p in want
+                )
+        everything = [p for step in steps for p in step]
+        assert IgnoredStates(satisfied, entails, everything) is chain  # interned
+        assert IgnoredStates(satisfied, entails, want) is chain
+        for p in everything + everything:
+            assert chain.covers(p) == any(p.entails(q) for q in want)
 
 
 def test_normalization_drops_stronger_predicates():
@@ -102,7 +177,7 @@ def test_no_pruner_keeps_everything():
     assert kept == relations and sigma.is_empty()
 
 
-def test_frequency_pruner_keeps_top_theta_by_rank():
+def test_frequency_pruner_keeps_top_theta_by_rank(monkeypatch):
     bu = _bu()
     metrics = Metrics()
     incoming = {"p": Counter({_state("f"): 3, _state(): 1})}
@@ -113,6 +188,43 @@ def test_frequency_pruner_keeps_top_theta_by_rank():
     assert kept == frozenset({have})
     assert _state() in sigma and _state("f") not in sigma
     assert metrics.pruned_relations == 1
+    # Ties: only the tie group straddling the cut is ordered by the
+    # (type name, str) key, and the outcome equals that of sorting every
+    # relation by the full key.
+    printed = []
+    tie_break = pruning._tie_break
+    monkeypatch.setattr(
+        pruning, "_tie_break", lambda r: printed.append(r) or tie_break(r)
+    )
+    relations = [
+        _rel(_pred(HaveAtom("f"))),  # rank 3
+        _rel(_pred(HaveAtom("g"))),  # rank 3
+        _rel(_pred(NotHaveAtom("f"))),  # rank 1
+        _rel(_pred(NotHaveAtom("g"))),  # rank 1
+        _rel(_pred(HaveAtom("h"))),  # rank 0
+        _rel(_pred(NotHaveAtom("h"))),  # rank 4
+    ]
+    incoming = {"p": Counter({_state("f", "g"): 3, _state(): 1}), "q": Counter()}
+    for proc, theta, size, straddles in [
+        ("q", 2, 4, True),  # all four tie at rank 0
+        ("p", 1, 6, False),  # the lone rank-4 relation fills the cut
+        ("p", 2, 6, True),  # the rank-3 pair straddles it
+        ("p", 3, 6, False),  # ... and fits it exactly
+        ("p", 4, 6, True),  # the rank-1 pair straddles
+        ("p", 5, 5, False),  # |R| <= theta: clean only
+    ]:
+        pruner = FrequencyPruner(bu, theta=theta, incoming=incoming)
+        pool = frozenset(relations[:size])
+        ignored = _ignored(bu, [_pred(HaveAtom("h"), HaveAtom("f"))])
+        ranked = sorted(
+            pool, key=lambda r: (-pruner.rank(proc, r), type(r).__name__, str(r))
+        )
+        want_sigma = ignored.union(r.pred for r in ranked[theta:])
+        want_kept = excl(bu, frozenset(ranked[:theta]), want_sigma)
+        printed.clear()
+        kept, sigma = pruner.prune(proc, pool, ignored)
+        assert kept == want_kept and sigma is want_sigma
+        assert bool(printed) == (straddles and len(pool) > theta)
 
 
 def test_frequency_pruner_small_sets_untouched():

@@ -262,9 +262,14 @@ def main(argv=None) -> int:
         print("quick run ok (no JSON written)")
         return 0
     rows = collect(sizes=args.sizes, repeats=args.repeats)
-    from repro.experiments.export import export_hotpath
+    from repro.experiments.export import export_bench
 
-    path = export_hotpath(rows, args.out)
+    path = export_bench(
+        "bench_hotpath",
+        "optimized (indexed+cached+interned) vs unoptimized engines",
+        rows,
+        args.out,
+    )
     print(f"wrote {path}")
     return 0
 

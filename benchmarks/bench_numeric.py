@@ -1,24 +1,26 @@
-"""Value-mode proof: the interval×typestate product on loop-heavy code.
+"""Value-mode knob sweep: the interval×typestate product on loop-heavy code.
 
-Two exhibits over the seeded ``loop_nest`` shape (the workload whose
-naive powerset iteration provably diverges — DESIGN §14):
+SWIFT on the seeded ``loop_nest`` shape (the workload whose naive
+powerset iteration provably diverges — DESIGN §14) across
+``widening_delay`` × ``descending_iters``: the measured data behind
+TUNING's "Widening knobs" section.  Delaying widening buys precision
+with bounded extra work; descending iterations are a cheap post-pass.
+Each row records wall clock, deterministic work, wall clock per unit
+of work (``us_per_work``) and summary counts.  Error sites are
+asserted identical across the whole sweep (the knobs trade work for
+precision of the numeric component, never soundness).
 
-* **engines** — every engine terminates in value mode and they agree
-  on the error sites; wall clock, deterministic work, wall clock per
-  unit of work (``us_per_work``) and summary counts per engine on
-  ``loop_nest(64)``;
-* **knob sweep** — SWIFT across ``widening_delay`` × ``descending_iters``
-  on the same shape, the measured data behind TUNING's "Widening
-  knobs" section.  Delaying widening buys precision with bounded extra
-  work; descending iterations are a cheap post-pass.  Error sites are
-  asserted identical across the whole sweep (the knobs trade work for
-  precision of the numeric component, never soundness).
+Per-engine value-mode cost is the end-to-end benchmark's
+``numeric-loop`` workload (its traced ``framework.us_per_work``); that
+every engine terminates and agrees on the error sites is
+``tests/test_lattice_fixpoint.py`` and the ``ci/numeric_smoke.py``
+baseline.
 
 Run standalone to (re)generate ``BENCH_numeric.json``::
 
     PYTHONPATH=src python benchmarks/bench_numeric.py [--out PATH]
 
-or collect under pytest (cheap single-engine checks only)::
+or collect under pytest (cheap checks only)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_numeric.py
 """
@@ -37,18 +39,17 @@ from repro.typestate.properties import FILE_PROPERTY
 
 SIZE = 64
 SEED = 19
-ENGINES = ["td", "bu", "swift"]
 DELAYS = [0, 2, 4, 8]
 DESCENDS = [0, 1, 2]
 BUDGET = Budget(max_work=5_000_000)
 
 
-def run_engine(program, engine, delay=2, descend=0):
+def run_swift(program, delay=2, descend=0):
     started = time.perf_counter()
     report = run_typestate(
         program,
         FILE_PROPERTY,
-        engine=engine,
+        engine="swift",
         domain="interval-typestate",
         k=5,
         theta=1,
@@ -57,10 +58,10 @@ def run_engine(program, engine, delay=2, descend=0):
         descending_iters=descend,
     )
     seconds = time.perf_counter() - started
-    assert not report.timed_out, f"{engine} failed to terminate in budget"
+    assert not report.timed_out, "swift failed to terminate in budget"
     work = report.result.metrics.total_work
     return report, {
-        "engine": engine,
+        "engine": "swift",
         "widening_delay": delay,
         "descending_iters": descend,
         "seconds": round(seconds, 4),
@@ -75,34 +76,22 @@ def run_engine(program, engine, delay=2, descend=0):
 
 def collect():
     program = loop_nest(SIZE, seed=SEED)
-    engine_rows, sites = [], {}
-    for engine in ENGINES:
-        report, row = run_engine(program, engine)
-        engine_rows.append(row)
-        sites[engine] = report.error_sites
-        print(
-            f"  loop-nest-{SIZE}/{engine}: {row['seconds']}s "
-            f"work={row['work']} us/work={row['us_per_work']} "
-            f"sites={row['error_sites']}",
-            flush=True,
-        )
-    assert all(s == sites["td"] for s in sites.values()), "engines disagree"
-    sweep_rows = []
+    sweep_rows, verdicts = [], set()
     for delay in DELAYS:
         for descend in DESCENDS:
-            report, row = run_engine(program, "swift", delay, descend)
-            assert report.error_sites == sites["swift"], "knobs changed verdicts"
+            report, row = run_swift(program, delay, descend)
+            verdicts.add(frozenset(report.error_sites))
             sweep_rows.append(row)
             print(
                 f"  sweep delay={delay} descend={descend}: {row['seconds']}s "
                 f"work={row['work']} us/work={row['us_per_work']}",
                 flush=True,
             )
+    assert len(verdicts) == 1, "knobs changed verdicts"
     return [
         {
             "shape": f"loop_nest({SIZE}, seed={SEED})",
             "domain": "interval-typestate",
-            "engines": engine_rows,
             "knob_sweep": sweep_rows,
         }
     ]
@@ -113,15 +102,15 @@ def collect():
 
 def test_numeric_swift_terminates(once):
     program = loop_nest(8, seed=SEED)
-    report, row = once(run_engine, program, "swift")
+    report, row = once(run_swift, program)
     assert not report.timed_out and row["error_sites"] > 0
     assert row["us_per_work"] > 0
 
 
 def test_numeric_descend_keeps_verdicts(once):
     program = loop_nest(8, seed=SEED)
-    base, _ = run_engine(program, "swift")
-    narrowed, _ = once(run_engine, program, "swift", 2, 2)
+    base, _ = run_swift(program)
+    narrowed, _ = once(run_swift, program, 2, 2)
     assert narrowed.error_sites == base.error_sites
 
 
@@ -130,9 +119,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_numeric.json")
     args = parser.parse_args(argv)
     rows = collect()
-    from repro.experiments.export import export_numeric
+    from repro.experiments.export import export_bench
 
-    path = export_numeric(rows, args.out)
+    path = export_bench(
+        "bench_numeric",
+        "interval×typestate product on the loop_nest shape: "
+        "SWIFT's widening-knob sweep",
+        rows,
+        args.out,
+    )
     print(f"wrote {path}")
     return 0
 

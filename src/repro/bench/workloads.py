@@ -135,8 +135,8 @@ def scalability_series(
 # recurse), and an ``n_resources`` pool size.  Generation is a pure
 # function of the arguments: the same triple always yields the same
 # program, byte for byte under ``format_program`` (tested), which is
-# what lets CI and BENCH_query.json name their inputs by (shape, size,
-# seed) alone.
+# what lets CI, the tests and the benchmarks name their inputs by
+# (shape, size, seed) alone.
 
 
 def _bind_resource(p, resource: str, style: int) -> None:

@@ -49,19 +49,28 @@ def _program_format(path: str) -> str:
     return "mini" if path.endswith(".mini") else "ir"
 
 
+class _UsageError(Exception):
+    """A flag value the configuration refuses, or an input file that
+    cannot be read; :func:`main` prints it as one ``error: …`` line on
+    stderr and exits 2."""
+
+
+def _read_text(path: str) -> str:
+    """The text of ``path``; an unreadable file is a usage error."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise _UsageError(exc) from None
+
+
 def load_program(path: str) -> Program:
     """Load a program from MiniOO source or textual IR."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     if _program_format(path) == "mini":
         from repro.frontend import compile_minioo
 
         return compile_minioo(text)
     return parse_program(text)
-
-
-class _UsageError(Exception):
-    """A flag value the configuration refuses; :func:`main` prints it
-    as one ``error: …`` line on stderr and exits 2."""
 
 
 def _checked(build, *args, **kwargs):
@@ -384,7 +393,6 @@ def cmd_query_batch(args: argparse.Namespace) -> int:
             args.kind,
             config,
             query_precision=args.query_precision,
-            max_workers=args.workers,
         )
     except QueryError as exc:
         print(f"query error: {exc}")
@@ -463,10 +471,7 @@ def cmd_client(args: argparse.Namespace) -> int:
             "prop": args.property,
             "config": config_to_json(_config(args)),
         }
-        try:
-            text = Path(args.file).read_text()
-        except OSError as exc:
-            raise _UsageError(exc) from None
+        text = _read_text(args.file)
     try:
         if command == "stats":
             import json
@@ -529,7 +534,6 @@ def _client_demand(args, client, text: str, request: dict) -> int:
         kind=args.kind,
         targets=args.targets if batch else None,
         precision=args.precision,
-        workers=args.workers,
         **request,
     )
     start = "cold" if response["cold"] else "warm"
@@ -763,13 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
     query_batch.add_argument(
         "--query-precision", choices=["td", "swift"], default="td"
     )
-    query_batch.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="solve independent components in N parallel threads",
-    )
     query_batch.set_defaults(fn=cmd_query_batch)
 
     serve = sub.add_parser(
@@ -858,10 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(demand, preload_engines)
     demand.add_argument(
         "--precision", choices=["td", "swift"], default="td"
-    )
-    demand.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="parallel component solves (batch only)",
     )
 
     stats = client_sub.add_parser("stats", help="service counters as JSON")

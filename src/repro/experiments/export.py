@@ -2,7 +2,8 @@
 
 ``python -m repro.experiments`` prints human-readable exhibits; this
 module writes the same data as machine-readable CSV under a results
-directory, one file per exhibit.
+directory, one file per exhibit.  :func:`export_bench` writes the rows
+of the standalone ``benchmarks/bench_*.py`` scripts as JSON.
 """
 
 from __future__ import annotations
@@ -93,82 +94,15 @@ def export_table4(directory: Path) -> Path:
     return path
 
 
-def export_hotpath(rows: Iterable[dict], path: str = "BENCH_hotpath.json") -> Path:
-    """Write the hot-path benchmark rows (benchmarks/bench_hotpath.py)
-    as JSON, so successive PRs can track the perf trajectory."""
-    import json
-
-    out = Path(path)
-    payload = {
-        "benchmark": "bench_hotpath",
-        "description": "optimized (indexed+cached+interned) vs unoptimized engines",
-        "rows": list(rows),
-    }
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return out
-
-
-def export_incremental(
-    rows: Iterable[dict], path: str = "BENCH_incremental.json"
+def export_bench(
+    name: str, description: str, rows: Iterable[dict], path: str
 ) -> Path:
-    """Write the summary-store benchmark rows
-    (benchmarks/bench_incremental.py) as JSON."""
+    """Write a standalone benchmark's rows (``benchmarks/<name>.py``) as
+    JSON, so successive changes can track its trajectory."""
     import json
 
     out = Path(path)
-    payload = {
-        "benchmark": "bench_incremental",
-        "description": "cold vs warm vs one-procedure-edit runs over the summary store",
-        "rows": list(rows),
-    }
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return out
-
-
-def export_service(rows: Iterable[dict], path: str = "BENCH_service.json") -> Path:
-    """Write the resident-service benchmark rows
-    (benchmarks/bench_service.py) as JSON."""
-    import json
-
-    out = Path(path)
-    payload = {
-        "benchmark": "bench_service",
-        "description": "resident daemon warm-request latency and throughput "
-        "vs per-process analyze --store",
-        "rows": list(rows),
-    }
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return out
-
-
-def export_query(rows: Iterable[dict], path: str = "BENCH_query.json") -> Path:
-    """Write the demand-query benchmark rows
-    (benchmarks/bench_query.py) as JSON."""
-    import json
-
-    out = Path(path)
-    payload = {
-        "benchmark": "bench_query",
-        "description": "demand (cone-restricted) point queries vs "
-        "whole-program cold analysis on generated large-scale shapes",
-        "rows": list(rows),
-    }
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return out
-
-
-def export_numeric(rows: Iterable[dict], path: str = "BENCH_numeric.json") -> Path:
-    """Write the value-mode benchmark rows
-    (benchmarks/bench_numeric.py) as JSON."""
-    import json
-
-    out = Path(path)
-    payload = {
-        "benchmark": "bench_numeric",
-        "description": "interval×typestate product on the loop_nest shape: "
-        "per-engine termination plus the widening-knob sweep",
-        "rows": list(rows),
-    }
+    payload = {"benchmark": name, "description": description, "rows": list(rows)}
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return out
 

@@ -36,9 +36,9 @@ Per-target answers are therefore byte-identical to per-target
 ``run_query`` (property-tested and fuzzed), while shared cone work is
 solved once — ``BatchOutcome`` carries the per-component counters
 (``batch_components``, solve counts, ``frontier_snapshot_hits``,
-per-target attribution) that prove it.  Components are independent
-partial fixpoints, so ``max_workers > 1`` may solve them in parallel
-threads.
+per-target attribution) that prove it.  Components solve one after
+another: any two main-reachable targets share ``main``, so at most one
+component of a batch has a non-empty solve cone.
 """
 
 from __future__ import annotations
@@ -302,20 +302,15 @@ def run_query_batch(
     *,
     warm_cache: Optional[WarmCache] = None,
     query_precision: str = "td",
-    max_workers: int = 1,
     **fields,
 ) -> BatchOutcome:
     """Answer a batch of demand queries with one solve per component.
 
     Takes its configuration as :func:`~repro.query.engine.run_query`
     does; every target's answer is byte-identical to what the
-    single-target path returns for it.  ``max_workers > 1`` solves
-    independent components in parallel threads (components share no
-    state; the decode cache is thread-safe).  Queries never save.
+    single-target path returns for it.  Queries never save.
     """
     check_query_mode(kind, query_precision)
-    if max_workers < 1:
-        raise QueryError(f"workers must be at least 1, not {max_workers}")
     config = make_config(config, {"domain": "simple"}, **fields)
     run = prepare_store_run(program, prop, config)
     cache = warm_cache if warm_cache is not None else _WARM_CACHE
@@ -361,15 +356,7 @@ def run_query_batch(
         record.session_out = solve.session_out  # type: ignore[attr-defined]
         return record
 
-    if max_workers > 1 and plan.n_solves > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            records = list(pool.map(solve_component, plan.components))
-    else:
-        records = [solve_component(c) for c in plan.components]
-
-    for record in records:
+    for record in map(solve_component, plan.components):
         outcome.components.append(record)
         session_out = getattr(record, "session_out", None)
         for target in record.targets:

@@ -133,7 +133,6 @@ class ServiceClient:
         config: Optional[dict] = None,
         targets: Optional[Sequence[str]] = None,
         precision: str = "td",
-        workers: int = 1,
     ) -> dict:
         """Run a demand query: analyze only the target cone(s).
 
@@ -157,8 +156,6 @@ class ServiceClient:
             payload["target"] = target
         else:
             payload["targets"] = list(targets)
-            if workers != 1:
-                payload["workers"] = workers
         if precision != "td":
             payload["precision"] = precision
         if fmt is not None:

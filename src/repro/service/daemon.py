@@ -2,8 +2,8 @@
 
 Every ``repro-swift analyze --store`` invocation is a fresh process:
 it pays interpreter + import startup, re-parses the program, and — on
-the first warm run — re-decodes the snapshot, so BENCH_incremental's
-warm *wall* time is dominated by costs a resident process pays once.
+the first warm run — re-decodes the snapshot, so a per-process warm
+run's *wall* time is dominated by costs a resident process pays once.
 :class:`AnalysisService` is that resident process: a front end
 (stdio-JSONL or localhost HTTP, see :mod:`repro.service.stdio` /
 :mod:`repro.service.http`) feeds it requests, and it keeps the reuse
@@ -445,6 +445,11 @@ class AnalysisService:
             raise ProtocolError(
                 f"demand queries run on td or swift, not {config.engine!r}"
             )
+        if "workers" in request:
+            raise ProtocolError(
+                'demand takes no "workers" key: a batch solves at most one '
+                "component"
+            )
         kind = request.get("kind", "errors")
         precision = request.get("precision", "td")
         targets = request.get("targets")
@@ -524,11 +529,6 @@ class AnalysisService:
             raise ProtocolError(
                 'demand "targets" must be a non-empty list of strings'
             )
-        workers = request.get("workers", 1)
-        if type(workers) is not int or workers < 1:  # bools too
-            raise ProtocolError(
-                f'demand "workers" must be an integer >= 1, not {workers!r}'
-            )
         targets = [t.strip() for t in targets]
         target_set = frozenset(targets)
         _, config_fp = config_fingerprint(prop, config=config)
@@ -587,7 +587,6 @@ class AnalysisService:
                     config=config,
                     warm_cache=self.warm_cache,
                     query_precision=precision,
-                    max_workers=workers,
                 )
             except QueryError as exc:
                 raise ProtocolError(str(exc)) from None

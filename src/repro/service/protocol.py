@@ -28,8 +28,8 @@ counters; overlapping in-flight batches coalesce) — plus an optional
 ``"kind"`` (``errors`` | ``summaries`` | ``entries``, default
 ``errors``), ``"precision"`` (``td`` — the reference-precision
 default — or ``swift``, which leaves BU triggers live inside the
-cone), and, for batches, ``"workers"`` (parallel component solves, an
-integer >= 1).
+cone).  A ``"workers"`` key is refused: a batch has at most one
+component to solve, so there is nothing to parallelize.
 The optional ``id`` is echoed verbatim on every line the
 request produces, so clients multiplexing one connection can match
 responses — and streamed trace events — to requests.

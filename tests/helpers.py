@@ -9,6 +9,7 @@ parameter passing to argument registers the same way).
 from __future__ import annotations
 
 import itertools
+import time
 from typing import List
 
 from repro.ir.builder import ProgramBuilder
@@ -127,3 +128,14 @@ def all_prims(variables: List[str], sites: List[str], methods: List[str]) -> Lis
         for m in methods:
             prims.append(Invoke(v, m))
     return prims
+
+
+def best_of(rounds: int, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` run ``rounds`` times: its last result and
+    its fastest wall-clock time in seconds (the least noisy round)."""
+    times = []
+    for _ in range(rounds):
+        started = time.perf_counter()
+        result = fn(*args, **kwargs)
+        times.append(time.perf_counter() - started)
+    return result, min(times)

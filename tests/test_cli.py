@@ -111,11 +111,18 @@ def test_parser_requires_command(capsys, tmp_path):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message} must be at least 1\n"
     # Bad input is the caller's error, not the transport's or a
-    # traceback: a missing program is refused before anything is sent,
-    # a non-numeric port before the service is built.
+    # traceback: a missing program is refused by every verb that reads
+    # one (before anything is sent), a non-numeric port before the
+    # service is built.
     missing = str(tmp_path / "missing.mini")
+    gone = f"No such file or directory: {missing!r}"
+    store = ["--store", str(tmp_path / "store")]
     for argv, message in [
-        (["client", "analyze", missing], f"No such file or directory: {missing!r}"),
+        (["client", "analyze", missing], gone),
+        (["verify", missing], gone),
+        (["analyze", missing, *store], gone),
+        (["query-point", missing, "main", *store], gone),
+        (["query-batch", missing, "main", *store], gone),
         (["serve", "--http", "127.0.0.1:http"], "not 'http'"),
     ]:
         assert main(argv) == 2

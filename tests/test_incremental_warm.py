@@ -33,8 +33,10 @@ from repro.incremental.invalidate import (
 from repro.ir.commands import Call, Seq, Skip, seq
 from repro.ir.parser import parse_program
 from repro.ir.program import Program
+from repro.query import QueryTarget, compute_cone
 from repro.typestate.properties import FILE_PROPERTY
 
+from tests.helpers import best_of
 from tests.test_property_based import commands, programs
 
 CHAIN = """
@@ -170,6 +172,47 @@ def test_one_proc_edit_reanalyzes_only_the_cone(tmp_path, engine):
     # Nothing outside the cone was re-analyzed from scratch: every
     # surviving procedure's entries stayed valid.
     assert warm.valid == frozenset()  # chain(): the cone is the whole program
+
+    # The store lifecycle on a suite program: a warm run from disk redoes
+    # at most a tenth of the cold work; a second one reuses the resident
+    # decode, so it loads no slower than the first and runs no slower
+    # than the cold run; two leaf edits invalidate exactly the first
+    # leaf's cone; every run has the errors of a cold run of its program.
+    program = load_benchmark("jpat-p").program
+    names = sorted(program.names())
+    leaves = [p for p in names if p != program.main and not program.callees(p)]
+    edited = edit_proc(program, leaves[0])
+    edited_twice = edit_proc(edited, leaves[1])
+    # Every jpat-p procedure is reachable: a leaf's query cone is the
+    # leaf and its transitive callers, the set its edit must invalidate.
+    cone = compute_cone(program, QueryTarget(leaves[0])).cone
+
+    def analyze(version, store):
+        return best_of(
+            1, analyze_with_store, version, FILE_PROPERTY, store,
+            engine=engine, domain="full", budget=Budget(max_work=400_000),
+        )
+
+    def cold_errors(version, name):
+        return analyze(version, SummaryStore(tmp_path / name))[0].report.errors
+
+    store = SummaryStore(tmp_path / "suite")
+    driver.clear_warm_cache()
+    cold, cold_s = analyze(program, store)
+    driver.clear_warm_cache()  # the cold save left the snapshot resident
+    warm, _ = analyze(program, store)
+    warm2, warm2_s = analyze(program, store)
+    edit, _ = analyze(edited, store)
+    steady, _ = analyze(edited_twice, store)
+    cold_m, warm_m, warm2_m = (r.report.result.metrics for r in (cold, warm, warm2))
+    assert warm.report.errors == warm2.report.errors == cold.report.errors
+    assert warm.store_hits > 0
+    assert warm_m.total_work <= 0.10 * cold_m.total_work
+    assert warm2_m.store_load_seconds <= warm_m.store_load_seconds
+    assert warm2_s <= cold_s, (warm2_s, cold_s)
+    assert set(edit.invalidated) == cone
+    assert edit.report.errors == cold_errors(edited, "edited")
+    assert steady.report.errors == cold_errors(edited_twice, "edited-twice")
 
 
 def test_edit_outside_cone_preserves_stored_entries(tmp_path):

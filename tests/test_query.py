@@ -11,6 +11,7 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,8 +19,10 @@ from hypothesis import strategies as st
 
 from repro.bench.suite import load_shape
 from repro.bench.workloads import hub_flood, scc_heavy, wide_fanout
+from repro.framework.config import AnalysisConfig
 from repro.incremental import SummaryStore, WarmCache, analyze_with_store
-from repro.incremental import clear_warm_cache
+from repro.incremental import build_warm_start, clear_warm_cache
+from repro.incremental import diff_fingerprints, prepare_store_run
 from repro.ir.cfg import ControlFlowGraphs, ProgramPoint
 from repro.ir.parser import parse_program
 from repro.query import (
@@ -32,10 +35,12 @@ from repro.query import (
     resolve_target,
     run_query,
 )
+from repro.query import engine as query_engine
 from repro.service.daemon import AnalysisService
 from repro.typestate.client import run_typestate
 from repro.typestate.properties import FILE_PROPERTY
 
+from tests.helpers import best_of
 from tests.test_property_based import programs
 
 CHAIN = """
@@ -52,9 +57,18 @@ proc b { choose { call b; } or { f = new h2; f.open(); f.read(); } }
 proc orphan { g = new h3; g.open(); }
 """
 
-def reference_errors(program, target, domain="simple"):
-    """Whole-program top-down findings restricted to ``target``."""
-    report = run_typestate(program, FILE_PROPERTY, engine="td", domain=domain)
+#: Wall-clock floors of the 166-procedure headline query: a steady
+#: warm query vs the cold whole-program ``analyze --store``, and a
+#: first query's store load vs a full decode of the same snapshot.
+MIN_QUERY_SPEEDUP = 5.0
+MIN_FRONTIER_SPEEDUP = 5.0
+
+
+def reference_errors(program, target, domain="simple", report=None):
+    """Whole-program top-down findings (``report``'s, when given)
+    restricted to ``target``."""
+    if report is None:
+        report = run_typestate(program, FILE_PROPERTY, engine="td", domain=domain)
     return frozenset(
         (point, site) for point, site in report.errors if target.covers(point)
     )
@@ -177,6 +191,34 @@ def test_warm_query_skips_out_of_cone_interiors(tmp_path):
     target = resolve_target(program, "worker5")
     assert outcome.answer == reference_errors(program, target)
 
+    # On every registered shape, three targets of growing cone answer the
+    # reference verdict with less work than the whole-program reference
+    # run, and the work grows with the cone.
+    for name, targets in [
+        ("deep-recursion-128", ["rec0", "rec49", "rec99"]),
+        ("wide-fanout-160", ["worker3", "svc1", "svc0"]),
+        ("diamond-sharing-144", ["d0_0", "d4_0", "d9_9"]),
+        ("scc-heavy-128", ["c0_0", "c4_0", "c9_3"]),
+    ]:
+        shape = load_shape(name).program
+        store = SummaryStore(tmp_path / name)
+        whole = analyze_with_store(shape, FILE_PROPERTY, store)
+        reference = run_typestate(shape, FILE_PROPERTY, engine="td", domain="simple")
+        works = []
+        for target in targets:
+            outcome = run_query(shape, FILE_PROPERTY, store, target)
+            assert outcome.out_of_cone_interior_rows == 0, (name, target)
+            assert outcome.total_work < reference.result.metrics.total_work
+            want = reference_errors(shape, QueryTarget(target), report=reference)
+            assert outcome.answer == want
+            works.append((outcome.cone_size, outcome.total_work))
+        works.sort()
+        assert works[0][1] < works[-1][1], (name, works)
+        if name == "scc-heavy-128":
+            # Here even the widest cone stays below SWIFT's whole-program
+            # work (on deep-recursion-128 a near-whole cone does not).
+            assert works[-1][1] < whole.report.result.metrics.total_work
+
 
 def _outcome_counters(outcome):
     return (
@@ -203,14 +245,54 @@ def test_repeated_queries_are_deterministic(tmp_path):
     assert first.total_work == again.total_work
     assert again.out_of_cone_interior_rows == 0
 
+    # After a cold whole-program run on a 166-procedure shape, the first
+    # query finds the store warm; the steady one (best of three) does
+    # less work and is MIN_QUERY_SPEEDUP times faster than the cold run.
+    shape = load_shape("wide-fanout-160").program
+    assert len(shape) >= 128
+    shape_store = SummaryStore(tmp_path / "shape")
+    cold, cold_s = best_of(1, analyze_with_store, shape, FILE_PROPERTY, shape_store)
+    want = reference_errors(shape, QueryTarget("worker3"))
+    first = run_query(shape, FILE_PROPERTY, shape_store, "worker3")
+    steady, steady_s = best_of(
+        3, run_query, shape, FILE_PROPERTY, shape_store, "worker3"
+    )
+    assert not first.cold
+    for outcome in (first, steady):
+        assert outcome.answer == want
+        assert outcome.out_of_cone_interior_rows == 0
+    assert steady.total_work < cold.report.result.metrics.total_work
+    assert cold_s >= MIN_QUERY_SPEEDUP * steady_s, (cold_s, steady_s)
+
+    # A first query parses only the segments its cone is offered: its
+    # store load is MIN_FRONTIER_SPEEDUP times below a full decode of the
+    # same snapshot (load, diff, build_warm_start), best of three each.
+    config = AnalysisConfig(domain="simple")
+    run = prepare_store_run(shape, FILE_PROPERTY, config)
+
+    def full_decode():
+        snapshot = shape_store.load(run.config_fp)
+        plan = diff_fingerprints(snapshot.fingerprints, run.fingerprints)
+        return build_warm_start(snapshot, plan, run.codec)
+
+    loads = []
+    for _ in range(3):
+        clear_warm_cache()  # every round is a first query
+        outcome = run_query(shape, FILE_PROPERTY, shape_store, "worker3", config=config)
+        assert outcome.frontier_snapshot == "hit"
+        assert outcome.out_of_cone_interior_rows == 0
+        assert outcome.answer == want
+        loads.append((best_of(1, full_decode)[1], outcome.store_load_seconds))
+    full_s, query_s = map(min, zip(*loads))
+    assert full_s >= MIN_FRONTIER_SPEEDUP * query_s, loads
+
     # Distinct cones through one cache share a store version's decoded
     # frontier, but each cone is offered only its own frontier: a
     # worker summary decoded while the worker sat on worker0's frontier
     # must not answer for it inside svc0's cone.  Every answer and
-    # counter equals a fresh-cache run of the same target.
-    shape = load_shape("wide-fanout-160").program
-    shape_store = SummaryStore(tmp_path / "shape")
-    analyze_with_store(shape, FILE_PROPERTY, shape_store, engine="swift")
+    # counter equals a fresh-cache run of the same target, and the
+    # shared cache loads the snapshot once and parses fewer segments
+    # than the fresh caches do.
     sequence = [
         (precision, target)
         for precision in QUERY_PRECISIONS
@@ -227,11 +309,27 @@ def test_repeated_queries_are_deterministic(tmp_path):
         assert outcome.out_of_cone_interior_rows == 0
         return outcome.answer, _outcome_counters(outcome)
 
-    fresh = {step: ask(step, WarmCache(capacity=8)) for step in sequence}
+    def counted(ask_all):
+        """``ask_all()``, the snapshot loads it made and the segments
+        parsed into the frontier views it built."""
+        views, project = [], query_engine.project_frontier
+        with mock.patch.object(shape_store, "load", wraps=shape_store.load) as load, \
+                mock.patch.object(query_engine, "project_frontier",
+                                  lambda *a: views.append(project(*a)) or views[-1]):
+            result = ask_all()
+        return result, load.call_count, sum(len(view.projected) for view in views)
+
+    fresh, _, fresh_parsed = counted(
+        lambda: {step: ask(step, WarmCache(capacity=8)) for step in sequence}
+    )
     shared = WarmCache(capacity=8)
-    for step in sequence:
-        assert ask(step, shared) == fresh[step], step
+    answers, shared_loads, shared_parsed = counted(
+        lambda: {step: ask(step, shared) for step in sequence}
+    )
+    assert answers == fresh
     assert shared.stats()["hits"] == len(sequence) - 1  # one entry for all
+    assert shared_loads == 1
+    assert shared_parsed < fresh_parsed
 
     # The same sequence from more threads than cores at once, all on one
     # entry, with frequent thread switches: still the fresh results.

@@ -3,13 +3,17 @@
 import dataclasses
 import io
 import json
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
 import repro.service.daemon as daemon_mod
+from repro.bench import load_benchmark
 from repro.framework.config import AnalysisConfig
 from repro.frontend import compile_minioo
 from repro.incremental import SummaryStore, WarmCache, analyze_with_store
@@ -28,6 +32,12 @@ from repro.service import (
 )
 from repro.typestate.client import run_typestate
 from repro.typestate.properties import FILE_PROPERTY
+
+from tests.helpers import best_of
+
+#: Resident warm p50 must beat a per-process warm ``analyze --store``
+#: by this factor on wall clock.
+MIN_RESIDENT_SPEEDUP = 3.0
 
 GOOD_MINI = """
 class Writer { method flush(f) { f.#open(); f.#close(); } }
@@ -499,7 +509,7 @@ def http_service(tmp_path):
     server.server_close()
 
 
-def test_http_round_trip_and_shutdown(http_service):
+def test_http_round_trip_and_shutdown(http_service, tmp_path):
     service, client, thread = http_service
     first = client.analyze(GOOD_MINI)
     assert first["cold"] and first["errors"] == []
@@ -507,9 +517,41 @@ def test_http_round_trip_and_shutdown(http_service):
     assert not second["cold"] and second["work"] == 0
     stats = client.stats()
     assert stats["requests"] == 3
+
+    # Staying resident on a suite program: warm requests redo no work,
+    # answer the direct run's verdict from the resident decode, and
+    # their p50 beats a per-process warm `analyze --store` over the
+    # shard the daemon saved.
+    program = load_benchmark("jpat-p").program
+    text = format_program(program)
+    direct = run_typestate(program, FILE_PROPERTY, engine="swift", domain="full")
+    expected = [[str(point), site] for point, site in sorted(direct.errors, key=str)]
+    cold = client.analyze(text, fmt="ir")
+    assert cold["cold"] and cold["errors"] == expected
+    assert client.analyze(text, fmt="ir")["work"] == 0
+    latencies, hits = [], service.warm_cache.stats()["hits"]
+    for _ in range(5):
+        response, seconds = best_of(1, client.analyze, text, fmt="ir")
+        assert response["errors"] == expected and response["work"] == 0
+        latencies.append(seconds)
+    assert service.warm_cache.stats()["hits"] == hits + len(latencies)
     assert client.shutdown()["ok"]
     thread.join(5)
     assert not thread.is_alive()
+
+    source = tmp_path / "jpat-p.ir"
+    source.write_text(text)
+    shard = service.shard_store(program_lineage(program)).root
+    src = Path(__file__).resolve().parent.parent / "src"
+    cli = [sys.executable, "-m", "repro.cli", "analyze", str(source)]
+    per_process, per_process_s = best_of(
+        1, subprocess.run, [*cli, "--store", str(shard)],
+        env={"PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert per_process.returncode in (0, 1), per_process.stderr
+    assert "warm start" in per_process.stdout, per_process.stdout
+    p50 = sorted(latencies)[len(latencies) // 2]
+    assert per_process_s >= MIN_RESIDENT_SPEEDUP * p50, (per_process_s, latencies)
 
 
 def test_http_trace_streaming(http_service):

@@ -118,7 +118,6 @@ class BottomUpEngine:
         pruner: Optional[PruneOperator] = None,
         budget: Optional[Budget] = None,
         metrics: Optional[Metrics] = None,
-        enable_caches: bool = True,
         restart_clock: bool = True,
         rtransfer_cache: Optional[RTransferCache] = None,
         rcompose_cache: Optional[RComposeCache] = None,
@@ -156,23 +155,18 @@ class BottomUpEngine:
         # passes restart_clock=False; restarting there would extend the
         # enclosing deadline.
         self._restart_clock = restart_clock
-        self.enable_caches = enable_caches
-        if enable_caches:
-            # SWIFT passes long-lived caches here so later triggers
-            # reuse the operator results of earlier ones.
-            self._rtransfer = (
-                rtransfer_cache
-                if rtransfer_cache is not None
-                else RTransferCache(analysis, self.metrics)
-            )
-            self._rcompose = (
-                rcompose_cache
-                if rcompose_cache is not None
-                else RComposeCache(analysis, self.metrics)
-            )
-        else:
-            self._rtransfer = analysis.rtransfer
-            self._rcompose = analysis.rcompose
+        # SWIFT passes long-lived caches here so later triggers reuse
+        # the operator results of earlier ones.
+        self._rtransfer = (
+            rtransfer_cache
+            if rtransfer_cache is not None
+            else RTransferCache(analysis, self.metrics)
+        )
+        self._rcompose = (
+            rcompose_cache
+            if rcompose_cache is not None
+            else RComposeCache(analysis, self.metrics)
+        )
         self._pre_images: Dict[tuple, FrozenSet] = {}
 
     # -- public API -----------------------------------------------------------------

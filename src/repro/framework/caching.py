@@ -5,8 +5,8 @@ the same ``trans(c)(sigma)``, ``rtrans(c)(r)`` and ``rcomp(r1, r2)``
 applications recur constantly: every re-analysis of a procedure body
 replays the same transfers over the same states, and the bottom-up
 fixpoint re-derives the same relation compositions round after round.
-The caches below memoize those three operators behind the engines'
-``enable_caches`` flag.
+Every engine memoizes those three operators through the caches below;
+there is no uncached mode.
 
 Two rules keep the experiment methodology honest:
 
@@ -14,10 +14,11 @@ Two rules keep the experiment methodology honest:
   *logical* operator application in :class:`~repro.framework.metrics.
   Metrics` whether or not the result came from a cache, so the
   deterministic work counters — and therefore every ``Budget``-driven
-  "timeout" row of the Table 2 reproduction — are byte-identical with
-  caches on or off.  Caches change wall clock only.
+  "timeout" row of the Table 2 reproduction — are the counts of the
+  analysis itself, whatever the caches hold.  Caches change wall clock
+  only, and every stored entry equals the raw operator's result.
 * **Hits and misses are reported separately** (``*_cache_hits`` /
-  ``*_cache_misses`` on ``Metrics``), so ablations can compute the
+  ``*_cache_misses`` on ``Metrics``), so reports can show the
   *computed* work (raw minus hits) next to the raw work.
 
 Eviction is deterministic FIFO (dicts preserve insertion order), so a

@@ -4,8 +4,8 @@ Every way of running an analysis in this repo — ``run_typestate``, the
 experiment harness, the CLI, the incremental driver, the query engine,
 the service — is parametrised by one :class:`AnalysisConfig`: one
 frozen dataclass naming the engine kind, the abstract domain, the SWIFT
-thresholds, the budget, the hot-path toggles, the worklist scheduling
-policy, and the runtime attachments (trace sink, warm-start preload).  Validation
+thresholds, the budget, the worklist scheduling policy, the widening
+knobs, and the runtime attachments (trace sink, warm-start preload).  Validation
 happens at construction, against the live registries — an unknown
 engine, domain, or scheduler raises immediately, listing the registered
 choices, instead of being forwarded blindly into an engine constructor.
@@ -41,9 +41,9 @@ class AnalysisConfig:
 
     Identity fields (part of :meth:`canonical_dict`): ``engine``,
     ``domain``, ``k``, ``theta``, ``bu_triggers``, ``scheduler``,
-    ``tracked_sites``, ``enable_caches``, ``indexed_summaries``,
-    ``widening_delay``, ``descending_iters``.  Runtime fields (not part
-    of the canonical form): ``budget``, ``sink``, ``preload``.
+    ``tracked_sites``, ``widening_delay``, ``descending_iters``.
+    Runtime fields (not part of the canonical form): ``budget``,
+    ``sink``, ``preload``.
 
     Every identity field except ``tracked_sites`` is type-checked at
     construction (:data:`_FIELD_TYPES`), so an ill-typed value — a
@@ -58,8 +58,6 @@ class AnalysisConfig:
     bu_triggers: bool = True
     scheduler: str = DEFAULT_SCHEDULER
     tracked_sites: Optional[FrozenSet[str]] = None
-    enable_caches: bool = True
-    indexed_summaries: bool = True
     # Widening knobs (crab-style; see DESIGN §14 and TUNING): only
     # consulted by infinite-height (lattice) domains, so they normalize
     # to None in the canonical form for finite ones.
@@ -166,8 +164,6 @@ class AnalysisConfig:
                 else None
             ),
             "flags": {
-                "enable_caches": self.enable_caches,
-                "indexed_summaries": self.indexed_summaries,
                 "scheduler": self.scheduler,
                 # Widening knobs only steer infinite-height domains;
                 # finite-domain configs fingerprint the same whatever
@@ -192,8 +188,6 @@ _FIELD_TYPES = {
     "theta": int,
     "bu_triggers": bool,
     "scheduler": str,
-    "enable_caches": bool,
-    "indexed_summaries": bool,
     "widening_delay": int,
     "descending_iters": int,
 }

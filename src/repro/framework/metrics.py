@@ -99,8 +99,8 @@ class Metrics:
         """A single scalar proxy for analysis cost.
 
         Counts *raw* (logical) operator applications — cache hits
-        included — so the value is deterministic and independent of the
-        ``enable_caches`` engine flag.
+        included — so the value is deterministic and independent of
+        what the memo tables hold (their size bound, their eviction).
         """
         return (
             self.transfers

@@ -279,8 +279,6 @@ def _run_td(program, instance, config, cfgs=None) -> EngineOutcome:
         instance.td_analysis,
         cfgs=cfgs,
         budget=config.budget,
-        enable_caches=config.enable_caches,
-        indexed_summaries=config.indexed_summaries,
         scheduler=config.scheduler,
         sink=config.sink,
         preload=config.preload,
@@ -307,8 +305,6 @@ def _run_swift(program, instance, config, cfgs=None) -> EngineOutcome:
         theta=config.theta,
         bu_triggers=config.bu_triggers,
         budget=config.budget,
-        enable_caches=config.enable_caches,
-        indexed_summaries=config.indexed_summaries,
         scheduler=config.scheduler,
         sink=config.sink,
         preload=config.preload,
@@ -331,7 +327,6 @@ def _run_bu(program, instance, config, cfgs=None) -> EngineOutcome:
         instance.bu_analysis,
         pruner=NoPruner(instance.bu_analysis),
         budget=config.budget,
-        enable_caches=config.enable_caches,
         sink=config.sink,
         widening_delay=config.widening_delay,
     )

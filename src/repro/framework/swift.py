@@ -108,8 +108,6 @@ class SwiftEngine(TopDownEngine):
         refresh_existing: bool = False,
         pruner_factory=None,
         cfgs: Optional[ControlFlowGraphs] = None,
-        enable_caches: bool = True,
-        indexed_summaries: bool = True,
         sink: Optional[TraceSink] = None,
         preload=None,
         scheduler: str = "lifo",
@@ -122,8 +120,6 @@ class SwiftEngine(TopDownEngine):
             td_analysis,
             budget=budget,
             cfgs=cfgs,
-            enable_caches=enable_caches,
-            indexed_summaries=indexed_summaries,
             sink=sink,
             preload=preload,
             scheduler=scheduler,
@@ -158,12 +154,8 @@ class SwiftEngine(TopDownEngine):
         self._reachable_cache: Dict[str, FrozenSet[str]] = {}
         # Bottom-up operator caches shared across triggers, so a later
         # run_bu reuses compositions derived by an earlier one.
-        if enable_caches:
-            self._bu_rtransfer_cache = RTransferCache(bu_analysis, self.metrics)
-            self._bu_rcompose_cache = RComposeCache(bu_analysis, self.metrics)
-        else:
-            self._bu_rtransfer_cache = None
-            self._bu_rcompose_cache = None
+        self._bu_rtransfer_cache = RTransferCache(bu_analysis, self.metrics)
+        self._bu_rcompose_cache = RComposeCache(bu_analysis, self.metrics)
         # Instantiation cache: (callee, sigma) -> outputs, or None when
         # sigma is in the summary's ignored set (top-down fallback).
         # Entries are only valid for the summary they were computed
@@ -314,7 +306,6 @@ class SwiftEngine(TopDownEngine):
             pruner=pruner,
             budget=self.budget,
             metrics=self.metrics,
-            enable_caches=self.enable_caches,
             restart_clock=False,
             rtransfer_cache=self._bu_rtransfer_cache,
             rcompose_cache=self._bu_rcompose_cache,

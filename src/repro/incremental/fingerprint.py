@@ -25,8 +25,8 @@ Three fingerprint families key the summary store:
 * **config** — SHA-256 over a canonical description of the analysis
   configuration: property DFA (states, initial, transition table) plus
   :meth:`repro.framework.config.AnalysisConfig.canonical_dict` (domain,
-  engine, ``k``/``theta``, tracked sites, engine flags including the
-  worklist scheduler).  Snapshots are stored per config fingerprint;
+  engine, ``k``/``theta``, tracked sites, the worklist scheduler and
+  the widening knobs).  Snapshots are stored per config fingerprint;
   nothing is shared across configurations.
 
 All hashing goes through :mod:`hashlib`, so fingerprints are identical
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.callgraph.scc import condensation
 from repro.ir.printer import format_command
@@ -177,55 +177,18 @@ def property_description(prop: TypestateProperty) -> dict:
     }
 
 
-#: Flag keys the legacy keyword form maps onto ``AnalysisConfig``
-#: fields; anything else is folded into the description verbatim.
-_CONFIG_FLAG_KEYS = ("enable_caches", "indexed_summaries", "scheduler")
-
-
-def config_fingerprint(
-    prop: TypestateProperty,
-    *,
-    config=None,
-    domain: Optional[str] = None,
-    engine: Optional[str] = None,
-    k: Optional[int] = None,
-    theta: Optional[int] = None,
-    tracked_sites: Optional[Iterable[str]] = None,
-    flags: Optional[Mapping[str, object]] = None,
-) -> Tuple[dict, str]:
+def config_fingerprint(prop: TypestateProperty, *, config) -> Tuple[dict, str]:
     """Describe + fingerprint an analysis configuration.
 
-    Pass either a :class:`repro.framework.config.AnalysisConfig` via
-    ``config=`` (the canonical form — its :meth:`canonical_dict` is
-    what gets hashed) or the legacy ``domain=``/``engine=`` keywords,
-    which are normalized through an ``AnalysisConfig`` first.  Extra
-    ``flags`` beyond the config's own are folded into the description
-    (order-insensitively).  Returns ``(description, fingerprint)``; the
-    description is stored in the snapshot header so ``store stats`` can
-    say what a snapshot is.
+    ``config`` is a :class:`repro.framework.config.AnalysisConfig`; its
+    :meth:`canonical_dict` (with the property's DFA) is what gets
+    hashed.  Returns ``(description, fingerprint)``; the description is
+    stored in the snapshot header so ``store stats`` can say what a
+    snapshot is.
     """
-    from repro.framework.config import make_config
-
-    extra = dict(flags or {})
-    if config is None:
-        if domain is None or engine is None:
-            raise TypeError(
-                "config_fingerprint needs config= or both domain= and engine="
-            )
-        known = {key: extra.pop(key) for key in _CONFIG_FLAG_KEYS if key in extra}
-        config = make_config(
-            engine=engine,
-            domain=domain,
-            k=k,
-            theta=theta,
-            tracked_sites=tracked_sites,
-            **known,
-        )
     desc = {
         "version": FINGERPRINT_VERSION,
         "property": property_description(prop),
         **config.canonical_dict(),
     }
-    if extra:
-        desc["flags"] = dict(sorted({**desc["flags"], **extra}.items()))
     return desc, _sha(canonical_json(desc))

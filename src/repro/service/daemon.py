@@ -445,11 +445,6 @@ class AnalysisService:
             raise ProtocolError(
                 f"demand queries run on td or swift, not {config.engine!r}"
             )
-        if "workers" in request:
-            raise ProtocolError(
-                'demand takes no "workers" key: a batch solves at most one '
-                "component"
-            )
         kind = request.get("kind", "errors")
         precision = request.get("precision", "td")
         targets = request.get("targets")

@@ -28,9 +28,9 @@ counters; overlapping in-flight batches coalesce) — plus an optional
 ``"kind"`` (``errors`` | ``summaries`` | ``entries``, default
 ``errors``), ``"precision"`` (``td`` — the reference-precision
 default — or ``swift``, which leaves BU triggers live inside the
-cone).  A ``"workers"`` key is refused: a batch has at most one
-component to solve, so there is nothing to parallelize.
-The optional ``id`` is echoed verbatim on every line the
+cone).  A key an op does not take (:data:`OP_KEYS`) — a misspelled
+``"confg"``, a retired ``"workers"`` — is refused naming it, never
+ignored.  The optional ``id`` is echoed verbatim on every line the
 request produces, so clients multiplexing one connection can match
 responses — and streamed trace events — to requests.
 
@@ -70,9 +70,20 @@ class ProtocolError(ValueError):
     """A malformed request (bad op, unknown config key, bad value)."""
 
 
-#: Every operation the service accepts.  ``query`` reports metadata
-#: (never analyzes); ``demand`` runs a cone-restricted point query.
-OPS = frozenset({"analyze", "edit", "query", "demand", "stats", "shutdown"})
+#: Every operation the service accepts, with the top-level request
+#: keys it takes.  ``query`` reports metadata (never analyzes);
+#: ``demand`` runs a cone-restricted point query.
+_ENVELOPE = frozenset({"id", "op"})
+_PROGRAM_KEYS = _ENVELOPE | {"program", "format", "property", "config"}
+OP_KEYS = {
+    "analyze": _PROGRAM_KEYS | {"trace"},
+    "edit": _PROGRAM_KEYS | {"trace"},
+    "query": _PROGRAM_KEYS,
+    "demand": _PROGRAM_KEYS | {"kind", "precision", "target", "targets"},
+    "stats": _ENVELOPE,
+    "shutdown": _ENVELOPE,
+}
+OPS = frozenset(OP_KEYS)
 
 #: JSON keys accepted under ``"config"`` — the AnalysisConfig
 #: constructor fields, minus the runtime attachments a JSON client
@@ -155,6 +166,12 @@ def parse_request(payload) -> dict:
     op = payload.get("op")
     if op not in OPS:
         raise ProtocolError(f"unknown op {op!r}; expected one of {sorted(OPS)}")
+    unknown = sorted(set(payload) - OP_KEYS[op])
+    if unknown:
+        raise ProtocolError(
+            f"unknown key(s) {unknown} for op {op!r}; "
+            f"allowed: {sorted(OP_KEYS[op])}"
+        )
     return dict(payload)
 
 

@@ -139,3 +139,37 @@ def best_of(rounds: int, fn, *args, **kwargs):
         result = fn(*args, **kwargs)
         times.append(time.perf_counter() - started)
     return result, min(times)
+
+
+def assert_memo_tables_exact(engine, result) -> None:
+    """Check a finished top-down (or SWIFT) run against what its memo
+    tables and exit-summary index stand in for: every stored entry is the
+    raw operator's result, the index is the linear scan of the exit path
+    edges, and every logical operator application went through a table."""
+    analysis = engine.analysis
+    for cmd, table in engine._transfer_cache._tables.items():
+        for sigma, outs in table.items():
+            assert outs == analysis.transfer(cmd, sigma), (cmd, sigma)
+    assert set(engine._exit_index) <= set(result.program.names())
+    for proc in result.program.names():
+        scan = {}
+        for sigma_in, sigma_out in result.td.get(result.cfgs.exit(proc), ()):
+            scan.setdefault(sigma_in, set()).add(sigma_out)
+        assert engine._exit_index.get(proc, {}) == scan, proc
+    metrics = result.metrics
+    assert metrics.transfer_cache_hits + metrics.transfer_cache_misses == (
+        metrics.transfers
+    )
+    bu_analysis = getattr(engine, "bu_analysis", None)
+    if bu_analysis is None:
+        return
+    for (cmd, r), outs in engine._bu_rtransfer_cache._data.items():
+        assert outs == bu_analysis.rtransfer(cmd, r), (cmd, r)
+    for (r1, r2), outs in engine._bu_rcompose_cache._data.items():
+        assert outs == bu_analysis.rcompose(r1, r2), (r1, r2)
+    assert metrics.rtransfer_cache_hits + metrics.rtransfer_cache_misses == (
+        metrics.rtransfers
+    )
+    assert metrics.rcompose_cache_hits + metrics.rcompose_cache_misses == (
+        metrics.compositions
+    )

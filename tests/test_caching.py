@@ -1,9 +1,10 @@
 """Tests for the hot-path layer: memo tables, indexing, interning.
 
-The contract under test (see framework/caching.py): the optimizations
-change wall clock only — tables, entry counts and the deterministic
-work counters are identical with caches on or off, including runs that
-exhaust their Budget mid-flight.
+The contract under test (see framework/caching.py): the memo tables
+and the exit-summary index change wall clock only — every stored entry
+is the raw operator's result, the index is the scan it replaces, and
+the deterministic work counters count logical operator applications,
+including in runs that exhaust their Budget mid-flight.
 """
 
 import pickle
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.framework.caching import RComposeCache, RTransferCache, TransferCache
+from repro.framework.denotational import DenotationalInterpreter
 from repro.framework.metrics import Budget, BudgetExceededError, Metrics
 from repro.framework.topdown import TopDownEngine, sorted_states, state_sort_key
 from repro.ir.builder import ProgramBuilder
@@ -24,6 +26,8 @@ from repro.typestate.states import AbstractState, bootstrap_state, intern_state
 from repro.typestate.td_analysis import SimpleTypestateTD
 from repro.typestate.full.atoms import InMust, InMustNot, NotInMust
 from repro.typestate.full.states import FullAbstractState, intern_full_state
+
+from tests.helpers import assert_memo_tables_exact, figure1_program
 
 
 def _flood_program(n=8):
@@ -103,7 +107,7 @@ def test_bu_caches_match_raw_operators():
     assert metrics.rcompose_cache_misses == len(rels)
 
 
-# -- counters are identical with caches on/off ----------------------------------------
+# -- the tables hold exactly what the raw operators compute --------------------------
 class _ReferenceMemo:
     """An analysis whose ``transfer`` goes through a plain
     ``(cmd, sigma)``-keyed memo, counting its hits and misses."""
@@ -126,52 +130,51 @@ class _ReferenceMemo:
         return self._memo[key]
 
 
-@pytest.mark.parametrize("indexed", [True, False])
-def test_work_counters_independent_of_caches(indexed):
-    program = _flood_program()
+@pytest.mark.parametrize("shape", ["flood", "figure1"])
+def test_work_counters_independent_of_caches(shape):
+    program = _flood_program() if shape == "flood" else figure1_program()
     analysis = SimpleTypestateTD(FILE_PROPERTY)
     initial = [bootstrap_state(FILE_PROPERTY)]
-    on = TopDownEngine(
-        program, analysis, enable_caches=True, indexed_summaries=indexed
-    ).run(initial)
     reference = _ReferenceMemo(analysis)
-    off = TopDownEngine(
-        program, reference, enable_caches=False, indexed_summaries=indexed
-    ).run(initial)
-    # The per-command tables hit and miss exactly where one
-    # (cmd, sigma)-keyed memo over the uncached run's transfers does.
-    assert reference.misses > 0 and reference.hits > 0
-    assert on.metrics.transfer_cache_hits == reference.hits
-    assert on.metrics.transfer_cache_misses == reference.misses
-    assert on.td == off.td
-    assert on.metrics.total_work == off.metrics.total_work
-    assert on.metrics.transfers == off.metrics.transfers
-    assert on.metrics.propagations == off.metrics.propagations
-    # The cached engine saw real traffic and every transfer went
-    # through the memo table; the uncached one reports none.
-    assert (
-        on.metrics.transfer_cache_hits + on.metrics.transfer_cache_misses
-        == on.metrics.transfers
+    engine = TopDownEngine(program, reference)
+    result = engine.run(initial)
+    # Under the per-command tables, a (cmd, sigma)-keyed memo is asked
+    # once per distinct transfer and never again: the tables miss
+    # exactly where it misses and answer every repeat themselves.
+    assert reference.misses == result.metrics.transfer_cache_misses > 0
+    assert reference.hits == 0
+    assert result.metrics.transfer_cache_hits > 0
+    assert result.metrics.computed_work < result.metrics.total_work
+    assert_memo_tables_exact(engine, result)
+    # The counters are the analysis's own, not the wrapper's.
+    plain = TopDownEngine(program, analysis).run(initial)
+    assert plain.td == result.td
+    assert plain.metrics == result.metrics
+    assert result.exit_states() == DenotationalInterpreter(program, analysis).run(
+        initial
     )
-    assert off.metrics.cache_hits == 0 and off.metrics.cache_misses == 0
-    assert on.metrics.computed_work < on.metrics.total_work
 
 
 def test_budget_timeout_rows_identical_with_caches_on_off():
-    """The Budget sees raw counters, so a work-limited run stops at the
-    same point — and reports the same totals — with caches on or off."""
+    """The Budget sees raw counters, so a work-limited run stops at a
+    deterministic point: two fresh engines stop at the same totals, and
+    what they tabulated is part of the unbudgeted run's tables."""
     program = _flood_program(16)
     analysis = SimpleTypestateTD(FILE_PROPERTY)
     initial = [bootstrap_state(FILE_PROPERTY)]
     outcomes = []
-    for enable in (True, False):
-        engine = TopDownEngine(
-            program, analysis, budget=Budget(max_work=40), enable_caches=enable
-        )
+    for _ in range(2):
+        engine = TopDownEngine(program, analysis, budget=Budget(max_work=40))
         result = engine.run(initial)
         assert result.timed_out
+        assert_memo_tables_exact(engine, result)
         outcomes.append((result.metrics.total_work, result.td))
     assert outcomes[0] == outcomes[1]
+    full = TopDownEngine(program, analysis).run(initial)
+    assert not full.timed_out
+    assert full.metrics.total_work > outcomes[0][0]
+    for point, pairs in outcomes[0][1].items():
+        assert pairs <= full.td[point], point
 
 
 # -- interning and cached hashes ------------------------------------------------------

@@ -146,36 +146,37 @@ def test_postpone_unseen_can_be_disabled():
     assert eager.exit_states() == td_result.exit_states()
 
 
-# -- hot-path optimizations are invisible (tables, bu map, counters) -----------------
+# -- memo tables and the exit index are invisible (tables, bu map, counters) ---------
 import hypothesis.strategies as st
 from hypothesis import given
 
+from tests.helpers import assert_memo_tables_exact
 from tests.test_property_based import ENGINE_SETTINGS, programs
 
 
 @ENGINE_SETTINGS
 @given(program=programs(), k=st.integers(1, 4), theta=st.integers(1, 3))
 def test_optimized_swift_identical_to_unoptimized(program, k, theta):
+    """SWIFT's TD and BU memo entries are the raw operators' results,
+    its tables agree with TD's and with the denotational reference at
+    main's exit, and a second engine reproduces its tables, bu map and
+    counters exactly."""
     td_analysis = SimpleTypestateTD(FILE_PROPERTY)
     bu_analysis = SimpleTypestateBU(FILE_PROPERTY)
     initial = [bootstrap_state(FILE_PROPERTY)]
-    fast = SwiftEngine(program, td_analysis, bu_analysis, k=k, theta=theta).run(
+    engine = SwiftEngine(program, td_analysis, bu_analysis, k=k, theta=theta)
+    result = engine.run(initial)
+    assert_memo_tables_exact(engine, result)
+    td_engine = TopDownEngine(program, td_analysis)
+    td_result = td_engine.run(initial)
+    assert_memo_tables_exact(td_engine, td_result)
+    oracle = DenotationalInterpreter(program, td_analysis).run(initial)
+    assert result.exit_states() == td_result.exit_states() == oracle
+    again = SwiftEngine(program, td_analysis, bu_analysis, k=k, theta=theta).run(
         initial
     )
-    slow = SwiftEngine(
-        program,
-        td_analysis,
-        bu_analysis,
-        k=k,
-        theta=theta,
-        enable_caches=False,
-        indexed_summaries=False,
-    ).run(initial)
-    assert fast.td == slow.td
-    assert dict(fast.entry_counts) == dict(slow.entry_counts)
+    assert again.td == result.td
+    assert dict(again.entry_counts) == dict(result.entry_counts)
     # ProcedureSummary implements value equality: the bu maps match.
-    assert fast.bu == slow.bu
-    assert fast.metrics.total_work == slow.metrics.total_work
-    assert fast.metrics.bu_triggers == slow.metrics.bu_triggers
-    assert fast.metrics.bu_postponements == slow.metrics.bu_postponements
-    assert slow.metrics.cache_hits == 0 and slow.metrics.cache_misses == 0
+    assert again.bu == result.bu
+    assert again.metrics == result.metrics

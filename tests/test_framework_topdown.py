@@ -74,30 +74,27 @@ def test_summary_counts_by_proc_keys():
     assert result.total_summaries() == sum(by_proc.values())
 
 
-# -- hot-path optimizations are invisible (tables, counts, counters) -----------------
+# -- memo tables and the exit index are invisible (tables, counts, counters) ---------
 from hypothesis import given
 
+from tests.helpers import assert_memo_tables_exact
 from tests.test_property_based import ENGINE_SETTINGS, programs
 
 
 @ENGINE_SETTINGS
 @given(program=programs())
 def test_optimized_td_identical_to_unoptimized(program):
+    """Every memo entry is the raw ``transfer``, the exit index is the
+    scan it replaces, and the tables agree with the denotational
+    reference; a second engine reproduces tables and counters exactly."""
     analysis = SimpleTypestateTD(FILE_PROPERTY)
     initial = [bootstrap_state(FILE_PROPERTY)]
-    fast = TopDownEngine(program, analysis).run(initial)
-    slow = TopDownEngine(
-        program, analysis, enable_caches=False, indexed_summaries=False
-    ).run(initial)
-    assert fast.td == slow.td
-    assert dict(fast.entry_counts) == dict(slow.entry_counts)
-    assert fast.metrics.total_work == slow.metrics.total_work
-    assert fast.metrics.transfers == slow.metrics.transfers
-    assert fast.metrics.propagations == slow.metrics.propagations
-    # Every logical transfer went through the memo table; the ablated
-    # engine reports no cache traffic at all.
-    assert (
-        fast.metrics.transfer_cache_hits + fast.metrics.transfer_cache_misses
-        == fast.metrics.transfers
-    )
-    assert slow.metrics.cache_hits == 0 and slow.metrics.cache_misses == 0
+    engine = TopDownEngine(program, analysis)
+    result = engine.run(initial)
+    assert_memo_tables_exact(engine, result)
+    oracle = DenotationalInterpreter(program, analysis).run(initial)
+    assert result.exit_states() == oracle
+    again = TopDownEngine(program, analysis).run(initial)
+    assert again.td == result.td
+    assert dict(again.entry_counts) == dict(result.entry_counts)
+    assert again.metrics == result.metrics

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.alias import points_to_oracle
+from repro.framework.config import make_config
 from repro.incremental import (
     Codec,
     ProgramFingerprints,
@@ -77,37 +78,35 @@ def test_body_fingerprint_folds_alias_facts():
 
 def test_config_fingerprint_discriminates():
     base_desc, base = config_fingerprint(
-        FILE_PROPERTY, domain="full", engine="swift", k=5, theta=1
+        FILE_PROPERTY, config=make_config(domain="full", engine="swift", k=5, theta=1)
     )
     assert base_desc["property"]["name"] == "File"
     variants = [
-        config_fingerprint(FILE_PROPERTY, domain="full", engine="swift", k=6, theta=1),
-        config_fingerprint(FILE_PROPERTY, domain="full", engine="td"),
-        config_fingerprint(FILE_PROPERTY, domain="simple", engine="swift", k=5, theta=1),
         config_fingerprint(
-            property_by_name("Iterator"), domain="full", engine="swift", k=5, theta=1
+            FILE_PROPERTY, config=make_config(domain="full", engine="swift", k=6)
+        ),
+        config_fingerprint(FILE_PROPERTY, config=make_config(domain="full", engine="td")),
+        config_fingerprint(
+            FILE_PROPERTY, config=make_config(domain="simple", engine="swift", k=5)
+        ),
+        config_fingerprint(
+            property_by_name("Iterator"),
+            config=make_config(domain="full", engine="swift", k=5, theta=1),
         ),
         config_fingerprint(
             FILE_PROPERTY,
-            domain="full",
-            engine="swift",
-            k=5,
-            theta=1,
-            tracked_sites=["h1"],
+            config=make_config(
+                domain="full", engine="swift", k=5, theta=1, tracked_sites=["h1"]
+            ),
         ),
     ]
     fps = {base} | {fp for _, fp in variants}
     assert len(fps) == len(variants) + 1
-    # Same inputs, same fingerprint (and flag order is irrelevant).
+    # Same inputs, same fingerprint.
     again = config_fingerprint(
-        FILE_PROPERTY, domain="full", engine="swift", k=5, theta=1,
-        flags={"b": 1, "a": 2},
+        FILE_PROPERTY, config=make_config(domain="full", engine="swift", k=5, theta=1)
     )
-    swapped = config_fingerprint(
-        FILE_PROPERTY, domain="full", engine="swift", k=5, theta=1,
-        flags={"a": 2, "b": 1},
-    )
-    assert again[1] == swapped[1]
+    assert again == (base_desc, base)
 
 
 # -- codec --------------------------------------------------------------------------
@@ -147,7 +146,8 @@ def _snapshot_for(program, engine="swift", domain="full"):
     _, bu_analysis, _ = make_analyses(program, FILE_PROPERTY, domain)
     codec = Codec(domain, bu_analysis)
     config, config_fp = config_fingerprint(
-        FILE_PROPERTY, domain=domain, engine=engine, k=5, theta=1
+        FILE_PROPERTY,
+        config=make_config(domain=domain, engine=engine, k=5, theta=1),
     )
     report = run_typestate(program, FILE_PROPERTY, engine=engine, domain=domain)
     fps = ProgramFingerprints(program)
@@ -693,7 +693,8 @@ def test_warm_caches_never_serve_a_file_another_writer_replaced(tmp_path):
     _, bu_analysis, _ = make_analyses(program, FILE_PROPERTY, "simple")
     codec = Codec("simple", bu_analysis)
     config, config_fp = config_fingerprint(
-        FILE_PROPERTY, domain="simple", engine="swift", k=5, theta=1
+        FILE_PROPERTY,
+        config=make_config(domain="simple", engine="swift", k=5, theta=1),
     )
     fps = ProgramFingerprints(program)
     report = run_typestate(program, FILE_PROPERTY, engine="swift", domain="simple")

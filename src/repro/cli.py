@@ -337,55 +337,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
 
 
-def cmd_query_point(args: argparse.Namespace) -> int:
+def cmd_query(args: argparse.Namespace) -> int:
+    """``query-point`` (one target) and ``query-batch`` (several): the
+    same demand run, each with its own header."""
     from repro.incremental import SummaryStore
-    from repro.query import QueryError, run_query
+    from repro.query import QueryError, run_query, run_query_batch
     from repro.typestate.client import encode_answer
 
     config = _config(args)
     program = load_program(args.file)
+    batch = args.command == "query-batch"
     try:
-        outcome = run_query(
-            program,
-            property_by_name(args.property),
-            SummaryStore(args.store),
-            args.target,
-            args.kind,
-            config,
-            query_precision=args.query_precision,
-        )
-    except QueryError as exc:
-        print(f"query error: {exc}")
-        return 2
-    start = "cold" if outcome.cold else "warm"
-    print(
-        f"{args.property}: demand {outcome.target} ({outcome.kind}), "
-        f"{start} store, cone={outcome.cone_size}/{len(program)} "
-        f"frontier={outcome.frontier_size} "
-        f"hits={outcome.store_hits} misses={outcome.store_misses} "
-        f"work={outcome.total_work} "
-        f"out-of-cone-rows={outcome.out_of_cone_interior_rows} "
-        f"frontier-snapshot={outcome.frontier_snapshot} "
-        f"store-load={outcome.store_load_seconds:.6f}s"
-    )
-    return _print_verdict(
-        args.property,
-        encode_answer(outcome.kind, outcome.answer),
-        kind=outcome.kind,
-        at=outcome.target,
-        timed_out=outcome.timed_out,
-    )
-
-
-def cmd_query_batch(args: argparse.Namespace) -> int:
-    from repro.incremental import SummaryStore
-    from repro.query import QueryError, run_query_batch
-    from repro.typestate.client import encode_answer
-
-    config = _config(args)
-    program = load_program(args.file)
-    try:
-        outcome = run_query_batch(
+        outcome = (run_query_batch if batch else run_query)(
             program,
             property_by_name(args.property),
             SummaryStore(args.store),
@@ -398,6 +361,24 @@ def cmd_query_batch(args: argparse.Namespace) -> int:
         print(f"query error: {exc}")
         return 2
     start = "cold" if outcome.cold else "warm"
+    if not batch:
+        print(
+            f"{args.property}: demand {outcome.target} ({outcome.kind}), "
+            f"{start} store, cone={outcome.cone_size}/{len(program)} "
+            f"frontier={outcome.frontier_size} "
+            f"hits={outcome.store_hits} misses={outcome.store_misses} "
+            f"work={outcome.total_work} "
+            f"out-of-cone-rows={outcome.out_of_cone_interior_rows} "
+            f"frontier-snapshot={outcome.frontier_snapshot} "
+            f"store-load={outcome.store_load_seconds:.6f}s"
+        )
+        return _print_verdict(
+            args.property,
+            encode_answer(outcome.kind, outcome.answer),
+            kind=outcome.kind,
+            at=outcome.target,
+            timed_out=outcome.timed_out,
+        )
     print(
         f"{args.property}: batch demand {len(outcome.plan.targets)} target(s) "
         f"({outcome.kind}), {start} store, "
@@ -655,14 +636,13 @@ def _add_config_flags(
         )
 
 
-#: ``--kind`` choices of the demand-query verbs.
-_KINDS = ["errors", "summaries", "entries"]
 _KIND_HELP = "question asked: error reachability, summary pairs, entry states"
 _WORK_BUDGET = "work budget"
 
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.framework.registry import ENGINES
+    from repro.typestate.client import QUERY_KINDS, QUERY_PRECISIONS
 
     engines = ENGINES.names()
     # Verbs that read or write the summary store take the engines with
@@ -721,53 +701,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.set_defaults(fn=cmd_analyze)
 
-    query_point = sub.add_parser(
-        "query-point",
-        help="demand query: analyze only the target's cone, reusing the store",
-    )
-    query_point.add_argument("file")
-    query_point.add_argument(
-        "target", help="procedure name, or proc:index for one program point"
-    )
-    query_point.add_argument(
-        "--store", required=True, metavar="DIR", help="store directory"
-    )
-    query_point.add_argument(
-        "--kind", choices=_KINDS, default="errors", help=_KIND_HELP
-    )
-    _add_config_flags(query_point, preload_engines, budget=_WORK_BUDGET)
-    query_point.add_argument(
-        "--query-precision",
-        choices=["td", "swift"],
-        default="td",
-        help="td pins the cone to reference precision; swift leaves "
-        "BU triggers live inside the cone",
-    )
-    query_point.set_defaults(fn=cmd_query_point)
-
-    query_batch = sub.add_parser(
-        "query-batch",
-        help="batch demand query: one warm-start solve per connected "
-        "cone-union component, per-target verdicts identical to query-point",
-    )
-    query_batch.add_argument("file")
-    query_batch.add_argument(
-        "targets",
-        nargs="+",
-        metavar="target",
-        help="procedure names and/or proc:index points",
-    )
-    query_batch.add_argument(
-        "--store", required=True, metavar="DIR", help="store directory"
-    )
-    query_batch.add_argument(
-        "--kind", choices=_KINDS, default="errors", help=_KIND_HELP
-    )
-    _add_config_flags(query_batch, preload_engines, budget=_WORK_BUDGET)
-    query_batch.add_argument(
-        "--query-precision", choices=["td", "swift"], default="td"
-    )
-    query_batch.set_defaults(fn=cmd_query_batch)
+    for verb, verb_help, nargs, target_help in (
+        (
+            "query-point",
+            "demand query: analyze only the target's cone, reusing the store",
+            None,
+            "procedure name, or proc:index for one program point",
+        ),
+        (
+            "query-batch",
+            "batch demand query: one warm-start solve per connected "
+            "cone-union component, per-target verdicts identical to query-point",
+            "+",
+            "procedure names and/or proc:index points",
+        ),
+    ):
+        query = sub.add_parser(verb, help=verb_help)
+        query.add_argument("file")
+        query.add_argument(
+            "targets", nargs=nargs, metavar="target", help=target_help
+        )
+        query.add_argument(
+            "--store", required=True, metavar="DIR", help="store directory"
+        )
+        query.add_argument(
+            "--kind", choices=QUERY_KINDS, default="errors", help=_KIND_HELP
+        )
+        _add_config_flags(query, preload_engines, budget=_WORK_BUDGET)
+        query.add_argument(
+            "--query-precision",
+            choices=QUERY_PRECISIONS,
+            default="td",
+            help="td pins the cone to reference precision; swift leaves "
+            "BU triggers live inside the cone",
+        )
+        query.set_defaults(fn=cmd_query)
 
     serve = sub.add_parser(
         "serve", help="run the resident analysis service (daemon)"
@@ -851,11 +819,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="procedure name, or proc:index for one program point; "
         "repeat for a batch (one solve per connected cone component)",
     )
-    demand.add_argument("--kind", choices=_KINDS, default="errors")
+    demand.add_argument("--kind", choices=QUERY_KINDS, default="errors")
     _add_config_flags(demand, preload_engines)
-    demand.add_argument(
-        "--precision", choices=["td", "swift"], default="td"
-    )
+    demand.add_argument("--precision", choices=QUERY_PRECISIONS, default="td")
 
     stats = client_sub.add_parser("stats", help="service counters as JSON")
     _client_common(stats, with_file=False)

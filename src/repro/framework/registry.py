@@ -25,6 +25,7 @@ stays importable from anywhere in the framework without cycles.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Tuple
 
@@ -127,6 +128,15 @@ class DomainSpec:
     is_finite: bool = True
 
     def build(self, program: Program, **options) -> DomainInstance:
+        """The domain for ``program``; an option the builder does not
+        take is refused naming the domain and the options it does."""
+        accepted = list(inspect.signature(self.builder).parameters)[1:]
+        unknown = sorted(set(options) - set(accepted))
+        if unknown:
+            raise ValueError(
+                f"the {self.name!r} domain takes no option(s) {unknown}; "
+                f"its options are {accepted}"
+            )
         return self.builder(program, **options)
 
 

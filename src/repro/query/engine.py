@@ -1,11 +1,13 @@
 """Cone-restricted solves: answer one question, analyze one cone.
 
 :func:`run_query` is the demand-driven counterpart of
-:func:`repro.incremental.driver.analyze_with_store`.  It computes the
-target's backward-slice cone (:mod:`repro.query.slice`), loads the
-store snapshot for the *same* config fingerprint a whole-program
-``analyze --store`` run would use, and runs the configured engine with
-a **trimmed** warm start:
+:func:`repro.incremental.driver.analyze_with_store`.  It plans the
+target as a batch of one (:func:`~repro.query.slice.plan_batch`, which
+takes the target's backward-slice cone from
+:func:`~repro.query.slice.compute_cone`), loads the store snapshot for
+the *same* config fingerprint a whole-program ``analyze --store`` run
+would use, and runs the configured engine with a **trimmed** warm
+start:
 
 * stored contexts and bottom-up summaries are preloaded **only for
   out-of-cone procedures** (and only when their fingerprints survived
@@ -58,7 +60,7 @@ from __future__ import annotations
 import time
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.framework.config import AnalysisConfig, make_config
 from repro.framework.session import analysis_session
@@ -85,24 +87,16 @@ from repro.incremental.store import (
 from repro.ir.cfg import ControlFlowGraphs, ProgramPoint, program_cfgs
 from repro.ir.program import Program
 from repro.query.slice import (
+    BatchComponent,
+    BatchPlan,
     QueryCone,
     QueryError,
     QueryTarget,
     TargetSpec,
-    compute_cone,
-    resolve_target,
+    plan_batch,
 )
+from repro.typestate.client import QUERY_KINDS, QUERY_PRECISIONS
 from repro.typestate.dfa import TypestateProperty
-
-#: The typed questions a demand query can ask.
-QUERY_KINDS = ("errors", "summaries", "entries")
-
-
-#: The precision modes a query can run at: ``"td"`` pins the cone to
-#: reference (top-down) precision; ``"swift"`` leaves BU triggers live
-#: inside the cone (the engine's own hybrid verdict).
-QUERY_PRECISIONS = ("td", "swift")
-
 
 def check_query_mode(kind: str, query_precision: str) -> None:
     """Refuse an unknown query kind or precision (:class:`QueryError`)."""
@@ -466,16 +460,94 @@ def _extract_answer(kind: str, target: QueryTarget, session_out) -> FrozenSet:
 
 
 @dataclass
-class ConeSolve:
-    """One finished cone-restricted engine run (shared by the single-
-    target path and the batch planner's per-component solves)."""
+class ComponentOutcome:
+    """What one plan component's cone solve did (or why it was skipped)."""
 
-    session_out: object = field(repr=False, default=None)
-    result: object = field(repr=False, default=None)
-    cold: bool = True
-    frontier_snapshot: str = "cold"
+    index: int
+    targets: Tuple[QueryTarget, ...]
+    cone_size: int
+    frontier_size: int
+    solved: bool = False  # False ⇒ empty solve cone, zero-cost answer
+    cold: bool = False
+    frontier_snapshot: str = "none"
     store_load_seconds: float = 0.0
+    store_hits: int = 0
+    store_misses: int = 0
+    store_invalidated: int = 0
+    total_work: int = 0
     out_of_cone_interior_rows: int = 0
+    timed_out: bool = False
+    session_out: object = field(repr=False, default=None)  # the finished run
+
+
+@dataclass
+class BatchOutcome:
+    """N answered targets out of ``n_solves`` cone solves."""
+
+    kind: str
+    config_fp: str
+    plan: BatchPlan = field(repr=False, default=None)
+    answers: Dict[QueryTarget, FrozenSet] = field(default_factory=dict)
+    components: List[ComponentOutcome] = field(default_factory=list)
+    query_precision: str = "td"
+
+    def answer_for(self, target: TargetSpec) -> FrozenSet:
+        if isinstance(target, QueryTarget):
+            return self.answers[target]
+        for resolved, answer in self.answers.items():
+            if str(resolved) == str(target).strip():
+                return answer
+        raise KeyError(f"target {target} not in this batch")
+
+    @property
+    def batch_components(self) -> int:
+        return len(self.components)
+
+    @property
+    def solves(self) -> int:
+        return sum(1 for c in self.components if c.solved)
+
+    @property
+    def frontier_snapshot_hits(self) -> int:
+        return sum(1 for c in self.components if c.frontier_snapshot == "hit")
+
+    @property
+    def total_work(self) -> int:
+        return sum(c.total_work for c in self.components)
+
+    @property
+    def store_load_seconds(self) -> float:
+        return sum(c.store_load_seconds for c in self.components)
+
+    @property
+    def out_of_cone_interior_rows(self) -> int:
+        return sum(c.out_of_cone_interior_rows for c in self.components)
+
+    @property
+    def cold(self) -> bool:
+        return any(c.cold for c in self.components if c.solved)
+
+    @property
+    def timed_out(self) -> bool:
+        return any(c.timed_out for c in self.components)
+
+    def attribution(self) -> List[dict]:
+        """Per-target rows: which component answered each target."""
+        by_index = {c.index: c for c in self.components}
+        rows = []
+        for target in self.plan.targets:
+            component = self.plan.component_of(target)
+            outcome = by_index[component.index]
+            rows.append(
+                {
+                    "target": str(target),
+                    "component": component.index,
+                    "cone": outcome.cone_size,
+                    "solved": outcome.solved,
+                    "answer_size": len(self.answers[target]),
+                }
+            )
+        return rows
 
 
 def solve_cone(
@@ -485,21 +557,30 @@ def solve_cone(
     config: AnalysisConfig,
     run: StoreRun,
     cfgs: ControlFlowGraphs,
-    cone: FrozenSet[str],
-    frontier: FrozenSet[str],
+    component: BatchComponent,
     cache: WarmCache,
     query_precision: str = "td",
-) -> ConeSolve:
-    """Run one cone-restricted solve and account for its cost.
+) -> ComponentOutcome:
+    """Run one component's cone-restricted solve and account for its cost.
 
-    ``cone`` is tabulated fresh; ``frontier`` is preloaded from the
-    store snapshot's frontier view.  ``run`` is the config's
-    :func:`~repro.incremental.driver.prepare_store_run` preamble.
+    The solve cone is tabulated fresh; its frontier is preloaded from
+    the store snapshot's frontier view.  ``run`` is the config's
+    :func:`~repro.incremental.driver.prepare_store_run` preamble.  A
+    component with an empty solve cone is not run at all.
     """
+    outcome = ComponentOutcome(
+        index=component.index,
+        targets=component.targets,
+        cone_size=len(component.solve_cone),
+        frontier_size=len(component.frontier),
+    )
+    if not component.solvable:
+        return outcome
+    cone = component.solve_cone
     load_started = time.perf_counter()
-    plan, warm, source = _load_query_warm(
-        store, run.config_fp, run.fingerprints, run.codec, cone, frontier,
-        cfgs, cache,
+    _, warm, source = _load_query_warm(
+        store, run.config_fp, run.fingerprints, run.codec, cone,
+        component.frontier, cfgs, cache,
     )
     store_load_seconds = time.perf_counter() - load_started
 
@@ -510,25 +591,76 @@ def solve_cone(
         prop=prop,
         oracle=run.oracle,
     )
-    result = session_out.result
-    result.metrics.store_load_seconds += store_load_seconds
+    metrics = session_out.result.metrics
+    metrics.store_load_seconds += store_load_seconds
 
     out_rows = 0
-    for point, pairs in result.td.items():
+    for point, pairs in session_out.result.td.items():
         if point.proc in cone:
             continue
         if point.index == 0 or point == cfgs.exit(point.proc):
             continue
         out_rows += len(pairs)
 
-    return ConeSolve(
-        session_out=session_out,
-        result=result,
-        cold=source == "cold",
-        frontier_snapshot=source,
-        store_load_seconds=store_load_seconds,
-        out_of_cone_interior_rows=out_rows,
+    outcome.solved = True
+    outcome.cold = source == "cold"
+    outcome.frontier_snapshot = source
+    outcome.store_load_seconds = store_load_seconds
+    outcome.store_hits = metrics.store_hits
+    outcome.store_misses = metrics.store_misses
+    outcome.store_invalidated = metrics.store_invalidated
+    outcome.total_work = metrics.total_work
+    outcome.out_of_cone_interior_rows = out_rows
+    outcome.timed_out = session_out.timed_out
+    outcome.session_out = session_out
+    return outcome
+
+
+def _answer(
+    program: Program,
+    prop: TypestateProperty,
+    store: SummaryStore,
+    targets: Sequence[TargetSpec],
+    kind: str,
+    config: Optional[AnalysisConfig],
+    warm_cache: Optional[WarmCache],
+    query_precision: str,
+    fields: dict,
+) -> BatchOutcome:
+    """Plan ``targets``, solve each solvable component, read the answers.
+
+    The one demand path under :func:`run_query` (a plan of one target)
+    and :func:`~repro.query.batch.run_query_batch`.
+    """
+    check_query_mode(kind, query_precision)
+    config = make_config(config, {"domain": "simple"}, **fields)
+    run = prepare_store_run(program, prop, config)
+    cache = warm_cache if warm_cache is not None else _WARM_CACHE
+    cfgs = program_cfgs(program)
+    plan = plan_batch(program, targets, cfgs)
+    outcome = BatchOutcome(
+        kind=kind,
+        config_fp=run.config_fp,
+        plan=plan,
+        query_precision=query_precision,
     )
+    for component in plan.components:
+        record = solve_cone(
+            program, prop, store, config, run, cfgs, component, cache,
+            query_precision=query_precision,
+        )
+        outcome.components.append(record)
+        for target in component.targets:
+            if record.session_out is None:
+                # Unreachable from main: the whole-program analysis has
+                # no rows at the target, so the empty answer is exact —
+                # for every kind — and free.
+                outcome.answers[target] = frozenset()
+            else:
+                outcome.answers[target] = _extract_answer(
+                    kind, target, record.session_out
+                )
+    return outcome
 
 
 def run_query(
@@ -561,57 +693,37 @@ def run_query(
     snapshots populated by ``analyze --store`` (or the service) are
     what queries consume; an empty or fully-invalidated store degrades
     to solving the cone cold, never to an error.  Queries never save.
+    The query is a one-target batch plan: its answer and its work and
+    store counters are those of
+    :func:`~repro.query.batch.run_query_batch` on ``[target]``.
     """
-    check_query_mode(kind, query_precision)
-    config = make_config(config, {"domain": "simple"}, **fields)
-    run = prepare_store_run(program, prop, config)
-    cache = warm_cache if warm_cache is not None else _WARM_CACHE
-
-    cfgs = program_cfgs(program)
-    resolved = resolve_target(program, target, cfgs)
-    cone = compute_cone(program, resolved)
-
-    if not cone.cone:
-        # Unreachable from main: the whole-program analysis has no rows
-        # at the target, so the empty answer is exact — and free.
-        return QueryOutcome(
-            kind=kind,
-            target=resolved,
-            answer=frozenset(),
-            cone=cone,
-            config_fp=run.config_fp,
-            query_precision=query_precision,
-        )
-
-    solve = solve_cone(
-        program,
-        prop,
-        store,
-        config,
-        run,
-        cfgs,
-        cone.cone,
-        cone.frontier,
-        cache,
-        query_precision=query_precision,
+    batch = _answer(
+        program, prop, store, [target], kind, config, warm_cache,
+        query_precision, fields,
     )
-    metrics = solve.result.metrics
-
+    (component,) = batch.components
+    (resolved,) = component.targets
+    solved = {}
+    if component.solved:
+        # An unreachable target keeps the cold, zero-cost defaults.
+        solved = dict(
+            cold=component.cold,
+            store_hits=component.store_hits,
+            store_misses=component.store_misses,
+            store_invalidated=component.store_invalidated,
+            total_work=component.total_work,
+            out_of_cone_interior_rows=component.out_of_cone_interior_rows,
+            timed_out=component.timed_out,
+            store_load_seconds=component.store_load_seconds,
+            frontier_snapshot=component.frontier_snapshot,
+            result=component.session_out.result,
+        )
     return QueryOutcome(
         kind=kind,
         target=resolved,
-        answer=_extract_answer(kind, resolved, solve.session_out),
-        cone=cone,
-        config_fp=run.config_fp,
-        cold=solve.cold,
-        store_hits=metrics.store_hits,
-        store_misses=metrics.store_misses,
-        store_invalidated=metrics.store_invalidated,
-        total_work=metrics.total_work,
-        out_of_cone_interior_rows=solve.out_of_cone_interior_rows,
-        timed_out=solve.session_out.timed_out,
-        store_load_seconds=solve.store_load_seconds,
-        frontier_snapshot=solve.frontier_snapshot,
+        answer=batch.answers[resolved],
+        cone=batch.plan.cones[resolved],
+        config_fp=batch.config_fp,
         query_precision=query_precision,
-        result=solve.result,
+        **solved,
     )

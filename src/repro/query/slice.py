@@ -22,6 +22,10 @@ leaves it.  The procedures those edges land on are the cone's
 and they are exactly the places a cone-restricted solve may satisfy
 from stored summaries (see DESIGN §13 for the soundness argument).
 
+:func:`plan_batch` plans the solves of any set of targets from their
+cones: targets whose caller closures overlap share one solve of the
+union of their cones.  A point query is the plan of one target.
+
 Malformed targets raise :class:`UnknownTargetError` (a ``ValueError``
 subclass), never an engine crash: queries arrive from CLI arguments
 and service requests, so "no such procedure" is an answer, not a bug.
@@ -30,10 +34,20 @@ and service requests, so "no such procedure" is an answer, not a bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Union
+from typing import (
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.callgraph.scc import condensation
-from repro.ir.cfg import ControlFlowGraphs, ProgramPoint
+from repro.ir.cfg import ControlFlowGraphs, ProgramPoint, program_cfgs
 from repro.ir.program import Program
 
 
@@ -132,7 +146,9 @@ class QueryCone:
     ``cone`` — procedures the solve must tabulate; ``frontier`` —
     out-of-cone procedures called directly from the cone (candidates
     for stored-summary reuse); ``reachable`` — everything ``main``
-    reaches (cone ⊆ reachable).  An empty cone means the target is
+    reaches (cone ⊆ reachable); ``callers`` — the target's whole
+    caller closure, before the ``reachable`` restriction (cone =
+    callers ∩ reachable).  An empty cone means the target is
     unreachable from ``main``: the whole-program analysis has no rows
     there, so the query short-circuits to the safe empty answer.
     """
@@ -141,6 +157,7 @@ class QueryCone:
     cone: FrozenSet[str]
     frontier: FrozenSet[str]
     reachable: FrozenSet[str]
+    callers: FrozenSet[str]
 
     @property
     def size(self) -> int:
@@ -150,6 +167,20 @@ class QueryCone:
         return self.reachable - self.cone
 
 
+def _caller_sccs(program: Program) -> Tuple[Tuple[int, ...], ...]:
+    """The condensation's reverse edges, built once per program."""
+
+    def build():
+        cond = condensation(program)
+        reverse: List[List[int]] = [[] for _ in range(len(cond))]
+        for i in range(len(cond)):
+            for j in cond.callee_sccs(i):
+                reverse[j].append(i)
+        return tuple(map(tuple, reverse))
+
+    return program.memo("caller_sccs", build)
+
+
 def compute_cone(program: Program, target: QueryTarget) -> QueryCone:
     """The backward-slice cone of ``target`` (see module docstring)."""
     if target.proc not in program:
@@ -157,11 +188,7 @@ def compute_cone(program: Program, target: QueryTarget) -> QueryCone:
             f"no procedure named {target.proc!r} in the program"
         )
     cond = condensation(program)
-    n = len(cond.sccs)
-    reverse = [[] for _ in range(n)]
-    for i in range(n):
-        for j in cond.callee_sccs(i):
-            reverse[j].append(i)
+    reverse = _caller_sccs(program)
     start = cond.scc_index(target.proc)
     seen = {start}
     stack = [start]
@@ -171,15 +198,133 @@ def compute_cone(program: Program, target: QueryTarget) -> QueryCone:
             if j not in seen:
                 seen.add(j)
                 stack.append(j)
-    callers = set()
-    for i in seen:
-        callers.update(cond.members(i))
-    reachable = program.reachable_from(program.main)
-    cone = frozenset(callers) & reachable
+    callers = frozenset(proc for i in seen for proc in cond.members(i))
+    reachable = program.memo(
+        "reachable_from_main", lambda: program.reachable_from(program.main)
+    )
+    cone = callers & reachable
     frontier = frozenset(
         callee
         for proc in cone
         for callee in program.callees(proc)
         if callee not in cone
     )
-    return QueryCone(target, cone, frontier, reachable)
+    return QueryCone(target, cone, frontier, reachable, callers)
+
+
+# -- batch planning ---------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BatchComponent:
+    """One connected component of the batch's caller-closure union."""
+
+    index: int
+    targets: Tuple[QueryTarget, ...]  # targets answered by this solve
+    procs: FrozenSet[str]  # closure members (may include unreachable)
+    solve_cone: FrozenSet[str]  # procs ∩ reachable — what the solve tabulates
+    frontier: FrozenSet[str]  # out-of-cone direct callees of the solve cone
+
+    @property
+    def solvable(self) -> bool:
+        """Empty solve cone ⇒ every target is unreachable from main:
+        the exact answer is empty and no engine run is needed."""
+        return bool(self.solve_cone)
+
+
+@dataclass(frozen=True)
+class BatchPlan:
+    """The solve schedule for one batch of targets."""
+
+    targets: Tuple[QueryTarget, ...]  # resolved, input order, deduplicated
+    components: Tuple[BatchComponent, ...]
+    reachable: FrozenSet[str]
+    cones: Mapping[QueryTarget, QueryCone]  # each target's own cone
+
+    @property
+    def n_components(self) -> int:
+        return len(self.components)
+
+    @property
+    def n_solves(self) -> int:
+        return sum(1 for c in self.components if c.solvable)
+
+    def component_of(self, target: QueryTarget) -> BatchComponent:
+        for component in self.components:
+            if target in component.targets:
+                return component
+        raise KeyError(f"target {target} not in this plan")
+
+
+def plan_batch(
+    program: Program,
+    targets: Sequence[TargetSpec],
+    cfgs: Optional[ControlFlowGraphs] = None,
+) -> BatchPlan:
+    """Resolve ``targets`` and partition them into solve components.
+
+    A point query is the plan of one target.  For N targets:
+
+    1. **Caller closures.**  Each target's closure is its
+       :func:`compute_cone`'s ``callers`` — *without* the
+       reachable-from-``main`` restriction, which would glue every
+       reachable target's closure together through ``main`` and defeat
+       the partition.
+    2. **Connected components.**  A closure is caller-closed, so a call
+       edge between two closures has both ends in both: closures touch
+       exactly where they overlap, and the union's connected
+       components are the overlap classes.  Overlapping closures are
+       solved together — one warm-start solve covers both cones.  A
+       target in a detached subsystem (unreachable from ``main``)
+       never pays for the main program's cone.
+    3. **One solve cone per component**: the union of its targets'
+       cones, with their frontiers minus that union as its frontier.
+       It is caller-closed within the reachable program, the property
+       the single-cone soundness argument needs (DESIGN §13).  A
+       component whose solve cone is empty holds only unreachable
+       targets: its answer is the exact empty verdict at zero cost.
+
+    Deterministic: duplicate target specs collapse to one resolved
+    target, a component lists its targets in input order, and
+    components are ordered by their smallest member SCC index.
+    """
+    if not targets:
+        raise QueryError("empty batch: need at least one query target")
+    if cfgs is None:
+        cfgs = program_cfgs(program)
+    cones: Dict[QueryTarget, QueryCone] = {}
+    for spec in targets:
+        target = resolve_target(program, spec, cfgs)
+        if target not in cones:
+            cones[target] = compute_cone(program, target)
+
+    groups: List[Set[str]] = []
+    for cone in cones.values():
+        procs = set(cone.callers)
+        for group in [g for g in groups if not procs.isdisjoint(g)]:
+            groups.remove(group)
+            procs |= group
+        groups.append(procs)
+    scc_index = condensation(program).scc_index
+    groups.sort(key=lambda procs: min(map(scc_index, procs)))
+
+    components: List[BatchComponent] = []
+    for index, procs in enumerate(groups):
+        members = [cone for cone in cones.values() if cone.target.proc in procs]
+        solve_cone = frozenset().union(*(cone.cone for cone in members))
+        frontier = frozenset().union(*(cone.frontier for cone in members))
+        components.append(
+            BatchComponent(
+                index=index,
+                targets=tuple(cone.target for cone in members),
+                procs=frozenset(procs),
+                solve_cone=solve_cone,
+                frontier=frontier - solve_cone,
+            )
+        )
+    return BatchPlan(
+        targets=tuple(cones),
+        components=tuple(components),
+        reachable=next(iter(cones.values())).reachable,
+        cones=cones,
+    )

@@ -36,10 +36,12 @@ substrate hot between them:
   config, and ``query``'s ``snapshot`` / ``resident`` mean "this
   lineage has a snapshot / decoded entry this version warm-starts
   from", not "this exact version was saved".
-* **Request coalescing** — concurrent requests for the same
-  (program, config) key collapse into one solve; the leader runs, the
-  waiters block on its completion event and fan out the same response
-  (marked ``"coalesced": true``).
+* **Request coalescing** — one flight table: concurrent requests for
+  the same key collapse into one solve; the leader runs, the waiters
+  block on its completion event and fan out the same response (marked
+  ``"coalesced": true``).  An analyze or edit keys on (program,
+  config); a demand adds its kind, precision and response shape, and
+  joins a flight whose targets cover its own.
 * **Trace streaming** — a request with ``"trace": true`` gets the
   engine's :mod:`repro.framework.tracing` events streamed back over
   its own connection as they happen (only the coalescing leader's
@@ -62,7 +64,7 @@ import hashlib
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.framework.config import AnalysisConfig, make_config
 from repro.framework.session import analysis_session
@@ -111,11 +113,17 @@ class StreamSink(TraceSink):
 
 
 class _InFlight:
-    """One in-progress solve other requests may coalesce onto."""
+    """One in-progress solve other requests may coalesce onto.
 
-    __slots__ = ("done", "response")
+    ``targets`` is what the solve answers: empty for an analyze, the
+    demand's target strings otherwise.  A request may wait on a flight
+    under its own key whose targets cover its own.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("targets", "done", "response")
+
+    def __init__(self, targets: FrozenSet[str]) -> None:
+        self.targets = targets
         self.done = threading.Event()
         self.response: Optional[dict] = None
 
@@ -192,11 +200,9 @@ class AnalysisService:
         self._drained = threading.Condition(self._lock)
         self._active = 0
         self._closing = False
-        self._inflight: Dict[Tuple[str, str], _InFlight] = {}
-        # In-flight demand batches, keyed by (digest, config_fp, kind,
-        # precision); each entry is the batch's target-string set plus
-        # its flight, so an overlapping (subset) batch can coalesce.
-        self._demand_inflight: Dict[tuple, list] = {}
+        # The one flight table: (digest, config fp) for analyze and
+        # edit, plus (kind, precision, response shape) for demands.
+        self._inflight: Dict[tuple, List[_InFlight]] = {}
         self._programs = LruCache(program_cache_size)  # text hash -> Program
         self._results = LruCache(result_cache_size)  # (digest, config fp) -> dict
         self._started = time.time()
@@ -245,22 +251,22 @@ class AnalysisService:
             if op == "stats":
                 return ok_response("stats", request_id, **self.stats())
             return self._shutdown(request)
-        except ProtocolError as exc:
-            with self._lock:
-                self.errors += 1
-            return error_response(str(exc), op=op, request_id=request_id)
         except Exception as exc:  # a bug must not take the daemon down
-            with self._lock:
-                self.errors += 1
-            return error_response(
-                f"internal error: {type(exc).__name__}: {exc}",
-                op=op,
-                request_id=request_id,
-            )
+            return self._failure(exc, op, request_id)
         finally:
             with self._drained:
                 self._active -= 1
                 self._drained.notify_all()
+
+    def _failure(self, exc: Exception, op: str, request_id=None) -> dict:
+        """The error response for ``exc``: a :class:`ProtocolError` is
+        the client's, anything else an internal error."""
+        with self._lock:
+            self.errors += 1
+        message = str(exc)
+        if not isinstance(exc, ProtocolError):
+            message = f"internal error: {type(exc).__name__}: {message}"
+        return error_response(message, op=op, request_id=request_id)
 
     def _shutdown(self, request) -> dict:
         with self._drained:
@@ -307,55 +313,71 @@ class AnalysisService:
         """The store of one program lineage (see :func:`program_lineage`)."""
         return SummaryStore(self.root / lineage[:_SHARD_CHARS])
 
+    def _coalesce(
+        self, request, key: tuple, targets: FrozenSet[str], solve, project=None
+    ) -> dict:
+        """Run ``solve()`` once for every request that joins its flight.
+
+        The first request under ``key`` leads: it runs ``solve`` and
+        publishes the response (an error response if ``solve`` raised).
+        A request arriving while a flight under ``key`` covers its
+        ``targets`` waits for that response instead of solving again,
+        and answers with ``project(response)`` (its own slice of a
+        wider answer), marked ``"coalesced": true``.
+        """
+        op = request["op"]
+        request_id = request.get("id")
+        with self._lock:
+            flights = self._inflight.setdefault(key, [])
+            flight = next((f for f in flights if targets <= f.targets), None)
+            leader = flight is None
+            if leader:
+                flight = _InFlight(targets)
+                flights.append(flight)
+            elif op == "demand":
+                self.demand_coalesced += 1
+            else:
+                self.coalesced += 1
+        if not leader:
+            flight.done.wait()
+            out = dict(flight.response)
+            if out.get("ok") and project is not None:
+                out = project(out)
+            out.update({"coalesced": True, "op": op, "id": request_id})
+            if request_id is None:
+                out.pop("id", None)
+            return out
+
+        response = error_response("solve did not complete", op=op)
+        try:
+            response = solve()
+        except Exception as exc:
+            response = self._failure(exc, op)
+        finally:
+            with self._lock:
+                flights.remove(flight)
+                if not flights:
+                    del self._inflight[key]
+            flight.response = response
+            flight.done.set()
+        out = dict(response)
+        if request_id is not None:
+            out["id"] = request_id
+        return out
+
     # -- analyze / edit -----------------------------------------------------------------
     def _analyze(self, request, emit) -> dict:
         program, digest = self._program(request)
         prop, config = self._prop_and_config(request)
         _, config_fp = config_fingerprint(prop, config=config)
-        key = (digest, config_fp)
-        request_id = request.get("id")
-
-        flight: Optional[_InFlight] = None
-        leader = False
-        with self._lock:
-            flight = self._inflight.get(key)
-            if flight is None:
-                flight = _InFlight()
-                self._inflight[key] = flight
-                leader = True
-            else:
-                self.coalesced += 1
-        if not leader:
-            flight.done.wait()
-            response = dict(flight.response)
-            response.update(
-                {"coalesced": True, "op": request["op"], "id": request_id}
-            )
-            if request_id is None:
-                response.pop("id", None)
-            return response
-
-        response = error_response("solve did not complete", op=request["op"])
-        try:
-            response = self._solve(
+        return self._coalesce(
+            request,
+            (digest, config_fp),
+            frozenset(),
+            lambda: self._solve(
                 request, program, digest, prop, config, config_fp, emit
-            )
-        except Exception as exc:
-            response = error_response(
-                f"internal error: {type(exc).__name__}: {exc}",
-                op=request["op"],
-            )
-        finally:
-            with self._lock:
-                self._inflight.pop(key, None)
-            flight.response = response
-            flight.done.set()
-        if response.get("ok"):
-            self._results.put(key, response)
-        out = dict(response)
-        if request_id is not None:
-            out["id"] = request_id
-        return out
+            ),
+        )
 
     def _solve(
         self,
@@ -404,7 +426,7 @@ class AnalysisService:
         elapsed = time.perf_counter() - started
         with self._lock:
             self.solves += 1
-        return ok_response(
+        response = ok_response(
             request["op"],
             None,
             property=prop.name,
@@ -423,21 +445,25 @@ class AnalysisService:
             trace_events=sink.sent if sink is not None else 0,
             **store_fields,
         )
+        self._results.put((digest, config_fp), response)
+        return response
 
-    # -- demand (run a point query or a batch of them) ----------------------------------
+    # -- demand (one target, or a batch of them) ----------------------------------------
     def _demand(self, request) -> dict:
         """Answer a demand query from the shard store and warm LRU.
 
         Unlike ``analyze``, this never solves the whole program: only
-        the target's backward-slice cone is tabulated, with
-        out-of-cone calls satisfied from the shard's snapshot (see
-        :mod:`repro.query`).  A request carrying ``"targets"`` (a list)
-        runs the batch planner — one warm-start solve per connected
-        cone-union component — instead of N independent queries.
-        Malformed targets (no such procedure / point, unknown kind)
-        are client errors, not daemon faults.
+        the targets' backward-slice cones are tabulated, one warm-start
+        solve per connected cone-union component, with out-of-cone
+        calls satisfied from the shard's snapshot (see
+        :mod:`repro.query`).  ``"target": t`` is the batch ``[t]``,
+        answered in the single-target response shape.  A demand waits
+        on an in-flight demand of the same shape whose targets cover
+        its own; a batch waiter projects its targets out of the
+        leader's response.  Malformed targets (no such procedure /
+        point, unknown kind) are client errors, not daemon faults.
         """
-        from repro.query import QueryError, run_query
+        from repro.query import QueryError, run_query, run_query_batch
 
         program, digest = self._program(request)
         prop, config = self._prop_and_config(request)
@@ -447,76 +473,17 @@ class AnalysisService:
             )
         kind = request.get("kind", "errors")
         precision = request.get("precision", "td")
-        targets = request.get("targets")
-        if targets is not None:
-            return self._demand_batch(
-                request, program, digest, prop, config, kind, precision, targets
-            )
-        target = request.get("target")
-        if not isinstance(target, str) or not target.strip():
-            raise ProtocolError(
-                'demand needs a non-empty "target" string or a "targets" list'
-            )
-        store = self.shard_store(program_lineage(program))
-        started = time.perf_counter()
-        try:
-            outcome = run_query(
-                program,
-                prop,
-                store,
-                target,
-                kind=kind,
-                config=config,
-                warm_cache=self.warm_cache,
-                query_precision=precision,
-            )
-        except QueryError as exc:
-            raise ProtocolError(str(exc)) from None
-        elapsed = time.perf_counter() - started
-        with self._lock:
-            self.demands += 1
-            if outcome.frontier_snapshot == "hit":
-                self.frontier_snapshot_hits += 1
-        return ok_response(
-            "demand",
-            request.get("id"),
-            property=prop.name,
-            engine=config.engine,
-            config=config.canonical_dict(),
-            config_fp=outcome.config_fp,
-            program_fp=digest[:_SHARD_CHARS],
-            shard=store.root.name,
-            target=str(outcome.target),
-            kind=kind,
-            precision=precision,
-            answer=encode_answer(kind, outcome.answer),
-            cone_size=outcome.cone_size,
-            frontier_size=outcome.frontier_size,
-            program_procs=len(program),
-            cold=outcome.cold,
-            store_hits=outcome.store_hits,
-            store_misses=outcome.store_misses,
-            store_invalidated=outcome.store_invalidated,
-            work=outcome.total_work,
-            out_of_cone_interior_rows=outcome.out_of_cone_interior_rows,
-            frontier_snapshot=outcome.frontier_snapshot,
-            timed_out=outcome.timed_out,
-            elapsed_ms=round(elapsed * 1000.0, 3),
-        )
-
-    def _demand_batch(
-        self, request, program, digest, prop, config, kind, precision, targets
-    ) -> dict:
-        """One planned batch solve, with overlapping-batch coalescing.
-
-        A batch whose target set is a subset of an in-flight batch for
-        the same (program, config, kind, precision) waits for that
-        leader and projects its own targets out of the leader's
-        response — the shared cone work is solved exactly once.
-        """
-        from repro.query import QueryError, run_query_batch
-
-        if (
+        target, targets = request.get("target"), request.get("targets")
+        if target is not None and targets is not None:
+            raise ProtocolError('demand takes "target" or "targets", not both')
+        single = targets is None
+        if single:
+            if not isinstance(target, str) or not target.strip():
+                raise ProtocolError(
+                    'demand needs a non-empty "target" string or a "targets" list'
+                )
+            targets = [target]
+        elif (
             not isinstance(targets, (list, tuple))
             or not targets
             or not all(isinstance(t, str) and t.strip() for t in targets)
@@ -527,57 +494,16 @@ class AnalysisService:
         targets = [t.strip() for t in targets]
         target_set = frozenset(targets)
         _, config_fp = config_fingerprint(prop, config=config)
-        key = (digest, config_fp, kind, precision)
-        request_id = request.get("id")
 
-        flight: Optional[_InFlight] = None
-        leader = False
-        with self._lock:
-            for other_set, other_flight in self._demand_inflight.get(key, ()):
-                if target_set <= other_set:
-                    flight = other_flight
-                    break
-            if flight is None:
-                flight = _InFlight()
-                self._demand_inflight.setdefault(key, []).append(
-                    (target_set, flight)
-                )
-                leader = True
-            else:
-                self.demand_coalesced += 1
-        if not leader:
-            flight.done.wait()
-            leader_response = flight.response
-            if not leader_response.get("ok"):
-                out = dict(leader_response)
-            else:
-                out = dict(leader_response)
-                out["targets"] = targets
-                out["answers"] = {
-                    t: leader_response["answers"][t] for t in targets
-                }
-                out["attribution"] = [
-                    row
-                    for row in leader_response["attribution"]
-                    if row["target"] in target_set
-                ]
-            out["coalesced"] = True
-            if request_id is not None:
-                out["id"] = request_id
-            else:
-                out.pop("id", None)
-            return out
-
-        response = error_response("batch solve did not complete", op="demand")
-        try:
+        def solve() -> dict:
             store = self.shard_store(program_lineage(program))
             started = time.perf_counter()
             try:
-                outcome = run_query_batch(
+                outcome = (run_query if single else run_query_batch)(
                     program,
                     prop,
                     store,
-                    targets,
+                    targets[0] if single else targets,
                     kind=kind,
                     config=config,
                     warm_cache=self.warm_cache,
@@ -586,27 +512,56 @@ class AnalysisService:
             except QueryError as exc:
                 raise ProtocolError(str(exc)) from None
             elapsed = time.perf_counter() - started
+            if single:
+                hits = int(outcome.frontier_snapshot == "hit")
+                shape = dict(
+                    target=str(outcome.target),
+                    answer=encode_answer(kind, outcome.answer),
+                    cone_size=outcome.cone_size,
+                    frontier_size=outcome.frontier_size,
+                    store_hits=outcome.store_hits,
+                    store_misses=outcome.store_misses,
+                    store_invalidated=outcome.store_invalidated,
+                    frontier_snapshot=outcome.frontier_snapshot,
+                )
+            else:
+                hits = outcome.frontier_snapshot_hits
+                shape = dict(
+                    batch=True,
+                    targets=targets,
+                    answers={
+                        str(t): encode_answer(kind, a)
+                        for t, a in outcome.answers.items()
+                    },
+                    attribution=outcome.attribution(),
+                    components=[
+                        {
+                            "index": c.index,
+                            "targets": [str(t) for t in c.targets],
+                            "cone_size": c.cone_size,
+                            "frontier_size": c.frontier_size,
+                            "solved": c.solved,
+                            "cold": c.cold,
+                            "frontier_snapshot": c.frontier_snapshot,
+                            "store_load_s": round(c.store_load_seconds, 6),
+                            "work": c.total_work,
+                            "out_of_cone_interior_rows": (
+                                c.out_of_cone_interior_rows
+                            ),
+                            "timed_out": c.timed_out,
+                        }
+                        for c in outcome.components
+                    ],
+                    batch_components=outcome.batch_components,
+                    solves=outcome.solves,
+                    frontier_snapshot_hits=hits,
+                )
             with self._lock:
                 self.demands += 1
-                self.batch_demands += 1
-                self.frontier_snapshot_hits += outcome.frontier_snapshot_hits
-            components = [
-                {
-                    "index": c.index,
-                    "targets": [str(t) for t in c.targets],
-                    "cone_size": c.cone_size,
-                    "frontier_size": c.frontier_size,
-                    "solved": c.solved,
-                    "cold": c.cold,
-                    "frontier_snapshot": c.frontier_snapshot,
-                    "store_load_s": round(c.store_load_seconds, 6),
-                    "work": c.total_work,
-                    "out_of_cone_interior_rows": c.out_of_cone_interior_rows,
-                    "timed_out": c.timed_out,
-                }
-                for c in outcome.components
-            ]
-            response = ok_response(
+                if not single:
+                    self.batch_demands += 1
+                self.frontier_snapshot_hits += hits
+            return ok_response(
                 "demand",
                 None,
                 property=prop.name,
@@ -617,17 +572,6 @@ class AnalysisService:
                 shard=store.root.name,
                 kind=kind,
                 precision=precision,
-                batch=True,
-                targets=targets,
-                answers={
-                    str(t): encode_answer(kind, a)
-                    for t, a in outcome.answers.items()
-                },
-                attribution=outcome.attribution(),
-                components=components,
-                batch_components=outcome.batch_components,
-                solves=outcome.solves,
-                frontier_snapshot_hits=outcome.frontier_snapshot_hits,
                 program_procs=len(program),
                 cold=outcome.cold,
                 work=outcome.total_work,
@@ -635,19 +579,25 @@ class AnalysisService:
                 timed_out=outcome.timed_out,
                 elapsed_ms=round(elapsed * 1000.0, 3),
                 coalesced=False,
+                **shape,
             )
-        finally:
-            with self._lock:
-                entries = self._demand_inflight.get(key, [])
-                entries[:] = [e for e in entries if e[1] is not flight]
-                if not entries:
-                    self._demand_inflight.pop(key, None)
-            flight.response = response
-            flight.done.set()
-        if request_id is not None:
-            response = dict(response)
-            response["id"] = request_id
-        return response
+
+        def project(response: dict) -> dict:
+            response["targets"] = targets
+            response["answers"] = {t: response["answers"][t] for t in targets}
+            response["attribution"] = [
+                row for row in response["attribution"]
+                if row["target"] in target_set
+            ]
+            return response
+
+        return self._coalesce(
+            request,
+            (digest, config_fp, kind, precision, single),
+            target_set,
+            solve,
+            None if single else project,
+        )
 
     # -- query / stats ------------------------------------------------------------------
     def _query(self, request) -> dict:

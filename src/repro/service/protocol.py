@@ -19,16 +19,21 @@ see :mod:`repro.query`), ``stats`` (service counters), and
 ``shutdown`` (drain in-flight requests, then stop).  ``query`` and
 ``demand`` are deliberately distinct: the first never analyzes
 anything, the second is the cheap way to *get* an analysis answer.  A
-``demand`` request adds ``"target"`` (``"proc"`` or ``"proc:index"``)
-— or ``"targets"``, a list of such strings, to run the *batch
-planner* (one warm-start solve per connected cone-union component;
-the response then carries per-target ``"answers"``, per-component
-rows, and ``batch_components``/``solves``/``frontier_snapshot_hits``
-counters; overlapping in-flight batches coalesce) — plus an optional
-``"kind"`` (``errors`` | ``summaries`` | ``entries``, default
-``errors``), ``"precision"`` (``td`` — the reference-precision
-default — or ``swift``, which leaves BU triggers live inside the
-cone).  A key an op does not take (:data:`OP_KEYS`) — a misspelled
+``demand`` request adds either ``"target"`` (``"proc"`` or
+``"proc:index"``) or ``"targets"``, a list of such strings, never
+both.  Both run the *batch planner* (one warm-start solve per
+connected cone-union component; a single target is a batch of one).
+A ``"targets"`` response carries per-target ``"answers"``,
+per-component rows, and ``batch_components``/``solves``/
+``frontier_snapshot_hits`` counters; a ``"target"`` response carries
+that target's ``"answer"``, cone and store counters.  A demand may
+also name a ``"kind"`` (``errors`` | ``summaries`` | ``entries``,
+default ``errors``) and a ``"precision"`` (``td`` — the
+reference-precision default — or ``swift``, which leaves BU triggers
+live inside the cone).  Every ``analyze``, ``edit`` and ``demand``
+response says whether it was ``"coalesced"`` onto an identical
+in-flight request (a demand batch also onto an in-flight batch
+covering its targets).  A key an op does not take (:data:`OP_KEYS`) — a misspelled
 ``"confg"``, a retired ``"workers"`` — is refused naming it, never
 ignored.  The optional ``id`` is echoed verbatim on every line the
 request produces, so clients multiplexing one connection can match

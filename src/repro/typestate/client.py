@@ -139,6 +139,17 @@ def run_typestate(
     return TypestateReport.of(prop, config, outcome)
 
 
+#: The typed questions a demand query can ask, one per answer shape of
+#: :func:`encode_answer`.  They live here, not in :mod:`repro.query`,
+#: so the CLI builds its parser without importing the query engine.
+QUERY_KINDS = ("errors", "summaries", "entries")
+
+#: The precision modes a query can run at: ``"td"`` pins the cone to
+#: reference (top-down) precision; ``"swift"`` leaves BU triggers live
+#: inside the cone (the engine's own hybrid verdict).
+QUERY_PRECISIONS = ("td", "swift")
+
+
 def encode_answer(kind: str, answer) -> list:
     """An answer as the strings it prints, in print order: ``[point,
     site]`` pairs for errors (a :attr:`TypestateReport.errors` set, or

@@ -138,6 +138,20 @@ def test_parser_requires_command(capsys, tmp_path):
         for target in ("a", "b")
     ]
     assert targets == [["a"], ["b"]]
+    # The demand verbs offer exactly the kinds and precisions the query
+    # layer validates.
+    from repro.query import QUERY_KINDS, QUERY_PRECISIONS
+
+    local, remote = {("query-point",), ("query-batch",)}, {("client", "demand")}
+    for option, choices, verbs in (
+        ("--kind", QUERY_KINDS, local | remote),
+        ("--query-precision", QUERY_PRECISIONS, local),
+        ("--precision", QUERY_PRECISIONS, remote),
+    ):
+        owners = dict(_option_owners(cli._parser(), option))
+        assert set(owners) == verbs, option
+        for action in owners.values():
+            assert tuple(action.choices) == choices, option
 
 
 def test_bench_unknown_name(capsys):

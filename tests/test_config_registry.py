@@ -56,6 +56,22 @@ def test_registry_get_rejects_unknown_names():
         ENGINES.get("made-up")
     with pytest.raises(ValueError, match="unknown domain"):
         DOMAINS.get("made-up")
+    # A domain option its builder does not take is refused naming the
+    # domain and the options it does take, not a builder TypeError.
+    for domain, options, message in (
+        ("interval", {"prop": FILE_PROPERTY},
+         r"'interval' domain takes no option\(s\) \['prop'\]; "
+         r"its options are \['tracked_sites'\]"),
+        ("killgen", {"bogus": 1},
+         r"'killgen' domain takes no option\(s\) \['bogus'\]; "
+         r"its options are \['spec'\]"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            analysis_session().run(
+                figure1_program(),
+                AnalysisConfig(engine="td", domain=domain),
+                **options,
+            )
 
 
 @pytest.mark.parametrize("kwargs", [{"k": 0}, {"theta": 0}])

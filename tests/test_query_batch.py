@@ -188,6 +188,44 @@ def test_batch_with_detached_targets_matches_sequential(tmp_path):
     assert outcome.answer_for("aux_leaf") == frozenset()
     skipped = [c for c in outcome.components if not c.solved]
     assert len(skipped) == 1 and skipped[0].total_work == 0
+    # A point query is a one-target batch: run_query(t) and
+    # run_query_batch([t]) agree on the answer, the work and store
+    # counters, and — whenever a solve ran — the snapshot source.
+    wide = wide_fanout(16, seed=1)
+    wide_store = SummaryStore(tmp_path / "wide")
+    analyze_with_store(wide, FILE_PROPERTY, wide_store, engine="swift", domain="simple")
+    for shape, shape_store, names in (
+        (program, store, targets),
+        (wide, wide_store, ["main", "worker3", "svc1", "init:0"]),
+    ):
+        for target in names:
+            single = run_query(shape, FILE_PROPERTY, shape_store, target)
+            one = run_query_batch(shape, FILE_PROPERTY, shape_store, [target])
+            (component,) = one.components
+            assert one.answer_for(target) == single.answer, target
+            assert (
+                one.total_work,
+                one.out_of_cone_interior_rows,
+                component.store_hits,
+                component.store_misses,
+                component.store_invalidated,
+            ) == (
+                single.total_work,
+                single.out_of_cone_interior_rows,
+                single.store_hits,
+                single.store_misses,
+                single.store_invalidated,
+            ), target
+            if component.solved:
+                assert (one.cold, component.frontier_snapshot) == (
+                    single.cold,
+                    single.frontier_snapshot,
+                ), target
+            else:
+                # Nothing was read for a detached target: the point
+                # query reports its cold default, the batch row "none".
+                assert (single.cold, single.frontier_snapshot) == (True, "cold")
+                assert (one.cold, component.frontier_snapshot) == (False, "none")
 
 
 def test_batch_cold_on_empty_store_matches_sequential(tmp_path):

@@ -197,6 +197,37 @@ def test_concurrent_same_key_requests_coalesce(service, monkeypatch):
         assert resp["errors"] == lead["errors"]
         assert resp["work"] == lead["work"]
     assert service.solves == 1  # one solve fanned out to three waiters
+    # Demands coalesce through the same flight table: an identical
+    # single-target demand waits for the in-flight one.
+    import repro.query as query_mod
+
+    real_query = query_mod.run_query
+    solved = []
+
+    def gated_query(*args, **kwargs):
+        solved.append(args[3])
+        entered.set()
+        assert release.wait(10), "demand leader was never released"
+        return real_query(*args, **kwargs)
+
+    monkeypatch.setattr(query_mod, "run_query", gated_query)
+    entered.clear()
+    release.clear()
+    demand = {"op": "demand", "program": GOOD_MINI, "target": "main"}
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        first = pool.submit(service.handle, dict(demand))
+        assert entered.wait(10)
+        second = pool.submit(service.handle, dict(demand))
+        deadline = time.monotonic() + 10
+        while service.demand_coalesced < 1:
+            assert time.monotonic() < deadline, "demand never coalesced"
+            time.sleep(0.01)
+        release.set()
+        answers = [first.result(10), second.result(10)]
+    assert all(resp["ok"] for resp in answers)
+    assert [resp["coalesced"] for resp in answers] == [False, True]
+    assert answers[0]["answer"] == answers[1]["answer"]
+    assert solved == ["main"] and service.demands == 1
 
 
 def test_different_keys_do_not_coalesce(service):
@@ -313,6 +344,14 @@ def test_bad_requests_become_error_responses(service):
         )
         assert not bad_workers["ok"] and "workers" in bad_workers["error"]
         assert not bad_workers["error"].startswith("internal error")
+    # A demand names its targets one way: both keys are refused, never
+    # answered for one of them.
+    both = service.handle(
+        {"op": "demand", "program": GOOD_MINI, "target": "nosuch",
+         "targets": ["main"]}
+    )
+    assert not both["ok"]
+    assert both["error"] == 'demand takes "target" or "targets", not both'
     # A misspelled top-level key is refused naming it and the op's
     # allowed keys, never run with the defaults it failed to override.
     for request, key in (

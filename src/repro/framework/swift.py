@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.framework.bottomup import BottomUpEngine, ProcedureSummary
 from repro.framework.caching import RComposeCache, RTransferCache
@@ -161,35 +161,23 @@ class SwiftEngine(TopDownEngine):
         # Entries are only valid for the summary they were computed
         # against, so the cache is cleared whenever bu is updated.
         self._apply_cache: Dict[Tuple[str, object], Optional[FrozenSet]] = {}
-        # Instantiations of *stored* summaries that outlive this run:
-        # a demand query's resident frontier entry keeps (callee, sigma)
-        # -> outputs for the summaries it decoded, so later cones skip
-        # re-instantiating them.  ``_shared_bu`` is that entry's decoded
-        # summaries; only a summary identical to its entry there may
-        # read or write ``_shared_apply`` (locally installed ones never
-        # do).  None for every other run.
-        self._shared_bu: Optional[Dict[str, ProcedureSummary]] = None
-        self._shared_apply: Optional[Dict] = None
-        # Warm start: install stored bottom-up summaries immediately
+        # Warm start (repro.incremental.invalidate.WarmStart): install
+        # the stored bottom-up summaries the view offers immediately
         # (they answer call edges from the very first pop) and overlay
         # the stored incoming multisets onto the live ones so a freshly
-        # triggered pruner ranks against realistic traffic.
-        if preload is not None and preload.bu:
-            lazy_view = getattr(preload.bu, "lazy_view", None)
-            if lazy_view is not None:
-                # A store-backed lazy mapping (demand queries): adopt a
-                # private view — copying would force-decode every
-                # summary, and local installs must stay off the shared
-                # cached warm start.
-                self.bu = lazy_view()
-                self._shared_bu = self.bu.decoded
-                self._shared_apply = self.bu.instantiations
-            else:
-                self.bu.update(preload.bu)
-        if preload is not None and preload.ranks:
+        # triggered pruner ranks against realistic traffic.  Their
+        # instantiations outlive this run: the snapshot keeps
+        # (callee, sigma) -> outputs for every run over it, and only a
+        # summary that *is* the stored one (``_stored_bu``) reads or
+        # writes that memo — locally installed ones never do.
+        self._stored_bu: Dict[str, ProcedureSummary] = {}
+        self._shared_apply: Optional[Dict] = None
+        self._rank_counts = self._entry_counts
+        if preload is not None:
+            self._stored_bu = preload.summaries()
+            self.bu.update(self._stored_bu)
+            self._shared_apply = preload.instantiations
             self._rank_counts = _MergedCounts(self._entry_counts, preload.ranks)
-        else:
-            self._rank_counts = self._entry_counts
 
     # -- Algorithm 1, lines 9-20 -----------------------------------------------------
     def _handle_call(self, edge: CFGEdge, entry_sigma, sigma) -> None:
@@ -201,7 +189,7 @@ class SwiftEngine(TopDownEngine):
             cached = outputs is not _CACHE_MISS
             shared = None
             if not cached and self._shared_apply is not None:
-                if self._shared_bu.get(callee) is summary:
+                if self._stored_bu.get(callee) is summary:
                     shared = self._shared_apply
                     outputs = shared.get(key, _CACHE_MISS)
                     if outputs is not _CACHE_MISS:
@@ -343,12 +331,11 @@ class SwiftEngine(TopDownEngine):
     # -- warm start ---------------------------------------------------------------------
     def _preload_install(self) -> None:
         super()._preload_install()
-        if self._preload is None or not self._preload.bu:
-            return
-        self.metrics.store_hits += len(self._preload.bu)
+        stored = self._stored_bu
+        self.metrics.store_hits += len(stored)
         if self._tracing:
-            for proc in sorted(self._preload.bu):
-                summary = self._preload.bu[proc]
+            for proc in sorted(stored):
+                summary = stored[proc]
                 self._sink.emit(
                     TraceEvent(
                         "store_hit",
@@ -359,10 +346,7 @@ class SwiftEngine(TopDownEngine):
 
     # -- driver -----------------------------------------------------------------------
     def run(self, initial_states: Iterable) -> SwiftResult:
-        base = super().run(initial_states)
-        lazy_view = getattr(self.bu, "lazy_view", None)
-        bu = lazy_view() if lazy_view is not None else dict(self.bu)
-        return SwiftResult(base, bu)
+        return SwiftResult(super().run(initial_states), dict(self.bu))
 
 
 class _MergedCounts:
@@ -372,21 +356,24 @@ class _MergedCounts:
     live counter of a warm run already re-counts every replayed call
     record, so summing would double-count; the stored multiset fills in
     traffic the warm run no longer sees (calls its preloaded bottom-up
-    summaries answer).  Quacks like the mapping ``FrequencyPruner``
-    expects.
+    summaries answer).  ``stored(proc)`` reads the warm start's
+    multiset (``None`` when it has none).  Quacks like the mapping
+    ``FrequencyPruner`` expects.
     """
 
     __slots__ = ("_observed", "_stored")
 
     def __init__(
-        self, observed: Dict[str, Counter], stored: Dict[str, Counter]
+        self,
+        observed: Dict[str, Counter],
+        stored: Callable[[str], Optional[Counter]],
     ) -> None:
         self._observed = observed
         self._stored = stored
 
     def get(self, proc: str, default=None):
         observed = self._observed.get(proc)
-        stored = self._stored.get(proc)
+        stored = self._stored(proc)
         if not stored:
             return observed if observed else default
         merged = Counter(stored)

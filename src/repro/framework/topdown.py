@@ -699,14 +699,13 @@ class TopDownEngine:
         since, so each context's rows are checked once, here."""
         if not self._lattice:
             return frozenset(self._activated)
-        contexts = self._preload.contexts if self._preload is not None else {}
         td = self._td
         return frozenset(
             key
             for key in self._activated
             if all(
                 (key[1], sigma) in td.get(point, ())
-                for point, sigma in contexts[key].rows
+                for point, sigma in self._preload.context(*key).rows
             )
         )
 
@@ -723,7 +722,8 @@ class TopDownEngine:
         normal way.  Returns False when the store has no such context
         (the caller then tabulates it cold).
         """
-        first = self._preload.contexts.get((proc, entry))
+        context = self._preload.context
+        first = context(proc, entry)
         if first is None:
             return False
         stack = [first]
@@ -758,7 +758,7 @@ class TopDownEngine:
                 if record not in records:
                     records.add(record)
                     self._record_entry(callee, sigma_in)
-                child = self._preload.contexts.get((callee, sigma_in))
+                child = context(callee, sigma_in)
                 if child is not None:
                     stack.append(child)
             if self._tracing:

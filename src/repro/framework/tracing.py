@@ -14,7 +14,6 @@ kind                      emitted when
 ``bu_trigger``            SWIFT launches ``run_bu`` for a root procedure
 ``bu_postponed``          a trigger is declined by ``postpone_unseen``
 ``bu_installed``          a finished bottom-up summary is installed
-``bu_scc_submitted``      a condensation component's job enters the worker pool
 ``summary_instantiated``  a bottom-up summary is applied at a call edge
 ``prune_drop``            the pruner ranks relations out (with the losers)
 ``budget_exceeded``       an engine's budget check raised
@@ -59,7 +58,6 @@ EVENT_KINDS = frozenset(
         "bu_trigger",
         "bu_postponed",
         "bu_installed",
-        "bu_scc_submitted",
         "summary_instantiated",
         "prune_drop",
         "budget_exceeded",

@@ -10,11 +10,12 @@ versions.  This package adds that layer:
 * :mod:`repro.incremental.codec` — canonical JSON encoding of abstract
   states, relations, predicates and summaries (simple + full domains);
 * :mod:`repro.incremental.store` — the versioned on-disk
-  :class:`SummaryStore` (JSONL snapshots, atomic replace, corrupt files
-  fall back to cold);
+  :class:`SummaryStore` (JSONL snapshots with an append-only log,
+  corrupt files fall back to cold);
 * :mod:`repro.incremental.invalidate` — fingerprint diffing, the
-  invalidation rule, and the :class:`WarmStart` the engines accept via
-  their ``preload=`` hook;
+  invalidation rule, the one segment decoder, and the lazy
+  :class:`WarmStart` view the engines accept via their ``preload=``
+  hook;
 * :mod:`repro.incremental.driver` — the load → diff → warm-run → save
   loop behind ``repro-swift analyze --store DIR``.
 """
@@ -27,6 +28,7 @@ from repro.incremental.driver import (
     WarmCache,
     analyze_with_store,
     clear_warm_cache,
+    load_warm,
     prepare_store_run,
 )
 from repro.incremental.fingerprint import (
@@ -39,17 +41,12 @@ from repro.incremental.invalidate import (
     build_snapshot,
     build_warm_start,
     diff_fingerprints,
+    stored_proc,
 )
-from repro.incremental.store import (
-    FrontierSnapshot,
-    Snapshot,
-    SummaryStore,
-    project_frontier,
-)
+from repro.incremental.store import Snapshot, SummaryStore
 
 __all__ = [
     "Codec",
-    "FrontierSnapshot",
     "IncrementalOutcome",
     "InvalidationPlan",
     "LruCache",
@@ -65,6 +62,7 @@ __all__ = [
     "build_warm_start",
     "config_fingerprint",
     "diff_fingerprints",
+    "load_warm",
     "prepare_store_run",
-    "project_frontier",
+    "stored_proc",
 ]

@@ -15,23 +15,26 @@ suite, the analysis service) keep the stored snapshot resident in one
 :class:`WarmCache` per process (the daemon brings its own) keyed on
 (store root, config fingerprint), with the snapshot file's identity
 ``(inode, mtime, size)`` validating each hit.  An entry holds the
-snapshot's header and segment text, its decoded per-procedure entries,
-and the :class:`WarmStart` built for the program fingerprints it last
-served.  The same program is a plain hit; an edited program re-diffs
-against the cached header and filters the decoded segments by
-``plan.valid`` — no read, no decode.  After a save the entry is
-patched in place: the new snapshot's reused segments keep their
+snapshot — its header, segment text and the per-procedure entries
+decoded so far — and the invalidation plan for the program
+fingerprints it last served.  :func:`load_warm` is the one loader: the
+same program is a plain hit; an edited program re-diffs against the
+cached header — no read, no decode.  Each run then takes its own view
+of the snapshot: ``analyze`` offered ``plan.valid``
+(:func:`~repro.incremental.invalidate.build_warm_start`), a demand
+cone offered its frontier (:mod:`repro.query.engine`).  Segments
+decode when a run first asks for them, once per snapshot, whichever
+path asks.  After a save the entry is replaced by the snapshot just
+written, with no program served yet: its reused segments keep their
 decoded entries, the re-encoded ones take the run's own objects, and
 the signature is the one ``SummaryStore.save`` took from the file it
 wrote (the locked file after an append, the temp file before a
 rename), so a concurrent writer's file is never mistaken for ours.
-Engines never mutate a ``WarmStart`` (activation copies rows into
-their own tables), so sharing one across runs — sequential or
-concurrent — is sound.  Demand queries keep their frontier views in
-the same cache and view the same resident snapshot
-(:mod:`repro.query.engine`); :func:`prepare_store_run` is the preamble
-both paths share.  The wall time spent on load + diff + decode is
-reported per run as ``Metrics.store_load_seconds``.
+Engines only read a view (activation copies rows into their own
+tables), so sharing a snapshot across runs — sequential or concurrent
+— is sound.  :func:`prepare_store_run` is the preamble both paths
+share.  The wall time spent on load + diff + view is reported per run
+as ``Metrics.store_load_seconds``.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from repro.incremental.invalidate import (
     build_warm_start,
     diff_fingerprints,
 )
-from repro.incremental.store import SummaryStore, file_signature
+from repro.incremental.store import Snapshot, SummaryStore, file_signature
 from repro.ir.program import Program
 from repro.typestate.client import TypestateReport, make_analyses
 from repro.typestate.dfa import TypestateProperty
@@ -143,64 +146,49 @@ class LruCache:
 
 
 class WarmCache(LruCache):
-    """The :class:`LruCache` of decoded warm starts and frontier views.
+    """The :class:`LruCache` of resident snapshots.
 
-    Keys are ``(store root, config fingerprint)``, suffixed
-    ``#demand:frontier`` for the query path's entries.  Each entry
-    carries the file signature and program fingerprints it was built
-    for, so a rewrite of the store by another writer misses naturally;
-    :meth:`lookup` also misses on an edited program, while :meth:`get`
-    leaves that check to the caller (the analyze path re-diffs a
-    resident snapshot instead of re-reading it).
+    Keys are ``(store root, config fingerprint)``.  Each entry carries
+    the file signature it was read from or written to and the program
+    fingerprints its plan was diffed for: a rewrite of the store by
+    another writer misses, an edited program is the caller's to re-diff
+    (:func:`load_warm`).
     """
 
     def get(self, key: Tuple[str, str], signature) -> Optional[Tuple]:
-        """``(fp_key, *payload)`` of the entry for the file with
+        """``(fp_key, snapshot, plan)`` of the entry for the file with
         ``signature``, or ``None`` (a miss)."""
         entry = self.fetch(key, lambda entry: entry[0] == signature)
         return None if entry is None else entry[1:]
 
-    def lookup(
-        self, key: Tuple[str, str], signature, fp_key
-    ) -> Optional[Tuple]:
-        """The cached payload when both the file signature and the
-        program fingerprints match, else ``None`` (a miss)."""
-        entry = self.fetch(
-            key, lambda entry: entry[0] == signature and entry[1] == fp_key
-        )
-        return None if entry is None else entry[2:]
-
-    def insert(self, key: Tuple[str, str], signature, fp_key, *payload) -> None:
-        self.put(key, (signature, fp_key) + payload)
+    def insert(self, key: Tuple[str, str], signature, fp_key, snapshot, plan) -> None:
+        self.put(key, (signature, fp_key, snapshot, plan))
 
 
-#: The process-level cache of decoded warm starts (analyze) and frontier
-#: views (demand queries); long-lived hosts (the service daemon)
-#: construct their own bounded instance instead.
+#: The process-level cache of resident snapshots; long-lived hosts (the
+#: service daemon) construct their own bounded instance instead.
 _WARM_CACHE = WarmCache(capacity=64)
 
 
 def clear_warm_cache() -> None:
-    """Drop every resident snapshot and frontier view (tests, benchmarks)."""
+    """Drop every resident snapshot (tests, benchmarks)."""
     _WARM_CACHE.clear()
 
 
-def _load_warm(
+def load_warm(
     store: SummaryStore,
     config_fp: str,
     fingerprints: ProgramFingerprints,
-    codec: Codec,
     cache: WarmCache,
-):
-    """Load + diff + decode, through the resident cache.
+) -> Tuple[Optional[Snapshot], Optional[InvalidationPlan]]:
+    """Load + diff, through the resident cache: ``(snapshot, plan)``, or
+    ``(None, None)`` on a cold start.
 
-    Returns ``(snapshot, plan, warm)`` — all ``None``/``None``/``None``
-    on a cold start.  A resident snapshot whose file is unchanged is
-    re-diffed when the program changed, never re-read; only a file
-    rewritten by someone else (or none cached) is loaded from disk.
-    The cached ``WarmStart`` is returned as-is: engines only read it
-    (context activation copies rows into the run's own tables), which
-    is what makes the share safe.
+    A resident snapshot whose file is unchanged is re-diffed when the
+    program changed, never re-read; only a file rewritten by someone
+    else (or none cached) is loaded from disk.  The snapshot is
+    returned as-is: runs only read it through their views, which is
+    what makes the share safe.
     """
     key = (str(store.root.resolve()), config_fp)
     fp_key = fingerprints.as_dict()
@@ -209,18 +197,17 @@ def _load_warm(
     if signature is not None:
         entry = cache.get(key, signature)
         if entry is not None:
-            cached_fp, snapshot, plan, warm = entry
+            cached_fp, snapshot, plan = entry
             if cached_fp == fp_key:
-                return snapshot, plan, warm
+                return snapshot, plan
     if snapshot is None:
         snapshot = store.load(config_fp)
         if snapshot is None:
             cache.invalidate(key)
-            return None, None, None
+            return None, None
     plan = diff_fingerprints(snapshot.fingerprints, fingerprints)
-    warm = build_warm_start(snapshot, plan, codec)
-    cache.insert(key, snapshot.signature, fp_key, snapshot, plan, warm)
-    return snapshot, plan, warm
+    cache.insert(key, snapshot.signature, fp_key, snapshot, plan)
+    return snapshot, plan
 
 
 @dataclass
@@ -309,7 +296,7 @@ def analyze_with_store(
     trace ``sink``).  Accepts the ``td`` and ``swift`` engines; a pure
     bottom-up run has no preload hook (its whole point is recomputing
     every summary), so ``engine="bu"`` raises ``ValueError``.
-    ``warm_cache=`` selects the decode cache — defaults to the
+    ``warm_cache=`` selects the resident cache — defaults to the
     process-level one; a long-lived host passes its own bounded
     :class:`WarmCache` so eviction policy and stats stay per-host.
     """
@@ -320,9 +307,8 @@ def analyze_with_store(
     )
 
     load_started = time.perf_counter()
-    snapshot, plan, warm = _load_warm(
-        store, config_fp, fingerprints, codec, cache
-    )
+    snapshot, plan = load_warm(store, config_fp, fingerprints, cache)
+    warm = None if snapshot is None else build_warm_start(snapshot, plan, codec)
     store_load_seconds = time.perf_counter() - load_started
 
     session_out = analysis_session().run(
@@ -384,9 +370,8 @@ def analyze_with_store(
             cache.insert(
                 (str(store.root.resolve()), config_fp),
                 new_snapshot.signature,
-                None,  # no program served yet: the next lookup re-diffs
+                None,  # no program served yet: the next load re-diffs
                 new_snapshot,
-                None,
                 None,
             )
         outcome.saved = True

@@ -17,7 +17,9 @@ The invalidation rule (and why it is sound):
   procedures only.
 
 Surviving entries are injected through the engines' ``preload=`` hook
-as a :class:`WarmStart`.  Contexts are *lazily activated*: a stored
+as a :class:`WarmStart`, a view of the snapshot that decodes a segment
+the first time a run asks for its procedure (:func:`stored_proc`, at
+most once per snapshot).  Contexts are *lazily activated*: a stored
 context is only installed when the warm run actually demands it at a
 call edge (or as the transitive child of an activated context), so
 contexts that an upstream edit made unreachable are silently skipped
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.framework.bottomup import ProcedureSummary
@@ -73,106 +75,248 @@ def diff_fingerprints(
     return InvalidationPlan(frozenset(valid), invalidated, added)
 
 
-@dataclass
 class WarmContext:
-    """A decoded, trusted tabulation context ready for activation."""
+    """One stored tabulation context of ``proc``, entered with ``entry``.
 
-    proc: str
-    entry: object  # decoded entry state
-    rows: List[Tuple[ProgramPoint, object]]
-    records: List[Tuple[str, object, ProgramPoint]]  # (callee, σ_in, return point)
+    Engines read its path-edge ``rows`` (``(point, σ)``) and the call
+    ``records`` it spawned (``(callee, σ_in, return point)``) when they
+    activate it.  A context built from a run's own objects, or decoded
+    for a whole-program run, holds both as plain lists.  One parsed for
+    a demand cone keeps the segment's encoded lists in ``_enc`` and
+    leaves ``rows``/``records`` unset until first read, when
+    :meth:`__getattr__` decodes and sets them, so later reads cost a
+    plain attribute read.  :meth:`ends` is its entry/exit-only,
+    record-free twin, the form a cone consumes.  Concurrent first reads
+    may each decode; each sets a whole list.
+    """
+
+    __slots__ = ("proc", "entry", "rows", "records", "_enc", "_codec", "_ends")
+
+    def __init__(self, proc: str, entry, rows, records, enc=None, codec=None):
+        self.proc = proc
+        self.entry = entry
+        if enc is None:
+            self.rows = rows
+            self.records = records
+        self._enc = enc  # (encoded rows, encoded records), or None
+        self._codec = codec
+        self._ends: Optional[WarmContext] = None
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: ``rows``/``records`` of a
+        # context still in encoded form.
+        if name == "rows":
+            value = _decode_rows(self.proc, self._enc[0], self._codec)
+        elif name == "records":
+            value = _decode_records(self.proc, self._enc[1], self._codec)
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
+
+    def ends(self, exit_index: int) -> "WarmContext":
+        """The context cut to its entry (index 0) and exit rows, with no
+        call records: a frontier context cannot cascade.  Memoized —
+        a valid procedure's body, hence its exit index, is fixed."""
+        ends = self._ends
+        if ends is None:
+            keep = (0, exit_index)
+            enc = self._enc
+            if enc is None:
+                kept = [row for row in self.rows if row[0].index in keep]
+            else:
+                ends_enc = [row for row in enc[0] if row[0] in keep]
+                kept = _decode_rows(self.proc, ends_enc, self._codec)
+            ends = self._ends = WarmContext(self.proc, self.entry, kept, ())
+        return ends
 
 
-@dataclass
 class StoredProc:
-    """One procedure's stored entries in decoded form — one segment.
+    """One procedure's stored entries — one segment — as runs read them.
 
-    ``contexts`` is in the segment's canonical order; ``bu`` and
-    ``ranks`` are ``None`` when the segment has no ``bu`` / ``m``.
+    ``contexts`` maps each stored entry state to its :class:`WarmContext`,
+    in the segment's canonical order; ``bu`` is ``None`` when the segment
+    has no summary, ``ranks`` (the incoming multiset ``m``) when it has
+    none.  Parsed for a demand cone, which never ranks, it keeps ``m``
+    encoded in ``_m`` and decodes ``ranks`` on first read, as
+    :class:`WarmContext` does its rows.
     """
 
-    contexts: List[WarmContext]
-    bu: Optional[ProcedureSummary] = None
-    ranks: Optional[Counter] = None
+    __slots__ = ("contexts", "bu", "ranks", "_m", "_codec")
+
+    def __init__(self, contexts, bu=None, ranks=None, m=None, codec=None) -> None:
+        self.contexts: Dict[object, WarmContext] = contexts
+        self.bu: Optional[ProcedureSummary] = bu
+        if m is None:
+            self.ranks: Optional[Counter] = ranks
+        self._m = m
+        self._codec = codec
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: ``ranks`` still encoded.
+        if name != "ranks":
+            raise AttributeError(name)
+        self.ranks = _decode_ranks(self._m, self._codec)
+        return self.ranks
 
 
-@dataclass
-class WarmStart:
-    """What a ``preload=`` hook injects into an engine.
-
-    Only entries of procedures whose full fingerprint matched are ever
-    placed here (``build_warm_start`` filters by the plan), so an
-    engine may trust everything it finds.  ``procs`` is the same
-    entries grouped per procedure, which ``build_snapshot`` compares
-    against the run's tables to reuse unchanged segments.
-    """
-
-    contexts: Dict[Tuple[str, object], WarmContext] = field(default_factory=dict)
-    bu: Dict[str, ProcedureSummary] = field(default_factory=dict)
-    ranks: Dict[str, Counter] = field(default_factory=dict)
-    invalidated: Dict[str, str] = field(default_factory=dict)
-    procs: Dict[str, StoredProc] = field(default_factory=dict)
-
-    def context_count(self) -> int:
-        return len(self.contexts)
-
-    def add(self, proc: str, stored: StoredProc) -> None:
-        self.procs[proc] = stored
-        for ctx in stored.contexts:
-            self.contexts[(proc, ctx.entry)] = ctx
-        if stored.bu is not None:
-            self.bu[proc] = stored.bu
-        if stored.ranks is not None:
-            self.ranks[proc] = stored.ranks
-
-
-def _decode_proc(proc: str, payload: dict, codec: Codec) -> StoredProc:
-    """Decode one segment payload."""
+def _decode_rows(proc: str, items: list, codec: Codec) -> list:
     decode = codec.decode_state
-    contexts = []
+    return [(ProgramPoint(proc, idx), decode(enc)) for idx, enc in items]
+
+
+def _decode_records(proc: str, items: list, codec: Codec) -> list:
+    decode = codec.decode_state
+    return [
+        (callee, decode(enc), ProgramPoint(proc, ret_idx))
+        for callee, enc, ret_idx in items
+    ]
+
+
+def _decode_ranks(items: list, codec: Codec) -> Counter:
+    decode = codec.decode_state
+    return Counter({decode(enc): n for enc, n in items})
+
+
+def stored_proc(
+    snapshot: Snapshot, proc: str, codec: Codec, whole: bool = False
+) -> Optional[StoredProc]:
+    """``proc``'s segment of ``snapshot``, decoded — the one decoder.
+
+    The segment is parsed the first time any run asks for it and the
+    result memoized in ``snapshot.decoded``; its context entries and
+    summary decode then.  Rows, records and ranks decode then too when
+    the first to ask is a whole-program run (``whole``), which reads
+    them all, so the parsed text is dropped at once; a demand cone's
+    ask leaves them encoded until first read.  ``None`` when the
+    snapshot holds no segment for ``proc``.  Concurrent first asks may
+    each parse; all get the first result.
+    """
+    got = snapshot.decoded.get(proc)
+    if got is not None:
+        return got
+    payload = snapshot.payload(proc)
+    if payload is None:
+        return None
+    decode = codec.decode_state
+    contexts = {}
     for enc_entry, enc_rows, enc_records in payload["contexts"]:
-        contexts.append(
-            WarmContext(
+        entry = decode(enc_entry)
+        if whole:
+            contexts[entry] = WarmContext(
                 proc,
-                decode(enc_entry),
-                [(ProgramPoint(proc, idx), decode(enc)) for idx, enc in enc_rows],
-                [
-                    (callee, decode(enc), ProgramPoint(proc, ret_idx))
-                    for callee, enc, ret_idx in enc_records
-                ],
+                entry,
+                _decode_rows(proc, enc_rows, codec),
+                _decode_records(proc, enc_records, codec),
             )
-        )
-    stored = StoredProc(contexts)
-    if "bu" in payload:
-        stored.bu = codec.decode_summary(payload["bu"])
-    if "m" in payload:
-        stored.ranks = Counter({decode(enc): n for enc, n in payload["m"]})
-    return stored
+        else:
+            contexts[entry] = WarmContext(
+                proc, entry, None, None, (enc_rows, enc_records), codec
+            )
+    bu, m = payload.get("bu"), payload.get("m")
+    bu = None if bu is None else codec.decode_summary(bu)
+    if m is None:
+        stored = StoredProc(contexts, bu)
+    elif whole:
+        stored = StoredProc(contexts, bu, _decode_ranks(m, codec))
+    else:
+        stored = StoredProc(contexts, bu, m=m, codec=codec)
+    return snapshot.decoded.setdefault(proc, stored)
+
+
+class WarmStart:
+    """What a ``preload=`` hook injects into an engine: one run's view of
+    a snapshot, *offered* a set of procedures.
+
+    Only procedures whose full fingerprint matched are ever offered, so
+    an engine may trust everything it is served.  The offered gate is
+    checked before the snapshot's memo is touched: a procedure decoded
+    for another run is never served to a run not offered it.  Nothing is
+    decoded until asked (:func:`stored_proc`).  Two forms:
+
+    * whole-program (:func:`build_warm_start`, ``cfgs=None``): full
+      contexts — rows and call records — and the ranking multisets;
+    * a demand cone (:func:`~repro.query.engine.build_query_warm`,
+      ``cfgs`` the program's CFGs): each context cut to its entry/exit
+      rows with no call records (:meth:`WarmContext.ends`), and no
+      ranks.
+
+    Engines only read a view, and a view holds no state of its own
+    beyond the offered set, so runs may share a snapshot concurrently.
+    """
+
+    __slots__ = ("snapshot", "offered", "invalidated", "_decoded", "_codec", "_cfgs")
+
+    def __init__(
+        self,
+        snapshot: Snapshot,
+        codec: Codec,
+        offered: FrozenSet[str],
+        invalidated: Mapping[str, str],
+        cfgs=None,
+    ) -> None:
+        self.snapshot = snapshot
+        self.offered = offered
+        self.invalidated = invalidated
+        self._decoded = snapshot.decoded
+        self._codec = codec
+        self._cfgs = cfgs
+
+    def stored(self, proc: str) -> Optional[StoredProc]:
+        """``proc``'s stored entries, or ``None`` when it is not offered
+        or has no segment."""
+        if proc not in self.offered:
+            return None
+        got = self._decoded.get(proc)  # the decoder's memo, read inline
+        if got is None:
+            got = stored_proc(self.snapshot, proc, self._codec, self._cfgs is None)
+        return got
+
+    def context(self, proc: str, entry) -> Optional[WarmContext]:
+        """The stored context ``(proc, entry)`` in this view's form.  An
+        engine asks once per call record it activates, so the decoder's
+        memo is read inline here as in :meth:`stored`."""
+        if proc not in self.offered:
+            return None
+        stored = self._decoded.get(proc)
+        if stored is None:
+            stored = stored_proc(self.snapshot, proc, self._codec, self._cfgs is None)
+            if stored is None:
+                return None
+        ctx = stored.contexts.get(entry)
+        if ctx is None or self._cfgs is None:
+            return ctx
+        return ctx.ends(self._cfgs.exit(proc).index)
+
+    def summaries(self) -> Dict[str, ProcedureSummary]:
+        """A fresh map of the offered procedures' stored summaries."""
+        has_summary = self.snapshot.has_summary
+        return {
+            proc: self.stored(proc).bu
+            for proc in sorted(self.offered)
+            if has_summary(proc)
+        }
+
+    def ranks(self, proc: str) -> Optional[Counter]:
+        """``proc``'s stored incoming multiset (cones never rank)."""
+        stored = self.stored(proc) if self._cfgs is None else None
+        return None if stored is None else stored.ranks
+
+    @property
+    def instantiations(self) -> Dict:
+        """The snapshot's shared summary-instantiation memo."""
+        return self.snapshot.instantiations
 
 
 def build_warm_start(
     snapshot: Snapshot, plan: InvalidationPlan, codec: Codec
 ) -> WarmStart:
-    """Assemble the surviving segments of a snapshot into a
-    :class:`WarmStart`.
-
-    Segments are decoded at most once per snapshot: the decoded form is
-    memoized in ``snapshot.decoded`` (which a save also fills from the
-    run's own objects), so a resident snapshot re-diffed against an
-    edited program only filters by ``plan.valid``.
-    """
-    warm = WarmStart(invalidated=dict(plan.invalidated))
-    decoded = snapshot.decoded
-    for proc in snapshot.segments:
-        if proc not in plan.valid:
-            continue
-        stored = decoded.get(proc)
-        if stored is None:
-            stored = decoded[proc] = _decode_proc(
-                proc, snapshot.payload(proc), codec
-            )
-        warm.add(proc, stored)
-    return warm
+    """A whole-program run's view of ``snapshot``: offered every
+    procedure ``plan`` kept valid, with full contexts.  Decodes
+    nothing: segments decode when the run first asks for them, at most
+    once per snapshot, so a resident snapshot re-diffed against an
+    edited program serves what it already decoded."""
+    return WarmStart(snapshot, codec, plan.valid, plan.invalidated)
 
 
 class _RunTables:
@@ -216,15 +360,15 @@ class _RunTables:
         """
         activated = self.activated
         contexts = stored.contexts
-        for ctx in contexts:
-            if (proc, ctx.entry) not in activated:
+        for entry in contexts:
+            if (proc, entry) not in activated:
                 return False
         td = self.td
         rows = sum(len(td[point]) for point in self.points.get(proc, ()))
-        if rows != sum(len(ctx.rows) for ctx in contexts):
+        if rows != sum(len(ctx.rows) for ctx in contexts.values()):
             return False
         if len(self.records.get(proc, ())) != sum(
-            len(ctx.records) for ctx in contexts
+            len(ctx.records) for ctx in contexts.values()
         ):
             return False
         if self.bu.get(proc) is not stored.bu:
@@ -289,18 +433,18 @@ class _RunTables:
                 )
             )
         contexts.sort(key=_first)
-        stored = StoredProc([c[2] for c in contexts])
         parts = [f'"contexts":[{",".join(c[1] for c in contexts)}]']
         summary = self.bu.get(proc)
         if summary is not None:
-            stored.bu = summary
             parts.insert(0, f'"bu":{canonical_json(codec.encode_summary(summary))}')
         observed = self.counts.get(proc)
+        ranks = None
         if observed is not None or old_m is not None:
-            text, stored.ranks = self._encode_m(
+            text, ranks = self._encode_m(
                 old_m or Counter(), observed or Counter(), codec
             )
             parts.append(f'"m":{text}')
+        stored = StoredProc({c[2].entry: c[2] for c in contexts}, summary, ranks)
         return "{" + ",".join(parts) + "}", stored
 
     def _encode_m(
@@ -339,17 +483,6 @@ def _first(item):
     return item[0]
 
 
-def _stored_ranks(snapshot: Snapshot, proc: str, codec: Codec) -> Optional[Counter]:
-    """``proc``'s stored multiset, decoded (``None`` when it has none)."""
-    stored = snapshot.decoded.get(proc)
-    if stored is not None:
-        return stored.ranks
-    counts = snapshot.payload(proc).get("m")
-    if counts is None:
-        return None
-    return Counter({codec.decode_state(enc): n for enc, n in counts})
-
-
 def build_snapshot(
     config: dict,
     config_fp: str,
@@ -368,7 +501,7 @@ def build_snapshot(
     see :meth:`_RunTables.encode`; procedures the run never entered keep
     theirs while still in the program).
 
-    ``warm`` is the warm start the run was given, loaded from
+    ``warm`` is the warm start the run was given, a view of
     ``previous``.  A procedure it offered whose rows, records, summary
     and multiset the run left as stored keeps ``previous``'s segment
     text verbatim (listed in ``Snapshot.reused``); every other segment
@@ -387,10 +520,10 @@ def build_snapshot(
     procs = tables.procs()
     previous_segments = previous.segments if previous is not None else {}
     procs.update(p for p in previous_segments if p in fingerprints.body)
-    offered = warm.procs if warm is not None and previous is not None else {}
+    reuse = warm is not None and previous is not None
     reused = []
     for proc in sorted(procs):
-        stored = offered.get(proc)
+        stored = warm.stored(proc) if reuse else None
         if stored is not None and tables.matches(proc, stored):
             snap.segments[proc] = previous_segments[proc]
             snap.decoded[proc] = stored
@@ -398,7 +531,7 @@ def build_snapshot(
             continue
         old_m = None
         if proc in previous_segments:
-            old_m = _stored_ranks(previous, proc, codec)
+            old_m = stored_proc(previous, proc, codec).ranks
         text, stored = tables.encode(proc, old_m, codec)
         if text == '{"contexts":[]}':
             continue  # nothing stored for this procedure

@@ -54,13 +54,16 @@ a complete base; that is also how :meth:`SummaryStore.compact` (and
 ``store gc``) folds a log away.  The compaction rule keeps every file
 at or under twice its base's size.
 
-The snapshot is the only file.  Demand queries (DESIGN §13) read it
-through :func:`project_frontier`, a view that projects a procedure's
-segment to its entry/exit rows the first time a query is offered that
-procedure, so their decode cost scales with the frontier, not the
-program.  Stores written before queries read the snapshot itself also
-kept an entry/exit-only ``frontier-*.jsonl`` copy of every snapshot;
-nothing reads those files, and :meth:`SummaryStore.gc` deletes them.
+The snapshot is the only file, and a load parses no segment.
+Whole-program runs and demand queries (DESIGN §13) alike read it
+through one lazy per-procedure view
+(:class:`~repro.incremental.invalidate.WarmStart`): a segment is
+parsed and decoded the first time any run asks for its procedure, and
+the result is memoized on the :class:`Snapshot` (``decoded``), so
+decode cost scales with what the runs touch, not the program.  Stores
+written before queries read the snapshot itself also kept an
+entry/exit-only ``frontier-*.jsonl`` copy of every snapshot; nothing
+reads those files, and :meth:`SummaryStore.gc` deletes them.
 
 Robustness: ``load`` returns ``None`` — the cold-start signal — for
 missing files, a base with JSON/structure errors, segments that fail
@@ -165,9 +168,9 @@ class Snapshot:
     ``segments`` maps each procedure to its payload's canonical JSON
     text — the part of its line after the tab.  A load checks every
     segment against its CRC but parses none: :meth:`payload` parses on
-    demand, so decoding a warm start holds one parsed segment at a
-    time.  The remaining fields are bookkeeping for incremental saves
-    and the resident decode cache, never written to disk.
+    demand, one segment at a time.  The remaining fields are
+    bookkeeping for incremental saves and the resident decode cache,
+    never written to disk.
     """
 
     config_fp: str
@@ -186,15 +189,25 @@ class Snapshot:
     #: Bytes the save that wrote this snapshot wrote (0 if none did).
     written: int = 0
     #: Per-procedure decoded entries, filled by
-    #: :func:`~repro.incremental.invalidate.build_warm_start` (decoding)
-    #: and ``build_snapshot`` (from the run's own objects); the store
-    #: never reads it.
+    #: :func:`~repro.incremental.invalidate.stored_proc` (decoding on
+    #: first ask) and ``build_snapshot`` (from the run's own objects);
+    #: the store never reads it.
     decoded: Dict[str, object] = field(default_factory=dict, repr=False)
+    #: SWIFT's ``(callee, σ) -> outputs`` instantiations of the summaries
+    #: in ``decoded`` (``None`` for an ignored σ), shared by every run
+    #: over this snapshot (see :class:`~repro.framework.swift.SwiftEngine`).
+    instantiations: Dict = field(default_factory=dict, repr=False)
 
     def payload(self, proc: str) -> Optional[dict]:
         """The parsed payload of ``proc``'s segment (``None`` if absent)."""
         text = self.segments.get(proc)
         return None if text is None else json.loads(text)
+
+    def has_summary(self, proc: str) -> bool:
+        """Does ``proc``'s segment hold a bottom-up summary?  Parse-free:
+        canonical JSON sorts keys and ``"bu"`` sorts first among a
+        payload's, so exactly those segments start so."""
+        return self.segments.get(proc, "").startswith('{"bu":')
 
     def lines(self) -> Iterator[str]:
         """The lines of this snapshot's base (the compacted file), one
@@ -373,72 +386,10 @@ class Snapshot:
         return tip
 
 
-#: Canonical JSON sorts keys and ``"bu"`` sorts first among a payload's
-#: keys, so exactly the segments carrying a bottom-up summary start so.
-_BU_PREFIX = '{"bu":'
-
-
-@dataclass
-class FrontierSnapshot:
-    """The entry/exit-only view of one snapshot, projected lazily.
-
-    A demand query (DESIGN §13) consumes, per frontier procedure, the
-    entry and exit rows of its stored contexts and its bottom-up
-    summary, nothing else: frontier contexts cannot cascade, so call
-    records and interior rows would be dead weight.  The view shares
-    the snapshot's segment text; :meth:`payload` projects a procedure
-    the first time it is asked for and keeps the result for every later
-    caller.  ``available`` and ``bu_procs`` are decided without parsing
-    (see :func:`project_frontier`).
-    """
-
-    segments: Mapping[str, str] = field(repr=False)
-    exits: Mapping[str, int] = field(repr=False)
-    #: Stored procedures that are still in the program.
-    available: FrozenSet[str] = frozenset()
-    #: The subset of ``available`` with a stored bottom-up summary.
-    bu_procs: FrozenSet[str] = frozenset()
-    #: Procedures projected so far (their entry/exit payloads).
-    projected: Dict[str, dict] = field(default_factory=dict, repr=False)
-
-    def payload(self, proc: str) -> Optional[dict]:
-        """``proc``'s entry/exit rows and summary (``None`` if absent)."""
-        got = self.projected.get(proc)
-        if got is not None or proc not in self.available:
-            return got
-        stored = json.loads(self.segments[proc])
-        keep = (0, self.exits[proc])
-        payload: dict = {
-            "contexts": [
-                [entry, [row for row in rows if row[0] in keep]]
-                for entry, rows, _ in stored["contexts"]
-            ]
-        }
-        if "bu" in stored:
-            payload["bu"] = stored["bu"]
-        # Concurrent first touches may each project; all see the first.
-        return self.projected.setdefault(proc, payload)
-
-
-def project_frontier(
-    snapshot: Snapshot, exit_indices: Mapping[str, int]
-) -> FrontierSnapshot:
-    """The frontier view of ``snapshot``; reads no file, parses nothing.
-
-    ``exit_indices`` maps each procedure of the program being queried to
-    its exit point index; contexts keep only their entry (index 0) and
-    exit rows.  Stored procedures absent from it (no longer in the
-    program) are not available; their fingerprints would not match
-    anyway.
-    """
-    segments = snapshot.segments
-    available = frozenset(p for p in segments if p in exit_indices)
-    return FrontierSnapshot(
-        segments,
-        exit_indices,
-        available,
-        frozenset(p for p in available if segments[p].startswith(_BU_PREFIX)),
-    )
+#: The lazy segment read under the name the frontier projection had;
+#: resolved by name by the end-to-end benchmark's tracer
+#: (benchmarks/e2e/trace.py), nothing calls it.
+project_frontier = Snapshot.payload
 
 
 def _canon(obj) -> str:

@@ -11,12 +11,12 @@ substrate hot between them:
 
 * **Resident decode cache** — one bounded true-LRU
   :class:`~repro.incremental.driver.WarmCache` (keyed by store root ×
-  config fingerprint) shared by every request thread; decoded
-  ``WarmStart``\\ s survive across requests, so a warm request skips
-  load + decode entirely.  ``demand`` requests add one entry per store
-  version, not per target: every cone views the same resident
-  snapshot — the one ``analyze`` requests decoded, when its file is
-  unchanged — and reuses its summary instantiations
+  config fingerprint) shared by every request thread; resident
+  snapshots keep what runs decoded from them across requests, so a
+  warm request skips load + decode entirely.  ``analyze``, ``edit``
+  and ``demand`` requests share one entry per store version: every
+  run views the same resident snapshot and reuses the segments and
+  summary instantiations earlier runs decoded
   (:mod:`repro.query.engine`).
 * **Resident programs** — parsed programs are kept by text hash, and
   what is derived from a program (its digest, fingerprints, points-to
@@ -72,6 +72,7 @@ from repro.framework.tracing import TraceSink
 from repro.incremental.driver import LruCache, WarmCache, analyze_with_store
 from repro.incremental.fingerprint import config_fingerprint
 from repro.incremental.store import SummaryStore
+from repro.ir.cfg import program_cfgs
 from repro.ir.parser import parse_program
 from repro.ir.printer import format_program
 from repro.ir.program import Program
@@ -457,13 +458,21 @@ class AnalysisService:
         solve per connected cone-union component, with out-of-cone
         calls satisfied from the shard's snapshot (see
         :mod:`repro.query`).  ``"target": t`` is the batch ``[t]``,
-        answered in the single-target response shape.  A demand waits
-        on an in-flight demand of the same shape whose targets cover
-        its own; a batch waiter projects its targets out of the
-        leader's response.  Malformed targets (no such procedure /
-        point, unknown kind) are client errors, not daemon faults.
+        answered in the single-target response shape.  Targets are
+        resolved to their canonical spelling (``main:01`` is ``main:1``)
+        and deduplicated before anything keys on them, so a response
+        echoes the targets it answers under.  A demand waits on an
+        in-flight demand of the same shape whose targets cover its own;
+        a batch waiter projects its targets out of the leader's
+        response.  Malformed targets (no such procedure / point,
+        unknown kind) are client errors, not daemon faults.
         """
-        from repro.query import QueryError, run_query, run_query_batch
+        from repro.query import (
+            QueryError,
+            resolve_target,
+            run_query,
+            run_query_batch,
+        )
 
         program, digest = self._program(request)
         prop, config = self._prop_and_config(request)
@@ -491,7 +500,13 @@ class AnalysisService:
             raise ProtocolError(
                 'demand "targets" must be a non-empty list of strings'
             )
-        targets = [t.strip() for t in targets]
+        cfgs = program_cfgs(program)
+        try:
+            targets = list(
+                dict.fromkeys(str(resolve_target(program, t, cfgs)) for t in targets)
+            )
+        except QueryError as exc:
+            raise ProtocolError(str(exc)) from None
         target_set = frozenset(targets)
         _, config_fp = config_fingerprint(prop, config=config)
 

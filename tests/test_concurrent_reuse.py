@@ -24,9 +24,19 @@ import pytest
 
 from repro.frontend import compile_minioo
 from repro.framework.tracing import JsonlSink, TraceEvent, read_jsonl
-from repro.incremental import SummaryStore, WarmCache, analyze_with_store
-from repro.incremental.store import Snapshot, project_frontier
+from repro.framework.config import make_config
+from repro.incremental import (
+    Snapshot,
+    SummaryStore,
+    WarmCache,
+    analyze_with_store,
+    build_warm_start,
+    diff_fingerprints,
+    prepare_store_run,
+    stored_proc,
+)
 from repro.ir.cfg import ControlFlowGraphs
+from repro.query.engine import build_query_warm
 from repro.typestate.properties import FILE_PROPERTY
 
 MINI = """
@@ -225,55 +235,85 @@ def test_hammered_snapshots_parse_and_roundtrip(tmp_path, program):
         snap = Snapshot.from_bytes(path.read_bytes())
         assert snap.to_bytes() == path.read_bytes()  # canonical on disk
 
-    # A frontier view projects each procedure on first touch; four
-    # threads touching every procedure of a fresh view at once must
-    # each get it — a procedure that is present never reads None — and
-    # all get the one projection the view keeps.
+    # A snapshot decodes each segment on the first ask; four threads
+    # asking for every procedure of a fresh snapshot at once — whole
+    # contexts through an analyze view, entry/exit ones through a cone
+    # view, in opposite orders — must each get it (a procedure that is
+    # present never reads None), all get the one decoded entry the
+    # snapshot keeps, and all read whole rows and records.
     (path,) = store.snapshot_paths()
-    snapshot = Snapshot.from_bytes(path.read_bytes())
+    data = path.read_bytes()
     cfgs = ControlFlowGraphs(program)
-    exits = {proc: cfgs.exit(proc).index for proc in program.names()}
-    procs = sorted(project_frontier(snapshot, exits).available)
+    run = prepare_store_run(
+        program, FILE_PROPERTY, make_config(engine="swift", domain="simple")
+    )
+    reference = Snapshot.from_bytes(data)
+    procs = sorted(reference.segments)
+    plan = diff_fingerprints(reference.fingerprints, run.fingerprints)
+    want = {}
+    for proc in procs:
+        exit_index = cfgs.exit(proc).index
+        for entry, ctx in stored_proc(reference, proc, run.codec).contexts.items():
+            ends = [r for r in ctx.rows if r[0].index in (0, exit_index)]
+            want[proc, entry] = (ctx.rows, ctx.records, ends)
     rounds, threads = 200, 4
-    snaps = [project_frontier(snapshot, exits) for _ in range(rounds)]
+    snaps = [Snapshot.from_bytes(data) for _ in range(rounds)]
+    views = [
+        (
+            build_warm_start(snap, plan, run.codec),
+            build_query_warm(
+                snap, plan, run.codec, cfgs, frozenset(), frozenset(procs)
+            ),
+        )
+        for snap in snaps
+    ]
     barrier = threading.Barrier(threads)
-    missing, seen = [], set()
+    missing, seen, torn = [], set(), []
 
-    def touch():
-        for snap in snaps:
+    def touch(index):
+        order = procs if index % 2 else procs[::-1]
+        for snap, (whole, cone) in zip(snaps, views):
             barrier.wait()
-            got = [(p, snap.payload(p)) for p in procs]
-            missing.extend(p for p, payload in got if payload is None)
-            seen.update(
-                (id(snap), p) for p, payload in got
-                if payload is not snap.projected[p]
-            )
+            for proc in order:
+                stored = whole.stored(proc)
+                if stored is None:
+                    missing.append(proc)
+                    continue
+                if stored is not snap.decoded[proc]:
+                    seen.add((id(snap), proc))
+                for entry in stored.contexts:
+                    ctx = whole.context(proc, entry)
+                    got = (ctx.rows, ctx.records, cone.context(proc, entry).rows)
+                    if got != want[proc, entry]:
+                        torn.append((proc, entry))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        workers = [threading.Thread(target=touch) for _ in range(threads)]
+        workers = [
+            threading.Thread(target=touch, args=(i,)) for i in range(threads)
+        ]
         for worker in workers:
             worker.start()
         for worker in workers:
             worker.join()
     finally:
         sys.setswitchinterval(interval)
-    assert missing == [] and seen == set()
-    assert all(snap.available == frozenset(procs) for snap in snaps)
+    assert missing == [] and seen == set() and torn == []
+    assert want and all(set(snap.decoded) == set(procs) for snap in snaps)
 
 
 # -- WarmCache unit behaviour ---------------------------------------------------------
 def test_warm_cache_is_true_lru():
     cache = WarmCache(capacity=2)
-    cache.insert(("root", "a"), 1, {}, "snap-a", None, "warm-a")
-    cache.insert(("root", "b"), 1, {}, "snap-b", None, "warm-b")
+    cache.insert(("root", "a"), 1, {}, "snap-a", "plan-a")
+    cache.insert(("root", "b"), 1, {}, "snap-b", "plan-b")
     # Hit on a refreshes its recency, so inserting c evicts b, not a.
-    assert cache.lookup(("root", "a"), 1, {}) == ("snap-a", None, "warm-a")
-    cache.insert(("root", "c"), 1, {}, "snap-c", None, "warm-c")
-    assert cache.lookup(("root", "a"), 1, {}) is not None
-    assert cache.lookup(("root", "b"), 1, {}) is None
-    assert cache.lookup(("root", "c"), 1, {}) is not None
+    assert cache.get(("root", "a"), 1) == ({}, "snap-a", "plan-a")
+    cache.insert(("root", "c"), 1, {}, "snap-c", "plan-c")
+    assert cache.get(("root", "a"), 1) is not None
+    assert cache.get(("root", "b"), 1) is None
+    assert cache.get(("root", "c"), 1) is not None
     stats = cache.stats()
     assert stats["evictions"] == 1
     assert stats["entries"] == 2
@@ -281,11 +321,14 @@ def test_warm_cache_is_true_lru():
 
 def test_warm_cache_stale_signature_misses_without_eviction():
     cache = WarmCache(capacity=2)
-    cache.insert(("root", "a"), (1, 10), {"p": "x"}, "s", None, "w")
-    assert cache.lookup(("root", "a"), (2, 10), {"p": "x"}) is None  # new file
-    assert cache.lookup(("root", "a"), (1, 10), {"p": "y"}) is None  # new prog
-    assert cache.lookup(("root", "a"), (1, 10), {"p": "x"}) is not None
+    cache.insert(("root", "a"), (1, 10), {"p": "x"}, "s", "plan")
+    assert cache.get(("root", "a"), (2, 10)) is None  # new file
+    # A new program hits the snapshot; its plan is for the old program,
+    # which the entry names, so the loader re-diffs.
+    assert cache.get(("root", "a"), (1, 10)) == ({"p": "x"}, "s", "plan")
     assert ("root", "a") in cache
+    stats = cache.stats()
+    assert (stats["hits"], stats["misses"], stats["evictions"]) == (1, 1, 0)
     cache.invalidate(("root", "a"))
     assert ("root", "a") not in cache
 
@@ -296,8 +339,8 @@ def test_warm_cache_concurrent_churn_stays_bounded():
     def churn(seed):
         for i in range(200):
             key = ("root", f"fp{(seed * 7 + i) % 10}")
-            if cache.lookup(key, 1, {}) is None:
-                cache.insert(key, 1, {}, f"s{i}", None, f"w{i}")
+            if cache.get(key, 1) is None:
+                cache.insert(key, 1, {}, f"s{i}", None)
         return True
 
     with ThreadPoolExecutor(max_workers=8) as pool:

@@ -296,48 +296,80 @@ def _store_setup(tmp_path, program=None):
 
 
 def test_analyze_writes_one_snapshot_and_demand_views_it_partially(tmp_path):
-    """One file per configuration: the snapshot.  Demand queries view it
-    through its entry/exit projection, and a first demand parses only
-    the segments of procedures its cone was offered."""
-    from repro.incremental import WarmCache, analyze_with_store
-    from repro.incremental.store import project_frontier
+    """One file per configuration: the snapshot.  Analyze and demand
+    runs read it through one lazy per-procedure view: building a view
+    parses nothing, a cone's contexts keep entry/exit rows alone, a
+    first demand decodes only the segments its cone was offered, and a
+    demand through the cache an analyze filled parses nothing again."""
+    from unittest import mock
+
+    from repro.incremental import (
+        WarmCache,
+        analyze_with_store,
+        build_warm_start,
+        diff_fingerprints,
+        prepare_store_run,
+    )
     from repro.ir.cfg import ControlFlowGraphs
     from repro.query import run_query
+    from repro.query.engine import build_query_warm
 
     program, store, result = _store_setup(tmp_path)
     config_fp = result.config_fp
     snapshot_name = store.path_for(config_fp).name
     assert [p.name for p in store.root.iterdir()] == [snapshot_name]
     snapshot = store.load(config_fp)
+    run = prepare_store_run(
+        program, FILE_PROPERTY, make_config(engine="swift", domain="simple")
+    )
+    assert run.config_fp == config_fp
     cfgs = ControlFlowGraphs(program)
-    exits = {proc: cfgs.exit(proc).index for proc in program.names()}
-    frontier = project_frontier(snapshot, exits)
-    assert frontier.available == set(program.names())
-    assert frontier.bu_procs == {
+    plan = diff_fingerprints(snapshot.fingerprints, run.fingerprints)
+    names = frozenset(program.names())
+    cone = build_query_warm(snapshot, plan, run.codec, cfgs, frozenset(), names)
+    whole = build_warm_start(snapshot, plan, run.codec)
+    assert cone.offered == whole.offered == names
+    assert snapshot.decoded == {}  # a view parses nothing up front
+    # Both views serve the one decoded context; the cone's form keeps
+    # only its entry (0) and exit rows and no call records.
+    for proc in program.names():
+        exit_index = cfgs.exit(proc).index
+        keep = {0, exit_index}
+        for entry, ctx in whole.stored(proc).contexts.items():
+            assert whole.context(proc, entry) is ctx
+            ends = cone.context(proc, entry)
+            assert ends is ctx.ends(exit_index)
+            assert {point.index for point, _ in ends.rows} <= keep, proc
+            assert [r for r in ctx.rows if r[0].index in keep] == ends.rows
+            assert ends.records == ()
+    assert set(cone.summaries()) == {
         proc for proc in snapshot.segments if "bu" in snapshot.payload(proc)
     }
-    assert frontier.projected == {}  # the view parses nothing up front
-    # Only entry (0) and exit rows survive the projection.
-    for proc in program.names():
-        keep = {0, exits[proc]}
-        for _, rows in frontier.payload(proc)["contexts"]:
-            assert {idx for idx, _ in rows} <= keep, proc
     # A first demand for mid (cone {main, mid}) is offered leaf alone.
     cache = WarmCache(4)
     outcome = run_query(program, FILE_PROPERTY, store, "mid", warm_cache=cache)
     assert outcome.frontier_snapshot == "hit" and outcome.store_hits > 0
-    (entry,) = cache.lookup(
-        (str(store.root.resolve()), f"{config_fp}#demand:frontier"),
-        snapshot.signature,
-        ProgramFingerprints(program).as_dict(),
+    _, resident, _ = cache.get(
+        (str(store.root.resolve()), config_fp), snapshot.signature
     )
-    assert set(entry.frontier.projected) == {"leaf"}
+    assert set(resident.decoded) == {"leaf"}
     # Unchanged re-analysis keeps the store at that one file.
     again = analyze_with_store(
         program, FILE_PROPERTY, store, engine="swift", domain="simple"
     )
     assert again.store_hits > 0
     assert [p.name for p in store.root.iterdir()] == [snapshot_name]
+    # Through one cache, demands after an analyze parse nothing again.
+    shared = WarmCache(4)
+    with mock.patch.object(json, "loads", wraps=json.loads) as parse:
+        analyze_with_store(
+            program, FILE_PROPERTY, store, engine="swift", domain="simple",
+            warm_cache=shared,
+        )
+        parsed = parse.call_count
+        for target in ("mid", "leaf"):
+            run_query(program, FILE_PROPERTY, store, target, warm_cache=shared)
+    assert parsed > 0 and parse.call_count == parsed
 
 
 def test_snapshot_and_frontier_loads_degrade_to_none_never_wrong(tmp_path):
@@ -679,16 +711,15 @@ def _counting_loads(store):
 
 
 def test_warm_caches_never_serve_a_file_another_writer_replaced(tmp_path):
-    """Decode caches are keyed by file signature, so a replaced file is
-    never served from memory: not when it has the same size and mtime as
-    the cached one (analyze and query caches alike), and not when the
-    cached entry is one an analyze patched in place after its own save."""
-    from repro.incremental import WarmCache, analyze_with_store
-    from repro.incremental.driver import _load_warm
-    from repro.ir.cfg import ControlFlowGraphs
-    from repro.query.engine import _load_query_warm
+    """The resident cache is keyed by file signature, so a replaced file
+    is never served from memory: not when it has the same size and
+    mtime as the cached one (for analyze and demand runs alike), and not
+    when the cached entry is the one an analyze put back after its own
+    save."""
+    from repro.incremental import WarmCache, analyze_with_store, load_warm
+    from repro.query import run_query
 
-    # The analyze cache: two snapshots of equal size and mtime.
+    # Two snapshots of equal size and mtime, through the one loader.
     program = chain()
     _, bu_analysis, _ = make_analyses(program, FILE_PROPERTY, "simple")
     codec = Codec("simple", bu_analysis)
@@ -704,47 +735,43 @@ def test_warm_caches_never_serve_a_file_another_writer_replaced(tmp_path):
     )
     old = path.read_bytes()
     cache = WarmCache(4)
-    first = _load_warm(store, config_fp, fps, codec, cache)
+    first = load_warm(store, config_fp, fps, cache)
     assert first[0].meta == {"tag": "A"}
     _same_size_same_mtime_rewrite(path, old, old.replace(b'"tag":"A"', b'"tag":"B"'))
     hits = cache.stats()["hits"]
-    second = _load_warm(store, config_fp, fps, codec, cache)
+    second = load_warm(store, config_fp, fps, cache)
     assert cache.stats()["hits"] == hits
     assert second[0].meta == {"tag": "B"}
 
-    # The query cache: two snapshots of equal size and mtime.
+    # The same for demand queries: the replaced file is read again.
     program, _, _ = _store_setup(tmp_path / "setup")
     store = SummaryStore(tmp_path / "query")
     config_fp = analyze_with_store(
         program, FILE_PROPERTY, store, engine="swift", domain="simple",
         meta={"tag": "A"},
     ).config_fp
-    _, bu_analysis, _ = make_analyses(program, FILE_PROPERTY, "simple")
-    codec = Codec("simple", bu_analysis)
-    fps = ProgramFingerprints(program)
-    cfgs = ControlFlowGraphs(program)
     cache = WarmCache(4)
     loads = _counting_loads(store)
 
-    def lookup(store=store, config_fp=config_fp, fps=fps, codec=codec, cfgs=cfgs):
-        return _load_query_warm(
-            store, config_fp, fps, codec, frozenset({"main"}),
-            frozenset({"mid"}), cfgs, cache,
-        )
+    def demand(store=store):
+        outcome = run_query(program, FILE_PROPERTY, store, "mid", warm_cache=cache)
+        assert outcome.frontier_snapshot == "hit" and outcome.store_hits > 0
+        return outcome
 
-    first = lookup()
-    assert first[2] == "hit" and len(loads) == 1
+    demand()
+    demand()
+    assert len(loads) == 1  # the second demand read the resident entry
     path = store.path_for(config_fp)
     old = path.read_bytes()
     _same_size_same_mtime_rewrite(path, old, old.replace(b'"tag":"A"', b'"tag":"B"'))
     hits = cache.stats()["hits"]
-    second = lookup()
+    demand()
     assert cache.stats()["hits"] == hits
-    assert second[1] is not first[1]
     assert len(loads) == 2  # the replaced file was read again
 
-    # A patched-in-place entry, after a second ``SummaryStore`` writer
-    # replaced the file: the lookup misses and decodes the new file.
+    # The entry an analyze put back after its save, after a second
+    # ``SummaryStore`` writer replaced the file: the load misses and
+    # reads the new file.
     program = chain()
     store = SummaryStore(tmp_path / "patched")
     cache = WarmCache(4)
@@ -755,23 +782,18 @@ def test_warm_caches_never_serve_a_file_another_writer_replaced(tmp_path):
     assert first.saved and len(cache) == 1
     other = store.load(first.config_fp)
     other.meta = {"writer": "second"}
-    _, bu_analysis, _ = make_analyses(program, FILE_PROPERTY, "simple")
     # A demand query through the same cache views the resident snapshot
     # while its file is unchanged, and reads the file once it is not.
     loads = _counting_loads(store)
-    demand = dict(
-        store=store, config_fp=first.config_fp, fps=ProgramFingerprints(program),
-        codec=Codec("simple", bu_analysis), cfgs=ControlFlowGraphs(program),
-    )
-    assert lookup(**demand)[2] == "hit" and loads == []
+    demand(store)
+    assert loads == []
     SummaryStore(tmp_path / "patched").save(other)
-    assert lookup(**demand)[2] == "hit" and len(loads) == 1
-    misses = cache.stats()["misses"]
-    snapshot, plan, warm = _load_warm(
-        store, first.config_fp, ProgramFingerprints(program),
-        Codec("simple", bu_analysis), cache,
+    demand(store)
+    assert len(loads) == 1
+    snapshot, plan = load_warm(
+        store, first.config_fp, ProgramFingerprints(program), cache
     )
-    assert cache.stats()["misses"] == misses + 1
+    assert len(loads) == 1  # the demand's load is resident now
     assert snapshot.meta == {"writer": "second"}
     assert plan.valid == frozenset(program.names())
-    assert warm.context_count() > 0
+    assert snapshot.payload("main")["contexts"]

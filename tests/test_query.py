@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from repro.bench.suite import load_shape
 from repro.bench.workloads import hub_flood, scc_heavy, wide_fanout
 from repro.framework.config import AnalysisConfig
-from repro.incremental import SummaryStore, WarmCache, analyze_with_store
-from repro.incremental import build_warm_start, clear_warm_cache
+from repro.incremental import Snapshot, SummaryStore, WarmCache, analyze_with_store
+from repro.incremental import clear_warm_cache, stored_proc
 from repro.incremental import diff_fingerprints, prepare_store_run
 from repro.ir.cfg import ControlFlowGraphs, ProgramPoint
 from repro.ir.parser import parse_program
@@ -35,7 +35,6 @@ from repro.query import (
     resolve_target,
     run_query,
 )
-from repro.query import engine as query_engine
 from repro.service.daemon import AnalysisService
 from repro.typestate.client import run_typestate
 from repro.typestate.properties import FILE_PROPERTY
@@ -266,14 +265,20 @@ def test_repeated_queries_are_deterministic(tmp_path):
 
     # A first query parses only the segments its cone is offered: its
     # store load is MIN_FRONTIER_SPEEDUP times below a full decode of the
-    # same snapshot (load, diff, build_warm_start), best of three each.
+    # same snapshot (load, diff, and every segment forced through the
+    # one decoder: rows, records, summary and ranks), best of three each.
     config = AnalysisConfig(domain="simple")
     run = prepare_store_run(shape, FILE_PROPERTY, config)
 
     def full_decode():
         snapshot = shape_store.load(run.config_fp)
-        plan = diff_fingerprints(snapshot.fingerprints, run.fingerprints)
-        return build_warm_start(snapshot, plan, run.codec)
+        diff_fingerprints(snapshot.fingerprints, run.fingerprints)
+        for proc in snapshot.segments:
+            stored = stored_proc(snapshot, proc, run.codec)
+            stored.ranks
+            for ctx in stored.contexts.values():
+                ctx.rows, ctx.records
+        return snapshot
 
     loads = []
     for _ in range(3):
@@ -287,7 +292,7 @@ def test_repeated_queries_are_deterministic(tmp_path):
     assert full_s >= MIN_FRONTIER_SPEEDUP * query_s, loads
 
     # Distinct cones through one cache share a store version's decoded
-    # frontier, but each cone is offered only its own frontier: a
+    # segments, but each cone is offered only its own frontier: a
     # worker summary decoded while the worker sat on worker0's frontier
     # must not answer for it inside svc0's cone.  Every answer and
     # counter equals a fresh-cache run of the same target, and the
@@ -311,13 +316,12 @@ def test_repeated_queries_are_deterministic(tmp_path):
 
     def counted(ask_all):
         """``ask_all()``, the snapshot loads it made and the segments
-        parsed into the frontier views it built."""
-        views, project = [], query_engine.project_frontier
+        it parsed."""
         with mock.patch.object(shape_store, "load", wraps=shape_store.load) as load, \
-                mock.patch.object(query_engine, "project_frontier",
-                                  lambda *a: views.append(project(*a)) or views[-1]):
+                mock.patch.object(Snapshot, "payload", autospec=True,
+                                  side_effect=Snapshot.payload) as parse:
             result = ask_all()
-        return result, load.call_count, sum(len(view.projected) for view in views)
+        return result, load.call_count, parse.call_count
 
     fresh, _, fresh_parsed = counted(
         lambda: {step: ask(step, WarmCache(capacity=8)) for step in sequence}

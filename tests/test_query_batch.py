@@ -190,7 +190,8 @@ def test_batch_with_detached_targets_matches_sequential(tmp_path):
     assert len(skipped) == 1 and skipped[0].total_work == 0
     # A point query is a one-target batch: run_query(t) and
     # run_query_batch([t]) agree on the answer, the work and store
-    # counters, and — whenever a solve ran — the snapshot source.
+    # counters, and the snapshot source — "none" for a detached target,
+    # where nothing is read.
     wide = wide_fanout(16, seed=1)
     wide_store = SummaryStore(tmp_path / "wide")
     analyze_with_store(wide, FILE_PROPERTY, wide_store, engine="swift", domain="simple")
@@ -216,16 +217,12 @@ def test_batch_with_detached_targets_matches_sequential(tmp_path):
                 single.store_misses,
                 single.store_invalidated,
             ), target
-            if component.solved:
-                assert (one.cold, component.frontier_snapshot) == (
-                    single.cold,
-                    single.frontier_snapshot,
-                ), target
-            else:
-                # Nothing was read for a detached target: the point
-                # query reports its cold default, the batch row "none".
-                assert (single.cold, single.frontier_snapshot) == (True, "cold")
-                assert (one.cold, component.frontier_snapshot) == (False, "none")
+            assert (one.cold, component.frontier_snapshot) == (
+                single.cold,
+                single.frontier_snapshot,
+            ), target
+    detached = run_query(program, FILE_PROPERTY, store, "aux_leaf")
+    assert (detached.cold, detached.frontier_snapshot) == (False, "none")
 
 
 def test_batch_cold_on_empty_store_matches_sequential(tmp_path):

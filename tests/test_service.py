@@ -228,6 +228,36 @@ def test_concurrent_same_key_requests_coalesce(service, monkeypatch):
     assert [resp["coalesced"] for resp in answers] == [False, True]
     assert answers[0]["answer"] == answers[1]["answer"]
     assert solved == ["main"] and service.demands == 1
+    # Batch targets resolve to the spelling they are answered under
+    # before the flight key and the echo: a batch naming "main:01" and
+    # "main" echoes ["main:1", "main"], the keys of its answers, and a
+    # waiter spelling " main:1 " projects its answer from that leader.
+    real_batch = query_mod.run_query_batch
+
+    def gated_batch(*args, **kwargs):
+        entered.set()
+        assert release.wait(10), "batch leader was never released"
+        return real_batch(*args, **kwargs)
+
+    monkeypatch.setattr(query_mod, "run_query_batch", gated_batch)
+    entered.clear()
+    release.clear()
+    batch = {"op": "demand", "program": GOOD_MINI}
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        first = pool.submit(service.handle, dict(batch, targets=["main:01", "main"]))
+        assert entered.wait(10)
+        second = pool.submit(service.handle, dict(batch, targets=[" main:1 "]))
+        deadline = time.monotonic() + 10
+        while service.demand_coalesced < 2:
+            assert time.monotonic() < deadline, "batch demand never coalesced"
+            time.sleep(0.01)
+        release.set()
+        lead, waiter = first.result(10), second.result(10)
+    assert lead["ok"] and waiter["ok"], (lead, waiter)
+    assert lead["targets"] == list(lead["answers"]) == ["main:1", "main"]
+    assert waiter["coalesced"] is True
+    assert waiter["targets"] == list(waiter["answers"]) == ["main:1"]
+    assert waiter["answers"]["main:1"] == lead["answers"]["main:1"]
 
 
 def test_different_keys_do_not_coalesce(service):

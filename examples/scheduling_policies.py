@@ -1,11 +1,11 @@
-"""Worklist scheduling policies — same verdict, different work.
+"""Worklist pop orders — same verdict, different work.
 
-The tabulation engines pop path edges in the order a ``Scheduler``
-policy chooses (``lifo``, ``fifo``, ``callee-depth``; see
-repro.framework.scheduling).  The pop order decides when SWIFT's
-bottom-up trigger fires, so work counters move with the policy, but
-the reported errors never do.  The example runs SWIFT under every
-policy and checks the verdicts coincide.
+The tabulation engines pop path edges in one of two orders
+(``TopDownEngine.POP_ORDERS``: ``lifo``, the default, and ``fifo``,
+the ``fifo-worklist`` ablation).  The pop order decides when SWIFT's
+bottom-up trigger fires, so work counters move with the order, but
+the reported errors never do.  The example runs SWIFT under both
+orders and checks the verdicts coincide.
 
 Run:  python examples/scheduling_policies.py
 """
@@ -13,7 +13,7 @@ Run:  python examples/scheduling_policies.py
 import time
 
 from repro.bench import load_benchmark
-from repro.framework.scheduling import scheduler_names
+from repro.framework.topdown import TopDownEngine
 from repro.typestate.client import run_typestate
 from repro.typestate.properties import FILE_PROPERTY
 
@@ -21,7 +21,7 @@ from repro.typestate.properties import FILE_PROPERTY
 def main() -> None:
     program = load_benchmark("hedc").program
     verdicts = {}
-    for policy in scheduler_names():
+    for policy in TopDownEngine.POP_ORDERS:
         started = time.perf_counter()
         report = run_typestate(
             program, FILE_PROPERTY, engine="swift", domain="full",
@@ -34,7 +34,7 @@ def main() -> None:
               f"{report.td_summaries} td-summaries, "
               f"{len(report.errors)} error(s)")
     same = len({frozenset(errors) for errors in verdicts.values()}) == 1
-    print(f"identical verdicts across policies: {same}")
+    print(f"identical verdicts across pop orders: {same}")
     assert same
 
 

@@ -19,7 +19,7 @@ function of the program (no hash-seed dependence).
 
 The condensation is immutable for the lifetime of a program and is
 memoized on the :class:`~repro.ir.program.Program` instance itself
-(:func:`condensation`), so schedulers and engines constructed for the
+(:func:`condensation`), so the engines and queries constructed for the
 same program share one instance, and it dies with the program.
 """
 

@@ -55,17 +55,9 @@ class _UsageError(Exception):
     stderr and exits 2."""
 
 
-def _read_text(path: str) -> str:
-    """The text of ``path``; an unreadable file is a usage error."""
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise _UsageError(exc) from None
-
-
 def load_program(path: str) -> Program:
     """Load a program from MiniOO source or textual IR."""
-    text = _read_text(path)
+    text = _checked(Path(path).read_text)
     if _program_format(path) == "mini":
         from repro.frontend import compile_minioo
 
@@ -74,10 +66,11 @@ def load_program(path: str) -> Program:
 
 
 def _checked(build, *args, **kwargs):
-    """``build(*args, **kwargs)``, its ``ValueError`` a usage error."""
+    """``build(*args, **kwargs)``, its ``ValueError`` or ``OSError`` (an
+    unreadable input file) a usage error."""
     try:
         return build(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise _UsageError(exc) from None
 
 
@@ -97,7 +90,7 @@ def _config(args: argparse.Namespace):
     budget = getattr(args, "budget", None)
     return _checked(
         make_config,
-        budget=Budget(max_work=budget) if budget else None,
+        budget=None if budget is None else _checked(Budget, max_work=budget),
         **{name: getattr(args, name, None) for name in _CONFIG_FLAGS},
     )
 
@@ -211,6 +204,8 @@ def cmd_dot(args: argparse.Namespace) -> int:
 
     program = load_program(args.file)
     if args.proc:
+        if args.proc not in program:
+            raise _UsageError(f"no procedure {args.proc!r} in {args.file}")
         cfgs = ControlFlowGraphs(program)
         print(cfg_to_dot(cfgs[args.proc]))
     else:
@@ -285,7 +280,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         )
         return 0
     if args.trace_command == "summarize":
-        profile = Profile.from_jsonl(args.file)
+        profile = Profile.from_events(_checked(read_jsonl, args.file))
         print(
             profile.render(
                 limit=args.limit, title=f"Trace summary: {args.file}"
@@ -293,7 +288,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
         )
         return 0
     if args.trace_command == "diff":
-        delta = diff_traces(read_jsonl(args.left), read_jsonl(args.right))
+        delta = diff_traces(
+            _checked(read_jsonl, args.left), _checked(read_jsonl, args.right)
+        )
         if not delta:
             print(f"traces agree ({args.left} vs {args.right})")
             return 0
@@ -452,7 +449,7 @@ def cmd_client(args: argparse.Namespace) -> int:
             "prop": args.property,
             "config": config_to_json(_config(args)),
         }
-        text = _read_text(args.file)
+        text = _checked(Path(args.file).read_text)
     try:
         if command == "stats":
             import json
@@ -618,13 +615,13 @@ def _add_config_flags(
         help_text = budget if isinstance(budget, str) else None
         parser.add_argument("--budget", type=int, default=None, help=help_text)
     if scheduler:
-        from repro.framework.scheduling import DEFAULT_SCHEDULER, scheduler_names
+        from repro.framework.topdown import TopDownEngine
 
         parser.add_argument(
             "--scheduler",
-            choices=scheduler_names(),
-            default=DEFAULT_SCHEDULER,
-            help="worklist policy (results are identical across policies)",
+            choices=TopDownEngine.POP_ORDERS,
+            default=TopDownEngine.POP_ORDERS[0],
+            help="worklist pop order (results are identical across orders)",
         )
     if widening is not None:
         delay_help, iters_help = widening

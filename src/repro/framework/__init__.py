@@ -14,7 +14,9 @@ library:
   semantics ``[[C]] : 2^S -> 2^S`` of Section 3.1 (used by tests and by
   the coincidence checks).
 * :mod:`repro.framework.topdown` — the tabulation-based top-down engine
-  (Reps–Horwitz–Sagiv), the ``TD`` baseline of the evaluation.
+  (Reps–Horwitz–Sagiv), the ``TD`` baseline of the evaluation; its
+  workset pops in one of ``TopDownEngine.POP_ORDERS`` (``lifo``, the
+  default, or ``fifo``).
 * :mod:`repro.framework.bottomup` — the bottom-up engine on the pruned
   domain ``(R, Sigma)`` of Sections 3.4–3.5, the ``BU`` baseline when
   run with no pruning.
@@ -27,13 +29,10 @@ library:
   synthesizes a top-down analysis from a bottom-up one.
 * :mod:`repro.framework.config` — the frozen ``AnalysisConfig``
   capturing one analysis configuration (engine, domain, thresholds,
-  scheduler, performance flags).
+  pop order, widening knobs).
 * :mod:`repro.framework.registry` — ``EngineRegistry`` /
   ``DomainRegistry`` mapping names (``td``/``bu``/``swift`` × the
   analysis domains) to specs.
-* :mod:`repro.framework.scheduling` — the worklist ``Scheduler``
-  policies (``lifo``/``fifo``/``callee-depth``) of the tabulation
-  engines.
 * :mod:`repro.framework.session` — ``AnalysisSession``, the single
   pipeline every dispatch site (client, harness, CLI, incremental
   driver) runs through.
@@ -56,14 +55,6 @@ from repro.framework.bottomup import BottomUpEngine, BottomUpResult, ProcedureSu
 from repro.framework.swift import SwiftEngine, SwiftResult
 from repro.framework.synthesis import SynthesizedTopDown
 from repro.framework.conditions import check_c1, check_c2, check_c3
-from repro.framework.scheduling import (
-    CalleeDepthScheduler,
-    FifoScheduler,
-    LifoScheduler,
-    Scheduler,
-    make_scheduler,
-    scheduler_names,
-)
 from repro.framework.registry import (
     DOMAINS,
     ENGINES,
@@ -86,7 +77,6 @@ __all__ = [
     "BottomUpResult",
     "Budget",
     "BudgetExceededError",
-    "CalleeDepthScheduler",
     "Conjunction",
     "DOMAINS",
     "DenotationalInterpreter",
@@ -96,15 +86,12 @@ __all__ = [
     "EngineRegistry",
     "EngineSpec",
     "FALSE",
-    "FifoScheduler",
     "FrequencyPruner",
     "IgnoredStates",
-    "LifoScheduler",
     "Metrics",
     "NoPruner",
     "ProcedureSummary",
     "PruneOperator",
-    "Scheduler",
     "SessionResult",
     "SwiftEngine",
     "SwiftResult",
@@ -121,6 +108,4 @@ __all__ = [
     "domain_names",
     "engine_names",
     "excl",
-    "make_scheduler",
-    "scheduler_names",
 ]

@@ -4,10 +4,10 @@ Every way of running an analysis in this repo — ``run_typestate``, the
 experiment harness, the CLI, the incremental driver, the query engine,
 the service — is parametrised by one :class:`AnalysisConfig`: one
 frozen dataclass naming the engine kind, the abstract domain, the SWIFT
-thresholds, the budget, the worklist scheduling policy, the widening
+thresholds, the budget, the worklist pop order, the widening
 knobs, and the runtime attachments (trace sink, warm-start preload).  Validation
 happens at construction, against the live registries — an unknown
-engine, domain, or scheduler raises immediately, listing the registered
+engine, domain, or pop order raises immediately, listing the valid
 choices, instead of being forwarded blindly into an engine constructor.
 
 The *identity* part of a config — everything that determines the
@@ -32,7 +32,7 @@ from typing import FrozenSet, Mapping, Optional
 
 from repro.framework.metrics import Budget
 from repro.framework.registry import DOMAINS, ENGINES, EngineSpec
-from repro.framework.scheduling import DEFAULT_SCHEDULER, validate_scheduler
+from repro.framework.topdown import TopDownEngine
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class AnalysisConfig:
     k: int = 5
     theta: int = 1
     bu_triggers: bool = True
-    scheduler: str = DEFAULT_SCHEDULER
+    scheduler: str = TopDownEngine.POP_ORDERS[0]
     tracked_sites: Optional[FrozenSet[str]] = None
     # Widening knobs (crab-style; see DESIGN §14 and TUNING): only
     # consulted by infinite-height (lattice) domains, so they normalize
@@ -82,7 +82,7 @@ class AnalysisConfig:
         # equal configs compare equal however they were spelled.
         object.__setattr__(self, "engine", ENGINES.canonical(self.engine))
         object.__setattr__(self, "domain", DOMAINS.canonical(self.domain))
-        validate_scheduler(self.scheduler)
+        TopDownEngine.check_pop_order(self.scheduler)
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.theta < 1:

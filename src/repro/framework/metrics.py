@@ -138,14 +138,29 @@ class Metrics:
 class Budget:
     """Limits on the work an engine may perform.
 
-    ``None`` disables a limit.  ``check`` raises
-    :class:`BudgetExceededError` once any limit is crossed.
+    ``None`` disables a limit; any other limit must be a non-negative
+    number (``0`` is crossed by the first unit of work).  ``check``
+    raises :class:`BudgetExceededError` once any limit is crossed.
     """
 
     max_work: Optional[int] = None
     max_relations: Optional[int] = None
     max_seconds: Optional[float] = None
     _started_at: float = field(default_factory=time.monotonic, repr=False)
+
+    def __post_init__(self) -> None:
+        for name in ("max_work", "max_relations", "max_seconds"):
+            value = getattr(self, name)
+            # bool is an int subclass: ``max_work=True`` must not pass as 1.
+            if value is not None and (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or value < 0
+            ):
+                raise ValueError(
+                    f"budget {name} must be None or a non-negative number, "
+                    f"not {value!r}"
+                )
 
     def restart_clock(self) -> None:
         self._started_at = time.monotonic()

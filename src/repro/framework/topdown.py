@@ -23,14 +23,13 @@ subclass it and override only the handling of call edges.
 from __future__ import annotations
 
 import time
-from collections import Counter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from collections import Counter, deque
+from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.callgraph.scc import condensation
 from repro.framework.caching import TransferCache
 from repro.framework.interfaces import TopDownAnalysis
 from repro.framework.metrics import Budget, BudgetExceededError, Metrics
-from repro.framework.scheduling import Scheduler, make_scheduler
 from repro.framework.tracing import NULL_SINK, Profile, TeeSink, TraceEvent, TraceSink
 from repro.ir.cfg import CFGEdge, ControlFlowGraphs, ProgramPoint
 from repro.ir.program import Program
@@ -153,7 +152,27 @@ class TopDownEngine:
       scanning every exit path edge of the callee;
     * bounded per-command memo tables for ``trans(c)(sigma)``, resolved
       once into each point's compiled successor entries.
+
+    ``scheduler`` is the workset's pop order, one of :attr:`POP_ORDERS`.
+    The order never changes the computed tables, only the work it takes
+    to reach them, and for SWIFT when the bottom-up trigger fires.  With
+    ``lifo`` (depth-first, the default) a callee context is explored
+    before the next incoming state pops, so the trigger fires after ~k
+    contexts; ``fifo`` is the ``fifo-worklist`` ablation, where
+    summaries arrive after the flood they were meant to absorb.
     """
+
+    #: The workset's pop orders; the first is the default.
+    POP_ORDERS = ("lifo", "fifo")
+
+    @classmethod
+    def check_pop_order(cls, name: str) -> None:
+        """Refuse ``name`` unless it is a pop order, naming both."""
+        if name not in cls.POP_ORDERS:
+            raise ValueError(
+                f"unknown scheduler {name!r}; expected one of "
+                f"{', '.join(cls.POP_ORDERS)}"
+            )
 
     def __init__(
         self,
@@ -174,8 +193,7 @@ class TopDownEngine:
         self.program = program
         self.analysis = analysis
         self.budget = budget
-        # Pop-order policy, a registry name (repro.framework.scheduling).
-        self.scheduler_policy = scheduler
+        self.check_pop_order(scheduler)
         self.cfgs = cfgs if cfgs is not None else ControlFlowGraphs(program)
         self.metrics = Metrics()
         # Tracing: with the default NullSink the engines skip event
@@ -204,7 +222,11 @@ class TopDownEngine:
         # proc -> multiset of incoming abstract states (the data the
         # pruning operator ranks against; Section 3.4).
         self._entry_counts: Dict[str, Counter] = {}
-        self._workset: Scheduler = make_scheduler(self.scheduler_policy, program)
+        # The workset's own bound methods are the push and the pop, so
+        # no Python frame runs per work item.
+        workset: Deque[Tuple] = deque()
+        self._push = workset.append
+        self._pop = workset.popleft if scheduler == "fifo" else workset.pop
         self._timed_out = False
         # Per-proc entry/exit points and per-point successor lists,
         # resolved once: the worklist loop otherwise re-derives them
@@ -310,7 +332,7 @@ class TopDownEngine:
         tracing = self._tracing
         lattice = self._lattice
         cur = self._cur if lattice else None
-        pop = self._workset.pop
+        pop = self._pop
         metrics = self.metrics
         budget = self.budget
         succ_cache = self._succ_cache
@@ -321,9 +343,6 @@ class TopDownEngine:
         handle_call = self._handle_call
         fill = self._transfer_cache.fill
         while True:
-            # Pop order is the scheduling policy's choice (default LIFO
-            # depth-first — see repro.framework.scheduling for why, and
-            # for the other registered policies).
             try:
                 point, entry_sigma, sigma = pop()
             except IndexError:
@@ -538,7 +557,7 @@ class TopDownEngine:
                     },
                 )
             )
-        self._workset.push((point, entry_sigma, sigma))
+        self._push((point, entry_sigma, sigma))
 
     def _propagate_lattice(self, point: ProgramPoint, entry_sigma, sigma) -> None:
         """Value-mode twin of :meth:`_propagate` (DESIGN §14).
@@ -607,7 +626,7 @@ class TopDownEngine:
                     },
                 )
             )
-        self._workset.push((point, entry_sigma, new))
+        self._push((point, entry_sigma, new))
 
     def _descend(self) -> None:
         """Descending (narrowing) pass after the ascending fixpoint.

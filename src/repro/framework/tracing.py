@@ -248,13 +248,24 @@ class TeeSink(TraceSink):
 
 
 def read_jsonl(path: Union[str, Path]) -> List[TraceEvent]:
-    """Parse a :class:`JsonlSink` file back into events."""
+    """Parse a :class:`JsonlSink` file back into events.
+
+    A line that is not a JSON object with a ``kind`` raises
+    ``ValueError`` naming the file and line.
+    """
     events = []
     with Path(path).open() as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
-            if line:
-                events.append(TraceEvent.from_json(line))
+            if not line:
+                continue
+            try:
+                payload = json.loads(line)
+            except ValueError:
+                payload = None
+            if not isinstance(payload, dict) or "kind" not in payload:
+                raise ValueError(f"{path}:{number}: not a JSON trace event")
+            events.append(TraceEvent.from_dict(payload))
     return events
 
 

@@ -30,7 +30,7 @@ class ProgramPoint(NamedTuple):
     """A vertex of a procedure's control-flow graph.
 
     Points key every hot table of the engines (``td``, successor
-    caches, scheduler buckets), so they are plain named tuples: the
+    caches, the workset), so they are plain named tuples: the
     hash and equality run in C on every probe, and a point pickles
     through its constructor (no per-process cached hash travels with
     it).  The ``repr`` is the dataclass-style ``ProgramPoint(proc=...,

@@ -68,10 +68,18 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path not in ("/rpc", "/"):
             self.send_error(404, "only POST /rpc and GET /healthz exist")
             return
+        declared = self.headers.get("Content-Length", "0")
+        if not declared.strip().isdigit():
+            # rfile.read(-1) would wait for the client to close: refuse
+            # at once, and close, since the unread body cannot be skipped.
+            self.close_connection = True
+            self._send_json_lines(
+                [{"ok": False, "error": f"bad Content-Length {declared!r}"}]
+            )
+            return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            request = json.loads(self.rfile.read(length))
-        except (ValueError, json.JSONDecodeError) as exc:
+            request = json.loads(self.rfile.read(int(declared)))
+        except ValueError as exc:
             self._send_json_lines(
                 [{"ok": False, "error": f"request is not JSON: {exc}"}]
             )

@@ -56,8 +56,9 @@ version.
 constructor fields minus the runtime attachments ``sink`` and
 ``preload`` (``budget`` arrives as ``{"max_work", "max_seconds"}``),
 unknown keys raise :class:`ProtocolError` listing the allowed set, and
-value validation is the config's own (unknown engines/domains/
-schedulers report the registered choices).  Responses always carry
+value validation is the config's own (unknown engines, domains and
+pop orders report the valid choices; a budget limit that is not a
+non-negative number is refused naming its key).  Responses always carry
 ``"ok"``; failures add ``"error"`` with a message and never take the
 daemon down.
 """
@@ -119,14 +120,11 @@ def config_from_json(payload: Optional[Mapping]) -> AnalysisConfig:
             f"unknown config key(s) {unknown}; allowed: {sorted(CONFIG_KEYS)}"
         )
     budget = fields.pop("budget", None)
-    if budget is not None:
-        if not isinstance(budget, Mapping) or set(budget) - _BUDGET_KEYS:
-            raise ProtocolError(
-                f'budget must be an object with keys from {sorted(_BUDGET_KEYS)}'
-            )
-        fields["budget"] = Budget(
-            max_work=budget.get("max_work"),
-            max_seconds=budget.get("max_seconds"),
+    if budget is not None and (
+        not isinstance(budget, Mapping) or set(budget) - _BUDGET_KEYS
+    ):
+        raise ProtocolError(
+            f'budget must be an object with keys from {sorted(_BUDGET_KEYS)}'
         )
     sites = fields.get("tracked_sites")
     if sites is not None:
@@ -137,6 +135,8 @@ def config_from_json(payload: Optional[Mapping]) -> AnalysisConfig:
         fields["tracked_sites"] = frozenset(sites)
     fields.setdefault("domain", "full")
     try:
+        if budget is not None:
+            fields["budget"] = Budget(**budget)
         return AnalysisConfig(**fields)
     except (ValueError, TypeError) as exc:
         raise ProtocolError(str(exc)) from None

@@ -9,7 +9,7 @@ from repro import cli
 from repro.cli import build_parser, load_program, main
 from repro.framework.session import AnalysisSession
 from repro.framework.registry import ENGINES
-from repro.framework.scheduling import scheduler_names
+from repro.framework.topdown import TopDownEngine
 from repro.incremental import SummaryStore
 
 GOOD_MINI = """
@@ -63,6 +63,9 @@ def test_verify_violation_exit_code(mini_file, capsys):
 def test_verify_budget_timeout(mini_file, capsys):
     assert main(["verify", mini_file(GOOD_MINI), "--budget", "2"]) == 2
     assert "budget" in capsys.readouterr().out
+    # 0 is a limit, not "no budget": the first unit of work crosses it.
+    assert main(["verify", mini_file(GOOD_MINI), "--budget", "0"]) == 2
+    assert "exceeded its budget" in capsys.readouterr().out
 
 
 def test_verify_all_properties(mini_file, capsys):
@@ -103,21 +106,38 @@ def test_parser_requires_command(capsys, tmp_path):
     # A value the configuration refuses is one error line, not a
     # traceback, and is refused before any file is read or sent.
     for argv, message in [
-        (["verify", "prog.mini", "--k", "-1"], "k"),
-        (["bench", "hedc", "--theta", "0"], "theta"),
-        (["client", "analyze", "prog.mini", "--k", "0"], "k"),
-        (["serve", "--lru-size", "0"], "capacity"),
+        (["verify", "prog.mini", "--k", "-1"], "k must be at least 1"),
+        (["bench", "hedc", "--theta", "0"], "theta must be at least 1"),
+        (["client", "analyze", "prog.mini", "--k", "0"], "k must be at least 1"),
+        (["serve", "--lru-size", "0"], "capacity must be at least 1"),
+        (
+            ["verify", "prog.mini", "--budget", "-5"],
+            "budget max_work must be None or a non-negative number, not -5",
+        ),
     ]:
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {message} must be at least 1\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
     # Bad input is the caller's error, not the transport's or a
     # traceback: a missing program is refused by every verb that reads
     # one (before anything is sent), a non-numeric port before the
-    # service is built.
+    # service is built; so are an unreadable or malformed trace and a
+    # procedure the program lacks.
     missing = str(tmp_path / "missing.mini")
     gone = f"No such file or directory: {missing!r}"
     store = ["--store", str(tmp_path / "store")]
+    no_trace = str(tmp_path / "missing.jsonl")
+    event = '{"kind": "propagate", "proc": "main"}\n'
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    good.write_text(event)
+    bad.write_text(event + '["propagate"]\n')
+    program = tmp_path / "prog.ir"
+    program.write_text(IR_TEXT)
     for argv, message in [
+        (["trace", "summarize", no_trace], f"{no_trace!r}"),
+        (["trace", "summarize", str(bad)], f"{bad}:2: not a JSON trace event"),
+        (["trace", "diff", str(good), no_trace], f"{no_trace!r}"),
+        (["trace", "diff", str(bad), str(good)], f"{bad}:2: not a JSON trace event"),
+        (["dot", str(program), "--proc", "NOSUCH"], f"'NOSUCH' in {program}"),
         (["client", "analyze", missing], gone),
         (["verify", missing], gone),
         (["analyze", missing, *store], gone),
@@ -329,7 +349,7 @@ _PRELOAD_VERBS = {
 
 def _registry(option, path):
     if option == "--scheduler":
-        return scheduler_names()
+        return TopDownEngine.POP_ORDERS
     if path in _PRELOAD_VERBS:
         return [name for name in ENGINES if ENGINES.get(name).supports_preload]
     return ENGINES.names()

@@ -20,9 +20,10 @@ from repro.framework.registry import (
     domain_names,
     engine_names,
 )
-from repro.framework.scheduling import scheduler_names
 from repro.framework.session import analysis_session
+from repro.framework.topdown import TopDownEngine
 from repro.typestate.properties import FILE_PROPERTY
+from repro.typestate.td_analysis import SimpleTypestateTD
 
 from tests.helpers import figure1_program
 
@@ -45,10 +46,18 @@ def test_unknown_domain_lists_choices():
 
 
 def test_unknown_scheduler_lists_choices():
-    with pytest.raises(ValueError) as err:
-        AnalysisConfig(scheduler="random")
-    message = str(err.value)
-    assert "lifo" in message and "fifo" in message and "callee-depth" in message
+    # The config and the engine read one constant, so both refuse any
+    # name outside the two pop orders, listing them.
+    assert TopDownEngine.POP_ORDERS == ("lifo", "fifo")
+    for name in ("scc-topo", "random"):
+        with pytest.raises(ValueError) as err:
+            AnalysisConfig(scheduler=name)
+        assert "expected one of lifo, fifo" in str(err.value)
+        with pytest.raises(ValueError) as err:
+            TopDownEngine(
+                figure1_program(), SimpleTypestateTD(FILE_PROPERTY), scheduler=name
+            )
+        assert "expected one of lifo, fifo" in str(err.value)
 
 
 def test_registry_get_rejects_unknown_names():
@@ -185,25 +194,3 @@ def test_every_pair_instantiates_and_runs(engine, domain):
     assert outcome.engine == engine and outcome.domain == config.domain
 
 
-@pytest.mark.parametrize("domain", domain_names())
-@pytest.mark.parametrize("scheduler", scheduler_names())
-def test_findings_coincide_across_engines(scheduler, domain):
-    """Per domain and worklist policy, every engine reports the same thing.
-
-    Type-state findings carry program points, and a pure bottom-up run
-    only knows main's exit — so type-state agreement is on error
-    *sites*; the fact domains agree on the exit facts exactly.
-    """
-    program = figure1_program()
-    options = {"prop": FILE_PROPERTY} if domain.startswith("typestate-") else {}
-    per_engine = {}
-    for engine in engine_names():
-        config = AnalysisConfig(
-            engine=engine, domain=domain, k=2, theta=1, scheduler=scheduler
-        )
-        outcome = analysis_session().run(program, config, **options)
-        if domain.startswith("typestate-"):
-            per_engine[engine] = frozenset(site for (_, site) in outcome.findings)
-        else:
-            per_engine[engine] = outcome.findings
-    assert len(set(per_engine.values())) == 1, per_engine

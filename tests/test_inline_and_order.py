@@ -3,7 +3,6 @@
 import pytest
 
 from repro.framework.denotational import DenotationalInterpreter
-from repro.framework.scheduling import scheduler_names
 from repro.framework.topdown import TopDownEngine
 from repro.ir.commands import Call
 from repro.ir.inline import call_free, inline_calls
@@ -70,16 +69,6 @@ def test_intraprocedural_analysis_of_inlined_matches_interprocedural():
     inter = TopDownEngine(program, analysis).run(initial)
     intra = TopDownEngine(inlined, analysis).run(initial)
     assert intra.exit_states() == inter.exit_states()
-
-
-@pytest.mark.parametrize("order", scheduler_names())
-def test_worklist_orders_agree_on_results(order):
-    analysis = SimpleTypestateTD(FILE_PROPERTY)
-    initial = [bootstrap_state(FILE_PROPERTY)]
-    for program in all_small_programs():
-        result = TopDownEngine(program, analysis, scheduler=order).run(initial)
-        oracle = DenotationalInterpreter(program, analysis).run(initial)
-        assert result.exit_states() == oracle
 
 
 def test_bad_order_rejected():

@@ -3,8 +3,9 @@
 Three contracts from DESIGN §14:
 
 * **Finite domains are untouched** — the widening knobs normalize away
-  and every engine × scheduler cell computes byte-identical
-  reports and work counters whatever values the knobs carry;
+  and every engine computes byte-identical reports and work counters
+  whatever values the knobs carry (the differential oracle,
+  ``tests/test_differential.py``, adds the ``fifo`` pop order);
 * **Infinite-height domains terminate** — the interval×typestate
   product reaches a fixpoint on loop-heavy programs where the naive
   powerset iteration provably diverges (the guard test below exhibits
@@ -19,7 +20,6 @@ from repro.bench.workloads import loop_nest
 from repro.framework.config import AnalysisConfig
 from repro.framework.interfaces import UnsupportedDomainError
 from repro.framework.metrics import Budget
-from repro.framework.scheduling import scheduler_names
 from repro.framework.session import analysis_session
 from repro.ir.builder import ProgramBuilder
 from repro.numeric.interval import Interval
@@ -35,11 +35,8 @@ ENGINES = ["td", "bu", "swift"]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("scheduler", scheduler_names())
 @pytest.mark.parametrize("make_program", [loop_program, recursive_program])
-def test_widening_knobs_are_identity_on_finite_domains(
-    engine, scheduler, make_program
-):
+def test_widening_knobs_are_identity_on_finite_domains(engine, make_program):
     program = make_program()
     reports = [
         run_typestate(
@@ -49,7 +46,6 @@ def test_widening_knobs_are_identity_on_finite_domains(
             domain="simple",
             k=2,
             theta=1,
-            scheduler=scheduler,
             widening_delay=delay,
             descending_iters=iters,
         )
@@ -106,12 +102,11 @@ def test_naive_interval_iteration_diverges_at_a_loop_head():
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("scheduler", scheduler_names())
-def test_product_terminates_on_loop_nest(scheduler, engine):
-    # The acceptance regression: with widening, every engine under
-    # every worklist policy reaches a fixpoint (within a finite work
-    # budget) on the loop-heavy shape whose naive iteration the guard
-    # test above proves divergent.
+def test_product_terminates_on_loop_nest(engine):
+    # The acceptance regression: with widening, every engine reaches a
+    # fixpoint (within a finite work budget) on the loop-heavy shape
+    # whose naive iteration the guard test above proves divergent (the
+    # differential oracle repeats it under the fifo pop order).
     report = run_typestate(
         loop_nest(4, seed=19),
         FILE_PROPERTY,
@@ -119,7 +114,6 @@ def test_product_terminates_on_loop_nest(scheduler, engine):
         domain="interval-typestate",
         k=2,
         theta=1,
-        scheduler=scheduler,
         budget=Budget(max_work=500_000),
     )
     assert not report.timed_out

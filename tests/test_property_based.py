@@ -2,14 +2,15 @@
 
 Random small programs drive the headline guarantees:
 
-* SWIFT ≡ TD for arbitrary thresholds (the paper's Theorem 3.1 /
-  Section 2.4 equivalence claim);
 * the unpruned bottom-up analysis coincides with the denotational
   semantics on every procedure (coincidence with Σ = ∅);
 * pruned summaries coincide on every state outside the ignored set;
 * the printer/parser round-trip;
 * algebraic laws of the symbolic pieces (type-state functions,
   predicates, relations).
+
+SWIFT ≡ TD on random programs (Theorem 3.1) is one of the differential
+oracle's checks (``tests/test_differential.py``).
 """
 
 import hypothesis.strategies as st
@@ -18,8 +19,6 @@ from hypothesis import HealthCheck, given, settings
 from repro.framework.bottomup import BottomUpEngine
 from repro.framework.denotational import DenotationalInterpreter
 from repro.framework.pruning import FrequencyPruner, NoPruner
-from repro.framework.swift import SwiftEngine
-from repro.framework.topdown import TopDownEngine
 from repro.ir.commands import Assign, Call, Invoke, New, Skip, choice, seq, star
 from repro.ir.parser import parse_program
 from repro.ir.printer import format_program
@@ -84,21 +83,6 @@ ENGINE_SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-
-
-@ENGINE_SETTINGS
-@given(program=programs(), k=st.integers(1, 4), theta=st.integers(1, 3))
-def test_swift_equals_td_on_random_programs(program, k, theta):
-    td_analysis = SimpleTypestateTD(FILE_PROPERTY)
-    bu_analysis = SimpleTypestateBU(FILE_PROPERTY)
-    initial = [bootstrap_state(FILE_PROPERTY)]
-    td_result = TopDownEngine(program, td_analysis).run(initial)
-    swift_result = SwiftEngine(
-        program, td_analysis, bu_analysis, k=k, theta=theta
-    ).run(initial)
-    assert swift_result.exit_states() == td_result.exit_states()
-    for point in swift_result.cfgs["main"].points:
-        assert swift_result.states_at(point) == td_result.states_at(point)
 
 
 @ENGINE_SETTINGS

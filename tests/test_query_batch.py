@@ -20,7 +20,6 @@ from repro.bench.workloads import hub_flood, scc_heavy, wide_fanout
 from repro.incremental import SummaryStore, analyze_with_store, clear_warm_cache
 from repro.ir.parser import parse_program
 from repro.query import (
-    QUERY_KINDS,
     QueryError,
     QueryTarget,
     UnknownTargetError,
@@ -129,32 +128,6 @@ def test_plan_rejects_empty_and_unknown():
 
 
 # -- batch == sequential ----------------------------------------------------------------
-
-
-@pytest.mark.parametrize("engine", ["td", "swift"])
-@pytest.mark.parametrize("domain", ["simple", "full"])
-def test_batch_matches_sequential_across_engines_and_domains(
-    tmp_path, engine, domain
-):
-    program = hub_flood(5)
-    store = SummaryStore(tmp_path / "store")
-    analyze_with_store(program, FILE_PROPERTY, store, engine=engine, domain=domain)
-    targets = ["caller1", "caller3", "hub", "hub:2", "main"]
-    for kind in QUERY_KINDS:
-        clear_warm_cache()
-        outcome = run_query_batch(
-            program, FILE_PROPERTY, store, targets,
-            kind=kind, engine=engine, domain=domain,
-        )
-        clear_warm_cache()
-        want = sequential_answers(
-            program, store, targets, kind=kind, engine=engine, domain=domain
-        )
-        assert batch_answers(outcome) == want, (engine, domain, kind)
-        assert outcome.batch_components == 1
-        assert outcome.solves == 1
-        assert not outcome.cold
-        assert outcome.out_of_cone_interior_rows == 0
 
 
 @pytest.mark.parametrize("engine", ["td", "swift"])
@@ -311,36 +284,6 @@ def _service_with(tmp_path, program_src, cfg):
     )
     assert ran["ok"]
     return service
-
-
-def test_service_batch_demand_matches_single_demands(tmp_path):
-    from repro.ir.printer import format_program
-
-    program = hub_flood(5)
-    src = format_program(program)
-    cfg = {"engine": "td", "domain": "simple"}
-    service = _service_with(tmp_path, src, cfg)
-    targets = ["caller1", "caller3", "hub"]
-    batch = service.handle(
-        {"op": "demand", "program": src, "format": "ir", "property": "File",
-         "targets": targets, "config": cfg, "id": "batch-1"}
-    )
-    assert batch["ok"] and batch["batch"]
-    assert batch["id"] == "batch-1"
-    assert batch["targets"] == targets
-    assert batch["batch_components"] == 1 and batch["solves"] == 1
-    assert not batch["coalesced"]
-    assert batch["out_of_cone_interior_rows"] == 0
-    for target in targets:
-        single = service.handle(
-            {"op": "demand", "program": src, "format": "ir",
-             "property": "File", "target": target, "config": cfg}
-        )
-        assert batch["answers"][target] == single["answer"], target
-    stats = service.handle({"op": "stats"})
-    assert stats["batch_demands"] == 1
-    assert stats["demands"] == 1 + len(targets)
-    assert stats["demand_coalesced"] == 0
 
 
 def test_service_batch_demand_validates_targets(tmp_path):

@@ -414,6 +414,19 @@ def test_config_from_json_validation():
         config_from_json({"engin": "td"})
     with pytest.raises(ProtocolError, match="budget"):
         config_from_json({"budget": {"max_wark": 10}})
+    # A budget limit is None or a non-negative number: anything else is
+    # the client's error naming the key, not an internal error raised
+    # by the engine's first budget check.
+    for budget in (
+        {"max_work": "abc"}, {"max_seconds": "x"}, {"max_work": -1},
+        {"max_work": True},
+    ):
+        (key,) = budget
+        with pytest.raises(ProtocolError, match=f"budget {key} must be None or"):
+            config_from_json({"budget": budget})
+    assert config_from_json({"budget": {"max_work": 0}}).budget.max_work == 0
+    with pytest.raises(ProtocolError, match="expected one of lifo, fifo"):
+        config_from_json({"scheduler": "scc-topo"})
     with pytest.raises(ProtocolError, match="tracked_sites"):
         config_from_json({"tracked_sites": "h1"})
     with pytest.raises(ProtocolError):
@@ -647,9 +660,28 @@ def test_http_trace_streaming(http_service):
 
 
 def test_http_error_becomes_service_error(http_service):
+    import http.client
+    from urllib.parse import urlsplit
+
     _, client, _ = http_service
     with pytest.raises(ServiceError, match="unknown op"):
         client.call({"op": "frobnicate"})
+    # A negative or non-numeric Content-Length is refused at once: a
+    # read of -1 bytes would wait for the client to hang up.
+    address = urlsplit(client.base_url)
+    for declared in ("-1", "abc"):
+        connection = http.client.HTTPConnection(
+            address.hostname, address.port, timeout=3
+        )
+        connection.putrequest("POST", "/rpc")
+        connection.putheader("Content-Length", declared)
+        connection.endheaders(b'{"op": "stats"}')
+        response = json.loads(connection.getresponse().read())
+        connection.close()
+        assert response == {
+            "ok": False, "error": f"bad Content-Length {declared!r}"
+        }
+    assert client.stats()["ok"]  # the server still answers
 
 
 def test_http_concurrent_clients_coalesce_or_reuse(http_service, tmp_path):

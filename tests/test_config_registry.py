@@ -10,6 +10,7 @@ findings.
 
 import pytest
 
+from repro.bench.workloads import loop_nest
 from repro.framework.config import AnalysisConfig
 from repro.framework.metrics import Budget
 from repro.framework.registry import (
@@ -194,3 +195,31 @@ def test_every_pair_instantiates_and_runs(engine, domain):
     assert outcome.engine == engine and outcome.domain == config.domain
 
 
+@pytest.mark.parametrize("domain", domain_names())
+@pytest.mark.parametrize("scheduler", TopDownEngine.POP_ORDERS)
+def test_findings_coincide_across_engines(scheduler, domain):
+    """Per registered domain and pop order, every engine reports what TD
+    under ``lifo`` does: error sites on the type-state domains (pure BU
+    only knows main's exit), exit facts on the fact domains, and on the
+    value domains also for the shape whose naive iteration diverges."""
+    subjects = [figure1_program()]
+    if not AnalysisConfig(domain=domain).domain_spec.is_finite:
+        subjects.append(loop_nest(4, seed=19))
+    typestate = domain.startswith("typestate-")
+    options = {"prop": FILE_PROPERTY} if typestate else {}
+
+    def findings(program, engine, order):
+        config = AnalysisConfig(
+            engine=engine, domain=domain, k=2, theta=1, scheduler=order,
+            budget=Budget(max_work=500_000),
+        )
+        outcome = analysis_session().run(program, config, **options)
+        assert not outcome.timed_out, (engine, order)
+        if typestate:
+            return frozenset(site for (_, site) in outcome.findings)
+        return outcome.findings
+
+    for program in subjects:
+        want = findings(program, "td", "lifo")
+        for engine in engine_names():
+            assert findings(program, engine, scheduler) == want, engine

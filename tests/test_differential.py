@@ -17,7 +17,8 @@ and ``demand`` (single and batch) through ``AnalysisService.handle``.
 Verdicts are compared as :func:`encode_answer` output, the form every
 surface prints or sends.  Two invariants ride along: TD tables and
 raw work counters are identical under both pop orders, and SWIFT
-equals TD at every point of ``main``.
+equals TD at every point of ``main``.  Every registered domain meets
+the engine and pop-order axes in ``test_config_registry.py``.
 """
 
 import functools
@@ -28,12 +29,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bench.workloads import hub_flood, loop_nest, scc_heavy, wide_fanout
+from repro.bench.workloads import hub_flood, scc_heavy, wide_fanout
 from repro.framework.config import AnalysisConfig
 from repro.framework.denotational import DenotationalInterpreter
-from repro.framework.metrics import Budget
-from repro.framework.registry import domain_names, engine_names
-from repro.framework.session import analysis_session
 from repro.framework.topdown import TopDownEngine
 from repro.incremental import SummaryStore, analyze_with_store, clear_warm_cache
 from repro.ir.cfg import program_cfgs
@@ -45,7 +43,7 @@ from repro.service.daemon import AnalysisService
 from repro.typestate.client import encode_answer, make_analyses, run_typestate
 from repro.typestate.properties import FILE_PROPERTY
 
-from tests.helpers import all_small_programs, figure1_program
+from tests.helpers import all_small_programs
 from tests.test_property_based import programs
 
 ORDERS = TopDownEngine.POP_ORDERS
@@ -213,37 +211,6 @@ def test_engines_match_reference(name, domain):
 @given(program=programs(), k=st.integers(1, 4), theta=st.integers(1, 3))
 def test_engines_match_reference_on_random_programs(program, k, theta):
     check_engines(program, "simple", thresholds=((k, theta),), knobs=False)
-
-
-@pytest.mark.parametrize("order", ORDERS)
-@pytest.mark.parametrize("domain", domain_names())
-def test_engines_agree_on_every_domain(domain, order):
-    """Per registered domain and pop order, every engine reports what TD
-    under ``lifo`` does: error sites on the type-state domains, the
-    exit facts on the fact domains.  The value domains also run the
-    loop-heavy shape whose naive iteration diverges: widening must
-    terminate it under either order."""
-    subjects = [figure1_program()]
-    if not AnalysisConfig(domain=domain).domain_spec.is_finite:
-        subjects.append(loop_nest(4, seed=19))
-    typestate = domain.startswith("typestate-")
-    options = {"prop": FILE_PROPERTY} if typestate else {}
-
-    def findings(program, engine, order_):
-        config = AnalysisConfig(
-            engine=engine, domain=domain, k=2, theta=1, scheduler=order_,
-            budget=Budget(max_work=500_000),
-        )
-        outcome = analysis_session().run(program, config, **options)
-        assert not outcome.timed_out, (engine, order_)
-        if typestate:
-            return frozenset(site for (_, site) in outcome.findings)
-        return outcome.findings
-
-    for program in subjects:
-        want = findings(program, "td", "lifo")
-        for engine in engine_names():
-            assert findings(program, engine, order) == want, engine
 
 
 # -- the store and the query path -------------------------------------------------------

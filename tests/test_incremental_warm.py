@@ -178,6 +178,8 @@ def test_one_proc_edit_reanalyzes_only_the_cone(tmp_path, engine):
     # decode, so it loads no slower than the first and runs no slower
     # than the cold run; two leaf edits invalidate exactly the first
     # leaf's cone; every run has the errors of a cold run of its program.
+    # Each timed side is the best of three rounds, so one preemption or
+    # collector pause cannot decide a comparison.
     program = load_benchmark("jpat-p").program
     names = sorted(program.names())
     leaves = [p for p in names if p != program.main and not program.callees(p)]
@@ -187,7 +189,9 @@ def test_one_proc_edit_reanalyzes_only_the_cone(tmp_path, engine):
     # leaf and its transitive callers, the set its edit must invalidate.
     cone = compute_cone(program, QueryTarget(leaves[0])).cone
 
-    def analyze(version, store):
+    def analyze(version, store, resident=True):
+        if not resident:
+            driver.clear_warm_cache()  # a save leaves the snapshot resident
         return best_of(
             1, analyze_with_store, version, FILE_PROPERTY, store,
             engine=engine, domain="full", budget=Budget(max_work=400_000),
@@ -196,20 +200,24 @@ def test_one_proc_edit_reanalyzes_only_the_cone(tmp_path, engine):
     def cold_errors(version, name):
         return analyze(version, SummaryStore(tmp_path / name))[0].report.errors
 
+    def fastest(runs, load=False):  # wall-clock or snapshot-load seconds
+        return min(r.report.result.metrics.store_load_seconds if load else s
+                   for r, s in runs)
+
+    colds = [analyze(program, SummaryStore(tmp_path / f"cold{i}")) for i in range(3)]
     store = SummaryStore(tmp_path / "suite")
-    driver.clear_warm_cache()
-    cold, cold_s = analyze(program, store)
-    driver.clear_warm_cache()  # the cold save left the snapshot resident
-    warm, _ = analyze(program, store)
-    warm2, warm2_s = analyze(program, store)
+    cold, _ = analyze(program, store, resident=False)
+    warms = [analyze(program, store, resident=False) for _ in range(3)]
+    warm2s = [analyze(program, store) for _ in range(3)]
     edit, _ = analyze(edited, store)
     steady, _ = analyze(edited_twice, store)
-    cold_m, warm_m, warm2_m = (r.report.result.metrics for r in (cold, warm, warm2))
-    assert warm.report.errors == warm2.report.errors == cold.report.errors
-    assert warm.store_hits > 0
-    assert warm_m.total_work <= 0.10 * cold_m.total_work
-    assert warm2_m.store_load_seconds <= warm_m.store_load_seconds
-    assert warm2_s <= cold_s, (warm2_s, cold_s)
+    cold_m = cold.report.result.metrics
+    assert all(c.cold and c.report.errors == cold.report.errors for c, _ in colds)
+    for run, _ in warms + warm2s:
+        assert run.report.errors == cold.report.errors and run.store_hits > 0
+        assert run.report.result.metrics.total_work <= 0.10 * cold_m.total_work
+    assert fastest(warm2s, load=True) <= fastest(warms, load=True)
+    assert fastest(warm2s) <= fastest(colds), (fastest(warm2s), fastest(colds))
     assert set(edit.invalidated) == cone
     assert edit.report.errors == cold_errors(edited, "edited")
     assert steady.report.errors == cold_errors(edited_twice, "edited-twice")

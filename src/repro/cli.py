@@ -33,6 +33,7 @@ of :mod:`repro.ir.parser`).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from pathlib import Path
@@ -918,10 +919,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+#: The verbs whose one invocation is one analysis request, run inside
+#: :func:`~repro.framework.session.request_scope`.  ``serve``,
+#: ``experiments`` and ``bench`` live long and scope each request or
+#: engine run themselves.
+_REQUEST_VERBS = frozenset(
+    {"verify", "analyze", "query-point", "query-batch", "trace record"}
+)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.framework.session import request_scope
+
     args = _parser().parse_args(argv)
+    verb = args.command
+    if verb == "trace":
+        verb += " " + args.trace_command
+    scope = request_scope() if verb in _REQUEST_VERBS else contextlib.nullcontext()
     try:
-        return args.fn(args)
+        with scope:
+            return args.fn(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,7 @@ from repro.bench.generator import GeneratedBenchmark
 from repro.framework.config import AnalysisConfig
 from repro.framework.metrics import Metrics
 from repro.framework.registry import BU_WALL_CAP_SECONDS, DEFAULT_WALL_CAP_SECONDS
-from repro.framework.session import analysis_session
+from repro.framework.session import analysis_session, request_scope
 from repro.framework.tracing import JsonlSink
 from repro.typestate.properties import FILE_PROPERTY, TypestateProperty
 
@@ -132,8 +132,11 @@ def run_engine(
             theta=theta,
             **engine_kwargs,
         )
+        # One engine run is one request: a row pays for its own cyclic
+        # garbage, not for the rows that ran before it.
         started = time.perf_counter()
-        outcome = analysis_session().run(benchmark.program, config, prop=prop)
+        with request_scope():
+            outcome = analysis_session().run(benchmark.program, config, prop=prop)
     finally:
         if sink is not None:
             sink.close()

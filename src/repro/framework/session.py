@@ -16,12 +16,20 @@ arguments after the config are *domain options* (the type-state
 domains take ``prop``, ``tracked_sites``, ``oracle``; killgen takes an
 optional ``spec``); they are per-program inputs, not configuration, so
 they ride on the call rather than the config object.
+
+:func:`request_scope` is the process's one collector policy: every
+request boundary (``cli.main``'s analysis verbs,
+``AnalysisService.handle``, the experiment harness's ``run_engine``)
+runs inside it, and no other module calls ``gc``.
 """
 
 from __future__ import annotations
 
+import gc
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional
+from typing import FrozenSet, Iterator, Optional
 
 from repro.framework.config import AnalysisConfig
 from repro.framework.metrics import Metrics
@@ -116,3 +124,45 @@ def analysis_session() -> AnalysisSession:
     if _DEFAULT_SESSION is None:
         _DEFAULT_SESSION = AnalysisSession()
     return _DEFAULT_SESSION
+
+
+#: :func:`request_scope`'s nesting count.  The collector's switch is
+#: process-wide, so this state is too; the lock guards it because the
+#: daemon runs requests on several threads.
+_SCOPE_LOCK = threading.Lock()
+_scope_depth = 0
+_scope_was_enabled = False
+
+
+@contextmanager
+def request_scope() -> Iterator[None]:
+    """Run one request with automatic cyclic collection paused.
+
+    The engines' tables only grow until a solve ends, so a collection
+    mid-request rescans live rows and frees almost nothing.  Inside the
+    scope the collector never runs on its own; every exit (an exception
+    included) runs one young-generation collection, ``gc.collect(1)``,
+    so a request reclaims its own cyclic garbage inside its own time.
+    Scopes nest and overlap across threads: the outermost entry saves
+    whether the collector was enabled, and the last exit restores
+    that, so a caller that disabled it keeps it disabled, and whoever
+    toggles it between requests keeps its setting.  There is no
+    scheduled full collection: what stays resident (programs, warm
+    starts, results) is kept acyclic (DESIGN §10) and dies by
+    reference count, and CPython's own full-collection trigger still
+    runs whenever the collector is enabled between requests.
+    """
+    global _scope_depth, _scope_was_enabled
+    with _SCOPE_LOCK:
+        if _scope_depth == 0:
+            _scope_was_enabled = gc.isenabled()
+            gc.disable()
+        _scope_depth += 1
+    try:
+        yield
+    finally:
+        gc.collect(1)
+        with _SCOPE_LOCK:
+            _scope_depth -= 1
+            if _scope_depth == 0 and _scope_was_enabled:
+                gc.enable()

@@ -22,6 +22,7 @@ subclass it and override only the handling of call edges.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import Counter, deque
 from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
@@ -137,6 +138,24 @@ class TopDownResult:
     def incoming_states(self, proc: str) -> FrozenSet:
         """Distinct incoming abstract states observed for ``proc``."""
         return frozenset(self.entry_counts.get(proc, Counter()))
+
+
+@functools.lru_cache(maxsize=None)
+def _value_mode(engine_class: type) -> type:
+    """``engine_class`` over an infinite-height domain (DESIGN §14): the
+    same engine with :meth:`TopDownEngine._propagate_lattice` as its
+    ``_propagate``.  An engine built over such a domain switches to this
+    class in ``__init__``, so the worklist loop binds the right
+    propagation once per run and no call site branches on the mode."""
+    return type(
+        engine_class.__name__,
+        (engine_class,),
+        {
+            "_propagate": TopDownEngine._propagate_lattice,
+            "__module__": engine_class.__module__,
+            "__qualname__": engine_class.__qualname__,
+        },
+    )
 
 
 class TopDownEngine:
@@ -266,7 +285,11 @@ class TopDownEngine:
             self._ctx_acc: Dict[str, object] = {}
             self._ctx_visits: Dict[str, int] = {}
             self._cyclic: Dict[str, bool] = {}
-            self._propagate = self._propagate_lattice
+            # Value mode is a class, not a bound method stored on the
+            # instance: that method would point back at the engine and
+            # make every finished lattice solve, tables and all, cyclic
+            # garbage (DESIGN §10).
+            self.__class__ = _value_mode(type(self))
 
     # -- driver -----------------------------------------------------------------------
     def run(self, initial_states: Iterable) -> TopDownResult:
@@ -524,8 +547,8 @@ class TopDownEngine:
 
     def _propagate(self, point: ProgramPoint, entry_sigma, sigma) -> None:
         """Record the path edge ``(entry_sigma, sigma)`` at ``point`` and
-        queue it if new (value mode rebinds this to
-        :meth:`_propagate_lattice` in ``__init__``)."""
+        queue it if new (a value-mode engine's class, :func:`_value_mode`,
+        has :meth:`_propagate_lattice` in its place)."""
         edges = self._td.get(point)
         if edges is None:
             edges = self._td[point] = set()

@@ -208,14 +208,18 @@ class ControlFlowGraphs:
     """CFGs for every procedure of a program, built lazily and cached."""
 
     def __init__(self, program: Program) -> None:
-        self.program = program
+        # The bodies, not the program: memoized on its program
+        # (:func:`program_cfgs`), a back-reference would be a cycle that
+        # keeps an evicted program alive until the cyclic collector
+        # runs (DESIGN §10).
+        self._bodies = program.procedures
         self._cfgs: Dict[str, CFG] = {}
 
     def __getitem__(self, proc: str) -> CFG:
         cfg = self._cfgs.get(proc)
         if cfg is None:
             # setdefault: threads sharing one instance agree on one CFG.
-            cfg = self._cfgs.setdefault(proc, CFG(proc, self.program[proc]))
+            cfg = self._cfgs.setdefault(proc, CFG(proc, self._bodies[proc]))
         return cfg
 
     def entry(self, proc: str) -> ProgramPoint:
@@ -225,12 +229,12 @@ class ControlFlowGraphs:
         return self[proc].exit
 
     def all(self) -> Dict[str, CFG]:
-        for proc in self.program:
+        for proc in self._bodies:
             self[proc]
         return dict(self._cfgs)
 
     def total_points(self) -> int:
-        return sum(len(self[proc]) for proc in self.program)
+        return sum(len(self[proc]) for proc in self._bodies)
 
 
 def program_cfgs(program: Program) -> ControlFlowGraphs:

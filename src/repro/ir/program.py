@@ -178,40 +178,54 @@ class Program:
 
         Callers come before callees; cycles (recursion) are broken
         arbitrarily.  Useful for bottom-up scheduling (process reversed).
+        The walk is iterative: a recursive closure would capture itself
+        and ``self``, a cycle that keeps the program alive until the
+        cyclic collector runs (DESIGN §10).
         """
         order: List[str] = []
         seen: Set[str] = set()
-
-        def visit(name: str) -> None:
-            if name in seen:
-                return
-            seen.add(name)
-            for callee in sorted(self.callees(name)):
-                visit(callee)
-            order.append(name)
-
-        visit(self.main)
-        for name in sorted(self._procedures):
-            visit(name)
+        for root in [self.main, *sorted(self._procedures)]:
+            if root in seen:
+                continue
+            seen.add(root)
+            stack = [(root, iter(sorted(self.callees(root))))]
+            while stack:
+                name, callees = stack[-1]
+                for callee in callees:
+                    if callee not in seen:
+                        seen.add(callee)
+                        stack.append((callee, iter(sorted(self.callees(callee)))))
+                        break
+                else:
+                    stack.pop()
+                    order.append(name)
         order.reverse()
         return order
 
     def is_recursive(self) -> bool:
-        """True if the static call graph has a cycle."""
-        colors: Dict[str, int] = {}
-
-        def visit(name: str) -> bool:
-            colors[name] = 1
-            for callee in self.callees(name):
-                state = colors.get(callee, 0)
-                if state == 1:
-                    return True
-                if state == 0 and visit(callee):
-                    return True
-            colors[name] = 2
-            return False
-
-        return any(visit(name) for name in self._procedures if colors.get(name, 0) == 0)
+        """True if the static call graph has a cycle (an iterative
+        depth-first walk, like :meth:`topological_order`)."""
+        on_path: Set[str] = set()
+        done: Set[str] = set()
+        for root in self._procedures:
+            if root in done:
+                continue
+            on_path.add(root)
+            stack = [(root, iter(self.callees(root)))]
+            while stack:
+                name, callees = stack[-1]
+                for callee in callees:
+                    if callee in on_path:
+                        return True
+                    if callee not in done:
+                        on_path.add(callee)
+                        stack.append((callee, iter(self.callees(callee))))
+                        break
+                else:
+                    stack.pop()
+                    on_path.discard(name)
+                    done.add(name)
+        return False
 
     def __repr__(self) -> str:
         return f"Program({len(self._procedures)} procedures, main={self.main!r})"

@@ -67,7 +67,7 @@ from pathlib import Path
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.framework.config import AnalysisConfig, make_config
-from repro.framework.session import analysis_session
+from repro.framework.session import analysis_session, request_scope
 from repro.framework.tracing import TraceSink
 from repro.incremental.driver import LruCache, WarmCache, analyze_with_store
 from repro.incremental.fingerprint import config_fingerprint
@@ -225,39 +225,44 @@ class AnalysisService:
     def handle(
         self, request, emit: Optional[Callable[[dict], None]] = None
     ) -> dict:
-        """Process one request; never raises — failures become responses."""
-        request_id = request.get("id") if isinstance(request, dict) else None
-        try:
-            request = parse_request(request)
-        except ProtocolError as exc:
+        """Process one request; never raises — failures become responses.
+
+        Both front ends call this, so it is the daemon's request
+        boundary: the whole request runs inside ``request_scope()``.
+        """
+        with request_scope():
+            request_id = request.get("id") if isinstance(request, dict) else None
+            try:
+                request = parse_request(request)
+            except ProtocolError as exc:
+                with self._lock:
+                    self.errors += 1
+                return error_response(str(exc), request_id=request_id)
+            op = request["op"]
             with self._lock:
-                self.errors += 1
-            return error_response(str(exc), request_id=request_id)
-        op = request["op"]
-        with self._lock:
-            if self._closing:
-                self.errors += 1
-                return error_response(
-                    "service is shutting down", op=op, request_id=request_id
-                )
-            self.requests += 1
-            self._active += 1
-        try:
-            if op in ("analyze", "edit"):
-                return self._analyze(request, emit)
-            if op == "query":
-                return self._query(request)
-            if op == "demand":
-                return self._demand(request)
-            if op == "stats":
-                return ok_response("stats", request_id, **self.stats())
-            return self._shutdown(request)
-        except Exception as exc:  # a bug must not take the daemon down
-            return self._failure(exc, op, request_id)
-        finally:
-            with self._drained:
-                self._active -= 1
-                self._drained.notify_all()
+                if self._closing:
+                    self.errors += 1
+                    return error_response(
+                        "service is shutting down", op=op, request_id=request_id
+                    )
+                self.requests += 1
+                self._active += 1
+            try:
+                if op in ("analyze", "edit"):
+                    return self._analyze(request, emit)
+                if op == "query":
+                    return self._query(request)
+                if op == "demand":
+                    return self._demand(request)
+                if op == "stats":
+                    return ok_response("stats", request_id, **self.stats())
+                return self._shutdown(request)
+            except Exception as exc:  # a bug must not take the daemon down
+                return self._failure(exc, op, request_id)
+            finally:
+                with self._drained:
+                    self._active -= 1
+                    self._drained.notify_all()
 
     def _failure(self, exc: Exception, op: str, request_id=None) -> dict:
         """The error response for ``exc``: a :class:`ProtocolError` is

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import argparse
+import gc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -73,9 +75,44 @@ def test_verify_all_properties(mini_file, capsys):
     assert "File: ok" in capsys.readouterr().out
 
 
-def test_verify_engine_choices(mini_file):
+def test_verify_engine_choices(mini_file, monkeypatch):
     for engine in ("td", "bu", "swift"):
         assert main(["verify", mini_file(GOOD_MINI), "--engine", engine]) == 0
+        assert gc.isenabled()
+    # An analysis verb runs with the collector paused; every exit, a
+    # usage error or a raised exception included, runs one young
+    # collection and restores the collector, and a caller that had
+    # paused it keeps it paused.
+    assert main(["verify", mini_file(GOOD_MINI) + ".missing"]) == 2
+    assert gc.isenabled()
+    cycles = []
+
+    def failing(*args, **kwargs):
+        assert not gc.isenabled()
+        node = argparse.Namespace()
+        node.self = node
+        cycles.append(weakref.ref(node))
+        del node  # cyclic garbage once the request is over
+        raise RuntimeError("solve failed")
+
+    monkeypatch.setattr("repro.typestate.client.run_typestate", failing)
+    for caller_enabled in (True, False):
+        if not caller_enabled:
+            gc.disable()
+        try:
+            with pytest.raises(RuntimeError, match="solve failed"):
+                main(["verify", mini_file(GOOD_MINI)])
+            assert gc.isenabled() is caller_enabled
+        finally:
+            gc.enable()
+    assert len(cycles) == 2 and cycles[1]() is None
+    monkeypatch.undo()
+    gc.disable()
+    try:
+        assert main(["verify", mini_file(GOOD_MINI)]) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_dump_ir(mini_file, capsys):

@@ -127,6 +127,58 @@ def test_condensation_memoized_per_program():
     gc.collect()
     assert [ref for ref in refs if ref() is not None] == []
 
+    # They die by reference count alone: with the collector paused and
+    # no collection run, a program dies once its last reference goes —
+    # after its IR walks and memos — and so does a finished engine,
+    # value mode included, with its tables.
+    from repro.bench.workloads import loop_nest
+    from repro.framework.bottomup import BottomUpEngine
+    from repro.framework.config import AnalysisConfig
+    from repro.framework.pruning import NoPruner
+    from repro.framework.session import analysis_session
+    from repro.framework.swift import SwiftEngine
+    from repro.framework.topdown import TopDownEngine
+    from repro.typestate.properties import FILE_PROPERTY
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        refs = []
+        for source in (text, format_program(loop_nest(4, seed=19))):
+            parsed = parse_program(source)
+            assert sorted(parsed.topological_order()) == sorted(parsed)
+            parsed.is_recursive()
+            program_cfgs(parsed)[parsed.main]
+            condensation(parsed)
+            program_fingerprints(parsed, with_alias=True)
+            refs.append(weakref.ref(parsed))
+            del parsed
+        assert [ref for ref in refs if ref() is not None] == []
+
+        program = loop_nest(4, seed=19)
+        instance = analysis_session().build_domain(
+            program, AnalysisConfig(domain="interval-typestate"), prop=FILE_PROPERTY
+        )
+        td, bu = instance.td_analysis, instance.bu_analysis
+        for build in (
+            lambda: TopDownEngine(program, td),
+            lambda: SwiftEngine(program, td, bu, k=1, theta=1),
+            lambda: BottomUpEngine(program, bu, pruner=NoPruner(bu)),
+        ):
+            engine = build()
+            if isinstance(engine, BottomUpEngine):
+                result = engine.analyze()
+            else:
+                assert isinstance(engine, TopDownEngine) and engine._lattice
+                result = engine.run(instance.initial_states)
+            assert not result.timed_out
+            refs = [weakref.ref(engine), weakref.ref(result)]
+            del engine, result
+            assert [ref for ref in refs if ref() is not None] == []
+    finally:
+        if enabled:
+            gc.enable()
+
 
 def test_condensation_is_deterministic():
     programs = diamond_program(), diamond_program()

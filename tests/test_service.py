@@ -1,12 +1,14 @@
 """Tests for the resident analysis service (daemon, front ends, client)."""
 
 import dataclasses
+import gc
 import io
 import json
 import subprocess
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -175,12 +177,14 @@ def test_concurrent_same_key_requests_coalesce(service, monkeypatch):
     real = daemon_mod.analyze_with_store
 
     def gated(*args, **kwargs):
+        assert not gc.isenabled()  # inside the request scope
         entered.set()
         assert release.wait(10), "leader was never released"
         return real(*args, **kwargs)
 
     monkeypatch.setattr(daemon_mod, "analyze_with_store", gated)
     request = {"op": "analyze", "program": GOOD_MINI}
+    assert gc.isenabled()
     with ThreadPoolExecutor(max_workers=3) as pool:
         leader = pool.submit(service.handle, dict(request))
         assert entered.wait(10)
@@ -258,6 +262,39 @@ def test_concurrent_same_key_requests_coalesce(service, monkeypatch):
     assert waiter["coalesced"] is True
     assert waiter["targets"] == list(waiter["answers"]) == ["main:1"]
     assert waiter["answers"]["main:1"] == lead["answers"]["main:1"]
+    # The overlapping requests' scopes restored the collector, and so
+    # does a request that fails; a caller that had paused the collector
+    # keeps it paused.
+    assert gc.isenabled()
+    failed = service.handle({"op": "analyze", "program": "main {"})
+    assert not failed["ok"] and gc.isenabled()
+    gc.disable()
+    try:
+        assert service.handle(dict(request))["ok"]
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    # Scopes overlapping on more threads than cores, switching often:
+    # the nesting count loses no update, so no scope ever sees the
+    # collector running and the last exit turns it back on.
+    from repro.framework.session import request_scope
+
+    def nest(_):
+        for _ in range(40):
+            with request_scope():
+                with request_scope():
+                    assert not gc.isenabled()
+                assert not gc.isenabled()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for future in [pool.submit(nest, i) for i in range(4)]:
+                future.result(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert gc.isenabled()
 
 
 def test_different_keys_do_not_coalesce(service):
@@ -291,6 +328,39 @@ def test_lru_eviction_under_config_churn(tmp_path):
         {"op": "analyze", "program": GOOD_MINI, "config": cfg_a}
     )
     assert not again["cold"] and again["work"] == 0
+    # Churning program versions through one-entry caches leaks nothing:
+    # with the collector paused throughout (each request still runs its
+    # own young collection), an evicted or replaced warm-cache entry
+    # dies by reference count, and the live-object count stays flat.
+    churn = AnalysisService(
+        tmp_path / "churn", lru_size=1, program_cache_size=1, result_cache_size=1
+    )
+    inserted = []
+    insert = churn.warm_cache.insert
+
+    def recording_insert(key, signature, fp_key, snapshot, plan):
+        inserted.append(weakref.ref(snapshot))
+        insert(key, signature, fp_key, snapshot, plan)
+
+    churn.warm_cache.insert = recording_insert
+    counts = []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(8):
+            for text in (GOOD_MINI, BAD_MINI, EDITED_MINI):
+                for op in ("analyze", "edit", "demand"):
+                    request = {"op": op, "program": text}
+                    if op == "demand":
+                        request["target"] = "main"
+                    assert churn.handle(request)["ok"]
+            counts.append(len(gc.get_objects()) - len(inserted))
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(inserted) >= 8 * 3
+    assert len([ref for ref in inserted if ref() is not None]) == 1
+    assert counts[-1] - counts[2] < 200, counts
 
 
 def test_warm_requests_hit_resident_cache(service):

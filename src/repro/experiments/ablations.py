@@ -27,6 +27,7 @@ from repro.experiments.harness import DEFAULT_BUDGET_WORK, format_table
 from repro.framework.ignored import IgnoredStates
 from repro.framework.metrics import Budget
 from repro.framework.pruning import FrequencyPruner, PruneOperator, clean, excl
+from repro.framework.session import request_scope
 from repro.framework.swift import SwiftEngine
 from repro.typestate.client import make_analyses
 from repro.typestate.properties import FILE_PROPERTY
@@ -106,7 +107,8 @@ def _run_variant(
 
 def _timed_run(variant: str, engine: SwiftEngine, init) -> AblationRow:
     started = time.perf_counter()
-    result = engine.run([init])
+    with request_scope():  # one run is one request, as in run_engine
+        result = engine.run([init])
     elapsed = time.perf_counter() - started
     return AblationRow(
         variant,

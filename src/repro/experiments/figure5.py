@@ -26,6 +26,7 @@ from repro.experiments.harness import (
     open_trace_sink,
 )
 from repro.framework.metrics import Budget
+from repro.framework.session import request_scope
 from repro.typestate.client import make_analyses
 from repro.framework.swift import SwiftEngine
 from repro.framework.topdown import TopDownEngine
@@ -61,18 +62,20 @@ def run_one(name: str, k: int = 5, theta: int = 1) -> Figure5Series:
     budget = Budget(max_work=20 * DEFAULT_BUDGET_WORK)
     td_sink = open_trace_sink(name, "td")
     try:
-        td_result = TopDownEngine(
-            benchmark.program, td_a, budget=budget, sink=td_sink
-        ).run([init])
+        with request_scope():  # each engine run is one request
+            td_result = TopDownEngine(
+                benchmark.program, td_a, budget=budget, sink=td_sink
+            ).run([init])
     finally:
         if td_sink is not None:
             td_sink.close()
     swift_sink = open_trace_sink(name, "swift")
     try:
-        swift_result = SwiftEngine(
-            benchmark.program, td_a, bu_a, k=k, theta=theta, budget=budget,
-            sink=swift_sink,
-        ).run([init])
+        with request_scope():
+            swift_result = SwiftEngine(
+                benchmark.program, td_a, bu_a, k=k, theta=theta, budget=budget,
+                sink=swift_sink,
+            ).run([init])
     finally:
         if swift_sink is not None:
             swift_sink.close()

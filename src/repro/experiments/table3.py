@@ -22,6 +22,7 @@ from typing import List, Optional
 from repro.bench import load_benchmark
 from repro.experiments.harness import DEFAULT_BUDGET_WORK, format_table
 from repro.framework.metrics import Budget
+from repro.framework.session import request_scope
 from repro.framework.swift import SwiftEngine
 from repro.typestate.client import make_analyses
 from repro.typestate.properties import FILE_PROPERTY
@@ -62,7 +63,8 @@ def run_one(k: int, theta: int = 1, benchmark_name: str = BENCHMARK) -> Table3Ro
         refresh_existing=True,
     )
     started = time.perf_counter()
-    result = engine.run([init])
+    with request_scope():  # one run is one request, as in run_engine
+        result = engine.run([init])
     elapsed = time.perf_counter() - started
     return Table3Row(
         k,

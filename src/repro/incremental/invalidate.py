@@ -385,17 +385,20 @@ class _RunTables:
         return True
 
     def encode(
-        self, proc: str, old_m, codec: Codec
+        self, proc: str, old_m, codec: Codec, bu_text: Optional[str] = None
     ) -> Tuple[str, StoredProc]:
         """Encode ``proc``'s segment from this run's tables: its canonical
         text and the matching decoded entries built from the run's own
         objects, all in canonical order.
 
         ``old_m`` is the previous multiset (``None`` when there was
-        none).  The text is assembled from per-state canonical JSON,
-        memoized across the whole save, and equals the canonical JSON
-        of the encoded payload: a list's canonical form is its items'
-        canonical forms joined by commas.
+        none).  ``bu_text`` is the summary's canonical text when the run
+        kept the stored summary object, cut from the previous segment
+        (:func:`_summary_text`) rather than encoded again.  The text is
+        assembled from per-state canonical JSON, memoized across the
+        whole save, and equals the canonical JSON of the encoded
+        payload: a list's canonical form is its items' canonical forms
+        joined by commas.
         """
         state = self._state
         by_entry: Dict[object, Tuple[list, list]] = {}
@@ -436,7 +439,9 @@ class _RunTables:
         parts = [f'"contexts":[{",".join(c[1] for c in contexts)}]']
         summary = self.bu.get(proc)
         if summary is not None:
-            parts.insert(0, f'"bu":{canonical_json(codec.encode_summary(summary))}')
+            if bu_text is None:
+                bu_text = canonical_json(codec.encode_summary(summary))
+            parts.insert(0, f'"bu":{bu_text}')
         observed = self.counts.get(proc)
         ranks = None
         if observed is not None or old_m is not None:
@@ -483,6 +488,15 @@ def _first(item):
     return item[0]
 
 
+_DECODER = json.JSONDecoder()
+
+
+def _summary_text(segment: str) -> str:
+    """The canonical text of the summary in ``segment``, which starts
+    ``{"bu":`` (canonical JSON sorts ``"bu"`` first)."""
+    return segment[6 : _DECODER.raw_decode(segment, 6)[1]]
+
+
 def build_snapshot(
     config: dict,
     config_fp: str,
@@ -508,7 +522,9 @@ def build_snapshot(
     is encoded.  Because a segment's text is a function of its entries
     alone, the bytes equal those of a save with nothing to reuse.  The
     new snapshot's ``decoded`` map is filled from the run's own objects,
-    so a resident cache need not decode it back.
+    so a resident cache need not decode it back, and its instantiation
+    memo keeps ``previous``'s entries for every summary the run kept as
+    the same object (:func:`_surviving_instantiations`).
     """
     snap = Snapshot(
         config_fp=config_fp,
@@ -529,13 +545,35 @@ def build_snapshot(
             snap.decoded[proc] = stored
             reused.append(proc)
             continue
-        old_m = None
+        old_m = bu_text = None
         if proc in previous_segments:
             old_m = stored_proc(previous, proc, codec).ranks
-        text, stored = tables.encode(proc, old_m, codec)
+        summary = tables.bu.get(proc)
+        if summary is not None and stored is not None and summary is stored.bu:
+            bu_text = _summary_text(previous_segments[proc])
+        text, stored = tables.encode(proc, old_m, codec, bu_text)
         if text == '{"contexts":[]}':
             continue  # nothing stored for this procedure
         snap.segments[proc] = text
         snap.decoded[proc] = stored
     snap.reused = frozenset(reused)
+    if previous is not None:
+        snap.instantiations = _surviving_instantiations(previous, snap)
     return snap
+
+
+def _surviving_instantiations(previous: Snapshot, snap: Snapshot) -> Dict:
+    """``previous``'s instantiation memo cut to the callees whose summary
+    ``snap`` keeps as the very same object.  An instantiation is a pure
+    function of the summary and σ, so those entries stay exact; a
+    recomputed or invalidated summary loses its entries.  The memo is
+    copied in one call first: a concurrent run over ``previous`` may be
+    adding to it."""
+    memo = previous.instantiations.copy()
+    old = previous.decoded
+    kept = set()
+    for proc, stored in snap.decoded.items():
+        was = old.get(proc)
+        if stored.bu is not None and was is not None and was.bu is stored.bu:
+            kept.add(proc)
+    return {key: outputs for key, outputs in memo.items() if key[0] in kept}

@@ -195,7 +195,8 @@ class Snapshot:
     decoded: Dict[str, object] = field(default_factory=dict, repr=False)
     #: SWIFT's ``(callee, σ) -> outputs`` instantiations of the summaries
     #: in ``decoded`` (``None`` for an ignored σ), shared by every run
-    #: over this snapshot (see :class:`~repro.framework.swift.SwiftEngine`).
+    #: over this snapshot (see :class:`~repro.framework.swift.SwiftEngine`)
+    #: and kept by the next save for every summary it keeps.
     instantiations: Dict = field(default_factory=dict, repr=False)
 
     def payload(self, proc: str) -> Optional[dict]:

@@ -34,6 +34,7 @@ from repro.ir.commands import Call, Seq, Skip, seq
 from repro.ir.parser import parse_program
 from repro.ir.program import Program
 from repro.query import QueryTarget, compute_cone
+from repro.typestate.client import run_typestate
 from repro.typestate.properties import FILE_PROPERTY
 
 from tests.helpers import best_of
@@ -221,6 +222,55 @@ def test_one_proc_edit_reanalyzes_only_the_cone(tmp_path, engine):
     assert set(edit.invalidated) == cone
     assert edit.report.errors == cold_errors(edited, "edited")
     assert steady.report.errors == cold_errors(edited_twice, "edited-twice")
+
+    # A save keeps the instantiations of exactly the summaries it keeps
+    # as the same object.  Through one resident cache (k=1, so ``foo``
+    # gets a summary): a cold run, a warm re-run, a caller edit that
+    # instantiates ``foo``'s stored summary, an edit that changes
+    # ``foo``'s effect (its summary is replaced), the caller's revert,
+    # which instantiates the new summary at the old σ, and an unchanged
+    # re-run.  A stale instantiation would hide the double open.
+    head = (
+        "proc main { a = new h1; f = a; call g; a.open(); "
+        "b = new h2; f = b; call g; b.open(); }\n"
+    )
+    callers = ("proc g { call foo; }\n", "proc g { call foo; call foo; }\n")
+    foos = ("proc foo { f.open(); f.close(); }\n", "proc foo { f.open(); }\n")
+    versions = [(0, 0), (0, 0), (1, 0), (1, 1), (0, 1), (0, 1)]
+    saves = []
+
+    def build_snapshot(*args, **kw):
+        saves.append((kw["previous"], invalidate.build_snapshot(*args, **kw)))
+        return saves[-1][1]
+
+    cache, store = WarmCache(), SummaryStore(tmp_path / "memo")
+    with mock.patch.object(driver, "build_snapshot", build_snapshot):
+        for step, (g, foo) in enumerate(versions):
+            version = parse_program(head + callers[g] + foos[foo])
+            ref = run_typestate(version, FILE_PROPERTY, engine="td", domain="full")
+            out = analyze_with_store(
+                version, FILE_PROPERTY, store, engine=engine, domain="full",
+                k=1, theta=1, warm_cache=cache,
+            )
+            assert out.cold == (step == 0)
+            assert out.report.error_sites == ref.error_sites, step
+            assert {e for e in out.report.errors if e[0].proc == "main"} == {
+                e for e in ref.errors if e[0].proc == "main"
+            }, step
+            if step in (1, 5):
+                assert out.report.result.metrics.total_work == 0
+                continue  # an unchanged re-run saves nothing
+            previous, snap = saves[-1]
+            carried = {callee for callee, _ in snap.instantiations}
+            for callee in carried:
+                assert snap.decoded[callee].bu is previous.decoded[callee].bu
+            if engine == "swift" and step == 2:  # foo's summary survived
+                assert carried == {"foo"}
+            if engine == "swift" and step == 3:  # ... and is replaced here
+                assert "foo" in {callee for callee, _ in previous.instantiations}
+                assert snap.decoded["foo"].bu is not previous.decoded["foo"].bu
+                assert not carried
+    assert len(saves) == 4
 
 
 def test_edit_outside_cone_preserves_stored_entries(tmp_path):

@@ -248,13 +248,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments import __main__ as runner
 
-    shim = ["repro.experiments"] + args.names
-    if args.parallel:
-        shim += ["--parallel", str(args.parallel)]
-    if args.trace:
-        shim += ["--trace", args.trace]
-    sys.argv = shim
-    runner.main()
+    runner.run(args.names, parallel=args.parallel, trace=args.trace)
     return 0
 
 
@@ -873,14 +867,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="compute independent benchmark rows in N worker processes "
+        help="compute each exhibit's independent rows in N worker processes "
         "(same rows as a serial run; see experiments/harness.py)",
     )
     experiments.add_argument(
         "--trace",
         default=None,
         metavar="DIR",
-        help="record per-run analysis events to DIR/<benchmark>_<engine>.jsonl",
+        help="record each engine run's analysis events to a JSONL file "
+        "under DIR/<exhibit>/",
     )
     experiments.set_defaults(fn=cmd_experiments)
 

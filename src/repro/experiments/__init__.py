@@ -14,9 +14,12 @@ One module per exhibit:
   design choices DESIGN.md calls out (ranking strategy, trigger
   postponement, summary refresh).
 
-Each module has a ``run()`` returning structured rows and a ``main()``
-that prints the exhibit; ``python -m repro.experiments`` regenerates
-everything.
+Each module has a ``run()`` returning structured rows and a
+``main(parallel=0)`` that prints the exhibit; both compute their rows
+through :func:`repro.experiments.harness.map_rows`, and every engine
+run is one :func:`repro.experiments.harness.run_engine` call, which
+owns the row's budget, trace file and timing.  ``python -m
+repro.experiments`` regenerates everything.
 """
 
 from repro.experiments.harness import (

@@ -1,18 +1,20 @@
 """Regenerate every exhibit: ``python -m repro.experiments``.
 
-``--parallel N`` computes independent benchmark rows in N worker
-processes (table2, figure5 and table4 support it); the tables are
-identical to a serial run — work counters are deterministic and rows
-are collected in submission order — only wall clock changes.
-
-``--trace DIR`` records every engine run's analysis events to
-``DIR/<benchmark>_<engine>.jsonl`` (worker processes included; see
-:func:`repro.experiments.harness.set_trace_dir`).
+The arguments are those of ``repro-swift experiments``: exhibit names
+(all of them when none is given), ``--parallel N`` to compute each
+exhibit's independent rows in N worker processes, and ``--trace DIR``
+to record every engine run's analysis events under ``DIR/<exhibit>/``
+(one file per run; see :func:`repro.experiments.harness.run_engine`).
+A parallel table is identical to a serial one: work counters are
+deterministic and rows are collected in submission order; only wall
+clock changes.
 """
 
 from __future__ import annotations
 
 import sys
+from pathlib import Path
+from typing import Optional, Sequence
 
 from repro.experiments import (
     ablations,
@@ -25,45 +27,34 @@ from repro.experiments import (
     table4,
 )
 
-#: Exhibits whose ``main`` accepts a ``parallel`` worker count.
-_PARALLEL_EXHIBITS = frozenset({"table2", "figure5", "table4"})
+EXHIBITS = {
+    "table1": table1,
+    "table2": table2,
+    "figure5": figure5,
+    "table3": table3,
+    "table4": table4,
+    "ablations": ablations,
+    "shapes": shapes,
+}
+
+
+def run(
+    names: Sequence[str] = (), parallel: int = 0, trace: Optional[str] = None
+) -> None:
+    """Print the exhibits named in ``names`` (every exhibit if empty)."""
+    for name, module in EXHIBITS.items():
+        if names and name not in names:
+            continue
+        harness.set_trace_dir(None if trace is None else Path(trace) / name)
+        print(f"\n{'=' * 78}\n{name}\n{'=' * 78}")
+        module.main(parallel=parallel)
+    harness.set_trace_dir(None)
 
 
 def main() -> None:
-    argv = list(sys.argv[1:])
-    parallel = 0
-    if "--parallel" in argv:
-        at = argv.index("--parallel")
-        try:
-            parallel = int(argv[at + 1])
-        except (IndexError, ValueError):
-            raise SystemExit("--parallel requires an integer worker count")
-        del argv[at : at + 2]
-    if "--trace" in argv:
-        at = argv.index("--trace")
-        try:
-            harness.set_trace_dir(argv[at + 1])
-        except IndexError:
-            raise SystemExit("--trace requires a directory")
-        del argv[at : at + 2]
-    wanted = set(argv)
-    exhibits = [
-        ("table1", table1),
-        ("table2", table2),
-        ("figure5", figure5),
-        ("table3", table3),
-        ("table4", table4),
-        ("ablations", ablations),
-        ("shapes", shapes),
-    ]
-    for name, module in exhibits:
-        if wanted and name not in wanted:
-            continue
-        print(f"\n{'=' * 78}\n{name}\n{'=' * 78}")
-        if name in _PARALLEL_EXHIBITS:
-            module.main(parallel=parallel)
-        else:
-            module.main()
+    from repro.cli import main as cli_main
+
+    sys.exit(cli_main(["experiments", *sys.argv[1:]]))
 
 
 if __name__ == "__main__":

@@ -18,19 +18,19 @@ discussion motivates:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from functools import partial
 from typing import FrozenSet, List, Tuple
 
 from repro.bench import load_benchmark
-from repro.experiments.harness import DEFAULT_BUDGET_WORK, format_table
+from repro.experiments.harness import (
+    DEFAULT_BUDGET_WORK,
+    format_table,
+    map_rows,
+    run_engine,
+)
 from repro.framework.ignored import IgnoredStates
-from repro.framework.metrics import Budget
-from repro.framework.pruning import FrequencyPruner, PruneOperator, clean, excl
-from repro.framework.session import request_scope
-from repro.framework.swift import SwiftEngine
-from repro.typestate.client import make_analyses
-from repro.typestate.properties import FILE_PROPERTY
+from repro.framework.pruning import PruneOperator, clean, excl
 
 BENCHMARK = "antlr"
 
@@ -79,57 +79,53 @@ class AblationRow:
         ]
 
 
+#: Each variant's departure from the default run, in table order:
+#: AnalysisConfig fields, then SWIFT's experiment-only engine options.
+_VARIANT_SETTINGS = {
+    "default": ({}, {}),
+    "blind-ranking": ({}, {"pruner_factory": BlindPruner}),
+    "no-postpone": ({}, {"postpone_unseen": False}),
+    "refresh-existing": ({}, {"refresh_existing": True}),
+    # Breadth-first tabulation floods call sites before triggers fire,
+    # so summaries arrive too late to absorb the contexts.
+    "fifo-worklist": ({"scheduler": "fifo"}, {}),
+}
+
+
 def _run_variant(
     variant: str,
     benchmark_name: str = BENCHMARK,
     k: int = 5,
     theta: int = 1,
 ) -> AblationRow:
-    benchmark = load_benchmark(benchmark_name)
-    td_a, bu_a, init = make_analyses(benchmark.program, FILE_PROPERTY, "full")
-    budget = Budget(max_work=50 * DEFAULT_BUDGET_WORK)
-    kwargs = dict(k=k, theta=theta, budget=budget)
-    if variant == "no-postpone":
-        kwargs["postpone_unseen"] = False
-    elif variant == "refresh-existing":
-        kwargs["refresh_existing"] = True
-    elif variant == "blind-ranking":
-        kwargs["pruner_factory"] = BlindPruner
-    elif variant == "fifo-worklist":
-        # Breadth-first tabulation floods call sites before triggers
-        # fire, so summaries arrive too late to absorb the contexts.
-        kwargs["scheduler"] = "fifo"
-    elif variant != "default":
+    if variant not in _VARIANT_SETTINGS:
         raise ValueError(f"unknown variant {variant!r}")
-    engine = SwiftEngine(benchmark.program, td_a, bu_a, **kwargs)
-    return _timed_run(variant, engine, init)
-
-
-def _timed_run(variant: str, engine: SwiftEngine, init) -> AblationRow:
-    started = time.perf_counter()
-    with request_scope():  # one run is one request, as in run_engine
-        result = engine.run([init])
-    elapsed = time.perf_counter() - started
+    fields, options = _VARIANT_SETTINGS[variant]
+    run = run_engine(
+        load_benchmark(benchmark_name),
+        "swift",
+        k=k,
+        theta=theta,
+        budget_work=50 * DEFAULT_BUDGET_WORK,
+        engine_options=options,
+        label=variant,
+        **fields,
+    )
     return AblationRow(
         variant,
-        elapsed,
-        result.metrics.total_work,
-        result.total_summaries(),
-        result.metrics.summary_instantiations,
+        run.seconds,
+        run.work,
+        run.td_summaries,
+        run.metrics.summary_instantiations,
     )
 
 
-VARIANTS = [
-    "default",
-    "blind-ranking",
-    "no-postpone",
-    "refresh-existing",
-    "fifo-worklist",
-]
+VARIANTS = list(_VARIANT_SETTINGS)
 
 
-def run(benchmark_name: str = BENCHMARK) -> List[AblationRow]:
-    return [_run_variant(v, benchmark_name) for v in VARIANTS]
+def run(benchmark_name: str = BENCHMARK, parallel: int = 0) -> List[AblationRow]:
+    worker = partial(_run_variant, benchmark_name=benchmark_name)
+    return map_rows(worker, VARIANTS, parallel=parallel)
 
 
 def render(rows: List[AblationRow]) -> str:
@@ -140,8 +136,8 @@ def render(rows: List[AblationRow]) -> str:
     )
 
 
-def main() -> None:
-    print(render(run()))
+def main(parallel: int = 0) -> None:
+    print(render(run(parallel=parallel)))
 
 
 if __name__ == "__main__":

@@ -16,21 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List
+from typing import List
 
 from repro.bench import load_benchmark
 from repro.experiments.harness import (
     DEFAULT_BUDGET_WORK,
     format_table,
     map_rows,
-    open_trace_sink,
+    run_engine,
 )
-from repro.framework.metrics import Budget
-from repro.framework.session import request_scope
-from repro.typestate.client import make_analyses
-from repro.framework.swift import SwiftEngine
-from repro.framework.topdown import TopDownEngine
-from repro.typestate.properties import FILE_PROPERTY
 
 BENCHMARKS = ["toba-s", "javasrc-p", "antlr"]
 
@@ -58,32 +52,14 @@ class Figure5Series:
 
 def run_one(name: str, k: int = 5, theta: int = 1) -> Figure5Series:
     benchmark = load_benchmark(name)
-    td_a, bu_a, init = make_analyses(benchmark.program, FILE_PROPERTY, "full")
-    budget = Budget(max_work=20 * DEFAULT_BUDGET_WORK)
-    td_sink = open_trace_sink(name, "td")
-    try:
-        with request_scope():  # each engine run is one request
-            td_result = TopDownEngine(
-                benchmark.program, td_a, budget=budget, sink=td_sink
-            ).run([init])
-    finally:
-        if td_sink is not None:
-            td_sink.close()
-    swift_sink = open_trace_sink(name, "swift")
-    try:
-        with request_scope():
-            swift_result = SwiftEngine(
-                benchmark.program, td_a, bu_a, k=k, theta=theta, budget=budget,
-                sink=swift_sink,
-            ).run([init])
-    finally:
-        if swift_sink is not None:
-            swift_sink.close()
-    td_counts = sorted(td_result.summary_counts_by_proc().values(), reverse=True)
-    swift_counts = sorted(
-        swift_result.summary_counts_by_proc().values(), reverse=True
-    )
-    return Figure5Series(name, td_counts, swift_counts, k)
+
+    def counts(engine: str) -> List[int]:
+        run = run_engine(
+            benchmark, engine, k=k, theta=theta, budget_work=20 * DEFAULT_BUDGET_WORK
+        )
+        return sorted(run.td_summary_counts.values(), reverse=True)
+
+    return Figure5Series(name, counts("td"), counts("swift"), k)
 
 
 def run(k: int = 5, theta: int = 1, parallel: int = 0) -> List[Figure5Series]:

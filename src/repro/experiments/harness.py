@@ -23,13 +23,23 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    TypeVar,
+    Union,
+)
 
 from repro.bench.generator import GeneratedBenchmark
 from repro.framework.config import AnalysisConfig
-from repro.framework.metrics import Metrics
-from repro.framework.registry import BU_WALL_CAP_SECONDS, DEFAULT_WALL_CAP_SECONDS
+from repro.framework.metrics import Budget, Metrics
 from repro.framework.session import analysis_session, request_scope
+from repro.framework.topdown import TopDownResult
 from repro.framework.tracing import JsonlSink
 from repro.typestate.properties import FILE_PROPERTY, TypestateProperty
 
@@ -39,16 +49,20 @@ _RowT = TypeVar("_RowT")
 #: The stand-in for the paper's 24h/16GB limit (see module docstring).
 DEFAULT_BUDGET_WORK = 400_000
 
-#: Wall caps now live on the engine registry
-#: (:attr:`repro.framework.registry.EngineSpec.wall_cap_seconds`);
-#: these aliases keep the harness's historical names importable.
-DEFAULT_BUDGET_SECONDS = DEFAULT_WALL_CAP_SECONDS
-BU_BUDGET_SECONDS = BU_WALL_CAP_SECONDS
+#: Wall-clock safety net (seconds) of every experiment row, so a
+#: miscalibrated run cannot hang a session.  Conventional bottom-up
+#: runs get a tighter one: on the larger benchmarks each unit of BU
+#: work is far more expensive (huge relation sets and predicates), so
+#: waiting for the work counter alone would burn minutes per timeout
+#: row.  The outcome is the same, as those runs exceed the work budget
+#: too, just slowly.
+ROW_SECONDS = 600.0
+ROW_SECONDS_BY_ENGINE = {"bu": 45.0}
 
 #: When set (``--trace DIR``), every ``run_engine`` call records its
-#: analysis events to ``DIR/<benchmark>_<engine>.jsonl`` alongside the
-#: exhibit's CSVs.  Worker processes inherit the setting through
-#: ``map_rows``'s pool initializer.
+#: analysis events to ``<benchmark>_<engine>[_k<k>_theta<theta>]
+#: [_<label>].jsonl`` under it.  Worker processes inherit the setting
+#: through ``map_rows``'s pool initializer.
 _TRACE_DIR: Optional[Path] = None
 
 
@@ -58,24 +72,18 @@ def set_trace_dir(path: Optional[Union[str, Path]]) -> None:
     _TRACE_DIR = Path(path) if path is not None else None
 
 
-def trace_dir() -> Optional[Path]:
-    return _TRACE_DIR
-
-
-def _init_worker_trace(path: Optional[Path]) -> None:
-    """Pool initializer: re-establish the trace dir in worker processes."""
-    set_trace_dir(path)
-
-
-def open_trace_sink(benchmark: str, engine: str) -> Optional[JsonlSink]:
-    """A ``JsonlSink`` under the ``--trace`` dir, or ``None`` when off.
-
-    Callers own the sink and must ``close()`` it (or use it as a
-    context manager) once the run completes.
-    """
-    if _TRACE_DIR is None:
-        return None
-    return JsonlSink(_TRACE_DIR / f"{benchmark}_{engine}.jsonl")
+def experiment_config(
+    engine: str, budget_work: Optional[int] = DEFAULT_BUDGET_WORK, **fields
+) -> AnalysisConfig:
+    """The configuration of one experiment row: the full type-state
+    domain unless ``fields`` name another, under the work budget and
+    the engine's wall cap.  Unknown ``fields`` raise ``TypeError``."""
+    budget = Budget(
+        max_work=budget_work,
+        max_seconds=ROW_SECONDS_BY_ENGINE.get(engine, ROW_SECONDS),
+    )
+    fields.setdefault("domain", "typestate-full")
+    return AnalysisConfig(engine=engine, budget=budget, **fields)
 
 
 @dataclass
@@ -88,13 +96,19 @@ class EngineRun:
     theta: Optional[int]
     seconds: float
     work: int
-    td_summaries: int
+    # Top-down summaries per procedure (Figure 5's series); empty for
+    # the bottom-up engine, which computes none.
+    td_summary_counts: Dict[str, int]
     bu_summaries: int
     timed_out: bool
     error_sites: frozenset
     # Full work counters of the run (for merging across rows); plain
     # ints, so rows survive the process boundary of a parallel run.
     metrics: Optional[Metrics] = field(default=None, repr=False, compare=False)
+
+    @property
+    def td_summaries(self) -> int:
+        return sum(self.td_summary_counts.values())
 
     @property
     def time_label(self) -> str:
@@ -108,53 +122,62 @@ def run_engine(
     theta: int = 1,
     budget_work: Optional[int] = DEFAULT_BUDGET_WORK,
     prop: TypestateProperty = FILE_PROPERTY,
-    **engine_kwargs,
+    engine_options: Optional[Mapping] = None,
+    label: str = "",
+    **config_fields,
 ) -> EngineRun:
-    """Run one engine over one benchmark with the experiment budget.
+    """Run one experiment row: one engine over one benchmark.
 
-    The configuration is built through
-    :meth:`repro.framework.config.AnalysisConfig.for_experiment`: the
-    engine's wall cap comes from its registry spec (the ``bu``-specific
-    45s cap included), and any unknown ``engine_kwargs`` raise instead
-    of being forwarded blindly to whichever engine happens to accept
-    them.
+    The row's configuration is :func:`experiment_config`'s;
+    ``config_fields`` are further :class:`AnalysisConfig` fields (a
+    ``scheduler`` or ``domain``) and ``engine_options`` the engine's
+    experiment-only hooks (SWIFT's ``refresh_existing``,
+    ``postpone_unseen`` and ``pruner_factory``), which an engine
+    without them refuses.  ``label`` names the row's variant in its
+    trace file (see ``_TRACE_DIR``).  The run is one request
+    (:func:`~repro.framework.session.request_scope`): a row pays for
+    its own cyclic garbage, not for the rows that ran before it.
     """
+    config = experiment_config(
+        engine, budget_work=budget_work, k=k, theta=theta, **config_fields
+    )
+    if not config.engine_spec.uses_thresholds:
+        k = theta = None
     sink = None
-    if "sink" not in engine_kwargs:
-        sink = open_trace_sink(benchmark.name, engine)
-        if sink is not None:
-            engine_kwargs["sink"] = sink
+    if _TRACE_DIR is not None:
+        # Everything that tells one row of an exhibit from another is
+        # in the name, so no run overwrites another's trace.
+        thresholds = f"k{k}_theta{theta}" if k else ""
+        tags = [benchmark.name, config.engine, thresholds, label]
+        sink = JsonlSink(_TRACE_DIR / ("_".join(filter(None, tags)) + ".jsonl"))
+        config = config.replace(sink=sink)
     try:
-        config = AnalysisConfig.for_experiment(
-            engine,
-            budget_work=budget_work,
-            k=k,
-            theta=theta,
-            **engine_kwargs,
-        )
-        # One engine run is one request: a row pays for its own cyclic
-        # garbage, not for the rows that ran before it.
         started = time.perf_counter()
         with request_scope():
-            outcome = analysis_session().run(benchmark.program, config, prop=prop)
+            outcome = analysis_session().run(
+                benchmark.program, config, engine_options=engine_options, prop=prop
+            )
+        elapsed = time.perf_counter() - started
     finally:
         if sink is not None:
             sink.close()
-    elapsed = time.perf_counter() - started
-    metrics = outcome.metrics
-    uses_thresholds = config.engine_spec.uses_thresholds
+    result = outcome.result
     return EngineRun(
         benchmark=benchmark.name,
         engine=config.engine,
-        k=k if uses_thresholds else None,
-        theta=theta if uses_thresholds else None,
+        k=k,
+        theta=theta,
         seconds=elapsed,
-        work=metrics.total_work,
-        td_summaries=outcome.td_summaries,
+        work=outcome.metrics.total_work,
+        td_summary_counts=(
+            result.summary_counts_by_proc()
+            if isinstance(result, TopDownResult)
+            else {}
+        ),
         bu_summaries=outcome.bu_summaries,
         timed_out=outcome.timed_out,
         error_sites=frozenset(site for (_, site) in outcome.findings),
-        metrics=metrics,
+        metrics=outcome.metrics,
     )
 
 
@@ -207,7 +230,7 @@ def map_rows(
     try:
         with ProcessPoolExecutor(
             max_workers=parallel,
-            initializer=_init_worker_trace,
+            initializer=set_trace_dir,
             initargs=(_TRACE_DIR,),
         ) as pool:
             future_index = {

@@ -15,11 +15,12 @@ from __future__ import annotations
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import List
 
 from repro.bench import load_shape, shape_names
-from repro.experiments.harness import format_table, run_engine
+from repro.experiments.harness import format_table, map_rows, run_engine
 from repro.incremental.driver import analyze_with_store
 from repro.incremental.store import SummaryStore
 from repro.query import run_query
@@ -61,38 +62,37 @@ def _query_target(benchmark) -> str:
     return names[-1]
 
 
-def run(seed=None) -> List[ShapeRow]:
-    rows: List[ShapeRow] = []
-    for name in shape_names():
-        benchmark = load_shape(name, seed=seed)
-        program = benchmark.program
-        target = _query_target(benchmark)
-        for engine in ENGINES:
-            engine_run = run_engine(benchmark, engine, domain="typestate-simple")
-            with tempfile.TemporaryDirectory() as tmp:
-                store = SummaryStore(Path(tmp))
-                analyze_with_store(
-                    program, FILE_PROPERTY, store, engine=engine, domain="simple"
-                )
-                started = time.perf_counter()
-                outcome = run_query(
-                    program, FILE_PROPERTY, store, target, engine=engine,
-                    domain="simple",
-                )
-                query_seconds = time.perf_counter() - started
-            rows.append(
-                ShapeRow(
-                    shape=name,
-                    procs=len(program),
-                    engine=engine,
-                    seconds=engine_run.seconds,
-                    work=engine_run.work,
-                    cone=outcome.cone_size,
-                    query_work=outcome.total_work,
-                    query_seconds=query_seconds,
-                )
-            )
-    return rows
+def _row(shape_engine, seed=None) -> ShapeRow:
+    name, engine = shape_engine
+    benchmark = load_shape(name, seed=seed)
+    program = benchmark.program
+    engine_run = run_engine(benchmark, engine, domain="typestate-simple")
+    with tempfile.TemporaryDirectory() as tmp:
+        store = SummaryStore(Path(tmp))
+        analyze_with_store(
+            program, FILE_PROPERTY, store, engine=engine, domain="simple"
+        )
+        started = time.perf_counter()
+        outcome = run_query(
+            program, FILE_PROPERTY, store, _query_target(benchmark),
+            engine=engine, domain="simple",
+        )
+        query_seconds = time.perf_counter() - started
+    return ShapeRow(
+        shape=name,
+        procs=len(program),
+        engine=engine,
+        seconds=engine_run.seconds,
+        work=engine_run.work,
+        cone=outcome.cone_size,
+        query_work=outcome.total_work,
+        query_seconds=query_seconds,
+    )
+
+
+def run(seed=None, parallel: int = 0) -> List[ShapeRow]:
+    items = [(name, engine) for name in shape_names() for engine in ENGINES]
+    return map_rows(partial(_row, seed=seed), items, parallel=parallel)
 
 
 def render(rows: List[ShapeRow]) -> str:
@@ -106,8 +106,8 @@ def render(rows: List[ShapeRow]) -> str:
     )
 
 
-def main() -> None:
-    print(render(run()))
+def main(parallel: int = 0) -> None:
+    print(render(run(parallel=parallel)))
 
 
 if __name__ == "__main__":

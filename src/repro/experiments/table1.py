@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.bench import load_suite
+from repro.bench import benchmark_names, load_benchmark
 from repro.callgraph import BenchmarkStats, compute_stats
-from repro.experiments.harness import format_table
+from repro.experiments.harness import format_table, map_rows
 
 HEADERS = [
     "benchmark",
@@ -28,9 +28,13 @@ HEADERS = [
 ]
 
 
-def run() -> List[BenchmarkStats]:
+def _stats_for_name(name: str) -> BenchmarkStats:
+    return compute_stats(load_benchmark(name))
+
+
+def run(parallel: int = 0) -> List[BenchmarkStats]:
     """Compute all twelve rows."""
-    return [compute_stats(benchmark) for benchmark in load_suite()]
+    return map_rows(_stats_for_name, benchmark_names(), parallel=parallel)
 
 
 def render(stats: List[BenchmarkStats]) -> str:
@@ -41,8 +45,8 @@ def render(stats: List[BenchmarkStats]) -> str:
     )
 
 
-def main() -> None:
-    print(render(run()))
+def main(parallel: int = 0) -> None:
+    print(render(run(parallel=parallel)))
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ are shown alongside.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Sequence
@@ -104,10 +105,21 @@ def _row_for_name(
     k: int = 5,
     theta: int = 1,
     budget_work: Optional[int] = DEFAULT_BUDGET_WORK,
+    progress: bool = False,
 ) -> Table2Row:
     """Worker entry point: benchmarks are reloaded by name so only the
-    name crosses the process boundary (Programs are not pickled)."""
-    return run_one(load_benchmark(name), k, theta, budget_work)
+    name crosses the process boundary (Programs are not pickled).
+    Progress goes to stderr as each row finishes, so stdout holds the
+    same table however the rows were scheduled."""
+    row = run_one(load_benchmark(name), k, theta, budget_work)
+    if progress:
+        print(
+            f"  [{row.benchmark}] td={row.td.time_label} "
+            f"bu={row.bu.time_label} swift={row.swift.time_label}",
+            file=sys.stderr,
+            flush=True,
+        )
+    return row
 
 
 def run(
@@ -119,22 +131,10 @@ def run(
     names: Optional[Sequence[str]] = None,
 ) -> List[Table2Row]:
     names = list(names) if names is not None else benchmark_names()
-    worker = partial(_row_for_name, k=k, theta=theta, budget_work=budget_work)
-
-    def report(row: Table2Row) -> Table2Row:
-        if progress:
-            print(
-                f"  [{row.benchmark}] td={row.td.time_label} "
-                f"bu={row.bu.time_label} swift={row.swift.time_label}",
-                flush=True,
-            )
-        return row
-
-    if parallel and parallel > 1:
-        # Rows land in submission order (pool.map), so the table is
-        # identical to a serial run; progress prints once they are in.
-        return [report(row) for row in map_rows(worker, names, parallel=parallel)]
-    return [report(worker(name)) for name in names]
+    worker = partial(
+        _row_for_name, k=k, theta=theta, budget_work=budget_work, progress=progress
+    )
+    return map_rows(worker, names, parallel=parallel)
 
 
 def render(rows: List[Table2Row]) -> str:

@@ -15,17 +15,17 @@ analysis over the whole reachable subgraph (``refresh_existing=True``)
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import List, Optional
+from functools import partial
+from typing import List
 
 from repro.bench import load_benchmark
-from repro.experiments.harness import DEFAULT_BUDGET_WORK, format_table
-from repro.framework.metrics import Budget
-from repro.framework.session import request_scope
-from repro.framework.swift import SwiftEngine
-from repro.typestate.client import make_analyses
-from repro.typestate.properties import FILE_PROPERTY
+from repro.experiments.harness import (
+    DEFAULT_BUDGET_WORK,
+    format_table,
+    map_rows,
+    run_engine,
+)
 
 K_VALUES = [2, 5, 10, 50, 100, 200, 500]
 BENCHMARK = "avrora"
@@ -50,33 +50,24 @@ class Table3Row:
 
 
 def run_one(k: int, theta: int = 1, benchmark_name: str = BENCHMARK) -> Table3Row:
-    benchmark = load_benchmark(benchmark_name)
-    td_a, bu_a, init = make_analyses(benchmark.program, FILE_PROPERTY, "full")
-    budget = Budget(max_work=50 * DEFAULT_BUDGET_WORK)
-    engine = SwiftEngine(
-        benchmark.program,
-        td_a,
-        bu_a,
+    run = run_engine(
+        load_benchmark(benchmark_name),
+        "swift",
         k=k,
         theta=theta,
-        budget=budget,
-        refresh_existing=True,
+        budget_work=50 * DEFAULT_BUDGET_WORK,
+        engine_options={"refresh_existing": True},
     )
-    started = time.perf_counter()
-    with request_scope():  # one run is one request, as in run_engine
-        result = engine.run([init])
-    elapsed = time.perf_counter() - started
     return Table3Row(
-        k,
-        elapsed,
-        result.metrics.total_work,
-        result.total_summaries(),
-        result.metrics.bu_triggers,
+        k, run.seconds, run.work, run.td_summaries, run.metrics.bu_triggers
     )
 
 
-def run(theta: int = 1, benchmark_name: str = BENCHMARK) -> List[Table3Row]:
-    return [run_one(k, theta, benchmark_name) for k in K_VALUES]
+def run(
+    theta: int = 1, benchmark_name: str = BENCHMARK, parallel: int = 0
+) -> List[Table3Row]:
+    worker = partial(run_one, theta=theta, benchmark_name=benchmark_name)
+    return map_rows(worker, K_VALUES, parallel=parallel)
 
 
 def render(rows: List[Table3Row]) -> str:
@@ -87,8 +78,8 @@ def render(rows: List[Table3Row]) -> str:
     )
 
 
-def main() -> None:
-    print(render(run()))
+def main(parallel: int = 0) -> None:
+    print(render(run(parallel=parallel)))
 
 
 if __name__ == "__main__":

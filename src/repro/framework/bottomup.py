@@ -174,6 +174,7 @@ class BottomUpEngine:
         self,
         procs: Optional[Iterable[str]] = None,
         external: Optional[Mapping[str, ProcedureSummary]] = None,
+        root: Optional[str] = None,
     ) -> BottomUpResult:
         """Compute summaries for ``procs`` (default: all reachable).
 
@@ -181,7 +182,9 @@ class BottomUpEngine:
         the analyzed set (SWIFT passes previously computed ones so a new
         trigger does not re-analyze the whole reachable subgraph).  On
         budget exhaustion a partial result is returned with
-        ``timed_out=True``.
+        ``timed_out=True``; otherwise every computed summary is traced
+        as ``bu_installed`` under ``root``, the procedure the run was
+        started for (SWIFT's trigger; ``main`` by default).
         """
         if self.budget is not None and self._restart_clock:
             self.budget.restart_clock()
@@ -251,6 +254,20 @@ class BottomUpEngine:
                     )
                 )
         computed = {proc: eta[proc] for proc in targets}
+        if self._tracing and not timed_out:
+            root = self.program.main if root is None else root
+            for proc in targets:
+                self._sink.emit(
+                    TraceEvent(
+                        "bu_installed",
+                        proc,
+                        {
+                            "root": root,
+                            "cases": computed[proc].case_count(),
+                            "ignored": len(computed[proc].ignored),
+                        },
+                    )
+                )
         return BottomUpResult(self.program, self.analysis, computed, self.metrics, timed_out)
 
     # -- semantics ------------------------------------------------------------------

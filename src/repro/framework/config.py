@@ -114,28 +114,6 @@ class AnalysisConfig:
         """A copy with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
 
-    @classmethod
-    def for_experiment(
-        cls,
-        engine: str,
-        *,
-        budget_work: Optional[int] = None,
-        **overrides,
-    ) -> "AnalysisConfig":
-        """The experiment harness's configuration for ``engine``.
-
-        Budgets combine the deterministic work cap (the paper's
-        24h/16GB stand-in) with the engine's registered wall cap — this
-        is where the historical ``bu``-vs-default wall-cap special case
-        lives now, as :attr:`EngineSpec.wall_cap_seconds` instead of an
-        if/else in the harness.  Unknown ``overrides`` raise via the
-        dataclass constructor instead of being forwarded blindly.
-        """
-        spec = ENGINES.get(engine)
-        budget = Budget(max_work=budget_work, max_seconds=spec.wall_cap_seconds)
-        overrides.setdefault("domain", "typestate-full")
-        return cls(engine=engine, budget=budget, **overrides)
-
     # -- canonical form ---------------------------------------------------------------
     def canonical_dict(self) -> dict:
         """The identity of this config, in deterministic dict form.

@@ -36,17 +36,6 @@ from repro.framework.topdown import TopDownEngine, TopDownResult
 from repro.ir.cfg import ProgramPoint
 from repro.ir.program import Program
 
-#: Wall-clock safety net (seconds) for experiment runs, so a
-#: miscalibrated run cannot hang a benchmark session.
-DEFAULT_WALL_CAP_SECONDS = 600.0
-
-#: Tighter wall cap for conventional bottom-up runs: on the larger
-#: benchmarks each unit of BU work is far more expensive (huge relation
-#: sets and predicates), so waiting for the work counter alone would
-#: burn minutes per timeout row.  The outcome is the same — those runs
-#: exceed the work budget as well, just slowly.
-BU_WALL_CAP_SECONDS = 45.0
-
 
 # ---------------------------------------------------------------------------
 # Domains
@@ -272,15 +261,22 @@ class EngineSpec:
     uses_thresholds: bool
     #: May a WarmStart preload be supplied?
     supports_preload: bool
-    #: Experiment-harness wall cap (the paper-budget stand-in).
-    wall_cap_seconds: float
     runner: Callable[..., EngineOutcome] = field(compare=False)
     description: str = ""
 
     def run(
-        self, program: Program, instance: DomainInstance, config, cfgs=None
+        self,
+        program: Program,
+        instance: DomainInstance,
+        config,
+        cfgs=None,
+        options=None,
     ) -> EngineOutcome:
-        return self.runner(program, instance, config, cfgs)
+        """Run the engine; ``options`` are the runner's keyword-only
+        hooks (SWIFT's experiment switches), which no config carries.
+        A runner refuses an option it lacks with ``TypeError``: the TD
+        and BU runners take none."""
+        return self.runner(program, instance, config, cfgs, **(options or {}))
 
 
 def _run_td(program, instance, config, cfgs=None) -> EngineOutcome:
@@ -305,7 +301,16 @@ def _run_td(program, instance, config, cfgs=None) -> EngineOutcome:
     )
 
 
-def _run_swift(program, instance, config, cfgs=None) -> EngineOutcome:
+def _run_swift(
+    program,
+    instance,
+    config,
+    cfgs=None,
+    *,
+    refresh_existing: bool = False,
+    postpone_unseen: bool = True,
+    pruner_factory=None,
+) -> EngineOutcome:
     engine = SwiftEngine(
         program,
         instance.td_analysis,
@@ -320,6 +325,9 @@ def _run_swift(program, instance, config, cfgs=None) -> EngineOutcome:
         preload=config.preload,
         widening_delay=config.widening_delay,
         descending_iters=config.descending_iters,
+        refresh_existing=refresh_existing,
+        postpone_unseen=postpone_unseen,
+        pruner_factory=pruner_factory,
     )
     result = engine.run(instance.initial_states)
     return EngineOutcome(
@@ -403,7 +411,6 @@ for _spec in (
         "td",
         uses_thresholds=False,
         supports_preload=True,
-        wall_cap_seconds=DEFAULT_WALL_CAP_SECONDS,
         runner=_run_td,
         description="conventional top-down tabulation (Reps-Horwitz-Sagiv)",
     ),
@@ -411,7 +418,6 @@ for _spec in (
         "bu",
         uses_thresholds=False,
         supports_preload=False,
-        wall_cap_seconds=BU_WALL_CAP_SECONDS,
         runner=_run_bu,
         description="conventional bottom-up, no pruning",
     ),
@@ -419,7 +425,6 @@ for _spec in (
         "swift",
         uses_thresholds=True,
         supports_preload=True,
-        wall_cap_seconds=DEFAULT_WALL_CAP_SECONDS,
         runner=_run_swift,
         description="Algorithm 1, the hybrid analysis",
     ),

@@ -29,17 +29,11 @@ import gc
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterator, Optional
+from typing import FrozenSet, Iterator, Mapping, Optional
 
 from repro.framework.config import AnalysisConfig
 from repro.framework.metrics import Metrics
-from repro.framework.registry import (
-    DOMAINS,
-    ENGINES,
-    DomainInstance,
-    DomainRegistry,
-    EngineRegistry,
-)
+from repro.framework.registry import DOMAINS, ENGINES, DomainInstance
 from repro.ir.cfg import ControlFlowGraphs
 from repro.ir.program import Program
 
@@ -71,19 +65,11 @@ class SessionResult:
 class AnalysisSession:
     """Runs ``(program, config)`` pairs through the registries."""
 
-    def __init__(
-        self,
-        engines: Optional[EngineRegistry] = None,
-        domains: Optional[DomainRegistry] = None,
-    ) -> None:
-        self.engines = engines if engines is not None else ENGINES
-        self.domains = domains if domains is not None else DOMAINS
-
     def build_domain(
         self, program: Program, config: AnalysisConfig, **domain_options
     ) -> DomainInstance:
         """The domain's ``(A, B, initial states)`` triple for ``program``."""
-        spec = self.domains.get(config.domain)
+        spec = DOMAINS.get(config.domain)
         if config.tracked_sites is not None and "tracked_sites" not in domain_options:
             domain_options["tracked_sites"] = config.tracked_sites
         return spec.build(program, **domain_options)
@@ -93,17 +79,21 @@ class AnalysisSession:
         program: Program,
         config: AnalysisConfig,
         cfgs: Optional[ControlFlowGraphs] = None,
+        engine_options: Optional[Mapping] = None,
         **domain_options,
     ) -> SessionResult:
         """Run ``config`` over ``program``; the single engine pipeline.
 
         ``cfgs`` hands the tabulation engines the program's CFGs (a
         resident host reuses one set across solves); by default each
-        engine builds its own.
+        engine builds its own.  ``engine_options`` are the engine's
+        experiment-only hooks (:meth:`EngineSpec.run`); they are not
+        configuration, so no fingerprint, CLI flag or service request
+        ever carries them.
         """
-        engine_spec = self.engines.get(config.engine)
+        engine_spec = ENGINES.get(config.engine)
         instance = self.build_domain(program, config, **domain_options)
-        outcome = engine_spec.run(program, instance, config, cfgs)
+        outcome = engine_spec.run(program, instance, config, cfgs, engine_options)
         return SessionResult(
             config=config,
             findings=outcome.findings,
@@ -114,15 +104,12 @@ class AnalysisSession:
         )
 
 
-#: Shared default session (the registries are module-level anyway).
-_DEFAULT_SESSION: Optional[AnalysisSession] = None
+#: The process-wide session; it holds no state of its own.
+_DEFAULT_SESSION = AnalysisSession()
 
 
 def analysis_session() -> AnalysisSession:
     """The process-wide default session over the global registries."""
-    global _DEFAULT_SESSION
-    if _DEFAULT_SESSION is None:
-        _DEFAULT_SESSION = AnalysisSession()
     return _DEFAULT_SESSION
 
 

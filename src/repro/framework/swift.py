@@ -26,7 +26,6 @@ procedure (not the per-context one).
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
@@ -59,7 +58,6 @@ class SwiftResult(TopDownResult):
             base.entry_counts,
             base.metrics,
             timed_out=base.timed_out,
-            profile=base.profile,
             call_records=base.call_records,
             activated=base.activated,
         )
@@ -301,10 +299,7 @@ class SwiftEngine(TopDownEngine):
             widening_delay=self.widening_delay,
         )
         self.metrics.bu_triggers += 1
-        bu_started = time.perf_counter() if self._tracing else 0.0
-        result = engine.analyze(targets, external=self.bu)
-        if self.profile is not None:
-            self.profile.add_bu_wall(root, time.perf_counter() - bu_started)
+        result = engine.analyze(targets, external=self.bu, root=root)
         if result.timed_out:
             # Budget ran out mid-run: the partial summaries are not at
             # fixpoint and must not be applied.  Disable the trigger for
@@ -312,20 +307,6 @@ class SwiftEngine(TopDownEngine):
             self._bu_disabled.update(reachable)
             return
         self.bu.update(result.summaries)
-        if self._tracing:
-            for proc in sorted(result.summaries):
-                summary = result.summaries[proc]
-                self._sink.emit(
-                    TraceEvent(
-                        "bu_installed",
-                        proc,
-                        {
-                            "root": root,
-                            "cases": summary.case_count(),
-                            "ignored": len(summary.ignored),
-                        },
-                    )
-                )
         self._apply_cache.clear()
 
     # -- warm start ---------------------------------------------------------------------

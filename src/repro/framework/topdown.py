@@ -23,7 +23,6 @@ subclass it and override only the handling of call edges.
 from __future__ import annotations
 
 import functools
-import time
 from collections import Counter, deque
 from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -31,7 +30,7 @@ from repro.callgraph.scc import condensation
 from repro.framework.caching import TransferCache
 from repro.framework.interfaces import TopDownAnalysis
 from repro.framework.metrics import Budget, BudgetExceededError, Metrics
-from repro.framework.tracing import NULL_SINK, Profile, TeeSink, TraceEvent, TraceSink
+from repro.framework.tracing import NULL_SINK, TraceEvent, TraceSink
 from repro.ir.cfg import CFGEdge, ControlFlowGraphs, ProgramPoint
 from repro.ir.program import Program
 
@@ -86,7 +85,6 @@ class TopDownResult:
         entry_counts: Dict[str, Counter],
         metrics: Metrics,
         timed_out: bool = False,
-        profile: Optional[Profile] = None,
         call_records: Optional[Dict[Tuple[str, object], Set[Tuple]]] = None,
         activated: FrozenSet[Tuple[str, object]] = frozenset(),
     ) -> None:
@@ -96,9 +94,6 @@ class TopDownResult:
         self.entry_counts = entry_counts  # proc -> Counter
         self.metrics = metrics
         self.timed_out = timed_out
-        # Per-procedure work/wall-time attribution; only populated when
-        # the engine ran with a tracing sink (None otherwise).
-        self.profile = profile
         # (callee, entry state) -> {(return point, caller entry)}; the
         # summary store needs these to attach spawned contexts to their
         # creating context (repro.incremental).
@@ -216,23 +211,14 @@ class TopDownEngine:
         self.cfgs = cfgs if cfgs is not None else ControlFlowGraphs(program)
         self.metrics = Metrics()
         # Tracing: with the default NullSink the engines skip event
-        # construction entirely (one `if self._tracing` test per site).
-        # With a real sink, every event also feeds the per-procedure
-        # Profile, and nested components (run_bu, the pruner) receive
-        # the same tee so their events land in both places.
-        user_sink = sink if sink is not None else NULL_SINK
-        self._tracing = bool(user_sink.enabled)
-        if self._tracing:
-            self.profile: Optional[Profile] = Profile()
-            self._sink: TraceSink = TeeSink(user_sink, self.profile)
-        else:
-            self.profile = None
-            self._sink = user_sink
+        # construction entirely (one `if self._tracing` test per site);
+        # nested components (run_bu, the pruner) receive the same sink.
+        self._sink: TraceSink = sink if sink is not None else NULL_SINK
+        self._tracing = bool(self._sink.enabled)
         # Cause of the propagations currently being produced, recorded
         # by the edge handlers just before calling _propagate (only
         # when tracing): (via, source point, source state, source entry).
         self._cause = _SEED_CAUSE
-        self._td_wall: Dict[str, float] = {}
         self._transfer_cache = TransferCache(analysis, self.metrics)
         # td(pc) = set of path edges (entry state, state at pc)
         self._td: Dict[ProgramPoint, Set[Tuple]] = {}
@@ -326,10 +312,6 @@ class TopDownEngine:
                         },
                     )
                 )
-        if self.profile is not None:
-            for proc, seconds in self._td_wall.items():
-                self.profile.add_td_wall(proc, seconds)
-            self._td_wall.clear()
         return TopDownResult(
             self.program,
             self.cfgs,
@@ -337,7 +319,6 @@ class TopDownEngine:
             self._entry_counts,
             self.metrics,
             timed_out=self._timed_out,
-            profile=self.profile,
             call_records=self._call_records,
             activated=self._intact_activations(),
         )
@@ -376,8 +357,6 @@ class TopDownEngine:
                 # A later join replaced this value; its successors were
                 # (or will be) explored from the replacement.
                 continue
-            if tracing:
-                pop_started = time.perf_counter()
             succs = succ_cache.get(point)
             if succs is None:
                 succs = compile_succs(point)
@@ -400,13 +379,6 @@ class TopDownEngine:
                     propagate(target, entry_sigma, sigma_prime)
             if point in exit_points:
                 after_exit(point, entry_sigma, sigma)
-            if tracing:
-                # Wall-time attribution at pop granularity: everything
-                # this path edge caused (transfers, call handling,
-                # inline run_bu) is billed to its procedure.
-                self._td_wall[point.proc] = self._td_wall.get(
-                    point.proc, 0.0
-                ) + (time.perf_counter() - pop_started)
 
     # -- edge handling ------------------------------------------------------------------
     def _compile_succs(self, point: ProgramPoint) -> Tuple:

@@ -32,14 +32,14 @@ Sinks:
 * :class:`JsonlSink` — one JSON object per line, deterministic byte
   layout in serial mode (sorted keys, sequence numbers, no wall-clock
   fields), so traces double as a regression oracle.
-* :class:`TeeSink` — fan out to several sinks.
 
 All sinks are thread-safe: the analysis service runs engines on
 request threads that may share one sink.
 
-Determinism rule: events never carry wall-clock data.  Wall-time
-attribution lives in :class:`Profile`, which the engines fill
-separately (and which is *not* part of the serialized trace).
+Determinism rule: events never carry wall-clock data.
+:class:`Profile` folds a recorded stream into per-procedure work
+counts; wall time per layer is the end-to-end benchmark's business
+(``benchmarks/e2e``), not the trace's.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import json
 import threading
 from collections import Counter, deque
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 #: The closed set of event kinds (guarded in TraceEvent for typo safety).
 EVENT_KINDS = frozenset(
@@ -231,22 +231,6 @@ class JsonlSink(TraceSink):
                 self._handle.close()
 
 
-class TeeSink(TraceSink):
-    """Forward every event to each wrapped (enabled) sink."""
-
-    def __init__(self, *sinks: TraceSink) -> None:
-        self._sinks = [sink for sink in sinks if sink is not None and sink.enabled]
-        self.enabled = bool(self._sinks)
-
-    def emit(self, event: TraceEvent) -> None:
-        for sink in self._sinks:
-            sink.emit(event)
-
-    def close(self) -> None:
-        for sink in self._sinks:
-            sink.close()
-
-
 def read_jsonl(path: Union[str, Path]) -> List[TraceEvent]:
     """Parse a :class:`JsonlSink` file back into events.
 
@@ -271,7 +255,7 @@ def read_jsonl(path: Union[str, Path]) -> List[TraceEvent]:
 
 # -- per-procedure profiles ------------------------------------------------------------
 class ProcProfile:
-    """Work and wall-time attribution for one procedure."""
+    """Work attribution for one procedure."""
 
     __slots__ = (
         "propagations",
@@ -282,8 +266,6 @@ class ProcProfile:
         "bu_triggers",
         "bu_postponed",
         "bu_cases",
-        "td_seconds",
-        "bu_seconds",
     )
 
     def __init__(self) -> None:
@@ -295,8 +277,6 @@ class ProcProfile:
         self.bu_triggers = 0  # run_bu launches rooted here
         self.bu_postponed = 0  # triggers declined by postpone_unseen
         self.bu_cases = 0  # cases in the installed bottom-up summary
-        self.td_seconds = 0.0  # tabulation wall time at this proc's points
-        self.bu_seconds = 0.0  # run_bu wall time attributed to the root
 
     @property
     def summary_hits(self) -> int:
@@ -316,17 +296,13 @@ class ProcProfile:
 
 
 class Profile:
-    """Per-procedure aggregation of a trace, plus wall-time attribution.
-
-    Engines fill one incrementally while tracing is on (every emitted
-    event is also fed here); :meth:`from_events` / :meth:`from_jsonl`
-    rebuild the same aggregate from a recorded trace.  Thread-safe.
-    """
+    """Per-procedure aggregation of a trace: :meth:`from_events` folds
+    an event stream (a :class:`RingSink`'s events, or a JSONL file via
+    :meth:`from_jsonl`) into one :class:`ProcProfile` per procedure."""
 
     def __init__(self) -> None:
         self.per_proc: Dict[str, ProcProfile] = {}
         self.event_counts: Counter = Counter()
-        self._lock = threading.Lock()
 
     # -- construction -----------------------------------------------------------------
     @classmethod
@@ -347,44 +323,25 @@ class Profile:
         return entry
 
     def add_event(self, event: TraceEvent) -> None:
-        with self._lock:
-            self.event_counts[event.kind] += 1
-            entry = self.proc(event.proc)
-            kind = event.kind
-            if kind == "propagate":
-                entry.propagations += 1
-                if event.get("via") == "call":
-                    entry.fresh_contexts += 1
-            elif kind == "td_summary_reuse":
-                entry.td_summary_reuses += 1
-            elif kind == "summary_instantiated":
-                entry.summary_instantiations += 1
-            elif kind == "prune_drop":
-                entry.pruned_relations += len(event.get("dropped", ()))
-            elif kind == "bu_trigger":
-                entry.bu_triggers += 1
-            elif kind == "bu_postponed":
-                entry.bu_postponed += 1
-            elif kind == "bu_installed":
-                entry.bu_cases += event.get("cases", 0)
-
-    # Profile quacks like an (always-enabled) sink so engines can tee
-    # their user-facing sink and the profile with one TeeSink.
-    enabled = True
-
-    def emit(self, event: TraceEvent) -> None:
-        self.add_event(event)
-
-    def close(self) -> None:
-        pass
-
-    def add_td_wall(self, proc: str, seconds: float) -> None:
-        with self._lock:
-            self.proc(proc).td_seconds += seconds
-
-    def add_bu_wall(self, proc: str, seconds: float) -> None:
-        with self._lock:
-            self.proc(proc).bu_seconds += seconds
+        self.event_counts[event.kind] += 1
+        entry = self.proc(event.proc)
+        kind = event.kind
+        if kind == "propagate":
+            entry.propagations += 1
+            if event.get("via") == "call":
+                entry.fresh_contexts += 1
+        elif kind == "td_summary_reuse":
+            entry.td_summary_reuses += 1
+        elif kind == "summary_instantiated":
+            entry.summary_instantiations += 1
+        elif kind == "prune_drop":
+            entry.pruned_relations += len(event.get("dropped", ()))
+        elif kind == "bu_trigger":
+            entry.bu_triggers += 1
+        elif kind == "bu_postponed":
+            entry.bu_postponed += 1
+        elif kind == "bu_installed":
+            entry.bu_cases += event.get("cases", 0)
 
     # -- views ------------------------------------------------------------------------
     @property
@@ -418,7 +375,6 @@ class Profile:
                     entry.bu_postponed,
                     entry.bu_cases,
                     entry.pruned_relations,
-                    f"{entry.td_seconds + entry.bu_seconds:.3f}s",
                 ]
             )
         return rows
@@ -434,7 +390,6 @@ class Profile:
         "postponed",
         "bu cases",
         "pruned",
-        "seconds",
     ]
 
     def render(self, limit: Optional[int] = None, title: str = "") -> str:

@@ -2,11 +2,13 @@
 
 Covers the configuration core's contracts: unknown names raise listing
 the registered choices, aliases normalize, the canonical dict captures
-exactly the identity fields, the experiment wall caps live on the
-engine specs, and every registered engine × domain pair actually runs a
-smoke program through ``AnalysisSession`` with engine-independent
-findings.
+exactly the identity fields, the experiment harness owns the row
+budgets and refuses engine options an engine lacks, and every
+registered engine × domain pair actually runs a smoke program through
+``AnalysisSession`` with engine-independent findings.
 """
+
+import dataclasses
 
 import pytest
 
@@ -14,8 +16,6 @@ from repro.bench.workloads import loop_nest
 from repro.framework.config import AnalysisConfig
 from repro.framework.metrics import Budget
 from repro.framework.registry import (
-    BU_WALL_CAP_SECONDS,
-    DEFAULT_WALL_CAP_SECONDS,
     DOMAINS,
     ENGINES,
     domain_names,
@@ -159,19 +159,35 @@ def test_canonical_dict_contains_identity_fields():
     }
 
 
-# -- experiment configs -------------------------------------------------------------
-def test_for_experiment_wall_caps():
-    bu = AnalysisConfig.for_experiment("bu", budget_work=10)
-    assert bu.budget.max_seconds == BU_WALL_CAP_SECONDS
+# -- experiment rows ----------------------------------------------------------------
+def test_experiment_rows_carry_wall_caps():
+    from repro.experiments.harness import experiment_config
+
+    bu = experiment_config("bu", budget_work=10)
+    assert bu.budget.max_seconds == 45.0
+    assert bu.budget.max_work == 10
     for engine in ("td", "swift"):
-        config = AnalysisConfig.for_experiment(engine, budget_work=10)
-        assert config.budget.max_seconds == DEFAULT_WALL_CAP_SECONDS
+        config = experiment_config(engine, budget_work=10)
+        assert config.budget.max_seconds == 600.0
         assert config.domain == "typestate-full"
 
 
-def test_for_experiment_rejects_unknown_overrides():
+def test_run_engine_refuses_options_the_engine_lacks():
+    from repro.bench import load_benchmark
+    from repro.experiments.harness import experiment_config, run_engine
+
     with pytest.raises(TypeError):
-        AnalysisConfig.for_experiment("swift", frobnicate=True)
+        experiment_config("swift", frobnicate=True)
+    # SWIFT's experiment hooks are engine options, never config fields,
+    # and only the SWIFT runner takes them.
+    with pytest.raises(TypeError, match="refresh_existing"):
+        run_engine(
+            load_benchmark("jpat-p"), "td", engine_options={"refresh_existing": True}
+        )
+    with pytest.raises(TypeError, match="'k'"):
+        run_engine(load_benchmark("jpat-p"), "swift", engine_options={"k": 3})
+    fields = {f.name for f in dataclasses.fields(AnalysisConfig)}
+    assert not fields & {"refresh_existing", "postpone_unseen", "pruner_factory"}
 
 
 def test_run_engine_rejects_unknown_kwargs():

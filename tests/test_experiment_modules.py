@@ -24,7 +24,7 @@ def _engine_run(**overrides):
         theta=None,
         seconds=1.25,
         work=1000,
-        td_summaries=100,
+        td_summary_counts={"main": 60, "f": 40},
         bu_summaries=0,
         timed_out=False,
         error_sites=frozenset(),
@@ -45,7 +45,9 @@ def test_table2_row_cells_with_timeouts():
         "bench",
         _engine_run(timed_out=True),
         _engine_run(engine="bu", timed_out=True),
-        _engine_run(engine="swift", work=10, td_summaries=5, bu_summaries=2),
+        _engine_run(
+            engine="swift", work=10, td_summary_counts={"main": 5}, bu_summaries=2
+        ),
     )
     cells = row.cells()
     assert cells[0] == "bench"

@@ -115,7 +115,7 @@ def _run(engine="td", work=100, timed_out=False, td=10, bu=0):
         theta=None,
         seconds=1.0,
         work=work,
-        td_summaries=td,
+        td_summary_counts={"main": td},
         bu_summaries=bu,
         timed_out=timed_out,
         error_sites=frozenset(),
@@ -307,20 +307,38 @@ def test_map_rows_deterministic_failure_raises_serially():
 
 def test_run_engine_records_trace(tmp_path):
     """With a trace dir set (--trace DIR), run_engine dumps per-run
-    JSONL without perturbing the deterministic work counters."""
+    JSONL without perturbing the deterministic work counters, one file
+    per row: two rows that differ only in theta keep both traces."""
     from repro.bench import load_benchmark
     from repro.experiments import harness
-    from repro.framework.tracing import read_jsonl
+    from repro.framework.tracing import Profile, read_jsonl
 
     bench = load_benchmark("jpat-p")
     harness.set_trace_dir(tmp_path)
     try:
         traced = harness.run_engine(bench, "swift")
+        theta2 = harness.run_engine(bench, "swift", theta=2)
+        td = harness.run_engine(bench, "td", label="baseline")
     finally:
         harness.set_trace_dir(None)
-    path = tmp_path / "jpat-p_swift.jsonl"
+    path = tmp_path / "jpat-p_swift_k5_theta1.jsonl"
     assert path.exists()
     assert read_jsonl(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "jpat-p_swift_k5_theta1.jsonl",
+        "jpat-p_swift_k5_theta2.jsonl",
+        "jpat-p_td_baseline.jsonl",
+    ]
+    # Each file holds its own row's run: the propagations it records
+    # are exactly that run's.
+    for run, name in (
+        (traced, "jpat-p_swift_k5_theta1.jsonl"),
+        (theta2, "jpat-p_swift_k5_theta2.jsonl"),
+        (td, "jpat-p_td_baseline.jsonl"),
+    ):
+        profile = Profile.from_jsonl(tmp_path / name)
+        assert profile.event_counts["propagate"] == run.metrics.propagations
+    assert traced.metrics.propagations != theta2.metrics.propagations
     plain = harness.run_engine(bench, "swift")
     assert traced.work == plain.work
     assert traced.error_sites == plain.error_sites
@@ -348,3 +366,15 @@ def test_parallel_table2_rows_match_serial():
     # Per-row Metrics crossed the process boundary and can be merged.
     merged = aggregate_metrics(r.swift for r in parallel)
     assert merged.total_work == sum(r.swift.work for r in parallel)
+    # Table 3's k values and the ablation variants are rows too.
+    from repro.experiments import ablations, table3
+
+    def untimed(rows):
+        return [row.cells()[:1] + row.cells()[2:] for row in rows]
+
+    assert untimed(table3.run(benchmark_name="jpat-p", parallel=2)) == untimed(
+        table3.run(benchmark_name="jpat-p")
+    )
+    assert untimed(ablations.run("jpat-p", parallel=2)) == untimed(
+        ablations.run("jpat-p")
+    )

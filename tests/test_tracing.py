@@ -127,8 +127,8 @@ class _ExplodingNullSink(NullSink):
 def test_null_sink_fast_path_never_constructs_events():
     program = figure1_program()
     result = _swift(program, sink=_ExplodingNullSink()).run(_initial())
-    assert result.profile is None
     default = _swift(program).run(_initial())
+    assert result.metrics.total_work == default.metrics.total_work
     assert result.exit_states() == default.exit_states()
 
 
@@ -144,7 +144,8 @@ def test_work_counters_identical_with_tracing_on_and_off():
     assert traced.metrics.summary_instantiations == plain.metrics.summary_instantiations
     assert traced.exit_states() == plain.exit_states()
     assert sink.emitted > 0
-    assert traced.profile is not None
+    profile = Profile.from_events(sink.events)
+    assert profile.event_counts["propagate"] == traced.metrics.propagations
 
 
 # -- event coverage ------------------------------------------------------------------
@@ -209,6 +210,17 @@ def test_budget_exceeded_event_bu():
     events = [e for e in sink.events if e.kind == "budget_exceeded"]
     assert len(events) == 1
     assert events[0].data["engine"] == "bu"
+    # A timed-out run installs nothing; a finished conventional run
+    # traces every summary it computed, rooted at main.
+    assert not [e for e in sink.events if e.kind == "bu_installed"]
+    finished = RingSink()
+    result = BottomUpEngine(
+        figure1_program(), analysis, pruner=NoPruner(analysis), sink=finished
+    ).analyze()
+    installed = {e.proc: e.data for e in finished.events if e.kind == "bu_installed"}
+    assert set(installed) == set(result.summaries)
+    assert all(data["root"] == "main" for data in installed.values())
+    assert installed["foo"]["cases"] == result.summaries["foo"].case_count()
 
 
 def test_topdown_engine_traces_propagations():
@@ -232,11 +244,18 @@ def test_profile_aggregates_per_procedure():
     foo = profile.per_proc["foo"]
     assert foo.propagations > 0
     assert foo.summary_instantiations >= 1
-    # The engine-attached profile saw the same events plus wall time.
-    attached = result.profile
-    assert attached.event_counts == profile.event_counts
-    assert attached.per_proc["foo"].propagations == foo.propagations
-    assert sum(p.td_seconds for p in attached.per_proc.values()) > 0
+    # A second traced run folds into the same profile (traces are
+    # deterministic), and the per-procedure propagations add up to the
+    # run's own counter.
+    again = RingSink()
+    _swift(figure1_program(), sink=again).run(_initial())
+    replayed = Profile.from_events(again.events)
+    assert replayed.event_counts == profile.event_counts
+    assert replayed.per_proc["foo"].propagations == foo.propagations
+    assert (
+        sum(p.propagations for p in profile.per_proc.values())
+        == result.metrics.propagations
+    )
 
 
 def test_profile_summary_hit_rate():
@@ -261,12 +280,13 @@ def test_profile_from_jsonl_and_render(tmp_path):
     assert profile.hottest(1) == ["main"]  # most propagations in figure 1
 
 
-def test_profile_is_a_sink():
-    profile = Profile()
-    assert profile.enabled
-    profile.emit(TraceEvent("bu_trigger", "f", {"targets": ["f"]}))
-    profile.close()
+def test_profile_from_events_attributes_each_kind():
+    profile = Profile.from_events(
+        [TraceEvent("bu_trigger", "f", {"targets": ["f"]})]
+    )
+    assert profile.total_events == 1
     assert profile.per_proc["f"].bu_triggers == 1
+    assert "seconds" not in Profile.HEADERS
 
 
 # -- diff ----------------------------------------------------------------------------

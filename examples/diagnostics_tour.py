@@ -12,9 +12,10 @@ Run:  python examples/diagnostics_tour.py [benchmark-name]
 import sys
 
 from repro.bench import benchmark_names, load_benchmark
+from repro.framework.config import AnalysisConfig
 from repro.framework.explain import SummaryExplorer
+from repro.framework.session import analysis_session
 from repro.framework.swift import SwiftEngine
-from repro.typestate.client import make_analyses
 from repro.typestate.properties import FILE_PROPERTY
 
 
@@ -23,11 +24,13 @@ def main() -> None:
     if name not in benchmark_names():
         raise SystemExit(f"unknown benchmark {name!r}")
     benchmark = load_benchmark(name)
-    td_analysis, bu_analysis, init = make_analyses(
-        benchmark.program, FILE_PROPERTY, "full"
+    domain = analysis_session().build_domain(
+        benchmark.program, AnalysisConfig(domain="full"), prop=FILE_PROPERTY
     )
-    engine = SwiftEngine(benchmark.program, td_analysis, bu_analysis, k=5, theta=1)
-    result = engine.run([init])
+    engine = SwiftEngine(
+        benchmark.program, domain.td_analysis, domain.bu_analysis, k=5, theta=1
+    )
+    result = engine.run(domain.initial_states)
     explorer = SummaryExplorer(result)
 
     print(explorer.report(limit=8))

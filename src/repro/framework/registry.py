@@ -7,14 +7,19 @@ instantiations:
 
 * :data:`ENGINES` — ``td`` (conventional top-down tabulation), ``bu``
   (conventional bottom-up, no pruning) and ``swift`` (Algorithm 1);
-* :data:`DOMAINS` — ``typestate-simple`` (Figures 2–3, alias
-  ``simple``), ``typestate-full`` (the evaluation's four-component
-  analysis, alias ``full``), ``killgen`` (Section 5.2 synthesis over
-  reaching definitions), and ``copyprop`` (substitution relations).
+* :data:`DOMAINS` — six domains: ``typestate-simple`` (Figures 2–3,
+  alias ``simple``), ``typestate-full`` (the evaluation's
+  four-component analysis, alias ``full``), ``killgen`` (Section 5.2
+  synthesis over reaching definitions), ``copyprop`` (substitution
+  relations), and two of infinite height that run the engines in
+  value mode (DESIGN §14): ``typestate-interval`` (the interval ×
+  type-state reduced product, alias ``interval-typestate``) and
+  ``interval`` (integer interval environments).
 
-A domain builds a matched ``(A, B, initial states)`` triple for a
-program and knows how to read *findings* back out of an engine result
-(type-state error sites; exit facts for the dataflow domains), so
+This module is the only place that builds a domain: a domain builds a
+matched ``(A, B, initial states)`` triple for a program and knows how
+to read *findings* back out of an engine result (type-state error
+sites; exit facts for the dataflow domains), so
 :class:`repro.framework.session.AnalysisSession` can drive any
 engine × domain pair through one pipeline.  Unknown names raise a
 :class:`ValueError` listing the registered choices.
@@ -30,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Tuple
 
 from repro.framework.bottomup import BottomUpEngine, BottomUpResult
+from repro.framework.metrics import Metrics
 from repro.framework.pruning import NoPruner
 from repro.framework.swift import SwiftEngine
 from repro.framework.topdown import TopDownEngine, TopDownResult
@@ -61,32 +67,57 @@ class DomainInstance:
 
 
 class _TypestateInstance(DomainInstance):
-    """Findings are ``(program point, allocation site)`` error pairs."""
+    """Findings are ``(program point, allocation site)`` error pairs:
+    the points where an abstract object may be in the ``error``
+    type-state.  The bootstrap pseudo-object is never reported (its
+    type-state is meaningless; see :mod:`repro.typestate.states`)."""
 
-    def __init__(self, prop, td_analysis, bu_analysis, initial_states) -> None:
-        super().__init__(td_analysis, bu_analysis, initial_states)
+    def __init__(self, prop, td_analysis, bu_analysis, initial_state) -> None:
+        super().__init__(td_analysis, bu_analysis, [initial_state])
         self.prop = prop
 
-    def findings_from_tables(self, result: TopDownResult) -> FrozenSet:
-        from repro.typestate.client import find_errors
+    @staticmethod
+    def states(values):
+        """The type-state states among some table values."""
+        return values
 
-        return find_errors(result)
+    def _errors(self, rows) -> FrozenSet:
+        """The error pairs among ``(point, table values)`` rows."""
+        from repro.typestate.dfa import ERROR
+        from repro.typestate.states import BOOTSTRAP_SITE
+
+        out = set()
+        for point, values in rows:
+            for sigma in self.states(values):
+                if sigma.state == ERROR and sigma.site != BOOTSTRAP_SITE:
+                    out.add((point, sigma.site))
+        return frozenset(out)
+
+    def findings_from_tables(self, result: TopDownResult) -> FrozenSet:
+        return self._errors(
+            (point, (value for _, value in pairs))
+            for point, pairs in result.td.items()
+        )
 
     def findings_from_summary(
         self, result: BottomUpResult, program: Program
     ) -> FrozenSet:
-        from repro.typestate.dfa import ERROR
-        from repro.typestate.states import BOOTSTRAP_SITE
-
         # Errors are reported at main's exit: per-point attribution
         # needs the top-down tables, which a pure bottom-up run does
         # not build.
         exit_point = ProgramPoint(program.main, -1)
-        return frozenset(
-            (exit_point, sigma.site)
-            for sigma in result.apply_to(program.main, self.initial_states)
-            if sigma.state == ERROR and sigma.site != BOOTSTRAP_SITE
+        return self._errors(
+            [(exit_point, result.apply_to(program.main, self.initial_states))]
         )
+
+
+class _ProductTypestateInstance(_TypestateInstance):
+    """Interval×typestate product: a table value is a product value
+    whose rows pair a type-state state with an interval environment."""
+
+    @staticmethod
+    def states(values):
+        return (sigma for value in values for sigma, _env in value.rows)
 
 
 class _FactInstance(DomainInstance):
@@ -129,55 +160,62 @@ class DomainSpec:
         return self.builder(program, **options)
 
 
-def _build_typestate(domain: str):
+def _typestate(name: str, analyses, instance_class=_TypestateInstance):
+    """A type-state domain's builder: ``analyses(program, prop,
+    tracked_sites, oracle)`` gives its ``(A, B, initial state)``."""
+
     def build(
         program: Program, prop=None, tracked_sites=None, oracle=None
     ) -> DomainInstance:
-        from repro.typestate.client import make_analyses
-
         if prop is None:
             raise ValueError(
-                f"the {domain!r} domain needs a type-state property "
+                f"the {name!r} domain needs a type-state property "
                 "(pass prop=...)"
             )
-        td_analysis, bu_analysis, init = make_analyses(
-            program, prop, domain, tracked_sites, oracle
+        return instance_class(
+            prop, *analyses(program, prop, tracked_sites, oracle)
         )
-        return _TypestateInstance(prop, td_analysis, bu_analysis, [init])
 
     return build
 
 
-class _ProductTypestateInstance(_TypestateInstance):
-    """Interval×typestate product: findings are error rows of product
-    values, reported as the same ``(point, site)`` pairs the plain
-    type-state domains use."""
+def _simple_typestate(program: Program, prop, tracked_sites, oracle):
+    from repro.typestate.bu_analysis import SimpleTypestateBU
+    from repro.typestate.states import bootstrap_state
+    from repro.typestate.td_analysis import SimpleTypestateTD
 
-    def findings_from_tables(self, result: TopDownResult) -> FrozenSet:
-        from repro.typestate.dfa import ERROR
-        from repro.typestate.states import BOOTSTRAP_SITE
+    return (
+        SimpleTypestateTD(prop, tracked_sites),
+        SimpleTypestateBU(prop, tracked_sites),
+        bootstrap_state(prop),
+    )
 
-        out = set()
-        for point, pairs in result.td.items():
-            for (_, value) in pairs:
-                for sigma, _env in value.rows:
-                    if sigma.state == ERROR and sigma.site != BOOTSTRAP_SITE:
-                        out.add((point, sigma.site))
-        return frozenset(out)
 
-    def findings_from_summary(
-        self, result: BottomUpResult, program: Program
-    ) -> FrozenSet:
-        from repro.typestate.dfa import ERROR
-        from repro.typestate.states import BOOTSTRAP_SITE
+def _full_typestate(program: Program, prop, tracked_sites, oracle):
+    """The four-component analysis; without an ``oracle``, its may-alias
+    facts come from a fresh Andersen points-to run."""
+    from repro.typestate.full import (
+        FullTypestateBU,
+        FullTypestateTD,
+        full_bootstrap_state,
+    )
 
-        exit_point = ProgramPoint(program.main, -1)
-        out = set()
-        for value in result.apply_to(program.main, self.initial_states):
-            for sigma, _env in value.rows:
-                if sigma.state == ERROR and sigma.site != BOOTSTRAP_SITE:
-                    out.add((exit_point, sigma.site))
-        return frozenset(out)
+    if oracle is None:
+        from repro.alias import points_to_oracle
+
+        oracle = points_to_oracle(program)
+    variables = program.variables()
+    return (
+        FullTypestateTD(prop, oracle, tracked_sites, variables),
+        FullTypestateBU(prop, oracle, tracked_sites, variables),
+        full_bootstrap_state(prop),
+    )
+
+
+def _interval_typestate(program: Program, prop, tracked_sites, oracle):
+    from repro.numeric import product_analyses
+
+    return product_analyses(prop, tracked_sites)
 
 
 class _JoinedFactInstance(_FactInstance):
@@ -198,20 +236,6 @@ class _JoinedFactInstance(_FactInstance):
         self, result: BottomUpResult, program: Program
     ) -> FrozenSet:
         return self._joined(result.apply_to(program.main, self.initial_states))
-
-
-def _build_interval_typestate(
-    program: Program, prop=None, tracked_sites=None, oracle=None
-) -> DomainInstance:
-    from repro.numeric import product_analyses
-
-    if prop is None:
-        raise ValueError(
-            "the 'typestate-interval' domain needs a type-state property "
-            "(pass prop=...)"
-        )
-    td_analysis, bu_analysis, init = product_analyses(prop, tracked_sites)
-    return _ProductTypestateInstance(prop, td_analysis, bu_analysis, [init])
 
 
 def _build_interval(program: Program, tracked_sites=None) -> DomainInstance:
@@ -241,14 +265,28 @@ def _build_copyprop(program: Program) -> DomainInstance:
 # Engines
 # ---------------------------------------------------------------------------
 @dataclass
-class EngineOutcome:
-    """Uniform shape of one engine run, whatever the engine kind."""
+class SessionResult:
+    """One engine run over one domain, whatever the engine kind: what
+    :meth:`repro.framework.session.AnalysisSession.run` returns."""
 
-    result: object
-    findings: FrozenSet
+    config: object  # the run's AnalysisConfig
+    findings: FrozenSet  # domain-interpreted: error pairs / exit facts
     td_summaries: int
     bu_summaries: int
     timed_out: bool
+    result: object = field(repr=False, default=None)  # raw engine result
+
+    @property
+    def engine(self) -> str:
+        return self.config.engine
+
+    @property
+    def domain(self) -> str:
+        return self.config.domain
+
+    @property
+    def metrics(self) -> Metrics:
+        return self.result.metrics
 
 
 @dataclass(frozen=True)
@@ -261,7 +299,7 @@ class EngineSpec:
     uses_thresholds: bool
     #: May a WarmStart preload be supplied?
     supports_preload: bool
-    runner: Callable[..., EngineOutcome] = field(compare=False)
+    runner: Callable[..., SessionResult] = field(compare=False)
     description: str = ""
 
     def run(
@@ -271,7 +309,7 @@ class EngineSpec:
         config,
         cfgs=None,
         options=None,
-    ) -> EngineOutcome:
+    ) -> SessionResult:
         """Run the engine; ``options`` are the runner's keyword-only
         hooks (SWIFT's experiment switches), which no config carries.
         A runner refuses an option it lacks with ``TypeError``: the TD
@@ -279,7 +317,7 @@ class EngineSpec:
         return self.runner(program, instance, config, cfgs, **(options or {}))
 
 
-def _run_td(program, instance, config, cfgs=None) -> EngineOutcome:
+def _run_td(program, instance, config, cfgs=None) -> SessionResult:
     engine = TopDownEngine(
         program,
         instance.td_analysis,
@@ -292,12 +330,13 @@ def _run_td(program, instance, config, cfgs=None) -> EngineOutcome:
         descending_iters=config.descending_iters,
     )
     result = engine.run(instance.initial_states)
-    return EngineOutcome(
-        result,
+    return SessionResult(
+        config,
         instance.findings_from_tables(result),
         result.total_summaries(),
         0,
         result.timed_out,
+        result,
     )
 
 
@@ -310,7 +349,7 @@ def _run_swift(
     refresh_existing: bool = False,
     postpone_unseen: bool = True,
     pruner_factory=None,
-) -> EngineOutcome:
+) -> SessionResult:
     engine = SwiftEngine(
         program,
         instance.td_analysis,
@@ -330,16 +369,17 @@ def _run_swift(
         pruner_factory=pruner_factory,
     )
     result = engine.run(instance.initial_states)
-    return EngineOutcome(
-        result,
+    return SessionResult(
+        config,
         instance.findings_from_tables(result),
         result.total_summaries(),
         result.total_bu_relations(),
         result.timed_out,
+        result,
     )
 
 
-def _run_bu(program, instance, config, cfgs=None) -> EngineOutcome:
+def _run_bu(program, instance, config, cfgs=None) -> SessionResult:
     engine = BottomUpEngine(
         program,
         instance.bu_analysis,
@@ -352,8 +392,8 @@ def _run_bu(program, instance, config, cfgs=None) -> EngineOutcome:
     findings: FrozenSet = frozenset()
     if not result.timed_out:
         findings = instance.findings_from_summary(result, program)
-    return EngineOutcome(
-        result, findings, 0, result.total_relations(), result.timed_out
+    return SessionResult(
+        config, findings, 0, result.total_relations(), result.timed_out, result
     )
 
 
@@ -436,13 +476,13 @@ for _spec in (
     DomainSpec(
         "typestate-simple",
         aliases=("simple",),
-        builder=_build_typestate("simple"),
+        builder=_typestate("typestate-simple", _simple_typestate),
         description="type-state analysis of Figures 2-3",
     ),
     DomainSpec(
         "typestate-full",
         aliases=("full",),
-        builder=_build_typestate("full"),
+        builder=_typestate("typestate-full", _full_typestate),
         description="four-component type-state analysis of the evaluation",
     ),
     DomainSpec(
@@ -460,7 +500,9 @@ for _spec in (
     DomainSpec(
         "typestate-interval",
         aliases=("interval-typestate",),
-        builder=_build_interval_typestate,
+        builder=_typestate(
+            "typestate-interval", _interval_typestate, _ProductTypestateInstance
+        ),
         description="interval x typestate reduced product (DESIGN §14)",
         is_finite=False,
     ),

@@ -9,9 +9,10 @@ thin wrapper over::
                           prop=FILE_PROPERTY)
 
 The session resolves the engine and domain through the registries,
-builds the domain's ``(A, B, initial states)`` triple for the program,
-runs the engine, and returns a :class:`SessionResult` with the
-domain-interpreted findings alongside the raw engine result.  Keyword
+builds the domain's ``(A, B, initial states)`` triple for the program
+(unless the caller hands it one it built), runs the engine, and
+returns the engine's :class:`SessionResult`: the domain-interpreted
+findings alongside the raw engine result.  Keyword
 arguments after the config are *domain options* (the type-state
 domains take ``prop``, ``tracked_sites``, ``oracle``; killgen takes an
 optional ``spec``); they are per-program inputs, not configuration, so
@@ -28,38 +29,17 @@ from __future__ import annotations
 import gc
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from repro.framework.config import AnalysisConfig
-from repro.framework.metrics import Metrics
-from repro.framework.registry import DOMAINS, ENGINES, DomainInstance
+from repro.framework.registry import (
+    DOMAINS,
+    ENGINES,
+    DomainInstance,
+    SessionResult,
+)
 from repro.ir.cfg import ControlFlowGraphs
 from repro.ir.program import Program
-
-
-@dataclass
-class SessionResult:
-    """Outcome of one ``AnalysisSession.run``."""
-
-    config: AnalysisConfig
-    findings: FrozenSet  # domain-interpreted: error pairs / exit facts
-    td_summaries: int
-    bu_summaries: int
-    timed_out: bool
-    result: object = field(repr=False, default=None)  # raw engine result
-
-    @property
-    def engine(self) -> str:
-        return self.config.engine
-
-    @property
-    def domain(self) -> str:
-        return self.config.domain
-
-    @property
-    def metrics(self) -> Metrics:
-        return self.result.metrics
 
 
 class AnalysisSession:
@@ -80,28 +60,25 @@ class AnalysisSession:
         config: AnalysisConfig,
         cfgs: Optional[ControlFlowGraphs] = None,
         engine_options: Optional[Mapping] = None,
+        instance: Optional[DomainInstance] = None,
         **domain_options,
     ) -> SessionResult:
         """Run ``config`` over ``program``; the single engine pipeline.
 
-        ``cfgs`` hands the tabulation engines the program's CFGs (a
-        resident host reuses one set across solves); by default each
-        engine builds its own.  ``engine_options`` are the engine's
-        experiment-only hooks (:meth:`EngineSpec.run`); they are not
-        configuration, so no fingerprint, CLI flag or service request
-        ever carries them.
+        ``instance`` is the domain already built for ``program`` and
+        ``config`` (a store-backed run builds it once, for its codec
+        and its solve); without one, the run builds it from
+        ``domain_options``.  ``cfgs`` hands the tabulation engines the
+        program's CFGs (a resident host reuses one set across solves);
+        by default each engine builds its own.  ``engine_options`` are
+        the engine's experiment-only hooks (:meth:`EngineSpec.run`);
+        they are not configuration, so no fingerprint, CLI flag or
+        service request ever carries them.
         """
         engine_spec = ENGINES.get(config.engine)
-        instance = self.build_domain(program, config, **domain_options)
-        outcome = engine_spec.run(program, instance, config, cfgs, engine_options)
-        return SessionResult(
-            config=config,
-            findings=outcome.findings,
-            td_summaries=outcome.td_summaries,
-            bu_summaries=outcome.bu_summaries,
-            timed_out=outcome.timed_out,
-            result=outcome.result,
-        )
+        if instance is None:
+            instance = self.build_domain(program, config, **domain_options)
+        return engine_spec.run(program, instance, config, cfgs, engine_options)
 
 
 #: The process-wide session; it holds no state of its own.

@@ -4,15 +4,15 @@ The store must re-serialize byte-identically after a load (its files
 double as a regression oracle), which rules out pickle: pickling a
 frozenset walks it in hash-seed-dependent order.  Instead every stored
 object has an explicit, canonical JSON form — lists sorted by their
-serialized text, sets emitted sorted — built here for both type-state
-domains:
+serialized text, sets emitted sorted — built here for the three
+type-state domains, under their registry names:
 
-* ``simple`` — :class:`~repro.typestate.states.AbstractState`,
+* ``typestate-simple`` — :class:`~repro.typestate.states.AbstractState`,
   ``have``/``notHave`` atoms, const/transformer relations (Figure 3);
-* ``full`` — :class:`~repro.typestate.full.states.FullAbstractState`,
+* ``typestate-full`` — :class:`~repro.typestate.full.states.FullAbstractState`,
   path and may-alias atoms (including their oracle site sets), pattern
   masks, and the four-component transformer relations;
-* ``interval-typestate`` — :class:`~repro.numeric.product.ProductValue`
+* ``typestate-interval`` — :class:`~repro.numeric.product.ProductValue`
   rows (simple states paired with interval environments; ``None``
   bounds serialize as JSON null) and
   :class:`~repro.numeric.product.ProductRelation` pairs of a simple
@@ -75,13 +75,20 @@ def _sorted_enc(items: List) -> List:
 class Codec:
     """Encoder/decoder for one domain.
 
-    ``analysis`` is the domain's bottom-up analysis; decoding ignored
-    sets needs its ``pred_satisfied``/``pred_entails`` callbacks.
+    ``domain`` is the domain's registry name (one of :attr:`DOMAINS`);
+    ``analysis`` is its bottom-up analysis: decoding ignored sets needs
+    its ``pred_satisfied``/``pred_entails`` callbacks.
     """
 
+    #: The domains a snapshot can hold, by their registry names.
+    DOMAINS = ("typestate-simple", "typestate-full", "typestate-interval")
+
     def __init__(self, domain: str, analysis) -> None:
-        if domain not in ("simple", "full", "interval-typestate"):
-            raise ValueError(f"unknown domain {domain!r}")
+        if domain not in self.DOMAINS:
+            raise ValueError(
+                f"the snapshot codec encodes {', '.join(self.DOMAINS)}, "
+                f"not {domain!r}"
+            )
         self.domain = domain
         self.analysis = analysis
         # Stored encodings repeat heavily (the same abstract state
@@ -112,7 +119,7 @@ class Codec:
         return IntervalEnv((var, Interval(lo, hi)) for var, lo, hi in enc)
 
     def encode_state(self, sigma) -> list:
-        if self.domain == "interval-typestate":
+        if self.domain == "typestate-interval":
             return [
                 "prod",
                 _sorted_enc(
@@ -122,7 +129,7 @@ class Codec:
                     ]
                 ),
             ]
-        if self.domain == "simple":
+        if self.domain == "typestate-simple":
             return self._encode_simple_state(sigma)
         return [
             sigma.site,
@@ -132,7 +139,7 @@ class Codec:
         ]
 
     def decode_state(self, enc: list):
-        if self.domain == "interval-typestate":
+        if self.domain == "typestate-interval":
             from repro.numeric.product import ProductValue
 
             _, rows = enc
@@ -140,7 +147,7 @@ class Codec:
                 (self._decode_simple_state(ts), self._decode_env(env))
                 for ts, env in rows
             )
-        if self.domain == "simple":
+        if self.domain == "typestate-simple":
             site, state, must = enc
             key = (site, state, tuple(must))
             hit = self._state_memo.get(key)
@@ -286,7 +293,7 @@ class Codec:
 
     # -- relations ----------------------------------------------------------------------
     def encode_relation(self, r) -> list:
-        if self.domain == "interval-typestate":
+        if self.domain == "typestate-interval":
             return [
                 "prod",
                 self._encode_simple_relation(r.ts),
@@ -316,7 +323,7 @@ class Codec:
 
     def decode_relation(self, enc: list):
         kind = enc[0]
-        if self.domain == "interval-typestate":
+        if self.domain == "typestate-interval":
             from repro.numeric.product import ProductRelation
 
             if kind != "prod":
@@ -328,11 +335,12 @@ class Codec:
         if kind == "const":
             output = self.decode_state(enc[1])
             pred = self.decode_pred(enc[2])
-            cls = ConstRelation if self.domain == "simple" else FullConstRelation
+            simple = self.domain == "typestate-simple"
+            cls = ConstRelation if simple else FullConstRelation
             return cls(output, pred)
         if kind != "trans":
             raise ValueError(f"unknown relation kind {kind!r}")
-        if self.domain == "simple":
+        if self.domain == "typestate-simple":
             _, iota, removed, added, pred = enc
             return TransformerRelation(
                 self.decode_tsfunction(iota),

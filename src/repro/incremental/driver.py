@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, NamedTuple, Optional, Tuple
 
 from repro.framework.config import AnalysisConfig, make_config
+from repro.framework.registry import DomainInstance
 from repro.framework.session import analysis_session
 from repro.incremental.codec import Codec
 from repro.incremental.fingerprint import (
@@ -62,17 +63,8 @@ from repro.incremental.invalidate import (
 )
 from repro.incremental.store import Snapshot, SummaryStore, file_signature
 from repro.ir.program import Program
-from repro.typestate.client import TypestateReport, make_analyses
+from repro.typestate.client import TypestateReport
 from repro.typestate.dfa import TypestateProperty
-
-#: Canonical registry domain names back to the short spellings the
-#: codec and ``make_analyses`` use.  Store-backed runs are type-state
-#: only: the snapshot codec encodes type-state summaries.
-_SHORT_DOMAINS = {
-    "typestate-simple": "simple",
-    "typestate-full": "full",
-    "typestate-interval": "interval-typestate",
-}
 
 
 class LruCache:
@@ -235,7 +227,7 @@ class StoreRun(NamedTuple):
     """What every store-backed run derives from (program, prop, config)
     before it touches the store: see :func:`prepare_store_run`."""
 
-    oracle: object
+    instance: DomainInstance
     fingerprints: ProgramFingerprints
     config_desc: dict
     config_fp: str
@@ -252,28 +244,29 @@ def prepare_store_run(
     snapshot codec encodes type-state summaries, and a pure bottom-up
     run has no preload hook.  The config fingerprint is the *user's*
     config — demand queries read what ``analyze --store`` wrote under
-    it, before any query-specific ``bu_triggers`` override.  The oracle
-    and the program fingerprints are memoized on the program, so a
-    resident host computes them once per program version.
+    it, before any query-specific ``bu_triggers`` override.  The domain
+    is built once here: the codec decodes with its bottom-up analysis,
+    and every solve of the request runs on it.  The oracle and the
+    program fingerprints are memoized on the program, so a resident
+    host computes them once per program version.
     """
     if config.engine not in ("td", "swift"):
         raise ValueError(
             f"the summary store serves td and swift, not {config.engine!r}"
         )
-    domain_short = _SHORT_DOMAINS.get(config.domain)
-    if domain_short is None:
+    if config.domain not in Codec.DOMAINS:
         raise ValueError(
             f"the summary store is type-state only, not {config.domain!r}"
         )
-    with_alias = domain_short == "full"
+    with_alias = config.domain == "typestate-full"
     oracle = program_alias(program)[0] if with_alias else None
     fingerprints = program_fingerprints(program, with_alias)
     config_desc, config_fp = config_fingerprint(prop, config=config)
-    _, bu_analysis, _ = make_analyses(
-        program, prop, domain_short, config.tracked_sites, oracle
+    instance = analysis_session().build_domain(
+        program, config, prop=prop, oracle=oracle
     )
-    codec = Codec(domain_short, bu_analysis)
-    return StoreRun(oracle, fingerprints, config_desc, config_fp, codec)
+    codec = Codec(config.domain, instance.bu_analysis)
+    return StoreRun(instance, fingerprints, config_desc, config_fp, codec)
 
 
 def analyze_with_store(
@@ -302,7 +295,7 @@ def analyze_with_store(
     """
     config = make_config(config, {"domain": "simple"}, **fields)
     cache = warm_cache if warm_cache is not None else _WARM_CACHE
-    oracle, fingerprints, config_desc, config_fp, codec = prepare_store_run(
+    instance, fingerprints, config_desc, config_fp, codec = prepare_store_run(
         program, prop, config
     )
 
@@ -312,7 +305,7 @@ def analyze_with_store(
     store_load_seconds = time.perf_counter() - load_started
 
     session_out = analysis_session().run(
-        program, config.replace(preload=warm), prop=prop, oracle=oracle
+        program, config.replace(preload=warm), instance=instance
     )
     report = TypestateReport.of(prop, config, session_out)
     metrics = report.result.metrics

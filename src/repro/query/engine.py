@@ -277,7 +277,6 @@ class BatchOutcome:
 
 def solve_cone(
     program: Program,
-    prop: TypestateProperty,
     store: SummaryStore,
     config: AnalysisConfig,
     run: StoreRun,
@@ -291,8 +290,9 @@ def solve_cone(
     The solve cone is tabulated fresh; its frontier is preloaded from
     the resident store snapshot through a cone view
     (:func:`build_query_warm`).  ``run`` is the config's
-    :func:`~repro.incremental.driver.prepare_store_run` preamble.  A
-    component with an empty solve cone is not run at all.
+    :func:`~repro.incremental.driver.prepare_store_run` preamble, whose
+    domain the solve runs on.  A component with an empty solve cone is
+    not run at all.
     """
     outcome = ComponentOutcome(
         index=component.index,
@@ -316,8 +316,7 @@ def solve_cone(
         program,
         config.replace(preload=warm, bu_triggers=(query_precision == "swift")),
         cfgs=cfgs,
-        prop=prop,
-        oracle=run.oracle,
+        instance=run.instance,
     )
     metrics = session_out.result.metrics
     metrics.store_load_seconds += store_load_seconds
@@ -374,7 +373,7 @@ def _answer(
     )
     for component in plan.components:
         record = solve_cone(
-            program, prop, store, config, run, cfgs, component, cache,
+            program, store, config, run, cfgs, component, cache,
             query_precision=query_precision,
         )
         outcome.components.append(record)

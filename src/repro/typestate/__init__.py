@@ -38,7 +38,7 @@ from repro.typestate.bu_analysis import (
     SimpleTypestateBU,
     TransformerRelation,
 )
-from repro.typestate.client import TypestateReport, find_errors, run_typestate
+from repro.typestate.client import TypestateReport, run_typestate
 from repro.typestate.multi import MultiPropertyReport, run_multi_property
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "VECTOR_PROPERTY",
     "all_properties",
     "bootstrap_state",
-    "find_errors",
     "property_by_name",
     "run_multi_property",
     "run_typestate",

@@ -1,26 +1,22 @@
 """Type-state verification client.
 
 Runs one of the engines (TD, BU, SWIFT) over a program for a given
-type-state property and extracts the *error reports*: program points
-where an abstract object may be in the ``error`` type-state.  The
-bootstrap pseudo-object is excluded (its type-state is meaningless;
-see :mod:`repro.typestate.states`).
+type-state property and reports its *errors*: program points where an
+abstract object may be in the ``error`` type-state.  The type-state
+domains are built, and their errors read, by the domain registry
+(:mod:`repro.framework.registry`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Set, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from repro.framework.config import AnalysisConfig, make_config
 from repro.framework.session import analysis_session
-from repro.framework.topdown import TopDownResult
 from repro.ir.cfg import ProgramPoint
 from repro.ir.program import Program
-from repro.typestate.bu_analysis import SimpleTypestateBU
-from repro.typestate.dfa import ERROR, TypestateProperty
-from repro.typestate.states import BOOTSTRAP_SITE, bootstrap_state
-from repro.typestate.td_analysis import SimpleTypestateTD
+from repro.typestate.dfa import TypestateProperty
 
 
 @dataclass
@@ -51,64 +47,6 @@ class TypestateReport:
             outcome.timed_out,
             outcome.result,
         )
-
-
-def find_errors(result: TopDownResult) -> FrozenSet[Tuple[ProgramPoint, str]]:
-    """All (program point, allocation site) pairs with a possible error state."""
-    out: Set[Tuple[ProgramPoint, str]] = set()
-    for point, pairs in result.td.items():
-        for (_, sigma) in pairs:
-            if sigma.state == ERROR and sigma.site != BOOTSTRAP_SITE:
-                out.add((point, sigma.site))
-    return frozenset(out)
-
-
-def make_analyses(
-    program: Program,
-    prop: TypestateProperty,
-    domain: str = "simple",
-    tracked_sites: Optional[FrozenSet[str]] = None,
-    oracle=None,
-):
-    """Build the (td, bu, initial-state) triple for a domain.
-
-    ``domain`` is ``"simple"`` (Figures 2-3), ``"full"`` (the
-    four-component analysis of the evaluation; a may-alias oracle is
-    derived from an Andersen points-to run when not supplied), or
-    ``"interval-typestate"`` (the reduced product with interval
-    environments — infinite height, runs the engines in value mode).
-    """
-    if domain == "interval-typestate":
-        from repro.numeric import product_analyses
-
-        return product_analyses(prop, tracked_sites)
-    if domain == "simple":
-        return (
-            SimpleTypestateTD(prop, tracked_sites),
-            SimpleTypestateBU(prop, tracked_sites),
-            bootstrap_state(prop),
-        )
-    if domain == "full":
-        from repro.typestate.full import (
-            FullTypestateBU,
-            FullTypestateTD,
-            full_bootstrap_state,
-        )
-
-        if oracle is None:
-            from repro.alias import points_to_oracle
-
-            oracle = points_to_oracle(program)
-        variables = program.variables()
-        return (
-            FullTypestateTD(prop, oracle, tracked_sites, variables),
-            FullTypestateBU(prop, oracle, tracked_sites, variables),
-            full_bootstrap_state(prop),
-        )
-    raise ValueError(
-        f"unknown domain {domain!r} (expected simple, full, or "
-        "interval-typestate)"
-    )
 
 
 def run_typestate(

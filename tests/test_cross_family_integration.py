@@ -10,10 +10,11 @@ import pytest
 
 from repro.bench import load_benchmark
 from repro.copyprop import copyprop_pair
+from repro.framework.config import AnalysisConfig
+from repro.framework.session import analysis_session
 from repro.framework.swift import SwiftEngine
 from repro.framework.topdown import TopDownEngine
 from repro.killgen import LAMBDA, InitializedVarsSpec, ReachingDefsSpec, synthesize
-from repro.typestate.client import make_analyses
 from repro.typestate.properties import FILE_PROPERTY
 
 BENCHMARK = "toba-s"
@@ -25,9 +26,14 @@ def program():
 
 
 def test_typestate_family(program):
-    td_analysis, bu_analysis, init = make_analyses(program, FILE_PROPERTY, "full")
-    td = TopDownEngine(program, td_analysis).run([init])
-    swift = SwiftEngine(program, td_analysis, bu_analysis, k=5, theta=1).run([init])
+    instance = analysis_session().build_domain(
+        program, AnalysisConfig(domain="full"), prop=FILE_PROPERTY
+    )
+    td_analysis, bu_analysis = instance.td_analysis, instance.bu_analysis
+    td = TopDownEngine(program, td_analysis).run(instance.initial_states)
+    swift = SwiftEngine(program, td_analysis, bu_analysis, k=5, theta=1).run(
+        instance.initial_states
+    )
     assert swift.exit_states() == td.exit_states()
     assert swift.total_summaries() < td.total_summaries()
     assert swift.bu  # summaries were actually computed

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from repro.bench.workloads import hub_flood, scc_heavy, wide_fanout
 from repro.framework.config import AnalysisConfig
 from repro.framework.denotational import DenotationalInterpreter
+from repro.framework.session import analysis_session
 from repro.framework.topdown import TopDownEngine
 from repro.incremental import SummaryStore, analyze_with_store, clear_warm_cache
 from repro.ir.cfg import program_cfgs
@@ -40,7 +41,7 @@ from repro.ir.printer import format_program
 from repro.ir.program import Program
 from repro.query import QUERY_KINDS, resolve_target, run_query, run_query_batch
 from repro.service.daemon import AnalysisService
-from repro.typestate.client import encode_answer, make_analyses, run_typestate
+from repro.typestate.client import encode_answer, run_typestate
 from repro.typestate.properties import FILE_PROPERTY
 
 from tests.helpers import all_small_programs
@@ -169,8 +170,12 @@ def check_engines(
     recursion: ``denotational=False`` skips it)."""
     ref = reference(program, domain)
     if denotational:
-        td_analysis, _, initial = make_analyses(program, FILE_PROPERTY, domain)
-        semantics = DenotationalInterpreter(program, td_analysis).run([initial])
+        instance = analysis_session().build_domain(
+            program, AnalysisConfig(domain=domain), prop=FILE_PROPERTY
+        )
+        semantics = DenotationalInterpreter(program, instance.td_analysis).run(
+            instance.initial_states
+        )
         assert ref.result.exit_states() == semantics
     metrics = ref.result.metrics
     for order in ORDERS:

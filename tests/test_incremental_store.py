@@ -10,18 +10,21 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.alias import points_to_oracle
 from repro.framework.config import make_config
+from repro.framework.registry import DOMAINS
+from repro.framework.session import analysis_session
 from repro.incremental import (
     Codec,
     ProgramFingerprints,
     Snapshot,
     SummaryStore,
     config_fingerprint,
+    prepare_store_run,
 )
 from repro.incremental.fingerprint import alias_facts, body_fingerprint
 from repro.incremental.invalidate import build_snapshot
 from repro.incremental.store import STORE_VERSION
 from repro.ir.parser import parse_program
-from repro.typestate.client import make_analyses, run_typestate
+from repro.typestate.client import run_typestate
 from repro.typestate.properties import FILE_PROPERTY, property_by_name
 
 from tests.helpers import all_small_programs
@@ -36,6 +39,13 @@ proc leaf { skip; }
 
 def chain():
     return parse_program(CHAIN)
+
+
+def codec_for(program, domain):
+    """The snapshot codec of ``domain`` for ``program``."""
+    config = make_config(domain=domain)
+    instance = analysis_session().build_domain(program, config, prop=FILE_PROPERTY)
+    return Codec(config.domain, instance.bu_analysis)
 
 
 # -- fingerprints -------------------------------------------------------------------
@@ -117,8 +127,7 @@ def test_config_fingerprint_discriminates():
 def test_codec_round_trips_run_artifacts(domain, program):
     """Every state and summary an actual run produces survives
     encode → decode → encode unchanged."""
-    _, bu_analysis, _ = make_analyses(program, FILE_PROPERTY, domain)
-    codec = Codec(domain, bu_analysis)
+    codec = codec_for(program, domain)
     report = run_typestate(program, FILE_PROPERTY, engine="swift", domain=domain)
     seen_states = 0
     for _, pairs in report.result.td.items():
@@ -137,14 +146,27 @@ def test_codec_round_trips_run_artifacts(domain, program):
 
 
 def test_codec_rejects_unknown_domain():
-    with pytest.raises(ValueError):
-        Codec("made-up", None)
+    """The codec takes each store domain by its registry name only, and
+    refuses any other name listing the ones it takes."""
+    program = chain()
+    store_domains = [name for name in DOMAINS if name.startswith("typestate-")]
+    assert sorted(Codec.DOMAINS) == store_domains
+    for domain in store_domains:
+        assert codec_for(program, domain).domain == domain
+    for domain in ("killgen", "made-up", "simple"):
+        with pytest.raises(ValueError) as err:
+            Codec(domain, None)
+        assert ", ".join(Codec.DOMAINS) in str(err.value), domain
+    # A store-backed run refuses a domain the store cannot hold first.
+    with pytest.raises(
+        ValueError, match="the summary store is type-state only, not 'killgen'"
+    ):
+        prepare_store_run(program, FILE_PROPERTY, make_config(domain="killgen"))
 
 
 # -- snapshot serialization ---------------------------------------------------------
 def _snapshot_for(program, engine="swift", domain="full"):
-    _, bu_analysis, _ = make_analyses(program, FILE_PROPERTY, domain)
-    codec = Codec(domain, bu_analysis)
+    codec = codec_for(program, domain)
     config, config_fp = config_fingerprint(
         FILE_PROPERTY,
         config=make_config(domain=domain, engine=engine, k=5, theta=1),
@@ -721,8 +743,7 @@ def test_warm_caches_never_serve_a_file_another_writer_replaced(tmp_path):
 
     # Two snapshots of equal size and mtime, through the one loader.
     program = chain()
-    _, bu_analysis, _ = make_analyses(program, FILE_PROPERTY, "simple")
-    codec = Codec("simple", bu_analysis)
+    codec = codec_for(program, "simple")
     config, config_fp = config_fingerprint(
         FILE_PROPERTY,
         config=make_config(domain="simple", engine="swift", k=5, theta=1),

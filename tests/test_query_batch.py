@@ -12,6 +12,7 @@ subsystems, which are answered empty at zero cost.
 
 import threading
 import time
+from unittest import mock
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.query import (
     run_query_batch,
 )
 from repro.service.daemon import AnalysisService
+from repro.typestate.full import FullTypestateBU
 from repro.typestate.properties import FILE_PROPERTY
 
 from tests.helpers import best_of
@@ -196,6 +198,23 @@ def test_batch_with_detached_targets_matches_sequential(tmp_path):
             ), target
     detached = run_query(program, FILE_PROPERTY, store, "aux_leaf")
     assert (detached.cold, detached.frontier_snapshot) == (False, "none")
+    # One domain build per request: a store-backed analyze and this
+    # two-component batch each construct the full domain's analyses
+    # once, for the snapshot codec and the solve alike.
+    full_store = SummaryStore(tmp_path / "full")
+    with mock.patch.object(
+        FullTypestateBU, "__init__", autospec=True,
+        side_effect=FullTypestateBU.__init__,
+    ) as built:
+        analyze_with_store(
+            program, FILE_PROPERTY, full_store, engine="swift", domain="full"
+        )
+        assert built.call_count == 1
+        full = run_query_batch(
+            program, FILE_PROPERTY, full_store, targets, domain="full"
+        )
+        assert (full.batch_components, full.solves) == (2, 1)
+        assert built.call_count == 2
 
 
 def test_batch_cold_on_empty_store_matches_sequential(tmp_path):

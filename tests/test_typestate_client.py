@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.framework.config import make_config
 from repro.framework.metrics import Budget
+from repro.framework.registry import DOMAINS
+from repro.framework.session import analysis_session
 from repro.ir.builder import ProgramBuilder
-from repro.typestate.client import find_errors, make_analyses, run_typestate
+from repro.typestate.client import run_typestate
 from repro.typestate.dfa import ERROR
 from repro.typestate.properties import FILE_PROPERTY, ITERATOR_PROPERTY
 
@@ -42,21 +45,30 @@ def test_unknown_engine_and_domain_rejected():
     program = figure1_program()
     with pytest.raises(ValueError):
         run_typestate(program, FILE_PROPERTY, engine="sideways")
-    with pytest.raises(ValueError):
-        make_analyses(program, FILE_PROPERTY, domain="nope")
+    # An unknown domain is refused by the registry, whichever way it is
+    # asked for, with the registered domains listed.
+    for ask in (
+        lambda: run_typestate(program, FILE_PROPERTY, domain="nope"),
+        lambda: DOMAINS.get("nope"),
+    ):
+        with pytest.raises(ValueError) as err:
+            ask()
+        assert f"registered: {', '.join(DOMAINS.names())}" in str(err.value)
 
 
 def test_find_errors_excludes_bootstrap():
     from repro.framework.topdown import TopDownEngine
-    from repro.typestate.states import bootstrap_state
-    from repro.typestate.td_analysis import SimpleTypestateTD
 
     # In the simple domain the bootstrap object reaches the error state
     # on every tracked call, but must not be reported.
     program = figure1_program()
-    analysis = SimpleTypestateTD(FILE_PROPERTY)
-    result = TopDownEngine(program, analysis).run([bootstrap_state(FILE_PROPERTY)])
-    errors = find_errors(result)
+    instance = analysis_session().build_domain(
+        program, make_config(domain="simple"), prop=FILE_PROPERTY
+    )
+    result = TopDownEngine(program, instance.td_analysis).run(
+        instance.initial_states
+    )
+    errors = instance.findings_from_tables(result)
     assert all(site != "<boot>" for (_, site) in errors)
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, List, Tuple
 
 from repro.framework.bottomup import BottomUpEngine, BottomUpResult
@@ -41,6 +42,8 @@ from repro.framework.swift import SwiftEngine
 from repro.framework.topdown import TopDownEngine, TopDownResult
 from repro.ir.cfg import ProgramPoint
 from repro.ir.program import Program
+
+_second = itemgetter(1)
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +96,22 @@ class _TypestateInstance(DomainInstance):
                     out.add((point, sigma.site))
         return frozenset(out)
 
+    def _context_errors(self, rows) -> FrozenSet:
+        """The error pairs among one stored context's ``(point, value)``
+        rows."""
+        return self._errors((point, (value,)) for point, value in rows)
+
     def findings_from_tables(self, result: TopDownResult) -> FrozenSet:
-        return self._errors(
-            (point, (value for _, value in pairs))
-            for point, pairs in result.td.items()
+        # Projecting a point's pairs to their values in C is cheaper
+        # than a generator; deduplicating them first (a set) is not, as
+        # nearly every pair at a point holds a distinct value.
+        found = self._errors(
+            (point, map(_second, pairs)) for point, pairs in result.fresh.items()
         )
+        if not result.stored:
+            return found
+        extract = self._context_errors
+        return found.union(*[ctx.findings(extract) for ctx in result.stored.values()])
 
     def findings_from_summary(
         self, result: BottomUpResult, program: Program

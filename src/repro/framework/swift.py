@@ -51,16 +51,7 @@ class SwiftResult(TopDownResult):
         base: TopDownResult,
         bu: Dict[str, ProcedureSummary],
     ) -> None:
-        super().__init__(
-            base.program,
-            base.cfgs,
-            base.td,
-            base.entry_counts,
-            base.metrics,
-            timed_out=base.timed_out,
-            call_records=base.call_records,
-            activated=base.activated,
-        )
+        vars(self).update(vars(base))  # the very same tables, unmerged
         self.bu = bu
 
     def total_bu_relations(self) -> int:

@@ -75,34 +75,71 @@ def sorted_states(states):
 
 
 class TopDownResult:
-    """Read-only view over the tables computed by a top-down run."""
+    """Read-only view over the tables computed by a top-down run.
+
+    A warm run's tables come in two parts.  ``fresh`` holds the path
+    edges the run tabulated itself (value mode also installs its
+    activated contexts there, DESIGN §14), ``exit_points`` the exit of
+    every procedure they reach and ``call_records`` their call
+    records.  ``stored``
+    maps each stored context the run read in place (finite domains) to
+    its :class:`~repro.incremental.invalidate.WarmContext`, which keeps
+    that context's rows and records.  The two never share a context.
+    :attr:`td` merges them on first access; the summary count, the
+    findings and the summary store read both parts directly.
+    """
 
     def __init__(
         self,
         program: Program,
         cfgs: ControlFlowGraphs,
-        td: Dict[ProgramPoint, Set[Tuple]],
+        fresh: Dict[ProgramPoint, Set[Tuple]],
         entry_counts: Dict[str, Counter],
         metrics: Metrics,
         timed_out: bool = False,
         call_records: Optional[Dict[Tuple[str, object], Set[Tuple]]] = None,
         activated: FrozenSet[Tuple[str, object]] = frozenset(),
+        stored: Optional[Dict[Tuple[str, object], object]] = None,
+        exit_points: Optional[Dict[str, ProgramPoint]] = None,
     ) -> None:
         self.program = program
         self.cfgs = cfgs
-        self.td = td
-        self.entry_counts = entry_counts  # proc -> Counter
+        self.fresh = fresh
+        self.entry_counts = entry_counts  # proc -> Counter, stored records replayed
         self.metrics = metrics
         self.timed_out = timed_out
-        # (callee, entry state) -> {(return point, caller entry)}; the
-        # summary store needs these to attach spawned contexts to their
-        # creating context (repro.incremental).
+        # (callee, entry state) -> {(return point, caller entry)} of the
+        # fresh contexts; the summary store needs these to attach
+        # spawned contexts to their creating context (repro.incremental).
         self.call_records = call_records if call_records is not None else {}
-        # (proc, entry) of every stored context the run installed from
-        # its warm start whose rows all remain in ``td``: the summary
-        # store reuses such a procedure's segment without re-reading
-        # its rows (repro.incremental.invalidate).
+        # (proc, entry) of every stored context the run activated whose
+        # rows all remain in the tables: the summary store reuses such a
+        # procedure's segment without re-reading its rows
+        # (repro.incremental.invalidate).
         self.activated = activated
+        self.stored = stored if stored is not None else {}
+        self.exit_points = exit_points if exit_points is not None else {}
+        self._merged: Optional[Dict[ProgramPoint, Set[Tuple]]] = None
+
+    @property
+    def td(self) -> Dict[ProgramPoint, Set[Tuple]]:
+        """Every path edge, fresh and stored: ``point -> {(entry, σ)}``.
+        Built on first access; without stored contexts it is ``fresh``."""
+        merged = self._merged
+        if merged is None:
+            fresh = self.fresh
+            merged = fresh
+            if self.stored:
+                merged = dict(fresh)
+                for ctx in self.stored.values():
+                    entry = ctx.entry
+                    for point, sigma in ctx.rows:
+                        edges = merged.get(point)
+                        if edges is None or edges is fresh.get(point):
+                            edges = merged[point] = set(edges or ())
+                        edges.add((entry, sigma))
+            self._merged = merged
+        return merged
 
     # -- state queries ------------------------------------------------------------
     def states_at(self, point: ProgramPoint) -> FrozenSet:
@@ -125,7 +162,14 @@ class TopDownResult:
         return len(self.td.get(self.cfgs.exit(proc), ()))
 
     def total_summaries(self) -> int:
-        return sum(self.summary_count(proc) for proc in self.program)
+        """The number of top-down summaries: the fresh rows at the exits
+        the run reached plus each stored context's memoized exit list,
+        so no procedure the run never tabulated needs its CFG."""
+        fresh = self.fresh
+        cfgs = self.cfgs
+        return sum(
+            len(fresh.get(point, ())) for point in self.exit_points.values()
+        ) + sum(len(ctx.exits(cfgs)) for ctx in self.stored.values())
 
     def summary_counts_by_proc(self) -> Dict[str, int]:
         return {proc: self.summary_count(proc) for proc in self.program}
@@ -139,14 +183,16 @@ class TopDownResult:
 def _value_mode(engine_class: type) -> type:
     """``engine_class`` over an infinite-height domain (DESIGN §14): the
     same engine with :meth:`TopDownEngine._propagate_lattice` as its
-    ``_propagate``.  An engine built over such a domain switches to this
-    class in ``__init__``, so the worklist loop binds the right
-    propagation once per run and no call site branches on the mode."""
+    ``_propagate`` and :meth:`TopDownEngine._install` as its ``_adopt``.
+    An engine built over such a domain switches to this class in
+    ``__init__``, so the worklist loop binds the right propagation once
+    per run and no call site branches on the mode."""
     return type(
         engine_class.__name__,
         (engine_class,),
         {
             "_propagate": TopDownEngine._propagate_lattice,
+            "_adopt": TopDownEngine._install,
             "__module__": engine_class.__module__,
             "__qualname__": engine_class.__qualname__,
         },
@@ -245,9 +291,12 @@ class TopDownEngine:
         # Warm start (repro.incremental.invalidate.WarmStart): stored
         # tabulation contexts, lazily activated when a call edge demands
         # them.  Every entry was fingerprint-verified by the caller, so
-        # activation installs it without re-deriving anything.
+        # activation trusts it without re-deriving anything: a finite
+        # domain reads an activated context in place (``_in_place``),
+        # value mode installs it into the tables.
         self._preload = preload
         self._activated: Set[Tuple[str, object]] = set()
+        self._in_place: Dict[Tuple[str, object], object] = {}
         # -- lattice (value) mode: infinite-height domains (DESIGN §14) -------
         # Finite domains never enter any of the branches below: the
         # whole block is gated on ``analysis.is_finite()`` returning
@@ -287,11 +336,8 @@ class TopDownEngine:
         self._preload_install()
         for sigma in initial_states:
             self._record_entry(self.program.main, sigma)
-            if self._preload is not None:
-                # A stored main context pre-installs its rows; the seed
-                # propagation below then finds the entry row present
-                # and falls through without queueing any work.
-                self._activate(self.program.main, sigma)
+            if self._preload is not None and self._activate(self.program.main, sigma):
+                continue  # a stored main context is a finished fixpoint
             self._propagate(main_entry, sigma, sigma)
         try:
             self._solve()
@@ -321,6 +367,8 @@ class TopDownEngine:
             timed_out=self._timed_out,
             call_records=self._call_records,
             activated=self._intact_activations(),
+            stored=self._in_place,
+            exit_points=self._exit_points,
         )
 
     def _solve(self) -> None:
@@ -413,7 +461,10 @@ class TopDownEngine:
         records.add(record)
         self._record_entry(callee, sigma)
         callee_entry, _ = self._proc_points(callee)
-        if (sigma, sigma) in self._td.get(callee_entry, ()):
+        if (
+            (sigma, sigma) in self._td.get(callee_entry, ())
+            or record_key in self._in_place
+        ):
             # The callee context exists already: reuse its summaries.
             self.metrics.td_summary_reuses += 1
             outs = self._exit_summaries(callee, sigma)
@@ -431,9 +482,8 @@ class TopDownEngine:
             return
         if self._preload is not None:
             if self._activate(callee, sigma):
-                # The store held this whole context: its rows (and its
-                # children's) are installed, so serve the exit
-                # summaries exactly like the reuse path above.
+                # The store held this whole context (and its children):
+                # serve its exit summaries like the reuse path above.
                 outs = self._exit_summaries(callee, sigma)
                 if self._tracing:
                     self._cause = ("store", edge.source, sigma, entry_sigma)
@@ -450,11 +500,16 @@ class TopDownEngine:
         self._propagate(callee_entry, sigma, sigma)
 
     def _exit_summaries(self, callee: str, sigma) -> List:
-        """Exit states of ``callee`` for the incoming state ``sigma``, read
-        from the ``(proc, sigma_in) -> {sigma_out}`` index.  Returns a
-        snapshot list: ``_propagate`` may grow the live sets."""
+        """Exit states of ``callee`` for the incoming state ``sigma``.  A
+        tabulated context's are read from the ``(proc, sigma_in) ->
+        {sigma_out}`` index, as a snapshot list since ``_propagate`` may
+        grow the live sets; a context read in place, which the index
+        never holds, lists its own (memoized on it, never changed)."""
         outs = self._exit_index.get(callee, _NO_INDEX).get(sigma)
-        return list(outs) if outs else []
+        if outs:
+            return list(outs)
+        ctx = self._in_place.get((callee, sigma))
+        return [] if ctx is None else ctx.exits(self.cfgs)
 
     def _after_exit(self, point: ProgramPoint, entry_sigma, sigma) -> None:
         """A path edge reached a procedure exit: return to its callers."""
@@ -708,9 +763,9 @@ class TopDownEngine:
 
     def _intact_activations(self) -> FrozenSet[Tuple[str, object]]:
         """The activated contexts whose stored rows are all still in the
-        tables.  Finite domains only ever add rows, so that is all of
-        them; a value-mode run may have replaced an installed value
-        since, so each context's rows are checked once, here."""
+        tables.  A finite domain never changes a stored context, so that
+        is all of them; a value-mode run may have replaced an installed
+        value since, so each context's rows are checked once, here."""
         if not self._lattice:
             return frozenset(self._activated)
         td = self._td
@@ -724,17 +779,15 @@ class TopDownEngine:
         )
 
     def _activate(self, proc: str, entry) -> bool:
-        """Install the stored context ``(proc, entry)`` — and, transitively,
-        every child context its call records spawned — into the tables.
+        """Activate the stored context ``(proc, entry)`` and, transitively,
+        every child context its call records spawned (:meth:`_adopt`
+        takes each into the run).
 
-        Installed rows bypass the workset and the ``propagations``
-        counter: a stored context is a finished fixpoint, so there is
-        nothing left to explore inside it (store traffic is excluded
-        from ``total_work``, like the memo caches).  Replaying the call
-        records reproduces the entry-count multisets exactly, and the
-        exit-summary index is maintained so callers read summaries the
-        normal way.  Returns False when the store has no such context
-        (the caller then tabulates it cold).
+        A stored context is a finished fixpoint, so activation queues no
+        work and counts no ``propagations`` (store traffic is excluded
+        from ``total_work``, like the memo caches); it counts one
+        ``store_hits`` per context.  Returns False when the store has no
+        such context (the caller then tabulates it cold).
         """
         context = self._preload.context
         first = context(proc, entry)
@@ -748,30 +801,8 @@ class TopDownEngine:
                 continue
             self._activated.add(key)
             self.metrics.store_hits += 1
-            self._proc_points(ctx.proc)  # register the exit point
-            for point, sigma in ctx.rows:
-                edges = self._td.setdefault(point, set())
-                pair = (ctx.entry, sigma)
-                if pair in edges:
-                    continue
-                edges.add(pair)
-                if self._lattice:
-                    # A stored value-mode context has exactly one value
-                    # per (point, entry); install it as the current one
-                    # so warm re-runs re-do zero work.
-                    self._cur[(point, ctx.entry)] = sigma
-                if point in self._exit_point_set:
-                    by_entry = self._exit_index.setdefault(point.proc, {})
-                    outs = by_entry.get(ctx.entry)
-                    if outs is None:
-                        outs = by_entry[ctx.entry] = set()
-                    outs.add(sigma)
-            for callee, sigma_in, return_point in ctx.records:
-                records = self._call_records.setdefault((callee, sigma_in), set())
-                record = (return_point, ctx.entry)
-                if record not in records:
-                    records.add(record)
-                    self._record_entry(callee, sigma_in)
+            self._adopt(ctx)
+            for callee, sigma_in, _ in ctx.records:
                 child = context(callee, sigma_in)
                 if child is not None:
                     stack.append(child)
@@ -789,6 +820,46 @@ class TopDownEngine:
                     )
                 )
         return True
+
+    def _adopt(self, ctx) -> None:
+        """Take an activated stored context into a finite-domain run: it
+        is read in place, its rows and records never copied.  Fresh
+        tabulation never reaches into it (its callees are stored
+        contexts too, activated with it), so only the entry counts its
+        records stand for are replayed, which keeps the incoming
+        multisets exactly those of a cold run."""
+        self._in_place[(ctx.proc, ctx.entry)] = ctx
+        record_entry = self._record_entry
+        for callee, sigma_in, _ in ctx.records:
+            record_entry(callee, sigma_in)
+
+    def _install(self, ctx) -> None:
+        """Value mode's :meth:`_adopt`: copy the context's rows into the
+        tables, each as the current value of its ``(point, entry)``, and
+        its call records into ``_call_records``.  Widening may later
+        replace an installed value (DESIGN §14), so the context cannot
+        be read in place."""
+        self._proc_points(ctx.proc)  # register the exit point
+        entry = ctx.entry
+        for point, sigma in ctx.rows:
+            edges = self._td.setdefault(point, set())
+            pair = (entry, sigma)
+            if pair in edges:
+                continue
+            edges.add(pair)
+            self._cur[(point, entry)] = sigma
+            if point in self._exit_point_set:
+                by_entry = self._exit_index.setdefault(point.proc, {})
+                outs = by_entry.get(entry)
+                if outs is None:
+                    outs = by_entry[entry] = set()
+                outs.add(sigma)
+        for callee, sigma_in, return_point in ctx.records:
+            records = self._call_records.setdefault((callee, sigma_in), set())
+            record = (return_point, entry)
+            if record not in records:
+                records.add(record)
+                self._record_entry(callee, sigma_in)
 
 
 def _record_sort_key(record: Tuple[ProgramPoint, object]) -> Tuple[str, int, str]:

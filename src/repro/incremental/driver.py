@@ -30,11 +30,12 @@ decoded entries, the re-encoded ones take the run's own objects, and
 the signature is the one ``SummaryStore.save`` took from the file it
 wrote (the locked file after an append, the temp file before a
 rename), so a concurrent writer's file is never mistaken for ours.
-Engines only read a view (activation copies rows into their own
-tables), so sharing a snapshot across runs — sequential or concurrent
-— is sound.  :func:`prepare_store_run` is the preamble both paths
-share.  The wall time spent on load + diff + view is reported per run
-as ``Metrics.store_load_seconds``.
+Engines only read a view (a finite-domain run reads an activated
+context in place, value mode copies its rows into its own tables), so
+sharing a snapshot across runs — sequential or concurrent — is sound.
+:func:`prepare_store_run` is the preamble both paths share.  The wall
+time spent on load + diff + view is reported per run as
+``Metrics.store_load_seconds``.
 """
 
 from __future__ import annotations

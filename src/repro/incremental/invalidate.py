@@ -20,12 +20,15 @@ Surviving entries are injected through the engines' ``preload=`` hook
 as a :class:`WarmStart`, a view of the snapshot that decodes a segment
 the first time a run asks for its procedure (:func:`stored_proc`, at
 most once per snapshot).  Contexts are *lazily activated*: a stored
-context is only installed when the warm run actually demands it at a
+context is only activated when the warm run actually demands it at a
 call edge (or as the transitive child of an activated context), so
 contexts that an upstream edit made unreachable are silently skipped
 and a warm top-down run computes *exactly* the cold tables — rows,
-exit index, call records, and entry counts (entry counts are the
-record multiset, and activation replays the stored records).
+exit summaries, call records, and entry counts (entry counts are the
+record multiset, and activation replays the stored records).  On a
+finite domain the run reads an activated context in place: its rows
+and records stay in the :class:`WarmContext`, and only the rows the run
+tabulates itself go into its tables.
 """
 
 from __future__ import annotations
@@ -78,19 +81,26 @@ def diff_fingerprints(
 class WarmContext:
     """One stored tabulation context of ``proc``, entered with ``entry``.
 
-    Engines read its path-edge ``rows`` (``(point, σ)``) and the call
-    ``records`` it spawned (``(callee, σ_in, return point)``) when they
-    activate it.  A context built from a run's own objects, or decoded
-    for a whole-program run, holds both as plain lists.  One parsed for
-    a demand cone keeps the segment's encoded lists in ``_enc`` and
-    leaves ``rows``/``records`` unset until first read, when
-    :meth:`__getattr__` decodes and sets them, so later reads cost a
-    plain attribute read.  :meth:`ends` is its entry/exit-only,
-    record-free twin, the form a cone consumes.  Concurrent first reads
-    may each decode; each sets a whole list.
+    It holds the context's path-edge ``rows`` (``(point, σ)``) and the
+    call ``records`` it spawned (``(callee, σ_in, return point)``); an
+    engine that activates it reads them in place (value mode copies
+    them into its tables).  A context built from a run's own objects,
+    or decoded for a whole-program run, holds both as plain lists.  One
+    parsed for a demand cone keeps the segment's encoded lists in
+    ``_enc`` and leaves ``rows``/``records`` unset until first read,
+    when :meth:`__getattr__` decodes and sets them, so later reads cost
+    a plain attribute read.  :meth:`ends` is its entry/exit-only,
+    record-free twin, the form a cone consumes.  What runs derive from
+    it — :meth:`exits`, :meth:`findings` — is memoized on it: a valid
+    procedure's body, hence its exit point, is fixed, and a snapshot
+    serves one domain.  Concurrent first reads may each compute; each
+    sets a whole value.
     """
 
-    __slots__ = ("proc", "entry", "rows", "records", "_enc", "_codec", "_ends")
+    __slots__ = (
+        "proc", "entry", "rows", "records", "_enc", "_codec", "_ends", "_exits",
+        "_findings",
+    )
 
     def __init__(self, proc: str, entry, rows, records, enc=None, codec=None):
         self.proc = proc
@@ -101,6 +111,8 @@ class WarmContext:
         self._enc = enc  # (encoded rows, encoded records), or None
         self._codec = codec
         self._ends: Optional[WarmContext] = None
+        self._exits: Optional[list] = None
+        self._findings = None
 
     def __getattr__(self, name: str):
         # Reached only for an unset slot: ``rows``/``records`` of a
@@ -129,6 +141,23 @@ class WarmContext:
                 kept = _decode_rows(self.proc, ends_enc, self._codec)
             ends = self._ends = WarmContext(self.proc, self.entry, kept, ())
         return ends
+
+    def exits(self, cfgs) -> list:
+        """The context's exit states (its summaries), memoized; ``cfgs``
+        locates the exit point on the first call only."""
+        exits = self._exits
+        if exits is None:
+            exit_point = cfgs.exit(self.proc)
+            exits = self._exits = [s for point, s in self.rows if point == exit_point]
+        return exits
+
+    def findings(self, extract):
+        """``extract(rows)``, the domain's findings among the context's
+        rows, memoized."""
+        found = self._findings
+        if found is None:
+            found = self._findings = extract(self.rows)
+        return found
 
 
 class StoredProc:
@@ -319,58 +348,85 @@ def build_warm_start(
     return WarmStart(snapshot, codec, plan.valid, plan.invalidated)
 
 
-class _RunTables:
-    """A finished run's tables grouped per procedure (no encoding)."""
+#: Canonical JSON texts of the states saves have encoded, per domain.  A
+#: text is a pure function of the state, and the same states recur in
+#: every save of a snapshot's lineage, so a save encodes only states no
+#: earlier save met.  Bounded by clear-on-overflow, like
+#: ``repro.framework.topdown.state_sort_key``.
+_STATE_TEXTS: Dict[str, Dict[object, str]] = {}
+_STATE_TEXT_LIMIT = 1 << 16
 
-    def __init__(self, result) -> None:
-        self.td = result.td
-        self.call_records = result.call_records or {}
+
+class _RunTables:
+    """A finished run's tables grouped per procedure (no encoding): its
+    fresh rows and records, and the stored contexts it read in place."""
+
+    def __init__(self, result, codec: Codec) -> None:
+        self.fresh = result.fresh
         self.bu = getattr(result, "bu", None) or {}
         self.counts = result.entry_counts
         self.activated = result.activated
-        self._texts: Dict[object, str] = {}
+        self.codec = codec
+        self._texts = _STATE_TEXTS.setdefault(codec.domain, {})
+        if len(self._texts) >= _STATE_TEXT_LIMIT:
+            self._texts.clear()
         self.points: Dict[str, List[ProgramPoint]] = defaultdict(list)
-        for point in self.td:
+        for point in self.fresh:
             self.points[point.proc].append(point)
         # A record ((callee, σ_in) ← (return point, caller entry)) was
         # created while tabulating the caller's context — file it there.
         self.records: Dict[str, List[tuple]] = defaultdict(list)
-        for (callee, sigma_in), records in self.call_records.items():
+        for (callee, sigma_in), records in result.call_records.items():
             for return_point, caller_entry in records:
                 self.records[return_point.proc].append(
                     (callee, sigma_in, return_point, caller_entry)
                 )
+        self.in_place: Dict[str, List[WarmContext]] = defaultdict(list)
+        for ctx in result.stored.values():
+            self.in_place[ctx.proc].append(ctx)
 
     def procs(self):
         return (
-            set(self.points) | set(self.records) | set(self.bu) | set(self.counts)
+            set(self.points)
+            | set(self.records)
+            | set(self.in_place)
+            | set(self.bu)
+            | set(self.counts)
         )
 
     def matches(self, proc: str, stored: StoredProc) -> bool:
         """Would ``proc``'s segment, rebuilt from this run, equal the
-        stored one?  O(contexts): no stored row is re-read.
+        stored one?  No stored row is re-read.
 
-        Rows and records: the run activated every stored context and
-        they all stayed intact (``result.activated``), so the run's
-        rows and records for ``proc`` contain the stored ones — equal
-        counts then mean equal sets.  The summary: the run kept the
-        very object it was preloaded with.  The multiset: every
-        observed count is already covered by the stored maximum, so the
-        merge in :func:`build_snapshot` leaves it as it was.
+        Rows and records: when the run read every stored context of
+        ``proc`` in place (finite domains; they are the stored ones by
+        count, since it read nothing else), the segment is unchanged
+        unless the run tabulated rows or records of its own there — one
+        test, O(1).  Otherwise value mode installed the contexts: they
+        must all be activated and still intact (``result.activated``),
+        so the tables contain the stored rows and records, and equal
+        counts then mean equal sets.  The summary: the run kept the very
+        object it was preloaded with.  The multiset: every observed
+        count is already covered by the stored maximum, so the merge in
+        :func:`build_snapshot` leaves it as it was.
         """
-        activated = self.activated
         contexts = stored.contexts
-        for entry in contexts:
-            if (proc, entry) not in activated:
+        if len(self.in_place.get(proc, ())) == len(contexts):
+            if proc in self.points or proc in self.records:
                 return False
-        td = self.td
-        rows = sum(len(td[point]) for point in self.points.get(proc, ()))
-        if rows != sum(len(ctx.rows) for ctx in contexts.values()):
-            return False
-        if len(self.records.get(proc, ())) != sum(
-            len(ctx.records) for ctx in contexts.values()
-        ):
-            return False
+        else:
+            activated = self.activated
+            for entry in contexts:
+                if (proc, entry) not in activated:
+                    return False
+            fresh = self.fresh
+            rows = sum(len(fresh[point]) for point in self.points.get(proc, ()))
+            if rows != sum(len(ctx.rows) for ctx in contexts.values()):
+                return False
+            if len(self.records.get(proc, ())) != sum(
+                len(ctx.records) for ctx in contexts.values()
+            ):
+                return False
         if self.bu.get(proc) is not stored.bu:
             return False
         observed = self.counts.get(proc)
@@ -385,54 +441,71 @@ class _RunTables:
         return True
 
     def encode(
-        self, proc: str, old_m, codec: Codec, bu_text: Optional[str] = None
+        self, proc: str, old_m, bu_text: Optional[str] = None
     ) -> Tuple[str, StoredProc]:
         """Encode ``proc``'s segment from this run's tables: its canonical
-        text and the matching decoded entries built from the run's own
-        objects, all in canonical order.
+        text and the matching decoded entries, all in canonical order.
+        A context the run read in place is encoded from its stored
+        rows and records and kept as the same object (with its memos);
+        the others are built from the run's own objects.
 
         ``old_m`` is the previous multiset (``None`` when there was
         none).  ``bu_text`` is the summary's canonical text when the run
         kept the stored summary object, cut from the previous segment
         (:func:`_summary_text`) rather than encoded again.  The text is
-        assembled from per-state canonical JSON, memoized across the
-        whole save, and equals the canonical JSON of the encoded
+        assembled from per-state canonical JSON, memoized across saves
+        (``_STATE_TEXTS``), and equals the canonical JSON of the encoded
         payload: a list's canonical form is its items' canonical forms
         joined by commas.
         """
         state = self._state
         by_entry: Dict[object, Tuple[list, list]] = {}
         for point in self.points.get(proc, ()):
-            index = point.index
-            for entry, sigma in self.td[point]:
+            for entry, sigma in self.fresh[point]:
                 rows = by_entry.get(entry)
                 if rows is None:
                     rows = by_entry[entry] = ([], [])
-                rows[0].append((f"[{index},{state(sigma, codec)}]", (point, sigma)))
+                rows[0].append((point, sigma))
         for callee, sigma_in, return_point, entry in self.records.get(proc, ()):
             rows = by_entry.get(entry)
             if rows is None:
                 rows = by_entry[entry] = ([], [])
-            text = state(sigma_in, codec)
-            rows[1].append(
-                (
-                    f"[{json.dumps(callee)},{text},{return_point.index}]",
-                    (callee, sigma_in, return_point),
-                )
-            )
+            rows[1].append((callee, sigma_in, return_point))
+        kept = {ctx.entry: ctx for ctx in self.in_place.get(proc, ())}
+        for entry, ctx in kept.items():
+            by_entry[entry] = (ctx.rows, ctx.records)
         contexts = []
         for entry, (rows, records) in by_entry.items():
-            rows.sort(key=_first)
-            records.sort(key=_first)
-            entry_text = state(entry, codec)
+            rows = sorted(
+                (
+                    (f"[{point.index},{state(sigma)}]", (point, sigma))
+                    for point, sigma in rows
+                ),
+                key=_first,
+            )
+            records = sorted(
+                (
+                    (
+                        f"[{json.dumps(callee)},{state(sigma_in)},"
+                        f"{return_point.index}]",
+                        (callee, sigma_in, return_point),
+                    )
+                    for callee, sigma_in, return_point in records
+                ),
+                key=_first,
+            )
+            entry_text = state(entry)
+            ctx = kept.get(entry)
+            if ctx is None:
+                ctx = WarmContext(
+                    proc, entry, [r[1] for r in rows], [r[1] for r in records]
+                )
             contexts.append(
                 (
                     entry_text,
                     f"[{entry_text},[{','.join(r[0] for r in rows)}],"
                     f"[{','.join(r[0] for r in records)}]]",
-                    WarmContext(
-                        proc, entry, [r[1] for r in rows], [r[1] for r in records]
-                    ),
+                    ctx,
                 )
             )
         contexts.sort(key=_first)
@@ -440,21 +513,17 @@ class _RunTables:
         summary = self.bu.get(proc)
         if summary is not None:
             if bu_text is None:
-                bu_text = canonical_json(codec.encode_summary(summary))
+                bu_text = canonical_json(self.codec.encode_summary(summary))
             parts.insert(0, f'"bu":{bu_text}')
         observed = self.counts.get(proc)
         ranks = None
         if observed is not None or old_m is not None:
-            text, ranks = self._encode_m(
-                old_m or Counter(), observed or Counter(), codec
-            )
+            text, ranks = self._encode_m(old_m or Counter(), observed or Counter())
             parts.append(f'"m":{text}')
         stored = StoredProc({c[2].entry: c[2] for c in contexts}, summary, ranks)
         return "{" + ",".join(parts) + "}", stored
 
-    def _encode_m(
-        self, old: Counter, observed: Counter, codec: Codec
-    ) -> Tuple[str, Counter]:
+    def _encode_m(self, old: Counter, observed: Counter) -> Tuple[str, Counter]:
         """The stored ``M``: the per-state maximum of the old and observed
         counts, so ranking data degrades gracefully across warm runs
         that saw only part of the traffic (a warm SWIFT run bypasses
@@ -466,7 +535,7 @@ class _RunTables:
                 merged[sigma] = n
         counts = sorted(
             [
-                (f"[{self._state(sigma, codec)},{n}]", n, sigma)
+                (f"[{self._state(sigma)},{n}]", n, sigma)
                 for sigma, n in merged.items()
             ],
             key=_first,
@@ -476,11 +545,11 @@ class _RunTables:
             Counter({sigma: n for _, n, sigma in counts}),
         )
 
-    def _state(self, sigma, codec: Codec) -> str:
+    def _state(self, sigma) -> str:
         """``sigma``'s canonical JSON text (memoized)."""
         got = self._texts.get(sigma)
         if got is None:
-            got = self._texts[sigma] = canonical_json(codec.encode_state(sigma))
+            got = self._texts[sigma] = canonical_json(self.codec.encode_state(sigma))
         return got
 
 
@@ -532,7 +601,7 @@ def build_snapshot(
         fingerprints=fingerprints.as_dict(),
         meta=meta or {},
     )
-    tables = _RunTables(result)
+    tables = _RunTables(result, codec)
     procs = tables.procs()
     previous_segments = previous.segments if previous is not None else {}
     procs.update(p for p in previous_segments if p in fingerprints.body)
@@ -551,7 +620,7 @@ def build_snapshot(
         summary = tables.bu.get(proc)
         if summary is not None and stored is not None and summary is stored.bu:
             bu_text = _summary_text(previous_segments[proc])
-        text, stored = tables.encode(proc, old_m, codec, bu_text)
+        text, stored = tables.encode(proc, old_m, bu_text)
         if text == '{"contexts":[]}':
             continue  # nothing stored for this procedure
         snap.segments[proc] = text

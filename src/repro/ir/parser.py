@@ -19,8 +19,9 @@ Comments start with ``#`` and run to end of line.
 
 from __future__ import annotations
 
+import itertools
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.ir.commands import (
     Assign,
@@ -47,53 +48,59 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN = re.compile(
-    r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_$@]*)
-  | (?P<punct>\{|\}|\(|\)|=|;|\.)
-    """,
-    re.VERBOSE,
-)
+_SPACE = r"\s+|#[^\n]*"
+_WORD = r"[A-Za-z_][A-Za-z0-9_$@]*|[{}()=;.]"
+
+#: Whitespace and comments match with an empty group; every token is
+#: the group's text.
+_TOKEN = re.compile(_SPACE + "|(" + _WORD + ")")
+
+#: The longest prefix of a text made only of tokens.
+_LEXABLE = re.compile("(?:" + _SPACE + "|" + _WORD + ")*")
 
 _KEYWORDS = {"proc", "call", "choose", "or", "loop", "new", "skip"}
 
+#: Tokens that cannot start a primitive or name a variable.
+_RESERVED = _KEYWORDS | set("{}()=;.")
+
 
 class _Lexer:
+    """The text as a list of token strings.  A token's position is
+    recovered only when an error names it (:meth:`error`)."""
+
     def __init__(self, text: str) -> None:
         self.text = text
-        self.tokens: List[Tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            match = _TOKEN.match(text, pos)
-            if match is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", pos, text)
-            pos = match.end()
-            if match.lastgroup == "ws":
-                continue
-            self.tokens.append((match.lastgroup, match.group(), match.start()))
+        end = _LEXABLE.match(text).end()
+        if end < len(text):
+            raise ParseError(f"unexpected character {text[end]!r}", end, text)
+        self.tokens: List[str] = list(filter(None, _TOKEN.findall(text)))
         self.index = 0
 
-    def peek(self) -> Optional[Tuple[str, str, int]]:
+    def error(self, message: str, index: int) -> ParseError:
+        """A :class:`ParseError` at the start of token ``index``."""
+        starts = (m.start() for m in _TOKEN.finditer(self.text) if m.group(1))
+        position = next(itertools.islice(starts, index, None))
+        return ParseError(message, position, self.text)
+
+    def peek(self) -> Optional[str]:
         if self.index < len(self.tokens):
             return self.tokens[self.index]
         return None
 
-    def next(self) -> Tuple[str, str, int]:
-        token = self.peek()
-        if token is None:
+    def next(self) -> str:
+        index = self.index
+        if index >= len(self.tokens):
             raise ParseError("unexpected end of input", len(self.text), self.text)
-        self.index += 1
-        return token
+        self.index = index + 1
+        return self.tokens[index]
 
     def expect(self, value: str) -> None:
-        kind, text, pos = self.next()
-        if text != value:
-            raise ParseError(f"expected {value!r}, found {text!r}", pos, self.text)
+        token = self.next()
+        if token != value:
+            raise self.error(f"expected {value!r}, found {token!r}", self.index - 1)
 
     def at(self, value: str) -> bool:
-        token = self.peek()
-        return token is not None and token[1] == value
+        return self.index < len(self.tokens) and self.tokens[self.index] == value
 
 
 def parse_program(text: str, main: str = "main") -> Program:
@@ -102,9 +109,9 @@ def parse_program(text: str, main: str = "main") -> Program:
     procedures: Dict[str, Command] = {}
     while lexer.peek() is not None:
         lexer.expect("proc")
-        _, name, pos = lexer.next()
+        name = lexer.next()
         if name in procedures:
-            raise ParseError(f"duplicate procedure {name!r}", pos, text)
+            raise lexer.error(f"duplicate procedure {name!r}", lexer.index - 1)
         lexer.expect("{")
         procedures[name] = _parse_block(lexer)
     if not procedures:
@@ -129,9 +136,10 @@ def _parse_block(lexer: _Lexer) -> Command:
 
 
 def _parse_stmt(lexer: _Lexer) -> Command:
-    kind, word, pos = lexer.next()
+    word = lexer.next()
+    index = lexer.index - 1
     if word == "call":
-        _, proc, _ = lexer.next()
+        proc = lexer.next()
         lexer.expect(";")
         return Call(proc)
     if word == "loop":
@@ -145,41 +153,41 @@ def _parse_stmt(lexer: _Lexer) -> Command:
             lexer.expect("{")
             alternatives.append(_parse_block(lexer))
         if len(alternatives) < 2:
-            raise ParseError("choose needs at least two branches", pos, lexer.text)
+            raise lexer.error("choose needs at least two branches", index)
         return choice(*alternatives)
     if word == "skip":
         lexer.expect(";")
         return Skip()
-    if kind != "name" or word in _KEYWORDS:
-        raise ParseError(f"unexpected token {word!r}", pos, lexer.text)
+    if word in _RESERVED:
+        raise lexer.error(f"unexpected token {word!r}", index)
     # Starts with an identifier: assignment / new / load / store / invoke.
-    return _parse_prim(lexer, word, pos)
+    return _parse_prim(lexer, word)
 
 
-def _parse_prim(lexer: _Lexer, first: str, pos: int) -> Command:
+def _parse_prim(lexer: _Lexer, first: str) -> Command:
     if lexer.at("."):
         lexer.expect(".")
-        _, member, _ = lexer.next()
+        member = lexer.next()
         if lexer.at("("):
             lexer.expect("(")
             lexer.expect(")")
             lexer.expect(";")
             return Invoke(first, member)
         lexer.expect("=")
-        _, rhs, _ = lexer.next()
+        rhs = lexer.next()
         lexer.expect(";")
         return FieldStore(first, member, rhs)
     lexer.expect("=")
-    kind, second, spos = lexer.next()
+    second = lexer.next()
     if second == "new":
-        _, site, _ = lexer.next()
+        site = lexer.next()
         lexer.expect(";")
         return New(first, site)
-    if kind != "name" or second in _KEYWORDS:
-        raise ParseError(f"unexpected token {second!r}", spos, lexer.text)
+    if second in _RESERVED:
+        raise lexer.error(f"unexpected token {second!r}", lexer.index - 1)
     if lexer.at("."):
         lexer.expect(".")
-        _, fieldname, _ = lexer.next()
+        fieldname = lexer.next()
         lexer.expect(";")
         return FieldLoad(first, second, fieldname)
     lexer.expect(";")

@@ -35,7 +35,9 @@ from repro.ir.parser import parse_program
 from repro.ir.program import Program
 from repro.query import QueryTarget, compute_cone
 from repro.typestate.client import run_typestate
+from repro.typestate.dfa import ERROR
 from repro.typestate.properties import FILE_PROPERTY
+from repro.typestate.states import BOOTSTRAP_SITE
 
 from tests.helpers import best_of
 from tests.test_property_based import commands, programs
@@ -205,6 +207,31 @@ def test_one_proc_edit_reanalyzes_only_the_cone(tmp_path, engine):
         return min(r.report.result.metrics.store_load_seconds if load else s
                    for r, s in runs)
 
+    def assert_read_in_place(run):
+        """A finite-domain warm run keeps no row of an activated context
+        in its own table, and its findings, summary count and
+        propagations are those of the merged table."""
+        result = run.report.result
+        assert set(result.stored) == result.activated
+        for point, pairs in result.fresh.items():
+            for entry, _ in pairs:
+                assert (point.proc, entry) not in result.stored, (point, entry)
+        merged = result.td
+        assert run.report.errors == {
+            (point, sigma.site)
+            for point, pairs in merged.items()
+            for _, sigma in pairs
+            if sigma.state == ERROR and sigma.site != BOOTSTRAP_SITE
+        }
+        assert run.report.td_summaries == sum(
+            len(merged.get(result.cfgs.exit(proc), ())) for proc in result.program
+        )
+        fresh_rows = sum(len(pairs) for pairs in result.fresh.values())
+        assert result.metrics.propagations == fresh_rows
+        assert sum(len(pairs) for pairs in merged.values()) == fresh_rows + sum(
+            len(ctx.rows) for ctx in result.stored.values()
+        )
+
     colds = [analyze(program, SummaryStore(tmp_path / f"cold{i}")) for i in range(3)]
     store = SummaryStore(tmp_path / "suite")
     cold, _ = analyze(program, store, resident=False)
@@ -217,6 +244,15 @@ def test_one_proc_edit_reanalyzes_only_the_cone(tmp_path, engine):
     for run, _ in warms + warm2s:
         assert run.report.errors == cold.report.errors and run.store_hits > 0
         assert run.report.result.metrics.total_work <= 0.10 * cold_m.total_work
+    # Every counter of a run served from the resident decode, whose
+    # stored contexts carry memoized exits and findings, equals those
+    # of a run from a fresh decode of the file.
+    for run, _ in warms + warm2s:
+        assert _counters(run.report.result.metrics) == _counters(
+            warms[0][0].report.result.metrics
+        )
+    for run in [r for r, _ in warms + warm2s] + [edit, steady]:
+        assert_read_in_place(run)
     assert fastest(warm2s, load=True) <= fastest(warms, load=True)
     assert fastest(warm2s) <= fastest(colds), (fastest(warm2s), fastest(colds))
     assert set(edit.invalidated) == cone
@@ -253,6 +289,8 @@ def test_one_proc_edit_reanalyzes_only_the_cone(tmp_path, engine):
                 k=1, theta=1, warm_cache=cache,
             )
             assert out.cold == (step == 0)
+            if step:
+                assert_read_in_place(out)
             assert out.report.error_sites == ref.error_sites, step
             assert {e for e in out.report.errors if e[0].proc == "main"} == {
                 e for e in ref.errors if e[0].proc == "main"

@@ -16,16 +16,13 @@ every engine terminates and agrees on the error sites is
 ``tests/test_lattice_fixpoint.py`` and the ``ci/numeric_smoke.py``
 baseline.
 
-Run standalone to (re)generate ``BENCH_numeric.json``::
+Run it to (re)generate ``BENCH_numeric.json``::
 
     PYTHONPATH=src python benchmarks/bench_numeric.py [--out PATH]
-
-or collect under pytest (cheap checks only)::
-
-    PYTHONPATH=src python -m pytest benchmarks/bench_numeric.py
 """
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
@@ -97,38 +94,18 @@ def collect():
     ]
 
 
-# -- pytest entry points (cheap; the full sweep is standalone-only) -------------
-
-
-def test_numeric_swift_terminates(once):
-    program = loop_nest(8, seed=SEED)
-    report, row = once(run_swift, program)
-    assert not report.timed_out and row["error_sites"] > 0
-    assert row["us_per_work"] > 0
-
-
-def test_numeric_descend_keeps_verdicts(once):
-    program = loop_nest(8, seed=SEED)
-    base, _ = run_swift(program)
-    narrowed, _ = once(run_swift, program, 2, 2)
-    assert narrowed.error_sites == base.error_sites
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_numeric.json")
     args = parser.parse_args(argv)
-    rows = collect()
-    from repro.experiments.export import export_bench
-
-    path = export_bench(
-        "bench_numeric",
-        "interval×typestate product on the loop_nest shape: "
+    payload = {
+        "benchmark": "bench_numeric",
+        "description": "interval×typestate product on the loop_nest shape: "
         "SWIFT's widening-knob sweep",
-        rows,
-        args.out,
-    )
-    print(f"wrote {path}")
+        "rows": collect(),
+    }
+    Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {args.out}")
     return 0
 
 

@@ -248,6 +248,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments import __main__ as runner
 
+    for name in args.names:
+        if name not in runner.EXHIBITS:
+            raise _UsageError(
+                f"unknown exhibit {name!r}; choose from {', '.join(runner.EXHIBITS)}"
+            )
     runner.run(args.names, parallel=args.parallel, trace=args.trace)
     return 0
 

@@ -12,14 +12,18 @@ One module per exhibit:
   suite;
 * :mod:`repro.experiments.ablations` — our additional ablations of the
   design choices DESIGN.md calls out (ranking strategy, trigger
-  postponement, summary refresh).
+  postponement, summary refresh);
+* :mod:`repro.experiments.shapes` — whole-program runs against one
+  demand query on the large generated shapes.
 
-Each module has a ``run()`` returning structured rows and a
-``main(parallel=0)`` that prints the exhibit; both compute their rows
-through :func:`repro.experiments.harness.map_rows`, and every engine
-run is one :func:`repro.experiments.harness.run_engine` call, which
-owns the row's budget, trace file and timing.  ``python -m
-repro.experiments`` regenerates everything.
+Each module has a ``run(parallel=0)`` returning structured rows
+(computed through :func:`repro.experiments.harness.map_rows`), a
+``render(rows)`` that prints them, and a pure ``missed_claims(rows)``
+listing the paper's shape claims the rows miss.  Every engine run is
+one :func:`repro.experiments.harness.run_engine` call, which owns the
+row's budget, trace file and timing.  ``python -m repro.experiments``
+is the one driver: it regenerates every exhibit and checks its
+claims.
 """
 
 from repro.experiments.harness import (

@@ -8,6 +8,12 @@ to record every engine run's analysis events under ``DIR/<exhibit>/``
 A parallel table is identical to a serial one: work counters are
 deterministic and rows are collected in submission order; only wall
 clock changes.
+
+Under each table the exhibit's ``missed_claims`` checks the paper's
+shape claims against the rows just printed: one ``shape missed:
+<exhibit>: <claim>`` line per claim that does not hold, or ``shape:
+every claim holds``.  A miss is a finding about the run, not an error:
+the exit status stays 0.
 """
 
 from __future__ import annotations
@@ -41,13 +47,21 @@ EXHIBITS = {
 def run(
     names: Sequence[str] = (), parallel: int = 0, trace: Optional[str] = None
 ) -> None:
-    """Print the exhibits named in ``names`` (every exhibit if empty)."""
+    """Print the exhibits named in ``names`` (every exhibit if empty),
+    each followed by its shape-claim verdict."""
     for name, module in EXHIBITS.items():
         if names and name not in names:
             continue
         harness.set_trace_dir(None if trace is None else Path(trace) / name)
-        print(f"\n{'=' * 78}\n{name}\n{'=' * 78}")
-        module.main(parallel=parallel)
+        # Flushed, so progress on stderr follows the exhibit's header.
+        print(f"\n{'=' * 78}\n{name}\n{'=' * 78}", flush=True)
+        rows = module.run(parallel=parallel)
+        print(module.render(rows))
+        missed = module.missed_claims(rows)
+        for claim in missed:
+            print(f"shape missed: {name}: {claim}")
+        if not missed:
+            print("shape: every claim holds")
     harness.set_trace_dir(None)
 
 

@@ -117,9 +117,27 @@ def render(all_series: List[Figure5Series]) -> str:
     return "\n".join(chunks)
 
 
-def main(parallel: int = 0) -> None:
-    print(render(run(parallel=parallel)))
-
-
-if __name__ == "__main__":
-    main()
+def missed_claims(all_series: List[Figure5Series]) -> List[str]:
+    """The figure's visual claim, numerically, per benchmark: TD's
+    worst method needs at least twice SWIFT's worst, and SWIFT keeps
+    fewer methods above k and a lower total."""
+    claims = []
+    for series in all_series:
+        name, td, swift = series.benchmark, series.td_counts, series.swift_counts
+        if not (td and swift):
+            claims.append((False, f"both engines compute summaries on {name}"))
+            continue
+        td_above_k = sum(1 for c in td if c > series.k)
+        swift_above_k = sum(1 for c in swift if c > series.k)
+        claims += [
+            (
+                max(td) >= 2 * max(swift),
+                f"TD's worst method needs at least twice SWIFT's on {name}",
+            ),
+            (
+                swift_above_k < td_above_k,
+                f"SWIFT has fewer methods above k than TD on {name}",
+            ),
+            (sum(swift) < sum(td), f"SWIFT computes fewer summaries than TD on {name}"),
+        ]
+    return [claim for holds, claim in claims if not holds]

@@ -106,9 +106,11 @@ def render(rows: List[ShapeRow]) -> str:
     )
 
 
-def main(parallel: int = 0) -> None:
-    print(render(run(parallel=parallel)))
-
-
-if __name__ == "__main__":
-    main()
+def missed_claims(rows: List[ShapeRow]) -> List[str]:
+    """Query mode's motivation: on every shape and engine, one demand
+    query's cone is smaller than the program."""
+    return [
+        f"the demand cone is smaller than the program on {row.shape} ({row.engine})"
+        for row in rows
+        if not row.cone < row.procs
+    ]

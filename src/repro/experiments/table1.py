@@ -45,9 +45,31 @@ def render(stats: List[BenchmarkStats]) -> str:
     )
 
 
-def main(parallel: int = 0) -> None:
-    print(render(run(parallel=parallel)))
-
-
-if __name__ == "__main__":
-    main()
+def missed_claims(stats: List[BenchmarkStats]) -> List[str]:
+    """Table 1's shape: twelve programs; avrora the largest and jpat-p
+    and elevator the smallest by application methods; the library adds
+    classes, methods, code and lines to every program."""
+    by_size = sorted(stats, key=lambda s: s.methods_app)
+    claims = [
+        (len(stats) == 12, "twelve benchmarks"),
+        (
+            [s.name for s in by_size[-1:]] == ["avrora"],
+            "avrora has the most application methods",
+        ),
+        (
+            {s.name for s in by_size[:2]} == {"jpat-p", "elevator"},
+            "jpat-p and elevator have the fewest application methods",
+        ),
+    ]
+    for s in stats:
+        claims.append(
+            (
+                s.classes_total > s.classes_app
+                and s.methods_total > s.methods_app
+                and s.code_kb_total > s.code_kb_app > 0
+                and s.loc_total > s.loc_app > 0,
+                f"{s.name}'s totals exceed its application classes, "
+                "methods, KB and LOC",
+            )
+        )
+    return [claim for holds, claim in claims if not holds]

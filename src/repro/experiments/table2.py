@@ -34,6 +34,11 @@ from repro.experiments.harness import (
     speedup_label,
 )
 
+#: Where the baselines fail: BU finishes only on the two smallest
+#: programs, TD times out on the three largest.
+BU_FINISHES = ("jpat-p", "elevator")
+TD_TIMES_OUT = ("avrora", "rhino-a", "sablecc-j")
+
 HEADERS = [
     "benchmark",
     "TD time",
@@ -105,20 +110,18 @@ def _row_for_name(
     k: int = 5,
     theta: int = 1,
     budget_work: Optional[int] = DEFAULT_BUDGET_WORK,
-    progress: bool = False,
 ) -> Table2Row:
     """Worker entry point: benchmarks are reloaded by name so only the
     name crosses the process boundary (Programs are not pickled).
     Progress goes to stderr as each row finishes, so stdout holds the
     same table however the rows were scheduled."""
     row = run_one(load_benchmark(name), k, theta, budget_work)
-    if progress:
-        print(
-            f"  [{row.benchmark}] td={row.td.time_label} "
-            f"bu={row.bu.time_label} swift={row.swift.time_label}",
-            file=sys.stderr,
-            flush=True,
-        )
+    print(
+        f"  [{row.benchmark}] td={row.td.time_label} "
+        f"bu={row.bu.time_label} swift={row.swift.time_label}",
+        file=sys.stderr,
+        flush=True,
+    )
     return row
 
 
@@ -126,14 +129,11 @@ def run(
     k: int = 5,
     theta: int = 1,
     budget_work: Optional[int] = DEFAULT_BUDGET_WORK,
-    progress: bool = False,
     parallel: int = 0,
     names: Optional[Sequence[str]] = None,
 ) -> List[Table2Row]:
     names = list(names) if names is not None else benchmark_names()
-    worker = partial(
-        _row_for_name, k=k, theta=theta, budget_work=budget_work, progress=progress
-    )
+    worker = partial(_row_for_name, k=k, theta=theta, budget_work=budget_work)
     return map_rows(worker, names, parallel=parallel)
 
 
@@ -145,9 +145,36 @@ def render(rows: List[Table2Row]) -> str:
     )
 
 
-def main(parallel: int = 0) -> None:
-    print(render(run(progress=True, parallel=parallel)))
-
-
-if __name__ == "__main__":
-    main()
+def missed_claims(rows: List[Table2Row]) -> List[str]:
+    """Table 2's shape, row by row: SWIFT always finishes; BU finishes
+    exactly on ``BU_FINISHES`` (with more bottom-up summaries than
+    SWIFT's) and TD times out exactly on ``TD_TIMES_OUT``; from toba-s
+    up, where TD finishes, SWIFT needs under half of its top-down
+    summaries and less work."""
+    claims = []
+    for row in rows:
+        name, td, bu, swift = row.benchmark, row.td, row.bu, row.swift
+        claims.append((not swift.timed_out, f"SWIFT finishes on {name}"))
+        if name in BU_FINISHES:
+            claims += [
+                (not bu.timed_out, f"BU finishes on {name}"),
+                (
+                    swift.bu_summaries < bu.bu_summaries,
+                    f"SWIFT computes fewer bottom-up summaries than BU on {name}",
+                ),
+            ]
+        else:
+            claims.append((bu.timed_out, f"BU times out on {name}"))
+        if name in TD_TIMES_OUT:
+            claims.append((td.timed_out, f"TD times out on {name}"))
+            continue
+        claims.append((not td.timed_out, f"TD finishes on {name}"))
+        if name not in BU_FINISHES and not td.timed_out:
+            claims += [
+                (
+                    swift.td_summaries < 0.5 * td.td_summaries,
+                    f"SWIFT computes under half of TD's top-down summaries on {name}",
+                ),
+                (swift.work < td.work, f"SWIFT does less work than TD on {name}"),
+            ]
+    return [claim for holds, claim in claims if not holds]

@@ -25,6 +25,7 @@ from repro.experiments.harness import (
     format_table,
     map_rows,
     run_engine,
+    unmet,
 )
 
 K_VALUES = [2, 5, 10, 50, 100, 200, 500]
@@ -78,9 +79,26 @@ def render(rows: List[Table3Row]) -> str:
     )
 
 
-def main(parallel: int = 0) -> None:
-    print(render(run(parallel=parallel)))
-
-
-if __name__ == "__main__":
-    main()
+def missed_claims(rows: List[Table3Row]) -> List[str]:
+    """Table 3's upper arm: every k computes top-down summaries, and as
+    k rises toward 500 the run degenerates toward TD (more summaries,
+    more work) while the bottom-up analysis triggers less often."""
+    by_k = {row.k: row for row in rows}
+    missed = [
+        f"k={row.k} computes top-down summaries"
+        for row in rows
+        if row.td_summaries <= 0
+    ]
+    return missed + unmet(
+        {
+            "top-down summaries grow from k=5 to k=50 to k=500": lambda: (
+                by_k[5].td_summaries
+                < by_k[50].td_summaries
+                < by_k[500].td_summaries
+            ),
+            "work grows from k=5 to k=500": lambda: by_k[5].work < by_k[500].work,
+            "k=500 triggers the bottom-up analysis less often than k=5": lambda: (
+                by_k[500].bu_triggers < by_k[5].bu_triggers
+            ),
+        }
+    )

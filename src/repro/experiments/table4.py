@@ -73,9 +73,27 @@ def render(rows: List[Table4Row]) -> str:
     )
 
 
-def main(parallel: int = 0) -> None:
-    print(render(run(parallel=parallel)))
-
-
-if __name__ == "__main__":
-    main()
+def missed_claims(rows: List[Table4Row]) -> List[str]:
+    """Table 4's shape, row by row: both thetas finish, and theta=2
+    absorbs at least as many incoming states into bottom-up summaries
+    (no more top-down summaries) while tracking at least as many
+    bottom-up cases."""
+    claims = []
+    for row in rows:
+        theta1, theta2 = row.runs
+        name = row.benchmark
+        claims += [
+            (
+                not theta1.timed_out and not theta2.timed_out,
+                f"both thetas finish on {name}",
+            ),
+            (
+                theta2.td_summaries <= theta1.td_summaries,
+                f"theta=2 computes no more top-down summaries than theta=1 on {name}",
+            ),
+            (
+                theta2.bu_summaries >= theta1.bu_summaries,
+                f"theta=2 computes no fewer bottom-up summaries than theta=1 on {name}",
+            ),
+        ]
+    return [claim for holds, claim in claims if not holds]

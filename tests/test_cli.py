@@ -181,6 +181,11 @@ def test_parser_requires_command(capsys, tmp_path):
         (["query-point", missing, "main", *store], gone),
         (["query-batch", missing, "main", *store], gone),
         (["serve", "--http", "127.0.0.1:http"], "not 'http'"),
+        (
+            ["experiments", "table1", "tabel2"],
+            "unknown exhibit 'tabel2'; choose from table1, table2, figure5, "
+            "table3, table4, ablations, shapes",
+        ),
     ]:
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -1,19 +1,31 @@
-"""Fast tests for the experiment modules (rendering, small runs, CSV).
+"""Fast tests for the experiment modules (rendering, claims, small runs).
 
-The heavy full-suite runs live in benchmarks/; these tests exercise the
-code paths cheaply: rendering with synthetic rows, single small
-benchmarks, and the export helpers.
+The full exhibits run through ``python -m repro.experiments``, which
+prints each exhibit's missed shape claims (CI's "Paper shape claims
+hold" step).  These tests exercise the same code cheaply: rendering
+with synthetic rows, single small benchmarks whose claims must hold,
+every ``missed_claims`` on a doctored row, and the hub-flood
+scalability curve.
 """
 
-from collections import Counter
-from pathlib import Path
+import dataclasses
 
-import pytest
-
+from repro.alias import points_to_oracle
 from repro.bench import load_benchmark
-from repro.experiments import figure5, table1, table2, table3, table4
-from repro.experiments.export import write_csv
+from repro.bench.workloads import hub_flood
+from repro.experiments import (
+    ablations,
+    figure5,
+    shapes,
+    table1,
+    table2,
+    table3,
+    table4,
+)
 from repro.experiments.harness import EngineRun, run_engine
+from repro.framework.config import AnalysisConfig
+from repro.framework.session import analysis_session
+from repro.typestate.properties import FILE_PROPERTY
 
 
 def _engine_run(**overrides):
@@ -38,6 +50,17 @@ def test_table1_render_contains_all_names():
     text = table1.render(stats)
     for name in ("jpat-p", "avrora", "sablecc-j"):
         assert name in text
+    assert table1.missed_claims(stats) == []
+    doctored = [
+        dataclasses.replace(s, loc_total=s.loc_app) if s.name == "jpat-p" else s
+        for s in stats
+        if s.name != "avrora"
+    ]
+    assert table1.missed_claims(doctored) == [
+        "twelve benchmarks",
+        "avrora has the most application methods",
+        "jpat-p's totals exceed its application classes, methods, KB and LOC",
+    ]
 
 
 def test_table2_row_cells_with_timeouts():
@@ -56,6 +79,12 @@ def test_table2_row_cells_with_timeouts():
     assert cells[4] == cells[5] == cells[6] == "-"
     text = table2.render([row])
     assert "timeout" in text
+    # "bench" is mid-size: BU's timeout is the paper's, TD's is not.
+    assert table2.missed_claims([row]) == ["TD finishes on bench"]
+    stuck = dataclasses.replace(
+        row, benchmark="avrora", swift=dataclasses.replace(row.swift, timed_out=True)
+    )
+    assert table2.missed_claims([stuck]) == ["SWIFT finishes on avrora"]
 
 
 def test_table2_run_one_small_benchmark():
@@ -63,6 +92,7 @@ def test_table2_run_one_small_benchmark():
     assert not row.swift.timed_out
     assert row.swift.error_sites == row.td.error_sites
     assert row.bu.bu_summaries > row.swift.bu_summaries
+    assert table2.missed_claims([row]) == []
 
 
 def test_run_engine_records_metrics():
@@ -79,6 +109,7 @@ def test_figure5_series_and_chart():
     assert "T" in chart and "toba-s" in chart
     rendered = figure5.render([series])
     assert "methods" in rendered
+    assert figure5.missed_claims([series]) == []
 
 
 def test_figure5_stats_row():
@@ -87,6 +118,13 @@ def test_figure5_stats_row():
     assert row[0] == "x/TD"
     assert row[2] == 100  # max
     assert row[5] == 2  # methods above k
+    assert figure5.missed_claims([series]) == []
+    swapped = figure5.Figure5Series("x", series.swift_counts, series.td_counts, k=5)
+    assert figure5.missed_claims([swapped]) == [
+        "TD's worst method needs at least twice SWIFT's on x",
+        "SWIFT has fewer methods above k than TD on x",
+        "SWIFT computes fewer summaries than TD on x",
+    ]
 
 
 def test_table3_row_cells():
@@ -94,6 +132,28 @@ def test_table3_row_cells():
     assert row.cells()[0] == "5"
     text = table3.render([row])
     assert "avrora" in text
+    # Cross-row claims whose rows are absent are missed, not skipped.
+    assert table3.missed_claims([row]) == [
+        "top-down summaries grow from k=5 to k=50 to k=500 (no row 50)",
+        "work grows from k=5 to k=500 (no row 500)",
+        "k=500 triggers the bottom-up analysis less often than k=5 (no row 500)",
+    ]
+    variants = [
+        ablations.AblationRow(variant, 1.0, work, summaries, 0)
+        for variant, work, summaries in (
+            ("default", 10, 5),
+            ("blind-ranking", 30, 4),
+        )
+    ]
+    assert ablations.missed_claims(variants) == [
+        "frequency ranking computes fewer top-down summaries than blind ranking",
+        "refreshing existing summaries costs at least the default's work "
+        "(no row 'refresh-existing')",
+    ]
+    shape = shapes.ShapeRow("wide", 10, "td", 1.0, 100, 10, 5, 0.1)
+    assert shapes.missed_claims([shape, dataclasses.replace(shape, cone=3)]) == [
+        "the demand cone is smaller than the program on wide (td)"
+    ]
 
 
 def test_table4_runs_one_benchmark():
@@ -103,11 +163,36 @@ def test_table4_runs_one_benchmark():
     assert not theta1.timed_out and not theta2.timed_out
     cells = row.cells()
     assert cells[0] == "toba-s" and len(cells) == 5
+    assert table4.missed_claims([row]) == []
+    worse = dataclasses.replace(
+        theta2, td_summary_counts={"main": theta1.td_summaries + 1}
+    )
+    assert table4.missed_claims([table4.Table4Row("toba-s", [theta1, worse])]) == [
+        "theta=2 computes no more top-down summaries than theta=1 on toba-s"
+    ]
 
 
-def test_write_csv_round_trip(tmp_path):
-    path = tmp_path / "out" / "data.csv"
-    write_csv(path, ["a", "b"], [[1, "x"], [2, "y"]])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "a,b"
-    assert lines[1] == "1,x" and lines[2] == "2,y"
+def test_scalability_work_ratio_widens():
+    """TD's work grows faster than SWIFT's with the number of call
+    sites flooding a shared helper (each flood state costs SWIFT one
+    summary instantiation instead of one body re-analysis), so the
+    TD/SWIFT work ratio widens with scale on the same exit states."""
+    session = analysis_session()
+    ratios = []
+    for size in (16, 64, 256):
+        program = hub_flood(size)
+        # One oracle for both runs (it is the expensive part at 256).
+        oracle = points_to_oracle(program)
+        td, swift = (
+            session.run(program, config, prop=FILE_PROPERTY, oracle=oracle)
+            for config in (
+                AnalysisConfig(engine="td", domain="full"),
+                AnalysisConfig(engine="swift", domain="full", k=5, theta=1),
+            )
+        )
+        assert swift.result.exit_states() == td.result.exit_states()
+        assert td.metrics.total_work > 0 and swift.metrics.total_work > 0
+        ratios.append(td.metrics.total_work / swift.metrics.total_work)
+    # Decisive at the largest size (~2x here; the Table 2 suite reaches
+    # 6x and more before TD fails outright).
+    assert ratios == sorted(ratios) and ratios[-1] > 1.8, ratios

@@ -175,8 +175,16 @@ def test_widening_delay_zero_still_terminates_and_is_sound():
     default = run_typestate(
         program, FILE_PROPERTY, engine="swift", domain="interval-typestate"
     )
-    assert not eager.timed_out
-    assert eager.error_sites == default.error_sites
+    # Descending iterations narrow the numeric component only.
+    narrowed = run_typestate(
+        program,
+        FILE_PROPERTY,
+        engine="swift",
+        domain="interval-typestate",
+        descending_iters=2,
+    )
+    assert not eager.timed_out and not narrowed.timed_out
+    assert eager.error_sites == default.error_sites == narrowed.error_sites
 
 
 # -- typed refusal of unsupported combinations ----------------------------------

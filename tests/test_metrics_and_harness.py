@@ -261,12 +261,25 @@ def _always_fail(x):
     raise KeyError(x)
 
 
-def test_map_rows_preserves_order():
-    from repro.experiments.harness import map_rows
+def test_map_rows_preserves_order(monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.experiments import harness
 
     items = ["aaa", "b", "cc"]
-    assert map_rows(len, items) == [3, 1, 2]
-    assert map_rows(len, items, parallel=2) == [3, 1, 2]
+    assert harness.map_rows(len, items) == [3, 1, 2]
+    assert harness.map_rows(len, items, parallel=2) == [3, 1, 2]
+    # A pool starts every worker up front, so it never outnumbers the
+    # rows: asking for 64 workers over 3 rows starts 3.
+    sizes = []
+
+    def recording_pool(max_workers, **kwargs):
+        sizes.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", recording_pool)
+    assert harness.map_rows(len, items, parallel=64) == [3, 1, 2]
+    assert sizes == [3]
 
 
 def test_map_rows_recovers_failed_row():

@@ -28,7 +28,6 @@ from repro.experiments.harness import (
     format_table,
     map_rows,
     run_engine,
-    unmet,
 )
 from repro.framework.ignored import IgnoredStates
 from repro.framework.pruning import PruneOperator, clean, excl
@@ -141,16 +140,22 @@ def missed_claims(rows: List[AblationRow]) -> List[str]:
     """Frequency ranking is what makes pruning effective, and literal
     Algorithm 1 (refresh every reachable summary) costs extra work."""
     by_variant = {row.variant: row for row in rows}
-    return unmet(
-        {
-            "frequency ranking computes fewer top-down summaries than blind "
-            "ranking": lambda: (
-                by_variant["default"].td_summaries
-                < by_variant["blind-ranking"].td_summaries
-            ),
-            "refreshing existing summaries costs at least the default's work": (
-                lambda: by_variant["refresh-existing"].work
-                >= by_variant["default"].work
-            ),
-        }
-    )
+    absent = [
+        f"no row {variant}"
+        for variant in ("default", "blind-ranking", "refresh-existing")
+        if variant not in by_variant
+    ]
+    if absent:
+        return absent
+    default = by_variant["default"]
+    claims = [
+        (
+            default.td_summaries < by_variant["blind-ranking"].td_summaries,
+            "frequency ranking computes fewer top-down summaries than blind ranking",
+        ),
+        (
+            by_variant["refresh-existing"].work >= default.work,
+            "refreshing existing summaries costs at least the default's work",
+        ),
+    ]
+    return [claim for holds, claim in claims if not holds]

@@ -278,20 +278,6 @@ def drop_label(baseline_count: int, swift_count: int, timed_out: bool) -> str:
     return f"{100.0 * (1 - swift_count / baseline_count):.0f}%"
 
 
-def unmet(claims: Mapping[str, Callable[[], bool]]) -> List[str]:
-    """The claims (text to check) that do not hold, in order.  A check
-    that looks up a row the exhibit lacks (``KeyError``) is missed, not
-    skipped, and the miss names the absent row."""
-    missed = []
-    for claim, holds in claims.items():
-        try:
-            if not holds():
-                missed.append(claim)
-        except KeyError as exc:
-            missed.append(f"{claim} (no row {exc.args[0]!r})")
-    return missed
-
-
 def format_table(
     headers: Sequence[str], rows: Sequence[Sequence], title: str = ""
 ) -> str:
